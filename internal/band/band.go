@@ -34,7 +34,10 @@
 package band
 
 import (
+	"cmp"
+	"container/heap"
 	"fmt"
+	"slices"
 
 	"smrseek/internal/disk"
 	"smrseek/internal/extmap"
@@ -179,8 +182,45 @@ func (c Config) Validate() error {
 
 // bandState is the per-band shingle bookkeeping.
 type bandState struct {
+	index  int64       // the band's number
 	wmark  geom.Sector // write pointer: [bandStart, wmark) holds in-place data
 	cached int64       // live sectors currently redirected to the cache
+	pos    int         // position in the band's victim heap; -1 while clean
+}
+
+// cleansBefore is the victim order: the band with more cached sectors
+// is cleaned first, the lower band index on ties. It is a strict total
+// order, so the cleaner's choice never depends on insertion history.
+func cleansBefore(a, b *bandState) bool {
+	return a.cached > b.cached || (a.cached == b.cached && a.index < b.index)
+}
+
+// victimHeap is a heap of dirty bands under cleansBefore whose members
+// know their positions, so a band whose cached count changed is moved
+// or removed in O(log n) (container/heap's Fix and Remove).
+type victimHeap []*bandState
+
+func (h victimHeap) Len() int           { return len(h) }
+func (h victimHeap) Less(i, j int) bool { return cleansBefore(h[i], h[j]) }
+
+func (h victimHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+
+func (h *victimHeap) Push(x any) {
+	bs := x.(*bandState)
+	bs.pos = len(*h)
+	*h = append(*h, bs)
+}
+
+func (h *victimHeap) Pop() any {
+	old := *h
+	bs := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	bs.pos = -1
+	return bs
 }
 
 // cacheUnit is one append log inside the cache region.
@@ -203,17 +243,23 @@ type Device struct {
 	cmap  *extmap.Map // device address -> physical location of redirected data
 	units []cacheUnit
 
+	// victims indexes the dirty bands (cached > 0) for the cleaner, one
+	// heap per cache unit: band b lives in victims[b mod len(units)],
+	// PolB's band-to-unit assignment. A unit's first victim is its heap's
+	// top, the global one the best of the len(units) tops, and a unit's
+	// whole band list is its heap's contents — no query walks d.bands.
+	// reindex keeps it current wherever a band's cached count changes.
+	victims []victimHeap
+
 	cacheLive   int64       // live sectors in the cache region
 	shelterLive int64       // live sheltered sectors (outside the cache region)
-	dirtyBands  int64       // bands with cached > 0
+	dirtyBands  int64       // bands with cached > 0: the victim heaps' total size
 	shelterPos  geom.Sector // tail of the last big in-place access
 
 	cleaning metrics.Cleaning
 
-	stalled  bool          // a stall clean already ran during this op
-	fragBuf  []geom.Extent // scratch: cached fragments of the band being cleaned
-	physBuf  []geom.Extent // scratch: their physical locations
-	unitsBuf []int64       // scratch: PolB bands assigned to a unit
+	stalled  bool         // a stall clean already ran during this op
+	unitsBuf []*bandState // scratch: the dirty bands of the unit being cleaned
 }
 
 var _ disk.Device = (*Device)(nil)
@@ -236,6 +282,7 @@ func New(cfg Config) (*Device, error) {
 			n = 1
 		}
 		d.units = make([]cacheUnit, n)
+		d.victims = make([]victimHeap, n)
 		for i := range d.units {
 			d.units[i].start = cfg.DataSectors + geom.Sector(i)*cfg.UnitSectors
 		}
@@ -288,7 +335,7 @@ func (d *Device) bandEnd(b int64) geom.Sector {
 func (d *Device) state(b int64) *bandState {
 	bs := d.bands[b]
 	if bs == nil {
-		bs = &bandState{wmark: d.bandStart(b)}
+		bs = &bandState{index: b, wmark: d.bandStart(b), pos: -1}
 		d.bands[b] = bs
 	}
 	return bs
@@ -453,7 +500,7 @@ func (d *Device) doWrite(ext geom.Extent, sum *summary) error {
 			if chunkEnd > bs.wmark {
 				bs.wmark = chunkEnd
 			}
-			d.redirect(geom.Span(cur, chunkEnd), b, bs, sum)
+			d.redirect(geom.Span(cur, chunkEnd), bs, sum)
 			runStart = chunkEnd
 		}
 		cur = chunkEnd
@@ -464,9 +511,9 @@ func (d *Device) doWrite(ext geom.Extent, sum *summary) error {
 
 // redirect places one rewrite piece (confined to a single band) into
 // the persistent cache per the policy and records the mapping.
-func (d *Device) redirect(ext geom.Extent, b int64, bs *bandState, sum *summary) {
+func (d *Device) redirect(ext geom.Extent, bs *bandState, sum *summary) {
 	if d.cfg.Policy == Shelter && ext.Count <= d.cfg.ShelterSectors {
-		if d.shelterWrite(ext, b, bs, sum) {
+		if d.shelterWrite(ext, bs, sum) {
 			return
 		}
 	}
@@ -477,32 +524,46 @@ func (d *Device) redirect(ext geom.Extent, b int64, bs *bandState, sum *summary)
 			n = d.cfg.UnitSectors
 		}
 		piece := geom.Ext(cur, n)
-		u := d.alloc(piece.Count, b)
+		u := d.alloc(piece.Count, bs.index)
 		phys := d.units[u].start + geom.Sector(d.units[u].fill)
 		d.units[u].fill += piece.Count
 		d.units[u].live += piece.Count
 		d.cacheLive += piece.Count
 		d.access(disk.Write, geom.Ext(phys, piece.Count), sum)
-		d.insert(piece, phys, b, bs)
+		d.insert(piece, phys, bs)
 		cur += n
 	}
 }
 
-// insert records the device->cache mapping for a redirected piece,
-// releasing whatever older redirections it displaced.
-func (d *Device) insert(devExt geom.Extent, phys geom.Sector, b int64, bs *bandState) {
-	wasDirty := bs.cached > 0
+// insert records the mapping of a redirected piece of band bs to its
+// physical location, releasing whatever older redirections it displaced.
+func (d *Device) insert(devExt geom.Extent, phys geom.Sector, bs *bandState) {
 	bs.cached += devExt.Count
 	d.cmap.InsertFunc(devExt, phys, func(old extmap.Mapping) bool {
 		d.release(old)
 		bs.cached -= old.Lba.Count
 		return true
 	})
-	if !wasDirty && bs.cached > 0 {
-		d.dirtyBands++
-	}
+	d.reindex(bs)
 	d.cleaning.CachedWrites++
 	d.cleaning.CachedSectors += devExt.Count
+}
+
+// reindex restores the victim index after bs.cached changed: a band
+// that became dirty enters its unit's heap, one that was cleaned leaves
+// it, and one whose count moved is re-sifted.
+func (d *Device) reindex(bs *bandState) {
+	h := &d.victims[bs.index%int64(len(d.victims))]
+	switch {
+	case bs.cached > 0 && bs.pos < 0:
+		heap.Push(h, bs)
+		d.dirtyBands++
+	case bs.cached > 0:
+		heap.Fix(h, bs.pos)
+	case bs.pos >= 0:
+		heap.Remove(h, bs.pos)
+		d.dirtyBands--
+	}
 }
 
 // release drops the live accounting for one no-longer-mapped piece.
@@ -525,7 +586,7 @@ func (d *Device) release(m extmap.Mapping) {
 // unwritten tail of the band the head is already in — so it costs no
 // seek. Reports false when the shelter band has no room, sending the
 // piece down the cache path instead.
-func (d *Device) shelterWrite(ext geom.Extent, b int64, bs *bandState, sum *summary) bool {
+func (d *Device) shelterWrite(ext geom.Extent, bs *bandState, sum *summary) bool {
 	sb := d.band(d.shelterPos)
 	ss := d.state(sb)
 	target := d.shelterPos
@@ -543,19 +604,8 @@ func (d *Device) shelterWrite(ext geom.Extent, b int64, bs *bandState, sum *summ
 		ss.wmark = target + geom.Sector(ext.Count)
 	}
 	d.shelterLive += ext.Count
-	wasDirty := bs.cached > 0
-	bs.cached += ext.Count
-	d.cmap.InsertFunc(ext, target, func(old extmap.Mapping) bool {
-		d.release(old)
-		bs.cached -= old.Lba.Count
-		return true
-	})
-	if !wasDirty && bs.cached > 0 {
-		d.dirtyBands++
-	}
+	d.insert(ext, target, bs)
 	d.shelterPos = target + geom.Sector(ext.Count)
-	d.cleaning.CachedWrites++
-	d.cleaning.CachedSectors += ext.Count
 	return true
 }
 
@@ -628,9 +678,9 @@ func (d *Device) softClean() {
 		}
 		return
 	}
-	if b, ok := d.dirtiestBand(-1); ok {
+	if bs := d.dirtiestBand(-1); bs != nil {
 		d.cleaning.CleanRuns++
-		d.cleanBand(b)
+		d.cleanBand(bs)
 	}
 }
 
@@ -643,9 +693,9 @@ func (d *Device) softCleanUnits() {
 		if d.units[u].fill <= lo {
 			continue
 		}
-		if b, ok := d.dirtiestBand(int64(u)); ok {
+		if bs := d.dirtiestBand(u); bs != nil {
 			d.cleaning.CleanRuns++
-			d.cleanBand(b)
+			d.cleanBand(bs)
 			return
 		}
 	}
@@ -655,8 +705,8 @@ func (d *Device) softCleanUnits() {
 // charging a stall for the first such clean of the op. Reports false
 // when no band is dirty.
 func (d *Device) stallCleanOne() bool {
-	b, ok := d.dirtiestBand(-1)
-	if !ok {
+	bs := d.dirtiestBand(-1)
+	if bs == nil {
 		return false
 	}
 	d.cleaning.CleanRuns++
@@ -665,14 +715,15 @@ func (d *Device) stallCleanOne() bool {
 		d.cleaning.Stalls++
 	}
 	before := d.cleaning.CleanReadSectors + d.cleaning.CleanWriteSectors
-	d.cleanBand(b)
+	d.cleanBand(bs)
 	d.cleaning.StallSectors += d.cleaning.CleanReadSectors + d.cleaning.CleanWriteSectors - before
 	return true
 }
 
 // cleanUnit is PolB's hard trigger: the band's own log is full, so
-// every band assigned to this unit is cleaned — after which the unit's
-// live count is zero and its log is reclaimed.
+// every dirty band assigned to this unit is cleaned, in ascending band
+// order — after which the unit's live count is zero and its log is
+// reclaimed.
 func (d *Device) cleanUnit(u int) {
 	d.cleaning.CleanRuns++
 	if !d.stalled {
@@ -680,37 +731,31 @@ func (d *Device) cleanUnit(u int) {
 		d.cleaning.Stalls++
 	}
 	before := d.cleaning.CleanReadSectors + d.cleaning.CleanWriteSectors
-	d.unitsBuf = d.unitsBuf[:0]
-	for b, bs := range d.bands {
-		if bs.cached > 0 && b%int64(len(d.units)) == int64(u) {
-			d.unitsBuf = append(d.unitsBuf, b)
-		}
-	}
-	sortInt64s(d.unitsBuf)
-	for _, b := range d.unitsBuf {
-		d.cleanBand(b)
+	d.unitsBuf = append(d.unitsBuf[:0], d.victims[u]...)
+	slices.SortFunc(d.unitsBuf, func(a, b *bandState) int { return cmp.Compare(a.index, b.index) })
+	for _, bs := range d.unitsBuf {
+		d.cleanBand(bs)
 	}
 	d.cleaning.StallSectors += d.cleaning.CleanReadSectors + d.cleaning.CleanWriteSectors - before
 }
 
-// dirtiestBand picks the dirty band with the most cached sectors
-// (lowest index on ties, so runs are deterministic under Go's random
-// map iteration). unit >= 0 restricts the choice to PolB's assignment.
-func (d *Device) dirtiestBand(unit int64) (int64, bool) {
-	best, bestCached := int64(0), int64(0)
-	found := false
-	for b, bs := range d.bands {
-		if bs.cached <= 0 {
-			continue
+// dirtiestBand returns the first dirty band in victim order — most
+// cached sectors, lowest band index on ties — or nil when none is
+// dirty. unit >= 0 restricts the choice to PolB's assignment.
+func (d *Device) dirtiestBand(unit int) *bandState {
+	if unit >= 0 {
+		if h := d.victims[unit]; len(h) > 0 {
+			return h[0]
 		}
-		if unit >= 0 && b%int64(len(d.units)) != unit {
-			continue
-		}
-		if !found || bs.cached > bestCached || (bs.cached == bestCached && b < best) {
-			best, bestCached, found = b, bs.cached, true
+		return nil
+	}
+	var best *bandState
+	for _, h := range d.victims {
+		if len(h) > 0 && (best == nil || cleansBefore(h[0], best)) {
+			best = h[0]
 		}
 	}
-	return best, found
+	return best
 }
 
 // cleanBand read-modify-writes one dirty band: read its redirected
@@ -719,50 +764,30 @@ func (d *Device) dirtiestBand(unit int64) (int64, bool) {
 // Cleaning I/O goes through the inner engine unobserved by sum — it is
 // charged to the device's own counters and to disk.Counters, not to a
 // particular host access summary.
-func (d *Device) cleanBand(b int64) {
-	bs := d.bands[b]
-	if bs == nil || bs.cached == 0 {
-		return
-	}
-	region := geom.Span(d.bandStart(b), bs.wmark)
-	d.fragBuf = d.fragBuf[:0]
-	d.physBuf = d.physBuf[:0]
+func (d *Device) cleanBand(bs *bandState) {
+	// Every mapping of the band lies inside region: a redirected piece
+	// never leaves its band and sits below the write pointer.
+	region := geom.Span(d.bandStart(bs.index), bs.wmark)
+	// Gather: the cached pieces first (the seeks to the cache are the
+	// price of the earlier cheap writes), then the in-place survivors.
 	d.cmap.LookupFunc(region, func(r extmap.Resolved) bool {
 		if !r.Identity {
-			d.fragBuf = append(d.fragBuf, r.Lba)
-			d.physBuf = append(d.physBuf, r.PhysExtent())
+			d.access(disk.Read, r.PhysExtent(), nil)
+			d.cleaning.CleanReadSectors += r.Lba.Count
 		}
 		return true
 	})
-	// Gather: the cached pieces first (the seeks to the cache are the
-	// price of the earlier cheap writes), then the in-place survivors.
-	for _, p := range d.physBuf {
-		d.access(disk.Read, p, nil)
-		d.cleaning.CleanReadSectors += p.Count
-	}
-	if !region.Empty() {
-		d.access(disk.Read, region, nil)
-		d.cleaning.CleanReadSectors += region.Count
-		d.access(disk.Write, region, nil)
-		d.cleaning.CleanWriteSectors += region.Count
-	}
-	for _, lba := range d.fragBuf {
-		for _, m := range d.cmap.Delete(lba) {
-			d.release(m)
-		}
-	}
+	d.access(disk.Read, region, nil)
+	d.cleaning.CleanReadSectors += region.Count
+	d.access(disk.Write, region, nil)
+	d.cleaning.CleanWriteSectors += region.Count
+	d.cmap.DeleteFunc(region, func(m extmap.Mapping) bool {
+		d.release(m)
+		return true
+	})
 	bs.cached = 0
-	d.dirtyBands--
+	d.reindex(bs)
 	d.cleaning.BandsCleaned++
-}
-
-// sortInt64s is a tiny insertion sort — unit band lists are short.
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // CheckInvariants verifies the allocator's structural invariants — the
@@ -773,7 +798,10 @@ func sortInt64s(s []int64) {
 //   - per-unit and global live counts equal the mapped totals;
 //   - a band's cached count equals its mapped sectors, and the dirty
 //     gauge counts exactly the bands with cached data;
-//   - every mapping lies below its band's write pointer.
+//   - every mapping lies below its band's write pointer;
+//   - the victim index holds exactly the bands with cached data, each in
+//     its unit's heap at the position it records, parents before
+//     children in victim order.
 func (d *Device) CheckInvariants() error {
 	if err := d.cmap.CheckInvariants(); err != nil {
 		return err
@@ -813,12 +841,11 @@ func (d *Device) CheckInvariants() error {
 	if fail != nil {
 		return fail
 	}
-	for i := range phys {
-		for j := i + 1; j < len(phys); j++ {
-			if phys[i].start < phys[j].end && phys[j].start < phys[i].end {
-				return fmt.Errorf("physical overlap: [%d,%d) and [%d,%d)",
-					phys[i].start, phys[i].end, phys[j].start, phys[j].end)
-			}
+	slices.SortFunc(phys, func(a, b span) int { return cmp.Compare(a.start, b.start) })
+	for i := 1; i < len(phys); i++ {
+		if phys[i].start < phys[i-1].end {
+			return fmt.Errorf("physical overlap: [%d,%d) and [%d,%d)",
+				phys[i-1].start, phys[i-1].end, phys[i].start, phys[i].end)
 		}
 	}
 	if cacheLive != d.cacheLive || shelterLive != d.shelterLive {
@@ -839,8 +866,18 @@ func (d *Device) CheckInvariants() error {
 		if bs.cached != bandCached[b] {
 			return fmt.Errorf("band %d cached %d, want %d", b, bs.cached, bandCached[b])
 		}
+		if bs.index != b {
+			return fmt.Errorf("band %d records index %d", b, bs.index)
+		}
 		if bs.cached > 0 {
 			dirty++
+			u := b % int64(len(d.victims))
+			if h := d.victims[u]; bs.pos < 0 || bs.pos >= len(h) || h[bs.pos] != bs {
+				return fmt.Errorf("dirty band %d (cached %d) not at position %d of victim heap %d",
+					b, bs.cached, bs.pos, u)
+			}
+		} else if bs.pos != -1 {
+			return fmt.Errorf("clean band %d records victim position %d", b, bs.pos)
 		}
 		if bs.wmark < d.bandStart(b) || bs.wmark > d.bandEnd(b) {
 			return fmt.Errorf("band %d write pointer %d outside band", b, bs.wmark)
@@ -848,6 +885,21 @@ func (d *Device) CheckInvariants() error {
 	}
 	if dirty != d.dirtyBands {
 		return fmt.Errorf("dirty gauge %d, want %d", d.dirtyBands, dirty)
+	}
+	// Every dirty band sits in its heap (checked above), so equal totals
+	// mean the heaps hold nothing else.
+	var indexed int64
+	for u, h := range d.victims {
+		indexed += int64(len(h))
+		for i := 1; i < len(h); i++ {
+			if cleansBefore(h[i], h[(i-1)/2]) {
+				return fmt.Errorf("victim heap %d: band %d (cached %d) below band %d (cached %d)",
+					u, h[i].index, h[i].cached, h[(i-1)/2].index, h[(i-1)/2].cached)
+			}
+		}
+	}
+	if indexed != dirty {
+		return fmt.Errorf("victim index holds %d bands, want %d", indexed, dirty)
 	}
 	return nil
 }

@@ -70,8 +70,8 @@ type Map struct {
 	// and split churn recycles nodes here instead of hitting the GC, and
 	// refills come in slabs of nodeSlabSize.
 	free *node
-	// scratch is the reusable overlap buffer for InsertFunc/Delete; it
-	// is why callbacks must not mutate the map re-entrantly.
+	// scratch is the reusable overlap buffer for InsertFunc/DeleteFunc;
+	// it is why callbacks must not mutate the map re-entrantly.
 	scratch []Mapping
 }
 
@@ -314,26 +314,7 @@ func (t *Map) InsertFunc(lba geom.Extent, pba geom.Sector, fn func(Mapping) bool
 	if lba.Empty() {
 		return
 	}
-	notify := fn != nil
-	for _, old := range t.overlapScratch(lba) {
-		t.deleteStart(old.Lba.Start, old.Lba.Count)
-		if notify {
-			ov := old.Lba.Intersect(lba)
-			notify = fn(Mapping{Lba: ov, Pba: old.Pba + (ov.Start - old.Lba.Start)})
-		}
-		// Surviving pieces keep their original physical placement; a
-		// mapping overlapping lba leaves at most a left and a right
-		// remainder.
-		if old.Lba.Start < lba.Start {
-			t.insertNode(Mapping{Lba: geom.Span(old.Lba.Start, lba.Start), Pba: old.Pba})
-		}
-		if old.Lba.End() > lba.End() {
-			t.insertNode(Mapping{
-				Lba: geom.Span(lba.End(), old.Lba.End()),
-				Pba: old.Pba + (lba.End() - old.Lba.Start),
-			})
-		}
-	}
+	t.DeleteFunc(lba, fn)
 	t.insertNode(Mapping{Lba: lba, Pba: pba})
 	if t.coalesce {
 		t.coalesceAround(Mapping{Lba: lba, Pba: pba})
@@ -380,20 +361,27 @@ func (t *Map) coalesceAround(m Mapping) {
 	t.insertNode(Mapping{Lba: geom.Span(lo.Lba.Start, hi.Lba.End()), Pba: lo.Pba})
 }
 
-// Delete removes any mapping of the LBA extent (splitting mappings that
-// straddle its boundary) and returns the removed pieces.
-func (t *Map) Delete(lba geom.Extent) []Mapping {
+// DeleteFunc removes any mapping of the LBA extent, splitting mappings
+// that straddle its boundary so their parts outside lba survive at
+// their original physical placement. Each removed piece is passed to fn
+// in ascending LBA order; fn may be nil. A false return stops further
+// notifications, but the delete itself always completes. The Mapping
+// value is only valid during the callback, and fn must not mutate the
+// map. This is the allocation-free core of Delete and of InsertFunc's
+// hole punch.
+func (t *Map) DeleteFunc(lba geom.Extent, fn func(Mapping) bool) {
 	if lba.Empty() {
-		return nil
+		return
 	}
-	var removed []Mapping
+	notify := fn != nil
 	for _, old := range t.overlapScratch(lba) {
 		t.deleteStart(old.Lba.Start, old.Lba.Count)
-		ov := old.Lba.Intersect(lba)
-		removed = append(removed, Mapping{
-			Lba: ov,
-			Pba: old.Pba + (ov.Start - old.Lba.Start),
-		})
+		if notify {
+			ov := old.Lba.Intersect(lba)
+			notify = fn(Mapping{Lba: ov, Pba: old.Pba + (ov.Start - old.Lba.Start)})
+		}
+		// A mapping overlapping lba leaves at most a left and a right
+		// remainder.
 		if old.Lba.Start < lba.Start {
 			t.insertNode(Mapping{Lba: geom.Span(old.Lba.Start, lba.Start), Pba: old.Pba})
 		}
@@ -404,6 +392,16 @@ func (t *Map) Delete(lba geom.Extent) []Mapping {
 			})
 		}
 	}
+}
+
+// Delete is DeleteFunc collecting the removed pieces into a fresh
+// slice — the convenient form for cold paths and tests.
+func (t *Map) Delete(lba geom.Extent) []Mapping {
+	var removed []Mapping
+	t.DeleteFunc(lba, func(m Mapping) bool {
+		removed = append(removed, m)
+		return true
+	})
 	return removed
 }
 

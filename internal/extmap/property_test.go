@@ -3,6 +3,7 @@ package extmap
 import (
 	"flag"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -169,7 +170,8 @@ func resolvedEqual(a, b []Resolved) bool {
 }
 
 // TestPropertyDifferential drives New and NewCoalesced maps through a
-// random mix of Insert/Delete/Lookup against the reference model,
+// random mix of Insert/Delete/Lookup — wrappers and visitors alike —
+// against the reference model,
 // checking structural invariants after every mutation. Failures log the
 // seed; rerun with -extmap.seed to reproduce.
 func TestPropertyDifferential(t *testing.T) {
@@ -234,10 +236,40 @@ func TestPropertyDifferential(t *testing.T) {
 					}
 				case op < 7:
 					lba := randExt()
-					got := flatten(m.Delete(lba))
-					want := ref.delete(lba)
-					if !sectorsEqual(got, want) {
-						t.Fatalf("op %d: Delete(%v) removed %v, reference %v", i, lba, got, want)
+					// What a delete must report: each mapping's part inside
+					// lba, one piece per mapping, in LBA order.
+					var want []Mapping
+					m.Walk(func(p Mapping) bool {
+						if ov := p.Lba.Intersect(lba); !ov.Empty() {
+							want = append(want, Mapping{Lba: ov, Pba: p.Pba + (ov.Start - p.Lba.Start)})
+						}
+						return true
+					})
+					if refWant := ref.delete(lba); !sectorsEqual(flatten(want), refWant) {
+						t.Fatalf("op %d: mappings under %v are %v, reference %v", i, lba, want, refWant)
+					}
+					// Delete is DeleteFunc's slice-collecting wrapper;
+					// rotate through it, the visitor, and a visitor that
+					// stops after one piece — which must still delete all
+					// of lba (the MappedSectors check below sees it if not).
+					var got []Mapping
+					switch i % 3 {
+					case 0:
+						got = m.Delete(lba)
+					case 1:
+						m.DeleteFunc(lba, func(p Mapping) bool {
+							got = append(got, p)
+							return true
+						})
+					default:
+						m.DeleteFunc(lba, func(p Mapping) bool {
+							got = append(got, p)
+							return false
+						})
+						want = want[:min(1, len(want))]
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("op %d: delete of %v (form %d) reported %v, want %v", i, lba, i%3, got, want)
 					}
 				default:
 					q := randExt()

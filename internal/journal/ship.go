@@ -105,8 +105,11 @@ func ShipFrom(dir string, gen uint64, off int64, maxBytes int) (ShipChunk, error
 		// The source's own journal must verify before a byte of it ships.
 		return ShipChunk{}, err
 	}
+	// Before the first seal the sealed extent is the bare header, which
+	// carries nothing a receiver could verify: that too is "nothing to
+	// ship yet", not a chunk.
 	end := sealedEnd(d)
-	if off >= end {
+	if len(d.Seals) == 0 || off >= end {
 		return ShipChunk{Kind: ShipNone, Gen: jgen, Off: off}, nil
 	}
 	// Clip to the furthest seal boundary within maxBytes of off; a single
