@@ -1,20 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
+	"smrseek/internal/geom"
 	"smrseek/internal/trace"
-	"smrseek/internal/workload"
 )
-
-func benchRecords(b *testing.B, name string) []trace.Record {
-	b.Helper()
-	p, err := workload.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p.Generate(0.3)
-}
 
 func benchRun(b *testing.B, cfg Config, recs []trace.Record) {
 	b.Helper()
@@ -37,7 +29,7 @@ func benchRun(b *testing.B, cfg Config, recs []trace.Record) {
 // BenchmarkPipeline measures simulation throughput per configuration —
 // the incremental cost of each mechanism over the bare pipeline.
 func BenchmarkPipeline(b *testing.B) {
-	recs := benchRecords(b, "w91")
+	recs := catalogRecords(b, "w91", 0.3)
 	d, p, c := DefaultDefragConfig(), DefaultPrefetchConfig(), DefaultCacheConfig()
 	cases := []struct {
 		name string
@@ -51,5 +43,49 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) { benchRun(b, tc.cfg, recs) })
+	}
+}
+
+// BenchmarkSelectiveCacheInvalidate times one host write's invalidation
+// against an aged cache — overlapping keys of mixed sizes, the 64 MB
+// cache a quarter, half and completely full, over an LBA space sized in
+// proportion so that a write drops as many entries at each fill. Each
+// dropped entry is replaced by a fresh one, so the entry count holds
+// steady (and, when full, capacity evictions keep running); the
+// per-write cost must not grow with the entry count beyond the tree's
+// extra levels, and nothing may allocate.
+func BenchmarkSelectiveCacheInvalidate(b *testing.B) {
+	capacity := DefaultCacheConfig().CapacityBytes
+	for _, fill := range []struct {
+		name string
+		num  int64
+	}{{"quarter", 1}, {"half", 2}, {"full", 4}} {
+		b.Run(fill.name, func(b *testing.B) {
+			space := fill.num << 20 // sectors of LBA space the keys fall in
+			rng := rand.New(rand.NewSource(1))
+			randKey := func() geom.Extent { return geom.Ext(rng.Int63n(space), 1+rng.Int63n(32)) }
+			s := NewSelectiveCache(CacheConfig{CapacityBytes: capacity})
+			for s.UsedBytes() < capacity*fill.num/4-32*geom.SectorSize {
+				s.Insert(randKey())
+			}
+			// Age it: churn until every slab and the LRU's map have
+			// reached their steady size.
+			step := func() {
+				for n := s.Invalidate(geom.Ext(rng.Int63n(space), 1+rng.Int63n(256))); n > 0; n-- {
+					s.Insert(randKey())
+				}
+			}
+			for i := 0; i < 200_000; i++ {
+				step()
+			}
+			entries, before := s.Entries(), s.Invalidations()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.ReportMetric(float64(entries), "entries")
+			b.ReportMetric(float64(s.Invalidations()-before)/float64(b.N), "dropped/op")
+		})
 	}
 }

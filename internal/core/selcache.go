@@ -50,29 +50,23 @@ type SelectiveCache struct {
 	cfg CacheConfig
 	c   *lru.Cache[extKey, struct{}]
 
-	// coverage is a coarse union of cached LBA ranges used to skip the
-	// invalidation scan for writes that cannot overlap anything cached.
-	// It is grown on insert and rebuilt after each invalidation scan, so
-	// it may over-approximate (stale after evictions) but never
-	// under-approximate live entries.
-	coverage *geom.Set
-	// spare is the set the invalidation scan rebuilds into; it swaps
-	// with coverage afterwards so neither is reallocated.
-	spare *geom.Set
-	// keyBuf is the reusable buffer for invalidation key scans.
-	keyBuf []extKey
+	// idx holds exactly the LRU's keys in LBA order, so a write finds
+	// the entries it overlaps in O(log n) each instead of testing every
+	// key. Insert, capacity eviction (the LRU's callback), Evict and
+	// Invalidate all update both structures.
+	idx extIndex
 
 	invalidations int64
 }
 
 // NewSelectiveCache returns a cache with the given configuration.
 func NewSelectiveCache(cfg CacheConfig) *SelectiveCache {
-	return &SelectiveCache{
-		cfg:      cfg,
-		c:        lru.New[extKey, struct{}](cfg.CapacityBytes),
-		coverage: geom.NewSet(),
-		spare:    geom.NewSet(),
+	s := &SelectiveCache{
+		cfg: cfg,
+		c:   lru.New[extKey, struct{}](cfg.CapacityBytes),
 	}
+	s.c.OnEvict(func(k extKey, _ struct{}) { s.idx.remove(k) })
+	return s
 }
 
 // Has reports whether the fragment's exact LBA extent is cached, marking
@@ -87,40 +81,41 @@ func (s *SelectiveCache) Insert(lba geom.Extent) {
 	if lba.Empty() {
 		return
 	}
-	s.c.Add(keyOf(lba), struct{}{}, lba.Bytes())
-	s.coverage.Add(lba)
+	k := keyOf(lba)
+	// Index first: Add may evict on the spot — k itself when it is
+	// larger than the whole cache — and the callback must find its node.
+	if _, ok := s.c.Peek(k); !ok {
+		s.idx.insert(k)
+	}
+	s.c.Add(k, struct{}{}, lba.Bytes())
 }
 
-// Evict drops the exact-extent entry if present, without touching the
-// coverage set (over-approximation is allowed). Used when an entry's
+// Evict drops the exact-extent entry if present. Used when an entry's
 // data turns out to be corrupt and must never be served.
 func (s *SelectiveCache) Evict(lba geom.Extent) {
-	s.c.Remove(keyOf(lba))
+	k := keyOf(lba)
+	if s.c.Remove(k) {
+		s.idx.remove(k)
+	}
 }
 
 // Invalidate drops every cached entry overlapping the written extent, so
 // the cache can never serve stale data. It returns the number of entries
 // dropped.
 func (s *SelectiveCache) Invalidate(written geom.Extent) int {
-	if written.Empty() || !s.coverage.OverlapsAny(written) {
+	if written.Empty() {
 		return 0
 	}
-	// Slow path: scan all keys, drop overlaps, rebuild tight coverage.
-	// The key buffer and the spare set are reused across scans, so even
-	// this path settles into zero allocations.
 	dropped := 0
-	s.keyBuf = s.c.AppendKeys(s.keyBuf[:0])
-	s.spare.Clear()
-	for _, k := range s.keyBuf {
-		e := k.extent()
-		if e.Overlaps(written) {
-			s.c.Remove(k)
-			dropped++
-			continue
+	for {
+		k, ok := s.idx.overlapping(written)
+		if !ok {
+			break
 		}
-		s.spare.Add(e)
+		s.idx.remove(k)
+		s.c.Remove(k)
+		dropped++
 	}
-	s.coverage, s.spare = s.spare, s.coverage
 	s.invalidations += int64(dropped)
 	return dropped
 }

@@ -1,0 +1,594 @@
+package core
+
+import (
+	"cmp"
+	"flag"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"smrseek/internal/disk"
+	"smrseek/internal/geom"
+	"smrseek/internal/stl"
+	"smrseek/internal/trace"
+	"smrseek/internal/workload"
+)
+
+// The selective cache's LBA index is tested differentially, in
+// extmap/property_test.go's style: every operation is applied to the
+// real SelectiveCache and to a brutally simple reference — a flat slice
+// of keys in recency order whose invalidation tests every key against
+// the write. That every-key scan is what SelectiveCache.Invalidate did
+// before the index; it survives here as the oracle.
+
+var cacheSeed = flag.Int64("selcache.seed", 0,
+	"selective cache property test seed (0 = derive from time; the chosen seeds are logged)")
+
+// checkInvariants verifies that the index and the LRU hold the same key
+// set and that the tree is a well-formed, max-end-augmented AVL tree.
+// Keys strictly ascending (hence distinct), every one present in the
+// LRU, and as many of them as LRU entries: the two sets are equal.
+func (s *SelectiveCache) checkInvariants() error {
+	var prev *extKey
+	count := 0
+	var walk func(n *idxNode) (height int, maxEnd geom.Sector, err error)
+	walk = func(n *idxNode) (int, geom.Sector, error) {
+		if n == nil {
+			return 0, 0, nil
+		}
+		lh, lmax, err := walk(n.left)
+		if err != nil {
+			return 0, 0, err
+		}
+		if prev != nil && !prev.less(n.key) {
+			return 0, 0, fmt.Errorf("index order: %v not before %v", prev.extent(), n.key.extent())
+		}
+		k := n.key
+		prev = &k
+		count++
+		if n.key.count <= 0 {
+			return 0, 0, fmt.Errorf("index holds empty extent %v", n.key.extent())
+		}
+		if _, ok := s.c.Peek(n.key); !ok {
+			return 0, 0, fmt.Errorf("index holds %v, which the LRU does not", n.key.extent())
+		}
+		rh, rmax, err := walk(n.right)
+		if err != nil {
+			return 0, 0, err
+		}
+		if d := lh - rh; d < -1 || d > 1 {
+			return 0, 0, fmt.Errorf("index unbalanced at %v: heights %d/%d", n.key.extent(), lh, rh)
+		}
+		if want := 1 + max(lh, rh); n.height != want {
+			return 0, 0, fmt.Errorf("index height at %v = %d, want %d", n.key.extent(), n.height, want)
+		}
+		want := n.key.end()
+		if n.left != nil {
+			want = max(want, lmax)
+		}
+		if n.right != nil {
+			want = max(want, rmax)
+		}
+		if n.maxEnd != want {
+			return 0, 0, fmt.Errorf("index max-end at %v = %d, want %d", n.key.extent(), n.maxEnd, want)
+		}
+		return n.height, n.maxEnd, nil
+	}
+	if _, _, err := walk(s.idx.root); err != nil {
+		return err
+	}
+	if count != s.idx.n {
+		return fmt.Errorf("index counts %d nodes, holds %d", s.idx.n, count)
+	}
+	if count != s.c.Len() {
+		return fmt.Errorf("index holds %d keys, LRU %d", count, s.c.Len())
+	}
+	return nil
+}
+
+// indexKeys lists the indexed keys in ascending order.
+func (s *SelectiveCache) indexKeys() []extKey {
+	var out []extKey
+	var walk func(n *idxNode)
+	walk = func(n *idxNode) {
+		if n != nil {
+			walk(n.left)
+			out = append(out, n.key)
+			walk(n.right)
+		}
+	}
+	walk(s.idx.root)
+	return out
+}
+
+// coveredByUnion reports whether every sector of e lies in some cached
+// extent — a containment hit, where exact-extent keying sees a miss. One
+// in-order walk: subtrees that end at or before the covered prefix are
+// skipped, and the first key starting past the prefix proves a gap,
+// since every later key starts later still.
+func (s *SelectiveCache) coveredByUnion(e geom.Extent) bool {
+	reach, stop := e.Start, false
+	var walk func(n *idxNode)
+	walk = func(n *idxNode) {
+		if n == nil || stop || n.maxEnd <= reach {
+			return
+		}
+		walk(n.left)
+		if stop {
+			return
+		}
+		if n.key.start > reach {
+			stop = true
+			return
+		}
+		reach = max(reach, n.key.end())
+		if reach >= e.End() {
+			stop = true
+			return
+		}
+		walk(n.right)
+	}
+	walk(s.idx.root)
+	return reach >= e.End()
+}
+
+// flatCache is the reference model: keys from most to least recently
+// used, every operation a linear pass.
+type flatCache struct {
+	capacity int64
+	keys     []extKey
+}
+
+func (m *flatCache) used() int64 {
+	var n int64
+	for _, k := range m.keys {
+		n += k.extent().Bytes()
+	}
+	return n
+}
+
+// touch moves keys[i] to the front.
+func (m *flatCache) touch(i int) {
+	k := m.keys[i]
+	copy(m.keys[1:i+1], m.keys[:i])
+	m.keys[0] = k
+}
+
+func (m *flatCache) has(e geom.Extent) bool {
+	i := slices.Index(m.keys, keyOf(e))
+	if i < 0 {
+		return false
+	}
+	m.touch(i)
+	return true
+}
+
+func (m *flatCache) insert(e geom.Extent) {
+	if e.Empty() {
+		return
+	}
+	if i := slices.Index(m.keys, keyOf(e)); i >= 0 {
+		m.touch(i)
+		return
+	}
+	m.keys = slices.Insert(m.keys, 0, keyOf(e))
+	for used := m.used(); used > m.capacity; {
+		last := len(m.keys) - 1
+		used -= m.keys[last].extent().Bytes()
+		m.keys = m.keys[:last]
+	}
+}
+
+func (m *flatCache) evict(e geom.Extent) {
+	if i := slices.Index(m.keys, keyOf(e)); i >= 0 {
+		m.keys = slices.Delete(m.keys, i, i+1)
+	}
+}
+
+// invalidate is the pre-index scan: test every cached key against the
+// write. It returns the keys it dropped.
+func (m *flatCache) invalidate(w geom.Extent) []extKey {
+	var dropped []extKey
+	kept := m.keys[:0]
+	for _, k := range m.keys {
+		if k.extent().Overlaps(w) {
+			dropped = append(dropped, k)
+			continue
+		}
+		kept = append(kept, k)
+	}
+	m.keys = kept
+	return dropped
+}
+
+// cacheOp is one step of a differential run.
+type cacheOp struct {
+	kind opKind
+	ext  geom.Extent
+}
+
+type opKind uint8
+
+const (
+	opRead       opKind = iota // Has, then Insert on a miss: stepRead's per-fragment sequence
+	opInsert                   // bare Insert (re-inserts of present keys included)
+	opEvict                    // the poisoned-entry path
+	opInvalidate               // a host write
+	opKinds
+)
+
+// runCacheOps applies ops to a SelectiveCache and to the flat model and
+// fails on the first difference: a hit one side misses, a write that
+// drops a different key set, entry or byte counts apart. Invariants and
+// the whole key set are compared every checkEvery ops and at the end.
+func runCacheOps(t testing.TB, capacity int64, ops []cacheOp, checkEvery int) *SelectiveCache {
+	t.Helper()
+	s := NewSelectiveCache(CacheConfig{CapacityBytes: capacity})
+	ref := &flatCache{capacity: capacity}
+	check := func(i int) {
+		if err := s.checkInvariants(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		want := slices.Clone(ref.keys)
+		slices.SortFunc(want, func(a, b extKey) int {
+			return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.count, b.count))
+		})
+		if got := s.indexKeys(); !slices.Equal(got, want) {
+			t.Fatalf("op %d: index holds %v, reference %v", i, got, want)
+		}
+		if got, want := s.UsedBytes(), ref.used(); got != want {
+			t.Fatalf("op %d: UsedBytes = %d, reference %d", i, got, want)
+		}
+	}
+	var invalidations int64
+	for i, op := range ops {
+		switch op.kind {
+		case opRead:
+			got, want := s.Has(op.ext), ref.has(op.ext)
+			if got != want {
+				t.Fatalf("op %d: Has(%v) = %v, reference %v", i, op.ext, got, want)
+			}
+			if !got {
+				s.Insert(op.ext)
+				ref.insert(op.ext)
+			}
+		case opInsert:
+			s.Insert(op.ext)
+			ref.insert(op.ext)
+		case opEvict:
+			s.Evict(op.ext)
+			ref.evict(op.ext)
+		case opInvalidate:
+			got, want := s.Invalidate(op.ext), ref.invalidate(op.ext)
+			if got != len(want) {
+				t.Fatalf("op %d: Invalidate(%v) dropped %d keys, the scan dropped %v", i, op.ext, got, want)
+			}
+			// Same key set before (by induction), same number dropped,
+			// and none of the scan's victims left: the same set dropped.
+			for _, k := range want {
+				if _, ok := s.c.Peek(k); ok {
+					t.Fatalf("op %d: Invalidate(%v) kept %v, which the scan dropped", i, op.ext, k.extent())
+				}
+			}
+			invalidations += int64(got)
+		}
+		if got, want := s.Entries(), len(ref.keys); got != want {
+			t.Fatalf("op %d (%d %v): Entries = %d, reference %d", i, op.kind, op.ext, got, want)
+		}
+		if s.idx.n != s.Entries() {
+			t.Fatalf("op %d (%d %v): index holds %d keys, LRU %d", i, op.kind, op.ext, s.idx.n, s.Entries())
+		}
+		if i%checkEvery == 0 {
+			check(i)
+		}
+	}
+	check(len(ops))
+	if s.Invalidations() != invalidations {
+		t.Fatalf("Invalidations = %d, dropped %d", s.Invalidations(), invalidations)
+	}
+	return s
+}
+
+// TestSelectiveCacheIndexProperty drives random insert / read / evict /
+// invalidate sequences, under capacity pressure and with empty and
+// larger-than-capacity extents mixed in, against the flat model.
+// Failures log the seed; rerun with -selcache.seed to reproduce.
+func TestSelectiveCacheIndexProperty(t *testing.T) {
+	seed := *cacheSeed
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	const (
+		device   = 4096       // small address space => dense overlap among keys
+		capacity = 1024 * 512 // a quarter of it, ~120 keys => steady capacity eviction
+		ops      = 4000
+	)
+	for _, seed := range []int64{seed, seed + 1, seed + 2} {
+		t.Logf("selective cache property seed %d (rerun: go test ./internal/core -run IndexProperty -selcache.seed %d)", seed, seed)
+		rng := rand.New(rand.NewSource(seed))
+		randExt := func() geom.Extent { return geom.Ext(rng.Int63n(device), rng.Int63n(17)) } // count 0 included
+		// Reads, inserts and evicts draw from a pool some four times
+		// the capacity, so keys recur (hits, re-inserts) and are evicted.
+		pool := make([]geom.Extent, 512)
+		for i := range pool {
+			pool[i] = randExt()
+		}
+		seq := make([]cacheOp, ops)
+		for i := range seq {
+			op := cacheOp{kind: opKind(rng.Intn(int(opKinds))), ext: pool[rng.Intn(len(pool))]}
+			switch {
+			case op.kind == opInvalidate:
+				op.ext = randExt()
+			case rng.Intn(1000) == 0:
+				op.ext.Count = capacity/512 + 1 + rng.Int63n(8) // never fits: empties the cache
+			case rng.Intn(2) == 0:
+				op.kind = opRead // keep the cache populated
+			}
+			seq[i] = op
+		}
+		s := runCacheOps(t, capacity, seq, 1)
+		if s.Hits() < 100 || s.Invalidations() < 100 {
+			t.Errorf("seed %d: degenerate run: %d hits, %d invalidations", seed, s.Hits(), s.Invalidations())
+		}
+	}
+}
+
+// FuzzSelectiveCacheIndex decodes three bytes per op — kind, start,
+// length — into the same differential run, on a cache that a few dozen
+// short extents fill and the longest ones exceed outright.
+func FuzzSelectiveCacheIndex(f *testing.F) {
+	f.Add([]byte{1, 10, 8, 1, 14, 8, 3, 12, 1, 0, 10, 8})              // overlapping keys, one write drops both
+	f.Add([]byte{1, 0, 12, 1, 0, 12, 2, 0, 12, 3, 0, 1})               // re-insert, evict, invalidate nothing
+	f.Add([]byte{0, 1, 15, 0, 30, 15, 0, 60, 15, 0, 90, 15, 0, 1, 15}) // reads that miss, then hit
+	f.Add([]byte{1, 5, 0, 3, 5, 0, 1, 5, 255, 1, 7, 3})                // empty extents, then one larger than the cache
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const capacity = 128 * 512
+		ops := make([]cacheOp, 0, len(data)/3)
+		for ; len(data) >= 3; data = data[3:] {
+			count := int64(data[2] % 16)
+			if data[2] >= 250 {
+				count += capacity / 512
+			}
+			ops = append(ops, cacheOp{
+				kind: opKind(data[0]) % opKinds,
+				ext:  geom.Ext(geom.Sector(data[1]), count),
+			})
+		}
+		runCacheOps(t, capacity, ops, 1)
+	})
+}
+
+// The over-approximating coverage set used to forgive an index that
+// drifted from the LRU; these are the four ways it could drift.
+
+func TestEvictRemovesIndexNode(t *testing.T) {
+	s := NewSelectiveCache(CacheConfig{CapacityBytes: 1 << 20})
+	s.Insert(geom.Ext(10, 10))
+	s.Insert(geom.Ext(15, 10))
+	s.Evict(geom.Ext(10, 10))
+	s.Evict(geom.Ext(10, 10)) // absent: no-op
+	s.Evict(geom.Ext(10, 5))  // never cached: no-op
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// A stale node would be counted a second time here.
+	if got := s.Invalidate(geom.Ext(0, 100)); got != 1 {
+		t.Errorf("Invalidate after Evict dropped %d entries, want 1", got)
+	}
+	if s.Invalidations() != 1 || s.Entries() != 0 {
+		t.Errorf("invalidations=%d entries=%d, want 1 and 0", s.Invalidations(), s.Entries())
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestOversizeEntryNotIndexed(t *testing.T) {
+	s := NewSelectiveCache(CacheConfig{CapacityBytes: 4 * 512})
+	s.Insert(geom.Ext(0, 2))
+	s.Insert(geom.Ext(100, 5)) // larger than the whole cache: evicts [0,2), then itself
+	if s.Entries() != 0 || s.UsedBytes() != 0 {
+		t.Fatalf("entries=%d used=%d after an oversize insert, want an empty cache", s.Entries(), s.UsedBytes())
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Invalidate(geom.Ext(0, 200)); got != 0 {
+		t.Errorf("Invalidate dropped %d entries from an empty cache", got)
+	}
+}
+
+func TestReinsertAddsNoSecondNode(t *testing.T) {
+	s := NewSelectiveCache(CacheConfig{CapacityBytes: 1 << 20})
+	for i := 0; i < 3; i++ {
+		s.Insert(geom.Ext(10, 10))
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if s.idx.n != 1 || s.Entries() != 1 {
+		t.Fatalf("index=%d entries=%d after three inserts of one key, want 1", s.idx.n, s.Entries())
+	}
+	if got := s.Invalidate(geom.Ext(12, 1)); got != 1 {
+		t.Errorf("Invalidate dropped %d entries, want 1", got)
+	}
+}
+
+func TestEmptyExtentsAreNoOps(t *testing.T) {
+	s := NewSelectiveCache(CacheConfig{CapacityBytes: 1 << 20})
+	s.Insert(geom.Ext(10, 10))
+	s.Insert(geom.Ext(12, 0))
+	s.Insert(geom.Ext(12, -3))
+	if got := s.Invalidate(geom.Ext(12, 0)); got != 0 {
+		t.Errorf("empty Invalidate dropped %d entries", got)
+	}
+	if got := s.Invalidate(geom.Ext(12, -3)); got != 0 {
+		t.Errorf("negative Invalidate dropped %d entries", got)
+	}
+	if s.Entries() != 1 || s.Invalidations() != 0 {
+		t.Errorf("entries=%d invalidations=%d, want 1 and 0", s.Entries(), s.Invalidations())
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lsCacheOps turns passes replays of recs into the cache operations an
+// LS+cache simulator performs: a write invalidates its extent, and each
+// fragment of a fragmented read is looked up and, on a miss, inserted.
+// Fragment boundaries come from a real stl.LS, so the sequence depends
+// on the translation layer only, not on the cache it is fed to.
+func lsCacheOps(recs []trace.Record, passes int) []cacheOp {
+	ls := stl.NewLS(trace.MaxLBA(recs))
+	var ops []cacheOp
+	var frags []stl.Fragment
+	for p := 0; p < passes; p++ {
+		for _, rec := range recs {
+			if rec.Kind == disk.Write {
+				ls.Write(rec.Extent)
+				ops = append(ops, cacheOp{kind: opInvalidate, ext: rec.Extent})
+				continue
+			}
+			frags = ls.ResolveAppend(frags[:0], rec.Extent)
+			if len(frags) > 1 {
+				for _, f := range frags {
+					ops = append(ops, cacheOp{kind: opRead, ext: f.Lba})
+				}
+			}
+		}
+	}
+	return ops
+}
+
+func catalogRecords(t testing.TB, name string, scale float64) []trace.Record {
+	t.Helper()
+	p, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Generate(scale)
+}
+
+// simulate runs passes replays of recs through a real LS+cache
+// simulator — what lsCacheOps claims to reproduce.
+func simulate(t *testing.T, recs []trace.Record, passes int, capacity int64) Stats {
+	t.Helper()
+	sim := mustSim(t, Config{LogStructured: true, FrontierStart: trace.MaxLBA(recs), Cache: &CacheConfig{CapacityBytes: capacity}})
+	for p := 0; p < passes; p++ {
+		for _, rec := range recs {
+			sim.Step(rec)
+		}
+	}
+	return sim.Stats()
+}
+
+// TestInvalidateMatchesScan replays aged w91 (two passes, as mech-pipe
+// ages its volume) and the write-heavy w36 through the index-backed
+// cache and the every-key scan, demanding the same dropped key set on
+// every write — and the counters a real simulator reports for the same
+// records. The capacities are below the paper's 64 MB so that both
+// caches fill and capacity evictions interleave with invalidations at a
+// scale the linear reference model replays in a second or two.
+func TestInvalidateMatchesScan(t *testing.T) {
+	cases := []struct {
+		name     string
+		scale    float64
+		capacity int64
+	}{
+		{"w91", 0.5, 8 << 20},
+		{"w36", 0.3, 4 << 20},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			scale := tc.scale
+			if testing.Short() {
+				scale /= 4
+			}
+			recs := catalogRecords(t, tc.name, scale)
+			ops := lsCacheOps(recs, 2)
+			s := runCacheOps(t, tc.capacity, ops, 5000)
+			st := simulate(t, recs, 2, tc.capacity)
+			if s.Hits() != st.CacheHits || s.Misses() != st.CacheMisses || s.Invalidations() != st.CacheInvalidations {
+				t.Errorf("replayed ops gave hits/misses/invalidations %d/%d/%d, the simulator %d/%d/%d",
+					s.Hits(), s.Misses(), s.Invalidations(), st.CacheHits, st.CacheMisses, st.CacheInvalidations)
+			}
+			if s.Invalidations() == 0 || s.Hits() == 0 {
+				t.Errorf("degenerate run: %d hits, %d invalidations", s.Hits(), s.Invalidations())
+			}
+			if !testing.Short() && s.UsedBytes() < tc.capacity*9/10 {
+				t.Errorf("cache ended at %d of %d bytes: no capacity pressure", s.UsedBytes(), tc.capacity)
+			}
+			t.Logf("%s x %.2f, 2 passes: %d ops, %d entries (%d of %d KiB) at the end, hits/misses/invalidations %d/%d/%d",
+				tc.name, scale, len(ops), s.Entries(), s.UsedBytes()>>10, tc.capacity>>10, s.Hits(), s.Misses(), s.Invalidations())
+		})
+	}
+}
+
+// TestContainmentCensus is ROADMAP item 1(b): for every catalog workload
+// under LS+cache (Figure 11's configuration and scale), how many
+// fragment lookups hit their exact key, and how many of the misses were
+// nonetheless fully covered by the union of cached extents — hits under
+// containment semantics, misses under this repo's exact-extent keys. It
+// changes nothing: the table is logged for EXPERIMENTS.md.
+func TestContainmentCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("census over the whole catalog")
+	}
+	t.Logf("%-8s %9s %9s %9s %8s %8s", "workload", "lookups", "exact", "contained", "exact%", "+cont%")
+	for _, p := range workload.Catalog() {
+		recs := p.Generate(0.5)
+		s := NewSelectiveCache(DefaultCacheConfig())
+		var lookups, contained int64
+		for _, op := range lsCacheOps(recs, 1) {
+			if op.kind == opInvalidate {
+				s.Invalidate(op.ext)
+				continue
+			}
+			lookups++
+			if s.Has(op.ext) {
+				continue
+			}
+			if s.coveredByUnion(op.ext) {
+				contained++
+			}
+			s.Insert(op.ext)
+		}
+		if st := simulate(t, recs, 1, DefaultCacheConfig().CapacityBytes); s.Hits() != st.CacheHits || s.Misses() != st.CacheMisses {
+			t.Errorf("%s: census saw hits/misses %d/%d, the simulator %d/%d", p.Name, s.Hits(), s.Misses(), st.CacheHits, st.CacheMisses)
+		}
+		pct := func(n int64) float64 {
+			if lookups == 0 {
+				return 0
+			}
+			return 100 * float64(n) / float64(lookups)
+		}
+		t.Logf("%-8s %9d %9d %9d %7.1f%% %7.1f%%", p.Name, lookups, s.Hits(), contained, pct(s.Hits()), pct(s.Hits()+contained))
+	}
+}
+
+func TestCoveredByUnion(t *testing.T) {
+	s := NewSelectiveCache(CacheConfig{CapacityBytes: 1 << 20})
+	for _, e := range []geom.Extent{geom.Ext(0, 10), geom.Ext(5, 10), geom.Ext(15, 5), geom.Ext(30, 10), geom.Ext(2, 3)} {
+		s.Insert(e)
+	}
+	cases := []struct {
+		e    geom.Extent
+		want bool
+	}{
+		{geom.Ext(0, 20), true},   // three keys chained end to start
+		{geom.Ext(3, 4), true},    // inside one key
+		{geom.Ext(12, 6), true},   // spans the [5,15) / [15,20) seam
+		{geom.Ext(0, 21), false},  // one sector past the chain
+		{geom.Ext(18, 14), false}, // the [20,30) gap
+		{geom.Ext(25, 2), false},  // entirely in the gap
+		{geom.Ext(30, 10), true},
+		{geom.Ext(100, 1), false},
+	}
+	for _, tc := range cases {
+		if got := s.coveredByUnion(tc.e); got != tc.want {
+			t.Errorf("coveredByUnion(%v) = %v, want %v", tc.e, got, tc.want)
+		}
+	}
+}

@@ -74,17 +74,6 @@ func (s *Set) Add(e Extent) {
 	}
 }
 
-// OverlapsAny reports whether e overlaps at least one extent in the set,
-// without materializing the overlap (the allocation-free test behind
-// Covered-emptiness checks on hot paths).
-func (s *Set) OverlapsAny(e Extent) bool {
-	if e.Empty() {
-		return false
-	}
-	i := s.search(e.Start)
-	return i < len(s.exts) && s.exts[i].Start < e.End()
-}
-
 // Remove deletes e from the set, splitting extents as needed.
 func (s *Set) Remove(e Extent) {
 	if e.Empty() || len(s.exts) == 0 {

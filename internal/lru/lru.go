@@ -1,7 +1,7 @@
 // Package lru provides a size-aware least-recently-used container: each
 // entry carries a byte cost and the cache evicts from the cold end until
 // the configured capacity is respected. It is the building block for the
-// translation-aware selective cache and the prefetch buffer.
+// translation-aware selective cache.
 package lru
 
 // EvictFunc is called with each entry removed by capacity pressure (not
@@ -11,7 +11,8 @@ type EvictFunc[K comparable, V any] func(key K, value V)
 // entry is an intrusive doubly-linked list node. Entries removed from
 // the cache are recycled through a freelist (threaded via next), so the
 // insert/evict churn of a long run stops allocating once the cache has
-// reached its working size.
+// reached its working size, and a growing cache refills the freelist a
+// slab at a time instead of allocating per entry.
 type entry[K comparable, V any] struct {
 	key        K
 	value      V
@@ -76,14 +77,23 @@ func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
 	c.root.next = e
 }
 
-// newEntry takes an entry from the freelist or allocates one.
+// entrySlabSize is how many entries one freelist refill allocates.
+const entrySlabSize = 64
+
+// newEntry takes an entry from the freelist, refilling it with a fresh
+// slab when empty.
 func (c *Cache[K, V]) newEntry() *entry[K, V] {
-	if e := c.free; e != nil {
-		c.free = e.next
-		*e = entry[K, V]{}
-		return e
+	if c.free == nil {
+		slab := make([]entry[K, V], entrySlabSize)
+		for i := range slab[:len(slab)-1] {
+			slab[i].next = &slab[i+1]
+		}
+		c.free = &slab[0]
 	}
-	return &entry[K, V]{}
+	e := c.free
+	c.free = e.next
+	e.next = nil
+	return e
 }
 
 // recycle returns a detached entry to the freelist, dropping its key and
@@ -158,21 +168,6 @@ func (c *Cache[K, V]) Oldest() (K, bool) {
 	}
 	var zero K
 	return zero, false
-}
-
-// Keys returns all keys from most to least recently used.
-func (c *Cache[K, V]) Keys() []K {
-	return c.AppendKeys(make([]K, 0, len(c.items)))
-}
-
-// AppendKeys appends all keys, most to least recently used, to dst and
-// returns the extended slice — the buffer-reusing form of Keys for hot
-// paths that scan the cache repeatedly.
-func (c *Cache[K, V]) AppendKeys(dst []K) []K {
-	for e := c.root.next; e != &c.root; e = e.next {
-		dst = append(dst, e.key)
-	}
-	return dst
 }
 
 // Clear drops every entry without invoking the eviction callback.

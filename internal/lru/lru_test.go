@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+// keysOf lists c's keys from most to least recently used.
+func keysOf[K comparable, V any](c *Cache[K, V]) []K {
+	var out []K
+	for e := c.root.next; e != &c.root; e = e.next {
+		out = append(out, e.key)
+	}
+	return out
+}
+
 func TestAddGet(t *testing.T) {
 	c := New[string, int](100)
 	c.Add("a", 1, 10)
@@ -89,7 +98,7 @@ func TestKeysMRUOrder(t *testing.T) {
 		c.Add(i, i, 1)
 	}
 	c.Get(0)
-	got := c.Keys()
+	got := keysOf(c)
 	want := []int{0, 4, 3, 2, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -149,12 +158,44 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			}
 		}
 		var sum int64
-		for _, k := range c.Keys() {
+		for _, k := range keysOf(c) {
 			sum += sizes[k]
 		}
 		return sum == c.Used()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEntrySlabRefill pins the freelist: a growing cache allocates its
+// entries a slab at a time, and a removed entry is reused before the
+// next slab is cut.
+func TestEntrySlabRefill(t *testing.T) {
+	c := New[int, int](1 << 20)
+	freeLen := func() int {
+		n := 0
+		for e := c.free; e != nil; e = e.next {
+			n++
+		}
+		return n
+	}
+	c.Add(0, 0, 1)
+	if got := freeLen(); got != entrySlabSize-1 {
+		t.Fatalf("freelist holds %d entries after the first Add, want %d", got, entrySlabSize-1)
+	}
+	for i := 1; i <= entrySlabSize; i++ {
+		c.Add(i, i, 1)
+	}
+	if got := freeLen(); got != entrySlabSize-1 {
+		t.Fatalf("freelist holds %d entries one Add into the second slab, want %d", got, entrySlabSize-1)
+	}
+	c.Remove(3)
+	c.Add(1000, 1000, 1)
+	if got := freeLen(); got != entrySlabSize-1 {
+		t.Errorf("freelist holds %d entries after a remove/add pair, want %d", got, entrySlabSize-1)
+	}
+	if got := keysOf(c); len(got) != entrySlabSize+1 || got[0] != 1000 {
+		t.Errorf("after the churn the cache lists %d keys, most recent %d", len(got), got[0])
 	}
 }
