@@ -11,16 +11,16 @@ import (
 	"smrseek/internal/volume"
 )
 
-// SMRD2 service path. Each connection splits into two goroutines:
+// The request path, one per connection whatever its protocol version.
+// Each connection splits into two goroutines:
 //
-//   - The reader (the original serveConn goroutine) decodes request
-//     frames from a pooled buffer, answers control ops and pre-dispatch
-//     errors through the direct channel, and dispatches volume ops via
-//     TryDo with the request ID as the Tag. The request's metadata (op,
-//     volume, admit time) is sent on the submits channel strictly AFTER
-//     the TryDo succeeds, so the writer can always reconcile a result
-//     against a metadata record that is either already queued or
-//     imminent.
+//   - The reader (the serveConn goroutine) decodes request frames from a
+//     pooled buffer, answers control ops and pre-dispatch errors through
+//     the direct channel, and dispatches volume ops via TryDo with the
+//     request ID as the Tag. The request's metadata (op, volume, admit
+//     time) is sent on the submits channel strictly AFTER the TryDo
+//     succeeds, so the writer can always reconcile a result against a
+//     metadata record that is either already queued or imminent.
 //
 //   - The writer drains the shared completion channel (one buffered
 //     channel per connection, capacity = the negotiated window, so the
@@ -29,46 +29,61 @@ import (
 //     flushes in batches: everything ready now goes out in one Write, so
 //     the per-volume actor absorbs whole network batches per wakeup.
 //
-// Timeouts do not close a v2 connection: the timed-out ID gets a
-// StatusTimeout response, the eventual result is counted in Abandoned
-// and dropped, and later requests proceed. (Per-volume dispatch order is
-// unaffected — the request still executes; only its response is
-// replaced.)
+// The protocol version is framing only. An SMRD2 frame carries its
+// request ID and responses complete out of order. A v1 frame carries
+// none: the reader numbers frames itself, the writer omits the ID, the
+// window is 1, and — because a v1 client matches responses by position —
+// the reader takes the next frame only after the writer has flushed the
+// previous response (the next token), so frames written back to back
+// are served one at a time, in order.
+//
+// A timeout answers StatusTimeout; the eventual result is counted in
+// Abandoned and dropped. (Per-volume dispatch order is unaffected — the
+// request still executes; only its response is replaced.) On SMRD2 the
+// connection stays open and later requests proceed. On v1 the late
+// result would take the place of the next response, so the writer hangs
+// up instead, before it releases the reader.
 
 // flushThreshold caps how much encoded response the writer batches
 // before forcing a flush mid-drain.
 const flushThreshold = 256 << 10
 
-// v2direct is a reader-crafted response (decode errors, control ops,
+// directResp is a reader-crafted response (decode errors, control ops,
 // shed beyond the window) routed through the writer so that the
 // connection has a single writing goroutine.
-type v2direct struct {
+type directResp struct {
 	id     uint64
 	status uint8
 	body   []byte
 }
 
-// v2meta is the reader's record of a dispatched volume request; the
+// reqMeta is the reader's record of a dispatched volume request; the
 // writer needs it to encode the op-specific response body and to time
 // the request out.
-type v2meta struct {
+type reqMeta struct {
 	id  uint64
 	op  uint8
 	vol string
 	at  time.Time // admit time; zero when no RequestTimeout is set
 }
 
-// v2conn is the state shared between a v2 connection's reader and
+// connection is the state shared between a connection's reader and
 // writer.
-type v2conn struct {
+type connection struct {
 	s      *Server
 	conn   net.Conn
 	window int
 
 	done    chan volume.Result // volume completions, Tag = request ID
-	direct  chan v2direct      // reader-crafted responses
-	submits chan v2meta        // metadata for dispatched volume requests
+	direct  chan directResp    // reader-crafted responses
+	submits chan reqMeta       // metadata for dispatched volume requests
 	dead    chan struct{}      // closed when the writer exits
+
+	// v1 framing only: next carries one token per flushed response, and
+	// lastID (the reader's alone) is the number given to the last frame.
+	v1     bool
+	next   chan struct{}
+	lastID uint64
 
 	// outstanding counts dispatched volume requests whose results the
 	// writer has not yet consumed. Only the reader increments, so its
@@ -76,21 +91,38 @@ type v2conn struct {
 	outstanding atomic.Int64
 }
 
-func (s *Server) serveConnV2(conn net.Conn, window int) {
-	c := &v2conn{
+func (s *Server) serveConn(conn net.Conn) {
+	defer s.wg.Done()
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
+	ver, window, err := serverHello(conn, s.opts.MaxWindow)
+	if err != nil {
+		s.opts.Logf("smrd: %s: %v", conn.RemoteAddr(), err)
+		return
+	}
+	c := &connection{
 		s:       s,
 		conn:    conn,
 		window:  window,
 		done:    make(chan volume.Result, window),
-		direct:  make(chan v2direct, window),
-		submits: make(chan v2meta, window),
+		direct:  make(chan directResp, window),
+		submits: make(chan reqMeta, window),
 		dead:    make(chan struct{}),
+		v1:      ver < Version2,
+	}
+	if c.v1 {
+		c.next = make(chan struct{}, 1)
 	}
 	s.wg.Add(1)
 	go c.writer()
 
 	names := make(nameCache)
 	buf := framePool.Get()
+read:
 	for {
 		frame, err := readFrame(conn, buf)
 		if err != nil {
@@ -100,8 +132,17 @@ func (s *Server) serveConnV2(conn net.Conn, window int) {
 			break
 		}
 		buf = frame
-		if !s.handleV2(c, frame, names) {
+		if !c.dispatch(frame, names) {
 			break
+		}
+		if c.v1 {
+			// Positional matching: the next frame waits for this one's
+			// response to be flushed.
+			select {
+			case <-c.next:
+			case <-c.dead:
+				break read
+			}
 		}
 	}
 	framePool.Put(buf)
@@ -112,25 +153,40 @@ func (s *Server) serveConnV2(conn net.Conn, window int) {
 	<-c.dead
 }
 
-// handleV2 decodes and dispatches one v2 request frame on the reader.
-// false means the connection is unrecoverable (undecodable framing or a
-// dead writer) and must close.
-func (s *Server) handleV2(c *v2conn, frame []byte, names nameCache) bool {
-	id, req, err := parseRequestV2(frame, names)
-	if err != nil {
-		if len(frame) < idSize {
+// dispatch decodes and dispatches one request frame on the reader. false
+// means the connection is unrecoverable (undecodable framing or a dead
+// writer) and must close.
+func (c *connection) dispatch(frame []byte, names nameCache) bool {
+	s := c.s
+	var (
+		id  uint64
+		req request
+		err error
+	)
+	if c.v1 {
+		c.lastID++
+		id = c.lastID
+		req, err = parseRequest(frame, names)
+	} else {
+		id, req, err = parseRequestV2(frame, names)
+		if err != nil && len(frame) < idSize {
 			// No ID to answer with: framing is broken, drop the link.
 			s.opts.Logf("smrd: %s: %v", c.conn.RemoteAddr(), err)
 			return false
 		}
+	}
+	if err != nil {
 		return c.sendDirect(id, StatusBadRequest, []byte(err.Error()))
 	}
 
+	// Node-level ops need no volume and are always served, whatever the
+	// node's role — they are how clients discover and change the role.
 	switch req.Op {
 	case OpRole:
 		return c.sendRole(id, s.roleInfo(), nil)
 	case OpPromote:
 		if s.opts.Repl == nil {
+			// A standalone daemon is trivially the primary already.
 			return c.sendRole(id, s.roleInfo(), nil)
 		}
 		info, err := s.opts.Repl.Promote()
@@ -189,7 +245,7 @@ func (s *Server) handleV2(c *v2conn, frame []byte, names nameCache) bool {
 		c.outstanding.Add(-1)
 		return c.sendDirect(id, statusOf(err), []byte(err.Error()))
 	}
-	m := v2meta{id: id, op: req.Op, vol: req.Volume}
+	m := reqMeta{id: id, op: req.Op, vol: req.Volume}
 	if s.opts.RequestTimeout > 0 {
 		m.at = time.Now()
 	}
@@ -204,9 +260,9 @@ func (s *Server) handleV2(c *v2conn, frame []byte, names nameCache) bool {
 // sendDirect routes a reader-crafted response through the writer. body
 // must not alias the frame buffer (error strings and nil bodies are
 // fine).
-func (c *v2conn) sendDirect(id uint64, status uint8, body []byte) bool {
+func (c *connection) sendDirect(id uint64, status uint8, body []byte) bool {
 	select {
-	case c.direct <- v2direct{id: id, status: status, body: body}:
+	case c.direct <- directResp{id: id, status: status, body: body}:
 		return true
 	case <-c.dead:
 		return false
@@ -215,14 +271,28 @@ func (c *v2conn) sendDirect(id uint64, status uint8, body []byte) bool {
 
 // sendRole encodes a RoleInfo (or promotion failure) and routes it
 // through the writer.
-func (c *v2conn) sendRole(id uint64, info RoleInfo, err error) bool {
-	status, body := roleBody(info, err)
-	return c.sendDirect(id, status, body)
+func (c *connection) sendRole(id uint64, info RoleInfo, err error) bool {
+	if err != nil {
+		return c.sendDirect(id, statusOf(err), []byte(err.Error()))
+	}
+	body, err := json.Marshal(&info)
+	if err != nil {
+		return c.sendDirect(id, StatusInternal, []byte(err.Error()))
+	}
+	return c.sendDirect(id, StatusOK, body)
 }
 
-// writer is a v2 connection's single writing goroutine: it owns the
+// appendResponse encodes one response frame in the connection's framing.
+func (c *connection) appendResponse(dst []byte, id uint64, status uint8, body []byte) []byte {
+	if c.v1 {
+		return appendResponse(dst, status, body)
+	}
+	return appendResponseV2(dst, id, status, body)
+}
+
+// writer is a connection's single writing goroutine: it owns the
 // response buffer and the connection's write side.
-func (c *v2conn) writer() {
+func (c *connection) writer() {
 	defer c.s.wg.Done()
 	defer close(c.dead)
 
@@ -230,10 +300,10 @@ func (c *v2conn) writer() {
 	defer func() { framePool.Put(out) }()
 
 	var (
-		pending    = make(map[uint64]v2meta) // dispatched, result not yet seen
-		timedOut   = make(map[uint64]bool)   // answered StatusTimeout already
-		submits    = c.submits               // nil once closed
-		direct     = c.direct                // nil once closed
+		pending    = make(map[uint64]reqMeta) // dispatched, result not yet seen
+		timedOut   = make(map[uint64]bool)    // answered StatusTimeout already
+		submits    = c.submits                // nil once closed
+		direct     = c.direct                 // nil once closed
 		writeErr   error
 		timeoutMsg []byte
 		tickC      <-chan time.Time
@@ -263,6 +333,15 @@ func (c *v2conn) writer() {
 			}
 		}
 		out = out[:0]
+		if c.v1 {
+			// out held exactly one response. If it was a StatusTimeout, hang
+			// up before releasing the reader: it finds a closed connection,
+			// so no frame is dispatched behind the request that timed out.
+			if len(timedOut) > 0 {
+				c.conn.Close()
+			}
+			c.next <- struct{}{}
+		}
 	}
 
 	// complete consumes one volume result: reconcile metadata, encode or
@@ -295,7 +374,7 @@ func (c *v2conn) writer() {
 			return
 		}
 		if res.Err != nil {
-			out = appendResponseV2(out, id, statusOf(res.Err), []byte(res.Err.Error()))
+			out = c.appendResponse(out, id, statusOf(res.Err), []byte(res.Err.Error()))
 			return
 		}
 		if m.op == OpWrite && res.Seq > 0 && c.s.opts.Repl != nil {
@@ -305,7 +384,7 @@ func (c *v2conn) writer() {
 			flush()
 			c.s.opts.Repl.GateWrite(m.vol, res.Seq)
 		}
-		out = c.appendOKV2(out, id, m.op, res)
+		out = c.appendOK(out, id, m.op, res)
 	}
 
 	for {
@@ -313,57 +392,35 @@ func (c *v2conn) writer() {
 			flush()
 			return
 		}
-		if len(out) > 0 {
-			// Opportunistic batch: take whatever is ready without
-			// blocking; flush the moment the connection goes quiet.
-			select {
-			case res := <-c.done:
-				complete(res)
-			case dr, open := <-direct:
-				if !open {
-					direct = nil
-					break
-				}
-				out = appendResponseV2(out, dr.id, dr.status, dr.body)
-			case m, open := <-submits:
-				if !open {
-					submits = nil
-					break
-				}
-				pending[m.id] = m
-			case <-tickC:
-				c.scanTimeouts(pending, timedOut, &out, timeoutMsg)
-			case <-c.s.ctx.Done():
-				flush()
-				return
-			default:
-				flush()
+		// Batch whatever is ready; flush the moment the connection goes
+		// quiet. (A closed channel has len 0 and is taken, and set to nil,
+		// by the select below.)
+		if len(out) > 0 && len(c.done) == 0 && len(direct) == 0 && len(submits) == 0 {
+			flush()
+		}
+		select {
+		case res := <-c.done:
+			complete(res)
+		case dr, open := <-direct:
+			if !open {
+				direct = nil
+				break
 			}
-		} else {
-			select {
-			case res := <-c.done:
-				complete(res)
-			case dr, open := <-direct:
-				if !open {
-					direct = nil
-					break
-				}
-				out = appendResponseV2(out, dr.id, dr.status, dr.body)
-			case m, open := <-submits:
-				if !open {
-					submits = nil
-					break
-				}
-				pending[m.id] = m
-			case <-tickC:
-				c.scanTimeouts(pending, timedOut, &out, timeoutMsg)
-			case <-c.s.ctx.Done():
-				// Server shutdown: results still in flight land in the
-				// buffered done channel (capacity = window), so the volume
-				// actor is never blocked by this early exit.
-				flush()
-				return
+			out = c.appendResponse(out, dr.id, dr.status, dr.body)
+		case m, open := <-submits:
+			if !open {
+				submits = nil
+				break
 			}
+			pending[m.id] = m
+		case <-tickC:
+			c.scanTimeouts(pending, timedOut, &out, timeoutMsg)
+		case <-c.s.ctx.Done():
+			// Server shutdown: results still in flight land in the
+			// buffered done channel (capacity = window), so the volume
+			// actor is never blocked by this early exit.
+			flush()
+			return
 		}
 		if len(out) >= flushThreshold {
 			flush()
@@ -373,54 +430,56 @@ func (c *v2conn) writer() {
 
 // scanTimeouts answers StatusTimeout for every pending request past the
 // deadline. The request still executes; its result is later counted in
-// Abandoned. The connection stays open — out-of-order completion means
-// later requests are unaffected.
-func (c *v2conn) scanTimeouts(pending map[uint64]v2meta, timedOut map[uint64]bool, out *[]byte, msg []byte) {
+// Abandoned.
+func (c *connection) scanTimeouts(pending map[uint64]reqMeta, timedOut map[uint64]bool, out *[]byte, msg []byte) {
 	d := c.s.opts.RequestTimeout
 	now := time.Now()
 	for id, m := range pending {
 		if !timedOut[id] && now.Sub(m.at) >= d {
 			timedOut[id] = true
-			*out = appendResponseV2(*out, id, StatusTimeout, msg)
+			*out = c.appendResponse(*out, id, StatusTimeout, msg)
 		}
 	}
 }
 
-// appendOKV2 encodes a successful result's op-specific body as a v2
-// frame. The write and read arms — the hot path — allocate nothing.
-func (c *v2conn) appendOKV2(out []byte, id uint64, op uint8, res volume.Result) []byte {
+// appendOK encodes a successful result's op-specific body. The write and
+// read arms — the hot path — allocate nothing.
+func (c *connection) appendOK(out []byte, id uint64, op uint8, res volume.Result) []byte {
 	switch op {
 	case OpShip, OpTail:
 		var epoch uint64
 		if c.s.opts.Repl != nil {
 			epoch = c.s.opts.Repl.Epoch()
 		}
-		return appendResponseV2(out, id, StatusOK, appendShipBody(nil, epoch, *res.Ship))
+		return c.appendResponse(out, id, StatusOK, appendShipBody(nil, epoch, *res.Ship))
 	case OpRead:
 		var body [4]byte
 		binary.LittleEndian.PutUint32(body[:], uint32(res.Frags))
-		return appendResponseV2(out, id, StatusOK, body[:])
+		return c.appendResponse(out, id, StatusOK, body[:])
 	case OpStat:
+		// Config holds layer pointers and interfaces that neither
+		// marshal round-trip nor mean anything to a remote client; zero
+		// it so the wire Stats is pure counters.
 		st := *res.Stats
 		st.Config = core.Config{}
 		body, err := json.Marshal(&st)
 		if err != nil {
-			return appendResponseV2(out, id, StatusInternal, []byte(err.Error()))
+			return c.appendResponse(out, id, StatusInternal, []byte(err.Error()))
 		}
-		return appendResponseV2(out, id, StatusOK, body)
+		return c.appendResponse(out, id, StatusOK, body)
 	case OpVerify:
 		body, err := json.Marshal(res.Audit)
 		if err != nil {
-			return appendResponseV2(out, id, StatusInternal, []byte(err.Error()))
+			return c.appendResponse(out, id, StatusInternal, []byte(err.Error()))
 		}
-		return appendResponseV2(out, id, StatusOK, body)
+		return c.appendResponse(out, id, StatusOK, body)
 	case OpProof:
 		body, err := json.Marshal(res.Proof)
 		if err != nil {
-			return appendResponseV2(out, id, StatusInternal, []byte(err.Error()))
+			return c.appendResponse(out, id, StatusInternal, []byte(err.Error()))
 		}
-		return appendResponseV2(out, id, StatusOK, body)
+		return c.appendResponse(out, id, StatusOK, body)
 	default:
-		return appendResponseV2(out, id, StatusOK, nil)
+		return c.appendResponse(out, id, StatusOK, nil)
 	}
 }

@@ -104,7 +104,14 @@ func TestPipelineShutdownInFlight(t *testing.T) {
 	}
 	defer ac.Close()
 
-	done := make(chan *Call, window)
+	// A v1 connection's one request rides along: same contract.
+	ac1, err := DialAsyncContext(context.Background(), addr, Version, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ac1.Close()
+
+	done := make(chan *Call, window+1)
 	var submitted int
 	for i := 0; i < window; i++ {
 		if _, err := ac.Submit(Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector(i*8), 8)}, done); err != nil {
@@ -112,6 +119,10 @@ func TestPipelineShutdownInFlight(t *testing.T) {
 		}
 		submitted++
 	}
+	if _, err := ac1.Submit(Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err != nil {
+		t.Fatalf("v1 submit: %v", err)
+	}
+	submitted++
 	go srv.Close()
 
 	var completions int32
@@ -198,12 +209,13 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 	}
 }
 
-// TestMalformedFramesAndPoolBalance sends broken v2 frames at a live
-// server: a frame with an ID but a bad op must come back
+// TestMalformedFramesAndPoolBalance sends broken frames at a live
+// server. v2: a frame with an ID but a bad op must come back
 // StatusBadRequest with the connection intact; a frame too short to
-// carry an ID must close the connection. Across the whole episode the
-// frame pool's get/put counters must stay balanced — no path leaks a
-// pooled buffer.
+// carry an ID must close the connection. v1: there is no ID to miss, so
+// the same short frame is one more bad request on a connection that
+// stays up. Across the whole episode the frame pool's get/put counters
+// must stay balanced — no path leaks a pooled buffer.
 func TestMalformedFramesAndPoolBalance(t *testing.T) {
 	gets0, puts0 := framePool.Stats()
 	srv, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
@@ -262,6 +274,30 @@ func TestMalformedFramesAndPoolBalance(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := readFrame(conn, nil); err == nil {
 		t.Fatal("server answered a frame with no request ID, want closed connection")
+	}
+
+	conn1 := rawDial(t, addr)
+	write1, err := appendRequest(nil, request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		frame []byte
+		want  uint8
+	}{
+		{short, StatusBadRequest},
+		{write1, StatusOK},
+	} {
+		if _, err := conn1.Write(tc.frame); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(conn1, nil)
+		if err != nil {
+			t.Fatalf("v1: no response to frame %x: %v", tc.frame, err)
+		}
+		if resp[0] != tc.want {
+			t.Fatalf("v1: frame %x answered %s, want %s", tc.frame, StatusName(resp[0]), StatusName(tc.want))
+		}
 	}
 
 	srv.Close()

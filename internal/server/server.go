@@ -2,10 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log"
 	"net"
@@ -13,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smrseek/internal/core"
 	"smrseek/internal/fault"
 	"smrseek/internal/journal"
 	"smrseek/internal/volume"
@@ -38,7 +34,7 @@ type ReplHooks interface {
 	AcceptingData() bool
 	// GateWrite blocks until the write covering journal watermark seq on
 	// vol has replicated per the node's policy, or a bounded degrade
-	// window expires. Called on the connection goroutine after the write
+	// window expires. Called on the connection's writer after the write
 	// executed and before its acknowledgment is sent.
 	GateWrite(vol string, seq int64)
 	// WaitTail blocks until vol plausibly has sealed bytes past
@@ -57,11 +53,12 @@ type ReplHooks interface {
 type Options struct {
 	// RequestTimeout bounds one request's execution once admitted to a
 	// volume queue (0 = no bound). On expiry the client gets
-	// StatusTimeout; on a v1 connection the connection is then closed
-	// (its synchronous ordering guarantee no longer holds), while a v2
-	// connection stays open — out-of-order completion makes the late
-	// result harmless. Either way the request is still queued and will
-	// execute; its result is drained and counted (see Abandoned).
+	// StatusTimeout. An SMRD2 connection stays open — responses are
+	// matched by ID, so the late result is harmless. A v1 connection is
+	// then closed: v1 matches responses by position, and the late result
+	// would stand in for the next one. Either way the request is still
+	// queued and will execute; its result is drained and counted (see
+	// Abandoned).
 	RequestTimeout time.Duration
 	// MaxWindow caps the per-connection in-flight window granted to
 	// SMRD2 clients (0 = DefaultMaxWindow). v1 connections are always
@@ -74,8 +71,9 @@ type Options struct {
 }
 
 // Server accepts smrd protocol connections and executes their requests
-// against a volume.Manager. One goroutine per connection; each volume's
-// actor serializes execution, so any number of connections is safe.
+// against a volume.Manager. A reader and a writer goroutine per
+// connection (conn.go); each volume's actor serializes execution, so any
+// number of connections is safe.
 type Server struct {
 	mgr  atomic.Pointer[volume.Manager]
 	opts Options
@@ -162,170 +160,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	ver, window, err := serverHello(conn, s.opts.MaxWindow)
-	if err != nil {
-		s.opts.Logf("smrd: %s: %v", conn.RemoteAddr(), err)
-		return
-	}
-	if ver >= Version2 {
-		s.serveConnV2(conn, window)
-		return
-	}
-	// Per-connection scratch, reused across requests: frame buffer,
-	// response buffer, and the result channel handed to volume.TryDo.
-	// cap 1 so a timed-out request's late result parks in the buffer
-	// instead of blocking the volume actor.
-	var (
-		buf  []byte
-		out  []byte
-		done = make(chan volume.Result, 1)
-	)
-	for {
-		frame, err := readFrame(conn, buf)
-		if err != nil {
-			if s.ctx.Err() == nil && !isClosedConn(err) {
-				s.opts.Logf("smrd: %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		buf = frame
-		resp, ok := s.handle(out[:0], frame, done)
-		out = resp
-		if _, err := conn.Write(resp); err != nil {
-			return
-		}
-		if !ok {
-			// The request may still execute later (timeout): this
-			// connection's ordering guarantee is gone, so drop it.
-			return
-		}
-	}
-}
-
-// handle executes one request frame and appends the response to out.
-// ok=false means the connection must close (and a fresh done channel
-// would be needed, so the caller drops the connection instead).
-func (s *Server) handle(out, frame []byte, done chan volume.Result) ([]byte, bool) {
-	req, err := parseRequest(frame)
-	if err != nil {
-		return appendResponse(out, StatusBadRequest, []byte(err.Error())), true
-	}
-
-	// Node-level ops need no volume and are always served, whatever the
-	// node's role — they are how clients discover and change the role.
-	switch req.Op {
-	case OpRole:
-		return s.appendRole(out, s.roleInfo(), nil), true
-	case OpPromote:
-		if s.opts.Repl == nil {
-			// A standalone daemon is trivially the primary already.
-			return s.appendRole(out, s.roleInfo(), nil), true
-		}
-		info, err := s.opts.Repl.Promote()
-		return s.appendRole(out, info, err), true
-	case OpAck:
-		if s.opts.Repl != nil {
-			s.opts.Repl.Ack(req.Volume, req.Gen, req.Off)
-		}
-		return appendResponse(out, StatusOK, nil), true
-	}
-
-	mgr := s.mgr.Load()
-	if mgr == nil {
-		return appendResponse(out, StatusNotPrimary, []byte("node has no open volumes (unpromoted follower)")), true
-	}
-	if isDataOp(req.Op) && s.opts.Repl != nil && !s.opts.Repl.AcceptingData() {
-		return appendResponse(out, StatusNotPrimary, []byte("node is not the serving primary")), true
-	}
-	vol, ok := mgr.Get(req.Volume)
-	if !ok {
-		return appendResponse(out, StatusUnknownVolume, []byte("unknown volume "+req.Volume)), true
-	}
-	var kind volume.Op
-	switch req.Op {
-	case OpWrite:
-		kind = volume.OpWrite
-	case OpRead:
-		kind = volume.OpRead
-	case OpStat:
-		kind = volume.OpStat
-	case OpSnapshot:
-		kind = volume.OpSnapshot
-	case OpVerify:
-		kind = volume.OpVerify
-	case OpProof:
-		kind = volume.OpProof
-	case OpShip:
-		kind = volume.OpShip
-	case OpTail:
-		// Long-poll: wait (bounded) for sealed bytes past the follower's
-		// position — force-sealing a lagging tail — then ship as usual.
-		if s.opts.Repl != nil {
-			s.opts.Repl.WaitTail(s.ctx, req.Volume, req.Gen, req.Off)
-		}
-		kind = volume.OpShip
-	}
-	if err := vol.TryDo(volume.Request{Kind: kind, Extent: req.Extent, Seq: req.Seq, Gen: req.Gen, Off: req.Off}, done); err != nil {
-		return appendResponse(out, statusOf(err), []byte(err.Error())), true
-	}
-	var timeout <-chan time.Time
-	if s.opts.RequestTimeout > 0 {
-		t := time.NewTimer(s.opts.RequestTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case res := <-done:
-		if res.Err != nil {
-			return appendResponse(out, statusOf(res.Err), []byte(res.Err.Error())), true
-		}
-		if req.Op == OpWrite && res.Seq > 0 && s.opts.Repl != nil {
-			// Semi-synchronous replication: hold this write's OK until the
-			// follower ack watermark covers it (or the gate degrades).
-			s.opts.Repl.GateWrite(req.Volume, res.Seq)
-		}
-		return s.appendOK(out, req.Op, res), true
-	case <-timeout:
-		s.abandon(done)
-		msg := fmt.Sprintf("request exceeded %v", s.opts.RequestTimeout)
-		return appendResponse(out, StatusTimeout, []byte(msg)), false
-	case <-s.ctx.Done():
-		s.abandon(done)
-		return appendResponse(out, StatusInternal, []byte("server shutting down")), false
-	}
-}
-
-// abandon drains a still-pending request's result in the background: the
-// request stays queued and will execute, and without a reader its result
-// would sit in the channel buffer forever (pinning whatever the result
-// references). The connection is being dropped, so the channel is not
-// reused.
-func (s *Server) abandon(done chan volume.Result) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		select {
-		case <-done:
-			s.abandoned.Add(1)
-		case <-s.drained():
-		}
-	}()
-}
-
-// drained returns a channel closed once Close has finished waiting —
-// never, in practice, before abandoned results arrive, because Close
-// waits for this very WaitGroup. It exists to bound the drain goroutine
-// if a volume is closed without ever executing the request.
-func (s *Server) drained() <-chan struct{} { return s.ctx.Done() }
-
 // isDataOp reports whether op reads or mutates volume state (as opposed
 // to the replication/control ops followers must serve).
 func isDataOp(op uint8) bool {
@@ -343,66 +177,6 @@ func (s *Server) roleInfo() RoleInfo {
 		return s.opts.Repl.Role()
 	}
 	return RoleInfo{Role: "primary", Volumes: map[string]ReplPosition{}}
-}
-
-// appendRole encodes a RoleInfo response (or the promotion failure).
-func (s *Server) appendRole(out []byte, info RoleInfo, err error) []byte {
-	status, body := roleBody(info, err)
-	return appendResponse(out, status, body)
-}
-
-// roleBody renders a RoleInfo response body (or the promotion failure)
-// for either protocol version to frame.
-func roleBody(info RoleInfo, err error) (uint8, []byte) {
-	if err != nil {
-		return statusOf(err), []byte(err.Error())
-	}
-	body, merr := json.Marshal(&info)
-	if merr != nil {
-		return StatusInternal, []byte(merr.Error())
-	}
-	return StatusOK, body
-}
-
-// appendOK encodes a successful result's op-specific body.
-func (s *Server) appendOK(out []byte, op uint8, res volume.Result) []byte {
-	switch op {
-	case OpShip, OpTail:
-		var epoch uint64
-		if s.opts.Repl != nil {
-			epoch = s.opts.Repl.Epoch()
-		}
-		return appendResponse(out, StatusOK, appendShipBody(nil, epoch, *res.Ship))
-	case OpRead:
-		var body [4]byte
-		binary.LittleEndian.PutUint32(body[:], uint32(res.Frags))
-		return appendResponse(out, StatusOK, body[:])
-	case OpStat:
-		// Config holds layer pointers and interfaces that neither
-		// marshal round-trip nor mean anything to a remote client; zero
-		// it so the wire Stats is pure counters.
-		st := *res.Stats
-		st.Config = core.Config{}
-		body, err := json.Marshal(&st)
-		if err != nil {
-			return appendResponse(out, StatusInternal, []byte(err.Error()))
-		}
-		return appendResponse(out, StatusOK, body)
-	case OpVerify:
-		body, err := json.Marshal(res.Audit)
-		if err != nil {
-			return appendResponse(out, StatusInternal, []byte(err.Error()))
-		}
-		return appendResponse(out, StatusOK, body)
-	case OpProof:
-		body, err := json.Marshal(res.Proof)
-		if err != nil {
-			return appendResponse(out, StatusInternal, []byte(err.Error()))
-		}
-		return appendResponse(out, StatusOK, body)
-	default:
-		return appendResponse(out, StatusOK, nil)
-	}
 }
 
 // statusOf maps volume/journal/fault errors onto wire status codes.

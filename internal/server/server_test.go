@@ -74,7 +74,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if int(n) != len(frame)-4 {
 			t.Fatalf("length prefix %d, frame body %d", n, len(frame)-4)
 		}
-		got, err := parseRequest(frame[4:])
+		got, err := parseRequest(frame[4:], nil)
 		if err != nil {
 			t.Fatalf("parse %+v: %v", want, err)
 		}
@@ -102,7 +102,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 		{99, 0},                // unknown op
 	}
 	for _, p := range bad {
-		if _, err := parseRequest(p); err == nil {
+		if _, err := parseRequest(p, nil); err == nil {
 			t.Errorf("parseRequest(%v) accepted malformed frame", p)
 		}
 	}
@@ -210,7 +210,7 @@ func rawDial(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := handshake(conn); err != nil {
+	if _, _, err := clientHello(conn, Version, 0); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -257,6 +257,45 @@ func TestServerRejectsBadFrames(t *testing.T) {
 	buf, _ := io.ReadAll(conn3)
 	if len(buf) > len(Magic)+1 {
 		t.Errorf("server kept talking (%d bytes) after bad magic", len(buf))
+	}
+}
+
+// TestV1BackToBackFramesAnsweredInOrder: v1 matches responses by
+// position, so a client that writes its frames back to back without
+// waiting must still be served one at a time, in order — never shed for
+// exceeding a window it has no way to observe.
+func TestV1BackToBackFramesAnsweredInOrder(t *testing.T) {
+	_, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
+	conn := rawDial(t, addr)
+	const n = 64
+	var frames []byte
+	for i := 0; i < n; i++ {
+		req := request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector(i*8), 8)}
+		if i%2 == 1 {
+			req.Op = OpRead
+		}
+		var err error
+		if frames, err = appendRequest(frames, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var buf []byte
+	for i := 0; i < n; i++ {
+		frame, err := readFrame(conn, buf)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		buf = frame
+		if frame[0] != StatusOK {
+			t.Fatalf("response %d: %s %q, want ok", i, StatusName(frame[0]), frame[1:])
+		}
+		if got, want := len(frame)-1, 4*(i%2); got != want {
+			t.Fatalf("response %d: body %d bytes, want %d (responses out of order)", i, got, want)
+		}
 	}
 }
 
@@ -312,7 +351,7 @@ func TestServerBackpressure(t *testing.T) {
 }
 
 func TestServerRequestTimeout(t *testing.T) {
-	_, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
+	srv, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
 	v, _ := mgr.Get("v0")
 	release := stallVolume(t, v)
 	defer release()
@@ -334,6 +373,15 @@ func TestServerRequestTimeout(t *testing.T) {
 	release()
 	if err := c.Write("v0", geom.Ext(0, 8)); err == nil {
 		t.Error("v1 connection survived a timeout, want closed")
+	}
+	// The timed-out request still executed; its result is drained and
+	// counted, not left wedged in the completion channel.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Abandoned() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("Abandoned = %d after release, want 1", srv.Abandoned())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

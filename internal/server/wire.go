@@ -12,7 +12,9 @@
 // dispatched to the volume actor in send order, so a single v2
 // connection replaying a trace remains bit-deterministic; only the
 // responses are reordered. Version and window are negotiated in the
-// hello, and a v2 server accepts v1 clients unchanged.
+// hello, and a v2 server accepts v1 clients unchanged: it serves both
+// versions from one request path (conn.go), the version selecting only
+// the framing.
 package server
 
 import (
@@ -191,12 +193,9 @@ func (nc nameCache) intern(b []byte) string {
 }
 
 // parseRequest decodes a request frame payload (everything after the
-// length prefix).
-func parseRequest(p []byte) (request, error) { return parseRequestNamed(p, nil) }
-
-// parseRequestNamed is parseRequest with volume names interned through
-// names (nil = allocate per call).
-func parseRequestNamed(p []byte, names nameCache) (request, error) {
+// length prefix), interning volume names through names (nil = allocate
+// per call).
+func parseRequest(p []byte, names nameCache) (request, error) {
 	if len(p) < 2 {
 		return request{}, fmt.Errorf("server: request frame %d bytes, want >= 2", len(p))
 	}
@@ -361,28 +360,6 @@ func parseShipBody(p []byte) (epoch uint64, c journal.ShipChunk, err error) {
 	return epoch, c, nil
 }
 
-// handshake is the legacy v1 client hello: write ours, read theirs,
-// require version 1 exactly. A v2 server answers it with version 1 and
-// serves the connection synchronously, so pre-SMRD2 clients interoperate
-// unchanged. Kept for the v1 client path and the raw-frame tests.
-func handshake(rw io.ReadWriter) error {
-	hello := append([]byte(Magic), Version)
-	if _, err := rw.Write(hello); err != nil {
-		return err
-	}
-	var peer [len(Magic) + 1]byte
-	if _, err := io.ReadFull(rw, peer[:]); err != nil {
-		return fmt.Errorf("server: handshake: %w", err)
-	}
-	if string(peer[:len(Magic)]) != Magic {
-		return fmt.Errorf("server: bad handshake magic %q", peer[:len(Magic)])
-	}
-	if peer[len(Magic)] != Version {
-		return fmt.Errorf("server: protocol version %d, want %d", peer[len(Magic)], Version)
-	}
-	return nil
-}
-
 // clientHello negotiates version and window from the client side. The
 // client sends Magic + its highest supported version; a v2 hello is
 // followed by a uint16 LE requested window (0 = server default). The
@@ -505,7 +482,7 @@ func parseRequestV2(p []byte, names nameCache) (uint64, request, error) {
 		return 0, request{}, fmt.Errorf("server: v2 request frame %d bytes, want >= %d", len(p), idSize+1)
 	}
 	id := binary.LittleEndian.Uint64(p[:idSize])
-	req, err := parseRequestNamed(p[idSize:], names)
+	req, err := parseRequest(p[idSize:], names)
 	return id, req, err
 }
 

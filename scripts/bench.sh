@@ -3,13 +3,15 @@
 #
 #   scripts/bench.sh            # rewrite BENCH_baseline.json
 #   scripts/bench.sh compare    # run benchmarks, diff against the baseline
-#   scripts/bench.sh smoke      # CI gate: simulator + extent-map benchmarks
-#                               # at short benchtime, fail on >25% ns/op or
-#                               # >25% allocs/op growth
+#   scripts/bench.sh smoke      # CI gate: hot-path benchmarks at short
+#                               # benchtime, fail on >25% allocs/op growth
+#                               # (ns/op deltas are printed, not gated)
 #
 # Run from the repo root. The experiment benchmarks self-scale (see
 # -benchscale in bench_test.go), so a full run takes a few minutes; the
-# baseline tracks trajectory across PRs, not absolute precision.
+# baseline tracks trajectory across PRs, not absolute precision. Its
+# ns/op rows compare only with runs on the machine that recorded them;
+# speed claims rest on bench/ (bash bench/run.sh), not on this file.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,15 +21,17 @@ trap 'rm -f "$tmp"' EXIT
 
 if [ "${1:-}" = smoke ]; then
 	# CI regression smoke: only the hot-path benchmarks (simulator
-	# throughput, extent map) at a short benchtime. Short runs are
-	# noisy, so the gates are wide — they catch structural regressions
-	# (an accidentally-always-on probe, an O(n) slip, a lost scratch
-	# buffer re-allocating per op), not jitter. allocs/op is gated too:
-	# it is deterministic, so even a short run flags real growth.
+	# throughput, extent map, volume actor and server, recovery, band
+	# cleaner) at a short benchtime. Only allocs/op is gated: it is
+	# deterministic, so even a short run on any machine flags a
+	# structural regression (an accidentally-always-on probe, a lost
+	# scratch buffer re-allocating per op). ns/op against a baseline
+	# recorded on another machine fails with no code change, so it is
+	# printed for the reader only.
 	go test -run='^$' -bench='^(BenchmarkSimulatorThroughput|BenchmarkInsert|BenchmarkInsertFunc|BenchmarkLookup|BenchmarkLookupFunc|BenchmarkFragments|BenchmarkVolumeActor|BenchmarkVolumeTCP|BenchmarkVerifyDir|BenchmarkRecoverDir|BenchmarkBandClean)$' \
 		-benchtime=0.3s -benchmem -timeout 10m . ./internal/extmap ./internal/volume ./internal/journal ./internal/stl ./internal/band |
 		go run ./scripts/benchjson >"$tmp"
-	go run ./scripts/benchjson -compare -gate 25 -gate-allocs 25 -match 'BenchmarkSimulator|internal/extmap|internal/volume|BenchmarkVerifyDir/seq|BenchmarkRecoverDir/seq|BenchmarkBandClean' "$out" "$tmp"
+	go run ./scripts/benchjson -compare -gate-allocs 25 -match 'BenchmarkSimulator|internal/extmap|internal/volume|BenchmarkVerifyDir/seq|BenchmarkRecoverDir/seq|BenchmarkBandClean' "$out" "$tmp"
 	exit 0
 fi
 

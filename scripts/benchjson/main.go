@@ -5,18 +5,19 @@
 //
 //	go test -run='^$' -bench=. -benchmem ./... | go run ./scripts/benchjson > BENCH_baseline.json
 //	go run ./scripts/benchjson -compare BENCH_baseline.json BENCH_new.json
-//	go run ./scripts/benchjson -compare -gate 25 -match 'Simulator|extmap' old.json new.json
+//	go run ./scripts/benchjson -compare -gate-allocs 25 -match 'Simulator|extmap' old.json new.json
 //
 // Compare prints one line per benchmark with the ns/op delta (and the
 // allocs/op delta where both baselines carry -benchmem data). By default
 // it exits nonzero only on malformed input — the output is for humans
-// reviewing a PR's perf trajectory. With -gate PCT it becomes a CI
-// gate: any benchmark (optionally filtered by -match against
-// "pkg.Name") whose ns/op grew by more than PCT percent fails the run.
-// -gate-allocs PCT gates allocs/op the same way; benchmarks whose old
-// baseline records 0 allocs/op are skipped by that gate (a 0 -> 1 step
-// is infinite in percent terms, and zero-alloc paths are pinned exactly
-// by the testing.AllocsPerRun tests instead).
+// reviewing a PR's perf trajectory; ns/op is never gated, because a
+// baseline recorded on one machine says nothing about another's speed.
+// With -gate-allocs PCT it becomes a CI gate: any benchmark (optionally
+// filtered by -match against "pkg.Name") whose allocs/op — which is
+// deterministic — grew by more than PCT percent fails the run.
+// Benchmarks whose old baseline records 0 allocs/op are skipped (a
+// 0 -> 1 step is infinite in percent terms, and zero-alloc paths are
+// pinned exactly by the testing.AllocsPerRun tests instead).
 package main
 
 import (
@@ -51,9 +52,8 @@ type Baseline struct {
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two baseline files instead of parsing stdin")
-	gate := flag.Float64("gate", 0, "with -compare: fail when any matched benchmark's ns/op grew by more than this percent (0 = report only)")
 	gateAllocs := flag.Float64("gate-allocs", 0, "with -compare: fail when any matched benchmark's allocs/op grew by more than this percent (0 = report only; old-zero-alloc benchmarks are skipped)")
-	match := flag.String("match", "", `with -gate/-gate-allocs: regexp selecting the benchmarks to gate, matched against "pkg.Name" (empty = all)`)
+	match := flag.String("match", "", `with -gate-allocs: regexp selecting the benchmarks to gate, matched against "pkg.Name" (empty = all)`)
 	flag.Parse()
 	var err error
 	if *compare {
@@ -67,7 +67,7 @@ func main() {
 		case flag.NArg() != 2:
 			err = fmt.Errorf("-compare wants exactly two baseline files, got %d", flag.NArg())
 		default:
-			err = runCompare(os.Stdout, flag.Arg(0), flag.Arg(1), re, *gate, *gateAllocs)
+			err = runCompare(os.Stdout, flag.Arg(0), flag.Arg(1), re, *gateAllocs)
 		}
 	} else {
 		err = runParse(os.Stdin, os.Stdout)
@@ -160,7 +160,7 @@ func parseBenchLine(line string) (Result, bool, error) {
 	return res, true, nil
 }
 
-func runCompare(out io.Writer, oldPath, newPath string, match *regexp.Regexp, gatePct, gateAllocsPct float64) error {
+func runCompare(out io.Writer, oldPath, newPath string, match *regexp.Regexp, gateAllocsPct float64) error {
 	oldB, err := loadBaseline(oldPath)
 	if err != nil {
 		return err
@@ -170,7 +170,7 @@ func runCompare(out io.Writer, oldPath, newPath string, match *regexp.Regexp, ga
 		return err
 	}
 	fmt.Fprint(out, FormatCompare(oldB, newB))
-	if bad := Regressions(oldB, newB, match, gatePct, gateAllocsPct); len(bad) > 0 {
+	if bad := Regressions(oldB, newB, match, gateAllocsPct); len(bad) > 0 {
 		return fmt.Errorf("%d benchmark metric(s) regressed past the gate:\n  %s",
 			len(bad), strings.Join(bad, "\n  "))
 	}
@@ -178,13 +178,12 @@ func runCompare(out io.Writer, oldPath, newPath string, match *regexp.Regexp, ga
 }
 
 // Regressions returns a description of every benchmark present in both
-// baselines (and matching match, when non-nil) whose ns/op grew by more
-// than gatePct percent or whose allocs/op grew by more than
-// gateAllocsPct percent. A gate of 0 disables that metric's check. The
-// allocs gate skips benchmarks whose old baseline shows 0 allocs/op:
-// those either predate -benchmem (no data) or are pinned exactly by
-// AllocsPerRun tests, and a percent delta from zero is meaningless.
-func Regressions(oldB, newB Baseline, match *regexp.Regexp, gatePct, gateAllocsPct float64) []string {
+// baselines (and matching match, when non-nil) whose allocs/op grew by
+// more than gateAllocsPct percent. A gate of 0 disables the check. It
+// skips benchmarks whose old baseline shows 0 allocs/op: those either
+// predate -benchmem (no data) or are pinned exactly by AllocsPerRun
+// tests, and a percent delta from zero is meaningless.
+func Regressions(oldB, newB Baseline, match *regexp.Regexp, gateAllocsPct float64) []string {
 	newByKey := map[string]Result{}
 	for _, r := range newB.Benchmarks {
 		newByKey[r.Pkg+"."+r.Name] = r
@@ -198,12 +197,6 @@ func Regressions(oldB, newB Baseline, match *regexp.Regexp, gatePct, gateAllocsP
 		n, ok := newByKey[k]
 		if !ok {
 			continue
-		}
-		if gatePct > 0 && o.NsPerOp > 0 {
-			if delta := (n.NsPerOp - o.NsPerOp) / o.NsPerOp * 100; delta > gatePct {
-				bad = append(bad, fmt.Sprintf("%s: %.1f -> %.1f ns/op (%+.1f%%)",
-					k, o.NsPerOp, n.NsPerOp, delta))
-			}
 		}
 		if gateAllocsPct > 0 && o.AllocsPerOp > 0 {
 			if delta := float64(n.AllocsPerOp-o.AllocsPerOp) / float64(o.AllocsPerOp) * 100; delta > gateAllocsPct {

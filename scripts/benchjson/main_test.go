@@ -91,58 +91,34 @@ func TestFormatCompare(t *testing.T) {
 	}
 }
 
-func TestRegressionsGate(t *testing.T) {
-	oldB := Baseline{Benchmarks: []Result{
-		{Pkg: "smrseek", Name: "BenchmarkSimulatorThroughput", NsPerOp: 100},
-		{Pkg: "smrseek/internal/extmap", Name: "BenchmarkInsert", NsPerOp: 100},
-		{Pkg: "smrseek/internal/lru", Name: "BenchmarkAdd", NsPerOp: 100},
-		{Pkg: "p", Name: "BenchmarkGone", NsPerOp: 100},
-	}}
-	newB := Baseline{Benchmarks: []Result{
-		{Pkg: "smrseek", Name: "BenchmarkSimulatorThroughput", NsPerOp: 124}, // within gate
-		{Pkg: "smrseek/internal/extmap", Name: "BenchmarkInsert", NsPerOp: 200},
-		{Pkg: "smrseek/internal/lru", Name: "BenchmarkAdd", NsPerOp: 900}, // unmatched
-	}}
-	match := regexp.MustCompile(`BenchmarkSimulator|extmap`)
-
-	bad := Regressions(oldB, newB, match, 25, 0)
-	if len(bad) != 1 || !strings.Contains(bad[0], "BenchmarkInsert") {
-		t.Errorf("Regressions = %v, want only the extmap insert", bad)
-	}
-	// The filter kept the lru blow-up out; without it, it gates too.
-	if bad := Regressions(oldB, newB, nil, 25, 0); len(bad) != 2 {
-		t.Errorf("unfiltered Regressions = %v, want 2 entries", bad)
-	}
-	// Nothing over a huge gate; disappeared benchmarks never gate.
-	if bad := Regressions(oldB, newB, nil, 1000, 0); len(bad) != 0 {
-		t.Errorf("Regressions over 1000%% gate = %v, want none", bad)
-	}
-}
-
 func TestRegressionsAllocGate(t *testing.T) {
 	oldB := Baseline{Benchmarks: []Result{
 		{Pkg: "p", Name: "BenchmarkGrew", NsPerOp: 100, AllocsPerOp: 100},
 		{Pkg: "p", Name: "BenchmarkSteady", NsPerOp: 100, AllocsPerOp: 100},
 		{Pkg: "p", Name: "BenchmarkWasZero", NsPerOp: 100, AllocsPerOp: 0},
+		{Pkg: "p", Name: "BenchmarkGone", NsPerOp: 100, AllocsPerOp: 100},
 	}}
 	newB := Baseline{Benchmarks: []Result{
 		{Pkg: "p", Name: "BenchmarkGrew", NsPerOp: 100, AllocsPerOp: 140},
 		{Pkg: "p", Name: "BenchmarkSteady", NsPerOp: 100, AllocsPerOp: 110},
 		{Pkg: "p", Name: "BenchmarkWasZero", NsPerOp: 100, AllocsPerOp: 50},
 	}}
-	bad := Regressions(oldB, newB, nil, 0, 25)
+	bad := Regressions(oldB, newB, nil, 25)
 	if len(bad) != 1 || !strings.Contains(bad[0], "BenchmarkGrew") || !strings.Contains(bad[0], "allocs/op") {
 		t.Errorf("alloc Regressions = %v, want only BenchmarkGrew's allocs", bad)
 	}
-	// Both gates at once: an alloc regression and an ns regression on
-	// different benchmarks are both reported.
+	// ns/op is reported, never gated: a slower row alone flags nothing.
 	newB.Benchmarks[1].NsPerOp = 200
-	bad = Regressions(oldB, newB, nil, 25, 25)
-	if len(bad) != 2 {
-		t.Errorf("combined Regressions = %v, want ns and alloc entries", bad)
+	if bad := Regressions(oldB, newB, nil, 25); len(bad) != 1 {
+		t.Errorf("Regressions after an ns/op slip = %v, want the alloc entry only", bad)
+	}
+	// -match filters what is gated. (BenchmarkGone, absent from the new
+	// run, never gates.)
+	if bad := Regressions(oldB, newB, regexp.MustCompile(`Steady`), 25); len(bad) != 0 {
+		t.Errorf("filtered Regressions = %v, want none", bad)
 	}
 	// Gate 0 disables the alloc check entirely.
-	if bad := Regressions(oldB, newB, nil, 0, 0); len(bad) != 0 {
-		t.Errorf("disabled gates still flagged %v", bad)
+	if bad := Regressions(oldB, newB, nil, 0); len(bad) != 0 {
+		t.Errorf("disabled gate still flagged %v", bad)
 	}
 }
