@@ -577,7 +577,6 @@ func (t *Map) StaticFragments(deviceSectors int64) int {
 // space). Recovery and property tests call it after every mutation
 // storm; it is O(n).
 func (t *Map) CheckInvariants() error {
-	var prev *Mapping
 	var walkErr error
 	var check func(n *node) int
 	check = func(n *node) int {
@@ -602,6 +601,9 @@ func (t *Map) CheckInvariants() error {
 	if walkErr != nil {
 		return walkErr
 	}
+	// prev is held by value: a pointer to each visited mapping would cost
+	// an allocation per mapping.
+	var prev Mapping
 	count := 0
 	t.Walk(func(m Mapping) bool {
 		count++
@@ -609,16 +611,15 @@ func (t *Map) CheckInvariants() error {
 			walkErr = fmt.Errorf("extmap: empty mapping %v", m)
 			return false
 		}
-		if prev != nil && prev.Lba.End() > m.Lba.Start {
-			walkErr = fmt.Errorf("extmap: overlap %v then %v", *prev, m)
+		if count > 1 && prev.Lba.End() > m.Lba.Start {
+			walkErr = fmt.Errorf("extmap: overlap %v then %v", prev, m)
 			return false
 		}
-		if t.coalesce && prev != nil && prev.Lba.End() == m.Lba.Start && prev.PhysEnd() == m.Pba {
-			walkErr = fmt.Errorf("extmap: uncoalesced adjacent mappings %v then %v", *prev, m)
+		if t.coalesce && count > 1 && prev.Lba.End() == m.Lba.Start && prev.PhysEnd() == m.Pba {
+			walkErr = fmt.Errorf("extmap: uncoalesced adjacent mappings %v then %v", prev, m)
 			return false
 		}
-		mm := m
-		prev = &mm
+		prev = m
 		return true
 	})
 	if walkErr != nil {

@@ -161,39 +161,6 @@ func LoadDir(dir string) (*Snapshot, Data, error) { return LoadDirWorkers(dir, 0
 // DefaultRecoveryWorkers, 1 scans inline. The result is bit-identical
 // at any worker count.
 func LoadDirWorkers(dir string, workers int) (*Snapshot, Data, error) {
-	snap, err := readCheckpointFile(CheckpointPath(dir))
-	if err != nil {
-		return nil, Data{}, err
-	}
-	raw, err := os.ReadFile(JournalPath(dir))
-	if errors.Is(err, os.ErrNotExist) {
-		if snap == nil {
-			return nil, Data{}, fmt.Errorf("journal: %s has neither checkpoint nor journal", dir)
-		}
-		return snap, Data{Generation: snap.Generation}, nil
-	}
-	if err != nil {
-		return nil, Data{}, err
-	}
-	// Check staleness from the header alone before parsing content: a
-	// crash between checkpoint rename and journal truncation leaves a
-	// whole stale generation behind, and nothing in it — damaged or not —
-	// matters once the checkpoint subsumes it.
-	if gen, _, _, herr := unmarshalHeader(raw); herr == nil && snap != nil && gen <= snap.Generation {
-		return snap, Data{Generation: gen}, nil
-	}
-	d, err := ScanBytesWorkers(raw, workers)
-	if err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) {
-			return nil, Data{}, err
-		}
-		if snap == nil {
-			return nil, Data{}, err
-		}
-		// A corrupt journal header alongside a valid checkpoint: the
-		// checkpoint is the durable truth; treat the journal as torn.
-		return snap, Data{Generation: snap.Generation, Torn: true}, nil
-	}
-	return snap, d, nil
+	snap, d, _, err := readDir(dir, workers, false)
+	return snap, d, err
 }

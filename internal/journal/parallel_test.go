@@ -218,15 +218,15 @@ func TestParallelScanLeavesMatchProve(t *testing.T) {
 	}
 }
 
-// TestParallelScanSpeedup is the perf acceptance gate: on a machine
-// with at least 4 cores, the parallel scan of a large sealed journal
-// must be at least 2x faster than the sequential one. Skipped on
-// smaller machines (including single-core CI boxes), where the
-// differential tests above still pin correctness.
+// TestParallelScanSpeedup measures the parallel scan of a large sealed
+// journal against the sequential one and logs the ratio on any machine
+// with at least 2 cores. With at least 4 it is also the perf acceptance
+// gate: the parallel scan must be at least 2x faster. A single core has
+// nothing to measure; the differential tests above pin correctness.
 func TestParallelScanSpeedup(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	if procs < 4 {
-		t.Skipf("GOMAXPROCS=%d, speedup gate needs >= 4 cores", procs)
+	if procs < 2 {
+		t.Skipf("GOMAXPROCS=%d, nothing to run in parallel", procs)
 	}
 	if testing.Short() {
 		t.Skip("timing test")
@@ -270,7 +270,7 @@ func TestParallelScanSpeedup(t *testing.T) {
 	par := timeScan(procs)
 	speedup := float64(seq) / float64(par)
 	t.Logf("sequential %v, parallel(%d) %v: %.2fx", seq, procs, par, speedup)
-	if speedup < 2 {
+	if procs >= 4 && speedup < 2 {
 		t.Errorf("parallel scan speedup %.2fx at %d workers, want >= 2x", speedup, procs)
 	}
 }

@@ -109,12 +109,40 @@ func VerifyDir(dir string) (*Audit, error) { return VerifyDirWorkers(dir, 0) }
 // scan at any worker count. workers <= 0 uses DefaultRecoveryWorkers, 1
 // verifies inline on the calling goroutine.
 func VerifyDirWorkers(dir string, workers int) (*Audit, error) {
+	_, _, a, err := readDir(dir, workers, true)
+	return a, err
+}
+
+// LoadDirVerified is VerifyDirWorkers and LoadDirWorkers in one pass:
+// the checkpoint and the journal are read once and the journal is
+// scanned once, and that scan yields both the Audit and the records to
+// replay. When the audit fails it returns VerifyDirWorkers's Audit and
+// error and no state; otherwise the snapshot and Data are exactly
+// LoadDirWorkers's. Verified recovery (stl.RecoverDirWith) opens
+// directories through it.
+func LoadDirVerified(dir string, workers int) (*Snapshot, Data, *Audit, error) {
+	return readDir(dir, workers, true)
+}
+
+// readDir is the one directory reader behind VerifyDir, LoadDir and
+// LoadDirVerified. It reads the checkpoint and the journal once, scans
+// the journal at most once, and returns the Audit beside the state to
+// replay. verify selects VerifyDir's strictness: an unreadable
+// checkpoint, or an unreadable journal header with no checkpoint to fall
+// back on, is a *CorruptError, and the checkpoint⇄journal linkage is
+// checked before the scan. Without it the reader is LoadDir's, which
+// cannot see linkage and reports those two cases as plain errors. On
+// error the Audit holds what was established before the failure.
+func readDir(dir string, workers int, verify bool) (*Snapshot, Data, *Audit, error) {
 	a := &Audit{Dir: dir}
 
 	snap, err := readCheckpointFile(CheckpointPath(dir))
 	if err != nil {
-		return a, &CorruptError{File: CheckpointFile, Segment: -1, Offset: -1,
-			Reason: fmt.Sprintf("unreadable checkpoint: %v", err)}
+		if verify {
+			err = &CorruptError{File: CheckpointFile, Segment: -1, Offset: -1,
+				Reason: fmt.Sprintf("unreadable checkpoint: %v", err)}
+		}
+		return nil, Data{}, a, err
 	}
 	if snap != nil {
 		a.HasCheckpoint = true
@@ -125,34 +153,38 @@ func VerifyDirWorkers(dir string, workers int) (*Audit, error) {
 	raw, err := os.ReadFile(JournalPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
 		if snap == nil {
-			return a, fmt.Errorf("journal: %s has neither checkpoint nor journal", dir)
+			return nil, Data{}, a, fmt.Errorf("journal: %s has neither checkpoint nor journal", dir)
 		}
 		a.ChainHead = snap.Chain
 		a.Anchor = snap.Chain
-		return a, nil
+		return snap, Data{Generation: snap.Generation}, a, nil
 	}
 	if err != nil {
-		return a, err
+		return nil, Data{}, a, err
 	}
 	a.HasJournal = true
 
 	gen, _, anchor, herr := unmarshalHeader(raw)
 	if herr != nil {
 		if findSealFrom(raw, 0) >= 0 {
-			return a, &CorruptError{File: JournalFile, Segment: 0, Offset: 0,
+			return nil, Data{}, a, &CorruptError{File: JournalFile, Segment: 0, Offset: 0,
 				Reason: "damaged header ahead of sealed content"}
 		}
-		if snap != nil {
-			// Indistinguishable from a crash mid-rebirth (truncate done,
-			// header write torn): the checkpoint is the durable truth and
-			// recovery treats this journal as empty. Report, don't fail.
-			a.TailTorn = true
-			a.Anchor = snap.Chain
-			a.ChainHead = snap.Chain
-			return a, nil
+		if snap == nil {
+			if verify {
+				herr = &CorruptError{File: JournalFile, Segment: -1, Offset: 0,
+					Reason: fmt.Sprintf("unreadable header with no checkpoint to fall back on: %v", herr)}
+			}
+			return nil, Data{}, a, herr
 		}
-		return a, &CorruptError{File: JournalFile, Segment: -1, Offset: 0,
-			Reason: fmt.Sprintf("unreadable header with no checkpoint to fall back on: %v", herr)}
+		// Indistinguishable from a crash mid-rebirth (truncate done,
+		// header write torn): the checkpoint is the durable truth and
+		// recovery treats this journal as empty and torn. Report, don't
+		// fail.
+		a.TailTorn = true
+		a.Anchor = snap.Chain
+		a.ChainHead = snap.Chain
+		return snap, Data{Generation: snap.Generation, Torn: true}, a, nil
 	}
 	a.Generation = gen
 	a.Anchor = anchor
@@ -162,32 +194,36 @@ func VerifyDirWorkers(dir string, workers int) (*Audit, error) {
 		// replayed, so its content — damaged or not — is irrelevant.
 		a.Stale = true
 		a.ChainHead = snap.Chain
-		return a, nil
+		return snap, Data{Generation: gen}, a, nil
 	}
 
 	// Linkage: the live journal must descend from the checkpoint.
-	switch {
-	case snap == nil && !anchor.IsZero():
-		return a, &CorruptError{File: JournalFile, Segment: -1, Offset: -1,
-			Reason: fmt.Sprintf("journal anchors at %s but no checkpoint exists", anchor.Short())}
-	case snap != nil && gen != snap.Generation+1:
-		return a, &CorruptError{File: JournalFile, Segment: -1, Offset: -1,
-			Reason: fmt.Sprintf("journal generation %d does not succeed checkpoint generation %d",
-				gen, snap.Generation)}
-	case snap != nil && anchor != snap.Chain:
-		return a, &CorruptError{File: JournalFile, Segment: -1, Offset: -1,
-			Reason: fmt.Sprintf("journal anchor %s does not match checkpoint chain head %s",
-				anchor.Short(), snap.Chain.Short())}
+	if verify {
+		var reason string
+		switch {
+		case snap == nil && !anchor.IsZero():
+			reason = fmt.Sprintf("journal anchors at %s but no checkpoint exists", anchor.Short())
+		case snap != nil && gen != snap.Generation+1:
+			reason = fmt.Sprintf("journal generation %d does not succeed checkpoint generation %d",
+				gen, snap.Generation)
+		case snap != nil && anchor != snap.Chain:
+			reason = fmt.Sprintf("journal anchor %s does not match checkpoint chain head %s",
+				anchor.Short(), snap.Chain.Short())
+		}
+		if reason != "" {
+			return nil, Data{}, a, &CorruptError{File: JournalFile, Segment: -1, Offset: -1, Reason: reason}
+		}
 	}
 
+	// The header is whole, so every scan error is a *CorruptError.
 	d, err := ScanBytesWorkers(raw, workers)
 	if err != nil {
-		return a, err
+		return nil, Data{}, a, err
 	}
 	a.Segments = d.Seals
 	a.SealedRecords = d.Sealed
 	a.TailRecords = int64(len(d.Records)) - d.Sealed
 	a.TailTorn = d.Torn
 	a.ChainHead = d.ChainHead()
-	return a, nil
+	return snap, d, a, nil
 }

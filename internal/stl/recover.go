@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"smrseek/internal/extmap"
+	"smrseek/internal/geom"
 	"smrseek/internal/journal"
 )
 
@@ -55,26 +56,35 @@ type ReplayStats struct {
 
 // RecoverOptions controls directory recovery.
 type RecoverOptions struct {
-	// VerifyOnRecover runs journal.VerifyDir before replay: every frame
-	// CRC, every segment's Merkle root, the seal chain, and the
-	// checkpoint⇄journal anchor linkage. Recovery then refuses a
-	// directory with damage inside the sealed region (journal.ErrCorrupt,
-	// with segment and offset) instead of silently truncating it to a
-	// "torn tail". Torn tails — damage past the last seal with no sealed
-	// data beyond it — still recover to the verified prefix.
+	// VerifyOnRecover audits the directory as journal.VerifyDir does, in
+	// the same pass that loads it: every frame CRC, every segment's
+	// Merkle root, the seal chain, and the checkpoint⇄journal anchor
+	// linkage. Recovery then refuses a directory with damage inside the
+	// sealed region (journal.ErrCorrupt, with segment and offset) instead
+	// of silently truncating it to a "torn tail". Torn tails — damage
+	// past the last seal with no sealed data beyond it — still recover to
+	// the verified prefix.
 	VerifyOnRecover bool
 	// Workers bounds the pool verifying sealed segments concurrently
-	// during the scans (journal.ScanBytesWorkers): <= 0 means
+	// during the scan (journal.ScanBytesWorkers): <= 0 means
 	// journal.DefaultRecoveryWorkers (GOMAXPROCS), 1 scans inline. The
 	// recovered layer and stats are bit-identical at any count.
 	Workers int
 }
 
 // Recover rebuilds a log-structured layer from a checkpoint snapshot
-// (may be nil: journal-only recovery) and a parsed journal. Records are
-// replayed in order through the same insert path live writes take, so
-// the recovered extent map, frontier and written-sector counter are
-// bit-identical to the layer that produced them.
+// (may be nil: journal-only recovery) and a parsed journal, in two
+// passes. A forward check pass walks the records in append order and
+// does all the bookkeeping: every write or relocate must land at the
+// replay frontier, frontier records move it, and the frontier,
+// written-sector counter and ReplayStats advance as the live layer's
+// did. An apply pass then builds the extent map newest first: each
+// record maps only the sectors no newer record has claimed, and the
+// snapshot's mappings fill what is left as the oldest layer, so every
+// sector is placed once and nothing is hole-punched. The coalesced map
+// is canonical, so the result is bit-identical to replaying every record
+// in order through the insert path live writes take; recover_test.go
+// keeps that forward replay as the oracle.
 //
 // The write-ahead discipline makes this exact: a mutation is applied
 // only after its record is acknowledged, so the live state at crash
@@ -87,9 +97,6 @@ func Recover(snap *journal.Snapshot, d journal.Data) (*LS, ReplayStats, error) {
 		st.FromCheckpoint = true
 		l.frontier = snap.Frontier
 		l.written = snap.Written
-		for _, m := range snap.Mappings {
-			l.m.Insert(m.Lba, m.Pba)
-		}
 	} else {
 		l.frontier = d.InitFrontier
 	}
@@ -108,7 +115,6 @@ func Recover(snap *journal.Snapshot, d journal.Data) (*LS, ReplayStats, error) {
 					"stl: record %d places %v at pba %d but the replay frontier is %d (checkpoint/journal mismatch?)",
 					i, rec.Lba, rec.Pba, l.frontier)
 			}
-			l.m.Insert(rec.Lba, rec.Pba)
 			l.frontier += rec.Lba.Count
 			l.written += rec.Lba.Count
 			st.ReplayedSectors += rec.Lba.Count
@@ -119,10 +125,52 @@ func Recover(snap *journal.Snapshot, d journal.Data) (*LS, ReplayStats, error) {
 		}
 		st.Replayed++
 	}
+	var gaps []extmap.Resolved
+	for i := len(d.Records) - 1; i >= 0; i-- {
+		if rec := d.Records[i]; rec.Kind != journal.RecFrontier {
+			gaps = l.fill(rec.Lba, rec.Pba, gaps)
+		}
+	}
+	if snap != nil {
+		for i := len(snap.Mappings) - 1; i >= 0; i-- {
+			gaps = l.fill(snap.Mappings[i].Lba, snap.Mappings[i].Pba, gaps)
+		}
+	}
 	if err := l.m.CheckInvariants(); err != nil {
 		return nil, st, fmt.Errorf("stl: recovered map is corrupt: %w", err)
 	}
 	return l, st, nil
+}
+
+// fill maps the sectors of lba that the map does not cover yet to their
+// places in the physical run starting at pba. Covered sectors belong to
+// a newer record and keep their placement. gaps is scratch space,
+// returned for reuse.
+func (l *LS) fill(lba geom.Extent, pba geom.Sector, gaps []extmap.Resolved) []extmap.Resolved {
+	gaps = gaps[:0]
+	l.m.LookupFunc(lba, func(r extmap.Resolved) bool {
+		// An unmapped gap resolves to its own LBA. LookupFunc merges it
+		// into a neighbouring fragment that is also placed at its own LBA
+		// and clears Identity, so such fragments are kept too.
+		if r.Identity || r.Pba == r.Lba.Start {
+			gaps = append(gaps, r)
+		}
+		return true
+	})
+	for _, g := range gaps {
+		at := pba + (g.Lba.Start - lba.Start)
+		if g.Identity {
+			l.m.InsertFunc(g.Lba, at, nil)
+			continue
+		}
+		// A fragment that may mix gaps and newer sectors placed at their
+		// own LBA: place all of it, then put the newer sectors back. The
+		// log frontier starts above every LBA, so this path is cold.
+		for _, newer := range l.m.Insert(g.Lba, at) {
+			l.m.InsertFunc(newer.Lba, newer.Pba, nil)
+		}
+	}
+	return gaps
 }
 
 // RecoverDir recovers from a journal directory as left by a crash: the
@@ -134,27 +182,31 @@ func RecoverDir(dir string) (*LS, ReplayStats, error) {
 }
 
 // RecoverDirWith is RecoverDir with options. With VerifyOnRecover set
-// it audits the directory first and refuses to recover from one whose
-// sealed history does not verify — the caller gets the *CorruptError
-// (matching journal.ErrCorrupt) naming the damaged file, segment and
-// offset. Note LoadDir itself also surfaces sealed-region damage; the
-// verify pass adds the checkpoint-linkage checks (anchor and generation
-// succession) that replay alone cannot see.
+// the directory is read and its journal scanned once
+// (journal.LoadDirVerified): that one pass audits the seal chain, the
+// checkpoint linkage (anchor and generation succession, which replay
+// alone cannot see) and the stale and torn-header rules, and yields the
+// records to replay. A directory whose sealed history does not verify
+// is refused with the *CorruptError (matching journal.ErrCorrupt)
+// naming the damaged file, segment and offset. Without it the pass is
+// journal.LoadDirWorkers, which still refuses sealed-region damage.
 func RecoverDirWith(dir string, opt RecoverOptions) (*LS, ReplayStats, error) {
 	start := time.Now()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = journal.DefaultRecoveryWorkers()
 	}
-	var audit *journal.Audit
+	var (
+		snap  *journal.Snapshot
+		d     journal.Data
+		audit *journal.Audit
+		err   error
+	)
 	if opt.VerifyOnRecover {
-		a, err := journal.VerifyDirWorkers(dir, workers)
-		if err != nil {
-			return nil, ReplayStats{}, err
-		}
-		audit = a
+		snap, d, audit, err = journal.LoadDirVerified(dir, workers)
+	} else {
+		snap, d, err = journal.LoadDirWorkers(dir, workers)
 	}
-	snap, d, err := journal.LoadDirWorkers(dir, workers)
 	if err != nil {
 		return nil, ReplayStats{}, err
 	}
