@@ -83,8 +83,8 @@ func BenchmarkVerifyDir(b *testing.B) {
 	}
 }
 
-// BenchmarkReadJournal measures replay-side parsing of a 10k-record log.
-func BenchmarkReadJournal(b *testing.B) {
+// BenchmarkScanBytes measures replay-side parsing of a 10k-record log.
+func BenchmarkScanBytes(b *testing.B) {
 	var buf bytes.Buffer
 	buf.Write(marshalHeader(1, 0, Hash{}))
 	for i := 0; i < 10000; i++ {
@@ -94,7 +94,7 @@ func BenchmarkReadJournal(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := ReadJournal(bytes.NewReader(raw))
+		d, err := ScanBytes(raw)
 		if err != nil {
 			b.Fatal(err)
 		}

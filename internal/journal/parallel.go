@@ -9,14 +9,15 @@ import (
 	"sync/atomic"
 )
 
-// Parallel verified scanning. Sealed segments are independently
-// verifiable by construction — each seal frame carries the Merkle root
-// over exactly the records since the previous seal — so the expensive
-// per-segment work (CRC32 of every frame, SHA-256 of every leaf, the
-// segment's Merkle tree) can run on a bounded worker pool while a single
-// in-order applier does the only inherently sequential parts: the seal
-// chain links, record accumulation, and damage classification. The same
-// insight lets SMORE parallelize its segment-granular recovery scans.
+// The journal frame walker, shared by every reader of journal bytes.
+// Sealed segments are independently verifiable by construction — each
+// seal frame carries the Merkle root over exactly the records since the
+// previous seal — so the expensive per-segment work (CRC32 of every
+// frame, SHA-256 of every leaf, the segment's Merkle tree) can run on a
+// bounded worker pool while a single in-order applier does the only
+// inherently sequential parts: the seal chain links and record
+// accumulation. The same insight lets SMORE parallelize its
+// segment-granular recovery scans.
 //
 // The pipeline has three stages:
 //
@@ -24,23 +25,29 @@ import (
 //     prefix alone — no CRC, no hashing — splitting the stream into
 //     per-segment jobs delimited by seal-candidate frames, plus one
 //     unsealed-tail job. Structural damage (partial or implausible
-//     frames) stops the split; classification is deferred to stage 3.
+//     frames) stops the split; its reason is settled in stage 3.
 //  2. Workers (parallel, expensive): each job independently CRC-checks
 //     its frames, decodes records, hashes leaves, computes the segment
 //     Merkle root and checks it against the seal frame's payload.
-//     Damage is reported with the exact offset and reason the
-//     sequential scanner would produce, plus the records decoded
-//     before it.
+//     Damage is reported with its offset and reason, plus the records
+//     decoded before it.
 //  3. Applier (sequential): consumes job results strictly in job order,
 //     extends and checks the seal chain (one SHA-256 per segment),
 //     accumulates records and seals into Data, and applies
 //     first-error-wins: the lowest-offset damage decides the outcome
-//     regardless of which worker found what first. Torn-vs-corrupt
-//     classification (forward resync via findSealFrom) is unchanged.
+//     regardless of which worker found what first.
 //
-// The result is bit-identical to scanJournal — same Data, same errors,
-// byte for byte and field for field — which parallel_test.go enforces
-// with a differential corruption matrix.
+// The walk has two modes. File mode (scanJournalParallel, behind
+// recovery, VerifyDir, Log.Open, ScanBytes and ShipFrom) starts after
+// the header at its anchor and classifies damage as a torn tail or
+// corruption (forward resync via findSealFrom). Chunk mode
+// (VerifyChunkSegments, behind a replication follower) starts at a
+// ChunkState's chain and seal index and rejects any damage. With one
+// worker either mode runs inline on the calling goroutine. At every
+// worker count the result is bit-identical — same Data, same errors,
+// byte for byte and field for field — to the independent sequential
+// scanner kept as a test oracle, which parallel_test.go enforces with a
+// differential corruption matrix.
 
 // DefaultRecoveryWorkers is the worker count used when a caller passes
 // workers <= 0: one per schedulable CPU.
@@ -66,8 +73,7 @@ type segDamage struct {
 }
 
 // segResult is one job's outcome. records holds every record decoded
-// before the damage point (all of them when damage is nil), matching
-// what the sequential scanner would have accumulated.
+// before the damage point (all of them when damage is nil).
 type segResult struct {
 	records []Record
 	leaves  []Hash
@@ -81,27 +87,27 @@ type segResult struct {
 // structStop records where the structure scan had to stop: a frame that
 // is structurally damaged (reason != "") or structurally foreign
 // (oddLen >= 0) — the latter needs a CRC check to pick between the
-// sequential scanner's "frame checksum mismatch" and "unrecognized
-// N-byte frame" reasons.
+// "frame checksum mismatch" and "unrecognized N-byte frame" reasons.
 type structStop struct {
 	off    int64
 	reason string
 	oddLen int64
 }
 
-// structScan splits raw journal frames (header excluded) into
-// verification jobs without touching a single checksum. It stops at the
-// first structurally implausible frame; everything before it is jobs.
-func structScan(raw []byte) (jobs []segJob, stop *structStop) {
-	off, end := int64(headerSize), int64(len(raw))
+// structScan splits raw's frames from offset off onward into
+// verification jobs without touching a single checksum; index is the
+// seal index the first job would seal as. It stops at the first
+// structurally implausible frame; everything before it is jobs.
+func structScan(raw []byte, off int64, index int) (jobs []segJob, stop *structStop) {
+	end := int64(len(raw))
 	segStart := off
-	// Record frames ahead of the stop point still need verification — the
-	// sequential scanner accumulates them (and damage among them, at a
-	// lower offset, wins over the structural stop), so emit them as a
-	// final tail job before reporting the stop.
+	// Record frames ahead of the stop point still need verification — they
+	// are accumulated (and damage among them, at a lower offset, wins over
+	// the structural stop), so emit them as a final tail job before
+	// reporting the stop.
 	stopAt := func(s *structStop) ([]segJob, *structStop) {
 		if segStart < s.off {
-			jobs = append(jobs, segJob{start: segStart, end: s.off, sealOff: -1, index: len(jobs)})
+			jobs = append(jobs, segJob{start: segStart, end: s.off, sealOff: -1, index: index + len(jobs)})
 		}
 		return jobs, s
 	}
@@ -121,26 +127,26 @@ func structScan(raw []byte) (jobs []segJob, stop *structStop) {
 		case plen == payloadSize:
 			// A record frame; it extends the open segment.
 		case plen == sealPayloadSize && raw[off+4] == byte(RecSeal):
-			jobs = append(jobs, segJob{start: segStart, end: next, sealOff: off, index: len(jobs)})
+			jobs = append(jobs, segJob{start: segStart, end: next, sealOff: off, index: index + len(jobs)})
 			segStart = next
 		default:
 			// Structurally whole but neither a record nor a seal shape:
-			// the sequential scanner stops here, with the reason decided
-			// by the frame's CRC. Defer that check to the applier.
+			// the walk stops here, with the reason decided by the frame's
+			// CRC. Defer that check to the applier.
 			return stopAt(&structStop{off: off, oddLen: plen})
 		}
 		off = next
 	}
 	if segStart < end {
-		jobs = append(jobs, segJob{start: segStart, end: end, sealOff: -1, index: len(jobs)})
+		jobs = append(jobs, segJob{start: segStart, end: end, sealOff: -1, index: index + len(jobs)})
 	}
 	return jobs, nil
 }
 
 // verifyJob runs one job: CRC every frame, decode records, hash leaves,
 // and (for segment jobs) recompute the Merkle root and check it against
-// the seal payload. The checks and their order mirror scanJournal
-// exactly, so reasons and offsets match byte for byte.
+// the seal payload. The checks run in frame order, so the first failing
+// one names the reason and offset.
 func verifyJob(raw []byte, job segJob) segResult {
 	var res segResult
 	if n := (job.end - job.start) / frameSize; n > 0 {
@@ -195,28 +201,18 @@ func verifyJob(raw []byte, job segJob) segResult {
 	return res
 }
 
-// scanJournalParallel is the parallel equivalent of scanJournal. workers
-// <= 0 means DefaultRecoveryWorkers; 1 runs the whole pipeline inline on
-// the calling goroutine. When wantLeaves is set the verified records'
-// leaf hashes are returned in order (sealed segments first, then the
-// unsealed tail) so Log.Open and Log.Prove can reuse the audit core's
-// hashing instead of redoing it.
-func scanJournalParallel(raw []byte, workers int, wantLeaves bool) (Data, []Hash, error) {
-	var d Data
-	if len(raw) < headerSize {
-		return d, nil, fmt.Errorf("journal: short header (%d bytes)", len(raw))
-	}
-	gen, frontier, anchor, err := unmarshalHeader(raw)
-	if err != nil {
-		if findSealFrom(raw, 0) >= 0 {
-			return d, nil, &CorruptError{File: JournalFile, Segment: 0, Offset: 0,
-				Reason: "damaged header ahead of sealed content"}
-		}
-		return d, nil, err
-	}
-	d.Generation, d.InitFrontier, d.Anchor = gen, frontier, anchor
-
-	jobs, stop := structScan(raw)
+// walk is the pipeline over raw's frames from offset off: structure
+// scan, verifyJob per job (on a pool of workers goroutines when workers
+// > 1, inline otherwise; <= 0 means DefaultRecoveryWorkers), and the
+// in-order applier, which extends the seal chain from chain with seal
+// indices from index. It appends the verified records and seals to d and
+// returns the lowest-offset damage, or nil when every frame verified —
+// an unsealed tail of records included — plus, when wantLeaves is set,
+// every accumulated record's leaf hash in order. Classifying the damage
+// is the caller's business: a journal file tells torn from corrupt, a
+// follower chunk rejects either way.
+func walk(raw []byte, off int64, chain Hash, index, workers int, wantLeaves bool, d *Data) (leaves []Hash, _ *segDamage) {
+	jobs, stop := structScan(raw, off, index)
 	if workers <= 0 {
 		workers = DefaultRecoveryWorkers()
 	}
@@ -262,70 +258,93 @@ func scanJournalParallel(raw []byte, workers int, wantLeaves bool) (Data, []Hash
 	}
 
 	// In-order applier: chain links, accumulation, first-error-wins.
-	chain := anchor
-	pendingFirst := int64(1)
-	damaged := func(at int64, reason string) (Data, []Hash, error) {
-		if findSealFrom(raw, at) >= 0 {
-			return d, nil, &CorruptError{
-				File: JournalFile, Segment: len(d.Seals), Offset: at,
-				Reason: reason + " (intact seal follows the damage)",
-			}
-		}
-		d.Torn = true
-		return d, nil, nil
-	}
-	sealBroken := func(at int64, reason string) (Data, []Hash, error) {
-		return d, nil, &CorruptError{File: JournalFile, Segment: len(d.Seals), Offset: at, Reason: reason}
-	}
-	var leaves []Hash
 	for i, job := range jobs {
 		res := next(i)
 		d.Records = append(d.Records, res.records...)
 		if wantLeaves {
 			leaves = append(leaves, res.leaves...)
 		}
-		if dm := res.damage; dm != nil {
-			if dm.broken {
-				return sealBroken(dm.off, dm.reason)
-			}
-			return damaged(dm.off, dm.reason)
+		if res.damage != nil {
+			return leaves, res.damage
 		}
 		if job.sealOff < 0 {
 			break // unsealed tail: records only, always the last job
 		}
 		if want := chainLink(chain, res.root); want != res.sealChain {
-			return sealBroken(job.sealOff, fmt.Sprintf("chain %s, sealed %s", want.Short(), res.sealChain.Short()))
+			return leaves, &segDamage{off: job.sealOff, broken: true,
+				reason: fmt.Sprintf("chain %s, sealed %s", want.Short(), res.sealChain.Short())}
 		}
 		chain = res.sealChain
 		cnt := len(res.records)
 		d.Seals = append(d.Seals, Seal{
-			Index: job.index, First: pendingFirst, Count: cnt,
+			Index: job.index, First: d.Sealed + 1, Count: cnt,
 			Root: res.root, Chain: res.sealChain, Offset: job.sealOff,
 		})
 		d.Sealed += int64(cnt)
-		pendingFirst += int64(cnt)
 	}
-	if stop != nil {
-		reason := stop.reason
-		if stop.oddLen >= 0 {
-			// A structurally foreign frame: the sequential scanner's
-			// reason depends on whether its CRC happens to hold.
-			payload := raw[stop.off+4 : stop.off+4+stop.oddLen]
-			if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(raw[stop.off+4+stop.oddLen:]) {
-				reason = "frame checksum mismatch"
-			} else {
-				reason = fmt.Sprintf("unrecognized %d-byte frame", stop.oddLen)
-			}
+	if stop == nil {
+		return leaves, nil
+	}
+	reason := stop.reason
+	if stop.oddLen >= 0 {
+		// A structurally foreign frame: the reason depends on whether its
+		// CRC happens to hold.
+		payload := raw[stop.off+4 : stop.off+4+stop.oddLen]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(raw[stop.off+4+stop.oddLen:]) {
+			reason = "frame checksum mismatch"
+		} else {
+			reason = fmt.Sprintf("unrecognized %d-byte frame", stop.oddLen)
 		}
-		return damaged(stop.off, reason)
 	}
-	return d, leaves, nil
+	return leaves, &segDamage{off: stop.off, reason: reason}
+}
+
+// scanJournalParallel parses and verifies a whole journal file: the
+// header, then walk from its anchor. workers <= 0 means
+// DefaultRecoveryWorkers; 1 runs the whole pipeline inline on the
+// calling goroutine. A damaged frame followed by no further intact seal
+// marks Data.Torn — the crash signature; any other damage is a
+// *CorruptError (truncating there would silently drop acknowledged,
+// sealed history). When wantLeaves is set the verified records' leaf
+// hashes are returned in order so Log.Open and Log.Prove can reuse the
+// audit core's hashing instead of redoing it.
+func scanJournalParallel(raw []byte, workers int, wantLeaves bool) (Data, []Hash, error) {
+	var d Data
+	if len(raw) < headerSize {
+		return d, nil, fmt.Errorf("journal: short header (%d bytes)", len(raw))
+	}
+	gen, frontier, anchor, err := unmarshalHeader(raw)
+	if err != nil {
+		// A crash mid-rebirth (truncate done, header write torn) leaves a
+		// SHORT file: nothing but partial header bytes. A damaged header
+		// with sealed content after it is not that — it is damage to a
+		// file that was whole.
+		if findSealFrom(raw, 0) >= 0 {
+			return d, nil, &CorruptError{File: JournalFile, Segment: 0, Offset: 0,
+				Reason: "damaged header ahead of sealed content"}
+		}
+		return d, nil, err
+	}
+	d.Generation, d.InitFrontier, d.Anchor = gen, frontier, anchor
+
+	leaves, dm := walk(raw, headerSize, anchor, 0, workers, wantLeaves, &d)
+	switch {
+	case dm == nil:
+		return d, leaves, nil
+	case dm.broken:
+		return d, nil, &CorruptError{File: JournalFile, Segment: len(d.Seals), Offset: dm.off, Reason: dm.reason}
+	case findSealFrom(raw, dm.off) >= 0:
+		return d, nil, &CorruptError{File: JournalFile, Segment: len(d.Seals), Offset: dm.off,
+			Reason: dm.reason + " (intact seal follows the damage)"}
+	}
+	d.Torn = true
+	return d, nil, nil
 }
 
 // ScanBytesWorkers is ScanBytes with a bounded verification worker pool:
 // sealed segments are CRC-checked and Merkle-verified concurrently while
 // an in-order applier checks the seal chain, with results — Data and
-// errors alike — bit-identical to the sequential scan. workers <= 0 uses
+// errors alike — bit-identical at every worker count. workers <= 0 uses
 // DefaultRecoveryWorkers, 1 runs inline.
 func ScanBytesWorkers(raw []byte, workers int) (Data, error) {
 	d, _, err := scanJournalParallel(raw, workers, false)

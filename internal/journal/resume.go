@@ -1,10 +1,6 @@
 package journal
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
+import "fmt"
 
 // Incremental chunk verification. A replication follower receives the
 // primary's journal as byte-exact chunks that always end on a seal
@@ -36,76 +32,32 @@ type ChunkState struct {
 // VerifyChunkSegments verifies data as the exact continuation of st:
 // data must be whole sealed segments — record frames closed by seal
 // frames, nothing else, ending exactly on a seal boundary — whose CRCs,
-// Merkle roots and chain links all extend st.Chain. On success it
+// Merkle roots and chain links all extend st.Chain. It is the journal
+// walker in chunk mode, anchored at st.Chain and st.Seals. On success it
 // returns the advanced frontier; on any failure it returns st unchanged
 // with a descriptive error and the caller must discard the whole chunk.
 // The caller has already consumed the generation header (st.Offset >=
 // headerSize).
 func VerifyChunkSegments(data []byte, st ChunkState) (ChunkState, error) {
-	base := st
 	if st.Offset < headerSize {
-		return base, fmt.Errorf("journal: chunk state offset %d precedes the header", st.Offset)
+		return st, fmt.Errorf("journal: chunk state offset %d precedes the header", st.Offset)
 	}
 	if len(data) == 0 {
-		return base, fmt.Errorf("journal: empty segment chunk")
+		return st, fmt.Errorf("journal: empty segment chunk")
 	}
-	var (
-		off     int64
-		end     = int64(len(data))
-		pending []Hash
-	)
-	for off < end {
-		at := base.Offset + off // absolute offset, for error messages
-		if end-off < 4 {
-			return base, fmt.Errorf("journal: chunk has a partial length prefix at offset %d", at)
-		}
-		plen := int64(binary.LittleEndian.Uint32(data[off:]))
-		if plen == 0 || plen > maxPayloadLen {
-			return base, fmt.Errorf("journal: chunk has an implausible frame length %d at offset %d", plen, at)
-		}
-		next := off + 4 + plen + 4
-		if next > end {
-			return base, fmt.Errorf("journal: chunk has a partial frame at offset %d (does not end on a seal boundary)", at)
-		}
-		payload := data[off+4 : off+4+plen]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4+plen:]) {
-			return base, fmt.Errorf("journal: chunk frame checksum mismatch at offset %d", at)
-		}
-		switch {
-		case plen == payloadSize:
-			if _, ok := unmarshalPayload(payload); !ok {
-				return base, fmt.Errorf("journal: chunk has an unreplayable record at offset %d", at)
-			}
-			pending = append(pending, LeafHash(payload))
-		case plen == sealPayloadSize && payload[0] == byte(RecSeal):
-			idx, cnt, root, sealChain, ok := parseSealPayload(payload)
-			if !ok {
-				return base, fmt.Errorf("journal: chunk has a malformed seal payload at offset %d", at)
-			}
-			if int(idx) != st.Seals {
-				return base, fmt.Errorf("journal: chunk seal index %d, want %d", idx, st.Seals)
-			}
-			if int(cnt) != len(pending) {
-				return base, fmt.Errorf("journal: chunk seal covers %d records, %d are pending", cnt, len(pending))
-			}
-			if got := MerkleRoot(pending); got != root {
-				return base, fmt.Errorf("journal: chunk segment root %s, sealed %s", got.Short(), root.Short())
-			}
-			if want := chainLink(st.Chain, root); want != sealChain {
-				return base, fmt.Errorf("journal: chunk chain %s, sealed %s", want.Short(), sealChain.Short())
-			}
-			st.Chain = sealChain
-			st.Seals++
-			st.Records += cnt
-			pending = pending[:0]
-		default:
-			return base, fmt.Errorf("journal: chunk has an unrecognized %d-byte frame at offset %d", plen, at)
-		}
-		off = next
+	d := Data{Anchor: st.Chain}
+	if _, dm := walk(data, 0, st.Chain, st.Seals, 1, false, &d); dm != nil {
+		// Offsets in data are relative to the chunk; report absolute ones.
+		return st, fmt.Errorf("journal: chunk rejected at offset %d: %s", st.Offset+dm.off, dm.reason)
 	}
-	if len(pending) != 0 {
-		return base, fmt.Errorf("journal: chunk leaves %d records unsealed (does not end on a seal boundary)", len(pending))
+	if tail := int64(len(d.Records)) - d.Sealed; tail != 0 {
+		return st, fmt.Errorf("journal: chunk leaves %d records unsealed (does not end on a seal boundary)", tail)
 	}
-	st.Offset += end
-	return st, nil
+	return ChunkState{
+		Gen:     st.Gen,
+		Offset:  st.Offset + int64(len(data)),
+		Chain:   d.ChainHead(),
+		Seals:   st.Seals + len(d.Seals),
+		Records: st.Records + d.Sealed,
+	}, nil
 }

@@ -120,3 +120,80 @@ func TestVerifyChunkSegmentsChainBinding(t *testing.T) {
 		t.Fatalf("chunk verified against a foreign chain head: %v", err)
 	}
 }
+
+// FuzzVerifyChunk feeds a sealed journal to the chunk verifier as a
+// fuzz-chosen seal-bounded split (bit i of split ends a chunk at seal
+// i), with one fuzz-chosen byte changed (xor != 0) in either the
+// journal body or the anchor the first chunk is bound to. A chain of
+// accepted chunks over unchanged input must end at exactly the frontier
+// the oracle's full scan implies; a chunk holding the changed byte, or
+// bound to the changed anchor, is never accepted; and a rejected chunk
+// leaves the state unchanged.
+func FuzzVerifyChunk(f *testing.F) {
+	dir := f.TempDir()
+	l := buildSealedPair(f, dir, 6)
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(JournalPath(dir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	d, err := scanJournal(raw)
+	if err != nil || d.Torn || d.Anchor.IsZero() || SealedEndOf(d) != int64(len(raw)) {
+		f.Fatalf("fixture: %v, torn=%v anchor=%s sealed end %d of %d",
+			err, d.Torn, d.Anchor.Short(), SealedEndOf(d), len(raw))
+	}
+	want := ChunkState{
+		Gen: d.Generation, Offset: SealedEndOf(d),
+		Chain: d.ChainHead(), Seals: len(d.Seals), Records: d.Sealed,
+	}
+	bounds := make([]int64, len(d.Seals))
+	for i, s := range d.Seals {
+		bounds[i] = s.Offset + sealFrameSize
+	}
+	body := uint32(int64(len(raw)) - HeaderLen)
+	f.Add(uint64(0), uint32(0), byte(0))              // one chunk, unchanged
+	f.Add(uint64(0x3f), uint32(0), byte(0))           // one chunk per segment
+	f.Add(uint64(0x15), uint32(10), byte(0xff))       // a record byte
+	f.Add(uint64(0x0a), body-20, byte(0x80))          // the last seal's chain
+	f.Add(uint64(0x3f), body+3, byte(0x01))           // the anchor
+	f.Add(uint64(0x01), uint32(frameSize*2), byte(4)) // the first seal's length prefix
+	f.Fuzz(func(t *testing.T, split uint64, pos uint32, xor byte) {
+		mut, anchor, at := raw, d.Anchor, int64(-1)
+		if xor != 0 {
+			if p := pos % (body + uint32(len(anchor))); p < body {
+				at = HeaderLen + int64(p)
+				mut = mutate(raw, int(at), xor)
+			} else {
+				anchor[p-body] ^= xor
+			}
+		}
+		st := ChunkState{Gen: d.Generation, Offset: HeaderLen, Chain: anchor}
+		prev := HeaderLen
+		for i, b := range bounds {
+			if i < len(bounds)-1 && split&(1<<i) == 0 {
+				continue // seal i does not end a chunk
+			}
+			changed := (at >= prev && at < b) || (prev == HeaderLen && anchor != d.Anchor)
+			got, err := VerifyChunkSegments(mut[prev:b], st)
+			if err != nil {
+				if got != st {
+					t.Fatalf("chunk [%d,%d) rejected but state moved to %+v from %+v", prev, b, got, st)
+				}
+				if !changed {
+					t.Fatalf("unchanged chunk [%d,%d) rejected: %v", prev, b, err)
+				}
+				return
+			}
+			if changed {
+				t.Fatalf("chunk [%d,%d) accepted with byte %d xor %#x changed (anchor changed: %v)",
+					prev, b, at, xor, anchor != d.Anchor)
+			}
+			st, prev = got, b
+		}
+		if st != want {
+			t.Fatalf("accepted chunks end at %+v, the full scan says %+v", st, want)
+		}
+	})
+}

@@ -48,7 +48,7 @@ func TestSealCadence(t *testing.T) {
 		t.Error("seal 1 chain does not extend seal 0")
 	}
 
-	// ReadJournal must reproduce exactly the same seal view.
+	// A scan must reproduce exactly the same seal view.
 	raw, err := os.ReadFile(JournalPath(dir))
 	if err != nil {
 		t.Fatal(err)

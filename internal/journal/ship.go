@@ -10,9 +10,9 @@ import (
 // file bytes, never as re-encoded records. Within one generation the
 // journal file is append-only and its sealed prefix immutable, so a
 // follower's journal file is always a byte-identical prefix of the
-// primary's — verification on the receiving side is exactly the same
-// scanJournal + VerifyDir pass recovery runs, and a promoted follower
-// replays literally the bytes the primary wrote.
+// primary's — the receiving side verifies each chunk with the same frame
+// walker recovery runs (in chunk mode, see VerifyChunkSegments), and a
+// promoted follower replays literally the bytes the primary wrote.
 
 // Ship chunk kinds.
 const (
@@ -100,7 +100,7 @@ func ShipFrom(dir string, gen uint64, off int64, maxBytes int) (ShipChunk, error
 		}
 		gen, off = jgen, 0
 	}
-	d, err := scanJournal(raw)
+	d, err := ScanBytes(raw)
 	if err != nil {
 		// The source's own journal must verify before a byte of it ships.
 		return ShipChunk{}, err
@@ -142,11 +142,13 @@ func sealedEnd(d Data) int64 {
 	return headerSize
 }
 
-// ScanBytes parses raw journal file bytes exactly as recovery does:
-// every frame CRC checked, every seal's Merkle root and chain link
-// recomputed. Replication uses it to verify a shipped prefix before a
-// byte of it is persisted.
-func ScanBytes(raw []byte) (Data, error) { return scanJournal(raw) }
+// ScanBytes parses raw journal file bytes with the same walker recovery
+// runs, inline on the calling goroutine: every frame CRC checked, every
+// seal's Merkle root and chain link recomputed. A damaged frame followed
+// by no further intact seal marks Data.Torn; damage inside the sealed
+// region is a *CorruptError. ShipFrom uses it to verify the source's own
+// journal before a byte of it ships.
+func ScanBytes(raw []byte) (Data, error) { return ScanBytesWorkers(raw, 1) }
 
 // ParseHeader decodes a journal file header, returning its generation,
 // birth frontier and seal-chain anchor.

@@ -578,7 +578,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(sealed[:len(sealed)-10]) // torn inside the final seal frame
 	f.Add(mixedJournal(f))         // relocate, frontier moves, a write at its own LBA
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := journal.ReadJournal(strings.NewReader(string(data)))
+		d, err := journal.ScanBytes(data)
 		if err != nil {
 			return // damaged header: rejected, fine
 		}
