@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"net"
 	"testing"
 
@@ -38,14 +37,13 @@ func TestV2ServerSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	buf := make([]byte, 256)
+	fr := newFrameReader(conn, make([]byte, 64<<10))
 	run := func() {
 		if _, err := conn.Write(frames); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < batch; i++ {
-			frame, err := readFrame(br, buf)
+			frame, err := fr.next()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,5 +60,73 @@ func TestV2ServerSteadyStateAllocs(t *testing.T) {
 	perBatch := testing.AllocsPerRun(20, run)
 	if perReq := perBatch / batch; perReq > 2 {
 		t.Errorf("server steady state allocates %.2f per request, want <= 2", perReq)
+	}
+}
+
+// TestAsyncClientSteadyStateAllocs pins the AsyncClient's per-request
+// allocation budget for the whole submit → write → read → deliver loop.
+// The peer is a minimal allocation-free responder (hello, then one
+// 4-byte read response per request frame), so AllocsPerRun sees only
+// the client: the Call and the copy of its response body.
+func TestAsyncClientSteadyStateAllocs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := serverHello(conn, 0); err != nil {
+			return
+		}
+		fr := newFrameReader(conn, nil)
+		names := make(nameCache)
+		var out []byte
+		frags := []byte{1, 0, 0, 0}
+		for {
+			p, err := fr.next()
+			if err != nil {
+				return
+			}
+			id, _, err := parseRequestV2(p, names)
+			if err != nil {
+				return
+			}
+			out = appendResponseV2(out[:0], id, StatusOK, frags)
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+
+	const batch = 64
+	ac, err := DialAsync(ln.Addr().String(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ac.Close()
+	done := make(chan *Call, batch)
+	run := func() {
+		for i := 0; i < batch; i++ {
+			if _, err := ac.Submit(Request{Op: OpRead, Volume: "a", Extent: geom.Ext(geom.Sector(i*8), 8)}, done); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < batch; i++ {
+			if body, err := (<-done).Result(); err != nil || len(body) != 4 {
+				t.Fatalf("response %d: %d-byte body, err %v", i, len(body), err)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	perBatch := testing.AllocsPerRun(20, run)
+	if perReq := perBatch / batch; perReq > 2 {
+		t.Errorf("client steady state allocates %.2f per request, want <= 2", perReq)
 	}
 }

@@ -14,8 +14,9 @@ import (
 // The request path, one per connection whatever its protocol version.
 // Each connection splits into two goroutines:
 //
-//   - The reader (the serveConn goroutine) decodes request frames from a
-//     pooled buffer, answers control ops and pre-dispatch errors through
+//   - The reader (the serveConn goroutine) decodes request frames out of
+//     a frameReader over a pooled buffer (one Read takes every frame the
+//     socket holds), answers control ops and pre-dispatch errors through
 //     the direct channel, and dispatches volume ops via TryDo with the
 //     request ID as the Tag. The request's metadata (op, volume, admit
 //     time) is sent on the submits channel strictly AFTER the TryDo
@@ -121,17 +122,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	go c.writer()
 
 	names := make(nameCache)
-	buf := framePool.Get()
+	fr := newFrameReader(conn, framePool.Get())
 read:
 	for {
-		frame, err := readFrame(conn, buf)
+		frame, err := fr.next()
 		if err != nil {
 			if s.ctx.Err() == nil && !isClosedConn(err) {
 				s.opts.Logf("smrd: %s: %v", conn.RemoteAddr(), err)
 			}
 			break
 		}
-		buf = frame
 		if !c.dispatch(frame, names) {
 			break
 		}
@@ -145,7 +145,7 @@ read:
 			}
 		}
 	}
-	framePool.Put(buf)
+	framePool.Put(fr.buf)
 	// The reader is the only sender on both channels; closing them tells
 	// the writer to drain what is outstanding and exit.
 	close(c.submits)

@@ -224,9 +224,9 @@ func TestServerRejectsBadFrames(t *testing.T) {
 	if _, err := conn.Write(appendResponse(nil, 99, nil)); err != nil { // op 99, no vlen
 		t.Fatal(err)
 	}
-	frame, err := readFrame(conn, nil)
+	frame, err := newFrameReader(conn, nil).next()
 	if err != nil {
-		t.Fatalf("readFrame after bad op: %v", err)
+		t.Fatalf("frame after bad op: %v", err)
 	}
 	if frame[0] != StatusBadRequest {
 		t.Errorf("bad op status = %s, want bad-request", StatusName(frame[0]))
@@ -283,13 +283,12 @@ func TestV1BackToBackFramesAnsweredInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var buf []byte
+	fr := newFrameReader(conn, nil)
 	for i := 0; i < n; i++ {
-		frame, err := readFrame(conn, buf)
+		frame, err := fr.next()
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		buf = frame
 		if frame[0] != StatusOK {
 			t.Fatalf("response %d: %s %q, want ok", i, StatusName(frame[0]), frame[1:])
 		}

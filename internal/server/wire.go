@@ -259,34 +259,79 @@ func appendResponse(dst []byte, status uint8, body []byte) []byte {
 	return append(dst, body...)
 }
 
-// readFrame reads one length-prefixed frame payload into buf (growing it
-// as needed) and returns the payload slice.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	// The header is staged in buf rather than a local array: passing a
-	// stack array through the io.Reader interface makes it escape, which
-	// costs an allocation per frame on the server's hot read loop.
-	if cap(buf) < 4 {
-		buf = make([]byte, 4, 512)
+// frameReader reads length-prefixed frames through a buffer it owns.
+// Each Read takes whatever the source has, so a burst of pipelined
+// frames costs one syscall rather than two per frame; next slices whole
+// frames out of the buffer.
+type frameReader struct {
+	r          io.Reader
+	buf        []byte // buf[start:end] is read but not yet returned
+	start, end int
+}
+
+// newFrameReader reads from r into buf's full capacity (nil gets a
+// 4 KiB buffer). The buffer grows only for a frame larger than itself.
+func newFrameReader(r io.Reader, buf []byte) *frameReader {
+	if cap(buf) == 0 {
+		buf = make([]byte, 4096)
 	}
-	hdr := buf[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	return &frameReader{r: r, buf: buf[:cap(buf)]}
+}
+
+// next returns the next frame's payload (everything after the length
+// prefix), valid until the following call. A clean EOF between frames
+// is returned as is; EOF inside a header is io.ErrUnexpectedEOF, and
+// inside a body a "truncated frame" error.
+func (fr *frameReader) next() ([]byte, error) {
+	if err := fr.fill(4); err != nil {
+		if err == io.EOF && fr.end > fr.start {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
+	n := int(binary.LittleEndian.Uint32(fr.buf[fr.start:]))
 	if n == 0 {
 		return nil, fmt.Errorf("server: empty frame")
 	}
 	if n > MaxFrame {
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, MaxFrame)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err := fr.fill(4 + n); err != nil {
+		if err == io.EOF && fr.end > fr.start+4 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("server: truncated frame: %w", err)
 	}
-	return buf, nil
+	p := fr.buf[fr.start+4 : fr.start+4+n]
+	fr.start += 4 + n
+	return p, nil
+}
+
+// fill reads until at least need bytes are buffered past start. What
+// is buffered (nothing, or a partial frame) is first moved to the front
+// of the buffer, into a larger one if it cannot fit, so each Read can
+// take as much as the buffer holds.
+func (fr *frameReader) fill(need int) error {
+	if fr.end-fr.start >= need {
+		return nil
+	}
+	if fr.start == fr.end || fr.start+need > len(fr.buf) {
+		buf := fr.buf
+		if need > len(buf) {
+			buf = make([]byte, max(need, min(2*len(buf), 4+MaxFrame)))
+		}
+		fr.end = copy(buf, fr.buf[fr.start:fr.end])
+		fr.start = 0
+		fr.buf = buf
+	}
+	for fr.end-fr.start < need {
+		n, err := fr.r.Read(fr.buf[fr.end:])
+		fr.end += n
+		if err != nil && fr.end-fr.start < need {
+			return err
+		}
+	}
+	return nil
 }
 
 // RoleInfo is the OpRole / OpPromote response body (JSON): the node's
@@ -459,7 +504,7 @@ func serverHello(rw io.ReadWriter, maxWindow int) (version uint8, window int, er
 // request ID; the rest is exactly the v1 payload (request: op, vlen,
 // name, body; response: status, body). Frame boundaries are therefore
 // identical across versions — anything that walks frames (the chaos
-// proxy, readFrame) is version-agnostic.
+// proxy, frameReader) is version-agnostic.
 const idSize = 8
 
 // appendRequestV2 encodes a v2 request frame: len | id | v1 payload.
