@@ -40,9 +40,7 @@ import (
 	"syscall"
 	"time"
 
-	"smrseek/internal/band"
 	"smrseek/internal/core"
-	"smrseek/internal/disk"
 	"smrseek/internal/geom"
 	"smrseek/internal/journal"
 	"smrseek/internal/obsv"
@@ -83,20 +81,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		peers       = fs.String("peers", "", "comma-separated peer addresses; a primary polls them and fences itself on seeing a higher epoch, a promoted follower does the same")
 		syncTimeout = fs.Duration("sync-timeout", 500*time.Millisecond, "primary: bound on holding a write acknowledgment for a follower ack (0 = fully asynchronous replication)")
 		sealTick    = fs.Duration("force-seal-every", 250*time.Millisecond, "primary: force-seal the journal on this period so acknowledged tail records replicate promptly (0 = only on segment fill)")
-		geometry    = fs.String("geometry", "infinite", `per-volume disk geometry: "infinite" (the paper's §II model) or "band" (finite banded device)`)
-		bandSize    = fs.Int64("band-size", 0, "band size in sectors for -geometry band (0 = the 10 MB default)")
-		pcache      = fs.Int64("pcache", 0, "persistent cache size in sectors for -geometry band (0 disables the cache)")
-		cleanPol    = fs.String("clean-policy", "pol-a", `cache placement/cleaning policy for -geometry band: "pol-a", "pol-b" or "shelter"`)
 	)
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	geo := geomSpec{geometry: *geometry, bandSize: *bandSize, pcache: *pcache, policy: *cleanPol}
-	if err := geo.validate(); err != nil {
-		return err
-	}
-	cfgs, err := parseVolumes(*volumes, *journalDir, geom.Sector(*frontier), *queueDepth, *batch, *ckptEvery, *sealEvery, *noVerify, *recWorkers, geo)
+	cfgs, err := parseVolumes(*volumes, *journalDir, geom.Sector(*frontier), *queueDepth, *batch, *ckptEvery, *sealEvery, *noVerify, *recWorkers)
 	if err != nil {
 		return err
 	}
@@ -233,23 +223,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "smrd: %d write acks released by degrade timeout (follower lagging)\n", prim.Degraded())
 	}
 
-	banded := geo.geometry == "band"
-	headers := []string{"volume", "reads", "writes", "frag reads", "read seeks"}
-	if banded {
-		headers = append(headers, "cached writes", "cleaning stalls", "write amp")
-	}
-	tbl := report.NewTable("per-volume summary", headers...)
+	tbl := report.NewTable("per-volume summary", "volume", "reads", "writes", "frag reads", "read seeks")
 	if mgr != nil {
 		for _, name := range mgr.Names() {
 			v, _ := mgr.Get(name)
 			st := v.Stats()
-			row := []interface{}{name, report.HumanCount(st.Reads), report.HumanCount(st.Writes),
-				report.HumanCount(st.FragmentedReads), report.HumanCount(st.Disk.ReadSeeks)}
-			if banded {
-				row = append(row, report.HumanCount(st.Cleaning.CachedWrites),
-					report.HumanCount(st.Cleaning.Stalls), fmt.Sprintf("%.3f", st.Cleaning.WriteAmp()))
-			}
-			tbl.AddRow(row...)
+			tbl.AddRow(name, report.HumanCount(st.Reads), report.HumanCount(st.Writes),
+				report.HumanCount(st.FragmentedReads), report.HumanCount(st.Disk.ReadSeeks))
 		}
 	}
 	if err := tbl.Render(out); err != nil {
@@ -269,44 +249,9 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// geomSpec carries the -geometry flags; device builds one fresh banded
-// device per volume (each volume owns its device state), or nil for the
-// default infinite model.
-type geomSpec struct {
-	geometry         string
-	bandSize, pcache int64
-	policy           string
-}
-
-func (g geomSpec) validate() error {
-	switch g.geometry {
-	case "infinite":
-		if g.bandSize != 0 || g.pcache != 0 {
-			return fmt.Errorf("-band-size/-pcache require -geometry band")
-		}
-		return nil
-	case "band":
-		_, err := g.device()
-		return err
-	default:
-		return fmt.Errorf("unknown -geometry %q (want infinite or band)", g.geometry)
-	}
-}
-
-func (g geomSpec) device() (disk.Device, error) {
-	if g.geometry != "band" {
-		return nil, nil
-	}
-	pol, err := band.ParsePolicy(g.policy)
-	if err != nil {
-		return nil, err
-	}
-	return band.New(band.Config{BandSectors: g.bandSize, CacheSectors: g.pcache, Policy: pol})
-}
-
 // parseVolumes expands the -volumes spec into volume configurations.
 // Grammar: spec := entry ("," entry)*; entry := name ("=" opt ("+" opt)*)?
-func parseVolumes(spec, journalDir string, frontier geom.Sector, queueDepth, batch int, ckptEvery, sealEvery int64, noVerify bool, recoverWorkers int, geo geomSpec) ([]volume.Config, error) {
+func parseVolumes(spec, journalDir string, frontier geom.Sector, queueDepth, batch int, ckptEvery, sealEvery int64, noVerify bool, recoverWorkers int) ([]volume.Config, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("empty -volumes spec")
 	}
@@ -318,11 +263,6 @@ func parseVolumes(spec, journalDir string, frontier geom.Sector, queueDepth, bat
 			return nil, fmt.Errorf("volume spec %q: empty name", entry)
 		}
 		sim := core.Config{LogStructured: true, FrontierStart: frontier}
-		dev, err := geo.device()
-		if err != nil {
-			return nil, err
-		}
-		sim.Device = dev
 		if opts != "" {
 			for _, opt := range strings.Split(opts, "+") {
 				switch opt {

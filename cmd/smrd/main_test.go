@@ -159,11 +159,11 @@ func TestDaemonJournalRestartResumes(t *testing.T) {
 
 func TestParseVolumesRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{"", "a=bogus", "=defrag", "a,,b"} {
-		if _, err := parseVolumes(spec, "", 1<<20, 0, 0, 0, 0, false, 0, geomSpec{geometry: "infinite"}); err == nil {
+		if _, err := parseVolumes(spec, "", 1<<20, 0, 0, 0, 0, false, 0); err == nil {
 			t.Errorf("parseVolumes(%q) accepted a bad spec", spec)
 		}
 	}
-	cfgs, err := parseVolumes("a, b=defrag+prefetch+cache", "/j", 1<<20, 4, 2, 100, 8, false, 2, geomSpec{geometry: "infinite"})
+	cfgs, err := parseVolumes("a, b=defrag+prefetch+cache", "/j", 1<<20, 4, 2, 100, 8, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,29 +179,5 @@ func TestParseVolumesRejectsBadSpecs(t *testing.T) {
 	}
 	if b.RecoverWorkers != 2 {
 		t.Errorf("recover workers not threaded through: %d, want 2", b.RecoverWorkers)
-	}
-}
-
-func TestParseVolumesBandGeometry(t *testing.T) {
-	geo := geomSpec{geometry: "band", pcache: 4096, policy: "pol-b"}
-	cfgs, err := parseVolumes("a,b", "", 1<<20, 0, 0, 0, 0, false, 0, geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfgs[0].Sim.Device == nil || cfgs[1].Sim.Device == nil {
-		t.Fatal("band geometry did not attach a device")
-	}
-	// Each volume must own its device: a banded device is stateful.
-	if cfgs[0].Sim.Device == cfgs[1].Sim.Device {
-		t.Fatal("volumes share one banded device")
-	}
-	if err := (geomSpec{geometry: "infinite", pcache: 1}).validate(); err == nil {
-		t.Error("validate accepted -pcache without -geometry band")
-	}
-	if err := (geomSpec{geometry: "band", policy: "bogus"}).validate(); err == nil {
-		t.Error("validate accepted a bogus policy")
-	}
-	if err := (geomSpec{geometry: "zoned"}).validate(); err == nil {
-		t.Error("validate accepted an unknown geometry")
 	}
 }

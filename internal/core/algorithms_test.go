@@ -35,7 +35,7 @@ func TestAlgorithm1WriteAtLogHeadSemantics(t *testing.T) {
 	// Line 6 of Algorithm 1: the whole *read extent* is rewritten at the
 	// log head — the map must now resolve it as one fragment at the old
 	// frontier.
-	frs := sim.LS().Resolve(geom.Ext(0, 100))
+	frs := sim.LS().ResolveAppend(nil, geom.Ext(0, 100))
 	if len(frs) != 1 {
 		t.Fatalf("after write-back Resolve = %v", frs)
 	}

@@ -156,9 +156,10 @@ func TestCustomLayerConfigValidation(t *testing.T) {
 	}
 }
 
-// TestMechanismsComposeWithGCLayer runs defrag+cache on the cleaning
-// layer: the combination must be stable and still reduce read seeks
-// versus the bare layer on a re-read-heavy workload.
+// TestMechanismsComposeWithGCLayer runs the cache and defrag on the
+// cleaning layer: each must be stable and still reduce read seeks versus
+// the bare layer on a re-read-heavy workload. gc has no Previewer, so
+// defrag takes the write-then-play relocation path.
 func TestMechanismsComposeWithGCLayer(t *testing.T) {
 	var recs []trace.Record
 	recs = append(recs, trace.Record{Kind: disk.Write, Extent: geom.Ext(0, 2000)})
@@ -185,5 +186,17 @@ func TestMechanismsComposeWithGCLayer(t *testing.T) {
 	}
 	if cached.CacheHits == 0 {
 		t.Error("no cache hits")
+	}
+	d := core.DefaultDefragConfig()
+	dl := mk()
+	defragged := runCustom(t, core.Config{CustomLayer: dl, Defrag: &d}, recs)
+	if defragged.DefragWritebacks == 0 {
+		t.Fatal("defrag on gc layer: no write-backs")
+	}
+	if defragged.Disk.ReadSeeks >= bare.Disk.ReadSeeks {
+		t.Errorf("defrag on gc layer: read seeks %d !< %d", defragged.Disk.ReadSeeks, bare.Disk.ReadSeeks)
+	}
+	if frags := dl.ResolveAppend(nil, geom.Ext(0, 2000)); len(frags) != 1 {
+		t.Errorf("relocated extent resolves to %d fragments, want 1: %v", len(frags), frags)
 	}
 }

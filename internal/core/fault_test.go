@@ -106,18 +106,18 @@ func TestAbortedDefragLeavesMapUnchanged(t *testing.T) {
 	// Sanity: without faults the defragmenting read coalesces the range.
 	s := mk(false)
 	s.Step(rd(0, 16))
-	if got := len(s.Layer().Resolve(geom.Ext(0, 16))); got != 1 {
+	if got := len(s.Layer().ResolveAppend(nil, geom.Ext(0, 16))); got != 1 {
 		t.Fatalf("fault-free defrag left %d fragments, want 1 — the aborted-defrag check below would be vacuous", got)
 	}
 
 	s = mk(true)
 	target := geom.Ext(0, 16)
-	before := s.Layer().Resolve(target)
+	before := s.Layer().ResolveAppend(nil, target)
 	if len(before) < 2 {
 		t.Fatalf("setup did not fragment the target: %v", before)
 	}
 	s.Step(rd(0, 16)) // triggers defrag; every rewrite attempt faults
-	after := s.Layer().Resolve(target)
+	after := s.Layer().ResolveAppend(nil, target)
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("aborted defrag changed the extent map:\nbefore %v\nafter  %v", before, after)
 	}
@@ -130,7 +130,7 @@ func TestAbortedDefragLeavesMapUnchanged(t *testing.T) {
 	}
 	// Per-LBA check: every sector of the target still resolves somewhere.
 	for lba := int64(0); lba < 16; lba++ {
-		if frags := s.Layer().Resolve(geom.Ext(lba, 1)); len(frags) != 1 {
+		if frags := s.Layer().ResolveAppend(nil, geom.Ext(lba, 1)); len(frags) != 1 {
 			t.Errorf("LBA %d resolves to %d fragments after aborted defrag", lba, len(frags))
 		}
 	}

@@ -447,7 +447,7 @@ func lsCacheOps(recs []trace.Record, passes int) []cacheOp {
 	for p := 0; p < passes; p++ {
 		for _, rec := range recs {
 			if rec.Kind == disk.Write {
-				ls.Write(rec.Extent)
+				ls.WriteAppend(nil, rec.Extent)
 				ops = append(ops, cacheOp{kind: opInvalidate, ext: rec.Extent})
 				continue
 			}

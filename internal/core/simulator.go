@@ -245,15 +245,10 @@ type Simulator struct {
 	probes    []Probe // observability probes; empty => zero instrumentation cost
 	inMaint   bool    // true while draining background maintenance I/O
 
-	// Zero-allocation hot path: layers that implement the stl.Append*
-	// capability interfaces resolve and place into these per-simulator
-	// scratch buffers instead of allocating a slice per operation. The
-	// fields are nil for custom layers without the capability, and the
-	// slice paths below fall back to Layer/Previewer.
-	resolver stl.AppendResolver
-	writer   stl.AppendWriter
-	prewrite stl.AppendPreviewer
-	preview  stl.Previewer  // slice fallback for relocations
+	preview stl.Previewer // nil unless the layer can preview relocations
+
+	// Per-simulator scratch buffers the layer appends into, so a warm
+	// run allocates no slice per operation.
 	fragBuf  []stl.Fragment // read resolutions (also backs ReadEvent.Fragments)
 	writeBuf []stl.Fragment // write and relocation placements
 }
@@ -292,15 +287,6 @@ func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 	}
 	if a, ok := s.layer.(stl.Amplifier); ok {
 		s.amplifier = a
-	}
-	if r, ok := s.layer.(stl.AppendResolver); ok {
-		s.resolver = r
-	}
-	if w, ok := s.layer.(stl.AppendWriter); ok {
-		s.writer = w
-	}
-	if pw, ok := s.layer.(stl.AppendPreviewer); ok {
-		s.prewrite = pw
 	}
 	if pv, ok := s.layer.(stl.Previewer); ok {
 		s.preview = pv
@@ -527,14 +513,8 @@ func (s *Simulator) stepWrite(rec trace.Record) {
 			return
 		}
 	}
-	var placed []stl.Fragment
-	if s.writer != nil {
-		s.writeBuf = s.writer.WriteAppend(s.writeBuf[:0], rec.Extent)
-		placed = s.writeBuf
-	} else {
-		placed = s.layer.Write(rec.Extent)
-	}
-	for _, f := range placed {
+	s.writeBuf = s.layer.WriteAppend(s.writeBuf[:0], rec.Extent)
+	for _, f := range s.writeBuf {
 		// Host writes are not rolled back on an unrecovered fault: the
 		// translation already remapped the LBA, mirroring a drive that
 		// remaps and reports the failure upward. access records it.
@@ -551,13 +531,8 @@ func (s *Simulator) stepWrite(rec trace.Record) {
 
 func (s *Simulator) stepRead(rec trace.Record) {
 	s.stats.Reads++
-	var frags []stl.Fragment
-	if s.resolver != nil {
-		s.fragBuf = s.resolver.ResolveAppend(s.fragBuf[:0], rec.Extent)
-		frags = s.fragBuf
-	} else {
-		frags = s.layer.Resolve(rec.Extent)
-	}
+	s.fragBuf = s.layer.ResolveAppend(s.fragBuf[:0], rec.Extent)
+	frags := s.fragBuf
 	s.stats.TotalFragments += int64(len(frags))
 	if len(frags) > s.stats.MaxFragments {
 		s.stats.MaxFragments = len(frags)
@@ -636,19 +611,13 @@ func (s *Simulator) stepRead(rec trace.Record) {
 // write-back). With a layer that can preview placement the relocation is
 // atomic under faults: the disk I/O is attempted first and the mapping
 // committed only if every attempt succeeds, so an aborted rewrite leaves
-// the extent map resolving every LBA to its pre-defrag location. Layers
-// without preview fall back to write-then-play; their unrecovered faults
-// are recorded but the remap stands.
+// the extent map resolving every LBA to its pre-defrag location. A
+// layer without preview is written first and its placement played
+// after; unrecovered faults are recorded but the remap stands.
 func (s *Simulator) relocate(lba geom.Extent) {
 	if s.preview != nil {
-		var previewed []stl.Fragment
-		if s.prewrite != nil {
-			s.writeBuf = s.prewrite.PreviewWriteAppend(s.writeBuf[:0], lba)
-			previewed = s.writeBuf
-		} else {
-			previewed = s.preview.PreviewWrite(lba)
-		}
-		for _, f := range previewed {
+		s.writeBuf = s.preview.PreviewWriteAppend(s.writeBuf[:0], lba)
+		for _, f := range s.writeBuf {
 			if err := s.access(disk.Write, f.PhysExtent()); err != nil {
 				s.stats.Resilience.AbortedRelocations++
 				s.emitMech(MechAbortedRelocation, 0)
@@ -666,20 +635,10 @@ func (s *Simulator) relocate(lba geom.Extent) {
 			}
 		}
 		// Commit; the disk I/O was already played.
-		if s.writer != nil {
-			s.writeBuf = s.writer.WriteAppend(s.writeBuf[:0], lba)
-		} else {
-			s.layer.Write(lba)
-		}
+		s.writeBuf = s.layer.WriteAppend(s.writeBuf[:0], lba)
 	} else {
-		var placed []stl.Fragment
-		if s.writer != nil {
-			s.writeBuf = s.writer.WriteAppend(s.writeBuf[:0], lba)
-			placed = s.writeBuf
-		} else {
-			placed = s.layer.Write(lba)
-		}
-		for _, f := range placed {
+		s.writeBuf = s.layer.WriteAppend(s.writeBuf[:0], lba)
+		for _, f := range s.writeBuf {
 			s.access(disk.Write, f.PhysExtent())
 		}
 	}

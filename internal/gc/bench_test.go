@@ -21,7 +21,7 @@ func benchLayer(b *testing.B, policy Policy) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Write(geom.Ext(int64(seed%(400*1024)), 16))
+		l.WriteAppend(nil, geom.Ext(int64(seed%(400*1024)), 16))
 		l.PendingMaintenance()
 	}
 	b.ReportMetric(float64(l.Cleanings()), "cleanings")
@@ -38,12 +38,12 @@ func BenchmarkResolve(b *testing.B) {
 	seed := uint64(2)
 	for i := 0; i < 20000; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Write(geom.Ext(int64(seed%(400*1024)), 16))
+		l.WriteAppend(nil, geom.Ext(int64(seed%(400*1024)), 16))
 		l.PendingMaintenance()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Resolve(geom.Ext(int64(seed%(400*1024)), 256))
+		l.ResolveAppend(nil, geom.Ext(int64(seed%(400*1024)), 256))
 	}
 }

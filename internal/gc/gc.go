@@ -73,6 +73,7 @@ type Layer struct {
 	off  int64 // fill offset inside the active segment
 
 	pending []stl.MaintenanceOp
+	scratch []stl.Fragment // cleaner relocation placements
 
 	hostSectors  int64
 	extraSectors int64
@@ -124,15 +125,7 @@ func New(cfg Config) (*Layer, error) {
 // Name implements stl.Layer.
 func (l *Layer) Name() string { return "SegLS(" + l.cfg.Policy.String() + ")" }
 
-// Resolve implements stl.Layer.
-func (l *Layer) Resolve(lba geom.Extent) []stl.Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return l.ResolveAppend(nil, lba)
-}
-
-// ResolveAppend implements stl.AppendResolver.
+// ResolveAppend implements stl.Layer.
 func (l *Layer) ResolveAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	l.m.LookupFunc(lba, func(r extmap.Resolved) bool {
 		dst = append(dst, stl.Fragment{Lba: r.Lba, Pba: r.Pba})
@@ -141,20 +134,20 @@ func (l *Layer) ResolveAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragmen
 	return dst
 }
 
-// Write implements stl.Layer: the extent is placed at the log head
-// (splitting across segments as needed); cleaning runs afterwards if
-// free segments fell below the low watermark.
-func (l *Layer) Write(lba geom.Extent) []stl.Fragment {
+// WriteAppend implements stl.Layer: the extent is placed at the log
+// head (splitting across segments as needed); cleaning runs afterwards
+// if free segments fell below the low watermark.
+func (l *Layer) WriteAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	if lba.Empty() {
-		return nil
+		return dst
 	}
 	l.now++
 	l.hostSectors += lba.Count
-	frags := l.place(lba)
+	dst = l.place(dst, lba)
 	if len(l.free) < l.cfg.FreeLowWater {
 		l.clean()
 	}
-	return frags
+	return dst
 }
 
 func (l *Layer) segBase(i int) geom.Sector {
@@ -165,10 +158,10 @@ func (l *Layer) segOf(pba geom.Sector) int {
 	return int((pba - l.logStart) / l.cfg.SegmentSectors)
 }
 
-// place appends the extent at the log head and maintains live counts.
-// It never triggers cleaning itself, so the cleaner can call it safely.
-func (l *Layer) place(lba geom.Extent) []stl.Fragment {
-	var frags []stl.Fragment
+// place appends the extent at the log head, appends its placement to
+// dst and maintains live counts. It never triggers cleaning itself, so
+// the cleaner can call it safely.
+func (l *Layer) place(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	rest := lba
 	for !rest.Empty() {
 		room := l.cfg.SegmentSectors - l.off
@@ -198,10 +191,10 @@ func (l *Layer) place(lba geom.Extent) []stl.Fragment {
 		seg.live += n
 		seg.lastWrite = l.now
 		l.off += n
-		frags = append(frags, stl.Fragment{Lba: piece, Pba: pba})
+		dst = append(dst, stl.Fragment{Lba: piece, Pba: pba})
 		rest = geom.Span(piece.End(), rest.End())
 	}
-	return frags
+	return dst
 }
 
 func (l *Layer) popFree() (int, bool) {
@@ -270,8 +263,11 @@ func (l *Layer) cleanSegment(victim int) {
 	for _, m := range live {
 		// Read the live extent from the victim...
 		l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Read, Extent: m.PhysExtent()})
-		// ...and rewrite it at the log head.
-		for _, f := range l.place(m.Lba) {
+		// ...and rewrite it at the log head. The placement goes to the
+		// layer's own scratch buffer: a clean runs inside WriteAppend,
+		// whose dst belongs to the caller.
+		l.scratch = l.place(l.scratch[:0], m.Lba)
+		for _, f := range l.scratch {
 			l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Write, Extent: f.PhysExtent()})
 		}
 		l.extraSectors += m.Lba.Count

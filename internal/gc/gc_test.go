@@ -55,21 +55,18 @@ func TestNewValidation(t *testing.T) {
 
 func TestWriteResolveRoundTrip(t *testing.T) {
 	l := mustNew(t, tiny(Greedy))
-	fs := l.Write(geom.Ext(100, 50))
+	fs := l.WriteAppend(nil, geom.Ext(100, 50))
 	if len(fs) != 1 || fs[0].Pba != 4096 {
 		t.Fatalf("first write = %v", fs)
 	}
-	rs := l.Resolve(geom.Ext(100, 50))
+	rs := l.ResolveAppend(nil, geom.Ext(100, 50))
 	if len(rs) != 1 || rs[0].Pba != 4096 {
 		t.Fatalf("Resolve = %v", rs)
 	}
 	// Unwritten data resolves in place.
-	rs = l.Resolve(geom.Ext(2000, 10))
+	rs = l.ResolveAppend(nil, geom.Ext(2000, 10))
 	if len(rs) != 1 || rs[0].Pba != 2000 {
 		t.Fatalf("identity Resolve = %v", rs)
-	}
-	if l.Write(geom.Extent{}) != nil {
-		t.Error("empty write")
 	}
 	if l.Fragments(geom.Ext(100, 50)) != 1 {
 		t.Error("fresh write should be one fragment")
@@ -78,7 +75,7 @@ func TestWriteResolveRoundTrip(t *testing.T) {
 
 func TestWriteSplitsAcrossSegments(t *testing.T) {
 	l := mustNew(t, tiny(Greedy))
-	fs := l.Write(geom.Ext(0, 600)) // 256+256+88
+	fs := l.WriteAppend(nil, geom.Ext(0, 600)) // 256+256+88
 	if len(fs) != 3 {
 		t.Fatalf("fragments = %v", fs)
 	}
@@ -101,7 +98,7 @@ func TestCleaningTriggersAndFreesSpace(t *testing.T) {
 	// Overwrite the same 256-sector LBA range repeatedly: old segments
 	// become fully dead, so cleaning is cheap and must keep up.
 	for i := 0; i < 40; i++ {
-		l.Write(geom.Ext(0, 256))
+		l.WriteAppend(nil, geom.Ext(0, 256))
 	}
 	if l.Cleanings() == 0 {
 		t.Fatal("cleaning never ran")
@@ -114,7 +111,7 @@ func TestCleaningTriggersAndFreesSpace(t *testing.T) {
 		t.Errorf("WAF = %v, want 1 for fully-dead victims", waf)
 	}
 	// Data still resolves correctly.
-	rs := l.Resolve(geom.Ext(0, 256))
+	rs := l.ResolveAppend(nil, geom.Ext(0, 256))
 	if len(rs) != 1 {
 		t.Fatalf("Resolve after cleaning = %v", rs)
 	}
@@ -126,7 +123,7 @@ func TestCleaningRelocatesLiveData(t *testing.T) {
 	// slack), forcing cleanings that must move live data.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 60; i++ {
-		l.Write(geom.Ext(int64(rng.Intn(1300)), 32))
+		l.WriteAppend(nil, geom.Ext(int64(rng.Intn(1300)), 32))
 	}
 	if l.Cleanings() == 0 {
 		t.Fatal("cleaning never ran")
@@ -158,7 +155,7 @@ func TestCleaningRelocatesLiveData(t *testing.T) {
 	// All data still resolves to exactly one location covering its range.
 	for lba := int64(0); lba < 1300; lba += 64 {
 		cur := lba
-		for _, r := range l.Resolve(geom.Ext(lba, 64)) {
+		for _, r := range l.ResolveAppend(nil, geom.Ext(lba, 64)) {
 			if r.Lba.Start != cur {
 				t.Fatalf("resolution hole at %d: %v", lba, r)
 			}
@@ -173,11 +170,11 @@ func TestCleaningRelocatesLiveData(t *testing.T) {
 func TestGreedyPicksDeadestSegment(t *testing.T) {
 	l := mustNew(t, tiny(Greedy))
 	// Segment 0: fill with LBA A, then fully overwrite (dead).
-	l.Write(geom.Ext(0, 256))
+	l.WriteAppend(nil, geom.Ext(0, 256))
 	// Segment 1: fill with LBA B (stays live).
-	l.Write(geom.Ext(1000, 256))
+	l.WriteAppend(nil, geom.Ext(1000, 256))
 	// Segment 2: overwrites LBA A → segment 0 now fully dead.
-	l.Write(geom.Ext(0, 256))
+	l.WriteAppend(nil, geom.Ext(0, 256))
 	if l.segs[0].live != 0 {
 		t.Fatalf("segment 0 live = %d", l.segs[0].live)
 	}
@@ -190,13 +187,13 @@ func TestGreedyPicksDeadestSegment(t *testing.T) {
 func TestCostBenefitPrefersOldSegments(t *testing.T) {
 	l := mustNew(t, tiny(CostBenefit))
 	// Two half-dead segments; the first is older.
-	l.Write(geom.Ext(0, 128))    // seg0 half A
-	l.Write(geom.Ext(500, 128))  // seg0 half B -> seg0 full
-	l.Write(geom.Ext(0, 128))    // kills A (seg0 half dead)
-	l.Write(geom.Ext(1000, 128)) // seg1 fills
-	l.Write(geom.Ext(500, 128))  // kills B? no — B=500 was in seg0; this kills seg0's other half
+	l.WriteAppend(nil, geom.Ext(0, 128))    // seg0 half A
+	l.WriteAppend(nil, geom.Ext(500, 128))  // seg0 half B -> seg0 full
+	l.WriteAppend(nil, geom.Ext(0, 128))    // kills A (seg0 half dead)
+	l.WriteAppend(nil, geom.Ext(1000, 128)) // seg1 fills
+	l.WriteAppend(nil, geom.Ext(500, 128))  // kills B? no — B=500 was in seg0; this kills seg0's other half
 	// Advance the clock with unrelated writes.
-	l.Write(geom.Ext(2000, 256))
+	l.WriteAppend(nil, geom.Ext(2000, 256))
 	victim, ok := l.pickVictim()
 	if !ok || victim != 0 {
 		t.Fatalf("victim = %d,%v, want the old dead segment 0", victim, ok)
@@ -209,7 +206,7 @@ func TestFullyLiveLogStopsCleaning(t *testing.T) {
 	// Distinct LBAs only: everything stays live; cleaning must refuse to
 	// churn rather than loop forever.
 	for i := int64(0); i < 5; i++ {
-		l.Write(geom.Ext(i*256, 256))
+		l.WriteAppend(nil, geom.Ext(i*256, 256))
 	}
 	if l.Cleanings() != 0 {
 		t.Errorf("cleanings = %d, want 0 (nothing reclaimable)", l.Cleanings())
@@ -222,7 +219,7 @@ func TestLiveCountInvariant(t *testing.T) {
 	l := mustNew(t, tiny(CostBenefit))
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 500; i++ {
-		l.Write(geom.Ext(int64(rng.Intn(1200)), int64(1+rng.Intn(64))))
+		l.WriteAppend(nil, geom.Ext(int64(rng.Intn(1200)), int64(1+rng.Intn(64))))
 	}
 	liveBySeg := make([]int64, len(l.segs))
 	l.m.Walk(func(m extmap.Mapping) bool {

@@ -28,7 +28,7 @@ func BenchmarkAppend(b *testing.B) {
 
 // sealedBenchDir journals nRecs records in segments of seg and closes
 // the log, leaving a multi-segment sealed journal for audit benchmarks.
-func sealedBenchDir(b *testing.B, nRecs, seg int) string {
+func sealedBenchDir(b testing.TB, nRecs, seg int) string {
 	b.Helper()
 	dir := b.TempDir()
 	lg, err := Open(dir, 0)

@@ -406,3 +406,25 @@ func FuzzVerifyJournal(f *testing.F) {
 		}
 	})
 }
+
+// TestVerifyDirAllocs pins what a sequential directory audit allocates
+// on a 20 k-record journal of 78 sealed segments: the checkpoint and
+// journal reads, the Audit's segment list and about two allocations per
+// segment (198 on this input), never one per record.
+func TestVerifyDirAllocs(t *testing.T) {
+	const nRecs, seg = 20000, 256
+	dir := sealedBenchDir(t, nRecs, seg)
+	var segs int
+	allocs := testing.AllocsPerRun(3, func() {
+		a, err := VerifyDirWorkers(dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = len(a.Segments)
+	})
+	bound := float64(2*segs + 64)
+	t.Logf("%d records, %d segments: %.0f allocs per VerifyDirWorkers(dir, 1) (bound %.0f)", nRecs, segs, allocs, bound)
+	if allocs > bound {
+		t.Errorf("VerifyDirWorkers(dir, 1) allocated %.0f times, want <= %.0f", allocs, bound)
+	}
+}

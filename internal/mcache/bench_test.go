@@ -19,7 +19,7 @@ func BenchmarkWriteAndMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Write(geom.Ext(int64(seed%(1<<20-64)), 16))
+		l.WriteAppend(nil, geom.Ext(int64(seed%(1<<20-64)), 16))
 		l.PendingMaintenance()
 	}
 	b.ReportMetric(float64(l.Merges()), "merges")
@@ -33,11 +33,11 @@ func BenchmarkResolveCached(b *testing.B) {
 	seed := uint64(2)
 	for i := 0; i < 5000; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Write(geom.Ext(int64(seed%(1<<22)), 16))
+		l.WriteAppend(nil, geom.Ext(int64(seed%(1<<22)), 16))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Resolve(geom.Ext(int64(seed%(1<<22)), 256))
+		l.ResolveAppend(nil, geom.Ext(int64(seed%(1<<22)), 256))
 	}
 }

@@ -126,16 +126,8 @@ func (l *Layer) markCacheZonesConventional() error {
 // Name implements stl.Layer.
 func (l *Layer) Name() string { return "MediaCache" }
 
-// Resolve implements stl.Layer: unmerged updates resolve into the cache
-// region; everything else is at its LBA.
-func (l *Layer) Resolve(lba geom.Extent) []stl.Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return l.ResolveAppend(nil, lba)
-}
-
-// ResolveAppend implements stl.AppendResolver.
+// ResolveAppend implements stl.Layer: unmerged updates resolve into the
+// cache region; everything else is at its LBA.
 func (l *Layer) ResolveAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	l.m.LookupFunc(lba, func(r extmap.Resolved) bool {
 		dst = append(dst, stl.Fragment{Lba: r.Lba, Pba: r.Pba})
@@ -144,15 +136,14 @@ func (l *Layer) ResolveAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragmen
 	return dst
 }
 
-// Write implements stl.Layer: the extent is appended to the media cache
-// (split when it wraps), and a merge is queued when the cache fills past
-// the trigger.
-func (l *Layer) Write(lba geom.Extent) []stl.Fragment {
+// WriteAppend implements stl.Layer: the extent is appended to the media
+// cache (split when it wraps), and a merge is queued when the cache
+// fills past the trigger.
+func (l *Layer) WriteAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	if lba.Empty() {
-		return nil
+		return dst
 	}
 	l.hostSectors += lba.Count
-	var frags []stl.Fragment
 	rest := lba
 	for !rest.Empty() {
 		if l.spaceLeft() == 0 {
@@ -173,13 +164,13 @@ func (l *Layer) Write(lba geom.Extent) []stl.Fragment {
 		l.head += n
 		l.used += n
 		l.dirtyRange(piece)
-		frags = append(frags, stl.Fragment{Lba: piece, Pba: pba})
+		dst = append(dst, stl.Fragment{Lba: piece, Pba: pba})
 		rest = geom.Span(piece.End(), rest.End())
 	}
 	if float64(l.used) >= l.cfg.MergeTrigger*float64(l.cfg.CacheSectors) {
 		l.merge()
 	}
-	return frags
+	return dst
 }
 
 func (l *Layer) spaceLeft() int64 {

@@ -54,7 +54,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestUnwrittenResolvesInPlace(t *testing.T) {
 	l := mustNew(t, tiny())
-	fs := l.Resolve(geom.Ext(100, 50))
+	fs := l.ResolveAppend(nil, geom.Ext(100, 50))
 	if len(fs) != 1 || fs[0].Pba != 100 {
 		t.Fatalf("Resolve = %v", fs)
 	}
@@ -65,12 +65,12 @@ func TestUnwrittenResolvesInPlace(t *testing.T) {
 
 func TestWriteGoesToCacheThenMergesInPlace(t *testing.T) {
 	l := mustNew(t, tiny())
-	fs := l.Write(geom.Ext(100, 10))
+	fs := l.WriteAppend(nil, geom.Ext(100, 10))
 	if len(fs) != 1 || fs[0].Pba != 8*1024 {
 		t.Fatalf("first write = %v (cache starts at %d)", fs, 8*1024)
 	}
 	// Until merged, reads of that LBA hit the cache region.
-	rs := l.Resolve(geom.Ext(100, 10))
+	rs := l.ResolveAppend(nil, geom.Ext(100, 10))
 	if len(rs) != 1 || rs[0].Pba != 8*1024 {
 		t.Fatalf("Resolve = %v", rs)
 	}
@@ -79,7 +79,7 @@ func TestWriteGoesToCacheThenMergesInPlace(t *testing.T) {
 	}
 	l.Flush()
 	// After the merge the data is back in LBA order.
-	rs = l.Resolve(geom.Ext(100, 10))
+	rs = l.ResolveAppend(nil, geom.Ext(100, 10))
 	if len(rs) != 1 || rs[0].Pba != 100 {
 		t.Fatalf("post-merge Resolve = %v", rs)
 	}
@@ -93,8 +93,8 @@ func TestWriteGoesToCacheThenMergesInPlace(t *testing.T) {
 
 func TestMergeEmitsMaintenanceIO(t *testing.T) {
 	l := mustNew(t, tiny())
-	l.Write(geom.Ext(100, 10))  // zone 0
-	l.Write(geom.Ext(2000, 10)) // zone 1
+	l.WriteAppend(nil, geom.Ext(100, 10))  // zone 0
+	l.WriteAppend(nil, geom.Ext(2000, 10)) // zone 1
 	l.Flush()
 	ops := l.PendingMaintenance()
 	// Per dirty zone: zone read + 1 cache-fragment read + zone write.
@@ -123,7 +123,7 @@ func TestTriggerMergesAutomatically(t *testing.T) {
 	l := mustNew(t, tiny())
 	// Cache is 2048 sectors; trigger 0.8 → merge at 1639+.
 	for i := 0; i < 9; i++ {
-		l.Write(geom.Ext(int64(i)*1024, 200)) // 200 sectors each, distinct zones
+		l.WriteAppend(nil, geom.Ext(int64(i)*1024, 200)) // 200 sectors each, distinct zones
 	}
 	if l.Merges() == 0 {
 		t.Fatal("trigger merge did not fire")
@@ -136,7 +136,7 @@ func TestTriggerMergesAutomatically(t *testing.T) {
 func TestWriteLargerThanCache(t *testing.T) {
 	l := mustNew(t, tiny())
 	// 3000 sectors > 2048-sector cache: must split and merge mid-write.
-	fs := l.Write(geom.Ext(0, 3000))
+	fs := l.WriteAppend(nil, geom.Ext(0, 3000))
 	if len(fs) < 2 {
 		t.Fatalf("oversized write fragments = %v", fs)
 	}
@@ -159,7 +159,7 @@ func TestWriteLargerThanCache(t *testing.T) {
 
 func TestWriteAmplificationAccounting(t *testing.T) {
 	l := mustNew(t, tiny())
-	l.Write(geom.Ext(0, 100))
+	l.WriteAppend(nil, geom.Ext(0, 100))
 	l.Flush()
 	if l.HostSectors() != 100 {
 		t.Errorf("host = %d", l.HostSectors())
@@ -181,7 +181,7 @@ func TestWriteAmplificationAccounting(t *testing.T) {
 func TestZoneConstraintsRespected(t *testing.T) {
 	l := mustNew(t, tiny())
 	for i := 0; i < 30; i++ {
-		l.Write(geom.Ext(int64(i*313)%7000, 64))
+		l.WriteAppend(nil, geom.Ext(int64(i*313)%7000, 64))
 	}
 	l.Flush()
 	_, _, violations := l.Device().Stats()
@@ -192,7 +192,7 @@ func TestZoneConstraintsRespected(t *testing.T) {
 
 func TestEmptyWriteNoop(t *testing.T) {
 	l := mustNew(t, tiny())
-	if l.Write(geom.Extent{}) != nil {
+	if l.WriteAppend(nil, geom.Extent{}) != nil {
 		t.Error("empty write should return nil")
 	}
 	if l.HostSectors() != 0 {

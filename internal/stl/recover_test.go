@@ -25,7 +25,7 @@ func journaledWrite(t *testing.T, l *LS, log *journal.Log, lba geom.Extent) bool
 		}
 		return false
 	}
-	l.Write(lba)
+	l.WriteAppend(nil, lba)
 	return true
 }
 
@@ -270,7 +270,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	live := NewLS(1 << 20)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 1000; i++ {
-		live.Write(geom.Ext(rng.Int63n(1<<18), rng.Int63n(256)+1))
+		live.WriteAppend(nil, geom.Ext(rng.Int63n(1<<18), rng.Int63n(256)+1))
 	}
 	snap := live.Snapshot()
 	rec, st, err := Recover(&snap, journal.Data{Generation: snap.Generation + 1})
@@ -302,7 +302,7 @@ func mixedJournal(t testing.TB) []byte {
 		if err := log.Append(journal.Record{Kind: kind, Lba: lba, Pba: live.Frontier()}); err != nil {
 			t.Fatal(err)
 		}
-		live.Write(lba)
+		live.WriteAppend(nil, lba)
 	}
 	moveFrontier := func(to geom.Sector) {
 		if err := log.Append(journal.Record{Kind: journal.RecFrontier, Pba: to}); err != nil {

@@ -26,15 +26,19 @@ type Fragment struct {
 // PhysExtent returns the physical extent of the fragment.
 func (f Fragment) PhysExtent() geom.Extent { return geom.Ext(f.Pba, f.Lba.Count) }
 
-// Layer is a block translation layer.
+// Layer is a block translation layer. Every method appends its
+// fragments to a caller-provided buffer (usually a per-simulator scratch
+// slice, passed with length 0 and warm capacity) and returns it, so a
+// warm buffer keeps the per-access hot path allocation-free. The prefix
+// of dst is never modified, and an empty extent appends nothing.
 type Layer interface {
-	// Resolve maps a logical read extent to the physical fragments that
-	// hold its data, in ascending LBA order. len(result) is the read's
-	// dynamic fragmentation.
-	Resolve(lba geom.Extent) []Fragment
-	// Write maps a logical write extent to the physical extents that
-	// receive the data, in the order they are written.
-	Write(lba geom.Extent) []Fragment
+	// ResolveAppend maps a logical read extent to the physical fragments
+	// that hold its data, in ascending LBA order. The number appended is
+	// the read's dynamic fragmentation.
+	ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment
+	// WriteAppend maps a logical write extent to the physical extents
+	// that receive the data, in the order they are written.
+	WriteAppend(dst []Fragment, lba geom.Extent) []Fragment
 	// Name identifies the layer in reports.
 	Name() string
 }
@@ -46,33 +50,10 @@ type Layer interface {
 // committed only if every attempt succeeds — an aborted relocation
 // leaves the extent map exactly as it was.
 type Previewer interface {
-	// PreviewWrite returns the fragments Write(lba) would produce, in
-	// write order, without performing the write. A subsequent Write of
-	// the same extent (with no intervening writes) must land exactly on
-	// the previewed placement.
-	PreviewWrite(lba geom.Extent) []Fragment
-}
-
-// The Append* capability interfaces are the zero-allocation forms of
-// Layer and Previewer: each appends its fragments to a caller-provided
-// buffer (usually a per-simulator scratch slice, passed with length 0
-// and warm capacity) instead of allocating a fresh slice per operation.
-// Results must be identical to the slice-returning method element for
-// element; an empty extent appends nothing. The simulator detects these
-// at construction and prefers them on the per-access hot path.
-
-// AppendResolver is the buffer-reusing form of Layer.Resolve.
-type AppendResolver interface {
-	ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment
-}
-
-// AppendWriter is the buffer-reusing form of Layer.Write.
-type AppendWriter interface {
-	WriteAppend(dst []Fragment, lba geom.Extent) []Fragment
-}
-
-// AppendPreviewer is the buffer-reusing form of Previewer.PreviewWrite.
-type AppendPreviewer interface {
+	// PreviewWriteAppend appends the fragments WriteAppend(dst, lba)
+	// would produce, in write order, without performing the write. A
+	// subsequent WriteAppend of the same extent (with no intervening
+	// writes) must land exactly on the previewed placement.
 	PreviewWriteAppend(dst []Fragment, lba geom.Extent) []Fragment
 }
 
@@ -83,23 +64,7 @@ type NoLS struct{}
 // NewNoLS returns the identity translation layer.
 func NewNoLS() *NoLS { return &NoLS{} }
 
-// Resolve implements Layer.
-func (*NoLS) Resolve(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return []Fragment{{Lba: lba, Pba: lba.Start}}
-}
-
-// Write implements Layer.
-func (*NoLS) Write(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return []Fragment{{Lba: lba, Pba: lba.Start}}
-}
-
-// ResolveAppend implements AppendResolver.
+// ResolveAppend implements Layer.
 func (*NoLS) ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	if lba.Empty() {
 		return dst
@@ -107,7 +72,7 @@ func (*NoLS) ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	return append(dst, Fragment{Lba: lba, Pba: lba.Start})
 }
 
-// WriteAppend implements AppendWriter.
+// WriteAppend implements Layer.
 func (*NoLS) WriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	if lba.Empty() {
 		return dst
@@ -136,17 +101,9 @@ func NewLS(frontierStart geom.Sector) *LS {
 	return &LS{m: extmap.NewCoalesced(), frontier: frontierStart}
 }
 
-// Resolve implements Layer.
-func (l *LS) Resolve(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return l.ResolveAppend(nil, lba)
-}
-
-// ResolveAppend implements AppendResolver: fragments stream straight
-// from the extent map's visitor into dst, so a warm buffer makes the
-// resolution allocation-free.
+// ResolveAppend implements Layer: fragments stream straight from the
+// extent map's visitor into dst, so a warm buffer makes the resolution
+// allocation-free.
 func (l *LS) ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	l.m.LookupFunc(lba, func(r extmap.Resolved) bool {
 		dst = append(dst, Fragment{Lba: r.Lba, Pba: r.Pba})
@@ -155,16 +112,9 @@ func (l *LS) ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	return dst
 }
 
-// Write implements Layer: the whole extent is appended at the frontier.
-func (l *LS) Write(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return l.WriteAppend(nil, lba)
-}
-
-// WriteAppend implements AppendWriter. Displaced mappings are dropped
-// without materializing (LS never reuses old log space).
+// WriteAppend implements Layer: the whole extent is appended at the
+// frontier. Displaced mappings are dropped without materializing (LS
+// never reuses old log space).
 func (l *LS) WriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	if lba.Empty() {
 		return dst
@@ -176,16 +126,8 @@ func (l *LS) WriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	return append(dst, Fragment{Lba: lba, Pba: pba})
 }
 
-// PreviewWrite implements Previewer: the whole extent would land at the
-// current frontier. No state changes.
-func (l *LS) PreviewWrite(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return []Fragment{{Lba: lba, Pba: l.frontier}}
-}
-
-// PreviewWriteAppend implements AppendPreviewer.
+// PreviewWriteAppend implements Previewer: the whole extent would land
+// at the current frontier. No state changes.
 func (l *LS) PreviewWriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	if lba.Empty() {
 		return dst
@@ -210,12 +152,7 @@ func (l *LS) Map() *extmap.Map { return l.m }
 func (l *LS) Fragments(lba geom.Extent) int { return l.m.Fragments(lba) }
 
 var (
-	_ Layer           = (*NoLS)(nil)
-	_ Layer           = (*LS)(nil)
-	_ Previewer       = (*LS)(nil)
-	_ AppendResolver  = (*NoLS)(nil)
-	_ AppendWriter    = (*NoLS)(nil)
-	_ AppendResolver  = (*LS)(nil)
-	_ AppendWriter    = (*LS)(nil)
-	_ AppendPreviewer = (*LS)(nil)
+	_ Layer     = (*NoLS)(nil)
+	_ Layer     = (*LS)(nil)
+	_ Previewer = (*LS)(nil)
 )

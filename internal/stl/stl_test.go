@@ -1,7 +1,6 @@
 package stl
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,16 +12,13 @@ func TestNoLSIdentity(t *testing.T) {
 	if n.Name() != "NoLS" {
 		t.Error("name")
 	}
-	fs := n.Resolve(geom.Ext(100, 50))
+	fs := n.ResolveAppend(nil, geom.Ext(100, 50))
 	if len(fs) != 1 || fs[0].Pba != 100 || fs[0].Lba != geom.Ext(100, 50) {
 		t.Fatalf("Resolve = %v", fs)
 	}
-	ws := n.Write(geom.Ext(7, 3))
+	ws := n.WriteAppend(nil, geom.Ext(7, 3))
 	if len(ws) != 1 || ws[0].Pba != 7 {
 		t.Fatalf("Write = %v", ws)
-	}
-	if n.Resolve(geom.Extent{}) != nil || n.Write(geom.Extent{}) != nil {
-		t.Error("empty extents must resolve to nothing")
 	}
 }
 
@@ -31,11 +27,11 @@ func TestLSWriteAdvancesFrontier(t *testing.T) {
 	if l.Name() != "LS" {
 		t.Error("name")
 	}
-	w1 := l.Write(geom.Ext(50, 10))
+	w1 := l.WriteAppend(nil, geom.Ext(50, 10))
 	if len(w1) != 1 || w1[0].Pba != 1000 {
 		t.Fatalf("first write = %v", w1)
 	}
-	w2 := l.Write(geom.Ext(500, 4))
+	w2 := l.WriteAppend(nil, geom.Ext(500, 4))
 	if w2[0].Pba != 1010 {
 		t.Fatalf("second write pba = %d, want 1010 (frontier advanced)", w2[0].Pba)
 	}
@@ -45,29 +41,23 @@ func TestLSWriteAdvancesFrontier(t *testing.T) {
 	if l.LogSectors() != 14 {
 		t.Errorf("LogSectors = %d", l.LogSectors())
 	}
-	if l.Write(geom.Extent{}) != nil {
-		t.Error("empty write")
-	}
 }
 
 func TestLSResolveUnwrittenIsIdentity(t *testing.T) {
 	l := NewLS(1000)
-	fs := l.Resolve(geom.Ext(10, 20))
+	fs := l.ResolveAppend(nil, geom.Ext(10, 20))
 	if len(fs) != 1 || fs[0].Pba != 10 {
 		t.Fatalf("unwritten resolve = %v", fs)
-	}
-	if l.Resolve(geom.Extent{}) != nil {
-		t.Error("empty resolve")
 	}
 }
 
 func TestLSFragmentationScenario(t *testing.T) {
 	// The Figure 6 scenario through the Layer interface.
 	l := NewLS(100)
-	l.Write(geom.Ext(1, 6))
-	l.Write(geom.Ext(3, 1))
-	l.Write(geom.Ext(5, 1))
-	fs := l.Resolve(geom.Ext(2, 4))
+	l.WriteAppend(nil, geom.Ext(1, 6))
+	l.WriteAppend(nil, geom.Ext(3, 1))
+	l.WriteAppend(nil, geom.Ext(5, 1))
+	fs := l.ResolveAppend(nil, geom.Ext(2, 4))
 	if len(fs) != 4 {
 		t.Fatalf("fragments = %v, want 4 pieces", fs)
 	}
@@ -87,9 +77,9 @@ func TestLSFragmentationScenario(t *testing.T) {
 	}
 	// Back-to-back logical writes are physically adjacent: one fragment.
 	l2 := NewLS(100)
-	l2.Write(geom.Ext(10, 4))
-	l2.Write(geom.Ext(14, 4))
-	if got := l2.Resolve(geom.Ext(10, 8)); len(got) != 1 {
+	l2.WriteAppend(nil, geom.Ext(10, 4))
+	l2.WriteAppend(nil, geom.Ext(14, 4))
+	if got := l2.ResolveAppend(nil, geom.Ext(10, 8)); len(got) != 1 {
 		t.Errorf("sequential writes resolved to %v", got)
 	}
 	// The coalesced map stores them as a single mapping too.
@@ -117,11 +107,11 @@ func TestLSResolveTilesProperty(t *testing.T) {
 	f := func(ops []uint32, qs uint16, qc uint8) bool {
 		l := NewLS(1 << 20)
 		for _, op := range ops {
-			l.Write(geom.Ext(int64(op%5000), int64(op%128+1)))
+			l.WriteAppend(nil, geom.Ext(int64(op%5000), int64(op%128+1)))
 		}
 		q := geom.Ext(int64(qs%5200), int64(qc)+1)
 		cur := q.Start
-		for _, fr := range l.Resolve(q) {
+		for _, fr := range l.ResolveAppend(nil, q) {
 			if fr.Lba.Start != cur {
 				return false
 			}
@@ -131,43 +121,14 @@ func TestLSResolveTilesProperty(t *testing.T) {
 			return false
 		}
 		head := l.Frontier()
-		w := l.Write(q)
+		w := l.WriteAppend(nil, q)
 		if err := l.Map().CheckInvariants(); err != nil {
 			t.Log(err)
 			return false
 		}
-		return len(w) == 1 && w[0].Pba == head && len(l.Resolve(q)) == 1
+		return len(w) == 1 && w[0].Pba == head && len(l.ResolveAppend(nil, q)) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLSPreviewWriteMatchesWrite(t *testing.T) {
-	l := NewLS(1000)
-	l.Write(geom.Ext(0, 8))
-	l.Write(geom.Ext(500, 4))
-
-	target := geom.Ext(0, 16)
-	preview := l.PreviewWrite(target)
-	if len(preview) != 1 || preview[0].Pba != l.Frontier() {
-		t.Fatalf("preview = %v, want one fragment at the frontier %d", preview, l.Frontier())
-	}
-	// Preview must not mutate: resolving and the frontier are unchanged,
-	// and a second preview agrees.
-	before := l.Frontier()
-	if got := l.PreviewWrite(target); !reflect.DeepEqual(got, preview) {
-		t.Errorf("repeated preview diverged: %v vs %v", got, preview)
-	}
-	if l.Frontier() != before {
-		t.Errorf("preview moved the frontier: %d -> %d", before, l.Frontier())
-	}
-	// The contract: a subsequent Write with no intervening writes lands
-	// exactly on the previewed placement.
-	if got := l.Write(target); !reflect.DeepEqual(got, preview) {
-		t.Errorf("Write landed at %v, previewed %v", got, preview)
-	}
-	if l.PreviewWrite(geom.Extent{}) != nil {
-		t.Error("preview of an empty extent should be nil")
 	}
 }

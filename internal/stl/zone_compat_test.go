@@ -39,7 +39,7 @@ func TestLSWriteStreamIsZoneCompatible(t *testing.T) {
 		if r.Kind != disk.Write { // only writes emit physical appends
 			continue
 		}
-		for _, f := range ls.Write(r.Extent) {
+		for _, f := range ls.WriteAppend(nil, r.Extent) {
 			if err := dev.WriteSplit(f.PhysExtent()); err != nil {
 				t.Fatalf("LS write stream violates zone constraints: %v", err)
 			}

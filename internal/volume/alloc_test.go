@@ -1,0 +1,48 @@
+package volume_test
+
+import (
+	"testing"
+
+	"smrseek/internal/core"
+	"smrseek/internal/geom"
+	"smrseek/internal/volume"
+)
+
+// TestActorRoundTripAllocs pins what synchronous round trips through the
+// volume actor allocate: TryDo's queue hand-off, the actor's drain and
+// simulator step, and the result receive. Requests and results travel
+// by value over channels, so a warm round trip allocates nothing; the
+// bound allows at most the extent map's node slab (one per 64 nodes)
+// per batch of 64, never one allocation per op.
+func TestActorRoundTripAllocs(t *testing.T) {
+	v, err := volume.Open(volume.Config{
+		Name: "pin",
+		Sim:  core.Config{LogStructured: true, FrontierStart: 1 << 22},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	done := make(chan volume.Result, 1)
+	const batch = 64
+	var i int64
+	run := func() {
+		for n := 0; n < batch; n++ {
+			req := volume.Request{Kind: volume.OpWrite, Extent: geom.Ext(geom.Sector(i*8%(1<<20)), 8)}
+			i++
+			if err := v.TryDo(req, done); err != nil {
+				t.Fatal(err)
+			}
+			if r := <-done; r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(20, run)
+	const bound = 1
+	t.Logf("%.0f allocs per %d actor round trips (bound %d)", allocs, batch, bound)
+	if allocs > bound {
+		t.Errorf("%d actor round trips allocated %.0f times, want <= %d", batch, allocs, bound)
+	}
+}

@@ -73,8 +73,9 @@ func BenchmarkVolumeActor(b *testing.B) {
 // synchronous client (the v1 shape over SMRD2); "pipelined" keeps the
 // negotiated window full on the same single connection, so the batching
 // on both sides of the wire — the server writer's response coalescing
-// and the actor's batch drain — actually engages. scripts/bench.sh
-// gates both against the checked-in baseline.
+// and the actor's batch drain — actually engages. The allocation
+// budgets are pinned by TestActorRoundTripAllocs and the server's
+// alloc tests; this benchmark is for local profiling.
 func BenchmarkVolumeTCP(b *testing.B) {
 	cases := []struct {
 		name   string

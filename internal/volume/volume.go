@@ -298,11 +298,6 @@ func Open(cfg Config) (*Volume, error) {
 		ls := v.ls
 		v.col.SetStateFn(func() (geom.Sector, int) { return ls.Frontier(), ls.Map().Len() })
 	}
-	if cl, ok := sim.Disk().(core.Cleaner); ok {
-		// Banded device: export its cache/cleaning gauges through the
-		// collector (polled on the actor goroutine, like SetStateFn).
-		v.col.SetCleaningFn(cl.Cleaning)
-	}
 	if v.wal != nil && cfg.OnSeal != nil {
 		// Installation fires the hook once with the current sealed extent
 		// (on this goroutine; afterwards only the actor goroutine fires it),

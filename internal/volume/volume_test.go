@@ -186,7 +186,7 @@ func TestVolumeJournalDurability(t *testing.T) {
 	// Reference: one uninterrupted journal-free run of every write.
 	ref := stl.NewLS(frontier)
 	for _, r := range writes {
-		ref.Write(r.Extent)
+		ref.WriteAppend(nil, r.Extent)
 	}
 
 	dir := t.TempDir()

@@ -48,11 +48,11 @@ func (b *Builder) emit(kind disk.OpKind, ext geom.Extent) {
 	b.clock += b.interOp
 }
 
-// Read emits one read of n sectors at lba.
-func (b *Builder) Read(lba geom.Sector, n int64) { b.emit(disk.Read, geom.Ext(lba, n)) }
+// Read emits one read of n sectors at start.
+func (b *Builder) Read(start geom.Sector, n int64) { b.emit(disk.Read, geom.Ext(start, n)) }
 
-// Write emits one write of n sectors at lba.
-func (b *Builder) Write(lba geom.Sector, n int64) { b.emit(disk.Write, geom.Ext(lba, n)) }
+// Write emits one write of n sectors at start.
+func (b *Builder) Write(start geom.Sector, n int64) { b.emit(disk.Write, geom.Ext(start, n)) }
 
 // ReadExtent and WriteExtent emit extent-shaped operations.
 func (b *Builder) ReadExtent(e geom.Extent) { b.emit(disk.Read, e) }

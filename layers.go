@@ -10,9 +10,14 @@ import (
 )
 
 // Layer is a block translation layer; plug custom layers into
-// Config.CustomLayer. NewGCLayer and NewMediaCacheLayer construct the
-// two built-in alternatives to the paper's infinite log-structured
-// layer.
+// Config.CustomLayer. A layer implements ResolveAppend, WriteAppend and
+// Name: both Append methods append their fragments to a caller-provided
+// buffer and return it, leave the buffer's prefix untouched, and append
+// nothing for an empty extent. A layer that can also report where a
+// write would land without performing it (PreviewWriteAppend) gets
+// fault-atomic defrag relocations. NewGCLayer and NewMediaCacheLayer
+// construct the two built-in alternatives to the paper's infinite
+// log-structured layer.
 type Layer = stl.Layer
 
 // GCPolicy selects the cleaning victim heuristic for NewGCLayer.

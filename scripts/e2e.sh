@@ -230,32 +230,4 @@ wait "$folpid"
 	echo "pipelined-leg follower audit failed"; cat "$work/audit5.log"; exit 1
 }
 
-# Banded-geometry leg: the same daemon on the finite-disk device model.
-# Small bands so the load crosses band boundaries, a persistent cache
-# and a cleaning policy on every volume. The cleaning gauges must show
-# up in /metrics while the daemon runs and in the shutdown summary.
-"$work/smrd" -listen 127.0.0.1:0 -volumes "a,b=defrag+cache" \
-	-geometry band -band-size 256 -pcache 4096 -clean-policy pol-b \
-	-metrics-addr 127.0.0.1:0 >"$work/smrd4.log" 2>&1 &
-pid=$!
-wait_addr "$work/smrd4.log"
-"$work/smrload" -addr "$addr" -volumes a,b -workload w91 -scale 0.05 -conns 2
-murl=$(sed -n 's|.*metrics on \(http://[^ ]*\).*|\1|p' "$work/smrd4.log")
-[ -n "$murl" ] || { echo "no metrics address in band leg"; cat "$work/smrd4.log"; exit 1; }
-curl -fsS "$murl?volume=a" >"$work/band_metrics.json"
-grep -Eq '"Cleaning": *\{' "$work/band_metrics.json" || {
-	echo "banded /metrics lacks cleaning gauges"; cat "$work/band_metrics.json"; exit 1
-}
-grep -Eq '"HostWriteSectors": *0(,|$)' "$work/band_metrics.json" && {
-	echo "banded /metrics never counted a host write"; cat "$work/band_metrics.json"; exit 1
-}
-kill -TERM "$pid"
-wait "$pid"
-grep -q "per-volume summary" "$work/smrd4.log" || {
-	echo "no band-leg shutdown summary"; cat "$work/smrd4.log"; exit 1
-}
-grep -q "write amp" "$work/smrd4.log" || {
-	echo "band-leg summary lacks cleaning columns"; cat "$work/smrd4.log"; exit 1
-}
-
 echo "e2e ok ($addr)"
