@@ -6,6 +6,7 @@
 package smrseek_test
 
 import (
+	"context"
 	"flag"
 	"io"
 	"testing"
@@ -19,7 +20,7 @@ func benchExperiment(b *testing.B, name string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := smrseek.RunExperiment(io.Discard, name, *benchScale); err != nil {
+		if err := smrseek.RunExperimentContext(context.Background(), io.Discard, name, *benchScale); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +63,7 @@ func w91Records(scale float64) *smrseek.Preloaded {
 
 func safOf(b *testing.B, cfg smrseek.Config, pl *smrseek.Preloaded, baseSeeks int64) float64 {
 	b.Helper()
-	st, err := smrseek.RunPreloaded(cfg, pl)
+	st, err := smrseek.RunPreloadedContext(context.Background(), cfg, pl)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func safOf(b *testing.B, cfg smrseek.Config, pl *smrseek.Preloaded, baseSeeks in
 
 func baseline(b *testing.B, pl *smrseek.Preloaded) int64 {
 	b.Helper()
-	st, err := smrseek.RunPreloaded(smrseek.Config{}, pl)
+	st, err := smrseek.RunPreloadedContext(context.Background(), smrseek.Config{}, pl)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func BenchmarkAblationCombinedBanded(b *testing.B) {
 		d := smrseek.DefaultDefrag()
 		p := smrseek.DefaultPrefetch()
 		c := smrseek.DefaultCache()
-		st, err := smrseek.RunPreloaded(smrseek.Config{
+		st, err := smrseek.RunPreloadedContext(context.Background(), smrseek.Config{
 			Device:        dev,
 			LogStructured: true,
 			Defrag:        &d,
@@ -204,7 +205,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := smrseek.RunPreloaded(smrseek.Config{LogStructured: true}, pl); err != nil {
+		if _, err := smrseek.RunPreloadedContext(context.Background(), smrseek.Config{LogStructured: true}, pl); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,7 +64,6 @@ func run(args []string, out io.Writer) error {
 		faultSeed    = fs.Uint64("fault-seed", 1, "fault injector seed (same seed => identical fault sequence)")
 		mediaErrors  = fs.String("media-errors", "", `persistent media-error PBA ranges, "start:count,start:count,..."`)
 		timeout      = fs.Duration("timeout", 0, "abort the simulation after this duration (0 = no limit)")
-		preloadN     = fs.Int("preload", 1, "parse the trace once into memory and replay the run N times (perf measurement; N>1 needs a stateless run)")
 		journalDir   = fs.String("journal", "", "write-ahead-journal directory: STL mutations are logged and checkpointed there (implies -ls)")
 		ckptEvery    = fs.Int64("checkpoint-every", 4096, "checkpoint the STL after this many journal records (with -journal; 0 = never)")
 		crashAfter   = fs.Int64("crash-after", 0, "inject a crash on the Nth journal append, leaving a torn record (with -journal)")
@@ -85,11 +84,11 @@ func run(args []string, out io.Writer) error {
 	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	recoverOnly := *recoverFlag && *workloadName == "" && *tracePath == ""
 	if err := validateFlags(*scale, *timeout, *journalDir, *ckptEvery, *crashAfter,
-		*recoverFlag, *all, *layerName, *cacheMB, *preloadN); err != nil {
+		*recoverFlag, *all, *layerName, *cacheMB); err != nil {
 		return err
 	}
 	obs := obsvOpts{traceOut: *traceOut, hist: *hist, addr: *metricsAddr, pprof: *pprofFlag}
-	if err := obs.validate(*all, recoverOnly, *preloadN); err != nil {
+	if err := obs.validate(*all, recoverOnly); err != nil {
 		return err
 	}
 
@@ -104,7 +103,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	newDevice, err := buildDevice(*geometry, *bandSize, *pcache, *cleanPolicy, setFlags, *all, faultCfg != nil)
+	dev, err := buildDevice(*geometry, *bandSize, *pcache, *cleanPolicy, setFlags, *all, faultCfg != nil)
 	if err != nil {
 		return err
 	}
@@ -151,6 +150,7 @@ func run(args []string, out io.Writer) error {
 		cfg.Cache = &cc
 	}
 	cfg.Fault = faultCfg
+	cfg.Device = dev
 
 	var recovery *stl.ReplayStats
 	if *journalDir != "" {
@@ -201,15 +201,13 @@ func run(args []string, out io.Writer) error {
 		}
 		cfg.Journal = &core.JournalConfig{Log: lg, CheckpointEvery: *ckptEvery}
 	}
-	return runOne(ctx, out, smrseek.PreloadRecords(recs), cfg, newDevice, *withTime, recovery, obs, *preloadN)
+	return runOne(ctx, out, smrseek.PreloadRecords(recs), cfg, *withTime, recovery, obs)
 }
 
-// buildDevice validates the geometry flags and returns a factory for
-// the chosen device model — nil for the default infinite disk. A
-// factory (not a device) because -preload N replays build one fresh
-// simulator per replay, and a banded device is stateful.
+// buildDevice validates the geometry flags and builds the chosen device
+// model — nil for the default infinite disk.
 func buildDevice(geometry string, bandSize, pcacheSectors int64, policyName string,
-	setFlags map[string]bool, all, faults bool) (func() (smrseek.Device, error), error) {
+	setFlags map[string]bool, all, faults bool) (smrseek.Device, error) {
 	switch geometry {
 	case "infinite":
 		for _, f := range []string{"band-size", "pcache", "clean-policy"} {
@@ -233,7 +231,7 @@ func buildDevice(geometry string, bandSize, pcacheSectors int64, policyName stri
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		return func() (smrseek.Device, error) { return smrseek.NewBandDevice(cfg) }, nil
+		return smrseek.NewBandDevice(cfg)
 	default:
 		return nil, fmt.Errorf("unknown geometry %q (want infinite or band)", geometry)
 	}
@@ -253,10 +251,8 @@ func (o obsvOpts) enabled() bool { return o.traceOut != "" || o.hist || o.addr !
 // validate rejects observability flags in modes that don't run exactly
 // one simulation: -all runs the whole variant comparison and standalone
 // -recover runs none. -crash-after IS compatible — a crash run's trace
-// replays to the pre-crash stats. With -preload N>1 the histogram and
-// metrics probes follow the final replay, but an event trace of N runs
-// would not replay to one coherent state, so -trace-out is rejected.
-func (o obsvOpts) validate(all, recoverOnly bool, preload int) error {
+// replays to the pre-crash stats.
+func (o obsvOpts) validate(all, recoverOnly bool) error {
 	switch {
 	case o.pprof && o.addr == "":
 		return fmt.Errorf("-pprof requires -metrics-addr (pprof is served on the metrics endpoint)")
@@ -264,8 +260,6 @@ func (o obsvOpts) validate(all, recoverOnly bool, preload int) error {
 		return fmt.Errorf("-trace-out/-hist/-metrics-addr cannot be combined with -all (they follow a single run)")
 	case recoverOnly && o.enabled():
 		return fmt.Errorf("-trace-out/-hist/-metrics-addr need a workload to observe; standalone -recover runs none")
-	case preload > 1 && o.traceOut != "":
-		return fmt.Errorf("-trace-out cannot be combined with -preload %d (an event trace follows a single run)", preload)
 	}
 	return nil
 }
@@ -273,14 +267,10 @@ func (o obsvOpts) validate(all, recoverOnly bool, preload int) error {
 // validateFlags rejects nonsensical flag combinations up front, before
 // any trace is loaded or journal created.
 func validateFlags(scale float64, timeout time.Duration, journalDir string,
-	ckptEvery, crashAfter int64, recoverFlag, all bool, layerName string, cacheMB int64, preload int) error {
+	ckptEvery, crashAfter int64, recoverFlag, all bool, layerName string, cacheMB int64) error {
 	switch {
 	case scale <= 0:
 		return fmt.Errorf("-scale %v must be positive", scale)
-	case preload < 1:
-		return fmt.Errorf("-preload %d must be at least 1", preload)
-	case preload > 1 && (journalDir != "" || recoverFlag || crashAfter > 0 || layerName != "" || all):
-		return fmt.Errorf("-preload %d replays the same run and needs it stateless; drop -journal/-recover/-crash-after/-layer/-all", preload)
 	case timeout < 0:
 		return fmt.Errorf("-timeout %v must not be negative", timeout)
 	case cacheMB <= 0:
@@ -447,7 +437,7 @@ func runAll(ctx context.Context, out io.Writer, recs []smrseek.Record) error {
 }
 
 func runOne(ctx context.Context, out io.Writer, pl *smrseek.Preloaded, cfg smrseek.Config,
-	newDevice func() (smrseek.Device, error), withTime bool, recovery *stl.ReplayStats, obs obsvOpts, replays int) error {
+	withTime bool, recovery *stl.ReplayStats, obs obsvOpts) error {
 	// Baseline for SAF, always fault-free so SAF compares like with like.
 	base, err := smrseek.RunPreloadedContext(ctx, smrseek.Config{}, pl)
 	if err != nil {
@@ -457,80 +447,50 @@ func runOne(ctx context.Context, out io.Writer, pl *smrseek.Preloaded, cfg smrse
 	if cfg.LogStructured && cfg.FrontierStart == 0 {
 		cfg.FrontierStart = pl.MaxLBA()
 	}
-	// With -preload N > 1 the run is replayed from the in-memory arena N
-	// times — each replay builds a fresh simulator, so iterations are
-	// identical and the per-replay wall time isolates simulation cost
-	// from parsing. Probes and the time model follow the final replay.
-	var (
-		st      smrseek.Stats
-		crashed bool
-	)
-	for i := 0; i < replays; i++ {
-		last := i == replays-1
-		if newDevice != nil {
-			// A fresh device per replay: the banded device is stateful
-			// (write pointers, cache contents), and replays must be
-			// identical.
-			if cfg.Device, err = newDevice(); err != nil {
-				return err
-			}
+	sim, err := smrseek.NewSimulator(cfg)
+	if err != nil {
+		return err
+	}
+	var tracer *obsv.Tracer
+	if obs.traceOut != "" {
+		if tracer, err = obsv.Create(obs.traceOut); err != nil {
+			return err
 		}
-		sim, err := smrseek.NewSimulator(cfg)
+		sim.AddProbe(tracer)
+	}
+	var col *obsv.Collector
+	if obs.hist || obs.addr != "" {
+		col = obsv.NewCollector()
+		if ls := sim.LS(); ls != nil {
+			col.SetStateFn(func() (geom.Sector, int) { return ls.Frontier(), ls.Map().Len() })
+		}
+		if cl, ok := sim.Disk().(core.Cleaner); ok {
+			col.SetCleaningFn(cl.Cleaning)
+		}
+		sim.AddProbe(col)
+	}
+	if obs.addr != "" {
+		srv, err := obsv.Serve(obs.addr, col, obs.pprof)
 		if err != nil {
 			return err
 		}
-		var tracer *obsv.Tracer
-		if last && obs.traceOut != "" {
-			if tracer, err = obsv.Create(obs.traceOut); err != nil {
-				return err
-			}
-			sim.AddProbe(tracer)
-		}
-		var col *obsv.Collector
-		if last && (obs.hist || obs.addr != "") {
-			col = obsv.NewCollector()
-			if ls := sim.LS(); ls != nil {
-				col.SetStateFn(func() (geom.Sector, int) { return ls.Frontier(), ls.Map().Len() })
-			}
-			if cl, ok := sim.Disk().(core.Cleaner); ok {
-				col.SetCleaningFn(cl.Cleaning)
-			}
-			sim.AddProbe(col)
-		}
-		if last && obs.addr != "" {
-			srv, err := obsv.Serve(obs.addr, col, obs.pprof)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(out, "serving metrics on http://%s/metrics\n", srv.Addr())
-		}
-		var acc *disk.TimeAccumulator
-		if last && withTime {
-			acc = disk.NewTimeAccumulator(disk.DefaultTimeModel())
-			sim.Disk().AddObserver(acc)
-		}
-		start := time.Now()
-		st, err = sim.RunContext(ctx, pl.NewReader())
-		crashed = errors.Is(err, journal.ErrCrashed)
-		if err != nil && !crashed {
-			return err
-		}
-		if replays > 1 {
-			fmt.Fprintf(out, "replay %d/%d: %s ops in %v\n", i+1, replays,
-				report.HumanCount(int64(pl.Len())), time.Since(start).Round(time.Millisecond))
-		}
-		if !last {
-			continue
-		}
-		if err := renderOne(out, cfg, st, base, acc, tracer, col, recovery, obs, crashed); err != nil {
-			return err
-		}
+		defer srv.Close()
+		fmt.Fprintf(out, "serving metrics on http://%s/metrics\n", srv.Addr())
 	}
-	return nil
+	var acc *disk.TimeAccumulator
+	if withTime {
+		acc = disk.NewTimeAccumulator(disk.DefaultTimeModel())
+		sim.Disk().AddObserver(acc)
+	}
+	st, err := sim.RunContext(ctx, pl.NewReader())
+	crashed := errors.Is(err, journal.ErrCrashed)
+	if err != nil && !crashed {
+		return err
+	}
+	return renderOne(out, cfg, st, base, acc, tracer, col, recovery, obs, crashed)
 }
 
-// renderOne prints the result tables for the (final) run.
+// renderOne prints the result tables for the run.
 func renderOne(out io.Writer, cfg smrseek.Config, st, base smrseek.Stats, acc *disk.TimeAccumulator,
 	tracer *obsv.Tracer, col *obsv.Collector, recovery *stl.ReplayStats, obs obsvOpts, crashed bool) error {
 	if tracer != nil {

@@ -347,40 +347,3 @@ func TestRunMetricsAddr(t *testing.T) {
 		t.Errorf("output missing metrics address:\n%s", buf.String())
 	}
 }
-
-func TestRunPreloadReplays(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-workload", "hm_1", "-scale", "0.1", "-ls", "-preload", "3"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"replay 1/3", "replay 3/3", "LS results"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// Exactly one result table: only the final replay is rendered.
-	if n := strings.Count(out, "LS results"); n != 1 {
-		t.Errorf("got %d result tables, want 1", n)
-	}
-}
-
-func TestRunPreloadValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-workload", "hm_1", "-preload", "0"}, &buf); err == nil {
-		t.Error("-preload 0 must error")
-	}
-	dir := t.TempDir()
-	if err := run([]string{"-workload", "hm_1", "-preload", "2", "-journal", dir}, &buf); err == nil {
-		t.Error("-preload 2 with -journal must error")
-	}
-	if err := run([]string{"-workload", "hm_1", "-preload", "2", "-all"}, &buf); err == nil {
-		t.Error("-preload 2 with -all must error")
-	}
-	if err := run([]string{"-workload", "hm_1", "-preload", "2", "-layer", "segls"}, &buf); err == nil {
-		t.Error("-preload 2 with -layer must error")
-	}
-	if err := run([]string{"-workload", "hm_1", "-preload", "2", "-trace-out", filepath.Join(dir, "ev.bin")}, &buf); err == nil {
-		t.Error("-preload 2 with -trace-out must error")
-	}
-}

@@ -3,7 +3,6 @@ package smrseek
 import (
 	"smrseek/internal/band"
 	"smrseek/internal/disk"
-	"smrseek/internal/metrics"
 )
 
 // Device is the disk model a simulation runs against; set one on
@@ -16,18 +15,9 @@ type Device = disk.Device
 // (cache-bound) writes.
 type BandPolicy = band.Policy
 
-// Banded persistent-cache placement policies.
-const (
-	// PolA appends to the nearest cache log with room and cleans the
-	// globally dirtiest band (many-cache cleaning).
-	PolA = band.PolA
-	// PolB statically assigns each band to one cache log; a full log
-	// cleans exactly its own bands (single-cache cleaning).
-	PolB = band.PolB
-	// Shelter places small rewrites seek-free at the tail of the last
-	// big in-place I/O; big rewrites fall back to PolA placement.
-	Shelter = band.Shelter
-)
+// PolA appends to the nearest cache log with room and cleans the
+// globally dirtiest band (many-cache cleaning).
+const PolA = band.PolA
 
 // ParseBandPolicy parses the CLI spelling ("pol-a", "pol-b", "shelter").
 func ParseBandPolicy(s string) (BandPolicy, error) { return band.ParsePolicy(s) }
@@ -39,14 +29,6 @@ type BandConfig = band.Config
 // write pointers, a persistent on-disk cache for rewrites, and a band
 // cleaning engine. It implements Device.
 type BandDevice = band.Device
-
-// DefaultBandSectors is the default band size (10 MB of sectors).
-const DefaultBandSectors = band.DefaultBandSectors
-
-// Cleaning tallies persistent-cache and band-cleaning activity for a
-// banded run (Stats.Cleaning); Cleaning.WriteAmp derives the write
-// amplification factor.
-type Cleaning = metrics.Cleaning
 
 // NewBandDevice builds a banded device; attach it via Config.Device to
 // run any simulation on the finite-disk model.

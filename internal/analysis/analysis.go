@@ -304,14 +304,10 @@ type Artifacts struct {
 	Popularity *Popularity
 }
 
-// Instrumented runs recs through the configuration with all figure
-// instrumentation attached. windowOps sets the Figure 3 window width.
-func Instrumented(recs []trace.Record, cfg core.Config, windowOps int64) (*Artifacts, error) {
-	return InstrumentedContext(context.Background(), recs, cfg, windowOps)
-}
-
-// InstrumentedContext is Instrumented with cancellation: a cancelled or
-// expired context abandons the run and returns ctx.Err().
+// InstrumentedContext runs recs through the configuration with all
+// figure instrumentation attached. windowOps sets the Figure 3 window
+// width. A cancelled or expired context abandons the run and returns
+// ctx.Err().
 func InstrumentedContext(ctx context.Context, recs []trace.Record, cfg core.Config, windowOps int64) (*Artifacts, error) {
 	if cfg.LogStructured && cfg.FrontierStart == 0 {
 		cfg.FrontierStart = trace.MaxLBA(recs)
@@ -350,6 +346,7 @@ func InstrumentedContext(ctx context.Context, recs []trace.Record, cfg core.Conf
 		sim.Step(rec)
 		op++
 	}
+	sim.Finish()
 	a.Stats = sim.Stats()
 	return a, nil
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"testing"
 
 	"smrseek/internal/core"
@@ -151,7 +152,7 @@ func TestInstrumentedArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := p.Generate(0.3)
-	art, err := Instrumented(recs, core.Config{LogStructured: true}, 100)
+	art, err := InstrumentedContext(context.Background(), recs, core.Config{LogStructured: true}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestInstrumentedArtifacts(t *testing.T) {
 		t.Error("popularity empty for a fragmenting workload")
 	}
 	// NoLS artifacts work too and never see fragments.
-	artN, err := Instrumented(recs, core.Config{}, 100)
+	artN, err := InstrumentedContext(context.Background(), recs, core.Config{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +179,45 @@ func TestInstrumentedArtifacts(t *testing.T) {
 		}
 	}
 	// Frontier auto-set: explicit config with frontier also works.
-	if _, err := Instrumented(recs, core.Config{LogStructured: true, FrontierStart: trace.MaxLBA(recs)}, 100); err != nil {
+	if _, err := InstrumentedContext(context.Background(), recs, core.Config{LogStructured: true, FrontierStart: trace.MaxLBA(recs)}, 100); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid config propagates.
 	d := core.DefaultDefragConfig()
-	if _, err := Instrumented(recs, core.Config{Defrag: &d}, 100); err == nil {
+	if _, err := InstrumentedContext(context.Background(), recs, core.Config{Defrag: &d}, 100); err == nil {
 		t.Error("invalid config must error")
+	}
+}
+
+// summaryCounter is a probe that counts the end-of-run summaries it
+// receives.
+type summaryCounter struct{ summaries int }
+
+func (p *summaryCounter) OnOp(core.OpEvent)           {}
+func (p *summaryCounter) OnAccess(core.AccessEvent)   {}
+func (p *summaryCounter) OnMech(core.MechEvent)       {}
+func (p *summaryCounter) OnJournal(core.JournalEvent) {}
+func (p *summaryCounter) OnSummary(core.Summary)      { p.summaries++ }
+
+// TestInstrumentedDeliversSummary pins the Probe contract for the
+// hand-stepped instrumented run: a probe watching it, here the global
+// one the experiments CLI's metrics collector uses, sees exactly one
+// Summary per run.
+func TestInstrumentedDeliversSummary(t *testing.T) {
+	prof, err := workload.ByName("hm_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := prof.Generate(0.05)
+	p := &summaryCounter{}
+	core.SetGlobalProbe(p)
+	defer core.SetGlobalProbe(nil)
+	for run := 1; run <= 2; run++ {
+		if _, err := InstrumentedContext(context.Background(), recs, core.Config{LogStructured: true}, 100); err != nil {
+			t.Fatal(err)
+		}
+		if p.summaries != run {
+			t.Fatalf("after %d runs the probe saw %d summaries, want %d", run, p.summaries, run)
+		}
 	}
 }

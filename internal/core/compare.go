@@ -35,16 +35,11 @@ func (c Comparison) VariantByName(name string) (SAFReport, bool) {
 	return SAFReport{}, false
 }
 
-// Compare runs the records through the NoLS baseline and each variant
-// configuration, returning SAF per variant. Variants without a custom
-// layer use the built-in LS layer with the frontier forced to start
-// above the highest LBA in the trace, per the paper; variants carrying a
-// CustomLayer are compared as-is.
-func Compare(recs []trace.Record, variants ...Config) (Comparison, error) {
-	return CompareContext(context.Background(), recs, variants...)
-}
-
-// CompareContext is Compare with cancellation: a cancelled or expired
+// CompareContext runs the records through the NoLS baseline and each
+// variant configuration, returning SAF per variant. Variants without a
+// custom layer use the built-in LS layer with the frontier forced to
+// start above the highest LBA in the trace, per the paper; variants
+// carrying a CustomLayer are compared as-is. A cancelled or expired
 // context stops the current run and returns ctx.Err().
 func CompareContext(ctx context.Context, recs []trace.Record, variants ...Config) (Comparison, error) {
 	frontier := trace.MaxLBA(recs)
@@ -96,12 +91,8 @@ func PaperVariants() []Config {
 	}
 }
 
-// ComparePaper runs the records through exactly the Figure 11 variant set.
-func ComparePaper(recs []trace.Record) (Comparison, error) {
-	return Compare(recs, PaperVariants()...)
-}
-
-// ComparePaperContext is ComparePaper with cancellation.
+// ComparePaperContext runs the records through exactly the Figure 11
+// variant set.
 func ComparePaperContext(ctx context.Context, recs []trace.Record) (Comparison, error) {
 	return CompareContext(ctx, recs, PaperVariants()...)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestCompareAcceptsCustomLayers(t *testing.T) {
 		{Kind: disk.Write, Extent: geom.Ext(0, 8)},
 		{Kind: disk.Read, Extent: geom.Ext(0, 8)},
 	}
-	cmp, err := Compare(recs, Config{CustomLayer: stl.NewLS(1000)})
+	cmp, err := CompareContext(context.Background(), recs, Config{CustomLayer: stl.NewLS(1000)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestCompareAcceptsCustomLayers(t *testing.T) {
 		t.Fatalf("variants = %+v", cmp.Variants)
 	}
 	// Invalid combinations still surface errors.
-	if _, err := Compare(recs, Config{FrontierStart: -1, CustomLayer: stl.NewLS(0)}); err == nil {
+	if _, err := CompareContext(context.Background(), recs, Config{FrontierStart: -1, CustomLayer: stl.NewLS(0)}); err == nil {
 		t.Fatal("invalid config must surface an error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"smrseek/internal/disk"
@@ -276,7 +277,7 @@ func TestCompareSAF(t *testing.T) {
 	for rep := 0; rep < 5; rep++ {
 		recs = append(recs, rd(0, 1000))
 	}
-	cmp, err := ComparePaper(recs)
+	cmp, err := ComparePaperContext(context.Background(), recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestCompareLogFriendly(t *testing.T) {
 			recs = append(recs, rd(l, 16))
 		}
 	}
-	cmp, err := Compare(recs, Config{LogStructured: true})
+	cmp, err := CompareContext(context.Background(), recs, Config{LogStructured: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -398,13 +398,9 @@ func All(ctx context.Context, w io.Writer, scale float64) error {
 	return nil
 }
 
-// Run dispatches an experiment by name ("table1", "fig2", ..., "all").
-func Run(w io.Writer, name string, scale float64) error {
-	return RunContext(context.Background(), w, name, scale)
-}
-
-// RunContext is Run with cancellation: a cancelled or expired context
-// stops the running experiment and returns ctx.Err().
+// RunContext dispatches an experiment by name ("table1", "fig2", ...,
+// "all"). A cancelled or expired context stops the running experiment
+// and returns ctx.Err().
 func RunContext(ctx context.Context, w io.Writer, name string, scale float64) error {
 	fns := map[string]func(context.Context, io.Writer, float64) error{
 		"table1":     Table1,

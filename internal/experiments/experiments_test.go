@@ -175,10 +175,10 @@ func TestFig11(t *testing.T) {
 
 func TestRunDispatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(&buf, "fig8", smallScale); err != nil {
+	if err := RunContext(context.Background(), &buf, "fig8", smallScale); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(&buf, "bogus", smallScale); err == nil {
+	if err := RunContext(context.Background(), &buf, "bogus", smallScale); err == nil {
 		t.Error("unknown experiment must error")
 	}
 }

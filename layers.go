@@ -54,9 +54,6 @@ type MediaCacheLayer = mcache.Layer
 // order — low read-seek amplification, high write amplification.
 func NewMediaCacheLayer(cfg MediaCacheConfig) (*MediaCacheLayer, error) { return mcache.New(cfg) }
 
-// DefaultMediaCacheConfig returns a representative media-cache geometry.
-func DefaultMediaCacheConfig() MediaCacheConfig { return mcache.DefaultConfig() }
-
 // WriteFootprint returns the number of distinct sectors the trace ever
 // writes — the live-data upper bound used to size finite logs.
 func WriteFootprint(recs []Record) int64 {

@@ -62,9 +62,6 @@ func TestMediaCacheLayerThroughFacade(t *testing.T) {
 	if _, err := smrseek.NewMediaCacheLayer(smrseek.MediaCacheConfig{}); err == nil {
 		t.Error("invalid mcache config must error")
 	}
-	if smrseek.DefaultMediaCacheConfig().ZoneSectors <= 0 {
-		t.Error("default config broken")
-	}
 }
 
 func TestWriteFootprintCountsDistinctSectors(t *testing.T) {

@@ -15,8 +15,10 @@
 //	cmp, err := smrseek.ComparePaper(recs)
 //	// cmp.Variants holds SAF for LS, LS+defrag, LS+prefetch, LS+cache.
 //
-// The cmd/ directory provides executables (smrsim, tracegen, traceinfo,
-// experiments) and examples/ holds runnable walkthroughs.
+// The cmd/ directory provides seven executables: smrsim, tracegen,
+// traceinfo and experiments on the simulation side, and smrd, smrload and
+// smrverify for the block service. The package's Example functions are
+// runnable walkthroughs (go test -run '^Example' -v .).
 package smrseek
 
 import (
@@ -30,15 +32,10 @@ import (
 	"smrseek/internal/experiments"
 	"smrseek/internal/fault"
 	"smrseek/internal/geom"
-	"smrseek/internal/journal"
 	"smrseek/internal/metrics"
-	"smrseek/internal/stl"
 	"smrseek/internal/trace"
 	"smrseek/internal/workload"
 )
-
-// SectorSize is the simulator's sector size in bytes.
-const SectorSize = geom.SectorSize
 
 // Core simulation types, re-exported from the internal engine.
 type (
@@ -48,12 +45,8 @@ type (
 	Stats = core.Stats
 	// Comparison holds baseline stats plus per-variant SAF reports.
 	Comparison = core.Comparison
-	// SAFReport is one variant's seek amplification factors.
-	SAFReport = core.SAFReport
 	// Simulator drives records through a configured pipeline.
 	Simulator = core.Simulator
-	// ReadEvent is delivered to read observers during a run.
-	ReadEvent = core.ReadEvent
 
 	// DefragConfig parameterizes opportunistic defragmentation.
 	DefragConfig = core.DefragConfig
@@ -65,38 +58,21 @@ type (
 	// FaultConfig parameterizes deterministic fault injection; set it on
 	// Config.Fault to run a simulation under injected disk errors.
 	FaultConfig = fault.Config
-	// Resilience tallies injected faults and recovery outcomes for a run
-	// (Stats.Resilience).
-	Resilience = metrics.Resilience
 
 	// JournalConfig attaches a write-ahead journal to a run; set it on
 	// Config.Journal to make the translation state durable.
 	JournalConfig = core.JournalConfig
-	// Journal is the append-only write-ahead log with checkpoints that
-	// persists translation state (see OpenJournal).
-	Journal = journal.Log
 	// Durability tallies journal appends, checkpoints and recovery
 	// outcomes for a journaled run (Stats.Durability).
 	Durability = metrics.Durability
-	// ReplayStats summarizes what Recover replayed from the journal.
-	ReplayStats = stl.ReplayStats
-	// JournalAudit is the result of verifying a journal directory's seal
-	// chain and checkpoint linkage (see VerifyJournal).
-	JournalAudit = journal.Audit
-	// InclusionProof is a Merkle inclusion proof for one sealed journal
-	// record (see Journal.Prove); InclusionProof.Verify checks it.
-	InclusionProof = journal.Proof
-	// LS is the log-structured translation layer; Recover returns one,
-	// and Config.CustomLayer accepts it to resume a recovered run.
-	LS = stl.LS
 
 	// Record is one block I/O operation.
 	Record = trace.Record
 	// Reader yields trace records in temporal order.
 	Reader = trace.Reader
-	// Preloaded is a trace parsed once into a compact in-memory arena,
-	// replayable through many configurations without re-parsing (see
-	// PreloadTrace, PreloadRecords and RunPreloaded).
+	// Preloaded is a trace held in a compact in-memory arena, replayable
+	// through many configurations (see PreloadRecords and
+	// RunPreloadedContext).
 	Preloaded = trace.Preloaded
 	// Characteristics is a Table-I style workload summary.
 	Characteristics = trace.Characteristics
@@ -107,23 +83,11 @@ type (
 	// Extent is a half-open range of 512-byte sectors.
 	Extent = geom.Extent
 
-	// Fragment is one physically-contiguous piece of a resolved read.
-	Fragment = stl.Fragment
-
 	// Probe receives a run's low-level observability event stream;
-	// attach implementations via Simulator.AddProbe (internal/obsv
-	// provides a replayable tracer and a histogram collector).
+	// attach implementations via NewSimulator or Simulator.AddProbe
+	// (internal/obsv provides a replayable tracer and a histogram
+	// collector).
 	Probe = core.Probe
-	// OpEvent describes one logical trace operation.
-	OpEvent = core.OpEvent
-	// AccessEvent describes one physical I/O attempt.
-	AccessEvent = core.AccessEvent
-	// MechEvent reports one mechanism outcome (cache hit, retry, ...).
-	MechEvent = core.MechEvent
-	// JournalEvent reports one write-ahead-journal event.
-	JournalEvent = core.JournalEvent
-	// Summary carries a run's end-of-run state snapshot.
-	Summary = core.Summary
 )
 
 // OpKind distinguishes reads from writes in Records.
@@ -146,27 +110,15 @@ var (
 )
 
 // NewSimulator builds a simulator for the configuration. Optional
-// probes attach to this simulator only — the right way to observe one
-// run among many (SetGlobalProbe is process-wide).
+// probes attach to this simulator only.
 func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 	return core.NewSimulator(cfg, probes...)
 }
-
-// SetGlobalProbe attaches p to every simulator built after the call
-// (nil detaches), so one observer can watch runs constructed deep
-// inside Compare/RunExperiment pipelines.
-func SetGlobalProbe(p Probe) { core.SetGlobalProbe(p) }
 
 // Run simulates the records under the configuration and returns stats.
 // LS configurations with FrontierStart == 0 get the frontier placed just
 // above the highest LBA in the trace, per the paper's model.
 func Run(cfg Config, recs []Record) (Stats, error) {
-	return RunContext(context.Background(), cfg, recs)
-}
-
-// RunContext is Run with cancellation: a cancelled or expired context
-// stops the simulation and returns ctx.Err().
-func RunContext(ctx context.Context, cfg Config, recs []Record) (Stats, error) {
 	if cfg.LogStructured && cfg.FrontierStart == 0 {
 		cfg.FrontierStart = trace.MaxLBA(recs)
 	}
@@ -174,28 +126,19 @@ func RunContext(ctx context.Context, cfg Config, recs []Record) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	return sim.RunContext(ctx, trace.NewSliceReader(recs))
+	return sim.Run(trace.NewSliceReader(recs))
 }
-
-// PreloadTrace drains a Reader into a Preloaded arena: the trace is
-// parsed once, its MaxLBA cached, and every subsequent run replays the
-// in-memory records. Preferred over ReadAll+Run when the same trace
-// feeds several configurations.
-func PreloadTrace(r Reader) (*Preloaded, error) { return trace.Preload(r) }
 
 // PreloadRecords builds a Preloaded arena over an in-memory slice,
 // clipping capacity slack. The records are shared afterwards and must
 // not be mutated.
 func PreloadRecords(recs []Record) *Preloaded { return trace.PreloadRecords(recs) }
 
-// RunPreloaded simulates a preloaded trace under the configuration. LS
-// configurations with FrontierStart == 0 get the frontier placed at the
-// arena's cached MaxLBA — no per-run rescan of the records.
-func RunPreloaded(cfg Config, p *Preloaded) (Stats, error) {
-	return RunPreloadedContext(context.Background(), cfg, p)
-}
-
-// RunPreloadedContext is RunPreloaded with cancellation.
+// RunPreloadedContext simulates a preloaded trace under the
+// configuration; a cancelled or expired context stops the simulation and
+// returns ctx.Err(). LS configurations with FrontierStart == 0 get the
+// frontier placed at the arena's cached MaxLBA — no per-run rescan of
+// the records.
 func RunPreloadedContext(ctx context.Context, cfg Config, p *Preloaded) (Stats, error) {
 	if cfg.LogStructured && cfg.FrontierStart == 0 {
 		cfg.FrontierStart = p.MaxLBA()
@@ -210,58 +153,19 @@ func RunPreloadedContext(ctx context.Context, cfg Config, p *Preloaded) (Stats, 
 // Compare runs the records through the NoLS baseline and each variant,
 // reporting per-variant seek amplification factors.
 func Compare(recs []Record, variants ...Config) (Comparison, error) {
-	return core.Compare(recs, variants...)
-}
-
-// CompareContext is Compare with cancellation.
-func CompareContext(ctx context.Context, recs []Record, variants ...Config) (Comparison, error) {
-	return core.CompareContext(ctx, recs, variants...)
+	return core.CompareContext(context.Background(), recs, variants...)
 }
 
 // ComparePaper runs the Figure 11 variant set: LS, LS+defrag,
 // LS+prefetch and LS+cache(64 MB).
-func ComparePaper(recs []Record) (Comparison, error) { return core.ComparePaper(recs) }
+func ComparePaper(recs []Record) (Comparison, error) {
+	return ComparePaperContext(context.Background(), recs)
+}
 
 // ComparePaperContext is ComparePaper with cancellation.
 func ComparePaperContext(ctx context.Context, recs []Record) (Comparison, error) {
 	return core.ComparePaperContext(ctx, recs)
 }
-
-// PaperVariants returns the four Figure 11 configurations.
-func PaperVariants() []Config { return core.PaperVariants() }
-
-// OpenJournal opens (or creates) the write-ahead journal pair in dir.
-// initFrontier seeds a fresh journal's starting PBA; an existing
-// journal keeps its own. Attach the result via Config.Journal.
-func OpenJournal(dir string, initFrontier int64) (*Journal, error) {
-	return journal.Open(dir, initFrontier)
-}
-
-// Recover rebuilds the translation layer persisted in dir — checkpoint
-// plus journal replay, stopping cleanly at a torn tail — and reports
-// what replay found. The returned layer can resume simulation as
-// Config.CustomLayer. It does not verify the seal chain; see
-// RecoverVerified.
-func Recover(dir string) (*LS, ReplayStats, error) { return stl.RecoverDir(dir) }
-
-// RecoverVerified is Recover with the seal-chain audit first: it
-// refuses (journal.ErrCorrupt) to rebuild from a directory whose sealed
-// history or checkpoint linkage does not verify, while torn tails —
-// plain crash residue — still recover to the verified prefix. Segment
-// verification runs on GOMAXPROCS workers; the recovered state is
-// bit-identical to a sequential recovery (stl.RecoverOptions.Workers
-// picks the count explicitly).
-func RecoverVerified(dir string) (*LS, ReplayStats, error) {
-	return stl.RecoverDirWith(dir, stl.RecoverOptions{VerifyOnRecover: true})
-}
-
-// VerifyJournal audits the journal directory without replaying it:
-// frame CRCs, segment Merkle roots, the seal chain, and the
-// checkpoint⇄journal linkage. Corruption returns an error matching
-// journal.ErrCorrupt with the damaged file, segment and offset.
-// Segments verify on GOMAXPROCS workers (journal.VerifyDirWorkers
-// picks the count explicitly); the audit is identical at any count.
-func VerifyJournal(dir string) (*JournalAudit, error) { return journal.VerifyDir(dir) }
 
 // Workloads returns the names of the 21 cataloged synthetic workloads.
 func Workloads() []string { return workload.Names() }
@@ -337,15 +241,11 @@ func WriteTrace(w io.Writer, format TraceFormat, recs []Record) error {
 // ReadAll drains a Reader into memory.
 func ReadAll(r Reader) ([]Record, error) { return trace.ReadAll(r) }
 
-// RunExperiment regenerates a paper table or figure by name ("table1",
-// "fig2" ... "fig11", or "all"), writing its rendering to w. Scale
-// multiplies each workload's base operation count (0 uses the default).
-func RunExperiment(w io.Writer, name string, scale float64) error {
-	return RunExperimentContext(context.Background(), w, name, scale)
-}
-
-// RunExperimentContext is RunExperiment with cancellation: a cancelled
-// or expired context stops the experiment and returns ctx.Err().
+// RunExperimentContext regenerates a paper table or figure by name
+// ("table1", "fig2" ... "fig11", or "all"), writing its rendering to w.
+// Scale multiplies each workload's base operation count (0 uses the
+// default). A cancelled or expired context stops the experiment and
+// returns ctx.Err().
 func RunExperimentContext(ctx context.Context, w io.Writer, name string, scale float64) error {
 	if scale <= 0 {
 		scale = experiments.DefaultScale

@@ -2,6 +2,7 @@ package smrseek_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -51,9 +52,6 @@ func TestRunAndCompare(t *testing.T) {
 	}
 	if len(cmp.Variants) != 4 {
 		t.Fatalf("variants = %d", len(cmp.Variants))
-	}
-	if len(smrseek.PaperVariants()) != 4 {
-		t.Error("PaperVariants should have 4 entries")
 	}
 }
 
@@ -107,13 +105,13 @@ func TestTraceRoundTripFacade(t *testing.T) {
 
 func TestRunExperimentDispatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := smrseek.RunExperiment(&buf, "fig8", 0.05); err != nil {
+	if err := smrseek.RunExperimentContext(context.Background(), &buf, "fig8", 0.05); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "mis-ordered") {
 		t.Errorf("fig8 output unexpected:\n%s", buf.String())
 	}
-	if err := smrseek.RunExperiment(&buf, "nope", 0.05); err == nil {
+	if err := smrseek.RunExperimentContext(context.Background(), &buf, "nope", 0.05); err == nil {
 		t.Error("unknown experiment must error")
 	}
 }
@@ -168,42 +166,5 @@ func TestPaperHeadlineShapes(t *testing.T) {
 	}
 	if w20["LS+cache"] >= w20["LS"] {
 		t.Errorf("w20: cache SAF %.2f should beat LS %.2f", w20["LS+cache"], w20["LS"])
-	}
-}
-
-func TestJournalFacade(t *testing.T) {
-	dir := t.TempDir()
-	recs := smrseek.MustWorkload("hm_1").Generate(0.2)
-	lg, err := smrseek.OpenJournal(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smrseek.Config{
-		LogStructured: true,
-		Journal:       &smrseek.JournalConfig{Log: lg, CheckpointEvery: 10},
-	}
-	st, err := smrseek.Run(cfg, recs)
-	lg.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d smrseek.Durability = st.Durability
-	if d.JournalAppends == 0 || d.Checkpoints == 0 {
-		t.Fatalf("durability stats look empty: %+v", d)
-	}
-	var l *smrseek.LS
-	var rst smrseek.ReplayStats
-	l, rst, err = smrseek.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rst.FromCheckpoint {
-		t.Errorf("replay stats: %+v, want FromCheckpoint", rst)
-	}
-	if l.LogSectors() == 0 || l.Map().Len() == 0 {
-		t.Error("recovered layer is empty")
-	}
-	if err := l.Map().CheckInvariants(); err != nil {
-		t.Error(err)
 	}
 }
