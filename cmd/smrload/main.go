@@ -94,6 +94,15 @@ func run(args []string, out io.Writer) error {
 	if *window < 0 {
 		return fmt.Errorf("-window must be >= 0")
 	}
+	if *scale <= 0 {
+		return fmt.Errorf("-scale %v must be positive", *scale)
+	}
+	if *qps < 0 {
+		return fmt.Errorf("-qps %v must be >= 0", *qps)
+	}
+	if *maxRetries < 0 {
+		return fmt.Errorf("-max-retries %d must be >= 0", *maxRetries)
+	}
 	if *window > 0 {
 		*pipeline = true
 	}

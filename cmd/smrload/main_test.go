@@ -79,6 +79,16 @@ func TestLoadGeneratorFlagValidation(t *testing.T) {
 	if err := run([]string{"-conns", "0"}, &out); err == nil {
 		t.Error("accepted -conns 0")
 	}
+	// Each bad value must be rejected by name before any dial: the
+	// address is unreachable, so a dial error would also fail the run.
+	for _, args := range [][]string{
+		{"-scale", "0"}, {"-scale", "-1"}, {"-qps", "-5"}, {"-max-retries", "-1"},
+	} {
+		err := run(append([]string{"-addr", "127.0.0.1:1"}, args...), &out)
+		if err == nil || !strings.Contains(err.Error(), args[0]+" ") {
+			t.Errorf("%v: err = %v, want a rejection naming %s", args, err, args[0])
+		}
+	}
 	if err := run([]string{"-volumes", "a,,b"}, &out); err == nil {
 		t.Error("accepted empty volume name")
 	}

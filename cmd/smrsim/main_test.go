@@ -294,7 +294,7 @@ func TestRunTraceOutReplay(t *testing.T) {
 	if !strings.Contains(buf.String(), "event trace written to "+path) {
 		t.Errorf("output missing trace note:\n%s", buf.String())
 	}
-	st, err := obsv.ReplayFile(path)
+	st, err := replayFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestRunTraceOutReplay(t *testing.T) {
 		"-trace-out", crashPath}, &cbuf); err != nil {
 		t.Fatal(err)
 	}
-	cst, err := obsv.ReplayFile(crashPath)
+	cst, err := replayFile(crashPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,4 +346,14 @@ func TestRunMetricsAddr(t *testing.T) {
 	if !strings.Contains(buf.String(), "serving metrics on http://127.0.0.1:") {
 		t.Errorf("output missing metrics address:\n%s", buf.String())
 	}
+}
+
+// replayFile folds the binary trace file at path back into Stats.
+func replayFile(path string) (smrseek.Stats, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return smrseek.Stats{}, err
+	}
+	defer f.Close()
+	return obsv.Replay(f)
 }

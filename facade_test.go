@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -27,29 +28,13 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil && d.Name.IsExported() {
-					refs[d.Name.Name] = localIdents(d)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							refs[s.Name.Name] = localIdents(s.Type)
-						}
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							if n.IsExported() {
-								refs[n.Name] = localIdents(s)
-							}
-						}
-					}
+		eachDecl(f, func(names []string, n ast.Node) {
+			for _, name := range names {
+				if ast.IsExported(name) {
+					refs[name] = localIdents(n)
 				}
 			}
-		}
+		})
 	}
 
 	var users []string
@@ -105,6 +90,162 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 	sort.Strings(unused)
 	if len(unused) > 0 {
 		t.Errorf("exported facade names with no user in cmd/, bench/ or example_test.go: %s", strings.Join(unused, ", "))
+	}
+}
+
+// TestInternalNamesHaveUsers applies the same rule to internal/: every
+// exported top-level func, type, var and const declared in a non-test
+// file under internal/ must be referenced by a non-test file of the root
+// module or of bench/, other than by its own declaration. A reference is
+// an unqualified identifier in a file of the declaring package, or an
+// import-qualified selector (pkg.Name) anywhere else. Methods are out of
+// scope: interfaces call them, which a syntactic scan cannot see.
+func TestInternalNamesHaveUsers(t *testing.T) {
+	exempt := map[string]bool{
+		// A fault-injection harness that only tests import, so none of
+		// its names has a non-test user by design.
+		"internal/repl/chaos": true,
+		// The decoder of the trace format smrsim -trace-out writes: the
+		// reference that tests check the encoder against (replay ≡ live).
+		"internal/obsv.Replay": true,
+	}
+
+	type file struct {
+		dir string
+		ast *ast.File
+	}
+	fset := token.NewFileSet()
+	var files []file
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	declared := map[string]map[string]bool{} // package dir -> exported names
+	for _, f := range files {
+		if !strings.HasPrefix(f.dir, "internal/") || exempt[f.dir] {
+			continue
+		}
+		if declared[f.dir] == nil {
+			declared[f.dir] = map[string]bool{}
+		}
+		eachDecl(f.ast, func(names []string, _ ast.Node) {
+			for _, name := range names {
+				if ast.IsExported(name) {
+					declared[f.dir][name] = true
+				}
+			}
+		})
+	}
+
+	used := map[string]bool{} // "dir.Name"
+	for _, f := range files {
+		own := declared[f.dir]
+		imports := map[string]string{} // local name -> package dir
+		for _, imp := range f.ast.Imports {
+			dir, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "smrseek/")
+			if !ok || declared[dir] == nil {
+				continue
+			}
+			name := dir[strings.LastIndex(dir, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = dir
+		}
+		var self []string // names the declaration being walked declares
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if dir, ok := imports[x.Name]; ok {
+						used[dir+"."+n.Sel.Name] = true
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit) // n.Sel is a field or method
+				return false
+			case *ast.Ident:
+				if own[n.Name] && !slices.Contains(self, n.Name) {
+					used[f.dir+"."+n.Name] = true
+				}
+			}
+			return true
+		}
+		eachDecl(f.ast, func(names []string, n ast.Node) {
+			self = names
+			if d, ok := n.(*ast.FuncDecl); ok {
+				// Neither a method's receiver nor its name is a use.
+				ast.Inspect(d.Type, visit)
+				if d.Body != nil {
+					ast.Inspect(d.Body, visit)
+				}
+				return
+			}
+			ast.Inspect(n, visit)
+		})
+	}
+
+	var unused []string
+	for dir, names := range declared {
+		for name := range names {
+			if !used[dir+"."+name] && !exempt[dir+"."+name] {
+				unused = append(unused, strings.TrimPrefix(dir, "internal/")+"."+name)
+			}
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("exported names under internal/ with no user in a non-test file: %s", strings.Join(unused, ", "))
+	}
+}
+
+// eachDecl calls fn for every function declaration in f and every type,
+// var and const spec, with the package-level names it declares: none
+// for a method.
+func eachDecl(f *ast.File, fn func(names []string, n ast.Node)) {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			var names []string
+			if d.Recv == nil {
+				names = []string{d.Name.Name}
+			}
+			fn(names, d)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					fn([]string{s.Name.Name}, s)
+				case *ast.ValueSpec:
+					var names []string
+					for _, n := range s.Names {
+						names = append(names, n.Name)
+					}
+					fn(names, s)
+				}
+			}
+		}
 	}
 }
 

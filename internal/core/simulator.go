@@ -328,8 +328,8 @@ func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 // (distance CDFs, windowed series, time accumulators) before Run.
 func (s *Simulator) Disk() disk.Device { return s.dev }
 
-// Layer exposes the translation layer (e.g. for static fragmentation
-// analysis of the final extent map).
+// Layer exposes the translation layer (e.g. to inspect the final extent
+// map).
 func (s *Simulator) Layer() stl.Layer { return s.layer }
 
 // LS returns the log-structured layer, or nil for a NoLS simulator.

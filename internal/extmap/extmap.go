@@ -85,8 +85,7 @@ func New() *Map { return &Map{} }
 // can fuse mappings across region boundaries.
 func NewCoalesced() *Map { return &Map{coalesce: true} }
 
-// Len returns the number of disjoint mappings (the paper's *static
-// fragmentation* census counts breaks between them; see StaticFragments).
+// Len returns the number of disjoint mappings.
 func (t *Map) Len() int { return t.n }
 
 // MappedSectors returns the total number of LBA sectors with a mapping.
@@ -532,42 +531,6 @@ func walk(n *node, fn func(Mapping) bool) bool {
 		return false
 	}
 	return walk(n.right, fn)
-}
-
-// StaticFragments counts the physical discontinuities a sequential read of
-// the whole device (LBA 0..deviceSectors) would encounter — the paper's
-// *static fragmentation*. Each mapping whose physical start does not
-// follow the physical end of the preceding LBA run is a break.
-func (t *Map) StaticFragments(deviceSectors int64) int {
-	if deviceSectors <= 0 {
-		return 0
-	}
-	frags := 0
-	prevPbaEnd := geom.Sector(-1) // sentinel: the first piece always counts
-	// Pieces are visited in ascending LBA order with identity gaps filled
-	// in, so LBA continuity is guaranteed; only PBA continuity matters.
-	count := func(lba geom.Extent, pba geom.Sector) {
-		if pba != prevPbaEnd {
-			frags++
-		}
-		prevPbaEnd = pba + lba.Count
-	}
-	cur := geom.Sector(0)
-	t.Walk(func(m Mapping) bool {
-		if m.Lba.Start >= deviceSectors {
-			return false
-		}
-		if m.Lba.Start > cur {
-			count(geom.Span(cur, m.Lba.Start), cur) // identity gap
-		}
-		count(m.Lba, m.Pba)
-		cur = m.Lba.End()
-		return true
-	})
-	if cur < deviceSectors {
-		count(geom.Span(cur, deviceSectors), cur)
-	}
-	return frags
 }
 
 // CheckInvariants validates the map's structural invariants: AVL balance

@@ -133,26 +133,6 @@ func TestFragmentsCountsPaperExample(t *testing.T) {
 	}
 }
 
-func TestStaticFragments(t *testing.T) {
-	m := New()
-	if got := m.StaticFragments(100); got != 1 {
-		t.Fatalf("empty map static fragments = %d, want 1", got)
-	}
-	if got := m.StaticFragments(0); got != 0 {
-		t.Fatalf("zero device = %d, want 0", got)
-	}
-	m.Insert(geom.Ext(10, 5), 1000)
-	// scan: [0,10) identity, [10,15)->1000, [15,100) identity = 3 pieces.
-	if got := m.StaticFragments(100); got != 3 {
-		t.Fatalf("static fragments = %d, want 3", got)
-	}
-	// Mapping beyond the device is ignored.
-	m.Insert(geom.Ext(200, 5), 2000)
-	if got := m.StaticFragments(100); got != 3 {
-		t.Fatalf("static fragments with out-of-range mapping = %d, want 3", got)
-	}
-}
-
 func TestWalkOrderAndEarlyStop(t *testing.T) {
 	m := New()
 	for i := 0; i < 100; i++ {

@@ -15,8 +15,8 @@ import (
 // flat per-sector array. The array cannot represent mapping *structure*
 // (how sectors group into mappings), so structure-dependent results are
 // compared as per-sector sets; everything the simulator actually
-// consumes (Lookup fragments, displaced/removed sectors, mapped totals,
-// static fragmentation) is derivable from the array exactly.
+// consumes (Lookup fragments, displaced/removed sectors, mapped totals)
+// is derivable from the array exactly.
 
 var propSeed = flag.Int64("extmap.seed", 0,
 	"property test seed (0 = derive from time; the chosen seed is logged)")
@@ -116,21 +116,6 @@ func (m *refModel) runs() int {
 		}
 	}
 	return n
-}
-
-// staticFragments mirrors Map.StaticFragments on the array: breaks in a
-// sequential whole-device read, identity placement for unmapped sectors.
-func (m *refModel) staticFragments() int {
-	frags := 0
-	prev := geom.Sector(-2) // never adjacent to sector 0's pba
-	for s := range m.pba {
-		pba, _ := m.resolve(geom.Sector(s))
-		if pba != prev+1 {
-			frags++
-		}
-		prev = pba
-	}
-	return frags
 }
 
 // flatten expands mappings to per-sector pairs so displaced/removed
@@ -310,11 +295,6 @@ func TestPropertyDifferential(t *testing.T) {
 				if v.coalesced {
 					if got, want := m.Len(), ref.runs(); got != want {
 						t.Fatalf("op %d: coalesced Len = %d, reference runs %d", i, got, want)
-					}
-				}
-				if i%97 == 0 { // O(device) check, sampled to keep the test fast
-					if got, want := m.StaticFragments(device), ref.staticFragments(); got != want {
-						t.Fatalf("op %d: StaticFragments = %d, reference %d", i, got, want)
 					}
 				}
 			}

@@ -55,11 +55,14 @@ type Config struct {
 	SegmentSectors int64
 	// Policy selects the victim heuristic.
 	Policy Policy
-	// FreeLowWater triggers cleaning when free segments drop below it;
-	// cleaning proceeds until FreeHighWater are free. Defaults 2 and 4.
-	FreeLowWater  int
-	FreeHighWater int
 }
+
+// Cleaning starts when fewer than freeLowWater segments are free and
+// proceeds until freeHighWater are.
+const (
+	freeLowWater  = 2
+	freeHighWater = 4
+)
 
 // Layer is the finite log-structured translation layer.
 type Layer struct {
@@ -88,7 +91,7 @@ type segment struct {
 }
 
 // New builds the layer; LogSectors must tile into segments and leave at
-// least FreeHighWater+1 segments.
+// least freeHighWater+1 segments.
 func New(cfg Config) (*Layer, error) {
 	if cfg.SegmentSectors <= 0 {
 		return nil, fmt.Errorf("gc: non-positive segment size")
@@ -99,15 +102,9 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.LogSectors <= 0 || cfg.LogSectors%cfg.SegmentSectors != 0 {
 		return nil, fmt.Errorf("gc: log size %d not a multiple of segment size %d", cfg.LogSectors, cfg.SegmentSectors)
 	}
-	if cfg.FreeLowWater <= 0 {
-		cfg.FreeLowWater = 2
-	}
-	if cfg.FreeHighWater <= cfg.FreeLowWater {
-		cfg.FreeHighWater = cfg.FreeLowWater + 2
-	}
 	n := int(cfg.LogSectors / cfg.SegmentSectors)
-	if n < cfg.FreeHighWater+1 {
-		return nil, fmt.Errorf("gc: %d segments too few for high watermark %d", n, cfg.FreeHighWater)
+	if n < freeHighWater+1 {
+		return nil, fmt.Errorf("gc: %d segments too few for high watermark %d", n, freeHighWater)
 	}
 	l := &Layer{
 		cfg:      cfg,
@@ -144,7 +141,7 @@ func (l *Layer) WriteAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragment 
 	l.now++
 	l.hostSectors += lba.Count
 	dst = l.place(dst, lba)
-	if len(l.free) < l.cfg.FreeLowWater {
+	if len(l.free) < freeLowWater {
 		l.clean()
 	}
 	return dst
@@ -171,7 +168,7 @@ func (l *Layer) place(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 			if !ok {
 				// The watermarks guarantee space; hitting this means the
 				// log is undersized for the workload.
-				panic("gc: log out of free segments — increase LogSectors or watermarks")
+				panic("gc: log out of free segments — increase LogSectors")
 			}
 			l.cur, l.off = next, 0
 			room = l.cfg.SegmentSectors
@@ -209,7 +206,7 @@ func (l *Layer) popFree() (int, bool) {
 
 // clean relocates victims until the high watermark is restored.
 func (l *Layer) clean() {
-	for len(l.free) < l.cfg.FreeHighWater {
+	for len(l.free) < freeHighWater {
 		victim, ok := l.pickVictim()
 		if !ok {
 			return // nothing cleanable (all segments live or active)

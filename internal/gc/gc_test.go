@@ -18,8 +18,6 @@ func tiny(p Policy) Config {
 		LogSectors:     8 * 256,
 		SegmentSectors: 256,
 		Policy:         p,
-		FreeLowWater:   2,
-		FreeHighWater:  4,
 	}
 }
 

@@ -143,23 +143,21 @@ func readCheckpointFile(path string) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// LoadDir reads the checkpoint/journal pair from a journal directory,
-// as left by a crash (or a clean shutdown): the checkpoint if present,
-// and the journal's parsed records — already filtered by the generation
-// rule, so d.Records is exactly the sequence to replay on top of the
-// snapshot. Either file may be absent; both absent is an error.
+// LoadDirWorkers reads the checkpoint/journal pair from a journal
+// directory, as left by a crash (or a clean shutdown): the checkpoint if
+// present, and the journal's parsed records — already filtered by the
+// generation rule, so d.Records is exactly the sequence to replay on top
+// of the snapshot. Either file may be absent; both absent is an error.
 //
 // Damage inside the journal's sealed region surfaces as a *CorruptError
-// even here, checkpoint or not: LoadDir is lenient only about crash
-// signatures (torn tails, a half-written header under a valid
+// even here, checkpoint or not: LoadDirWorkers is lenient only about
+// crash signatures (torn tails, a half-written header under a valid
 // checkpoint, a stale pre-checkpoint generation), never about bytes the
 // seal chain had already committed.
-func LoadDir(dir string) (*Snapshot, Data, error) { return LoadDirWorkers(dir, 0) }
-
-// LoadDirWorkers is LoadDir with an explicit verification worker count
-// for the journal scan (see ScanBytesWorkers): workers <= 0 uses
-// DefaultRecoveryWorkers, 1 scans inline. The result is bit-identical
-// at any worker count.
+//
+// workers is the verification worker count for the journal scan (see
+// ScanBytesWorkers): workers <= 0 uses DefaultRecoveryWorkers, 1 scans
+// inline. The result is bit-identical at any worker count.
 func LoadDirWorkers(dir string, workers int) (*Snapshot, Data, error) {
 	snap, d, _, err := readDir(dir, workers, false)
 	return snap, d, err

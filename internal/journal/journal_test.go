@@ -160,7 +160,7 @@ func TestLogAppendAndReload(t *testing.T) {
 	if err := l2.Append(rec(RecWrite, 100, 2, 540)); err != nil {
 		t.Fatal(err)
 	}
-	snap, d, err := LoadDir(dir)
+	snap, d, err := LoadDirWorkers(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestLogCheckpointTruncatesAndGuardsGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, d, err := LoadDir(dir)
+	got, d, err := LoadDirWorkers(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestLogCheckpointTruncatesAndGuardsGeneration(t *testing.T) {
 
 	// Simulate a crash between checkpoint rename and journal truncate:
 	// restore a stale journal (old generation, full of records) next to
-	// the new checkpoint. LoadDir must refuse to replay it.
+	// the new checkpoint. LoadDirWorkers must refuse to replay it.
 	stale := bytes.NewBuffer(marshalHeader(1, 0, Hash{}))
 	for i := int64(0); i < 5; i++ {
 		stale.Write(MarshalRecord(rec(RecWrite, i, 1, i)))
@@ -229,7 +229,7 @@ func TestLogCheckpointTruncatesAndGuardsGeneration(t *testing.T) {
 	if err := os.WriteFile(JournalPath(dir), stale.Bytes(), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	got, d, err = LoadDir(dir)
+	got, d, err = LoadDirWorkers(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestLogCrashAfterWritesTornPrefix(t *testing.T) {
 		}
 		l.Close()
 
-		_, d, err := LoadDir(dir)
+		_, d, err := LoadDirWorkers(dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestLogFailerFailsCleanly(t *testing.T) {
 	if err := l.Append(rec(RecWrite, 1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	_, d, err := LoadDir(dir)
+	_, d, err := LoadDirWorkers(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestReadCheckpointRejectsUnsortedMappings(t *testing.T) {
 }
 
 func TestLoadDirMissingEverything(t *testing.T) {
-	if _, _, err := LoadDir(t.TempDir()); err == nil {
+	if _, _, err := LoadDirWorkers(t.TempDir(), 0); err == nil {
 		t.Error("empty dir accepted")
 	}
 }
@@ -437,7 +437,7 @@ func TestLoadDirCheckpointOnly(t *testing.T) {
 	if err := os.WriteFile(CheckpointPath(dir), buf.Bytes(), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	snap, d, err := LoadDir(dir)
+	snap, d, err := LoadDirWorkers(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestLoadDirCorruptJournalHeaderWithCheckpoint(t *testing.T) {
 	if err := os.WriteFile(JournalPath(dir), []byte("garbage"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	snap, d, err := LoadDir(dir)
+	snap, d, err := LoadDirWorkers(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,19 +28,6 @@ const (
 	ShipCheckpoint
 )
 
-// ShipKindName names a ship chunk kind.
-func ShipKindName(k uint8) string {
-	switch k {
-	case ShipNone:
-		return "none"
-	case ShipSegments:
-		return "segments"
-	case ShipCheckpoint:
-		return "checkpoint"
-	}
-	return fmt.Sprintf("ship(%d)", k)
-}
-
 // ShipChunk is one unit of journal replication.
 type ShipChunk struct {
 	Kind uint8

@@ -23,8 +23,8 @@ func TestShipFromBeforeFirstSeal(t *testing.T) {
 		return c
 	}
 	if c := ship(0, 0); c.Kind != ShipNone || c.Off != 0 || len(c.Data) != 0 {
-		t.Fatalf("header-only journal shipped %s chunk at %d with %d bytes, want none",
-			ShipKindName(c.Kind), c.Off, len(c.Data))
+		t.Fatalf("header-only journal shipped a kind %d chunk at %d with %d bytes, want none",
+			c.Kind, c.Off, len(c.Data))
 	}
 	for i := int64(0); i < 5; i++ {
 		if err := l.Append(rec(RecWrite, i*4, 4, i*4)); err != nil {
@@ -32,7 +32,7 @@ func TestShipFromBeforeFirstSeal(t *testing.T) {
 		}
 	}
 	if c := ship(0, 0); c.Kind != ShipNone {
-		t.Fatalf("unsealed records shipped as a %s chunk of %d bytes", ShipKindName(c.Kind), len(c.Data))
+		t.Fatalf("unsealed records shipped as a kind %d chunk of %d bytes", c.Kind, len(c.Data))
 	}
 
 	if err := l.Seal(); err != nil {
@@ -40,8 +40,8 @@ func TestShipFromBeforeFirstSeal(t *testing.T) {
 	}
 	c := ship(0, 0)
 	if want := l.Seals()[0].Offset + sealFrameSize; c.Kind != ShipSegments || c.Off != 0 || int64(len(c.Data)) != want {
-		t.Fatalf("after the first seal: %s chunk at %d with %d bytes, want segments at 0 with %d",
-			ShipKindName(c.Kind), c.Off, len(c.Data), want)
+		t.Fatalf("after the first seal: kind %d chunk at %d with %d bytes, want segments at 0 with %d",
+			c.Kind, c.Off, len(c.Data), want)
 	}
 	gen, _, anchor, err := ParseHeader(c.Data)
 	if err != nil {
@@ -55,6 +55,6 @@ func TestShipFromBeforeFirstSeal(t *testing.T) {
 		t.Fatalf("verified %d records to chain %s, want 5 to %s", st.Records, st.Chain.Short(), l.Chain().Short())
 	}
 	if c := ship(st.Gen, st.Offset); c.Kind != ShipNone {
-		t.Fatalf("caught-up follower got a %s chunk", ShipKindName(c.Kind))
+		t.Fatalf("caught-up follower got a kind %d chunk", c.Kind)
 	}
 }

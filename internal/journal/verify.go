@@ -124,13 +124,13 @@ func LoadDirVerified(dir string, workers int) (*Snapshot, Data, *Audit, error) {
 	return readDir(dir, workers, true)
 }
 
-// readDir is the one directory reader behind VerifyDir, LoadDir and
+// readDir is the one directory reader behind VerifyDir, LoadDirWorkers and
 // LoadDirVerified. It reads the checkpoint and the journal once, scans
 // the journal at most once, and returns the Audit beside the state to
 // replay. verify selects VerifyDir's strictness: an unreadable
 // checkpoint, or an unreadable journal header with no checkpoint to fall
 // back on, is a *CorruptError, and the checkpoint⇄journal linkage is
-// checked before the scan. Without it the reader is LoadDir's, which
+// checked before the scan. Without it the reader is LoadDirWorkers', which
 // cannot see linkage and reports those two cases as plain errors. On
 // error the Audit holds what was established before the failure.
 func readDir(dir string, workers int, verify bool) (*Snapshot, Data, *Audit, error) {

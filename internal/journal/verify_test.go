@@ -120,9 +120,9 @@ func TestCorruptionMatrixJournal(t *testing.T) {
 			if ce.File != JournalFile {
 				t.Fatalf("flip at %d: blamed %s, want %s", i, ce.File, JournalFile)
 			}
-			// Recovery must refuse too: LoadDir surfaces the same damage.
-			if _, _, lerr := LoadDir(mdir); !errors.Is(lerr, ErrCorrupt) {
-				t.Fatalf("flip at %d: LoadDir=%v, want ErrCorrupt", i, lerr)
+			// Recovery must refuse too: LoadDirWorkers surfaces the same damage.
+			if _, _, lerr := LoadDirWorkers(mdir, 0); !errors.Is(lerr, ErrCorrupt) {
+				t.Fatalf("flip at %d: LoadDirWorkers=%v, want ErrCorrupt", i, lerr)
 			}
 		} else {
 			// Final seal frame: equivalent to a crash mid-seal. Either the

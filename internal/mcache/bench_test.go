@@ -26,7 +26,11 @@ func BenchmarkWriteAndMerge(b *testing.B) {
 }
 
 func BenchmarkResolveCached(b *testing.B) {
-	l, err := New(DefaultConfig())
+	l, err := New(Config{
+		DeviceSectors: 8 << 21, // 8 GiB of 64 MiB zones, 256 MiB cache
+		ZoneSectors:   64 << 11,
+		CacheSectors:  256 << 11,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,8 +9,9 @@
 //
 // The layer implements stl.Layer for address translation, stl.Maintainer
 // to surface merge I/O to the simulator's disk model, and stl.Amplifier
-// to report write amplification. A zone.Device underneath validates that
-// every physical write obeys SMR sequential-write constraints.
+// to report write amplification. Every physical write it emits is
+// zone-compatible: cache appends are sequential, and a merge rewrites a
+// data zone whole, from its start.
 package mcache
 
 import (
@@ -21,8 +22,11 @@ import (
 	"smrseek/internal/extmap"
 	"smrseek/internal/geom"
 	"smrseek/internal/stl"
-	"smrseek/internal/zone"
 )
+
+// mergeTrigger is the cache fill fraction that starts a merge of all
+// dirty zones.
+const mergeTrigger = 0.8
 
 // Config sizes the media-cache layer.
 type Config struct {
@@ -35,20 +39,6 @@ type Config struct {
 	// CacheSectors is the reserved media-cache size, a multiple of
 	// ZoneSectors. Drives reserve a few GB out of several TB.
 	CacheSectors int64
-	// MergeTrigger is the cache fill fraction that starts a merge of all
-	// dirty zones. Defaults to 0.8.
-	MergeTrigger float64
-}
-
-// DefaultConfig returns a small but representative geometry: an 8 GiB
-// data region of 64 MiB zones with a 256 MiB media cache.
-func DefaultConfig() Config {
-	return Config{
-		DeviceSectors: 8 << 21, // 8 GiB in sectors
-		ZoneSectors:   64 << 11,
-		CacheSectors:  256 << 11,
-		MergeTrigger:  0.8,
-	}
 }
 
 // Layer is the media-cache translation layer.
@@ -56,7 +46,6 @@ type Layer struct {
 	cfg Config
 
 	m    *extmap.Map // LBA → media-cache PBA, only for unmerged updates
-	dev  *zone.Device
 	head geom.Sector // next cache sector to fill
 	used int64
 
@@ -82,45 +71,15 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.CacheSectors <= 0 || cfg.CacheSectors%cfg.ZoneSectors != 0 {
 		return nil, fmt.Errorf("mcache: cache size %d not a multiple of zone size %d", cfg.CacheSectors, cfg.ZoneSectors)
 	}
-	if cfg.MergeTrigger <= 0 || cfg.MergeTrigger > 1 {
-		cfg.MergeTrigger = 0.8
-	}
-	dataZones := int(cfg.DeviceSectors / cfg.ZoneSectors)
-	dev := zone.NewDevice(cfg.DeviceSectors+cfg.CacheSectors, cfg.ZoneSectors, 0)
-	// The cache zones (after the data region) are conventional: the
-	// media cache is itself written as a circular log, but drives place
-	// it on conventional (non-shingled) tracks.
-	l := &Layer{
+	// Data zones hold pre-existing data at PBA == LBA. The cache region
+	// after them is written as a circular log; drives place it on
+	// conventional (non-shingled) tracks.
+	return &Layer{
 		cfg:   cfg,
 		m:     extmap.New(),
-		dev:   dev,
 		head:  cfg.DeviceSectors,
 		dirty: make(map[int]bool),
-	}
-	// Data zones hold pre-existing data at PBA == LBA: mark them full.
-	for i := 0; i < dataZones; i++ {
-		z := dev.ZoneByIndex(i)
-		if err := dev.Write(z.Extent); err != nil {
-			return nil, fmt.Errorf("mcache: priming zone %d: %w", i, err)
-		}
-	}
-	// Rebuild the device so the cache zones after the data region are
-	// conventional while data zones stay sequential-required. (NewDevice
-	// marks a prefix conventional; we want a suffix, so flip manually.)
-	return l, l.markCacheZonesConventional()
-}
-
-func (l *Layer) markCacheZonesConventional() error {
-	dataZones := int(l.cfg.DeviceSectors / l.cfg.ZoneSectors)
-	total := l.dev.Zones()
-	for i := dataZones; i < total; i++ {
-		z := l.dev.ZoneByIndex(i)
-		if z == nil {
-			return fmt.Errorf("mcache: missing cache zone %d", i)
-		}
-		z.Kind = zone.Conventional
-	}
-	return nil
+	}, nil
 }
 
 // Name implements stl.Layer.
@@ -155,11 +114,6 @@ func (l *Layer) WriteAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragment 
 		}
 		piece := geom.Ext(rest.Start, n)
 		pba := l.head
-		if err := l.dev.WriteSplit(geom.Ext(pba, n)); err != nil {
-			// The cache region is conventional, so this can only mean a
-			// programming error; fail loudly.
-			panic(fmt.Sprintf("mcache: cache append rejected: %v", err))
-		}
 		l.m.Insert(piece, pba)
 		l.head += n
 		l.used += n
@@ -167,7 +121,7 @@ func (l *Layer) WriteAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragment 
 		dst = append(dst, stl.Fragment{Lba: piece, Pba: pba})
 		rest = geom.Span(piece.End(), rest.End())
 	}
-	if float64(l.used) >= l.cfg.MergeTrigger*float64(l.cfg.CacheSectors) {
+	if float64(l.used) >= mergeTrigger*float64(l.cfg.CacheSectors) {
 		l.merge()
 	}
 	return dst
@@ -210,12 +164,6 @@ func (l *Layer) merge() {
 			l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Read, Extent: r.PhysExtent()})
 		}
 		// Rewrite the zone in place, sequentially from its start.
-		if err := l.dev.Reset(zi); err != nil {
-			panic(fmt.Sprintf("mcache: reset zone %d: %v", zi, err))
-		}
-		if err := l.dev.Write(zext); err != nil {
-			panic(fmt.Sprintf("mcache: zone rewrite rejected: %v", err))
-		}
 		l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Write, Extent: zext})
 		l.extraSectors += l.cfg.ZoneSectors
 		l.m.Delete(zext)
@@ -253,9 +201,6 @@ func (l *Layer) MergedZones() int64 { return l.mergedZones }
 
 // CachedSectors returns the sectors currently held in the media cache.
 func (l *Layer) CachedSectors() int64 { return l.used }
-
-// Device exposes the underlying zoned device (for constraint auditing).
-func (l *Layer) Device() *zone.Device { return l.dev }
 
 var (
 	_ stl.Layer      = (*Layer)(nil)

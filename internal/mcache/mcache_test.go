@@ -15,7 +15,6 @@ func tiny() Config {
 		DeviceSectors: 8 * 1024,
 		ZoneSectors:   1024,
 		CacheSectors:  2 * 1024,
-		MergeTrigger:  0.8,
 	}
 }
 
@@ -40,15 +39,8 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("config %d should be rejected", i)
 		}
 	}
-	if _, err := New(DefaultConfig()); err != nil {
-		t.Errorf("default config rejected: %v", err)
-	}
-	// Out-of-range trigger falls back to the default.
-	cfg := tiny()
-	cfg.MergeTrigger = 42
-	l := mustNew(t, cfg)
-	if l.cfg.MergeTrigger != 0.8 {
-		t.Errorf("trigger = %v", l.cfg.MergeTrigger)
+	if _, err := New(tiny()); err != nil {
+		t.Errorf("tiny config rejected: %v", err)
 	}
 }
 
@@ -178,15 +170,66 @@ func TestWriteAmplificationAccounting(t *testing.T) {
 	}
 }
 
+// TestZoneConstraintsRespected checks that every physical write the layer
+// emits is legal on zoned media: a cache append lands inside the cache
+// region at its write pointer (which returns to the region's start only
+// after a merge), and a maintenance write rewrites one whole data zone,
+// from its start, after reading that zone.
 func TestZoneConstraintsRespected(t *testing.T) {
-	l := mustNew(t, tiny())
-	for i := 0; i < 30; i++ {
-		l.WriteAppend(nil, geom.Ext(int64(i*313)%7000, 64))
+	cfg := tiny()
+	l := mustNew(t, cfg)
+	cacheStart, cacheEnd := cfg.DeviceSectors, cfg.DeviceSectors+cfg.CacheSectors
+	wp := cacheStart
+	merged := false // a merge has run since the write pointer last restarted
+	seed := uint64(7)
+	var merges int64
+	checkOps := func() {
+		var read geom.Extent
+		for _, op := range l.PendingMaintenance() {
+			switch op.Kind {
+			case disk.Read:
+				if op.Extent.End() <= cfg.DeviceSectors {
+					read = op.Extent // a data-zone read, not a cache read
+				}
+			case disk.Write:
+				e := op.Extent
+				if e.Start%cfg.ZoneSectors != 0 || e.Count != cfg.ZoneSectors || e.End() > cfg.DeviceSectors {
+					t.Fatalf("maintenance write %v is not a whole data zone", e)
+				}
+				if read != e {
+					t.Fatalf("zone rewrite %v does not follow a read of that zone (last zone read %v)", e, read)
+				}
+				read = geom.Extent{}
+			}
+		}
+		if n := l.Merges(); n > merges {
+			merges, merged = n, true
+		}
+	}
+	for i := 0; i < 400; i++ {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		lba := geom.Ext(int64(seed>>33)%(cfg.DeviceSectors-700), 1+int64(seed>>20)%700)
+		frags := l.WriteAppend(nil, lba)
+		checkOps()
+		for _, f := range frags {
+			p := f.PhysExtent()
+			if p.Start < cacheStart || p.End() > cacheEnd {
+				t.Fatalf("cache append %v outside the cache region [%d, %d)", p, cacheStart, cacheEnd)
+			}
+			switch {
+			case p.Start == wp:
+			case p.Start == cacheStart && merged:
+				merged = false
+			default:
+				t.Fatalf("cache append %v is not at the write pointer %d", p, wp)
+			}
+			wp = p.End()
+		}
 	}
 	l.Flush()
-	_, _, violations := l.Device().Stats()
-	if violations != 0 {
-		t.Fatalf("zoned-device violations = %d", violations)
+	checkOps()
+	if merges < 10 {
+		t.Fatalf("only %d merges: the workload does not exercise merging", merges)
 	}
 }
 

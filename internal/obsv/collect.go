@@ -58,9 +58,6 @@ func NewCollector() *Collector {
 	}
 }
 
-// SetTimeModel replaces the latency model. Call before the run starts.
-func (c *Collector) SetTimeModel(m disk.TimeModel) { c.model = m }
-
 // SetStateFn installs a function polled every stateEveryDefault
 // operations — on the simulation goroutine, so it may touch the layer —
 // to refresh the frontier/map-size progress gauges. A typical caller

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -75,6 +76,16 @@ func assertReplayMatches(t *testing.T, name string, want core.Stats, raw []byte)
 
 // TestReplayMatrix replays traces of every layer/mechanism/fault
 // combination and demands bit-identical Stats.
+// replayFile folds the binary trace file at path back into Stats.
+func replayFile(path string) (core.Stats, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return core.Stats{}, err
+	}
+	defer f.Close()
+	return obsv.Replay(f)
+}
+
 func TestReplayMatrix(t *testing.T) {
 	recs := workload(42, 800)
 	frontier := core.FrontierFor(recs)
@@ -186,7 +197,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := obsv.ReplayFile(path)
+	got, err := replayFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +239,7 @@ func TestTextTracer(t *testing.T) {
 	if err := tt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obsv.ReplayFile(path); err == nil {
+	if _, err := replayFile(path); err == nil {
 		t.Error("replaying a text trace must fail")
 	}
 }

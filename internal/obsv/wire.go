@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
@@ -225,14 +224,4 @@ func replayMech(st *core.Stats, kind core.MechKind, n int64) {
 		st.MaintWrites++
 		st.MaintSectors += n
 	}
-}
-
-// ReplayFile replays a binary trace file.
-func ReplayFile(path string) (core.Stats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	defer f.Close()
-	return Replay(f)
 }

@@ -23,12 +23,11 @@ type Proxy struct {
 	ln      net.Listener
 	backend string
 
-	mu        sync.Mutex
-	conns     []net.Conn
-	severed   bool // partitioned: refuse new connections
-	delay     time.Duration
-	corrupt   func(payload []byte)
-	corrupted int64
+	mu      sync.Mutex
+	conns   []net.Conn
+	severed bool // partitioned: refuse new connections
+	delay   time.Duration
+	corrupt func(payload []byte)
 }
 
 // NewProxy listens on a fresh loopback port, forwarding to backend.
@@ -88,14 +87,6 @@ func (p *Proxy) SetCorrupt(fn func(payload []byte)) {
 	p.mu.Lock()
 	p.corrupt = fn
 	p.mu.Unlock()
-}
-
-// Corrupted returns how many response frames the corrupt hook has run
-// on.
-func (p *Proxy) Corrupted() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.corrupted
 }
 
 func (p *Proxy) serve() {
@@ -160,9 +151,6 @@ func (p *Proxy) pumpResponses(dst io.Writer, src io.Reader) {
 		}
 		p.mu.Lock()
 		delay, corrupt := p.delay, p.corrupt
-		if corrupt != nil {
-			p.corrupted++
-		}
 		p.mu.Unlock()
 		if corrupt != nil {
 			corrupt(payload)

@@ -180,7 +180,7 @@ func TestShipApplyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if chunk.Kind != journal.ShipSegments {
-		t.Fatalf("ship kind %s, want segments", journal.ShipKindName(chunk.Kind))
+		t.Fatalf("ship kind %d, want segments (%d)", chunk.Kind, journal.ShipSegments)
 	}
 	f := &Follower{cfg: FollowerConfig{Logf: t.Logf}}
 	st, err := f.applySegments(dst, journal.ChunkState{}, chunk)
@@ -282,7 +282,7 @@ func TestCheckpointShipRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if chunk.Kind != journal.ShipCheckpoint {
-		t.Fatalf("first catch-up chunk kind %s, want checkpoint", journal.ShipKindName(chunk.Kind))
+		t.Fatalf("first catch-up chunk kind %d, want checkpoint (%d)", chunk.Kind, journal.ShipCheckpoint)
 	}
 	f := &Follower{cfg: FollowerConfig{Logf: t.Logf}}
 	st, err := f.applyCheckpoint(dst, chunk)
@@ -307,7 +307,7 @@ func TestCheckpointShipRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if chunk.Kind != journal.ShipSegments {
-		t.Fatalf("second catch-up chunk kind %s, want segments", journal.ShipKindName(chunk.Kind))
+		t.Fatalf("second catch-up chunk kind %d, want segments (%d)", chunk.Kind, journal.ShipSegments)
 	}
 	if st, err = f.applySegments(dst, st, chunk); err != nil {
 		t.Fatal(err)

@@ -202,10 +202,6 @@ func (ac *AsyncClient) Submit(req Request, done chan *Call) (*Call, error) {
 	return ac.submit(req.wire(), done)
 }
 
-// Await blocks for the next completed Call on done — sugar for the
-// channel receive, so Submit/Await pairs read naturally.
-func (ac *AsyncClient) Await(done chan *Call) *Call { return <-done }
-
 // SubmitStep submits one trace record as the matching read/write.
 func (ac *AsyncClient) SubmitStep(vol string, rec trace.Record, done chan *Call) (*Call, error) {
 	switch rec.Kind {

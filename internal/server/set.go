@@ -277,19 +277,3 @@ func (s *Set) Stat(vol string) (core.Stats, error) {
 func (s *Set) Snapshot(vol string) error {
 	return s.do(func(c *Client) error { return c.Snapshot(vol) })
 }
-
-// Replay streams every record of r through Step in order, returning the
-// op count.
-func (s *Set) Replay(vol string, r trace.Reader) (int64, error) {
-	var n int64
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			return n, r.Err()
-		}
-		if _, err := s.Step(vol, rec); err != nil {
-			return n, err
-		}
-		n++
-	}
-}

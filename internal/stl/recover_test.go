@@ -396,7 +396,7 @@ func TestRecoverMatchesForwardCheckpointPlusTail(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		journaledWrite(t, live, log, geom.Ext(rng.Int63n(4000), rng.Int63n(48)+1))
 	}
-	snap, d, err := journal.LoadDir(dir)
+	snap, d, err := journal.LoadDirWorkers(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func (l *LS) Frontier() geom.Sector { return l.frontier }
 // the live mapped sectors this is the dead (cleanable) space.
 func (l *LS) LogSectors() int64 { return l.written }
 
-// Map exposes the extent map for analyses (static fragmentation etc.).
+// Map exposes the extent map for analyses and recovery checks.
 func (l *LS) Map() *extmap.Map { return l.m }
 
 // Fragments returns the dynamic fragmentation of a read of lba.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"smrseek/internal/disk"
 	"smrseek/internal/geom"
@@ -130,7 +131,7 @@ func (b *BinaryReader) Next() (Record, bool) {
 		b.err = fmt.Errorf("binary trace: sector count: %w", truncated(err))
 		return Record{}, false
 	}
-	if b.prevLBA < 0 || count == 0 || count > 1<<40 {
+	if b.prevLBA < 0 || count == 0 || count > 1<<40 || b.prevLBA > math.MaxInt64-int64(count) {
 		b.err = fmt.Errorf("binary trace: invalid record lba=%d count=%d", b.prevLBA, count)
 		return Record{}, false
 	}

@@ -80,6 +80,37 @@ func FuzzParseCloudPhysics(f *testing.F) {
 	})
 }
 
+func FuzzParseBinary(f *testing.F) {
+	seeds := [][]Record{
+		nil,
+		{{Time: 100, Kind: disk.Read, Extent: geom.Ext(2048, 8)}, {Time: 200, Kind: disk.Write, Extent: geom.Ext(0, 1)}},
+		{{Kind: disk.Write, Extent: geom.Ext(1<<40, 1<<20)}, {Kind: disk.Read, Extent: geom.Ext(5, 5)}},
+		{{Kind: disk.Read, Extent: geom.Extent{Start: math.MaxInt64 - 10, Count: 100}}},
+	}
+	for _, recs := range seeds {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, recs); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewBinaryReader(bytes.NewReader(data))
+		for {
+			rec, ok := r.Next()
+			if !ok {
+				break
+			}
+			checkFuzzedRecord(t, rec)
+		}
+		if r.Err() != nil {
+			if _, ok := r.Next(); ok {
+				t.Fatal("Next returned a record after Err")
+			}
+		}
+	})
+}
+
 // TestParserOverflowGuards pins the overflow rejections the fuzzers rely
 // on: ranges that would wrap int64 are parse errors, not panics.
 func TestParserOverflowGuards(t *testing.T) {
@@ -91,5 +122,13 @@ func TestParserOverflowGuards(t *testing.T) {
 	cp := NewCPReader(bytes.NewReader([]byte("1,R,9223372036854775807,2\n")))
 	if _, ok := cp.Next(); ok || cp.Err() == nil {
 		t.Errorf("CP overflow line: ok=%v err=%v, want rejection", ok, cp.Err())
+	}
+	var bin bytes.Buffer
+	if err := WriteBinary(&bin, []Record{{Kind: disk.Read, Extent: geom.Extent{Start: math.MaxInt64 - 10, Count: 100}}}); err != nil {
+		t.Fatal(err)
+	}
+	br := NewBinaryReader(&bin)
+	if rec, ok := br.Next(); ok || br.Err() == nil {
+		t.Errorf("binary overflow record: %+v ok=%v err=%v, want rejection", rec.Extent, ok, br.Err())
 	}
 }

@@ -242,39 +242,3 @@ func TestCharacterize(t *testing.T) {
 		t.Error("GB conversions of empty should be 0")
 	}
 }
-
-func TestFilters(t *testing.T) {
-	recs := []Record{
-		{Time: 1000, Kind: disk.Read, Extent: geom.Ext(0, 8)},
-		{Time: 2000, Kind: disk.Write, Extent: geom.Ext(90, 20)},
-		{Time: 3000, Kind: disk.Read, Extent: geom.Ext(200, 8)},
-		{Time: 4000, Kind: disk.Read, Extent: geom.Ext(8, 8)},
-	}
-	// Limit
-	got, _ := ReadAll(Limit(NewSliceReader(recs), 2))
-	if len(got) != 2 {
-		t.Errorf("Limit: %v", got)
-	}
-	// Sample keeps every 2nd starting at 0.
-	got, _ = ReadAll(Sample(NewSliceReader(recs), 2))
-	if len(got) != 2 || got[0].Time != 1000 || got[1].Time != 3000 {
-		t.Errorf("Sample: %v", got)
-	}
-	got, _ = ReadAll(Sample(NewSliceReader(recs), 0)) // clamped to 1
-	if len(got) != 4 {
-		t.Errorf("Sample(0): %v", got)
-	}
-	// ClipLBA truncates the straddler and drops the out-of-range record.
-	got, _ = ReadAll(ClipLBA(NewSliceReader(recs), 100))
-	if len(got) != 3 {
-		t.Fatalf("ClipLBA: %v", got)
-	}
-	if got[1].Extent != geom.Ext(90, 10) {
-		t.Errorf("ClipLBA straddler = %v", got[1].Extent)
-	}
-	// RebaseTime
-	got, _ = ReadAll(RebaseTime(NewSliceReader(recs)))
-	if got[0].Time != 0 || got[3].Time != 3000 {
-		t.Errorf("RebaseTime: %v", got)
-	}
-}

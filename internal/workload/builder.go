@@ -30,9 +30,6 @@ func (b *Builder) Len() int { return len(b.recs) }
 // Records returns the accumulated trace.
 func (b *Builder) Records() []trace.Record { return b.recs }
 
-// Clock returns the current virtual time in nanoseconds.
-func (b *Builder) Clock() int64 { return b.clock }
-
 // AdvanceClock adds idle time (e.g. between diurnal phases).
 func (b *Builder) AdvanceClock(ns int64) {
 	if ns > 0 {

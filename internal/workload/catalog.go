@@ -290,14 +290,3 @@ func Names() []string {
 	sort.Strings(cp)
 	return append(msr, cp...)
 }
-
-// BySource returns the catalog profiles from one trace family.
-func BySource(s Source) []Profile {
-	var out []Profile
-	for _, p := range Catalog() {
-		if p.Source == s {
-			out = append(out, p)
-		}
-	}
-	return out
-}

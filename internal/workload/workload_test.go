@@ -221,9 +221,6 @@ func TestCatalogComplete(t *testing.T) {
 	if len(Names()) != 21 {
 		t.Error("Names() incomplete")
 	}
-	if len(BySource(MSR)) != msr || len(BySource(CloudPhysics)) != cp {
-		t.Error("BySource mismatch")
-	}
 }
 
 func TestByName(t *testing.T) {
