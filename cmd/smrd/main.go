@@ -74,7 +74,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		sealEvery   = fs.Int64("seal-every", journal.DefaultSegmentSize, "seal a Merkle segment after this many journal records")
 		noVerify    = fs.Bool("no-verify-recover", false, "skip the seal-chain audit before recovering a journaled volume (corrupt journals will then recover as if merely torn)")
 		recWorkers  = fs.Int("recover-workers", 0, "verification workers per volume during journal recovery (0 = GOMAXPROCS, 1 = sequential); recovered state is identical at any count")
-		reqTimeout  = fs.Duration("request-timeout", 0, "per-request execution timeout once queued (0 = none); expiry closes a v1 connection, a pipelined one gets a timeout status")
+		reqTimeout  = fs.Duration("request-timeout", 0, "per-request execution timeout once queued (0 = none); expiry answers a timeout status and the connection stays open")
 		maxWindow   = fs.Int("max-window", 0, "cap on the per-connection in-flight window granted to SMRD2 pipelined clients (0 = built-in default)")
 		role        = fs.String("role", "standalone", `replication role: "standalone", "primary" or "follower" (primary/follower require -journal-dir)`)
 		replFrom    = fs.String("replicate-from", "", "follower only: the primary's address to pull sealed journal segments from")

@@ -15,7 +15,7 @@ import (
 // per-response latency, and SetCorrupt mutates response frame payloads
 // in flight — the corrupt-shipped-segment scenario.
 //
-// The server→client direction is forwarded frame-aware (the 5-byte
+// The server→client direction is forwarded frame-aware (the 7-byte
 // hello verbatim, then length-prefixed frames) so corruption and delay
 // hit whole response payloads; the client→server direction is a plain
 // byte copy.
@@ -118,23 +118,14 @@ func (p *Proxy) serve() {
 // pumpResponses forwards the server→client direction frame by frame,
 // applying the configured delay and corruption.
 func (p *Proxy) pumpResponses(dst io.Writer, src io.Reader) {
-	// The server's hello precedes the framed stream: 5 bytes, plus a
-	// 2-byte granted window when SMRD2 was negotiated.
-	var hello [5]byte
+	// The server's hello precedes the framed stream: magic, version and
+	// the granted window, 7 bytes.
+	var hello [7]byte
 	if _, err := io.ReadFull(src, hello[:]); err != nil {
 		return
 	}
 	if _, err := dst.Write(hello[:]); err != nil {
 		return
-	}
-	if hello[4] >= 2 {
-		var window [2]byte
-		if _, err := io.ReadFull(src, window[:]); err != nil {
-			return
-		}
-		if _, err := dst.Write(window[:]); err != nil {
-			return
-		}
 	}
 	var hdr [4]byte
 	for {

@@ -20,12 +20,12 @@ func TestV2ServerSteadyStateAllocs(t *testing.T) {
 	}
 	defer conn.Close()
 	const batch = 64
-	ver, window, err := clientHello(conn, Version2, batch)
+	window, err := clientHello(conn, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != Version2 || window != batch {
-		t.Fatalf("negotiated v%d window %d, want v2 window %d", ver, window, batch)
+	if window != batch {
+		t.Fatalf("negotiated window %d, want %d", window, batch)
 	}
 	var frames []byte
 	for i := 0; i < batch; i++ {
@@ -80,7 +80,7 @@ func TestAsyncClientSteadyStateAllocs(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, _, err := serverHello(conn, 0); err != nil {
+		if _, err := serverHello(conn, 0); err != nil {
 			return
 		}
 		fr := newFrameReader(conn, nil)
@@ -112,7 +112,7 @@ func TestAsyncClientSteadyStateAllocs(t *testing.T) {
 	done := make(chan *Call, batch)
 	run := func() {
 		for i := 0; i < batch; i++ {
-			if _, err := ac.Submit(Request{Op: OpRead, Volume: "a", Extent: geom.Ext(geom.Sector(i*8), 8)}, done); err != nil {
+			if _, err := ac.submit(request{Op: OpRead, Volume: "a", Extent: geom.Ext(geom.Sector(i*8), 8)}, done); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,31 +9,14 @@ import (
 	"time"
 
 	"smrseek/internal/disk"
-	"smrseek/internal/geom"
 	"smrseek/internal/trace"
 )
 
-// Request describes one operation for AsyncClient.Submit. Extent is
-// used by write/read, Seq by proof, Gen/Off by ship/tail/ack; the rest
-// ignore them — the same shape the wire request carries.
-type Request struct {
-	Op     uint8
-	Volume string
-	Extent geom.Extent
-	Seq    int64
-	Gen    uint64
-	Off    int64
-}
-
-func (r Request) wire() request {
-	return request{Op: r.Op, Volume: r.Volume, Extent: r.Extent, Seq: r.Seq, Gen: r.Gen, Off: r.Off}
-}
-
-// ErrClientClosed is returned by Submit on a closed AsyncClient.
+// ErrClientClosed is returned by SubmitStep on a closed AsyncClient.
 var ErrClientClosed = errors.New("smrd: client closed")
 
 // Call is one in-flight pipelined request. The AsyncClient delivers the
-// completed Call on the done channel passed to Submit; read the outcome
+// completed Call on the done channel passed to SubmitStep; read the outcome
 // with Result (or the typed helpers on AsyncClient).
 type Call struct {
 	// ID is the request's wire ID, unique per connection.
@@ -64,24 +47,20 @@ func (c *Call) Result() ([]byte, error) {
 // AsyncClient is one pipelined smrd connection: up to the negotiated
 // window of requests in flight, responses matched by ID and completed
 // out of order. Safe for concurrent use — any number of goroutines may
-// Submit; each Call comes back on the done channel its submitter chose
+// submit; each Call comes back on the done channel its submitter chose
 // (the volume.TryDo idiom: the channel must be buffered with room for
 // every call outstanding on it).
 //
-// Submit only encodes the request into a shared buffer. A writer
+// Submitting only encodes the request into a shared buffer. A writer
 // goroutine sends everything queued since its last write in one Write,
 // and a reader goroutine slices responses out of one buffered Read, so
 // a full window costs a few syscalls rather than two per request.
-//
-// Negotiated against a v1 server the client degrades transparently:
-// no IDs on the wire, window forced to 1, strict request/response order.
 type AsyncClient struct {
-	addr    string
-	conn    net.Conn
-	version uint8
-	window  int
+	addr   string
+	conn   net.Conn
+	window int
 
-	// slots holds one token per window seat; Submit acquires before
+	// slots holds one token per window seat; submit acquires before
 	// registering, completion releases. Capacity bounds the pipeline.
 	slots  chan struct{}
 	broken chan struct{} // closed on the first transport failure
@@ -100,23 +79,20 @@ type AsyncClient struct {
 	writerDone chan struct{}
 }
 
-// DialAsync connects with the SMRD2 protocol, requesting the given
-// window (0 = server default). The granted window — possibly clamped by
-// the server — is available via Window.
+// DialAsync connects, requesting the given window (0 = server default).
+// The granted window — possibly clamped by the server — is available
+// via Window.
 func DialAsync(addr string, window int) (*AsyncClient, error) {
-	return DialAsyncContext(context.Background(), addr, Version2, window)
+	return dialAsync(context.Background(), addr, window)
 }
 
-// DialAsyncContext is DialAsync with caller-controlled cancellation and
-// an explicit protocol version ceiling (Version forces the legacy
-// synchronous wire format; the window is then 1 regardless of the
-// request).
-func DialAsyncContext(ctx context.Context, addr string, version uint8, window int) (*AsyncClient, error) {
+// dialAsync is DialAsync with caller-controlled cancellation.
+func dialAsync(ctx context.Context, addr string, window int) (*AsyncClient, error) {
 	conn, err := dialRetry(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	ac, err := newAsyncClient(conn, addr, version, window)
+	ac, err := newAsyncClient(conn, addr, window)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -153,19 +129,18 @@ func dialRetry(ctx context.Context, addr string) (net.Conn, error) {
 
 // newAsyncClient performs the hello on an established connection and
 // starts the response reader.
-func newAsyncClient(conn net.Conn, addr string, version uint8, window int) (*AsyncClient, error) {
-	negVersion, negWindow, err := clientHello(conn, version, window)
+func newAsyncClient(conn net.Conn, addr string, window int) (*AsyncClient, error) {
+	granted, err := clientHello(conn, window)
 	if err != nil {
 		return nil, err
 	}
 	ac := &AsyncClient{
 		addr:       addr,
 		conn:       conn,
-		version:    negVersion,
-		window:     negWindow,
-		slots:      make(chan struct{}, negWindow),
+		window:     granted,
+		slots:      make(chan struct{}, granted),
 		broken:     make(chan struct{}),
-		pending:    make(map[uint64]*Call, negWindow),
+		pending:    make(map[uint64]*Call, granted),
 		kick:       make(chan struct{}, 1),
 		readerDone: make(chan struct{}),
 		writerDone: make(chan struct{}),
@@ -174,9 +149,6 @@ func newAsyncClient(conn net.Conn, addr string, version uint8, window int) (*Asy
 	go ac.writer()
 	return ac, nil
 }
-
-// Version returns the negotiated protocol version.
-func (ac *AsyncClient) Version() uint8 { return ac.version }
 
 // Window returns the granted in-flight window.
 func (ac *AsyncClient) Window() int { return ac.window }
@@ -193,16 +165,8 @@ func (ac *AsyncClient) Close() error {
 	return err
 }
 
-// Submit sends one request into the pipeline, blocking only while the
-// window is full. The Call is delivered on done when its response
-// arrives (or the connection fails). done must be buffered with
-// capacity for every call outstanding on it — the delivery never
-// blocks, matching the volume.TryDo contract.
-func (ac *AsyncClient) Submit(req Request, done chan *Call) (*Call, error) {
-	return ac.submit(req.wire(), done)
-}
-
-// SubmitStep submits one trace record as the matching read/write.
+// SubmitStep submits one trace record as the matching read/write; see
+// submit for the done channel's contract.
 func (ac *AsyncClient) SubmitStep(vol string, rec trace.Record, done chan *Call) (*Call, error) {
 	switch rec.Kind {
 	case disk.Write:
@@ -214,9 +178,14 @@ func (ac *AsyncClient) SubmitStep(vol string, rec trace.Record, done chan *Call)
 	}
 }
 
+// submit sends one request into the pipeline, blocking only while the
+// window is full. The Call is delivered on done when its response
+// arrives (or the connection fails). done must be buffered with
+// capacity for every call outstanding on it — the delivery never
+// blocks, matching the volume.TryDo contract.
 func (ac *AsyncClient) submit(req request, done chan *Call) (*Call, error) {
 	if done == nil || cap(done) == 0 {
-		return nil, errors.New("smrd: Submit requires a buffered done channel")
+		return nil, errors.New("smrd: the done channel must be buffered")
 	}
 	select {
 	case ac.slots <- struct{}{}:
@@ -239,24 +208,17 @@ func (ac *AsyncClient) submit(req request, done chan *Call) (*Call, error) {
 	ac.mu.Unlock()
 
 	ac.wmu.Lock()
-	mark := len(ac.out)
 	var err error
-	if ac.version >= Version2 {
-		ac.out, err = appendRequestV2(ac.out, call.ID, req)
-	} else {
-		ac.out, err = appendRequest(ac.out, req)
-	}
+	ac.out, err = appendRequestV2(ac.out, call.ID, req) // cut back on error
+	ac.wmu.Unlock()
 	if err != nil {
 		// Encode failure (caller error, nothing queued): unwind.
-		ac.out = ac.out[:mark]
-		ac.wmu.Unlock()
 		ac.mu.Lock()
 		delete(ac.pending, call.ID)
 		ac.mu.Unlock()
 		<-ac.slots
 		return nil, err
 	}
-	ac.wmu.Unlock()
 	select {
 	case ac.kick <- struct{}{}:
 	default: // a kick is already pending; the writer takes these bytes too
@@ -302,34 +264,14 @@ func (ac *AsyncClient) reader() {
 			ac.fail(&connError{fmt.Errorf("smrd: recv: %w", err)})
 			return
 		}
-		var (
-			id     uint64
-			status uint8
-			body   []byte
-		)
-		if ac.version >= Version2 {
-			id, status, body, err = parseResponseV2(frame)
-			if err != nil {
-				ac.fail(&connError{err})
-				return
-			}
-		} else {
-			status, body = frame[0], frame[1:]
+		id, status, body, err := parseResponseV2(frame)
+		if err != nil {
+			ac.fail(&connError{err})
+			return
 		}
 		ac.mu.Lock()
-		var call *Call
-		if ac.version >= Version2 {
-			call = ac.pending[id]
-			delete(ac.pending, id)
-		} else {
-			// v1 responses arrive strictly in request order and the window
-			// is 1: the sole pending call is the match.
-			for k, v := range ac.pending {
-				call = v
-				delete(ac.pending, k)
-				break
-			}
-		}
+		call := ac.pending[id]
+		delete(ac.pending, id)
 		ac.mu.Unlock()
 		if call == nil {
 			ac.fail(&connError{fmt.Errorf("smrd: response for unknown request id %d", id)})

@@ -84,20 +84,18 @@ func (p ReconnectPolicy) backoff(attempt int) time.Duration {
 }
 
 // Client is one synchronous smrd protocol connection: a window=1 view
-// over the pipelined AsyncClient, preserving the strict
-// request/response alternation the v1 protocol had. Not safe for
-// concurrent use; open one client per goroutine (or use AsyncClient).
+// over the pipelined AsyncClient, each request waiting for its
+// response. Not safe for concurrent use; open one client per goroutine
+// (or use AsyncClient).
 type Client struct {
 	ac         *AsyncClient
 	addr       string
-	version    uint8 // protocol ceiling to negotiate (Version or Version2)
 	done       chan *Call
 	policy     ReconnectPolicy
 	reconnects int64
 }
 
-// Dial connects and negotiates the protocol (SMRD2 where the server
-// supports it, at window 1), retrying refused connections briefly (the
+// Dial connects at window 1, retrying refused connections briefly (the
 // daemon may still be binding its listener).
 func Dial(addr string) (*Client, error) {
 	return DialContext(context.Background(), addr)
@@ -108,23 +106,15 @@ func Dial(addr string) (*Client, error) {
 // does. Replica sets use it to bound how long probing a dead node may
 // take.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
-	return DialVersion(ctx, addr, Version2)
-}
-
-// DialVersion is DialContext with an explicit protocol ceiling:
-// version Version forces the legacy v1 wire format even against an
-// SMRD2 server (the conformance tests pin v1 interop this way).
-func DialVersion(ctx context.Context, addr string, version uint8) (*Client, error) {
-	ac, err := DialAsyncContext(ctx, addr, version, 1)
+	ac, err := dialAsync(ctx, addr, 1)
 	if err != nil {
 		return nil, err
 	}
 	return &Client{
-		ac:      ac,
-		addr:    addr,
-		version: version,
-		done:    make(chan *Call, 1),
-		policy:  DefaultReconnect,
+		ac:     ac,
+		addr:   addr,
+		done:   make(chan *Call, 1),
+		policy: DefaultReconnect,
 	}, nil
 }
 
@@ -136,9 +126,6 @@ func (c *Client) SetReconnect(p ReconnectPolicy) { c.policy = p }
 // connection inside Step/Replay.
 func (c *Client) Reconnects() int64 { return c.reconnects }
 
-// Version returns the negotiated protocol version.
-func (c *Client) Version() uint8 { return c.ac.Version() }
-
 // Close closes the connection.
 func (c *Client) Close() error { return c.ac.Close() }
 
@@ -149,7 +136,7 @@ func (c *Client) reconnect() error {
 	if err != nil {
 		return &connError{fmt.Errorf("smrd: redial %s: %w", c.addr, err)}
 	}
-	ac, err := newAsyncClient(conn, c.addr, c.version, 1)
+	ac, err := newAsyncClient(conn, c.addr, 1)
 	if err != nil {
 		conn.Close()
 		return &connError{err}

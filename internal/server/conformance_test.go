@@ -1,9 +1,9 @@
 package server
 
-// Protocol conformance: the SMRD2 rewrite must be invisible at the
-// payload level. Every op, driven through a v1 client, a v2 client at
-// window 1, and a v2 client at window 64 against the same server build,
-// must produce byte-identical response bodies — and the volume behind
+// Protocol conformance: pipelining must be invisible at the payload
+// level. Every op, driven through a client at window 1 and a client at
+// window 64 against the same server build, must produce byte-identical
+// response bodies — and the volume behind
 // the wire must end bit-identical to a direct in-process run of the
 // same script. The journal directory is recreated at the SAME path for
 // every variant so path-bearing bodies (the verify audit) compare
@@ -72,24 +72,21 @@ func confTrace(t *testing.T) []trace.Record {
 	return recs
 }
 
-// runConfVariant executes the script through one protocol variant and
+// runConfVariant executes the script through a client at one window and
 // captures every response body plus the final wire Stats.
-func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom.Sector, version uint8, window int) (map[string][]byte, core.Stats) {
+func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom.Sector, window int) (map[string][]byte, core.Stats) {
 	t.Helper()
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
 	_, _, addr := newTestServer(t, Options{}, confVolume(dir, frontier))
 
-	ac, err := DialAsyncContext(context.Background(), addr, version, window)
+	ac, err := dialAsync(context.Background(), addr, window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ac.Close()
-	if ac.Version() != version {
-		t.Fatalf("negotiated version %d, want %d", ac.Version(), version)
-	}
-	if version >= Version2 && ac.Window() != window {
+	if ac.Window() != window {
 		t.Fatalf("negotiated window %d, want %d", ac.Window(), window)
 	}
 
@@ -97,7 +94,7 @@ func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom
 	// after it are strictly sequential.
 	n, err := ac.Replay("cv", trace.NewSliceReader(recs))
 	if err != nil {
-		t.Fatalf("pipelined replay (v%d w%d): %v", version, window, err)
+		t.Fatalf("pipelined replay (w%d): %v", window, err)
 	}
 	if n != int64(len(recs)) {
 		t.Fatalf("replayed %d of %d records", n, len(recs))
@@ -107,7 +104,7 @@ func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom
 	for _, op := range confOps {
 		body, err := ac.roundTrip(op.req)
 		if err != nil {
-			t.Fatalf("%s (v%d w%d): %v", op.name, version, window, err)
+			t.Fatalf("%s (w%d): %v", op.name, window, err)
 		}
 		bodies[op.name] = append([]byte(nil), body...)
 	}
@@ -166,17 +163,15 @@ func TestProtocolConformance(t *testing.T) {
 	want := runConfDirect(t, dir, recs, frontier)
 
 	variants := []struct {
-		name    string
-		version uint8
-		window  int
+		name   string
+		window int
 	}{
-		{"v1", Version, 1},
-		{"v2-w1", Version2, 1},
-		{"v2-w64", Version2, 64},
+		{"v2-w1", 1},
+		{"v2-w64", 64},
 	}
 	bodies := make(map[string]map[string][]byte, len(variants))
 	for _, vr := range variants {
-		b, st := runConfVariant(t, dir, recs, frontier, vr.version, vr.window)
+		b, st := runConfVariant(t, dir, recs, frontier, vr.window)
 		bodies[vr.name] = b
 		if !reflect.DeepEqual(st, want) {
 			t.Errorf("%s: wire stats diverged from direct run:\n got %+v\nwant %+v", vr.name, st, want)

@@ -11,8 +11,7 @@ import (
 	"smrseek/internal/volume"
 )
 
-// The request path, one per connection whatever its protocol version.
-// Each connection splits into two goroutines:
+// The request path: each connection splits into two goroutines.
 //
 //   - The reader (the serveConn goroutine) decodes request frames out of
 //     a frameReader over a pooled buffer (one Read takes every frame the
@@ -30,20 +29,11 @@ import (
 //     flushes in batches: everything ready now goes out in one Write, so
 //     the per-volume actor absorbs whole network batches per wakeup.
 //
-// The protocol version is framing only. An SMRD2 frame carries its
-// request ID and responses complete out of order. A v1 frame carries
-// none: the reader numbers frames itself, the writer omits the ID, the
-// window is 1, and — because a v1 client matches responses by position —
-// the reader takes the next frame only after the writer has flushed the
-// previous response (the next token), so frames written back to back
-// are served one at a time, in order.
-//
 // A timeout answers StatusTimeout; the eventual result is counted in
 // Abandoned and dropped. (Per-volume dispatch order is unaffected — the
-// request still executes; only its response is replaced.) On SMRD2 the
-// connection stays open and later requests proceed. On v1 the late
-// result would take the place of the next response, so the writer hangs
-// up instead, before it releases the reader.
+// request still executes; only its response is replaced.) Responses are
+// matched by ID, so the connection stays open and later requests
+// proceed.
 
 // flushThreshold caps how much encoded response the writer batches
 // before forcing a flush mid-drain.
@@ -80,12 +70,6 @@ type connection struct {
 	submits chan reqMeta       // metadata for dispatched volume requests
 	dead    chan struct{}      // closed when the writer exits
 
-	// v1 framing only: next carries one token per flushed response, and
-	// lastID (the reader's alone) is the number given to the last frame.
-	v1     bool
-	next   chan struct{}
-	lastID uint64
-
 	// outstanding counts dispatched volume requests whose results the
 	// writer has not yet consumed. Only the reader increments, so its
 	// window check can only over-count — never admit past the window.
@@ -100,7 +84,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	ver, window, err := serverHello(conn, s.opts.MaxWindow)
+	window, err := serverHello(conn, s.opts.MaxWindow)
 	if err != nil {
 		s.opts.Logf("smrd: %s: %v", conn.RemoteAddr(), err)
 		return
@@ -113,17 +97,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		direct:  make(chan directResp, window),
 		submits: make(chan reqMeta, window),
 		dead:    make(chan struct{}),
-		v1:      ver < Version2,
-	}
-	if c.v1 {
-		c.next = make(chan struct{}, 1)
 	}
 	s.wg.Add(1)
 	go c.writer()
 
 	names := make(nameCache)
 	fr := newFrameReader(conn, framePool.Get())
-read:
 	for {
 		frame, err := fr.next()
 		if err != nil {
@@ -134,15 +113,6 @@ read:
 		}
 		if !c.dispatch(frame, names) {
 			break
-		}
-		if c.v1 {
-			// Positional matching: the next frame waits for this one's
-			// response to be flushed.
-			select {
-			case <-c.next:
-			case <-c.dead:
-				break read
-			}
 		}
 	}
 	framePool.Put(fr.buf)
@@ -158,22 +128,11 @@ read:
 // writer) and must close.
 func (c *connection) dispatch(frame []byte, names nameCache) bool {
 	s := c.s
-	var (
-		id  uint64
-		req request
-		err error
-	)
-	if c.v1 {
-		c.lastID++
-		id = c.lastID
-		req, err = parseRequest(frame, names)
-	} else {
-		id, req, err = parseRequestV2(frame, names)
-		if err != nil && len(frame) < idSize {
-			// No ID to answer with: framing is broken, drop the link.
-			s.opts.Logf("smrd: %s: %v", c.conn.RemoteAddr(), err)
-			return false
-		}
+	id, req, err := parseRequestV2(frame, names)
+	if err != nil && len(frame) < idSize {
+		// No ID to answer with: framing is broken, drop the link.
+		s.opts.Logf("smrd: %s: %v", c.conn.RemoteAddr(), err)
+		return false
 	}
 	if err != nil {
 		return c.sendDirect(id, StatusBadRequest, []byte(err.Error()))
@@ -282,14 +241,6 @@ func (c *connection) sendRole(id uint64, info RoleInfo, err error) bool {
 	return c.sendDirect(id, StatusOK, body)
 }
 
-// appendResponse encodes one response frame in the connection's framing.
-func (c *connection) appendResponse(dst []byte, id uint64, status uint8, body []byte) []byte {
-	if c.v1 {
-		return appendResponse(dst, status, body)
-	}
-	return appendResponseV2(dst, id, status, body)
-}
-
 // writer is a connection's single writing goroutine: it owns the
 // response buffer and the connection's write side.
 func (c *connection) writer() {
@@ -333,15 +284,6 @@ func (c *connection) writer() {
 			}
 		}
 		out = out[:0]
-		if c.v1 {
-			// out held exactly one response. If it was a StatusTimeout, hang
-			// up before releasing the reader: it finds a closed connection,
-			// so no frame is dispatched behind the request that timed out.
-			if len(timedOut) > 0 {
-				c.conn.Close()
-			}
-			c.next <- struct{}{}
-		}
 	}
 
 	// complete consumes one volume result: reconcile metadata, encode or
@@ -374,7 +316,7 @@ func (c *connection) writer() {
 			return
 		}
 		if res.Err != nil {
-			out = c.appendResponse(out, id, statusOf(res.Err), []byte(res.Err.Error()))
+			out = appendResponseV2(out, id, statusOf(res.Err), []byte(res.Err.Error()))
 			return
 		}
 		if m.op == OpWrite && res.Seq > 0 && c.s.opts.Repl != nil {
@@ -406,7 +348,7 @@ func (c *connection) writer() {
 				direct = nil
 				break
 			}
-			out = c.appendResponse(out, dr.id, dr.status, dr.body)
+			out = appendResponseV2(out, dr.id, dr.status, dr.body)
 		case m, open := <-submits:
 			if !open {
 				submits = nil
@@ -437,7 +379,7 @@ func (c *connection) scanTimeouts(pending map[uint64]reqMeta, timedOut map[uint6
 	for id, m := range pending {
 		if !timedOut[id] && now.Sub(m.at) >= d {
 			timedOut[id] = true
-			*out = c.appendResponse(*out, id, StatusTimeout, msg)
+			*out = appendResponseV2(*out, id, StatusTimeout, msg)
 		}
 	}
 }
@@ -451,11 +393,11 @@ func (c *connection) appendOK(out []byte, id uint64, op uint8, res volume.Result
 		if c.s.opts.Repl != nil {
 			epoch = c.s.opts.Repl.Epoch()
 		}
-		return c.appendResponse(out, id, StatusOK, appendShipBody(nil, epoch, *res.Ship))
+		return appendResponseV2(out, id, StatusOK, appendShipBody(nil, epoch, *res.Ship))
 	case OpRead:
 		var body [4]byte
 		binary.LittleEndian.PutUint32(body[:], uint32(res.Frags))
-		return c.appendResponse(out, id, StatusOK, body[:])
+		return appendResponseV2(out, id, StatusOK, body[:])
 	case OpStat:
 		// Config holds layer pointers and interfaces that neither
 		// marshal round-trip nor mean anything to a remote client; zero
@@ -464,22 +406,22 @@ func (c *connection) appendOK(out []byte, id uint64, op uint8, res volume.Result
 		st.Config = core.Config{}
 		body, err := json.Marshal(&st)
 		if err != nil {
-			return c.appendResponse(out, id, StatusInternal, []byte(err.Error()))
+			return appendResponseV2(out, id, StatusInternal, []byte(err.Error()))
 		}
-		return c.appendResponse(out, id, StatusOK, body)
+		return appendResponseV2(out, id, StatusOK, body)
 	case OpVerify:
 		body, err := json.Marshal(res.Audit)
 		if err != nil {
-			return c.appendResponse(out, id, StatusInternal, []byte(err.Error()))
+			return appendResponseV2(out, id, StatusInternal, []byte(err.Error()))
 		}
-		return c.appendResponse(out, id, StatusOK, body)
+		return appendResponseV2(out, id, StatusOK, body)
 	case OpProof:
 		body, err := json.Marshal(res.Proof)
 		if err != nil {
-			return c.appendResponse(out, id, StatusInternal, []byte(err.Error()))
+			return appendResponseV2(out, id, StatusInternal, []byte(err.Error()))
 		}
-		return c.appendResponse(out, id, StatusOK, body)
+		return appendResponseV2(out, id, StatusOK, body)
 	default:
-		return c.appendResponse(out, id, StatusOK, nil)
+		return appendResponseV2(out, id, StatusOK, nil)
 	}
 }

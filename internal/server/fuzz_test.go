@@ -10,14 +10,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"smrseek/internal/geom"
 )
 
-// FuzzWireFrame throws arbitrary bytes at both v2 frame parsers and
-// pins the canonical-encoding property: whatever parses must re-encode
-// to exactly the bytes that parsed.
+// FuzzWireFrame throws arbitrary bytes at both frame parsers and pins
+// the canonical-encoding property: whatever parses must re-encode to
+// exactly the bytes that parsed. A parsed write or read extent must
+// also end within int64.
 func FuzzWireFrame(f *testing.F) {
 	// Valid request frames of every op as seeds (payload only, the way
 	// the read loop hands them to the parser).
@@ -43,10 +45,15 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(appendResponseV2(nil, 1, StatusOK, []byte{1, 2, 3, 4})[4:])
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, idSize+1))
+	// An extent whose end overflows int64.
+	seed(request{Op: OpWrite, Volume: "v", Extent: geom.Ext(math.MaxInt64-10, 100)})
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		names := make(nameCache)
 		if id, req, err := parseRequestV2(p, names); err == nil {
+			if (req.Op == OpWrite || req.Op == OpRead) && req.Extent.Start > math.MaxInt64-req.Extent.Count {
+				t.Fatalf("parsed extent %d+%d overflows int64", req.Extent.Start, req.Extent.Count)
+			}
 			enc, err := appendRequestV2(nil, id, req)
 			if err != nil {
 				t.Fatalf("re-encode of parsed request %+v: %v", req, err)
@@ -66,7 +73,9 @@ func FuzzWireFrame(f *testing.F) {
 
 // FuzzHello drives both hello directions with arbitrary peer bytes:
 // the server reading a fuzzed client hello, and the client reading a
-// fuzzed server reply. Whatever survives must be a sane negotiation.
+// fuzzed server reply. Whatever survives must be a sane negotiation:
+// the server accepts only a client version >= 2, and the client only
+// a server version of exactly 2.
 func FuzzHello(f *testing.F) {
 	f.Add([]byte("SMRD\x01"))
 	f.Add([]byte("SMRD\x02\x00\x00"))
@@ -81,26 +90,23 @@ func FuzzHello(f *testing.F) {
 			io.Reader
 			io.Writer
 		}{bytes.NewReader(p), io.Discard}
-		if version, window, err := serverHello(srv, 0); err == nil {
-			if version != Version && version != Version2 {
-				t.Fatalf("serverHello accepted version %d", version)
+		if window, err := serverHello(srv, 0); err == nil {
+			if p[len(Magic)] < Version2 {
+				t.Fatalf("serverHello accepted version %d", p[len(Magic)])
 			}
-			if window < 1 || window > HardMaxWindow {
+			if window < 1 || window > DefaultMaxWindow {
 				t.Fatalf("serverHello granted window %d", window)
-			}
-			if version == Version && window != 1 {
-				t.Fatalf("v1 negotiation granted window %d, want 1", window)
 			}
 		}
 		cli := struct {
 			io.Reader
 			io.Writer
 		}{bytes.NewReader(p), io.Discard}
-		if version, window, err := clientHello(cli, Version2, 8); err == nil {
-			if version != Version && version != Version2 {
-				t.Fatalf("clientHello accepted version %d", version)
+		if window, err := clientHello(cli, 8); err == nil {
+			if p[len(Magic)] != Version2 {
+				t.Fatalf("clientHello accepted version %d", p[len(Magic)])
 			}
-			if window < 1 || (version == Version2 && window > 8) {
+			if window < 1 || window > 8 {
 				t.Fatalf("clientHello accepted window %d beyond its request", window)
 			}
 		}

@@ -2,13 +2,12 @@ package server
 
 // Concurrency, leak and allocation coverage for the SMRD2 pipeline:
 // out-of-order completion under load (run with -race), shutdown with
-// requests in flight (exactly one outcome per Submit), the
+// requests in flight (exactly one outcome per submit), the
 // Abandoned-drain regression for timed-out pipelined requests, frame
 // pool get/put balance, the zero-alloc codec hot path, and the client's
 // coalescing writer (encode failures, concurrent submitters, teardown).
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -108,8 +107,8 @@ func TestPipelineShutdownInFlight(t *testing.T) {
 	}
 	defer ac.Close()
 
-	// A v1 connection's one request rides along: same contract.
-	ac1, err := DialAsyncContext(context.Background(), addr, Version, 1)
+	// A window-1 connection's one request rides along: same contract.
+	ac1, err := DialAsync(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +117,13 @@ func TestPipelineShutdownInFlight(t *testing.T) {
 	done := make(chan *Call, window+1)
 	var submitted int
 	for i := 0; i < window; i++ {
-		if _, err := ac.Submit(Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector(i*8), 8)}, done); err != nil {
+		if _, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector(i*8), 8)}, done); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		submitted++
 	}
-	if _, err := ac1.Submit(Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err != nil {
-		t.Fatalf("v1 submit: %v", err)
+	if _, err := ac1.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err != nil {
+		t.Fatalf("window-1 submit: %v", err)
 	}
 	submitted++
 	go srv.Close()
@@ -172,7 +171,7 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 
 	done := make(chan *Call, window)
 	for i := 0; i < window; i++ {
-		if _, err := ac.Submit(Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector(i*8), 8)}, done); err != nil {
+		if _, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector(i*8), 8)}, done); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -214,12 +213,11 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 }
 
 // TestMalformedFramesAndPoolBalance sends broken frames at a live
-// server. v2: a frame with an ID but a bad op must come back
+// server: a frame with an ID but a bad op must come back
 // StatusBadRequest with the connection intact; a frame too short to
-// carry an ID must close the connection. v1: there is no ID to miss, so
-// the same short frame is one more bad request on a connection that
-// stays up. Across the whole episode the frame pool's get/put counters
-// must stay balanced — no path leaks a pooled buffer.
+// carry an ID must close the connection. Across the whole episode the
+// frame pool's get/put counters must stay balanced — no path leaks a
+// pooled buffer.
 func TestMalformedFramesAndPoolBalance(t *testing.T) {
 	gets0, puts0 := framePool.Stats()
 	srv, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
@@ -229,12 +227,12 @@ func TestMalformedFramesAndPoolBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	version, window, err := clientHello(conn, Version2, 4)
+	window, err := clientHello(conn, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != Version2 || window != 4 {
-		t.Fatalf("negotiated v%d w%d, want v2 w4", version, window)
+	if window != 4 {
+		t.Fatalf("negotiated window %d, want 4", window)
 	}
 
 	// Bad op under a valid ID: clean error response, connection lives.
@@ -281,31 +279,6 @@ func TestMalformedFramesAndPoolBalance(t *testing.T) {
 		t.Fatal("server answered a frame with no request ID, want closed connection")
 	}
 
-	conn1 := rawDial(t, addr)
-	fr1 := newFrameReader(conn1, nil)
-	write1, err := appendRequest(nil, request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		frame []byte
-		want  uint8
-	}{
-		{short, StatusBadRequest},
-		{write1, StatusOK},
-	} {
-		if _, err := conn1.Write(tc.frame); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := fr1.next()
-		if err != nil {
-			t.Fatalf("v1: no response to frame %x: %v", tc.frame, err)
-		}
-		if resp[0] != tc.want {
-			t.Fatalf("v1: frame %x answered %s, want %s", tc.frame, StatusName(resp[0]), StatusName(tc.want))
-		}
-	}
-
 	srv.Close()
 	gets1, puts1 := framePool.Stats()
 	if got, put := gets1-gets0, puts1-puts0; got != put {
@@ -346,7 +319,7 @@ func TestV2CodecAllocs(t *testing.T) {
 	}
 }
 
-// TestAsyncSubmitAfterClose pins the submit/close contract: Submit on a
+// TestAsyncSubmitAfterClose pins the submit/close contract: submit on a
 // closed client fails fast with ErrClientClosed or the sticky transport
 // error — never a hang, never a nil Call delivery.
 func TestAsyncSubmitAfterClose(t *testing.T) {
@@ -357,8 +330,8 @@ func TestAsyncSubmitAfterClose(t *testing.T) {
 	}
 	ac.Close()
 	done := make(chan *Call, 1)
-	if _, err := ac.Submit(Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err == nil {
-		t.Fatal("Submit on a closed client succeeded")
+	if _, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err == nil {
+		t.Fatal("submit on a closed client succeeded")
 	}
 	select {
 	case call := <-done:
@@ -367,7 +340,7 @@ func TestAsyncSubmitAfterClose(t *testing.T) {
 	}
 }
 
-// TestV2SingleConnReplayDeterminism: a pipelined replay on one v2
+// TestV2SingleConnReplayDeterminism: a pipelined replay on one
 // connection dispatches in send order, so its volume stats must be
 // bit-identical to the synchronous client's replay of the same trace —
 // the determinism contract the conformance matrix relies on.
@@ -385,7 +358,7 @@ func TestV2SingleConnReplayDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			c, err := DialVersion(context.Background(), addr, Version)
+			c, err := Dial(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,53 +384,50 @@ func TestV2SingleConnReplayDeterminism(t *testing.T) {
 // TestAsyncClientEncodeFailureKeepsNeighbours: a request that fails to
 // encode (an over-long volume name) between two valid ones must leave
 // nothing of itself in the client's send buffer, so both valid requests
-// reach the server intact and are answered. In v1 framing the encoder
-// has already written the length prefix when the name check fails.
+// reach the server intact and are answered. The encoder has already
+// written the length prefix and ID when the name check fails.
 func TestAsyncClientEncodeFailureKeepsNeighbours(t *testing.T) {
 	_, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
 	long := strings.Repeat("x", MaxVolumeName+1)
 	const rounds = 16
-	for _, version := range []uint8{Version, Version2} {
-		ac, err := DialAsyncContext(context.Background(), addr, version, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan *Call, 2*rounds)
-		exchanged := make(chan struct{})
-		go func() {
-			// A stray byte on the wire stalls the exchange (in v1 inside
-			// Submit, waiting for the window's one seat), so it runs here
-			// and the test goroutine bounds it.
-			defer close(exchanged)
-			for i := 0; i < rounds; i++ {
-				ext := geom.Ext(geom.Sector(i*8), 8)
-				if _, err := ac.Submit(Request{Op: OpWrite, Volume: "v0", Extent: ext}, done); err != nil {
-					t.Errorf("v%d: write %d: %v", version, i, err)
-					return
-				}
-				if _, err := ac.Submit(Request{Op: OpWrite, Volume: long, Extent: ext}, done); err == nil {
-					t.Errorf("v%d: a %d-byte volume name was accepted", version, len(long))
-					return
-				}
-				if _, err := ac.Submit(Request{Op: OpRead, Volume: "v0", Extent: ext}, done); err != nil {
-					t.Errorf("v%d: read %d: %v", version, i, err)
-					return
-				}
+	ac, err := DialAsync(addr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ac.Close()
+	done := make(chan *Call, 2*rounds)
+	exchanged := make(chan struct{})
+	go func() {
+		// A stray byte on the wire stalls the exchange, so it runs here
+		// and the test goroutine bounds it.
+		defer close(exchanged)
+		for i := 0; i < rounds; i++ {
+			ext := geom.Ext(geom.Sector(i*8), 8)
+			if _, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: ext}, done); err != nil {
+				t.Errorf("write %d: %v", i, err)
+				return
 			}
-			for i := 0; i < 2*rounds; i++ {
-				call := <-done
-				if _, err := call.Result(); err != nil {
-					t.Errorf("v%d: call %d (op %d): %v", version, call.ID, call.Op, err)
-					return
-				}
+			if _, err := ac.submit(request{Op: OpWrite, Volume: long, Extent: ext}, done); err == nil {
+				t.Errorf("a %d-byte volume name was accepted", len(long))
+				return
 			}
-		}()
-		select {
-		case <-exchanged:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("v%d: valid requests around a rejected one went unanswered", version)
+			if _, err := ac.submit(request{Op: OpRead, Volume: "v0", Extent: ext}, done); err != nil {
+				t.Errorf("read %d: %v", i, err)
+				return
+			}
 		}
-		ac.Close()
+		for i := 0; i < 2*rounds; i++ {
+			call := <-done
+			if _, err := call.Result(); err != nil {
+				t.Errorf("call %d (op %d): %v", call.ID, call.Op, err)
+				return
+			}
+		}
+	}()
+	select {
+	case <-exchanged:
+	case <-time.After(10 * time.Second):
+		t.Fatal("valid requests around a rejected one went unanswered")
 	}
 }
 
@@ -486,11 +456,11 @@ func TestAsyncClientConcurrentSubmitters(t *testing.T) {
 			want := make(map[*Call]string, batch) // "" = a write answered ok
 			for b := 0; b < batches; b++ {
 				for i := 0; i < batch; i++ {
-					req := Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector((g*batches+b)*64+i*8), 8)}
+					req := request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector((g*batches+b)*64+i*8), 8)}
 					if i%2 == 1 {
 						req.Volume = fmt.Sprintf("g%d-b%d-i%d", g, b, i)
 					}
-					call, err := ac.Submit(req, done)
+					call, err := ac.submit(req, done)
 					if err != nil {
 						t.Error(err)
 						return
@@ -534,7 +504,7 @@ func TestAsyncClientCloseLeavesNoWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := make(chan *Call, 1)
-		if _, err := ac.Submit(Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err != nil {
+		if _, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := (<-done).Result(); err != nil {

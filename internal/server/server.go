@@ -53,16 +53,13 @@ type ReplHooks interface {
 type Options struct {
 	// RequestTimeout bounds one request's execution once admitted to a
 	// volume queue (0 = no bound). On expiry the client gets
-	// StatusTimeout. An SMRD2 connection stays open — responses are
-	// matched by ID, so the late result is harmless. A v1 connection is
-	// then closed: v1 matches responses by position, and the late result
-	// would stand in for the next one. Either way the request is still
-	// queued and will execute; its result is drained and counted (see
-	// Abandoned).
+	// StatusTimeout and the connection stays open — responses are
+	// matched by ID, so the late result is harmless. The request is
+	// still queued and will execute; its result is drained and counted
+	// (see Abandoned).
 	RequestTimeout time.Duration
 	// MaxWindow caps the per-connection in-flight window granted to
-	// SMRD2 clients (0 = DefaultMaxWindow). v1 connections are always
-	// window 1.
+	// clients (0 = DefaultMaxWindow).
 	MaxWindow int
 	// Repl attaches replication behavior (nil = standalone).
 	Repl ReplHooks

@@ -2,10 +2,11 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -34,7 +35,9 @@ func newTestServer(t *testing.T, opts Options, cfgs ...volume.Config) (*Server, 
 		mgr.Close()
 		t.Fatal(err)
 	}
-	opts.Logf = t.Logf
+	if opts.Logf == nil {
+		opts.Logf = t.Logf
+	}
 	srv := New(mgr, ln, opts)
 	t.Cleanup(func() {
 		srv.Close()
@@ -64,8 +67,8 @@ func TestWireRoundTrip(t *testing.T) {
 		{Op: OpRole, Volume: "v"},
 		{Op: OpPromote, Volume: "v"},
 	}
-	for _, want := range cases {
-		frame, err := appendRequest(nil, want)
+	for i, want := range cases {
+		frame, err := appendRequestV2(nil, uint64(i+1), want)
 		if err != nil {
 			t.Fatalf("append %+v: %v", want, err)
 		}
@@ -74,12 +77,12 @@ func TestWireRoundTrip(t *testing.T) {
 		if int(n) != len(frame)-4 {
 			t.Fatalf("length prefix %d, frame body %d", n, len(frame)-4)
 		}
-		got, err := parseRequest(frame[4:], nil)
+		id, got, err := parseRequestV2(frame[4:], nil)
 		if err != nil {
 			t.Fatalf("parse %+v: %v", want, err)
 		}
-		if got != want {
-			t.Errorf("round trip: got %+v want %+v", got, want)
+		if id != uint64(i+1) || got != want {
+			t.Errorf("round trip: got id %d %+v want id %d %+v", id, got, i+1, want)
 		}
 	}
 }
@@ -100,14 +103,16 @@ func TestWireRejectsMalformed(t *testing.T) {
 		{OpRole, 1, 'a', 0},    // trailing bytes on role
 		{OpPromote, 1, 'a', 0}, // trailing bytes on promote
 		{99, 0},                // unknown op
+		binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(
+			[]byte{OpWrite, 1, 'a'}, math.MaxInt64-10), 100), // extent end overflows int64
 	}
 	for _, p := range bad {
 		if _, err := parseRequest(p, nil); err == nil {
 			t.Errorf("parseRequest(%v) accepted malformed frame", p)
 		}
 	}
-	if _, err := appendRequest(nil, request{Op: OpStat, Volume: strings.Repeat("x", 300)}); err == nil {
-		t.Error("appendRequest accepted an over-long volume name")
+	if _, err := appendRequestV2(nil, 1, request{Op: OpStat, Volume: strings.Repeat("x", 300)}); err == nil {
+		t.Error("appendRequestV2 accepted an over-long volume name")
 	}
 }
 
@@ -210,7 +215,7 @@ func rawDial(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, _, err := clientHello(conn, Version, 0); err != nil {
+	if _, err := clientHello(conn, 0); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -221,15 +226,15 @@ func TestServerRejectsBadFrames(t *testing.T) {
 
 	// Malformed request payload: error response, connection stays up.
 	conn := rawDial(t, addr)
-	if _, err := conn.Write(appendResponse(nil, 99, nil)); err != nil { // op 99, no vlen
+	if _, err := conn.Write(appendResponseV2(nil, 5, 99, nil)); err != nil { // ID 5, op 99, no vlen
 		t.Fatal(err)
 	}
 	frame, err := newFrameReader(conn, nil).next()
 	if err != nil {
 		t.Fatalf("frame after bad op: %v", err)
 	}
-	if frame[0] != StatusBadRequest {
-		t.Errorf("bad op status = %s, want bad-request", StatusName(frame[0]))
+	if id, status, _, err := parseResponseV2(frame); err != nil || id != 5 || status != StatusBadRequest {
+		t.Errorf("bad op answered id %d status %s (err %v), want id 5 bad-request", id, StatusName(status), err)
 	}
 
 	// Oversize frame: the server drops the connection without reading it.
@@ -250,57 +255,99 @@ func TestServerRejectsBadFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn3.Close()
-	if _, err := conn3.Write([]byte("NOPE\x01")); err != nil {
+	if _, err := conn3.Write([]byte("NOPE\x02\x00\x00")); err != nil {
 		t.Fatal(err)
 	}
 	conn3.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf, _ := io.ReadAll(conn3)
-	if len(buf) > len(Magic)+1 {
-		t.Errorf("server kept talking (%d bytes) after bad magic", len(buf))
+	if len(buf) != 0 {
+		t.Errorf("server answered a bad magic with %d bytes", len(buf))
 	}
 }
 
-// TestV1BackToBackFramesAnsweredInOrder: v1 matches responses by
-// position, so a client that writes its frames back to back without
-// waiting must still be served one at a time, in order — never shed for
-// exceeding a window it has no way to observe.
-func TestV1BackToBackFramesAnsweredInOrder(t *testing.T) {
-	_, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
-	conn := rawDial(t, addr)
-	const n = 64
-	var frames []byte
-	for i := 0; i < n; i++ {
-		req := request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector(i*8), 8)}
-		if i%2 == 1 {
-			req.Op = OpRead
-		}
-		var err error
-		if frames, err = appendRequest(frames, req); err != nil {
+// TestV1HelloRefused: a client speaking the retired version 1 sends a
+// 5-byte hello and no window. The server must hang up without writing a
+// byte — not wait for window bytes that never come — log the version,
+// and leave every volume untouched.
+func TestV1HelloRefused(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	_, mgr, addr := newTestServer(t, Options{Logf: logf}, lsConfig("v0"))
+	v, _ := mgr.Get("v0")
+	stats := func() core.Stats {
+		done := make(chan volume.Result, 1)
+		if err := v.TryDo(volume.Request{Kind: volume.OpStat}, done); err != nil {
 			t.Fatal(err)
 		}
+		return *(<-done).Stats
 	}
-	if _, err := conn.Write(frames); err != nil {
+	before := stats()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	fr := newFrameReader(conn, nil)
-	for i := 0; i < n; i++ {
-		frame, err := fr.next()
-		if err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		if frame[0] != StatusOK {
-			t.Fatalf("response %d: %s %q, want ok", i, StatusName(frame[0]), frame[1:])
-		}
-		if got, want := len(frame)-1, 4*(i%2); got != want {
-			t.Fatalf("response %d: body %d bytes, want %d (responses out of order)", i, got, want)
-		}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(Magic + "\x01")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("v1 hello: %v, want the server to close the connection", err)
+	}
+	if len(buf) != 0 {
+		t.Errorf("server answered a v1 hello with %q", buf)
+	}
+	mu.Lock()
+	logged := strings.Join(logs, "\n")
+	mu.Unlock()
+	if !strings.Contains(logged, "client version 1") {
+		t.Errorf("log does not name version 1: %q", logged)
+	}
+	if after := stats(); after != before {
+		t.Errorf("v1 hello changed the volume's stats:\n before %+v\n after  %+v", before, after)
+	}
+}
+
+// TestOverflowingWriteKeepsJournaledVolume: a write whose extent end
+// overflows int64 is well framed, so it gets bad-request on a live
+// connection. It must never reach the journal, whose error would be
+// sticky and fail every later request on the volume.
+func TestOverflowingWriteKeepsJournaledVolume(t *testing.T) {
+	cfg := lsConfig("v0")
+	cfg.JournalDir = t.TempDir()
+	_, _, addr := newTestServer(t, Options{}, cfg)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Write("v0", geom.Ext(math.MaxInt64-10, 100))
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != StatusBadRequest {
+		t.Fatalf("overflowing write: %v, want bad-request", err)
+	}
+	if err := c.Write("v0", geom.Ext(0, 8)); err != nil {
+		t.Fatalf("write after the overflowing one: %v", err)
+	}
+	if _, err := c.Read("v0", geom.Ext(0, 8)); err != nil {
+		t.Fatalf("read after the overflowing write: %v", err)
 	}
 }
 
 // stallVolume blocks v's actor by handing it a request whose result
 // channel is already full, then fills the queue with one parked request.
-// The returned release function unblocks everything.
+// The returned release function unblocks everything and returns once
+// the parked request has executed, so a depth-1 queue has room again.
+// Calling it more than once is harmless.
 func stallVolume(t *testing.T, v *volume.Volume) (release func()) {
 	t.Helper()
 	stall := make(chan volume.Result, 1)
@@ -321,8 +368,89 @@ func stallVolume(t *testing.T, v *volume.Volume) (release func()) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	var once sync.Once
 	return func() {
-		<-stall // actor's blocked send completes; queue drains
+		once.Do(func() {
+			<-stall // actor's blocked send completes; queue drains
+			<-parked
+		})
+	}
+}
+
+// TestWindowOverrunShedByID: a client that writes more frames than its
+// granted window, back to back, has the excess shed with overloaded —
+// each answer carrying its own request ID — while the admitted ones
+// wait for the volume and then succeed, and the connection stays up.
+func TestWindowOverrunShedByID(t *testing.T) {
+	_, mgr, addr := newTestServer(t, Options{}, lsConfig("v0"))
+	v, _ := mgr.Get("v0")
+	release := stallVolume(t, v)
+	defer release()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const window, n = 4, 16
+	if got, err := clientHello(conn, window); err != nil || got != window {
+		t.Fatalf("hello: window %d, err %v; want %d", got, err, window)
+	}
+	var frames []byte
+	for id := uint64(1); id <= n; id++ {
+		if frames, err = appendRequestV2(frames, id, request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector(id*8), 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	fr := newFrameReader(conn, nil)
+	// collect reads k responses and returns their IDs, requiring status
+	// want (and, when non-empty, body msg) of each.
+	collect := func(k int, want uint8, msg string) map[uint64]bool {
+		t.Helper()
+		ids := make(map[uint64]bool, k)
+		for i := 0; i < k; i++ {
+			frame, err := fr.next()
+			if err != nil {
+				t.Fatalf("response %d: %v", i, err)
+			}
+			id, status, body, err := parseResponseV2(frame)
+			if err != nil || status != want || (msg != "" && string(body) != msg) {
+				t.Fatalf("response %d: id %d %s %q (err %v), want %s %q", i, id, StatusName(status), body, err, StatusName(want), msg)
+			}
+			if ids[id] {
+				t.Fatalf("id %d answered twice", id)
+			}
+			ids[id] = true
+		}
+		return ids
+	}
+	shed := collect(n-window, StatusOverloaded, "connection window exceeded")
+	for id := uint64(window + 1); id <= n; id++ {
+		if !shed[id] {
+			t.Errorf("request %d was not shed; shed %v", id, shed)
+		}
+	}
+	release()
+	ok := collect(window, StatusOK, "")
+	for id := uint64(1); id <= window; id++ {
+		if !ok[id] {
+			t.Errorf("request %d was not answered ok; ok %v", id, ok)
+		}
+	}
+	// The connection is still in service.
+	more, err := appendRequestV2(nil, n+1, request{Op: OpRead, Volume: "v0", Extent: geom.Ext(8, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(more); err != nil {
+		t.Fatal(err)
+	}
+	if ids := collect(1, StatusOK, ""); !ids[n+1] {
+		t.Errorf("follow-up answered with ids %v, want %d", ids, n+1)
 	}
 }
 
@@ -349,32 +477,52 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
+// TestServerRequestTimeout pins that a timeout is per request, not per
+// connection: on one pipelined connection a request to a stalled volume
+// times out while a request to a healthy volume, submitted after it,
+// succeeds; and the timed-out request still executes once the volume
+// frees, its result drained and counted rather than left wedged.
 func TestServerRequestTimeout(t *testing.T) {
-	srv, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
+	srv, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"), lsConfig("v1"))
 	v, _ := mgr.Get("v0")
 	release := stallVolume(t, v)
 	defer release()
 
-	// A v1 connection: synchronous ordering is the protocol, so a
-	// timeout must close the connection.
-	c, err := DialVersion(context.Background(), addr, Version)
+	ac, err := DialAsync(addr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	err = c.Write("v0", geom.Ext(0, 8))
-	var se *StatusError
-	if !errors.As(err, &se) || se.Status != StatusTimeout {
-		t.Fatalf("stalled write: err = %v, want StatusTimeout", err)
+	defer ac.Close()
+	if ac.Window() < 2 {
+		t.Fatalf("granted window %d, want >= 2", ac.Window())
 	}
-	// The server closed the connection after the timeout: ordering on
-	// this connection is no longer guaranteed.
+	done := make(chan *Call, 2)
+	stalled, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := ac.submit(request{Op: OpWrite, Volume: "v1", Extent: geom.Ext(0, 8)}, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		call := <-done
+		_, err := call.Result()
+		switch call.ID {
+		case stalled.ID:
+			var se *StatusError
+			if !errors.As(err, &se) || se.Status != StatusTimeout {
+				t.Errorf("stalled write: err = %v, want StatusTimeout", err)
+			}
+		case healthy.ID:
+			if err != nil {
+				t.Errorf("write to healthy volume beside a timeout: %v", err)
+			}
+		default:
+			t.Fatalf("response for unknown ID %d", call.ID)
+		}
+	}
 	release()
-	if err := c.Write("v0", geom.Ext(0, 8)); err == nil {
-		t.Error("v1 connection survived a timeout, want closed")
-	}
-	// The timed-out request still executed; its result is drained and
-	// counted, not left wedged in the completion channel.
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Abandoned() != 1 {
 		if time.Now().After(deadline) {
@@ -398,9 +546,6 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got, want := c.Version(), uint8(Version2); got != want {
-		t.Fatalf("negotiated version %d, want %d", got, want)
-	}
 	err = c.Write("v0", geom.Ext(0, 8))
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != StatusTimeout {
@@ -409,7 +554,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 	release()
 	// The same connection keeps working once the abandoned request has
 	// drained and released its window seat. Until then a window=1
-	// connection sheds — retryable, unlike v1's hard close.
+	// connection sheds, which is retryable.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		err := c.Write("v0", geom.Ext(0, 8))
@@ -417,7 +562,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 			break
 		}
 		if !IsOverloaded(err) {
-			t.Fatalf("write after v2 timeout: %v, want success or overloaded", err)
+			t.Fatalf("write after timeout: %v, want success or overloaded", err)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("window seat never freed after timeout: %v", err)
@@ -425,7 +570,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := srv.Abandoned(); n != 1 {
-		t.Errorf("Abandoned = %d after a v2 timeout drained, want 1", n)
+		t.Errorf("Abandoned = %d after a timeout drained, want 1", n)
 	}
 }
 

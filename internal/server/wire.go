@@ -3,24 +3,20 @@
 // and provides the matching client library used by cmd/smrload and the
 // end-to-end tests. The record layout is documented in docs/FORMATS.md.
 //
-// Two protocol versions share the framing. SMRD v1 is synchronous: one
-// request frame, one response frame, in order — per-volume ordering is
-// exactly the per-connection send order. SMRD2 multiplexes: every frame
-// carries a uint64 request ID, a client may keep up to a negotiated
-// window of requests in flight per connection, and responses complete
-// out of order (matched by ID). Requests from one connection are still
-// dispatched to the volume actor in send order, so a single v2
-// connection replaying a trace remains bit-deterministic; only the
-// responses are reordered. Version and window are negotiated in the
-// hello, and a v2 server accepts v1 clients unchanged: it serves both
-// versions from one request path (conn.go), the version selecting only
-// the framing.
+// The protocol is SMRD2: every frame carries a uint64 request ID, a
+// client may keep up to a negotiated window of requests in flight per
+// connection, and responses complete out of order (matched by ID).
+// Requests from one connection are dispatched to the volume actor in
+// send order, so a single connection replaying a trace is
+// bit-deterministic; only the responses are reordered. The window is
+// negotiated in the hello.
 package server
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +27,7 @@ import (
 // Protocol constants.
 const (
 	// Magic + version exchanged once per connection, client first.
-	Magic   = "SMRD"
-	Version = 1
+	Magic = "SMRD"
 	// Version2 is the multiplexed SMRD2 protocol: id-stamped frames,
 	// windowed pipelining, out-of-order completion.
 	Version2 = 2
@@ -45,7 +40,7 @@ const (
 	MaxVolumeName = 255
 
 	// DefaultWindow is the per-connection in-flight window granted to a
-	// v2 client that requests 0 ("server default").
+	// client that requests 0 ("server default").
 	DefaultWindow = 32
 	// DefaultMaxWindow caps the window a server grants unless
 	// Options.MaxWindow overrides it.
@@ -133,27 +128,13 @@ type request struct {
 	Off    int64       // ship/tail/ack only: requester's journal byte offset
 }
 
-// appendRequest encodes the request into dst's frame format:
+// appendRequestPayload encodes the request payload:
 //
-//	len uint32 LE | op uint8 | vlen uint8 | name | body
+//	op uint8 | vlen uint8 | name | body
 //
 // where body is `lba uint64 LE, count uint64 LE` for write/read,
 // `seq uint64 LE` for proof, `gen uint64 LE, off uint64 LE` for
-// ship/tail/ack, and empty otherwise.
-func appendRequest(dst []byte, req request) ([]byte, error) {
-	body := 2 + len(req.Volume)
-	switch req.Op {
-	case OpWrite, OpRead, OpShip, OpTail, OpAck:
-		body += 16
-	case OpProof:
-		body += 8
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(body))
-	return appendRequestPayload(dst, req)
-}
-
-// appendRequestPayload encodes the request payload without a length
-// prefix (the v2 encoder stamps the ID between prefix and payload).
+// ship/tail/ack, and empty otherwise. appendRequestV2 frames it.
 func appendRequestPayload(dst []byte, req request) ([]byte, error) {
 	if len(req.Volume) > MaxVolumeName {
 		return dst, fmt.Errorf("server: volume name %d bytes long (max %d)", len(req.Volume), MaxVolumeName)
@@ -173,7 +154,7 @@ func appendRequestPayload(dst []byte, req request) ([]byte, error) {
 	return dst, nil
 }
 
-// nameCache interns volume-name strings so the v2 reader's steady state
+// nameCache interns volume-name strings so the reader's steady state
 // allocates nothing per request: the first request for a volume pays one
 // string allocation, every later one reuses it. Bounded so a client
 // spraying names cannot grow it without limit.
@@ -192,8 +173,8 @@ func (nc nameCache) intern(b []byte) string {
 	return s
 }
 
-// parseRequest decodes a request frame payload (everything after the
-// length prefix), interning volume names through names (nil = allocate
+// parseRequest decodes a request payload (everything after the request
+// ID), interning volume names through names (nil = allocate
 // per call).
 func parseRequest(p []byte, names nameCache) (request, error) {
 	if len(p) < 2 {
@@ -218,6 +199,9 @@ func parseRequest(p []byte, names nameCache) (request, error) {
 		)
 		if req.Extent.Start < 0 || req.Extent.Count < 0 {
 			return request{}, fmt.Errorf("server: negative extent %v", req.Extent)
+		}
+		if req.Extent.Start > math.MaxInt64-req.Extent.Count {
+			return request{}, fmt.Errorf("server: extent %d+%d overflows int64", req.Extent.Start, req.Extent.Count)
 		}
 	case OpProof:
 		if len(p) != 8 {
@@ -244,19 +228,6 @@ func parseRequest(p []byte, names nameCache) (request, error) {
 		return request{}, fmt.Errorf("server: unknown op %d", req.Op)
 	}
 	return req, nil
-}
-
-// appendResponse encodes a response frame:
-//
-//	len uint32 LE | status uint8 | body
-//
-// For StatusOK the body is op-specific (read: frags uint32 LE; stat:
-// JSON statistics; write/snapshot: empty). For errors it is a UTF-8
-// message.
-func appendResponse(dst []byte, status uint8, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(body)))
-	dst = append(dst, status)
-	return append(dst, body...)
 }
 
 // frameReader reads length-prefixed frames through a buffer it owns.
@@ -405,109 +376,88 @@ func parseShipBody(p []byte) (epoch uint64, c journal.ShipChunk, err error) {
 	return epoch, c, nil
 }
 
-// clientHello negotiates version and window from the client side. The
-// client sends Magic + its highest supported version; a v2 hello is
-// followed by a uint16 LE requested window (0 = server default). The
-// server answers Magic + negotiated version, plus the granted uint16
-// window when v2 was negotiated. The granted window never exceeds the
-// request (when the request was non-zero).
-func clientHello(rw io.ReadWriter, version uint8, window int) (negVersion uint8, negWindow int, err error) {
-	if version < Version || version > Version2 {
-		return 0, 0, fmt.Errorf("server: unsupported client version %d", version)
-	}
+// The hello is 7 bytes in either direction: Magic, the version byte
+// and a uint16 LE window. The client sends Version2 and its requested
+// window (0 = server default); the server answers Version2 and the
+// window it grants.
+
+// clientHello sends the client's hello and returns the granted window,
+// which never exceeds a non-zero request.
+func clientHello(rw io.ReadWriter, window int) (int, error) {
 	if window < 0 || window > HardMaxWindow {
-		return 0, 0, fmt.Errorf("server: requested window %d out of range [0, %d]", window, HardMaxWindow)
+		return 0, fmt.Errorf("server: requested window %d out of range [0, %d]", window, HardMaxWindow)
 	}
-	hello := append([]byte(Magic), version)
-	if version >= Version2 {
-		hello = binary.LittleEndian.AppendUint16(hello, uint16(window))
-	}
+	hello := binary.LittleEndian.AppendUint16(append([]byte(Magic), Version2), uint16(window))
 	if _, err := rw.Write(hello); err != nil {
-		return 0, 0, fmt.Errorf("server: hello: %w", err)
+		return 0, fmt.Errorf("server: hello: %w", err)
 	}
-	var peer [len(Magic) + 1]byte
-	if _, err := io.ReadFull(rw, peer[:]); err != nil {
-		return 0, 0, fmt.Errorf("server: hello: %w", err)
+	version, granted, err := readHello(rw)
+	if err != nil {
+		return 0, err
 	}
-	if string(peer[:len(Magic)]) != Magic {
-		return 0, 0, fmt.Errorf("server: bad hello magic %q", peer[:len(Magic)])
+	if version != Version2 {
+		return 0, fmt.Errorf("server: negotiated version %d, want %d", version, Version2)
 	}
-	negVersion = peer[len(Magic)]
-	if negVersion < Version || negVersion > version {
-		return 0, 0, fmt.Errorf("server: negotiated version %d, asked for <= %d", negVersion, version)
+	if granted < 1 || (window > 0 && granted > window) {
+		return 0, fmt.Errorf("server: granted window %d, requested %d", granted, window)
 	}
-	if negVersion < Version2 {
-		return negVersion, 1, nil
-	}
-	var wbuf [2]byte
-	if _, err := io.ReadFull(rw, wbuf[:]); err != nil {
-		return 0, 0, fmt.Errorf("server: hello window: %w", err)
-	}
-	negWindow = int(binary.LittleEndian.Uint16(wbuf[:]))
-	if negWindow < 1 || (window > 0 && negWindow > window) {
-		return 0, 0, fmt.Errorf("server: granted window %d, requested %d", negWindow, window)
-	}
-	return negVersion, negWindow, nil
+	return granted, nil
 }
 
-// serverHello answers a client hello: read the client's version (and
-// window request, for v2), clamp both, and reply. maxWindow <= 0 means
-// DefaultMaxWindow.
-func serverHello(rw io.ReadWriter, maxWindow int) (version uint8, window int, err error) {
-	var peer [len(Magic) + 1]byte
-	if _, err := io.ReadFull(rw, peer[:]); err != nil {
+// serverHello answers a client hello: read the client's window request,
+// clamp it, and reply. A client version above Version2 is served as
+// Version2. maxWindow <= 0 means DefaultMaxWindow.
+func serverHello(rw io.ReadWriter, maxWindow int) (int, error) {
+	version, window, err := readHello(rw)
+	if err != nil {
+		return 0, err
+	}
+	if version < Version2 {
+		return 0, fmt.Errorf("server: client version %d, want >= %d", version, Version2)
+	}
+	if maxWindow <= 0 {
+		maxWindow = DefaultMaxWindow
+	}
+	if window == 0 {
+		window = DefaultWindow
+	}
+	window = min(window, maxWindow, HardMaxWindow)
+	reply := binary.LittleEndian.AppendUint16(append([]byte(Magic), Version2), uint16(window))
+	if _, err := rw.Write(reply); err != nil {
+		return 0, fmt.Errorf("server: hello: %w", err)
+	}
+	return window, nil
+}
+
+// readHello reads a peer's hello. A version below Version2 is returned
+// before any window bytes are read: a peer that old sends none.
+func readHello(r io.Reader) (version uint8, window int, err error) {
+	var peer [len(Magic) + 1 + 2]byte
+	if _, err := io.ReadFull(r, peer[:len(Magic)+1]); err != nil {
 		return 0, 0, fmt.Errorf("server: hello: %w", err)
 	}
 	if string(peer[:len(Magic)]) != Magic {
 		return 0, 0, fmt.Errorf("server: bad hello magic %q", peer[:len(Magic)])
 	}
 	version = peer[len(Magic)]
-	if version < Version {
-		return 0, 0, fmt.Errorf("server: client version %d, want >= %d", version, Version)
+	if version < Version2 {
+		return version, 0, nil
 	}
-	requested := 0
-	if version >= Version2 {
-		version = Version2 // serve our highest; the client asked for at least it
-		var wbuf [2]byte
-		if _, err := io.ReadFull(rw, wbuf[:]); err != nil {
-			return 0, 0, fmt.Errorf("server: hello window: %w", err)
-		}
-		requested = int(binary.LittleEndian.Uint16(wbuf[:]))
+	if _, err := io.ReadFull(r, peer[len(Magic)+1:]); err != nil {
+		return 0, 0, fmt.Errorf("server: hello window: %w", err)
 	}
-	window = 1
-	if version >= Version2 {
-		if maxWindow <= 0 {
-			maxWindow = DefaultMaxWindow
-		}
-		if maxWindow > HardMaxWindow {
-			maxWindow = HardMaxWindow
-		}
-		window = requested
-		if window == 0 {
-			window = DefaultWindow
-		}
-		if window > maxWindow {
-			window = maxWindow
-		}
-	}
-	reply := append([]byte(Magic), version)
-	if version >= Version2 {
-		reply = binary.LittleEndian.AppendUint16(reply, uint16(window))
-	}
-	if _, err := rw.Write(reply); err != nil {
-		return 0, 0, fmt.Errorf("server: hello: %w", err)
-	}
-	return version, window, nil
+	return version, int(binary.LittleEndian.Uint16(peer[len(Magic)+1:])), nil
 }
 
-// v2 frame layout: the length-prefixed payload starts with the uint64 LE
-// request ID; the rest is exactly the v1 payload (request: op, vlen,
-// name, body; response: status, body). Frame boundaries are therefore
-// identical across versions — anything that walks frames (the chaos
-// proxy, frameReader) is version-agnostic.
+// Frame layout: a uint32 LE length, then a payload that starts with the
+// uint64 LE request ID. A request's ID is followed by the request
+// payload (appendRequestPayload); a response's by its status byte and
+// body. For StatusOK the body is op-specific (read: frags uint32 LE;
+// stat: JSON statistics; write/snapshot: empty); for errors it is a
+// UTF-8 message.
 const idSize = 8
 
-// appendRequestV2 encodes a v2 request frame: len | id | v1 payload.
+// appendRequestV2 encodes a request frame: len | id | payload.
 func appendRequestV2(dst []byte, id uint64, req request) ([]byte, error) {
 	lenAt := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // patched below
@@ -520,7 +470,7 @@ func appendRequestV2(dst []byte, id uint64, req request) ([]byte, error) {
 	return dst, nil
 }
 
-// parseRequestV2 splits a v2 request payload into its ID and the decoded
+// parseRequestV2 splits a request payload into its ID and the decoded
 // request.
 func parseRequestV2(p []byte, names nameCache) (uint64, request, error) {
 	if len(p) < idSize+1 {
@@ -531,7 +481,7 @@ func parseRequestV2(p []byte, names nameCache) (uint64, request, error) {
 	return id, req, err
 }
 
-// appendResponseV2 encodes a v2 response frame: len | id | status | body.
+// appendResponseV2 encodes a response frame: len | id | status | body.
 func appendResponseV2(dst []byte, id uint64, status uint8, body []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(idSize+1+len(body)))
 	dst = binary.LittleEndian.AppendUint64(dst, id)
@@ -539,7 +489,7 @@ func appendResponseV2(dst []byte, id uint64, status uint8, body []byte) []byte {
 	return append(dst, body...)
 }
 
-// parseResponseV2 splits a v2 response payload into ID, status and body.
+// parseResponseV2 splits a response payload into ID, status and body.
 func parseResponseV2(p []byte) (id uint64, status uint8, body []byte, err error) {
 	if len(p) < idSize+1 {
 		return 0, 0, nil, fmt.Errorf("server: v2 response frame %d bytes, want >= %d", len(p), idSize+1)

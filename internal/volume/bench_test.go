@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"smrseek/internal/core"
+	"smrseek/internal/disk"
 	"smrseek/internal/geom"
 	"smrseek/internal/server"
+	"smrseek/internal/trace"
 	"smrseek/internal/volume"
 )
 
@@ -123,12 +125,8 @@ func BenchmarkVolumeTCP(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				req := server.Request{
-					Op:     server.OpWrite,
-					Volume: "bench",
-					Extent: geom.Ext(geom.Sector((int64(i)*8)%(1<<20)), 8),
-				}
-				if _, err := ac.Submit(req, done); err != nil {
+				rec := trace.Record{Kind: disk.Write, Extent: geom.Ext(geom.Sector((int64(i)*8)%(1<<20)), 8)}
+				if _, err := ac.SubmitStep("bench", rec, done); err != nil {
 					b.Fatal(err)
 				}
 				if outstanding++; outstanding == bc.window {

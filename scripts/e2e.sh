@@ -13,18 +13,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 work=$(mktemp -d)
-trap 'kill "$pid" "${folpid:-}" 2>/dev/null || true; rm -rf "$work"' EXIT
+trap 'kill "$pid" "${ppid:-}" "${folpid:-}" 2>/dev/null || true; rm -rf "$work"' EXIT
 
 go build -o "$work/smrd" ./cmd/smrd
 go build -o "$work/smrload" ./cmd/smrload
 go build -o "$work/smrverify" ./cmd/smrverify
 
 # wait_addr LOGFILE: the daemon prints its bound address once the
-# listener is up; scrape it into $addr.
+# listener is up; scrape it into $addr. The log may not exist yet: the
+# background child, not this shell, creates it.
 wait_addr() {
 	addr=
 	for _ in $(seq 1 100); do
-		addr=$(sed -n 's/.*listening on \([^ ]*\).*/\1/p' "$1")
+		addr=$(sed -n 's/.*listening on \([^ ]*\).*/\1/p' "$1" 2>/dev/null) || true
 		[ -n "$addr" ] && break
 		kill -0 "$pid" 2>/dev/null || { cat "$1"; exit 1; }
 		sleep 0.1
