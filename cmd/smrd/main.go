@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		batch       = fs.Int("batch", volume.DefaultBatchSize, "max requests the actor drains per wakeup")
 		ckptEvery   = fs.Int64("checkpoint-every", 4096, "checkpoint a journaled volume after this many journal records (0 = only at shutdown)")
 		sealEvery   = fs.Int64("seal-every", journal.DefaultSegmentSize, "seal a Merkle segment after this many journal records")
-		noVerify    = fs.Bool("no-verify-recover", false, "skip the seal-chain audit before recovering a journaled volume (corrupt journals will then recover as if merely torn)")
 		recWorkers  = fs.Int("recover-workers", 0, "verification workers per volume during journal recovery (0 = GOMAXPROCS, 1 = sequential); recovered state is identical at any count")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request execution timeout once queued (0 = none); expiry answers a timeout status and the connection stays open")
 		maxWindow   = fs.Int("max-window", 0, "cap on the per-connection in-flight window granted to SMRD2 pipelined clients (0 = built-in default)")
@@ -86,7 +85,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfgs, err := parseVolumes(*volumes, *journalDir, geom.Sector(*frontier), *queueDepth, *batch, *ckptEvery, *sealEvery, *noVerify, *recWorkers)
+	cfgs, err := parseVolumes(*volumes, *journalDir, geom.Sector(*frontier), *queueDepth, *batch, *ckptEvery, *sealEvery, *recWorkers)
 	if err != nil {
 		return err
 	}
@@ -251,7 +250,7 @@ func splitAddrs(s string) []string {
 
 // parseVolumes expands the -volumes spec into volume configurations.
 // Grammar: spec := entry ("," entry)*; entry := name ("=" opt ("+" opt)*)?
-func parseVolumes(spec, journalDir string, frontier geom.Sector, queueDepth, batch int, ckptEvery, sealEvery int64, noVerify bool, recoverWorkers int) ([]volume.Config, error) {
+func parseVolumes(spec, journalDir string, frontier geom.Sector, queueDepth, batch int, ckptEvery, sealEvery int64, recoverWorkers int) ([]volume.Config, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("empty -volumes spec")
 	}
@@ -290,7 +289,6 @@ func parseVolumes(spec, journalDir string, frontier geom.Sector, queueDepth, bat
 			cfg.JournalDir = filepath.Join(journalDir, name)
 			cfg.CheckpointEvery = ckptEvery
 			cfg.SealEvery = sealEvery
-			cfg.SkipVerifyOnRecover = noVerify
 			cfg.RecoverWorkers = recoverWorkers
 		}
 		cfgs = append(cfgs, cfg)

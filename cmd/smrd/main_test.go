@@ -159,11 +159,11 @@ func TestDaemonJournalRestartResumes(t *testing.T) {
 
 func TestParseVolumesRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{"", "a=bogus", "=defrag", "a,,b"} {
-		if _, err := parseVolumes(spec, "", 1<<20, 0, 0, 0, 0, false, 0); err == nil {
+		if _, err := parseVolumes(spec, "", 1<<20, 0, 0, 0, 0, 0); err == nil {
 			t.Errorf("parseVolumes(%q) accepted a bad spec", spec)
 		}
 	}
-	cfgs, err := parseVolumes("a, b=defrag+prefetch+cache", "/j", 1<<20, 4, 2, 100, 8, false, 2)
+	cfgs, err := parseVolumes("a, b=defrag+prefetch+cache", "/j", 1<<20, 4, 2, 100, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,12 @@
 // volume count every volume sees exactly the trace the simulator would
 // see in a direct run. Overloaded responses are counted as sheds and
 // the record is retried, so backpressure shows up as latency + shed
-// count, not as lost trace records.
+// count, not as lost trace records. -window sets how many requests each
+// connection keeps in flight; the default of 1 is the synchronous
+// client.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +30,6 @@ import (
 	"smrseek"
 	"smrseek/internal/metrics"
 	"smrseek/internal/report"
-	"smrseek/internal/server"
 	"smrseek/internal/trace"
 )
 
@@ -76,13 +76,12 @@ func run(args []string, out io.Writer) error {
 		workloadName = fs.String("workload", "w91", "named synthetic workload to replay (see traceinfo -list)")
 		scale        = fs.Float64("scale", 0.05, "workload scale")
 		tracePath    = fs.String("trace", "", "trace file to replay instead of a named workload")
-		format       = fs.String("format", "cp", `trace format: "msr" or "cp"`)
+		format       = fs.String("format", "cp", `trace format: "msr", "cp" or "bin"`)
 		diskNum      = fs.Int("disk", -1, "MSR disk number filter (-1 = all)")
 		conns        = fs.Int("conns", 4, "concurrent connections")
 		qps          = fs.Float64("qps", 0, "aggregate target ops/sec across all connections (0 = unthrottled)")
 		maxRetries   = fs.Int("max-retries", 1000, "per-record retry budget when the server sheds with overloaded")
-		pipeline     = fs.Bool("pipeline", false, "use the SMRD2 pipelined client: keep a full window of requests in flight per connection")
-		window       = fs.Int("window", 0, "pipelined in-flight window per connection (0 = server default; implies -pipeline)")
+		window       = fs.Int("window", 1, "in-flight requests per connection (1 = synchronous; the server may clamp larger windows)")
 	)
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
@@ -91,8 +90,8 @@ func run(args []string, out io.Writer) error {
 	if *conns < 1 {
 		return fmt.Errorf("-conns must be >= 1")
 	}
-	if *window < 0 {
-		return fmt.Errorf("-window must be >= 0")
+	if *window < 1 {
+		return fmt.Errorf("-window %d must be >= 1", *window)
 	}
 	if *scale <= 0 {
 		return fmt.Errorf("-scale %v must be positive", *scale)
@@ -102,9 +101,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *maxRetries < 0 {
 		return fmt.Errorf("-max-retries %d must be >= 0", *maxRetries)
-	}
-	if *window > 0 {
-		*pipeline = true
 	}
 	vols := strings.Split(*volumes, ",")
 	for i := range vols {
@@ -133,12 +129,8 @@ func run(args []string, out io.Writer) error {
 	if *qps > 0 {
 		fmt.Fprintf(out, " at %.0f qps", *qps)
 	}
-	if *pipeline {
-		if *window > 0 {
-			fmt.Fprintf(out, " pipelined (window %d)", *window)
-		} else {
-			fmt.Fprint(out, " pipelined")
-		}
+	if *window > 1 {
+		fmt.Fprintf(out, " pipelined (window %d)", *window)
 	}
 	fmt.Fprintln(out)
 
@@ -156,11 +148,7 @@ func run(args []string, out io.Writer) error {
 		wg.Add(1)
 		go func(vol string) {
 			defer wg.Done()
-			if *pipeline {
-				errs <- drivePipelined(*addr, replicaSet, vol, pre, agg, interval, *maxRetries, *window)
-			} else {
-				errs <- drive(*addr, replicaSet, vol, pre, agg, interval, *maxRetries)
-			}
+			errs <- drive(*addr, replicaSet, vol, pre, agg, interval, *maxRetries, *window)
 		}(vols[i%len(vols)])
 	}
 	wg.Wait()
@@ -172,69 +160,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return render(out, agg, elapsed)
-}
-
-// stepper is what drive needs from a connection: a single-address
-// Client or a failover-aware replica Set.
-type stepper interface {
-	Step(vol string, rec trace.Record) (int, error)
-	Close() error
-}
-
-// drive replays the whole trace on one connection, pacing ops to
-// interval and retrying shed records. With a replica set, a dead or
-// demoted primary triggers client-side failover (promoting a follower
-// if needed) and the interrupted record is resent.
-func drive(addr string, replicaSet []string, vol string, pre *trace.Preloaded, agg *tally, interval time.Duration, maxRetries int) error {
-	var c stepper
-	if len(replicaSet) > 0 {
-		set, err := server.DialSet(context.Background(), replicaSet)
-		if err != nil {
-			return err
-		}
-		defer func() { agg.observeFailovers(set.Failovers(), set.Recoveries()) }()
-		c = set
-	} else {
-		cl, err := server.Dial(addr)
-		if err != nil {
-			return err
-		}
-		c = cl
-	}
-	defer c.Close()
-	var next time.Time
-	if interval > 0 {
-		next = time.Now()
-	}
-	r := pre.NewReader()
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			return r.Err()
-		}
-		if interval > 0 {
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-			next = next.Add(interval)
-		}
-		var sheds int64
-		opStart := time.Now()
-		for {
-			_, err := c.Step(vol, rec)
-			if err == nil {
-				break
-			}
-			if !server.IsOverloaded(err) {
-				return fmt.Errorf("volume %s: %w", vol, err)
-			}
-			if sheds++; sheds > int64(maxRetries) {
-				return fmt.Errorf("volume %s: record shed %d times, giving up", vol, maxRetries)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		agg.observe(time.Since(opStart), sheds)
-	}
 }
 
 func render(out io.Writer, agg *tally, elapsed time.Duration) error {
@@ -282,16 +207,9 @@ func loadTrace(workload string, scale float64, path, format string, diskNum int)
 		return nil, "", err
 	}
 	defer f.Close()
-	var r trace.Reader
-	switch format {
-	case "msr":
-		r = trace.NewMSRReader(f, diskNum)
-	case "cp":
-		r = trace.NewCPReader(f)
-	case "bin":
-		r = trace.NewBinaryReader(f)
-	default:
-		return nil, "", fmt.Errorf("unknown trace format %q", format)
+	r, err := smrseek.OpenTrace(f, smrseek.TraceFormat(format), diskNum)
+	if err != nil {
+		return nil, "", err
 	}
 	pre, err := trace.Preload(r)
 	if err != nil {

@@ -49,7 +49,7 @@ func run(args []string, out io.Writer) error {
 		workloadName = fs.String("workload", "", "named synthetic workload (see traceinfo -list)")
 		scale        = fs.Float64("scale", 0.5, "workload scale (multiplies base op count)")
 		tracePath    = fs.String("trace", "", "trace file to simulate instead of a named workload")
-		format       = fs.String("format", "cp", `trace format: "msr" or "cp"`)
+		format       = fs.String("format", "cp", `trace format: "msr", "cp" or "bin"`)
 		diskNum      = fs.Int("disk", -1, "MSR disk number filter (-1 = all)")
 		all          = fs.Bool("all", false, "run the full Figure 11 variant comparison")
 		layerName    = fs.String("layer", "", `translation layer: "segls" (finite log + greedy cleaning) or "mcache" (media cache); default is NoLS/LS per -ls`)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"smrseek"
+	"smrseek/internal/journal"
 	"smrseek/internal/obsv"
 )
 
@@ -206,6 +207,26 @@ func TestRunJournaled(t *testing.T) {
 	err := run(args, &again)
 	if err == nil || !strings.Contains(err.Error(), "-recover") {
 		t.Errorf("fresh run on used journal dir: err = %v, want refusal", err)
+	}
+}
+
+// TestRecoverRefusesDanglingJournal: standalone -recover is verified
+// recovery. A journal whose anchor names a checkpoint that no longer
+// exists is refused as corrupt, not replayed as if merely torn.
+func TestRecoverRefusesDanglingJournal(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	var buf bytes.Buffer
+	if err := run([]string{"-workload", "hm_1", "-scale", "0.2", "-journal", dir,
+		"-checkpoint-every", "20"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(journal.CheckpointPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	var rec bytes.Buffer
+	err := run([]string{"-journal", dir, "-recover"}, &rec)
+	if !errors.Is(err, journal.ErrCorrupt) {
+		t.Fatalf("-recover over a dangling journal: err = %v, want ErrCorrupt\noutput:\n%s", err, rec.String())
 	}
 }
 

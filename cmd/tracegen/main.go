@@ -28,7 +28,7 @@ func run(args []string) error {
 	var (
 		name   = fs.String("workload", "", "named synthetic workload to generate")
 		scale  = fs.Float64("scale", 1.0, "workload scale (multiplies base op count)")
-		format = fs.String("format", "cp", `output format: "msr" or "cp"`)
+		format = fs.String("format", "cp", `output format: "msr", "cp" or "bin"`)
 		out    = fs.String("o", "-", `output file ("-" for stdout)`)
 		list   = fs.Bool("list", false, "list available workloads and exit")
 	)

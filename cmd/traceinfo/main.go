@@ -32,7 +32,7 @@ func run(args []string) error {
 		name      = fs.String("workload", "", "named synthetic workload")
 		scale     = fs.Float64("scale", 0.5, "workload scale")
 		tracePath = fs.String("trace", "", "trace file to characterize")
-		format    = fs.String("format", "cp", `trace format: "msr" or "cp"`)
+		format    = fs.String("format", "cp", `trace format: "msr", "cp" or "bin"`)
 		diskNum   = fs.Int("disk", -1, "MSR disk number filter (-1 = all)")
 		list      = fs.Bool("list", false, "list available workloads and exit")
 		fit       = fs.Bool("fit", false, "also print a synthetic workload profile fitted to the trace")

@@ -422,7 +422,7 @@ func Example_server() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, err := server.Dial(addr)
+			cl, err := server.DialAsync(addr, 1)
 			if err != nil {
 				log.Fatal(err)
 			}

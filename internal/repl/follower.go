@@ -347,9 +347,6 @@ func (f *Follower) pull(name, dir string) {
 				f.sleep()
 				continue
 			}
-			// Pull handles its own redial; Step-level reconnection would
-			// only hide source death.
-			c.SetReconnect(server.ReconnectPolicy{})
 		}
 		if !scanned {
 			var err error
@@ -433,7 +430,6 @@ func (f *Follower) verifier(name, dir string, reqs <-chan verifyReq, ress chan<-
 			f.setPos(name, chunkPos(st))
 			if ack == nil {
 				if c, derr := server.DialContext(f.ctx, f.cfg.Source); derr == nil {
-					c.SetReconnect(server.ReconnectPolicy{})
 					ack = c
 				}
 			}

@@ -437,7 +437,6 @@ func (p *Primary) probe(peer string) {
 		return
 	}
 	defer c.Close()
-	c.SetReconnect(server.ReconnectPolicy{})
 	info, err := c.Role()
 	if err != nil {
 		return

@@ -56,7 +56,6 @@ func (c *Call) Result() ([]byte, error) {
 // and a reader goroutine slices responses out of one buffered Read, so
 // a full window costs a few syscalls rather than two per request.
 type AsyncClient struct {
-	addr   string
 	conn   net.Conn
 	window int
 
@@ -86,17 +85,30 @@ func DialAsync(addr string, window int) (*AsyncClient, error) {
 	return dialAsync(context.Background(), addr, window)
 }
 
-// dialAsync is DialAsync with caller-controlled cancellation.
+// dialAsync is DialAsync with caller-controlled cancellation: it dials,
+// performs the hello and starts the writer and response reader.
 func dialAsync(ctx context.Context, addr string, window int) (*AsyncClient, error) {
 	conn, err := dialRetry(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	ac, err := newAsyncClient(conn, addr, window)
+	granted, err := clientHello(conn, window)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
+	ac := &AsyncClient{
+		conn:       conn,
+		window:     granted,
+		slots:      make(chan struct{}, granted),
+		broken:     make(chan struct{}),
+		pending:    make(map[uint64]*Call, granted),
+		kick:       make(chan struct{}, 1),
+		readerDone: make(chan struct{}),
+		writerDone: make(chan struct{}),
+	}
+	go ac.reader()
+	go ac.writer()
 	return ac, nil
 }
 
@@ -125,29 +137,6 @@ func dialRetry(ctx context.Context, addr string) (net.Conn, error) {
 		return nil, fmt.Errorf("smrd: dial %s: %w", addr, err)
 	}
 	return conn, nil
-}
-
-// newAsyncClient performs the hello on an established connection and
-// starts the response reader.
-func newAsyncClient(conn net.Conn, addr string, window int) (*AsyncClient, error) {
-	granted, err := clientHello(conn, window)
-	if err != nil {
-		return nil, err
-	}
-	ac := &AsyncClient{
-		addr:       addr,
-		conn:       conn,
-		window:     granted,
-		slots:      make(chan struct{}, granted),
-		broken:     make(chan struct{}),
-		pending:    make(map[uint64]*Call, granted),
-		kick:       make(chan struct{}, 1),
-		readerDone: make(chan struct{}),
-		writerDone: make(chan struct{}),
-	}
-	go ac.reader()
-	go ac.writer()
-	return ac, nil
 }
 
 // Window returns the granted in-flight window.

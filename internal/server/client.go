@@ -6,9 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
-	"net"
-	"time"
 
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
@@ -36,51 +33,25 @@ func IsOverloaded(err error) bool {
 }
 
 // connError marks a transport-level failure (send or receive on a
-// broken connection), as opposed to a server response. Step/Replay
-// reconnect on these; a StatusError — including overload shedding —
-// always surfaces immediately.
+// broken connection), as opposed to a server response. A connection
+// that fails stays failed: the Client does not redial.
 type connError struct{ err error }
 
 func (e *connError) Error() string { return e.err.Error() }
 func (e *connError) Unwrap() error { return e.err }
 
-func isConnError(err error) bool {
+// NeedsFailover reports whether err means "this node can no longer
+// serve": a broken connection or a not-primary rejection. Everything
+// else — overload, corruption, bad requests, a request that fails to
+// encode — is the caller's to handle or report. Set and smrload's load
+// driver reconnect on exactly this predicate.
+func NeedsFailover(err error) bool {
 	var ce *connError
-	return errors.As(err, &ce)
-}
-
-// ReconnectPolicy bounds Step/Replay's automatic reconnection after a
-// broken connection: up to MaxAttempts redials, sleeping a jittered
-// exponential backoff between them, starting at Base and capped at Max.
-type ReconnectPolicy struct {
-	MaxAttempts int
-	Base        time.Duration
-	Max         time.Duration
-}
-
-// DefaultReconnect is the policy a dialed client starts with.
-var DefaultReconnect = ReconnectPolicy{
-	MaxAttempts: 5,
-	Base:        50 * time.Millisecond,
-	Max:         2 * time.Second,
-}
-
-// backoff returns the jittered sleep before redial attempt (0-based):
-// uniform over [d/2, d) where d = min(Base<<attempt, Max). The jitter
-// spreads a herd of clients reconnecting to a restarted daemon.
-func (p ReconnectPolicy) backoff(attempt int) time.Duration {
-	d := p.Base
-	for i := 0; i < attempt && d < p.Max; i++ {
-		d *= 2
+	if errors.As(err, &ce) {
+		return true
 	}
-	if d > p.Max {
-		d = p.Max
-	}
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)))
+	var se *StatusError
+	return errors.As(err, &se) && se.Status == StatusNotPrimary
 }
 
 // Client is one synchronous smrd protocol connection: a window=1 view
@@ -88,11 +59,8 @@ func (p ReconnectPolicy) backoff(attempt int) time.Duration {
 // response. Not safe for concurrent use; open one client per goroutine
 // (or use AsyncClient).
 type Client struct {
-	ac         *AsyncClient
-	addr       string
-	done       chan *Call
-	policy     ReconnectPolicy
-	reconnects int64
+	ac   *AsyncClient
+	done chan *Call
 }
 
 // Dial connects at window 1, retrying refused connections briefly (the
@@ -110,44 +78,11 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
-		ac:     ac,
-		addr:   addr,
-		done:   make(chan *Call, 1),
-		policy: DefaultReconnect,
-	}, nil
+	return &Client{ac: ac, done: make(chan *Call, 1)}, nil
 }
-
-// SetReconnect replaces the Step/Replay reconnection policy. A zero
-// MaxAttempts disables reconnection entirely.
-func (c *Client) SetReconnect(p ReconnectPolicy) { c.policy = p }
-
-// Reconnects returns how many times the client has re-established its
-// connection inside Step/Replay.
-func (c *Client) Reconnects() int64 { return c.reconnects }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.ac.Close() }
-
-// reconnect replaces a broken connection with a fresh negotiated one.
-func (c *Client) reconnect() error {
-	c.ac.Close()
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return &connError{fmt.Errorf("smrd: redial %s: %w", c.addr, err)}
-	}
-	ac, err := newAsyncClient(conn, c.addr, 1)
-	if err != nil {
-		conn.Close()
-		return &connError{err}
-	}
-	c.ac = ac
-	// The old connection's failure may have left its Call in c.done;
-	// a fresh channel keeps old deliveries from matching new requests.
-	c.done = make(chan *Call, 1)
-	c.reconnects++
-	return nil
-}
 
 // roundTrip sends one request and blocks for its response status + body.
 // Transport failures come back as *connError; server rejections as
@@ -234,26 +169,10 @@ func (c *Client) Prove(vol string, seq int64) (journal.Proof, error) {
 }
 
 // Step sends one trace record as the matching read/write request and
-// returns a read's fragment count (0 for writes). A broken connection
-// is redialed with capped, jittered exponential backoff (up to the
-// ReconnectPolicy's MaxAttempts) and the record resent — at-least-once
-// semantics: a record whose response was lost in flight may execute
-// twice. Server rejections, including ErrOverloaded backpressure, are
-// never retried here.
+// returns a read's fragment count (0 for writes). Errors surface as
+// they are: a broken connection stays broken (Set and smrload's driver
+// own reconnection), and overload shedding is the caller's to retry.
 func (c *Client) Step(vol string, rec trace.Record) (int, error) {
-	n, err := c.step(vol, rec)
-	for attempt := 0; isConnError(err) && attempt < c.policy.MaxAttempts; attempt++ {
-		time.Sleep(c.policy.backoff(attempt))
-		if rerr := c.reconnect(); rerr != nil {
-			err = rerr
-			continue
-		}
-		n, err = c.step(vol, rec)
-	}
-	return n, err
-}
-
-func (c *Client) step(vol string, rec trace.Record) (int, error) {
 	switch rec.Kind {
 	case disk.Write:
 		return 0, c.Write(vol, rec.Extent)
@@ -320,23 +239,4 @@ func (c *Client) Promote() (RoleInfo, error) {
 		return RoleInfo{}, fmt.Errorf("smrd: promote decode: %w", err)
 	}
 	return info, nil
-}
-
-// Replay streams every record of r to the named volume in order and
-// returns the op count. Each record blocks on its response, so the
-// volume executes the trace in exactly this order. Broken connections
-// are retried per Step's reconnect policy. For a pipelined replay that
-// keeps a whole window in flight, see AsyncClient.Replay.
-func (c *Client) Replay(vol string, r trace.Reader) (int64, error) {
-	var n int64
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			return n, r.Err()
-		}
-		if _, err := c.Step(vol, rec); err != nil {
-			return n, err
-		}
-		n++
-	}
 }

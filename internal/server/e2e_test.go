@@ -66,13 +66,13 @@ func TestE2EConcurrentDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			ac, err := DialAsync(addr, 1)
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
 				return
 			}
-			defer c.Close()
-			n, err := c.Replay(name, trace.NewSliceReader(recs))
+			defer ac.Close()
+			n, err := ac.Replay(name, trace.NewSliceReader(recs))
 			if err != nil {
 				t.Errorf("%s: replay: %v", name, err)
 				return
@@ -81,6 +81,12 @@ func TestE2EConcurrentDeterminism(t *testing.T) {
 				t.Errorf("%s: replayed %d of %d records", name, n, len(recs))
 				return
 			}
+			c, err := Dial(addr)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			defer c.Close()
 			st, err := c.Stat(name)
 			if err != nil {
 				t.Errorf("%s: stat: %v", name, err)

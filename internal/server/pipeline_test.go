@@ -136,7 +136,7 @@ func TestPipelineShutdownInFlight(t *testing.T) {
 			atomic.AddInt32(&completions, 1)
 			if _, err := call.Result(); err != nil {
 				var se *StatusError
-				if !isConnError(err) && !errors.As(err, &se) {
+				if !NeedsFailover(err) && !errors.As(err, &se) {
 					t.Errorf("call %d: unexpected outcome %v", call.ID, err)
 				}
 			}
@@ -342,30 +342,19 @@ func TestAsyncSubmitAfterClose(t *testing.T) {
 
 // TestV2SingleConnReplayDeterminism: a pipelined replay on one
 // connection dispatches in send order, so its volume stats must be
-// bit-identical to the synchronous client's replay of the same trace —
+// bit-identical to a window-1 (synchronous) replay of the same trace —
 // the determinism contract the conformance matrix relies on.
 func TestV2SingleConnReplayDeterminism(t *testing.T) {
 	recs := confTrace(t)
-	run := func(pipelined bool) volume.Result {
+	run := func(window int) volume.Result {
 		_, mgr, addr := newTestServer(t, Options{}, lsConfig("d0"))
-		if pipelined {
-			ac, err := DialAsync(addr, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ac.Close()
-			if _, err := ac.Replay("d0", trace.NewSliceReader(recs)); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if _, err := c.Replay("d0", trace.NewSliceReader(recs)); err != nil {
-				t.Fatal(err)
-			}
+		ac, err := DialAsync(addr, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ac.Close()
+		if _, err := ac.Replay("d0", trace.NewSliceReader(recs)); err != nil {
+			t.Fatal(err)
 		}
 		v, _ := mgr.Get("d0")
 		done := make(chan volume.Result, 1)
@@ -374,8 +363,8 @@ func TestV2SingleConnReplayDeterminism(t *testing.T) {
 		}
 		return <-done
 	}
-	sync := run(false)
-	pipe := run(true)
+	sync := run(1)
+	pipe := run(64)
 	if *sync.Stats != *pipe.Stats {
 		t.Errorf("pipelined replay diverged from synchronous:\n sync %+v\n pipe %+v", *sync.Stats, *pipe.Stats)
 	}

@@ -713,93 +713,6 @@ func TestServerVerifyAndProof(t *testing.T) {
 	}
 }
 
-// killableProxy forwards one TCP hop and can sever every live
-// connection on demand, simulating a dropped network or a daemon
-// restart out from under a connected client.
-type killableProxy struct {
-	ln      net.Listener
-	backend string
-	mu      sync.Mutex
-	conns   []net.Conn
-}
-
-func newKillableProxy(t *testing.T, backend string) *killableProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &killableProxy{ln: ln, backend: backend}
-	t.Cleanup(func() {
-		ln.Close()
-		p.Kill()
-	})
-	go p.serve()
-	return p
-}
-
-func (p *killableProxy) serve() {
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		up, err := net.Dial("tcp", p.backend)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		p.mu.Lock()
-		p.conns = append(p.conns, conn, up)
-		p.mu.Unlock()
-		go func() { io.Copy(up, conn); up.Close() }()
-		go func() { io.Copy(conn, up); conn.Close() }()
-	}
-}
-
-// Kill closes every connection currently flowing through the proxy.
-// The listener stays up, so clients can redial.
-func (p *killableProxy) Kill() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.conns {
-		c.Close()
-	}
-	p.conns = p.conns[:0]
-}
-
-func TestClientReconnects(t *testing.T) {
-	_, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
-	proxy := newKillableProxy(t, addr)
-	c, err := Dial(proxy.ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetReconnect(ReconnectPolicy{MaxAttempts: 4, Base: time.Millisecond, Max: 8 * time.Millisecond})
-
-	rec := trace.Record{Kind: disk.Write, Extent: geom.Ext(0, 8)}
-	if _, err := c.Step("v0", rec); err != nil {
-		t.Fatal(err)
-	}
-	proxy.Kill()
-	if _, err := c.Step("v0", rec); err != nil {
-		t.Fatalf("Step across a killed connection: %v", err)
-	}
-	if got := c.Reconnects(); got != 1 {
-		t.Errorf("Reconnects() = %d, want 1", got)
-	}
-
-	// With reconnection disabled the transport error surfaces instead.
-	proxy.Kill()
-	c.SetReconnect(ReconnectPolicy{})
-	if _, err := c.Step("v0", rec); err == nil {
-		t.Error("Step succeeded on a killed connection with reconnection disabled")
-	} else if c.Reconnects() != 1 {
-		t.Errorf("Reconnects() = %d after disabled policy, want still 1", c.Reconnects())
-	}
-}
-
 func TestClientStepDoesNotRetryOverload(t *testing.T) {
 	cfg := lsConfig("v0")
 	cfg.QueueDepth = 1
@@ -816,21 +729,5 @@ func TestClientStepDoesNotRetryOverload(t *testing.T) {
 	_, err = c.Step("v0", trace.Record{Kind: disk.Write, Extent: geom.Ext(0, 8)})
 	if !IsOverloaded(err) {
 		t.Fatalf("Step to saturated volume: %v, want overloaded", err)
-	}
-	if c.Reconnects() != 0 {
-		t.Errorf("overload triggered %d reconnects, want 0", c.Reconnects())
-	}
-}
-
-func TestBackoffCappedAndJittered(t *testing.T) {
-	p := ReconnectPolicy{MaxAttempts: 10, Base: 10 * time.Millisecond, Max: 80 * time.Millisecond}
-	for attempt := 0; attempt < 10; attempt++ {
-		d := min(p.Base<<attempt, p.Max)
-		for i := 0; i < 50; i++ {
-			got := p.backoff(attempt)
-			if got < d/2 || got >= d {
-				t.Fatalf("backoff(%d) = %v, want in [%v, %v)", attempt, got, d/2, d)
-			}
-		}
 	}
 }

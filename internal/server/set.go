@@ -15,8 +15,8 @@ import (
 // routes every operation to the current primary; when the primary dies
 // (connection error) or demotes (StatusNotPrimary), it re-probes the
 // set, promotes the most-caught-up follower if no primary answers, and
-// resends the operation — at-least-once semantics, exactly like
-// Client.Step's reconnect path.
+// resends the operation — at-least-once semantics: an operation whose
+// response was lost in flight may have executed on the old primary too.
 //
 // Like Client, a Set is not safe for concurrent use; open one per
 // goroutine.
@@ -33,9 +33,7 @@ type Set struct {
 	// ProbeTimeout bounds dialing one candidate during a probe round.
 	ProbeTimeout time.Duration
 
-	failovers  int64
-	recoveries []time.Duration
-	lastOK     time.Time
+	failovers int64
 }
 
 // DialSet probes addrs, connects to the serving primary (the one with
@@ -63,8 +61,8 @@ func (s *Set) Primary() string { return s.cur }
 
 // Reroute re-probes the set and re-elects (promoting a follower if
 // needed) the serving primary, for callers that hold their own data
-// connection — the pipelined load driver dials an AsyncClient at
-// Primary() and calls Reroute when that connection dies or demotes.
+// connection — smrload's load driver dials an AsyncClient at Primary()
+// and calls Reroute when that connection dies or demotes.
 // The caller owns failover accounting; Failovers is not incremented.
 func (s *Set) Reroute() error { return s.failover() }
 
@@ -75,11 +73,6 @@ func (s *Set) Epoch() uint64 { return s.epoch }
 // primary after the old one died or demoted.
 func (s *Set) Failovers() int64 { return s.failovers }
 
-// Recoveries returns the observed time-to-recovery of each failover:
-// the gap between the last pre-failover success and the first
-// post-failover success.
-func (s *Set) Recoveries() []time.Duration { return s.recoveries }
-
 // Close closes the current primary connection.
 func (s *Set) Close() error {
 	if s.c != nil {
@@ -88,26 +81,14 @@ func (s *Set) Close() error {
 	return nil
 }
 
-// needsFailover reports whether err means "this node can no longer
-// serve": a broken connection or a not-primary rejection. Everything
-// else — overload, corruption, bad requests — surfaces to the caller.
-func needsFailover(err error) bool {
-	if isConnError(err) {
-		return true
-	}
-	var se *StatusError
-	return errors.As(err, &se) && se.Status == StatusNotPrimary
-}
-
 // do runs op against the current primary, failing over and resending on
 // a dead or demoted node. At-least-once: an op whose response was lost
 // in flight may have executed on the old primary too.
 func (s *Set) do(op func(c *Client) error) error {
 	err := op(s.c)
-	if !needsFailover(err) {
+	if !NeedsFailover(err) {
 		return err
 	}
-	wasOK := s.lastOK
 	for attempt := 0; attempt < s.FailoverAttempts; attempt++ {
 		if s.ctx.Err() != nil {
 			return err
@@ -118,12 +99,9 @@ func (s *Set) do(op func(c *Client) error) error {
 		err = op(s.c)
 		if err == nil {
 			s.failovers++
-			if !wasOK.IsZero() {
-				s.recoveries = append(s.recoveries, time.Since(wasOK))
-			}
 			return nil
 		}
-		if !needsFailover(err) {
+		if !NeedsFailover(err) {
 			return err
 		}
 	}
@@ -160,8 +138,6 @@ func (s *Set) failover() error {
 		if err != nil {
 			continue
 		}
-		// Probing must not hang on a half-dead node.
-		c.SetReconnect(ReconnectPolicy{})
 		info, err := c.Role()
 		if err != nil {
 			c.Close()
@@ -208,7 +184,6 @@ func (s *Set) failover() error {
 	}
 	chosen := cands[best]
 	cands[best].c = nil // keep it out of the deferred close
-	chosen.c.SetReconnect(ReconnectPolicy{MaxAttempts: 2, Base: 25 * time.Millisecond, Max: 100 * time.Millisecond})
 	s.c = chosen.c
 	s.cur = chosen.addr
 	s.epoch = chosen.info.Epoch
@@ -256,9 +231,6 @@ func (s *Set) Step(vol string, rec trace.Record) (int, error) {
 		n, e = c.Step(vol, rec)
 		return e
 	})
-	if err == nil {
-		s.lastOK = time.Now()
-	}
 	return n, err
 }
 

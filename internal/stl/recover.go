@@ -175,10 +175,11 @@ func (l *LS) fill(lba geom.Extent, pba geom.Sector, gaps []extmap.Resolved) []ex
 
 // RecoverDir recovers from a journal directory as left by a crash: the
 // checkpoint (if any) plus the journal replayed on top, honouring the
-// generation rule that discards a stale journal. It does not verify the
-// seal chain; use RecoverDirWith for verified recovery.
+// generation rule that discards a stale journal. It is verified
+// recovery, exactly as a journaled volume and a promoted follower
+// recover: RecoverDirWith with VerifyOnRecover and the default workers.
 func RecoverDir(dir string) (*LS, ReplayStats, error) {
-	return RecoverDirWith(dir, RecoverOptions{})
+	return RecoverDirWith(dir, RecoverOptions{VerifyOnRecover: true})
 }
 
 // RecoverDirWith is RecoverDir with options. With VerifyOnRecover set

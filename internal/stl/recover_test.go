@@ -491,9 +491,9 @@ func TestRecoverDirWithVerify(t *testing.T) {
 	}
 	assertRecoveredEqual(t, live, rec)
 
-	// Unverified recovery of the same dir reports Verified=false.
-	if _, st, err := RecoverDir(dir); err != nil || st.Verified {
-		t.Errorf("unverified recovery: %+v, %v", st, err)
+	// RecoverDir is verified recovery too.
+	if _, st, err := RecoverDir(dir); err != nil || !st.Verified {
+		t.Errorf("RecoverDir: %+v, %v, want verified", st, err)
 	}
 
 	// Flip one byte inside the sealed region: verified recovery refuses

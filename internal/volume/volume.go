@@ -133,12 +133,6 @@ type Config struct {
 	// fill a segment before it is sealed with a chained Merkle root
 	// (0 = journal.DefaultSegmentSize).
 	SealEvery int64
-	// SkipVerifyOnRecover disables the seal-chain and checkpoint-linkage
-	// audit that otherwise runs before recovering JournalDir. Verification
-	// is on by default: a volume refuses to resume from a journal whose
-	// sealed history does not check out (journal.ErrCorrupt), while torn
-	// tails — plain crash residue — still recover.
-	SkipVerifyOnRecover bool
 	// RecoverWorkers bounds the worker pool verifying sealed segments
 	// during recovery of JournalDir (0 = GOMAXPROCS, 1 = sequential; see
 	// stl.RecoverOptions.Workers). The recovered state is bit-identical
@@ -273,7 +267,7 @@ func Open(cfg Config) (*Volume, error) {
 		if !simCfg.LogStructured {
 			return nil, fmt.Errorf("volume %s: journaling requires the log-structured layer", cfg.Name)
 		}
-		lg, recovered, rst, err := openJournal(cfg.JournalDir, simCfg.FrontierStart, cfg.SealEvery, !cfg.SkipVerifyOnRecover, cfg.RecoverWorkers)
+		lg, recovered, rst, err := openJournal(cfg.JournalDir, simCfg.FrontierStart, cfg.SealEvery, cfg.RecoverWorkers)
 		if err != nil {
 			return nil, fmt.Errorf("volume %s: %w", cfg.Name, err)
 		}
@@ -310,10 +304,11 @@ func Open(cfg Config) (*Volume, error) {
 
 // openJournal opens dir's write-ahead log, recovering and folding in any
 // state a previous run left behind: the recovered state becomes a fresh
-// checkpoint and the (possibly torn) journal is reborn clean. With
-// verify set, recovery audits the seal chain first and refuses a
-// directory with damage inside the sealed region (journal.ErrCorrupt).
-func openJournal(dir string, frontier geom.Sector, sealEvery int64, verify bool, workers int) (*journal.Log, *stl.LS, *stl.ReplayStats, error) {
+// checkpoint and the (possibly torn) journal is reborn clean. Recovery
+// audits the seal chain and checkpoint linkage first and refuses a
+// directory whose sealed history does not check out (journal.ErrCorrupt);
+// torn tails, plain crash residue, still recover.
+func openJournal(dir string, frontier geom.Sector, sealEvery int64, workers int) (*journal.Log, *stl.LS, *stl.ReplayStats, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, nil, nil, err
 	}
@@ -332,7 +327,7 @@ func openJournal(dir string, frontier geom.Sector, sealEvery int64, verify bool,
 		}
 		return lg, nil, nil, segSize(lg)
 	}
-	recovered, rst, err := stl.RecoverDirWith(dir, stl.RecoverOptions{VerifyOnRecover: verify, Workers: workers})
+	recovered, rst, err := stl.RecoverDirWith(dir, stl.RecoverOptions{VerifyOnRecover: true, Workers: workers})
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -319,9 +319,8 @@ func TestVolumeVerifyAndProofOps(t *testing.T) {
 	}
 }
 
-// TestVolumeRefusesCorruptJournal: recovery verification is on by
-// default and refuses a volume whose sealed journal was tampered with;
-// SkipVerifyOnRecover (and nothing else) lets it open.
+// TestVolumeRefusesCorruptJournal: recovery always verifies and refuses
+// a volume whose sealed journal was tampered with.
 func TestVolumeRefusesCorruptJournal(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -349,16 +348,6 @@ func TestVolumeRefusesCorruptJournal(t *testing.T) {
 	if _, err := volume.Open(cfg); !errors.Is(err, journal.ErrCorrupt) {
 		t.Fatalf("open over tampered journal dir: %v, want ErrCorrupt", err)
 	}
-	skip := cfg
-	skip.SkipVerifyOnRecover = true
-	v2, err := volume.Open(skip)
-	if err != nil {
-		t.Fatalf("SkipVerifyOnRecover open: %v", err)
-	}
-	if v2.Recovery == nil || v2.Recovery.Verified {
-		t.Errorf("skip-verify recovery stats: %+v", v2.Recovery)
-	}
-	v2.Close()
 }
 
 func TestVolumeClosed(t *testing.T) {

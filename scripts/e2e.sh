@@ -51,6 +51,16 @@ grep -q "pipelined (window 32)" "$work/load1p.log" || {
 	echo "pipelined run not reported"; cat "$work/load1p.log"; exit 1
 }
 
+# A submit error that is not a transport failure (a volume name too long
+# to encode) must end the run with exit 1, not retry it forever (124).
+long=$(printf '%0300d' 0)
+rc=0
+timeout 10 "$work/smrload" -addr "$addr" -volumes "$long" -workload w91 \
+	-scale 0.05 -conns 2 -window 32 >"$work/loadbad.log" 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || {
+	echo "over-long volume name: smrload exit $rc, want 1"; cat "$work/loadbad.log"; exit 1
+}
+
 # Graceful shutdown must drain, checkpoint and print the summary table.
 kill -TERM "$pid"
 wait "$pid"
