@@ -10,18 +10,6 @@
 //	smrd -volumes "hot=defrag+cache,cold=prefetch" -metrics-addr 127.0.0.1:8080
 //	smrd -volumes a -journal-dir /tmp/smrd    # durable: restart resumes
 //
-// Replication (requires -journal-dir on both sides):
-//
-//	smrd -volumes a -journal-dir /d/p -role primary -peers 127.0.0.1:4591
-//	smrd -volumes a -journal-dir /d/f -role follower \
-//	     -listen 127.0.0.1:4591 -replicate-from 127.0.0.1:4590
-//
-// A follower pulls sealed, Merkle-verified journal segments from the
-// primary and serves no data ops until promoted (by a failing-over
-// client or an OpPromote request); the primary gates write
-// acknowledgments on follower acks (see -sync-timeout) and fences
-// itself when a peer serves at a higher epoch.
-//
 // Shut down with SIGINT/SIGTERM: the daemon stops accepting, drains
 // every volume queue, checkpoints journaled state and prints a
 // per-volume summary.
@@ -44,7 +32,6 @@ import (
 	"smrseek/internal/geom"
 	"smrseek/internal/journal"
 	"smrseek/internal/obsv"
-	"smrseek/internal/repl"
 	"smrseek/internal/report"
 	"smrseek/internal/server"
 	"smrseek/internal/volume"
@@ -75,15 +62,22 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		recWorkers  = fs.Int("recover-workers", 0, "verification workers per volume during journal recovery (0 = GOMAXPROCS, 1 = sequential); recovered state is identical at any count")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request execution timeout once queued (0 = none); expiry answers a timeout status and the connection stays open")
 		maxWindow   = fs.Int("max-window", 0, "cap on the per-connection in-flight window granted to SMRD2 pipelined clients (0 = built-in default)")
-		role        = fs.String("role", "standalone", `replication role: "standalone", "primary" or "follower" (primary/follower require -journal-dir)`)
-		replFrom    = fs.String("replicate-from", "", "follower only: the primary's address to pull sealed journal segments from")
-		peers       = fs.String("peers", "", "comma-separated peer addresses; a primary polls them and fences itself on seeing a higher epoch, a promoted follower does the same")
-		syncTimeout = fs.Duration("sync-timeout", 500*time.Millisecond, "primary: bound on holding a write acknowledgment for a follower ack (0 = fully asynchronous replication)")
-		sealTick    = fs.Duration("force-seal-every", 250*time.Millisecond, "primary: force-seal the journal on this period so acknowledged tail records replicate promptly (0 = only on segment fill)")
 	)
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *maxWindow < 0 || *maxWindow > server.HardMaxWindow:
+		return fmt.Errorf("-max-window %d out of range [0, %d]", *maxWindow, server.HardMaxWindow)
+	case *reqTimeout < 0:
+		return fmt.Errorf("-request-timeout %v must be >= 0", *reqTimeout)
+	case *recWorkers < 0:
+		return fmt.Errorf("-recover-workers %d must be >= 0", *recWorkers)
+	case *sealEvery < 0:
+		return fmt.Errorf("-seal-every %d must be >= 0", *sealEvery)
+	case *ckptEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d must be >= 0", *ckptEvery)
 	}
 	cfgs, err := parseVolumes(*volumes, *journalDir, geom.Sector(*frontier), *queueDepth, *batch, *ckptEvery, *sealEvery, *recWorkers)
 	if err != nil {
@@ -93,84 +87,25 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, format+"\n", a...)
 	}
 
-	// Replication wiring. A primary subscribes each volume's seal chain
-	// before opening it; a follower opens nothing — its volumes are
-	// recovered at promotion from the journals its pull loops fill.
-	var (
-		repHooks server.ReplHooks
-		prim     *repl.Primary
-		fol      *repl.Follower
-	)
-	switch *role {
-	case "standalone":
-		if *replFrom != "" {
-			return fmt.Errorf("-replicate-from requires -role follower")
-		}
-	case "primary":
-		if *journalDir == "" {
-			return fmt.Errorf("-role primary requires -journal-dir")
-		}
-		prim, err = repl.NewPrimary(repl.PrimaryConfig{
-			Root:           *journalDir,
-			SyncTimeout:    *syncTimeout,
-			ForceSealEvery: *sealTick,
-			Peers:          splitAddrs(*peers),
-			Logf:           logf,
-		})
-		if err != nil {
-			return err
-		}
-		for i := range cfgs {
-			cfgs[i].OnSeal = prim.OnSeal(cfgs[i].Name)
-		}
-		repHooks = prim
-	case "follower":
-		if *journalDir == "" || *replFrom == "" {
-			return fmt.Errorf("-role follower requires -journal-dir and -replicate-from")
-		}
-		fol, err = repl.NewFollower(repl.FollowerConfig{
-			Root:           *journalDir,
-			Source:         *replFrom,
-			Configs:        cfgs,
-			SyncTimeout:    *syncTimeout,
-			ForceSealEvery: *sealTick,
-			Peers:          splitAddrs(*peers),
-			Logf:           logf,
-		})
-		if err != nil {
-			return err
-		}
-		repHooks = fol
-	default:
-		return fmt.Errorf("unknown -role %q (want standalone, primary or follower)", *role)
+	mgr, err := volume.OpenAll(cfgs...)
+	if err != nil {
+		return err
 	}
-
-	var mgr *volume.Manager
-	if fol == nil {
-		mgr, err = volume.OpenAll(cfgs...)
-		if err != nil {
-			return err
-		}
-		for _, name := range mgr.Names() {
-			v, _ := mgr.Get(name)
-			if r := v.Recovery; r != nil {
-				mbps := 0.0
-				if r.Elapsed > 0 {
-					mbps = float64(r.JournalBytes) / r.Elapsed.Seconds() / (1 << 20)
-				}
-				fmt.Fprintf(out, "smrd: volume %s recovered: checkpoint=%v, %d journal records replayed, verified=%v (%d sealed segments), %d bytes in %s (%.1f MB/s, workers=%d)\n",
-					name, r.FromCheckpoint, r.Replayed, r.Verified, r.SealedSegments,
-					r.JournalBytes, r.Elapsed.Round(time.Microsecond), mbps, r.Workers)
+	for _, name := range mgr.Names() {
+		v, _ := mgr.Get(name)
+		if r := v.Recovery; r != nil {
+			mbps := 0.0
+			if r.Elapsed > 0 {
+				mbps = float64(r.JournalBytes) / r.Elapsed.Seconds() / (1 << 20)
 			}
-		}
-		if prim != nil {
-			prim.AttachManager(mgr)
-			fmt.Fprintf(out, "smrd: replication primary at epoch %d\n", prim.Epoch())
+			fmt.Fprintf(out, "smrd: volume %s recovered: checkpoint=%v, %d journal records replayed, verified=%v (%d sealed segments), %d bytes in %s (%.1f MB/s, workers=%d)\n",
+				name, r.FromCheckpoint, r.Replayed, r.Verified, r.SealedSegments,
+				r.JournalBytes, r.Elapsed.Round(time.Microsecond), mbps, r.Workers)
 		}
 	}
 
 	var msrv *obsv.Server
-	if *metricsAddr != "" && mgr != nil {
+	if *metricsAddr != "" {
 		msrv, err = obsv.ServeRegistry(*metricsAddr, mgr.Registry(), *pprofFlag)
 		if err != nil {
 			mgr.Close()
@@ -182,70 +117,34 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		if mgr != nil {
-			mgr.Close()
-		}
+		mgr.Close()
 		return err
 	}
 	srv := server.New(mgr, ln, server.Options{
 		RequestTimeout: *reqTimeout,
 		MaxWindow:      *maxWindow,
-		Repl:           repHooks,
 		Logf:           logf,
 	})
-	if fol != nil {
-		fol.AttachServer(srv)
-		fol.Start()
-		fmt.Fprintf(out, "smrd: listening on %s (follower of %s, epoch %d)\n", srv.Addr(), *replFrom, fol.Epoch())
-	} else {
-		fmt.Fprintf(out, "smrd: listening on %s (volumes: %s)\n", srv.Addr(), strings.Join(mgr.Names(), ", "))
-	}
+	fmt.Fprintf(out, "smrd: listening on %s (volumes: %s)\n", srv.Addr(), strings.Join(mgr.Names(), ", "))
 
 	<-ctx.Done()
 	fmt.Fprintln(out, "smrd: shutting down")
 	// Ordering matters: stop the network first so no request can race a
-	// closing volume, then the replication loops, then drain + checkpoint
-	// the volumes.
+	// closing volume, then drain + checkpoint the volumes.
 	srv.Close()
-	if fol != nil {
-		fol.Close()
-		mgr = fol.Manager() // non-nil iff this follower was promoted
-	}
-	if prim != nil {
-		prim.Close()
-	}
-	var closeErr error
-	if mgr != nil {
-		closeErr = mgr.Close()
-	}
-	if prim != nil && prim.Degraded() > 0 {
-		fmt.Fprintf(out, "smrd: %d write acks released by degrade timeout (follower lagging)\n", prim.Degraded())
-	}
+	closeErr := mgr.Close()
 
 	tbl := report.NewTable("per-volume summary", "volume", "reads", "writes", "frag reads", "read seeks")
-	if mgr != nil {
-		for _, name := range mgr.Names() {
-			v, _ := mgr.Get(name)
-			st := v.Stats()
-			tbl.AddRow(name, report.HumanCount(st.Reads), report.HumanCount(st.Writes),
-				report.HumanCount(st.FragmentedReads), report.HumanCount(st.Disk.ReadSeeks))
-		}
+	for _, name := range mgr.Names() {
+		v, _ := mgr.Get(name)
+		st := v.Stats()
+		tbl.AddRow(name, report.HumanCount(st.Reads), report.HumanCount(st.Writes),
+			report.HumanCount(st.FragmentedReads), report.HumanCount(st.Disk.ReadSeeks))
 	}
 	if err := tbl.Render(out); err != nil {
 		return err
 	}
 	return closeErr
-}
-
-// splitAddrs splits a comma-separated address list, dropping empties.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // parseVolumes expands the -volumes spec into volume configurations.

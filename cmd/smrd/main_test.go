@@ -181,3 +181,28 @@ func TestParseVolumesRejectsBadSpecs(t *testing.T) {
 		t.Errorf("recover workers not threaded through: %d, want 2", b.RecoverWorkers)
 	}
 }
+
+// TestRunRejectsBadFlags: a flag value smrd would otherwise reinterpret
+// (a negative count read as the default, an oversized window clamped, a
+// negative timeout read as none) is an error before the daemon listens.
+func TestRunRejectsBadFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a daemon that wrongly starts shuts down at once
+	for _, args := range [][]string{
+		{"-max-window", "-5"},
+		{"-max-window", "100000"},
+		{"-request-timeout", "-1s"},
+		{"-recover-workers", "-3"},
+		{"-seal-every", "-1"},
+		{"-checkpoint-every", "-1"},
+	} {
+		var out bytes.Buffer
+		err := run(ctx, append([]string{"-listen", "127.0.0.1:0"}, args...), &out)
+		if err == nil || !strings.Contains(err.Error(), args[0]+" ") {
+			t.Errorf("%v: err = %v, want a rejection naming %s", args, err, args[0])
+		}
+		if strings.Contains(out.String(), "listening on") {
+			t.Errorf("%v: smrd listened before rejecting the flag:\n%s", args, out.String())
+		}
+	}
+}

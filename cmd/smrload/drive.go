@@ -8,7 +8,6 @@ package main
 // matter how many times it bounced (see TestPipelinedShedAccounting).
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -26,51 +25,35 @@ type recSlot struct {
 
 // drive replays the whole trace in order on one connection. Shed
 // records are resubmitted (maxRetries per record), after a 1 ms pause
-// when nothing else is in flight. A connection that fails the
-// server.NeedsFailover test — dead, or a demoted primary — triggers
-// failover: drain the broken window, redial the address or re-probe the
-// replica set, resubmit what never landed. Any other error ends the run.
-func drive(addr string, replicaSet []string, vol string, pre *trace.Preloaded, agg *tally, interval time.Duration, maxRetries, window int) error {
-	var set *server.Set
-	target := addr
-	if len(replicaSet) > 0 {
-		s, err := server.DialSet(context.Background(), replicaSet)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		set = s
-		target = set.Primary()
-	}
-	ac, err := server.DialAsync(target, window)
+// when nothing else is in flight. A lost connection (server.IsConnLost)
+// is redialed: drain the broken window, dial the address again, resubmit
+// what never landed. Any other error ends the run.
+func drive(addr, vol string, pre *trace.Preloaded, agg *tally, interval time.Duration, maxRetries, window int) error {
+	ac, err := server.DialAsync(addr, window)
 	if err != nil {
 		return err
 	}
 	defer func() { ac.Close() }()
 
 	var (
-		pending   = make(map[uint64]*recSlot) // request ID -> accounting slot
-		done      = make(chan *server.Call, ac.Window())
-		retryQ    []*recSlot
-		inflight  int
-		shed      bool // a shed record waits in retryQ
-		needFO    bool
-		failovers int64
-		recov     []time.Duration
-		lastOK    time.Time
+		pending  = make(map[uint64]*recSlot) // request ID -> accounting slot
+		done     = make(chan *server.Call, ac.Window())
+		retryQ   []*recSlot
+		inflight int
+		shed     bool // a shed record waits in retryQ
+		redial   bool
 	)
-	defer func() { agg.observeFailovers(failovers, recov) }()
 
 	// submit sends one record. A transport failure queues it to wait out
-	// the failover; any other submit error is fatal.
+	// the redial; any other submit error is fatal.
 	submit := func(sl *recSlot) error {
 		call, err := ac.SubmitStep(vol, sl.rec, done)
 		if err != nil {
-			if !server.NeedsFailover(err) {
+			if !server.IsConnLost(err) {
 				return fmt.Errorf("volume %s: %w", vol, err)
 			}
 			retryQ = append(retryQ, sl)
-			needFO = true
+			redial = true
 			return nil
 		}
 		pending[call.ID] = sl
@@ -79,8 +62,8 @@ func drive(addr string, replicaSet []string, vol string, pre *trace.Preloaded, a
 	}
 
 	// reap classifies one completion: success is observed (exactly once
-	// per record), sheds and failover-class errors re-queue the same
-	// slot, anything else is fatal.
+	// per record), sheds and lost connections re-queue the same slot,
+	// anything else is fatal.
 	reap := func(call *server.Call) error {
 		sl := pending[call.ID]
 		delete(pending, call.ID)
@@ -91,7 +74,6 @@ func drive(addr string, replicaSet []string, vol string, pre *trace.Preloaded, a
 		_, err := call.Result()
 		switch {
 		case err == nil:
-			lastOK = time.Now()
 			agg.observe(time.Since(sl.start), sl.sheds)
 		case server.IsOverloaded(err):
 			if sl.sheds++; sl.sheds > int64(maxRetries) {
@@ -99,46 +81,32 @@ func drive(addr string, replicaSet []string, vol string, pre *trace.Preloaded, a
 			}
 			retryQ = append(retryQ, sl)
 			shed = true
-		case server.NeedsFailover(err):
+		case server.IsConnLost(err):
 			retryQ = append(retryQ, sl)
-			needFO = true
+			redial = true
 		default:
 			return fmt.Errorf("volume %s: %w", vol, err)
 		}
 		return nil
 	}
 
-	failover := func() error {
+	reconnect := func() error {
 		ac.Close()
 		var lastErr error
 		for attempt := 0; attempt < 8; attempt++ {
 			if attempt > 0 {
 				time.Sleep(time.Duration(attempt) * 50 * time.Millisecond)
 			}
-			target := addr
-			if set != nil {
-				if err := set.Reroute(); err != nil {
-					lastErr = err
-					continue
-				}
-				target = set.Primary()
-			}
-			nac, err := server.DialAsync(target, window)
+			nac, err := server.DialAsync(addr, window)
 			if err != nil {
 				lastErr = err
 				continue
 			}
 			ac = nac
 			done = make(chan *server.Call, ac.Window())
-			if set != nil {
-				failovers++
-				if !lastOK.IsZero() {
-					recov = append(recov, time.Since(lastOK))
-				}
-			}
 			return nil
 		}
-		return fmt.Errorf("volume %s: failover exhausted: %w", vol, lastErr)
+		return fmt.Errorf("volume %s: redial exhausted: %w", vol, lastErr)
 	}
 
 	r := pre.NewReader()
@@ -148,11 +116,11 @@ func drive(addr string, replicaSet []string, vol string, pre *trace.Preloaded, a
 	}
 	rec, more := r.Next()
 	for more || inflight > 0 || len(retryQ) > 0 {
-		if needFO && inflight == 0 {
-			if err := failover(); err != nil {
+		if redial && inflight == 0 {
+			if err := reconnect(); err != nil {
 				return err
 			}
-			needFO = false
+			redial = false
 		}
 		// Back off before resending a shed record into an idle
 		// connection: -max-retries then spans at least that many
@@ -162,9 +130,9 @@ func drive(addr string, replicaSet []string, vol string, pre *trace.Preloaded, a
 		}
 		shed = false
 		// Fill the window: retries first (they are oldest), then fresh
-		// records, paced to the target rate. A failed submit sets needFO,
+		// records, paced to the target rate. A failed submit sets redial,
 		// which ends the fill.
-		for !needFO && inflight < ac.Window() {
+		for !redial && inflight < ac.Window() {
 			var sl *recSlot
 			if len(retryQ) > 0 {
 				sl, retryQ = retryQ[0], retryQ[1:]

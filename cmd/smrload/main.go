@@ -44,12 +44,10 @@ func main() {
 // in microseconds so the log2 histogram buckets resolve sub-millisecond
 // behavior.
 type tally struct {
-	mu        sync.Mutex
-	lat       *metrics.Histogram
-	ops       int64
-	sheds     int64
-	failovers int64
-	recov     []time.Duration // per-failover time-to-recovery
+	mu    sync.Mutex
+	lat   *metrics.Histogram
+	ops   int64
+	sheds int64
 }
 
 func (t *tally) observe(d time.Duration, sheds int64) {
@@ -60,18 +58,10 @@ func (t *tally) observe(d time.Duration, sheds int64) {
 	t.mu.Unlock()
 }
 
-func (t *tally) observeFailovers(n int64, recov []time.Duration) {
-	t.mu.Lock()
-	t.failovers += n
-	t.recov = append(t.recov, recov...)
-	t.mu.Unlock()
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("smrload", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:4590", "smrd daemon address")
-		addrsFlag    = fs.String("addrs", "", "comma-separated replica-set addresses; overrides -addr with failover-aware routing (ops follow the primary, a dead one triggers follower promotion)")
 		volumes      = fs.String("volumes", "v0", "comma-separated volume names; connections round-robin over them")
 		workloadName = fs.String("workload", "w91", "named synthetic workload to replay (see traceinfo -list)")
 		scale        = fs.Float64("scale", 0.05, "workload scale")
@@ -109,23 +99,12 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	var replicaSet []string
-	target := *addr
-	if *addrsFlag != "" {
-		for _, a := range strings.Split(*addrsFlag, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				replicaSet = append(replicaSet, a)
-			}
-		}
-		target = strings.Join(replicaSet, "|")
-	}
-
 	pre, name, err := loadTrace(*workloadName, *scale, *tracePath, *format, *diskNum)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "smrload: replaying %s (%s records) to %s over %d conns",
-		name, report.HumanCount(int64(pre.Len())), target, *conns)
+		name, report.HumanCount(int64(pre.Len())), *addr, *conns)
 	if *qps > 0 {
 		fmt.Fprintf(out, " at %.0f qps", *qps)
 	}
@@ -148,7 +127,7 @@ func run(args []string, out io.Writer) error {
 		wg.Add(1)
 		go func(vol string) {
 			defer wg.Done()
-			errs <- drive(*addr, replicaSet, vol, pre, agg, interval, *maxRetries, *window)
+			errs <- drive(*addr, vol, pre, agg, interval, *maxRetries, *window)
 		}(vols[i%len(vols)])
 	}
 	wg.Wait()
@@ -166,25 +145,13 @@ func render(out io.Writer, agg *tally, elapsed time.Duration) error {
 	agg.mu.Lock()
 	defer agg.mu.Unlock()
 	tput := float64(agg.ops) / elapsed.Seconds()
-	var maxRecov time.Duration
-	for _, r := range agg.recov {
-		if r > maxRecov {
-			maxRecov = r
-		}
-	}
-	ttr := "-"
-	if agg.failovers > 0 {
-		ttr = maxRecov.Round(time.Millisecond).String()
-	}
 	tbl := report.NewTable("load summary",
-		"ops", "elapsed", "throughput", "sheds", "failovers", "ttr max", "p50 µs", "p95 µs", "p99 µs")
+		"ops", "elapsed", "throughput", "sheds", "p50 µs", "p95 µs", "p99 µs")
 	tbl.AddRow(
 		report.HumanCount(agg.ops),
 		elapsed.Round(time.Millisecond).String(),
 		fmt.Sprintf("%.0f ops/s", tput),
 		report.HumanCount(agg.sheds),
-		report.HumanCount(agg.failovers),
-		ttr,
 		agg.lat.Quantile(0.50),
 		agg.lat.Quantile(0.95),
 		agg.lat.Quantile(0.99),

@@ -102,9 +102,6 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 // scope: interfaces call them, which a syntactic scan cannot see.
 func TestInternalNamesHaveUsers(t *testing.T) {
 	exempt := map[string]bool{
-		// A fault-injection harness that only tests import, so none of
-		// its names has a non-test user by design.
-		"internal/repl/chaos": true,
 		// The decoder of the trace format smrsim -trace-out writes: the
 		// reference that tests check the encoder against (replay ≡ live).
 		"internal/obsv.Replay": true,

@@ -94,7 +94,7 @@ func BenchmarkScanBytes(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := ScanBytes(raw)
+		d, err := ScanBytesWorkers(raw, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

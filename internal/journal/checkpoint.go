@@ -125,9 +125,10 @@ func ReadCheckpoint(r io.Reader) (Snapshot, error) {
 	return snap, nil
 }
 
-// readCheckpointFile loads a checkpoint file. A missing file returns
-// (nil, nil): no checkpoint yet is a normal state, damage is not.
-func readCheckpointFile(path string) (*Snapshot, error) {
+// ReadCheckpointFile loads and CRC-verifies a checkpoint file. A
+// missing file returns (nil, nil): no checkpoint yet is a normal state,
+// damage is not.
+func ReadCheckpointFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil

@@ -254,7 +254,7 @@ type Data struct {
 	Records []Record
 	// Seals are the verified segment seals, in order. Every seal's root
 	// was recomputed from the records it covers and its chain value from
-	// the predecessor — ScanBytes fails with a CorruptError otherwise.
+	// the predecessor — ScanBytesWorkers fails with a CorruptError otherwise.
 	Seals []Seal
 	// Sealed is the number of leading Records covered by Seals.
 	Sealed int64
@@ -341,7 +341,6 @@ type Log struct {
 	leaves  []Hash // leaf hash per record in this generation
 	sealed  int64  // records covered by seals
 	seals   []Seal // seals in this generation
-	onSeal  SealFunc
 
 	failer     Failer
 	crashAfter int64 // 1-based append seq that crashes; 0 = never
@@ -402,7 +401,7 @@ func Open(dir string, initFrontier geom.Sector) (*Log, error) {
 	}
 	gen := uint64(1)
 	var anchor Hash
-	if snap, err := readCheckpointFile(CheckpointPath(dir)); err == nil && snap != nil {
+	if snap, err := ReadCheckpointFile(CheckpointPath(dir)); err == nil && snap != nil {
 		gen = snap.Generation + 1
 		anchor = snap.Chain
 	} else if err != nil {
@@ -470,40 +469,6 @@ func (l *Log) SetSegmentSize(n int) error {
 
 // SetFailer installs an append fault hook (nil clears it).
 func (l *Log) SetFailer(f Failer) { l.failer = f }
-
-// SealFunc observes seal-chain advancement. It is called on the
-// appending goroutine after every durable seal boundary: a segment seal
-// (automatic or forced) and a checkpoint rebirth. gen and sealedBytes
-// identify the sealed extent of the journal file — every byte below
-// sealedBytes in generation gen is covered by the seal chain — and
-// appends is the cumulative Appends() count those bytes commit.
-// Replication subscribes here to learn when new bytes become shippable.
-type SealFunc func(gen uint64, sealedBytes int64, appends int64)
-
-// OnSeal installs the seal subscription (nil clears it). The hook also
-// fires once at installation with the current sealed extent, so a late
-// subscriber does not miss state sealed before it attached.
-func (l *Log) OnSeal(fn SealFunc) {
-	l.onSeal = fn
-	l.notifySeal()
-}
-
-func (l *Log) notifySeal() {
-	if l.onSeal != nil {
-		l.onSeal(l.generation, l.SealedBytes(), l.appends)
-	}
-}
-
-// SealedBytes returns the journal file extent covered by the seal chain:
-// the byte offset just past the last seal frame, or the header size when
-// nothing is sealed in this generation. Bytes below it are immutable for
-// the life of the generation — the property segment shipping relies on.
-func (l *Log) SealedBytes() int64 {
-	if n := len(l.seals); n > 0 {
-		return l.seals[n-1].Offset + sealFrameSize
-	}
-	return headerSize
-}
 
 // CrashAfter arms a crash point: append number n (1-based) persists only
 // tornBytes bytes of its frame — a torn write — and fails with
@@ -582,24 +547,13 @@ func (l *Log) seal() error {
 	l.size += int64(len(frame))
 	l.chain = next
 	l.sealed += int64(len(pending))
-	l.notifySeal()
 	return nil
-}
-
-// Seal force-closes the open segment even if it is not full, making
-// every acknowledged record sealed (and provable) immediately. A no-op
-// when no records are pending.
-func (l *Log) Seal() error {
-	if l.crashed {
-		return ErrCrashed
-	}
-	return l.seal()
 }
 
 // Prove returns the inclusion proof for the seq'th record (1-based) of
 // the current journal generation. Only sealed records have proofs; an
-// unsealed tail record returns ErrUnsealed (force a seal or a
-// checkpoint first), and a seq outside the generation is an error —
+// unsealed tail record returns ErrUnsealed until its segment fills, and
+// a seq outside the generation is an error —
 // checkpointing folds sealed history into the snapshot and truncates
 // the journal, so proofs do not survive a checkpoint.
 func (l *Log) Prove(seq int64) (Proof, error) {
@@ -694,7 +648,6 @@ func (l *Log) Checkpoint(snap Snapshot) error {
 	l.size = headerSize
 	l.sinceCkpt = 0
 	l.ckpts++
-	l.notifySeal()
 	return nil
 }
 

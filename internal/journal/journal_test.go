@@ -29,7 +29,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	for _, r := range recs {
 		buf.Write(MarshalRecord(r))
 	}
-	d, err := ScanBytes(buf.Bytes())
+	d, err := ScanBytesWorkers(buf.Bytes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestReadJournalTornTails(t *testing.T) {
 		buf.Write(marshalHeader(1, 0, Hash{}))
 		buf.Write(MarshalRecord(rec(RecWrite, 0, 2, 50)))
 		buf.Write(full[:cut])
-		d, err := ScanBytes(buf.Bytes())
+		d, err := ScanBytesWorkers(buf.Bytes(), 1)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -82,7 +82,7 @@ func TestReadJournalCorruptTail(t *testing.T) {
 	frame := MarshalRecord(rec(RecWrite, 2, 2, 52))
 	frame[5] ^= 0xff // corrupt payload byte; CRC now mismatches
 	buf.Write(frame)
-	d, err := ScanBytes(buf.Bytes())
+	d, err := ScanBytesWorkers(buf.Bytes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestReadJournalCorruptTail(t *testing.T) {
 	binary.LittleEndian.PutUint32(crcb, crc32.ChecksumIEEE(bad))
 	frame2.Write(crcb)
 	buf.Write(frame2.Bytes())
-	d, err = ScanBytes(buf.Bytes())
+	d, err = ScanBytesWorkers(buf.Bytes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestReadJournalBadHeader(t *testing.T) {
 	hdr[9] ^= 0x01
 	cases["bad crc"] = hdr
 	for name, data := range cases {
-		if _, err := ScanBytes(data); err == nil {
+		if _, err := ScanBytesWorkers(data, 1); err == nil {
 			t.Errorf("%s header accepted", name)
 		}
 	}

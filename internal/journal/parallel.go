@@ -37,14 +37,11 @@ import (
 //     first-error-wins: the lowest-offset damage decides the outcome
 //     regardless of which worker found what first.
 //
-// The walk has two modes. File mode (scanJournalParallel, behind
-// recovery, VerifyDir, Log.Open, ScanBytes and ShipFrom) starts after
-// the header at its anchor and classifies damage as a torn tail or
-// corruption (forward resync via findSealFrom). Chunk mode
-// (VerifyChunkSegments, behind a replication follower) starts at a
-// ChunkState's chain and seal index and rejects any damage. With one
-// worker either mode runs inline on the calling goroutine. At every
-// worker count the result is bit-identical — same Data, same errors,
+// The walk (behind recovery, VerifyDir and Log.Open) starts after the
+// header at its anchor; its caller classifies damage as a torn tail or
+// corruption (forward resync via findSealFrom). With one worker it runs
+// inline on the calling goroutine. At every worker count the result is
+// bit-identical — same Data, same errors,
 // byte for byte and field for field — to the independent sequential
 // scanner kept as a test oracle, which parallel_test.go enforces with a
 // differential corruption matrix.
@@ -94,12 +91,12 @@ type structStop struct {
 	oddLen int64
 }
 
-// structScan splits raw's frames from offset off onward into
-// verification jobs without touching a single checksum; index is the
-// seal index the first job would seal as. It stops at the first
+// structScan splits raw's frames after the header into verification
+// jobs without touching a single checksum. It stops at the first
 // structurally implausible frame; everything before it is jobs.
-func structScan(raw []byte, off int64, index int) (jobs []segJob, stop *structStop) {
+func structScan(raw []byte) (jobs []segJob, stop *structStop) {
 	end := int64(len(raw))
+	off := int64(headerSize)
 	segStart := off
 	// Record frames ahead of the stop point still need verification — they
 	// are accumulated (and damage among them, at a lower offset, wins over
@@ -107,7 +104,7 @@ func structScan(raw []byte, off int64, index int) (jobs []segJob, stop *structSt
 	// reporting the stop.
 	stopAt := func(s *structStop) ([]segJob, *structStop) {
 		if segStart < s.off {
-			jobs = append(jobs, segJob{start: segStart, end: s.off, sealOff: -1, index: index + len(jobs)})
+			jobs = append(jobs, segJob{start: segStart, end: s.off, sealOff: -1, index: len(jobs)})
 		}
 		return jobs, s
 	}
@@ -127,7 +124,7 @@ func structScan(raw []byte, off int64, index int) (jobs []segJob, stop *structSt
 		case plen == payloadSize:
 			// A record frame; it extends the open segment.
 		case plen == sealPayloadSize && raw[off+4] == byte(RecSeal):
-			jobs = append(jobs, segJob{start: segStart, end: next, sealOff: off, index: index + len(jobs)})
+			jobs = append(jobs, segJob{start: segStart, end: next, sealOff: off, index: len(jobs)})
 			segStart = next
 		default:
 			// Structurally whole but neither a record nor a seal shape:
@@ -138,7 +135,7 @@ func structScan(raw []byte, off int64, index int) (jobs []segJob, stop *structSt
 		off = next
 	}
 	if segStart < end {
-		jobs = append(jobs, segJob{start: segStart, end: end, sealOff: -1, index: index + len(jobs)})
+		jobs = append(jobs, segJob{start: segStart, end: end, sealOff: -1, index: len(jobs)})
 	}
 	return jobs, nil
 }
@@ -201,18 +198,16 @@ func verifyJob(raw []byte, job segJob) segResult {
 	return res
 }
 
-// walk is the pipeline over raw's frames from offset off: structure
+// walk is the pipeline over raw's frames after the header: structure
 // scan, verifyJob per job (on a pool of workers goroutines when workers
 // > 1, inline otherwise; <= 0 means DefaultRecoveryWorkers), and the
-// in-order applier, which extends the seal chain from chain with seal
-// indices from index. It appends the verified records and seals to d and
+// in-order applier, which extends the seal chain from chain. It appends the verified records and seals to d and
 // returns the lowest-offset damage, or nil when every frame verified —
 // an unsealed tail of records included — plus, when wantLeaves is set,
 // every accumulated record's leaf hash in order. Classifying the damage
-// is the caller's business: a journal file tells torn from corrupt, a
-// follower chunk rejects either way.
-func walk(raw []byte, off int64, chain Hash, index, workers int, wantLeaves bool, d *Data) (leaves []Hash, _ *segDamage) {
-	jobs, stop := structScan(raw, off, index)
+// is the caller's business.
+func walk(raw []byte, chain Hash, workers int, wantLeaves bool, d *Data) (leaves []Hash, _ *segDamage) {
+	jobs, stop := structScan(raw)
 	if workers <= 0 {
 		workers = DefaultRecoveryWorkers()
 	}
@@ -327,7 +322,7 @@ func scanJournalParallel(raw []byte, workers int, wantLeaves bool) (Data, []Hash
 	}
 	d.Generation, d.InitFrontier, d.Anchor = gen, frontier, anchor
 
-	leaves, dm := walk(raw, headerSize, anchor, 0, workers, wantLeaves, &d)
+	leaves, dm := walk(raw, anchor, workers, wantLeaves, &d)
 	switch {
 	case dm == nil:
 		return d, leaves, nil
@@ -341,11 +336,14 @@ func scanJournalParallel(raw []byte, workers int, wantLeaves bool) (Data, []Hash
 	return d, nil, nil
 }
 
-// ScanBytesWorkers is ScanBytes with a bounded verification worker pool:
-// sealed segments are CRC-checked and Merkle-verified concurrently while
-// an in-order applier checks the seal chain, with results — Data and
-// errors alike — bit-identical at every worker count. workers <= 0 uses
-// DefaultRecoveryWorkers, 1 runs inline.
+// ScanBytesWorkers parses raw journal file bytes with the walker
+// recovery runs: every frame CRC checked, every seal's Merkle root and
+// chain link recomputed. A damaged frame followed by no further intact
+// seal marks Data.Torn; damage inside the sealed region is a
+// *CorruptError. Sealed segments are verified on a bounded worker pool
+// while an in-order applier checks the seal chain, with results — Data
+// and errors alike — bit-identical at every worker count. workers <= 0
+// uses DefaultRecoveryWorkers, 1 runs inline.
 func ScanBytesWorkers(raw []byte, workers int) (Data, error) {
 	d, _, err := scanJournalParallel(raw, workers, false)
 	return d, err

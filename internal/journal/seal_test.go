@@ -68,22 +68,19 @@ func TestSealCadence(t *testing.T) {
 	}
 }
 
-func TestForceSealAndReopen(t *testing.T) {
+func TestSealAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	l := sealedLog(t, dir, 100, 5)
+	l := sealedLog(t, dir, 5, 4)
 	if l.SealedRecords() != 0 {
 		t.Fatalf("premature seal: %d", l.SealedRecords())
 	}
-	if err := l.Seal(); err != nil {
+	if err := l.Append(rec(RecWrite, 16, 4, 16)); err != nil {
 		t.Fatal(err)
 	}
 	if l.SealedRecords() != 5 || len(l.Seals()) != 1 {
-		t.Fatalf("force seal: sealed=%d seals=%d", l.SealedRecords(), len(l.Seals()))
+		t.Fatalf("seal on the fifth record: sealed=%d seals=%d", l.SealedRecords(), len(l.Seals()))
 	}
 	chain := l.Chain()
-	if err := l.Seal(); err != nil || len(l.Seals()) != 1 {
-		t.Fatalf("empty force seal must be a no-op: %v, %d seals", err, len(l.Seals()))
-	}
 	l.Close()
 
 	// Reopen must rebuild the sealing state and keep the chain going.
@@ -123,7 +120,7 @@ func TestCheckpointAnchorsChain(t *testing.T) {
 	if chain.IsZero() {
 		t.Fatal("chain head still zero after sealing")
 	}
-	snap, err := readCheckpointFile(CheckpointPath(dir))
+	snap, err := ReadCheckpointFile(CheckpointPath(dir))
 	if err != nil || snap == nil {
 		t.Fatalf("checkpoint: %v %v", snap, err)
 	}
@@ -188,16 +185,20 @@ func TestProve(t *testing.T) {
 			t.Errorf("Prove(%d): %v, want out-of-range error", seq, err)
 		}
 	}
-	// Sealing the tail makes 9 and 10 provable.
-	if err := l.Seal(); err != nil {
+	// A smaller segment size seals the tail at the next append, which
+	// makes 9, 10 and 11 provable.
+	if err := l.SetSegmentSize(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec(RecWrite, 40, 4, 40)); err != nil {
 		t.Fatal(err)
 	}
 	p, err := l.Prove(10)
 	if err != nil || p.Verify() != nil {
-		t.Fatalf("Prove(10) after force seal: %v", err)
+		t.Fatalf("Prove(10) after the tail sealed: %v", err)
 	}
-	if p.Count != 2 {
-		t.Errorf("tail segment count %d, want 2", p.Count)
+	if p.Count != 3 {
+		t.Errorf("tail segment count %d, want 3", p.Count)
 	}
 }
 

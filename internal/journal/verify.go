@@ -20,7 +20,7 @@ var (
 	// of a crash mid-append. Recovery to the preceding prefix is safe.
 	ErrTornTail = errors.New("journal: torn tail")
 	// ErrUnsealed is returned by Prove for a record not yet covered by a
-	// seal; force a Seal (or Checkpoint) and retry.
+	// seal: its segment has not filled yet.
 	ErrUnsealed = errors.New("journal: record not yet sealed")
 )
 
@@ -136,7 +136,7 @@ func LoadDirVerified(dir string, workers int) (*Snapshot, Data, *Audit, error) {
 func readDir(dir string, workers int, verify bool) (*Snapshot, Data, *Audit, error) {
 	a := &Audit{Dir: dir}
 
-	snap, err := readCheckpointFile(CheckpointPath(dir))
+	snap, err := ReadCheckpointFile(CheckpointPath(dir))
 	if err != nil {
 		if verify {
 			err = &CorruptError{File: CheckpointFile, Segment: -1, Offset: -1,

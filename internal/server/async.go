@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -82,15 +81,20 @@ type AsyncClient struct {
 // The granted window — possibly clamped by the server — is available
 // via Window.
 func DialAsync(addr string, window int) (*AsyncClient, error) {
-	return dialAsync(context.Background(), addr, window)
-}
-
-// dialAsync is DialAsync with caller-controlled cancellation: it dials,
-// performs the hello and starts the writer and response reader.
-func dialAsync(ctx context.Context, addr string, window int) (*AsyncClient, error) {
-	conn, err := dialRetry(ctx, addr)
+	var (
+		conn net.Conn
+		err  error
+	)
+	// Retry refused connections briefly: the daemon may still be binding
+	// its listener.
+	for attempt := 0; attempt < 20; attempt++ {
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("smrd: dial %s: %w", addr, err)
 	}
 	granted, err := clientHello(conn, window)
 	if err != nil {
@@ -110,33 +114,6 @@ func dialAsync(ctx context.Context, addr string, window int) (*AsyncClient, erro
 	go ac.reader()
 	go ac.writer()
 	return ac, nil
-}
-
-// dialRetry dials addr, retrying refused connections briefly (the daemon
-// may still be binding its listener).
-func dialRetry(ctx context.Context, addr string) (net.Conn, error) {
-	var (
-		d    net.Dialer
-		conn net.Conn
-		err  error
-	)
-	for attempt := 0; attempt < 20; attempt++ {
-		conn, err = d.DialContext(ctx, "tcp", addr)
-		if err == nil {
-			break
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(25 * time.Millisecond):
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("smrd: dial %s: %w", addr, err)
-	}
-	return conn, nil
 }
 
 // Window returns the granted in-flight window.

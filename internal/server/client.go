@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -40,18 +39,14 @@ type connError struct{ err error }
 func (e *connError) Error() string { return e.err.Error() }
 func (e *connError) Unwrap() error { return e.err }
 
-// NeedsFailover reports whether err means "this node can no longer
-// serve": a broken connection or a not-primary rejection. Everything
-// else — overload, corruption, bad requests, a request that fails to
-// encode — is the caller's to handle or report. Set and smrload's load
-// driver reconnect on exactly this predicate.
-func NeedsFailover(err error) bool {
+// IsConnLost reports whether err is a transport failure: the
+// connection broke, so no response is coming. Everything else —
+// overload, corruption, bad requests, a request that fails to encode —
+// is the caller's to handle or report. smrload's load driver redials on
+// exactly this predicate.
+func IsConnLost(err error) bool {
 	var ce *connError
-	if errors.As(err, &ce) {
-		return true
-	}
-	var se *StatusError
-	return errors.As(err, &se) && se.Status == StatusNotPrimary
+	return errors.As(err, &ce)
 }
 
 // Client is one synchronous smrd protocol connection: a window=1 view
@@ -66,15 +61,7 @@ type Client struct {
 // Dial connects at window 1, retrying refused connections briefly (the
 // daemon may still be binding its listener).
 func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialContext is Dial with caller-controlled cancellation: the
-// connection attempt, its retries and the retry sleeps all end when ctx
-// does. Replica sets use it to bound how long probing a dead node may
-// take.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	ac, err := dialAsync(ctx, addr, 1)
+	ac, err := DialAsync(addr, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -170,8 +157,8 @@ func (c *Client) Prove(vol string, seq int64) (journal.Proof, error) {
 
 // Step sends one trace record as the matching read/write request and
 // returns a read's fragment count (0 for writes). Errors surface as
-// they are: a broken connection stays broken (Set and smrload's driver
-// own reconnection), and overload shedding is the caller's to retry.
+// they are: a broken connection stays broken (smrload's driver owns
+// reconnection), and overload shedding is the caller's to retry.
 func (c *Client) Step(vol string, rec trace.Record) (int, error) {
 	switch rec.Kind {
 	case disk.Write:
@@ -181,62 +168,4 @@ func (c *Client) Step(vol string, rec trace.Record) (int, error) {
 	default:
 		return 0, fmt.Errorf("smrd: unsupported record kind %v", rec.Kind)
 	}
-}
-
-// Ship asks the node for the next replication chunk of the volume's
-// journal past (gen, off). It returns the responding node's fencing
-// epoch alongside the chunk.
-func (c *Client) Ship(vol string, gen uint64, off int64) (uint64, journal.ShipChunk, error) {
-	body, err := c.roundTrip(request{Op: OpShip, Volume: vol, Gen: gen, Off: off})
-	if err != nil {
-		return 0, journal.ShipChunk{}, err
-	}
-	return parseShipBody(body)
-}
-
-// Tail is Ship with long-poll semantics: the server holds the request
-// until sealed bytes exist past (gen, off) — force-sealing a lagging
-// tail — or its bounded wait expires (returning a ShipNone chunk).
-func (c *Client) Tail(vol string, gen uint64, off int64) (uint64, journal.ShipChunk, error) {
-	body, err := c.roundTrip(request{Op: OpTail, Volume: vol, Gen: gen, Off: off})
-	if err != nil {
-		return 0, journal.ShipChunk{}, err
-	}
-	return parseShipBody(body)
-}
-
-// Ack reports this follower's verified, applied journal position for the
-// volume, so the primary can release gated writes and track lag.
-func (c *Client) Ack(vol string, gen uint64, off int64) error {
-	_, err := c.roundTrip(request{Op: OpAck, Volume: vol, Gen: gen, Off: off})
-	return err
-}
-
-// Role returns the node's replication role, fencing epoch and
-// per-volume journal positions.
-func (c *Client) Role() (RoleInfo, error) {
-	body, err := c.roundTrip(request{Op: OpRole})
-	if err != nil {
-		return RoleInfo{}, err
-	}
-	var info RoleInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return RoleInfo{}, fmt.Errorf("smrd: role decode: %w", err)
-	}
-	return info, nil
-}
-
-// Promote asks a follower to promote itself to primary — verified
-// recovery of every replicated journal, epoch bump, serving enabled —
-// and returns its post-promotion role.
-func (c *Client) Promote() (RoleInfo, error) {
-	body, err := c.roundTrip(request{Op: OpPromote})
-	if err != nil {
-		return RoleInfo{}, err
-	}
-	var info RoleInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return RoleInfo{}, fmt.Errorf("smrd: promote decode: %w", err)
-	}
-	return info, nil
 }

@@ -11,7 +11,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -38,11 +37,6 @@ var confOps = []struct {
 	{"read", request{Op: OpRead, Volume: "cv", Extent: geom.Ext(1<<19, 16)}},
 	{"stat", request{Op: OpStat, Volume: "cv"}},
 	{"proof", request{Op: OpProof, Volume: "cv", Seq: 1}},
-	{"ship", request{Op: OpShip, Volume: "cv", Gen: 0, Off: 0}},
-	{"tail", request{Op: OpTail, Volume: "cv", Gen: 0, Off: 0}},
-	{"ack", request{Op: OpAck, Volume: "cv", Gen: 1, Off: 0}},
-	{"role", request{Op: OpRole}},
-	{"promote", request{Op: OpPromote}},
 	{"snapshot", request{Op: OpSnapshot, Volume: "cv"}},
 	{"verify", request{Op: OpVerify, Volume: "cv"}},
 }
@@ -81,7 +75,7 @@ func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom
 	}
 	_, _, addr := newTestServer(t, Options{}, confVolume(dir, frontier))
 
-	ac, err := dialAsync(context.Background(), addr, window)
+	ac, err := DialAsync(addr, window)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,12 @@ import (
 //
 //   - The reader (the serveConn goroutine) decodes request frames out of
 //     a frameReader over a pooled buffer (one Read takes every frame the
-//     socket holds), answers control ops and pre-dispatch errors through
-//     the direct channel, and dispatches volume ops via TryDo with the
-//     request ID as the Tag. The request's metadata (op, volume, admit
-//     time) is sent on the submits channel strictly AFTER the TryDo
-//     succeeds, so the writer can always reconcile a result against a
-//     metadata record that is either already queued or imminent.
+//     socket holds), answers pre-dispatch errors through the direct
+//     channel, and dispatches volume ops via TryDo with the request ID
+//     as the Tag. The request's metadata (op, admit time) is sent on
+//     the submits channel strictly AFTER the TryDo succeeds, so the
+//     writer can always reconcile a result against a metadata record
+//     that is either already queued or imminent.
 //
 //   - The writer drains the shared completion channel (one buffered
 //     channel per connection, capacity = the negotiated window, so the
@@ -39,8 +39,8 @@ import (
 // before forcing a flush mid-drain.
 const flushThreshold = 256 << 10
 
-// directResp is a reader-crafted response (decode errors, control ops,
-// shed beyond the window) routed through the writer so that the
+// directResp is a reader-crafted response (decode errors, unknown
+// volumes, shed beyond the window) routed through the writer so that the
 // connection has a single writing goroutine.
 type directResp struct {
 	id     uint64
@@ -52,10 +52,9 @@ type directResp struct {
 // writer needs it to encode the op-specific response body and to time
 // the request out.
 type reqMeta struct {
-	id  uint64
-	op  uint8
-	vol string
-	at  time.Time // admit time; zero when no RequestTimeout is set
+	id uint64
+	op uint8
+	at time.Time // admit time; zero when no RequestTimeout is set
 }
 
 // connection is the state shared between a connection's reader and
@@ -137,34 +136,7 @@ func (c *connection) dispatch(frame []byte, names nameCache) bool {
 	if err != nil {
 		return c.sendDirect(id, StatusBadRequest, []byte(err.Error()))
 	}
-
-	// Node-level ops need no volume and are always served, whatever the
-	// node's role — they are how clients discover and change the role.
-	switch req.Op {
-	case OpRole:
-		return c.sendRole(id, s.roleInfo(), nil)
-	case OpPromote:
-		if s.opts.Repl == nil {
-			// A standalone daemon is trivially the primary already.
-			return c.sendRole(id, s.roleInfo(), nil)
-		}
-		info, err := s.opts.Repl.Promote()
-		return c.sendRole(id, info, err)
-	case OpAck:
-		if s.opts.Repl != nil {
-			s.opts.Repl.Ack(req.Volume, req.Gen, req.Off)
-		}
-		return c.sendDirect(id, StatusOK, nil)
-	}
-
-	mgr := s.mgr.Load()
-	if mgr == nil {
-		return c.sendDirect(id, StatusNotPrimary, []byte("node has no open volumes (unpromoted follower)"))
-	}
-	if isDataOp(req.Op) && s.opts.Repl != nil && !s.opts.Repl.AcceptingData() {
-		return c.sendDirect(id, StatusNotPrimary, []byte("node is not the serving primary"))
-	}
-	vol, ok := mgr.Get(req.Volume)
+	vol, ok := s.mgr.Get(req.Volume)
 	if !ok {
 		return c.sendDirect(id, StatusUnknownVolume, []byte("unknown volume "+req.Volume))
 	}
@@ -182,16 +154,6 @@ func (c *connection) dispatch(frame []byte, names nameCache) bool {
 		kind = volume.OpVerify
 	case OpProof:
 		kind = volume.OpProof
-	case OpShip:
-		kind = volume.OpShip
-	case OpTail:
-		// Long-poll on the reader: no further frames can arrive from this
-		// client anyway until it sees sealed bytes, and followers dedicate
-		// a connection to tailing.
-		if s.opts.Repl != nil {
-			s.opts.Repl.WaitTail(s.ctx, req.Volume, req.Gen, req.Off)
-		}
-		kind = volume.OpShip
 	}
 
 	// Window enforcement: a client pushing past its grant is shed, not
@@ -200,11 +162,11 @@ func (c *connection) dispatch(frame []byte, names nameCache) bool {
 		return c.sendDirect(id, StatusOverloaded, []byte("connection window exceeded"))
 	}
 	c.outstanding.Add(1)
-	if err := vol.TryDo(volume.Request{Kind: kind, Extent: req.Extent, Seq: req.Seq, Gen: req.Gen, Off: req.Off, Tag: id}, c.done); err != nil {
+	if err := vol.TryDo(volume.Request{Kind: kind, Extent: req.Extent, Seq: req.Seq, Tag: id}, c.done); err != nil {
 		c.outstanding.Add(-1)
 		return c.sendDirect(id, statusOf(err), []byte(err.Error()))
 	}
-	m := reqMeta{id: id, op: req.Op, vol: req.Volume}
+	m := reqMeta{id: id, op: req.Op}
 	if s.opts.RequestTimeout > 0 {
 		m.at = time.Now()
 	}
@@ -226,19 +188,6 @@ func (c *connection) sendDirect(id uint64, status uint8, body []byte) bool {
 	case <-c.dead:
 		return false
 	}
-}
-
-// sendRole encodes a RoleInfo (or promotion failure) and routes it
-// through the writer.
-func (c *connection) sendRole(id uint64, info RoleInfo, err error) bool {
-	if err != nil {
-		return c.sendDirect(id, statusOf(err), []byte(err.Error()))
-	}
-	body, err := json.Marshal(&info)
-	if err != nil {
-		return c.sendDirect(id, StatusInternal, []byte(err.Error()))
-	}
-	return c.sendDirect(id, StatusOK, body)
 }
 
 // writer is a connection's single writing goroutine: it owns the
@@ -319,13 +268,6 @@ func (c *connection) writer() {
 			out = appendResponseV2(out, id, statusOf(res.Err), []byte(res.Err.Error()))
 			return
 		}
-		if m.op == OpWrite && res.Seq > 0 && c.s.opts.Repl != nil {
-			// Semi-synchronous replication: everything encoded so far goes
-			// out before this write's OK is gated, so earlier responses are
-			// not held hostage.
-			flush()
-			c.s.opts.Repl.GateWrite(m.vol, res.Seq)
-		}
 		out = c.appendOK(out, id, m.op, res)
 	}
 
@@ -388,12 +330,6 @@ func (c *connection) scanTimeouts(pending map[uint64]reqMeta, timedOut map[uint6
 // read arms — the hot path — allocate nothing.
 func (c *connection) appendOK(out []byte, id uint64, op uint8, res volume.Result) []byte {
 	switch op {
-	case OpShip, OpTail:
-		var epoch uint64
-		if c.s.opts.Repl != nil {
-			epoch = c.s.opts.Repl.Epoch()
-		}
-		return appendResponseV2(out, id, StatusOK, appendShipBody(nil, epoch, *res.Ship))
 	case OpRead:
 		var body [4]byte
 		binary.LittleEndian.PutUint32(body[:], uint32(res.Frags))

@@ -36,11 +36,6 @@ func FuzzWireFrame(f *testing.F) {
 	seed(request{Op: OpSnapshot, Volume: "v"})
 	seed(request{Op: OpVerify, Volume: "v"})
 	seed(request{Op: OpProof, Volume: "v", Seq: 7})
-	seed(request{Op: OpShip, Volume: "v", Gen: 3, Off: 4096})
-	seed(request{Op: OpTail, Volume: "v", Gen: 1, Off: 0})
-	seed(request{Op: OpAck, Volume: "v", Gen: 9, Off: 1 << 30})
-	seed(request{Op: OpRole})
-	seed(request{Op: OpPromote})
 	// Response-shaped seeds and degenerate frames.
 	f.Add(appendResponseV2(nil, 1, StatusOK, []byte{1, 2, 3, 4})[4:])
 	f.Add([]byte{})

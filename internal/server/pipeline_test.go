@@ -136,7 +136,7 @@ func TestPipelineShutdownInFlight(t *testing.T) {
 			atomic.AddInt32(&completions, 1)
 			if _, err := call.Result(); err != nil {
 				var se *StatusError
-				if !NeedsFailover(err) && !errors.As(err, &se) {
+				if !IsConnLost(err) && !errors.As(err, &se) {
 					t.Errorf("call %d: unexpected outcome %v", call.ID, err)
 				}
 			}

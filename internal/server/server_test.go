@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,11 +60,6 @@ func TestWireRoundTrip(t *testing.T) {
 		{Op: OpSnapshot, Volume: "v"},
 		{Op: OpVerify, Volume: "v"},
 		{Op: OpProof, Volume: "v", Seq: 7},
-		{Op: OpShip, Volume: "v", Gen: 3, Off: 4096},
-		{Op: OpTail, Volume: "v", Gen: 1, Off: 0},
-		{Op: OpAck, Volume: "v", Gen: 9, Off: 1 << 30},
-		{Op: OpRole, Volume: "v"},
-		{Op: OpPromote, Volume: "v"},
 	}
 	for i, want := range cases {
 		frame, err := appendRequestV2(nil, uint64(i+1), want)
@@ -96,13 +90,10 @@ func TestWireRejectsMalformed(t *testing.T) {
 		{OpStat, 1, 'a', 0},        // trailing bytes on stat
 		{OpVerify, 1, 'a', 0},      // trailing bytes on verify
 		{OpProof, 1, 'a'},          // proof without seq
-		{OpProof, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0}, // proof seq 0
-		{OpShip, 1, 'a', 1, 2, 3},                 // truncated repl body
-		{OpAck, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0,
-			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // negative ack offset
-		{OpRole, 1, 'a', 0},    // trailing bytes on role
-		{OpPromote, 1, 'a', 0}, // trailing bytes on promote
-		{99, 0},                // unknown op
+		{OpProof, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0},      // proof seq 0
+		append([]byte{7, 1, 'a'}, make([]byte, 16)...), // retired op 7 (ship), well formed as it was
+		{10, 0}, // retired op 10 (role), bare
+		{99, 0}, // unknown op
 		binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(
 			[]byte{OpWrite, 1, 'a'}, math.MaxInt64-10), 100), // extent end overflows int64
 	}
@@ -113,29 +104,6 @@ func TestWireRejectsMalformed(t *testing.T) {
 	}
 	if _, err := appendRequestV2(nil, 1, request{Op: OpStat, Volume: strings.Repeat("x", 300)}); err == nil {
 		t.Error("appendRequestV2 accepted an over-long volume name")
-	}
-}
-
-func TestShipBodyRoundTrip(t *testing.T) {
-	for _, want := range []journal.ShipChunk{
-		{Kind: journal.ShipSegments, Gen: 5, Off: 1234, Data: []byte("sealed segment bytes")},
-		{Kind: journal.ShipCheckpoint, Gen: 2, Data: []byte{0}},
-		{Kind: journal.ShipNone},
-	} {
-		body := appendShipBody(nil, 42, want)
-		epoch, got, err := parseShipBody(body)
-		if err != nil {
-			t.Fatalf("parseShipBody(%+v): %v", want, err)
-		}
-		if epoch != 42 {
-			t.Errorf("epoch %d, want 42", epoch)
-		}
-		if got.Kind != want.Kind || got.Gen != want.Gen || got.Off != want.Off || !bytes.Equal(got.Data, want.Data) {
-			t.Errorf("round trip: got %+v want %+v", got, want)
-		}
-	}
-	if _, _, err := parseShipBody([]byte{1, 2, 3}); err == nil {
-		t.Error("parseShipBody accepted a truncated header")
 	}
 }
 
@@ -262,6 +230,42 @@ func TestServerRejectsBadFrames(t *testing.T) {
 	buf, _ := io.ReadAll(conn3)
 	if len(buf) != 0 {
 		t.Errorf("server answered a bad magic with %d bytes", len(buf))
+	}
+}
+
+// TestRetiredOpRefused: op 10 (the retired role op) is a reserved
+// code. It is answered bad-request under its own request ID, and the
+// same connection then serves a write.
+func TestRetiredOpRefused(t *testing.T) {
+	_, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
+	conn := rawDial(t, addr)
+	frames := appendResponseV2(nil, 7, 10, []byte{0}) // ID 7, op 10, empty volume name
+	frames, err := appendRequestV2(frames, 8, request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr := newFrameReader(conn, nil)
+	got := make(map[uint64]uint8, 2)
+	for range 2 {
+		frame, err := fr.next()
+		if err != nil {
+			t.Fatalf("response: %v", err)
+		}
+		id, status, _, err := parseResponseV2(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[id] = status
+	}
+	if st, ok := got[7]; !ok || st != StatusBadRequest {
+		t.Errorf("op 10 answered %v, want id 7 bad-request", got)
+	}
+	if st, ok := got[8]; !ok || st != StatusOK {
+		t.Errorf("write after op 10 answered %v, want id 8 ok", got)
 	}
 }
 

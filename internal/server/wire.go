@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"smrseek/internal/geom"
-	"smrseek/internal/journal"
 )
 
 // Protocol constants.
@@ -58,22 +57,9 @@ const (
 	OpSnapshot
 	OpVerify
 	OpProof
-	// OpShip asks a primary for the next replication chunk of a volume's
-	// journal past the requester's (generation, offset) position.
-	OpShip
-	// OpTail is OpShip with long-poll semantics: the server holds the
-	// request until sealed bytes exist past the requester's position (a
-	// force-seal is triggered for a lagging tail) or a bounded wait ends.
-	OpTail
-	// OpAck reports a follower's applied journal position so the primary
-	// can track replication lag and release gated writes.
-	OpAck
-	// OpRole asks the node for its replication role, fencing epoch and
-	// per-volume journal positions.
-	OpRole
-	// OpPromote asks a follower to promote itself to primary: verified
-	// recovery of every replicated journal, epoch bump, serving enabled.
-	OpPromote
+	// Op codes 7–11 belonged to the retired replication ops (ship, tail,
+	// ack, role, promote). They stay reserved and are never reused; a
+	// request carrying one is answered bad-request.
 )
 
 // Response status codes (first payload byte of a response frame).
@@ -89,10 +75,8 @@ const (
 	StatusTimeout
 	StatusInternal
 	StatusCorrupt
-	// StatusNotPrimary rejects a data op on a node that is not the
-	// serving primary — an unpromoted follower or a fenced (demoted)
-	// ex-primary. Clients re-route; see Set.
-	StatusNotPrimary
+	// Status 11 belonged to the retired replication status not-primary.
+	// It stays reserved and is never reused.
 )
 
 var statusNames = [...]string{
@@ -107,7 +91,6 @@ var statusNames = [...]string{
 	StatusTimeout:       "timeout",
 	StatusInternal:      "internal",
 	StatusCorrupt:       "corrupt",
-	StatusNotPrimary:    "not-primary",
 }
 
 // StatusName returns the status code's kebab-case name.
@@ -124,8 +107,6 @@ type request struct {
 	Volume string
 	Extent geom.Extent // write/read only
 	Seq    int64       // proof only: 1-based journal record sequence
-	Gen    uint64      // ship/tail/ack only: requester's journal generation
-	Off    int64       // ship/tail/ack only: requester's journal byte offset
 }
 
 // appendRequestPayload encodes the request payload:
@@ -133,8 +114,8 @@ type request struct {
 //	op uint8 | vlen uint8 | name | body
 //
 // where body is `lba uint64 LE, count uint64 LE` for write/read,
-// `seq uint64 LE` for proof, `gen uint64 LE, off uint64 LE` for
-// ship/tail/ack, and empty otherwise. appendRequestV2 frames it.
+// `seq uint64 LE` for proof, and empty otherwise. appendRequestV2
+// frames it.
 func appendRequestPayload(dst []byte, req request) ([]byte, error) {
 	if len(req.Volume) > MaxVolumeName {
 		return dst, fmt.Errorf("server: volume name %d bytes long (max %d)", len(req.Volume), MaxVolumeName)
@@ -147,9 +128,6 @@ func appendRequestPayload(dst []byte, req request) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Extent.Count))
 	case OpProof:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Seq))
-	case OpShip, OpTail, OpAck:
-		dst = binary.LittleEndian.AppendUint64(dst, req.Gen)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Off))
 	}
 	return dst, nil
 }
@@ -211,16 +189,7 @@ func parseRequest(p []byte, names nameCache) (request, error) {
 		if req.Seq < 1 {
 			return request{}, fmt.Errorf("server: proof sequence %d, want >= 1", req.Seq)
 		}
-	case OpShip, OpTail, OpAck:
-		if len(p) != 16 {
-			return request{}, fmt.Errorf("server: repl body %d bytes, want 16", len(p))
-		}
-		req.Gen = binary.LittleEndian.Uint64(p[0:8])
-		req.Off = int64(binary.LittleEndian.Uint64(p[8:16]))
-		if req.Off < 0 {
-			return request{}, fmt.Errorf("server: negative repl offset %d", req.Off)
-		}
-	case OpStat, OpSnapshot, OpVerify, OpRole, OpPromote:
+	case OpStat, OpSnapshot, OpVerify:
 		if len(p) != 0 {
 			return request{}, fmt.Errorf("server: op %d carries %d unexpected body bytes", req.Op, len(p))
 		}
@@ -303,77 +272,6 @@ func (fr *frameReader) fill(need int) error {
 		}
 	}
 	return nil
-}
-
-// RoleInfo is the OpRole / OpPromote response body (JSON): the node's
-// replication role, fencing epoch, and per-volume journal positions.
-type RoleInfo struct {
-	// Role is "primary", "follower", or "fenced" (a demoted ex-primary
-	// that refuses data ops).
-	Role string `json:"role"`
-	// Epoch is the fencing epoch: bumped by every promotion, persisted,
-	// and compared on rejoin — the higher epoch is the serving primary.
-	Epoch uint64 `json:"epoch"`
-	// Volumes maps volume names to replication positions. On a primary
-	// the position is the sealed extent of the live journal; on a
-	// follower it is the verified, applied extent.
-	Volumes map[string]ReplPosition `json:"volumes"`
-}
-
-// ReplPosition is one volume's journal replication position.
-type ReplPosition struct {
-	// Gen is the journal generation.
-	Gen uint64 `json:"gen"`
-	// Bytes is the sealed byte extent within that generation's file.
-	Bytes int64 `json:"bytes"`
-	// Records is the cumulative sealed-record watermark (primary) or the
-	// applied sealed-record count (follower); used with (Gen, Bytes) to
-	// rank followers by caught-up-ness.
-	Records int64 `json:"records"`
-}
-
-// Less orders positions by caught-up-ness: generation first (a newer
-// generation subsumes every older one), sealed bytes within it second.
-func (p ReplPosition) Less(o ReplPosition) bool {
-	if p.Gen != o.Gen {
-		return p.Gen < o.Gen
-	}
-	return p.Bytes < o.Bytes
-}
-
-// Ship response body layout (after the status byte):
-//
-//	kind uint8 | gen uint64 LE | off uint64 LE | epoch uint64 LE | data
-//
-// kind/gen/off/data are a journal.ShipChunk; epoch is the responding
-// primary's fencing epoch, letting a follower detect a demoted source.
-const shipRespHeader = 1 + 8 + 8 + 8
-
-// appendShipBody encodes a ship/tail response body.
-func appendShipBody(dst []byte, epoch uint64, c journal.ShipChunk) []byte {
-	dst = append(dst, c.Kind)
-	dst = binary.LittleEndian.AppendUint64(dst, c.Gen)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Off))
-	dst = binary.LittleEndian.AppendUint64(dst, epoch)
-	return append(dst, c.Data...)
-}
-
-// parseShipBody decodes a ship/tail response body.
-func parseShipBody(p []byte) (epoch uint64, c journal.ShipChunk, err error) {
-	if len(p) < shipRespHeader {
-		return 0, c, fmt.Errorf("server: ship response %d bytes, want >= %d", len(p), shipRespHeader)
-	}
-	c.Kind = p[0]
-	c.Gen = binary.LittleEndian.Uint64(p[1:9])
-	c.Off = int64(binary.LittleEndian.Uint64(p[9:17]))
-	epoch = binary.LittleEndian.Uint64(p[17:25])
-	if c.Off < 0 {
-		return 0, c, fmt.Errorf("server: negative ship offset %d", c.Off)
-	}
-	if len(p) > shipRespHeader {
-		c.Data = append([]byte(nil), p[shipRespHeader:]...)
-	}
-	return epoch, c, nil
 }
 
 // The hello is 7 bytes in either direction: Magic, the version byte
@@ -499,7 +397,7 @@ func parseResponseV2(p []byte) (id uint64, status uint8, body []byte, err error)
 
 // framePool recycles frame buffers between connections and response
 // flushes, with get/put accounting so tests can assert no path leaks a
-// buffer. Oversized buffers (a huge ship or stat response) are dropped
+// buffer. Oversized buffers (a huge stat response) are dropped
 // on Put rather than pinned in the pool.
 type framePoolT struct {
 	pool sync.Pool

@@ -176,8 +176,8 @@ func (l *LS) fill(lba geom.Extent, pba geom.Sector, gaps []extmap.Resolved) []ex
 // RecoverDir recovers from a journal directory as left by a crash: the
 // checkpoint (if any) plus the journal replayed on top, honouring the
 // generation rule that discards a stale journal. It is verified
-// recovery, exactly as a journaled volume and a promoted follower
-// recover: RecoverDirWith with VerifyOnRecover and the default workers.
+// recovery, exactly as a journaled volume recovers: RecoverDirWith with
+// VerifyOnRecover and the default workers.
 func RecoverDir(dir string) (*LS, ReplayStats, error) {
 	return RecoverDirWith(dir, RecoverOptions{VerifyOnRecover: true})
 }

@@ -330,7 +330,7 @@ func mixedJournal(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := journal.ScanBytes(raw)
+	d, err := journal.ScanBytesWorkers(raw, 1)
 	if err != nil || len(d.Seals) != 4 || len(d.Records) != 13 {
 		t.Fatalf("mixed journal: %d seals, %d records, %v", len(d.Seals), len(d.Records), err)
 	}
@@ -347,7 +347,7 @@ func TestRecoverMatchesForwardOnDamagedJournals(t *testing.T) {
 	// A scan that fails still hands back the records before the damage;
 	// replay them anyway, for more inputs.
 	replay := func(label string, b []byte) {
-		d, _ := journal.ScanBytes(b)
+		d, _ := journal.ScanBytesWorkers(b, 1)
 		assertMatchesForward(t, label, nil, d)
 	}
 	for n := 0; n <= len(raw); n++ {
@@ -358,7 +358,7 @@ func TestRecoverMatchesForwardOnDamagedJournals(t *testing.T) {
 		mut[i] ^= 0xff
 		replay(fmt.Sprintf("flip %d", i), mut)
 	}
-	d, err := journal.ScanBytes(raw)
+	d, err := journal.ScanBytesWorkers(raw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(sealed[:len(sealed)-10]) // torn inside the final seal frame
 	f.Add(mixedJournal(f))         // relocate, frontier moves, a write at its own LBA
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := journal.ScanBytes(data)
+		d, err := journal.ScanBytesWorkers(data, 1)
 		if err != nil {
 			return // damaged header: rejected, fine
 		}

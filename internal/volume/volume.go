@@ -74,14 +74,6 @@ const (
 	OpSnapshot
 	OpVerify
 	OpProof
-	// OpSeal force-closes the journal's open Merkle segment, making every
-	// acknowledged record sealed (and thus shippable) immediately.
-	// Replication's force-seal tick submits these.
-	OpSeal
-	// OpShip reads the next replication chunk for a follower at
-	// (Gen, Off): sealed journal bytes or the subsuming checkpoint. It
-	// runs on the actor so the on-disk files are quiescent while read.
-	OpShip
 )
 
 // String returns the op's lowercase name.
@@ -99,10 +91,6 @@ func (o Op) String() string {
 		return "verify"
 	case OpProof:
 		return "proof"
-	case OpSeal:
-		return "seal"
-	case OpShip:
-		return "ship"
 	}
 	return fmt.Sprintf("op(%d)", o)
 }
@@ -138,11 +126,6 @@ type Config struct {
 	// stl.RecoverOptions.Workers). The recovered state is bit-identical
 	// at any count.
 	RecoverWorkers int
-	// OnSeal, when non-nil, subscribes to the journal's seal chain: it is
-	// invoked on the actor goroutine after every seal boundary (segment
-	// seal or checkpoint rebirth) with the sealed extent and the appends
-	// watermark it commits. Replication sources attach here.
-	OnSeal journal.SealFunc
 }
 
 // Result is one request's outcome.
@@ -155,12 +138,6 @@ type Result struct {
 	Audit *journal.Audit
 	// Proof is the inclusion proof for OpProof, nil otherwise.
 	Proof *journal.Proof
-	// Ship is the replication chunk for OpShip, nil otherwise.
-	Ship *journal.ShipChunk
-	// Seq is the journal's cumulative append watermark after an OpWrite
-	// on a journaled volume (0 otherwise). Replication gates a write's
-	// acknowledgment on followers covering this watermark.
-	Seq int64
 	// Err is the op-level failure: sticky journal errors for
 	// reads/writes (journal.ErrCrashed, transient/media fault errors),
 	// ErrNoJournal for Snapshot/Verify/Proof without a journal,
@@ -175,15 +152,12 @@ type Result struct {
 
 // Request is one queued operation. Extent is the logical range for
 // reads and writes and ignored otherwise; Seq is the 1-based journal
-// record sequence for Proof and ignored otherwise; Gen and Off are the
-// requester's journal position for Ship and ignored otherwise. Tag is
-// an opaque caller correlation value echoed in the Result.
+// record sequence for Proof and ignored otherwise. Tag is an opaque
+// caller correlation value echoed in the Result.
 type Request struct {
 	Kind   Op
 	Extent geom.Extent
 	Seq    int64
-	Gen    uint64
-	Off    int64
 	Tag    uint64
 	done   chan<- Result
 }
@@ -291,12 +265,6 @@ func Open(cfg Config) (*Volume, error) {
 	if v.ls != nil {
 		ls := v.ls
 		v.col.SetStateFn(func() (geom.Sector, int) { return ls.Frontier(), ls.Map().Len() })
-	}
-	if v.wal != nil && cfg.OnSeal != nil {
-		// Installation fires the hook once with the current sealed extent
-		// (on this goroutine; afterwards only the actor goroutine fires it),
-		// so the subscriber sees state sealed by recovery.
-		v.wal.OnSeal(cfg.OnSeal)
 	}
 	go v.loop()
 	return v, nil
@@ -442,9 +410,6 @@ func (v *Volume) process(req Request) {
 	case OpWrite:
 		v.sim.Step(trace.Record{Kind: disk.Write, Extent: req.Extent})
 		res.Err = v.sim.JournalErr()
-		if v.wal != nil {
-			res.Seq = v.wal.Appends()
-		}
 	case OpRead:
 		v.frags.frags = 0
 		v.sim.Step(trace.Record{Kind: disk.Read, Extent: req.Extent})
@@ -459,10 +424,6 @@ func (v *Volume) process(req Request) {
 		res.Audit, res.Err = v.verify()
 	case OpProof:
 		res.Proof, res.Err = v.prove(req.Seq)
-	case OpSeal:
-		res.Err = v.forceSeal()
-	case OpShip:
-		res.Ship, res.Err = v.ship(req.Gen, req.Off)
 	default:
 		res.Err = fmt.Errorf("volume: unknown op %d", req.Kind)
 	}
@@ -497,42 +458,6 @@ func (v *Volume) prove(seq int64) (*journal.Proof, error) {
 		return nil, err
 	}
 	return &p, nil
-}
-
-// ShipChunkBytes softly caps one OpShip response's payload; a single
-// over-size segment still ships whole. It leaves headroom under the wire
-// protocol's 1 MiB frame cap.
-const ShipChunkBytes = 512 << 10
-
-// forceSeal closes the journal's open Merkle segment so every
-// acknowledged record becomes sealed and shippable. Runs on the actor
-// goroutine only.
-func (v *Volume) forceSeal() error {
-	if v.wal == nil {
-		return ErrNoJournal
-	}
-	if err := v.sim.JournalErr(); err != nil {
-		return err
-	}
-	return v.wal.Seal()
-}
-
-// ship reads the next replication chunk for a follower at (gen, off).
-// Runs on the actor goroutine only — the actor is idle while the files
-// are read, so the sealed prefix is consistent. The journal is synced
-// first so a follower is never ahead of the primary's own durability.
-func (v *Volume) ship(gen uint64, off int64) (*journal.ShipChunk, error) {
-	if v.wal == nil {
-		return nil, ErrNoJournal
-	}
-	if err := v.wal.Sync(); err != nil {
-		return nil, err
-	}
-	chunk, err := journal.ShipFrom(v.wal.Dir(), gen, off, ShipChunkBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &chunk, nil
 }
 
 // checkpoint persists the layer's full state through the journal. Runs

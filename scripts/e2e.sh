@@ -13,7 +13,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 work=$(mktemp -d)
-trap 'kill "$pid" "${ppid:-}" "${folpid:-}" 2>/dev/null || true; rm -rf "$work"' EXIT
+trap 'kill "$pid" 2>/dev/null || true; rm -rf "$work"' EXIT
 
 go build -o "$work/smrd" ./cmd/smrd
 go build -o "$work/smrload" ./cmd/smrload
@@ -132,113 +132,6 @@ if "$work/smrverify" "$work/journal" >"$work/audit3.log" 2>&1; then
 fi
 grep -q "CORRUPT" "$work/audit3.log" || {
 	echo "no CORRUPT verdict for seeded damage"; cat "$work/audit3.log"; exit 1
-}
-
-# Replication chaos leg: primary + follower over the wire, SIGKILL the
-# primary mid-load. The replica-set client must fail over — promoting
-# the follower with verified recovery — and finish the whole trace; the
-# promoted follower's journals must then audit clean.
-"$work/smrd" -listen 127.0.0.1:0 -volumes a -journal-dir "$work/prim" \
-	-role primary -seal-every 8 -sync-timeout 2s \
-	>"$work/prim.log" 2>&1 &
-pid=$!
-wait_addr "$work/prim.log"
-paddr=$addr
-ppid=$pid
-"$work/smrd" -listen 127.0.0.1:0 -volumes a -journal-dir "$work/fol" \
-	-role follower -replicate-from "$paddr" \
-	>"$work/fol.log" 2>&1 &
-pid=$!
-folpid=$pid
-wait_addr "$work/fol.log"
-faddr=$addr
-pid=$ppid
-
-"$work/smrload" -addrs "$paddr,$faddr" -volumes a -workload w91 -scale 0.5 \
-	-conns 2 >"$work/load3.log" 2>&1 &
-loadpid=$!
-sleep 0.5
-kill -KILL "$ppid"
-wait "$loadpid" || {
-	echo "load did not survive primary failover"
-	cat "$work/load3.log" "$work/fol.log"; exit 1
-}
-grep -q "failovers" "$work/load3.log" || {
-	echo "no failover accounting in load summary"; cat "$work/load3.log"; exit 1
-}
-grep -q "promoted to primary" "$work/fol.log" || {
-	echo "follower never promoted"; cat "$work/fol.log"; exit 1
-}
-# Time-to-recovery: the load summary's "ttr max" column measures how
-# long the client was dark across the failover (re-elect + verified
-# promotion). Log it and sanity-bound it — a promotion that takes tens
-# of seconds means verification stopped overlapping shipping.
-ttr=$(awk '/ops\/s/ {print $7}' "$work/load3.log")
-echo "failover time-to-recovery: ${ttr:-none}"
-case "$ttr" in
-""|-)
-	echo "no time-to-recovery in load summary"; cat "$work/load3.log"; exit 1
-	;;
-esac
-awk -v t="$ttr" 'BEGIN {
-	if (t ~ /^[0-9.]+ms$/)     ms = substr(t, 1, length(t)-2) + 0
-	else if (t ~ /^[0-9.]+s$/) ms = (substr(t, 1, length(t)-1) + 0) * 1000
-	else exit 1
-	exit ms < 30000 ? 0 : 1
-}' || {
-	echo "time-to-recovery $ttr out of bounds (want < 30s)"; cat "$work/load3.log"; exit 1
-}
-
-# Graceful shutdown of the promoted follower: drain, checkpoint, audit.
-pid=$folpid
-kill -TERM "$folpid"
-wait "$folpid"
-"$work/smrverify" "$work/fol" >"$work/audit4.log" || {
-	echo "promoted-follower audit failed"; cat "$work/audit4.log"; exit 1
-}
-
-# Pipelined chaos leg: the same SIGKILL-the-primary failover, but with
-# a window of acked-and-in-flight requests on the wire when the primary
-# dies. The pipelined driver must drain the broken window, re-elect,
-# resubmit what never completed and finish the whole trace — exiting
-# non-zero on any lost record.
-"$work/smrd" -listen 127.0.0.1:0 -volumes a -journal-dir "$work/prim2" \
-	-role primary -seal-every 8 -sync-timeout 2s \
-	>"$work/prim2.log" 2>&1 &
-pid=$!
-wait_addr "$work/prim2.log"
-paddr=$addr
-ppid=$pid
-"$work/smrd" -listen 127.0.0.1:0 -volumes a -journal-dir "$work/fol2" \
-	-role follower -replicate-from "$paddr" \
-	>"$work/fol2.log" 2>&1 &
-pid=$!
-folpid=$pid
-wait_addr "$work/fol2.log"
-faddr=$addr
-pid=$ppid
-
-"$work/smrload" -addrs "$paddr,$faddr" -volumes a -workload w91 -scale 0.5 \
-	-conns 2 -window 32 >"$work/load4.log" 2>&1 &
-loadpid=$!
-sleep 0.5
-kill -KILL "$ppid"
-wait "$loadpid" || {
-	echo "pipelined load did not survive primary failover"
-	cat "$work/load4.log" "$work/fol2.log"; exit 1
-}
-grep -q "failovers" "$work/load4.log" || {
-	echo "no failover accounting in pipelined load summary"; cat "$work/load4.log"; exit 1
-}
-grep -q "promoted to primary" "$work/fol2.log" || {
-	echo "follower never promoted under pipelined load"; cat "$work/fol2.log"; exit 1
-}
-
-pid=$folpid
-kill -TERM "$folpid"
-wait "$folpid"
-"$work/smrverify" "$work/fol2" >"$work/audit5.log" || {
-	echo "pipelined-leg follower audit failed"; cat "$work/audit5.log"; exit 1
 }
 
 echo "e2e ok ($addr)"
