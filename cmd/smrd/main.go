@@ -56,7 +56,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pprofFlag   = fs.Bool("pprof", false, "also serve net/http/pprof on -metrics-addr")
 		frontier    = fs.Int64("frontier", 1<<22, "log frontier start sector for every volume (the paper places it above the highest LBA)")
 		queueDepth  = fs.Int("queue-depth", volume.DefaultQueueDepth, "per-volume request queue bound; a full queue sheds with an overloaded status")
-		batch       = fs.Int("batch", volume.DefaultBatchSize, "max requests the actor drains per wakeup")
+		batch       = fs.Int("batch", volume.DefaultBatchSize, "max requests the actor drains per wakeup and per journal write")
 		ckptEvery   = fs.Int64("checkpoint-every", 4096, "checkpoint a journaled volume after this many journal records (0 = only at shutdown)")
 		sealEvery   = fs.Int64("seal-every", journal.DefaultSegmentSize, "seal a Merkle segment after this many journal records")
 		recWorkers  = fs.Int("recover-workers", 0, "verification workers per volume during journal recovery (0 = GOMAXPROCS, 1 = sequential); recovered state is identical at any count")

@@ -39,7 +39,8 @@ func (c JournalConfig) Validate() error {
 
 // journalAppend write-ahead-logs one mutation, retrying transient
 // journal-device faults with the same bounded budget disk I/O gets. It
-// returns true when the record is durable and the mutation may proceed.
+// returns true when the record is buffered in the log and the mutation
+// may proceed; it reaches the kernel at the next Commit.
 // On false the caller must NOT apply the mutation: either the append
 // failed leaving nothing persisted (the op is dropped, keeping live
 // state equal to replay state), or an injected crash fired and the
@@ -104,6 +105,15 @@ func (s *Simulator) maybeCheckpoint() {
 	}
 	s.stats.Durability.Checkpoints++
 	s.emitJournal(JournalCheckpoint, time.Since(start))
+}
+
+// Commit flushes the journal records buffered since the last Commit
+// with one write and returns JournalErr, which a failed flush sets.
+func (s *Simulator) Commit() error {
+	if s.wal != nil && s.jerr == nil {
+		s.jerr = s.wal.Flush()
+	}
+	return s.jerr
 }
 
 // JournalErr returns the sticky journal error that stopped the

@@ -419,10 +419,17 @@ func (s *Simulator) Stats() Stats {
 	return st
 }
 
-// Step processes one trace record. After a journal crash (JournalErr
-// non-nil) the simulator is inert: the crash froze the state the
-// recovery harness will compare against.
+// Step processes one trace record: Apply, then Commit. After a journal
+// crash (JournalErr non-nil) the simulator is inert: the crash froze the
+// state the recovery harness will compare against.
 func (s *Simulator) Step(rec trace.Record) {
+	s.Apply(rec)
+	s.Commit()
+}
+
+// Apply processes one trace record without flushing its journal records:
+// a caller that batches acknowledges none of them before its Commit.
+func (s *Simulator) Apply(rec trace.Record) {
 	if rec.Extent.Empty() || s.jerr != nil {
 		return
 	}
@@ -506,7 +513,7 @@ func (s *Simulator) stepWrite(rec trace.Record) {
 		s.emitOp(OpEvent{Op: s.opIndex, Kind: disk.Write, Lba: rec.Extent})
 	}
 	if s.wal != nil {
-		// Write-ahead: the record is durable before the map mutates. A
+		// Write-ahead: the record is logged before the map mutates. A
 		// failed append drops the op entirely, so the live state stays
 		// exactly what replaying the acknowledged records reconstructs.
 		if !s.journalAppend(journal.RecWrite, rec.Extent, s.ls.Frontier()) {
@@ -626,7 +633,7 @@ func (s *Simulator) relocate(lba geom.Extent) {
 		}
 		if s.wal != nil {
 			// The disk I/O succeeded but the relocation is not committed
-			// until its record is durable; an unjournalable relocation is
+			// until its record is logged; an unjournalable relocation is
 			// aborted like a faulted one.
 			if !s.journalAppend(journal.RecRelocate, lba, s.ls.Frontier()) {
 				s.stats.Resilience.AbortedRelocations++

@@ -10,7 +10,8 @@ import (
 )
 
 // BenchmarkAppend measures the per-record write-ahead logging cost the
-// simulator pays on every journaled mutation.
+// simulator pays on every journaled mutation, flushing every 32 appends
+// the way a volume actor commits a full batch.
 func BenchmarkAppend(b *testing.B) {
 	lg, err := Open(b.TempDir(), 0)
 	if err != nil {
@@ -22,6 +23,11 @@ func BenchmarkAppend(b *testing.B) {
 		rec := Record{Kind: RecWrite, Lba: geom.Ext(int64(i)%100000, 8), Pba: int64(i) * 8}
 		if err := lg.Append(rec); err != nil {
 			b.Fatal(err)
+		}
+		if i%32 == 31 {
+			if err := lg.Flush(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -137,16 +137,17 @@ const DefaultSegmentSize = 256
 var ErrCrashed = errors.New("journal: crashed (injected crash point)")
 
 // MarshalRecord encodes a record as one framed journal entry.
-func MarshalRecord(r Record) []byte {
-	buf := make([]byte, frameSize)
-	binary.LittleEndian.PutUint32(buf[0:4], payloadSize)
-	p := buf[4 : 4+payloadSize]
-	p[0] = byte(r.Kind)
-	binary.LittleEndian.PutUint64(p[1:9], uint64(r.Lba.Start))
-	binary.LittleEndian.PutUint64(p[9:17], uint64(r.Lba.Count))
-	binary.LittleEndian.PutUint64(p[17:25], uint64(r.Pba))
-	binary.LittleEndian.PutUint32(buf[4+payloadSize:], crc32.ChecksumIEEE(p))
-	return buf
+func MarshalRecord(r Record) []byte { return appendRecord(make([]byte, 0, frameSize), r) }
+
+// appendRecord appends r's framed encoding to dst.
+func appendRecord(dst []byte, r Record) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, payloadSize)
+	p := len(dst)
+	dst = append(dst, byte(r.Kind))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Lba.Start))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Lba.Count))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Pba))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[p:]))
 }
 
 // unmarshalPayload decodes a CRC-validated payload. ok is false when the
@@ -182,18 +183,15 @@ type Seal struct {
 	Offset int64 `json:"offset"`
 }
 
-// marshalSeal encodes one framed seal entry.
-func marshalSeal(index, count int, root, chain Hash) []byte {
-	buf := make([]byte, sealFrameSize)
-	binary.LittleEndian.PutUint32(buf[0:4], sealPayloadSize)
-	p := buf[4 : 4+sealPayloadSize]
-	p[0] = byte(RecSeal)
-	binary.LittleEndian.PutUint64(p[1:9], uint64(index))
-	binary.LittleEndian.PutUint32(p[9:13], uint32(count))
-	copy(p[13:45], root[:])
-	copy(p[45:77], chain[:])
-	binary.LittleEndian.PutUint32(buf[4+sealPayloadSize:], crc32.ChecksumIEEE(p))
-	return buf
+// appendSeal appends one framed seal entry to dst.
+func appendSeal(dst []byte, index, count int, root, chain Hash) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, sealPayloadSize)
+	p := len(dst)
+	dst = append(dst, byte(RecSeal))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(index))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
+	dst = append(append(dst, root[:]...), chain[:]...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[p:]))
 }
 
 // parseSealPayload decodes a CRC-validated seal payload.
@@ -330,10 +328,12 @@ type Log struct {
 	f   *os.File
 
 	generation uint64
-	appends    int64 // acknowledged appends by this process
-	sinceCkpt  int64 // records in the journal file since its header
-	ckpts      int64 // checkpoints written by this process
-	size       int64 // journal file size (for seal offsets)
+	appends    int64  // acknowledged appends by this process
+	sinceCkpt  int64  // records in the journal file since its header
+	ckpts      int64  // checkpoints written by this process
+	size       int64  // logical journal size: file bytes plus buf (for seal offsets)
+	buf        []byte // frames appended since the last Flush
+	ferr       error  // sticky Flush failure
 
 	segSize int    // records per sealed segment
 	anchor  Hash   // header anchor (chain head at journal birth)
@@ -470,22 +470,26 @@ func (l *Log) SetSegmentSize(n int) error {
 // SetFailer installs an append fault hook (nil clears it).
 func (l *Log) SetFailer(f Failer) { l.failer = f }
 
-// CrashAfter arms a crash point: append number n (1-based) persists only
-// tornBytes bytes of its frame — a torn write — and fails with
-// ErrCrashed; the log is dead thereafter. tornBytes is clamped to the
-// frame size minus one so the torn record is never replayable, and to
-// zero from below.
+// CrashAfter arms a crash point: append number n (1-based) flushes the
+// frames buffered before it, then persists only tornBytes bytes of its
+// own frame — a torn write — and fails with ErrCrashed; the log is dead
+// thereafter. tornBytes is clamped to the frame size minus one so the
+// torn record is never replayable, and to zero from below.
 func (l *Log) CrashAfter(n int64, tornBytes int) {
 	l.crashAfter, l.tornBytes = n, tornBytes
 }
 
-// Append write-ahead-logs one record. The caller must apply the
-// mutation only after Append returns nil: a failed append persisted
-// either nothing (failer fault) or an unreplayable torn prefix (crash).
-// Filling a segment seals it in the same call.
+// Append write-ahead-logs one record into the log's buffer; Flush puts
+// it in the kernel. The caller must apply the mutation only after
+// Append returns nil, and acknowledge it only after Flush: a failed
+// append persisted either nothing (failer fault) or an unreplayable
+// torn prefix (crash). Filling a segment seals it in the same call.
 func (l *Log) Append(rec Record) error {
 	if l.crashed {
 		return ErrCrashed
+	}
+	if l.ferr != nil {
+		return l.ferr
 	}
 	if !rec.Valid() {
 		return fmt.Errorf("journal: unreplayable record %+v", rec)
@@ -496,58 +500,60 @@ func (l *Log) Append(rec Record) error {
 			return err
 		}
 	}
-	frame := MarshalRecord(rec)
 	if l.crashAfter > 0 && seq >= l.crashAfter {
-		torn := l.tornBytes
-		if torn < 0 {
-			torn = 0
-		}
-		if torn >= len(frame) {
-			torn = len(frame) - 1
-		}
-		if torn > 0 {
-			if _, err := l.f.Write(frame[:torn]); err != nil {
-				return err
-			}
+		torn := min(max(l.tornBytes, 0), frameSize-1)
+		l.buf = append(l.buf, MarshalRecord(rec)[:torn]...)
+		if err := l.Flush(); err != nil {
+			return err
 		}
 		l.crashed = true
 		return ErrCrashed
 	}
-	if _, err := l.f.Write(frame); err != nil {
-		return err
-	}
-	l.size += int64(len(frame))
-	l.leaves = append(l.leaves, LeafHash(frame[4:4+payloadSize]))
+	l.buf = appendRecord(l.buf, rec)
+	l.size += frameSize
+	l.leaves = append(l.leaves, LeafHash(l.buf[len(l.buf)-frameSize+4:len(l.buf)-4]))
 	l.appends++
 	l.sinceCkpt++
 	if int64(len(l.leaves))-l.sealed >= int64(l.segSize) {
-		return l.seal()
+		l.seal()
 	}
 	return nil
 }
 
+// Flush writes every frame buffered since the last flush with one
+// Write. A failed flush leaves the file's tail unknown, so it is
+// sticky: every later Append, Flush and Checkpoint returns its error.
+func (l *Log) Flush() error {
+	if l.ferr != nil || len(l.buf) == 0 {
+		return l.ferr
+	}
+	if _, l.ferr = l.f.Write(l.buf); l.ferr == nil {
+		l.buf = l.buf[:0]
+	}
+	return l.ferr
+}
+
+// Buffered returns the bytes appended but not yet flushed.
+func (l *Log) Buffered() int { return len(l.buf) }
+
 // seal closes the open segment (no-op when empty): Merkle root over the
-// pending leaves, chain extension, one seal frame appended.
-func (l *Log) seal() error {
+// pending leaves, chain extension, one seal frame buffered.
+func (l *Log) seal() {
 	pending := l.leaves[l.sealed:]
 	if len(pending) == 0 {
-		return nil
+		return
 	}
 	root := MerkleRoot(pending)
 	next := chainLink(l.chain, root)
 	idx := len(l.seals)
-	frame := marshalSeal(idx, len(pending), root, next)
-	if _, err := l.f.Write(frame); err != nil {
-		return err
-	}
+	l.buf = appendSeal(l.buf, idx, len(pending), root, next)
 	l.seals = append(l.seals, Seal{
 		Index: idx, First: l.sealed + 1, Count: len(pending),
 		Root: root, Chain: next, Offset: l.size,
 	})
-	l.size += int64(len(frame))
+	l.size += sealFrameSize
 	l.chain = next
 	l.sealed += int64(len(pending))
-	return nil
 }
 
 // Prove returns the inclusion proof for the seq'th record (1-based) of
@@ -587,18 +593,19 @@ func (l *Log) Prove(seq int64) (Proof, error) {
 }
 
 // Checkpoint atomically persists the snapshot and truncates the
-// journal. The open segment is sealed first so the snapshot's chain
-// head commits every acknowledged record; the snapshot is staged to a
-// temporary file, synced, renamed over the checkpoint, and the rename
-// is made durable with a directory fsync; only then is the journal
-// reborn empty with the next generation and the chain head as its
-// anchor. A crash anywhere in between leaves a recoverable pair (see
+// journal. The open segment is sealed and the buffer flushed first so
+// the snapshot's chain head commits every acknowledged record; the
+// snapshot is staged to a temporary file, synced, renamed over the
+// checkpoint, and the rename is made durable with a directory fsync;
+// only then is the journal reborn empty with the next generation and
+// the chain head as its anchor. A crash anywhere in between leaves a recoverable pair (see
 // the package comment on generations).
 func (l *Log) Checkpoint(snap Snapshot) error {
 	if l.crashed {
 		return ErrCrashed
 	}
-	if err := l.seal(); err != nil {
+	l.seal()
+	if err := l.Flush(); err != nil {
 		return err
 	}
 	snap.Generation = l.generation
@@ -665,8 +672,8 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Sync flushes the journal file to stable storage.
-func (l *Log) Sync() error { return l.f.Sync() }
+// Sync flushes the buffer and then the journal file to stable storage.
+func (l *Log) Sync() error { return errors.Join(l.Flush(), l.f.Sync()) }
 
-// Close closes the journal file. The log is unusable afterwards.
-func (l *Log) Close() error { return l.f.Close() }
+// Close flushes and closes the journal file. The log is unusable afterwards.
+func (l *Log) Close() error { return errors.Join(l.Flush(), l.f.Close()) }

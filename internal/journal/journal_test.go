@@ -160,6 +160,9 @@ func TestLogAppendAndReload(t *testing.T) {
 	if err := l2.Append(rec(RecWrite, 100, 2, 540)); err != nil {
 		t.Fatal(err)
 	}
+	if err := l2.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	snap, d, err := LoadDirWorkers(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +205,9 @@ func TestLogCheckpointTruncatesAndGuardsGeneration(t *testing.T) {
 		t.Errorf("generation %d, want 2", l.Generation())
 	}
 	if err := l.Append(rec(RecWrite, 5, 1, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -309,6 +315,9 @@ func TestLogFailerFailsCleanly(t *testing.T) {
 		}
 	}
 	if err := l.Append(rec(RecWrite, 1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	_, d, err := LoadDirWorkers(dir, 0)

@@ -49,6 +49,9 @@ func TestSealCadence(t *testing.T) {
 	}
 
 	// A scan must reproduce exactly the same seal view.
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := os.ReadFile(JournalPath(dir))
 	if err != nil {
 		t.Fatal(err)

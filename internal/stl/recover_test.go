@@ -154,6 +154,9 @@ func TestRecoverReplaysJournal(t *testing.T) {
 			t.Fatal("unexpected crash")
 		}
 	}
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	rec, st, err := RecoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +188,9 @@ func TestRecoverFromCheckpointPlusTail(t *testing.T) {
 	// checkpoint yet. Add a tail.
 	for i := 0; i < 37; i++ {
 		journaledWrite(t, live, log, geom.Ext(rng.Int63n(2000), rng.Int63n(32)+1))
+	}
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	rec, st, err := RecoverDir(dir)
 	if err != nil {
@@ -395,6 +401,9 @@ func TestRecoverMatchesForwardCheckpointPlusTail(t *testing.T) {
 	}
 	for i := 0; i < 120; i++ {
 		journaledWrite(t, live, log, geom.Ext(rng.Int63n(4000), rng.Int63n(48)+1))
+	}
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	snap, d, err := journal.LoadDirWorkers(dir, 0)
 	if err != nil {

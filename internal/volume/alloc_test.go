@@ -13,11 +13,19 @@ import (
 // simulator step, and the result receive. Requests and results travel
 // by value over channels, so a warm round trip allocates nothing; the
 // bound allows at most the extent map's node slab (one per 64 nodes)
-// per batch of 64, never one allocation per op.
+// per batch of 64, never one allocation per op. The journaled variant
+// adds the journal append and the batch's commit: records are encoded
+// into the log's own buffer, so it keeps the same bound.
 func TestActorRoundTripAllocs(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { pinRoundTripAllocs(t, "") })
+	t.Run("journaled", func(t *testing.T) { pinRoundTripAllocs(t, t.TempDir()) })
+}
+
+func pinRoundTripAllocs(t *testing.T, journalDir string) {
 	v, err := volume.Open(volume.Config{
-		Name: "pin",
-		Sim:  core.Config{LogStructured: true, FrontierStart: 1 << 22},
+		Name:       "pin",
+		Sim:        core.Config{LogStructured: true, FrontierStart: 1 << 22},
+		JournalDir: journalDir,
 	})
 	if err != nil {
 		t.Fatal(err)

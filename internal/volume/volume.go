@@ -18,6 +18,9 @@
 //   - Batching: when the queue is deep the actor drains up to BatchSize
 //     requests per channel wakeup, amortizing scheduler round-trips at
 //     saturation without changing execution order.
+//   - Group commit: a journaled volume writes a batch's journal records
+//     with one write at its end and holds the batch's results until that
+//     write returns: every acknowledged record is in the kernel first.
 //
 // Each volume owns a per-simulator obsv.Collector (attached through
 // core.NewSimulator's per-simulator probes — NOT core.SetGlobalProbe,
@@ -106,8 +109,8 @@ type Config struct {
 	// the queue is full TryDo sheds with ErrOverloaded.
 	QueueDepth int
 	// BatchSize caps how many requests the actor drains per channel
-	// wakeup (0 = DefaultBatchSize). Order is unchanged; batching only
-	// amortizes wakeups at saturation.
+	// wakeup, and so per journal write (0 = DefaultBatchSize). Order is
+	// unchanged; batching only amortizes wakeups and writes at saturation.
 	BatchSize int
 	// JournalDir, when non-empty, enables write-ahead journaling of the
 	// layer's mutations in this directory. A directory already holding
@@ -181,11 +184,19 @@ type Volume struct {
 	closeErr error         // shutdown outcome; read after done
 	final    core.Stats    // stats at shutdown; read after done
 
-	frags fragProbe // actor-goroutine-only: last read's fragment count
+	frags fragProbe    // actor-goroutine-only: last read's fragment count
+	held  []heldResult // actor-goroutine-only: results awaiting the batch's Commit
 
 	// Recovery describes what was replayed from JournalDir at Open, nil
 	// for a fresh volume. Immutable after Open.
 	Recovery *stl.ReplayStats
+}
+
+// heldResult is a result produced while the journal held unflushed
+// records, delivered only after the batch's Commit.
+type heldResult struct {
+	done chan<- Result
+	res  Result
 }
 
 // fragProbe captures OpEvent.Frags so the actor can report a read's
@@ -400,19 +411,36 @@ func (v *Volume) loop() {
 				i = v.batch
 			}
 		}
+		v.commit()
 	}
 	v.shutdown()
+}
+
+// commit flushes the batch's journal records with one write, then
+// delivers the held results in order; a failed flush fails each of them.
+func (v *Volume) commit() {
+	err := v.sim.Commit()
+	for _, h := range v.held {
+		if h.res.Err == nil {
+			h.res.Err = err
+		}
+		if h.done != nil {
+			h.done <- h.res
+		}
+	}
+	clear(v.held)
+	v.held = v.held[:0]
 }
 
 func (v *Volume) process(req Request) {
 	res := Result{Tag: req.Tag}
 	switch req.Kind {
 	case OpWrite:
-		v.sim.Step(trace.Record{Kind: disk.Write, Extent: req.Extent})
+		v.sim.Apply(trace.Record{Kind: disk.Write, Extent: req.Extent})
 		res.Err = v.sim.JournalErr()
 	case OpRead:
 		v.frags.frags = 0
-		v.sim.Step(trace.Record{Kind: disk.Read, Extent: req.Extent})
+		v.sim.Apply(trace.Record{Kind: disk.Read, Extent: req.Extent})
 		res.Frags = v.frags.frags
 		res.Err = v.sim.JournalErr()
 	case OpStat:
@@ -426,6 +454,11 @@ func (v *Volume) process(req Request) {
 		res.Proof, res.Err = v.prove(req.Seq)
 	default:
 		res.Err = fmt.Errorf("volume: unknown op %d", req.Kind)
+	}
+	// Once a result is held, later ones queue behind it to keep order.
+	if v.wal != nil && (len(v.held) > 0 || v.wal.Buffered() > 0) {
+		v.held = append(v.held, heldResult{req.done, res})
+		return
 	}
 	if req.done != nil {
 		req.done <- res

@@ -1,9 +1,11 @@
 package volume_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -228,6 +230,89 @@ func TestVolumeJournalDurability(t *testing.T) {
 	}
 	if !recovered.Map().Equal(ref.Map()) {
 		t.Errorf("recovered map diverges from uninterrupted run:\n%s", recovered.Map().Diff(ref.Map()))
+	}
+}
+
+// TestGroupCommitMatchesStep: batching changes when journal bytes reach
+// the file, never which bytes. The same trace through a pipelined,
+// journaled volume (one journal write per actor batch) and through a
+// direct simulator (one per Step) leaves byte-identical journal and
+// checkpoint files.
+func TestGroupCommitMatchesStep(t *testing.T) {
+	recs := smallTrace(t, 0.02)
+	d := core.DefaultDefragConfig() // defrag relocations journal from reads too
+	sim := core.Config{LogStructured: true, FrontierStart: core.FrontierFor(recs), Defrag: &d}
+	const ckptEvery, sealEvery = 100, 8
+
+	direct := t.TempDir()
+	lg, err := journal.Open(direct, sim.FrontierStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.SetSegmentSize(sealEvery); err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim
+	cfg.Journal = &core.JournalConfig{Log: lg, CheckpointEvery: ckptEvery}
+	s, err := core.NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		s.Step(r)
+	}
+	if err := s.JournalErr(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Checkpoint(s.LS().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	batched := t.TempDir()
+	v, err := volume.Open(volume.Config{
+		Name: "gc", Sim: sim, QueueDepth: len(recs),
+		JournalDir: batched, CheckpointEvery: ckptEvery, SealEvery: sealEvery,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan volume.Result, len(recs))
+	for _, r := range recs {
+		kind := volume.OpWrite
+		if r.Kind == disk.Read {
+			kind = volume.OpRead
+		}
+		if err := v.TryDo(volume.Request{Kind: kind, Extent: r.Extent}, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range recs {
+		if r := <-done; r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := v.Stats(); st.Durability.Checkpoints == 0 || st.DefragWritebacks == 0 {
+		t.Fatalf("trace too small to checkpoint and relocate: %+v", st.Durability)
+	}
+
+	for _, name := range []string{journal.JournalFile, journal.CheckpointFile} {
+		want, err := os.ReadFile(filepath.Join(direct, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(batched, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: batched volume wrote %d B, per-Step simulator %d B, contents differ", name, len(got), len(want))
+		}
 	}
 }
 

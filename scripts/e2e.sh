@@ -89,9 +89,16 @@ wait_addr "$work/smrd2.log"
 "$work/smrload" -addr "$addr" -volumes a,b -workload w91 -scale 1.0 -conns 4 \
 	>"$work/load2.log" 2>&1 &
 loadpid=$!
+# A second, pipelined load keeps 32 requests in flight per connection,
+# so the kill lands while an actor holds a batch's results for its one
+# journal write.
+"$work/smrload" -addr "$addr" -volumes a,b -workload w91 -scale 1.0 -conns 4 \
+	-window 32 >"$work/load2p.log" 2>&1 &
+loadppid=$!
 sleep 0.4
 kill -KILL "$pid"
 wait "$loadpid" 2>/dev/null || true # load dies with the daemon; that's the point
+wait "$loadppid" 2>/dev/null || true
 
 # Restart over the crashed journals: recovery must verify the seal
 # chains before replaying, and say so — with the parallel verification
