@@ -21,8 +21,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"smrseek"
@@ -49,20 +47,16 @@ func run(args []string, out io.Writer) error {
 		workloadName = fs.String("workload", "", "named synthetic workload (see traceinfo -list)")
 		scale        = fs.Float64("scale", 0.5, "workload scale (multiplies base op count)")
 		tracePath    = fs.String("trace", "", "trace file to simulate instead of a named workload")
-		format       = fs.String("format", "cp", `trace format: "msr", "cp" or "bin"`)
-		diskNum      = fs.Int("disk", -1, "MSR disk number filter (-1 = all)")
+		format       = fs.String("format", "cp", `trace format for -trace: "msr", "cp" or "bin"`)
+		diskNum      = fs.Int("disk", -1, "MSR disk number filter for -trace (-1 = all)")
 		all          = fs.Bool("all", false, "run the full Figure 11 variant comparison")
 		layerName    = fs.String("layer", "", `translation layer: "segls" (finite log + greedy cleaning) or "mcache" (media cache); default is NoLS/LS per -ls`)
 		ls           = fs.Bool("ls", false, "use the log-structured layer")
 		defrag       = fs.Bool("defrag", false, "enable opportunistic defragmentation (implies -ls)")
 		prefetch     = fs.Bool("prefetch", false, "enable look-ahead-behind prefetching (implies -ls)")
 		cache        = fs.Bool("cache", false, "enable 64 MB selective caching (implies -ls)")
-		cacheMB      = fs.Int64("cache-mb", 64, "selective cache size in MiB")
+		cacheMB      = fs.Int64("cache-mb", 64, "selective cache size in MiB (with -cache)")
 		withTime     = fs.Bool("time", false, "also report modelled service time (7200 RPM drive)")
-		faultRate    = fs.Float64("fault-rate", 0, "per-access transient fault probability for reads and writes (0 disables injection)")
-		poisonRate   = fs.Float64("poison-rate", 0, "probability a cache/prefetch-buffer serve is corrupt and falls back to the medium")
-		faultSeed    = fs.Uint64("fault-seed", 1, "fault injector seed (same seed => identical fault sequence)")
-		mediaErrors  = fs.String("media-errors", "", `persistent media-error PBA ranges, "start:count,start:count,..."`)
 		timeout      = fs.Duration("timeout", 0, "abort the simulation after this duration (0 = no limit)")
 		journalDir   = fs.String("journal", "", "write-ahead-journal directory: STL mutations are logged and checkpointed there (implies -ls)")
 		ckptEvery    = fs.Int64("checkpoint-every", 4096, "checkpoint the STL after this many journal records (with -journal; 0 = never)")
@@ -87,6 +81,9 @@ func run(args []string, out io.Writer) error {
 		*recoverFlag, *all, *layerName, *cacheMB); err != nil {
 		return err
 	}
+	if err := checkModifiers(setFlags, *cache, *journalDir != "", *tracePath != "", *withTime, *all); err != nil {
+		return err
+	}
 	obs := obsvOpts{traceOut: *traceOut, hist: *hist, addr: *metricsAddr, pprof: *pprofFlag}
 	if err := obs.validate(*all, recoverOnly); err != nil {
 		return err
@@ -99,11 +96,7 @@ func run(args []string, out io.Writer) error {
 		defer cancel()
 	}
 
-	faultCfg, err := buildFaultConfig(*faultRate, *poisonRate, *faultSeed, *mediaErrors)
-	if err != nil {
-		return err
-	}
-	dev, err := buildDevice(*geometry, *bandSize, *pcache, *cleanPolicy, setFlags, *all, faultCfg != nil)
+	dev, err := buildDevice(*geometry, *bandSize, *pcache, *cleanPolicy, setFlags, *all)
 	if err != nil {
 		return err
 	}
@@ -122,9 +115,6 @@ func run(args []string, out io.Writer) error {
 		name, report.HumanCount(c.ReadCount), report.HumanCount(c.WriteCount), c.ReadGB(), c.WrittenGB())
 
 	if *all {
-		if faultCfg != nil {
-			return fmt.Errorf("-fault-rate/-poison-rate/-media-errors cannot be combined with -all (SAF comparisons need fault-free runs)")
-		}
 		return runAll(ctx, out, recs)
 	}
 
@@ -149,7 +139,6 @@ func run(args []string, out io.Writer) error {
 		cc := smrseek.CacheConfig{CapacityBytes: *cacheMB << 20}
 		cfg.Cache = &cc
 	}
-	cfg.Fault = faultCfg
 	cfg.Device = dev
 
 	var recovery *stl.ReplayStats
@@ -207,7 +196,7 @@ func run(args []string, out io.Writer) error {
 // buildDevice validates the geometry flags and builds the chosen device
 // model — nil for the default infinite disk.
 func buildDevice(geometry string, bandSize, pcacheSectors int64, policyName string,
-	setFlags map[string]bool, all, faults bool) (smrseek.Device, error) {
+	setFlags map[string]bool, all bool) (smrseek.Device, error) {
 	switch geometry {
 	case "infinite":
 		for _, f := range []string{"band-size", "pcache", "clean-policy"} {
@@ -219,9 +208,6 @@ func buildDevice(geometry string, bandSize, pcacheSectors int64, policyName stri
 	case "band":
 		if all {
 			return nil, fmt.Errorf("-geometry band cannot be combined with -all (the Figure 11 comparison is defined on the paper's infinite model)")
-		}
-		if faults && pcacheSectors > 0 {
-			return nil, fmt.Errorf("-pcache cannot be combined with fault injection (retry semantics of a faulted cache redirect are undefined; drop -fault-rate/-poison-rate/-media-errors or -pcache)")
 		}
 		pol, err := smrseek.ParseBandPolicy(policyName)
 		if err != nil {
@@ -291,6 +277,28 @@ func validateFlags(scale float64, timeout time.Duration, journalDir string,
 	return nil
 }
 
+// checkModifiers rejects a flag that only modifies another one when the
+// flag it modifies is off, where it would otherwise be silently ignored.
+func checkModifiers(setFlags map[string]bool, cache, journaled, traced, timed, all bool) error {
+	for _, m := range []struct {
+		flag, needs string
+		ok          bool
+	}{
+		{"cache-mb", "-cache", cache},
+		{"checkpoint-every", "-journal DIR", journaled},
+		{"format", "-trace FILE", traced},
+		{"disk", "-trace FILE", traced},
+	} {
+		if setFlags[m.flag] && !m.ok {
+			return fmt.Errorf("-%s requires %s", m.flag, m.needs)
+		}
+	}
+	if timed && all {
+		return fmt.Errorf("-time cannot be combined with -all (the modelled time follows a single run)")
+	}
+	return nil
+}
+
 // runRecoverOnly recovers the STL state from the journal directory and
 // reports what replay found, without running any workload.
 func runRecoverOnly(out io.Writer, dir string) error {
@@ -314,53 +322,6 @@ func replayDurability(rst stl.ReplayStats) metrics.Durability {
 		TornTail:        rst.TornTail,
 		FromCheckpoint:  rst.FromCheckpoint,
 	}
-}
-
-// buildFaultConfig assembles a fault configuration from the CLI flags,
-// or nil when injection is disabled.
-func buildFaultConfig(rate, poison float64, seed uint64, mediaSpec string) (*smrseek.FaultConfig, error) {
-	ranges, err := parseMediaRanges(mediaSpec)
-	if err != nil {
-		return nil, err
-	}
-	if rate == 0 && poison == 0 && len(ranges) == 0 {
-		return nil, nil
-	}
-	cfg := smrseek.FaultConfig{
-		Seed:        seed,
-		ReadRate:    rate,
-		WriteRate:   rate,
-		PoisonRate:  poison,
-		MediaRanges: ranges,
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &cfg, nil
-}
-
-// parseMediaRanges parses "start:count,start:count,..." into PBA extents.
-func parseMediaRanges(spec string) ([]geom.Extent, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []geom.Extent
-	for _, part := range strings.Split(spec, ",") {
-		start, count, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("media range %q: want start:count", part)
-		}
-		s, err := strconv.ParseInt(start, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("media range %q: bad start: %v", part, err)
-		}
-		n, err := strconv.ParseInt(count, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("media range %q: bad count: %v", part, err)
-		}
-		out = append(out, geom.Ext(geom.Sector(s), n))
-	}
-	return out, nil
 }
 
 // buildLayer constructs an alternative translation layer sized to the
@@ -438,7 +399,7 @@ func runAll(ctx context.Context, out io.Writer, recs []smrseek.Record) error {
 
 func runOne(ctx context.Context, out io.Writer, pl *smrseek.Preloaded, cfg smrseek.Config,
 	withTime bool, recovery *stl.ReplayStats, obs obsvOpts) error {
-	// Baseline for SAF, always fault-free so SAF compares like with like.
+	// Baseline for SAF.
 	base, err := smrseek.RunPreloadedContext(ctx, smrseek.Config{}, pl)
 	if err != nil {
 		return err
@@ -534,12 +495,6 @@ func renderOne(out io.Writer, cfg smrseek.Config, st, base smrseek.Stats, acc *d
 	if st.Cleaning.Any() {
 		fmt.Fprintln(out)
 		if err := report.CleaningTable(st.Cleaning).Render(out); err != nil {
-			return err
-		}
-	}
-	if cfg.Fault != nil {
-		fmt.Fprintln(out)
-		if err := report.ResilienceTable(st.Resilience).Render(out); err != nil {
 			return err
 		}
 	}

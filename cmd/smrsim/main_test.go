@@ -97,79 +97,6 @@ func TestRunCustomLayers(t *testing.T) {
 	}
 }
 
-func TestRunWithFaults(t *testing.T) {
-	var buf bytes.Buffer
-	args := []string{"-workload", "hm_1", "-scale", "0.2", "-ls",
-		"-fault-rate", "0.05", "-fault-seed", "7"}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"LS+faults results", "fault injection & recovery", "faults injected", "recovery rate"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// Same seed, same bytes.
-	var again bytes.Buffer
-	if err := run(args, &again); err != nil {
-		t.Fatal(err)
-	}
-	if out != again.String() {
-		t.Error("two faulted runs with the same seed produced different output")
-	}
-	// Different seed, different fault tallies.
-	var other bytes.Buffer
-	args[len(args)-1] = "8"
-	if err := run(args, &other); err != nil {
-		t.Fatal(err)
-	}
-	if out == other.String() {
-		t.Error("different fault seeds produced identical output")
-	}
-}
-
-func TestRunMediaErrorsFlag(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-workload", "hm_1", "-scale", "0.2",
-		"-media-errors", "0:100000000"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "media errors") {
-		t.Errorf("output missing media error tally:\n%s", buf.String())
-	}
-	for _, bad := range []string{"10", "a:b", "5:-1", ":"} {
-		if err := run([]string{"-workload", "hm_1", "-media-errors", bad}, &buf); err == nil {
-			t.Errorf("media-errors %q accepted", bad)
-		}
-	}
-}
-
-func TestRunPoisonRateFlag(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-workload", "w91", "-scale", "0.1", "-cache", "-prefetch",
-		"-poison-rate", "1"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "+faults results") {
-		t.Errorf("poison-only config did not enable the injector:\n%s", out)
-	}
-	if strings.Contains(out, "poisoned cache evictions  0 ") {
-		t.Errorf("no poisoned evictions at PoisonRate 1:\n%s", out)
-	}
-}
-
-func TestRunFaultsRejectedWithAll(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-workload", "hm_1", "-scale", "0.1", "-all", "-fault-rate", "0.1"}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "-all") {
-		t.Errorf("err = %v, want -all/fault conflict", err)
-	}
-}
-
 func TestRunTimeout(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-workload", "usr_0", "-scale", "1.0", "-ls", "-timeout", "1ns"}, &buf)
@@ -273,15 +200,20 @@ func TestRunFlagValidation(t *testing.T) {
 		"zero scale":                 {"-workload", "hm_1", "-scale", "0"},
 		"negative timeout":           {"-workload", "hm_1", "-timeout", "-1s"},
 		"zero cache-mb":              {"-workload", "hm_1", "-cache", "-cache-mb", "0"},
-		"negative fault rate":        {"-workload", "hm_1", "-fault-rate", "-0.5"},
-		"fault rate above 1":         {"-workload", "hm_1", "-fault-rate", "1.5"},
-		"negative poison rate":       {"-workload", "hm_1", "-poison-rate", "-1"},
 		"recover without journal":    {"-workload", "hm_1", "-recover"},
 		"crash without journal":      {"-workload", "hm_1", "-crash-after", "5"},
 		"negative crash point":       {"-workload", "hm_1", "-journal", "x", "-crash-after", "-2"},
 		"negative checkpoint period": {"-workload", "hm_1", "-journal", "x", "-checkpoint-every", "-1"},
 		"journal with all":           {"-workload", "hm_1", "-journal", "x", "-all"},
 		"journal with custom layer":  {"-workload", "hm_1", "-journal", "x", "-layer", "segls"},
+
+		// Modifier flags whose flag is off would be silently ignored.
+		"cache-mb without cache":           {"-workload", "hm_1", "-ls", "-cache-mb", "32"},
+		"cache-mb with cache off":          {"-workload", "hm_1", "-cache=false", "-cache-mb", "32"},
+		"checkpoint-every without journal": {"-workload", "hm_1", "-ls", "-checkpoint-every", "100"},
+		"format without trace":             {"-workload", "hm_1", "-format", "msr"},
+		"disk without trace":               {"-workload", "hm_1", "-disk", "0"},
+		"time with all":                    {"-workload", "hm_1", "-all", "-time"},
 
 		// Observability flags follow exactly one simulation: they conflict
 		// with -all (many runs) and with standalone -recover (no run).

@@ -28,9 +28,6 @@
 //   - "Background" (non-stall) cleans still execute synchronously in
 //     simulated time; the stall counter distinguishes cleans the host
 //     had to wait for from cleans an idle drive would have absorbed.
-//   - Fault injection composes with the pass-through paths, but retry
-//     semantics for redirected writes are undefined (a retried redirect
-//     would re-append); the CLIs reject that combination.
 package band
 
 import (
@@ -304,11 +301,6 @@ func (d *Device) Position() geom.Sector { return d.inner.Position() }
 // physical access, cleaning included.
 func (d *Device) AddObserver(o disk.Observer) { d.inner.AddObserver(o) }
 
-// SetFaultChecker installs a fault checker on the inner engine. With
-// the cache enabled the redirect paths do not retry coherently (see the
-// package comment); callers gate that combination.
-func (d *Device) SetFaultChecker(fc disk.FaultChecker) { d.inner.SetFaultChecker(fc) }
-
 // Cleaning returns the cache/cleaning counters, with the dirty-band
 // gauge sampled now.
 func (d *Device) Cleaning() metrics.Cleaning {
@@ -383,7 +375,7 @@ func (d *Device) advance(ext geom.Extent) {
 	}
 }
 
-// TryDo performs one host I/O. With the cache disabled every access is
+// Do performs one host I/O. With the cache disabled every access is
 // a single pass-through of the inner engine — bit-identical to the
 // infinite model — while band write pointers are still tracked. With
 // the cache enabled, reads resolve through the cache map and rewrites
@@ -391,9 +383,9 @@ func (d *Device) advance(ext geom.Extent) {
 // returned Access summarizes the (possibly several) physical accesses:
 // Seeked and Distance report the first physical seek, Extent the host's
 // request.
-func (d *Device) TryDo(kind disk.OpKind, ext geom.Extent) (disk.Access, error) {
+func (d *Device) Do(kind disk.OpKind, ext geom.Extent) disk.Access {
 	if ext.Empty() {
-		return disk.Access{Kind: kind, Extent: ext}, nil
+		return disk.Access{Kind: kind, Extent: ext}
 	}
 	d.noteCrossings(ext)
 	if d.cfg.CacheSectors == 0 {
@@ -402,52 +394,45 @@ func (d *Device) TryDo(kind disk.OpKind, ext geom.Extent) (disk.Access, error) {
 			d.advance(ext)
 			d.noteTail(ext)
 		}
-		return d.inner.TryDo(kind, ext)
+		return d.inner.Do(kind, ext)
 	}
 	d.stalled = false
 	var sum summary
-	var err error
 	if kind == disk.Read {
-		err = d.doRead(ext, &sum)
+		d.doRead(ext, &sum)
 	} else {
-		err = d.doWrite(ext, &sum)
+		d.doWrite(ext, &sum)
 	}
 	d.softClean()
-	a := disk.Access{Kind: kind, Extent: ext, Seeked: sum.seeked, Distance: sum.distance, Faulted: err != nil}
-	return a, err
+	return disk.Access{Kind: kind, Extent: ext, Seeked: sum.seeked, Distance: sum.distance}
 }
 
-// summary folds several physical accesses into the one Access TryDo
+// summary folds several physical accesses into the one Access Do
 // reports upward.
 type summary struct {
 	seeked   bool
 	distance int64
-	err      error
 }
 
-func (s *summary) note(a disk.Access, err error) {
+func (s *summary) note(a disk.Access) {
 	if a.Seeked && !s.seeked {
 		s.seeked = true
 		s.distance = a.Distance
 	}
-	if err != nil && s.err == nil {
-		s.err = err
-	}
 }
 
 // access plays one physical I/O through the inner engine.
-func (d *Device) access(kind disk.OpKind, ext geom.Extent, sum *summary) error {
-	a, err := d.inner.TryDo(kind, ext)
+func (d *Device) access(kind disk.OpKind, ext geom.Extent, sum *summary) {
+	a := d.inner.Do(kind, ext)
 	if sum != nil {
-		sum.note(a, err)
+		sum.note(a)
 	}
-	return err
 }
 
 // doRead resolves the host extent through the cache map: identity
 // pieces are read in place, redirected pieces at their cache location —
 // the extra seeks that make cached data expensive to read back.
-func (d *Device) doRead(ext geom.Extent, sum *summary) error {
+func (d *Device) doRead(ext geom.Extent, sum *summary) {
 	d.cmap.LookupFunc(ext, func(r extmap.Resolved) bool {
 		if !r.Identity {
 			d.cleaning.CacheReads++
@@ -456,13 +441,12 @@ func (d *Device) doRead(ext geom.Extent, sum *summary) error {
 		return true
 	})
 	d.noteTail(ext)
-	return sum.err
 }
 
 // doWrite walks the host extent band by band, coalescing in-place runs
 // (pieces at or above their band's write pointer) into single physical
 // writes and redirecting rewrites into the cache.
-func (d *Device) doWrite(ext geom.Extent, sum *summary) error {
+func (d *Device) doWrite(ext geom.Extent, sum *summary) {
 	d.cleaning.HostWriteSectors += ext.Count
 	runStart := ext.Start
 	flush := func(end geom.Sector) {
@@ -506,7 +490,6 @@ func (d *Device) doWrite(ext geom.Extent, sum *summary) error {
 		cur = chunkEnd
 	}
 	flush(ext.End())
-	return sum.err
 }
 
 // redirect places one rewrite piece (confined to a single band) into

@@ -28,9 +28,7 @@ func small(t *testing.T, p Policy) *Device {
 
 func write(t *testing.T, d *Device, start geom.Sector, n int64) {
 	t.Helper()
-	if _, err := d.TryDo(disk.Write, geom.Ext(start, n)); err != nil {
-		t.Fatalf("write [%d,+%d): %v", start, n, err)
-	}
+	d.Do(disk.Write, geom.Ext(start, n))
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatalf("after write [%d,+%d): %v", start, n, err)
 	}
@@ -38,9 +36,7 @@ func write(t *testing.T, d *Device, start geom.Sector, n int64) {
 
 func read(t *testing.T, d *Device, start geom.Sector, n int64) {
 	t.Helper()
-	if _, err := d.TryDo(disk.Read, geom.Ext(start, n)); err != nil {
-		t.Fatalf("read [%d,+%d): %v", start, n, err)
-	}
+	d.Do(disk.Read, geom.Ext(start, n))
 }
 
 func TestParsePolicy(t *testing.T) {

@@ -51,9 +51,7 @@ func BenchmarkBandClean(b *testing.B) {
 						b.Fatal(err)
 					}
 					for _, o := range ops {
-						if _, err := d.TryDo(o.kind, o.ext); err != nil {
-							b.Fatal(err)
-						}
+						d.Do(o.kind, o.ext)
 					}
 					c := d.Cleaning()
 					cleaned, stalls = c.BandsCleaned, c.Stalls

@@ -52,14 +52,11 @@ func TestPropertyCacheDisabledMatchesInfinite(t *testing.T) {
 				kind = disk.Write
 			}
 			ext := geom.Ext(rng.Int63n(1<<16), 1+rng.Int63n(4*bandSize))
-			ab, errB := bd.TryDo(kind, ext)
-			ai, errI := inf.TryDo(kind, ext)
+			ab := bd.Do(kind, ext)
+			ai := inf.Do(kind, ext)
 			if ab != ai {
 				t.Fatalf("trial %d op %d %s %v: banded access %+v != infinite %+v",
 					trial, op, kind, ext, ab, ai)
-			}
-			if (errB == nil) != (errI == nil) {
-				t.Fatalf("trial %d op %d: error mismatch %v vs %v", trial, op, errB, errI)
 			}
 		}
 		if bc, ic := bd.Counters(), inf.Counters(); bc != ic {
@@ -190,9 +187,7 @@ func TestPropertyInvariantsUnderLoad(t *testing.T) {
 				kind = disk.Write
 			}
 			ext := geom.Ext(rng.Int63n(1<<13), 1+rng.Int63n(512))
-			if _, err := d.TryDo(kind, ext); err != nil {
-				t.Fatal(err)
-			}
+			d.Do(kind, ext)
 			if op%251 == 0 {
 				if err := d.CheckInvariants(); err != nil {
 					t.Fatalf("%v op %d: %v", pol, op, err)

@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"smrseek/internal/disk"
-	"smrseek/internal/fault"
 	"smrseek/internal/geom"
 	"smrseek/internal/journal"
 	"smrseek/internal/stl"
@@ -221,11 +221,16 @@ func TestCrashRecoveryResume(t *testing.T) {
 	assertRecoveredMatchesLive(t, sim2.LS(), again)
 }
 
-// TestCheckpointWhileFaulting drives journal appends through a
-// fault.Injector-backed failer: transient append faults are retried,
-// exhausted ones drop the op — and whatever happens, the on-disk
-// checkpoint/journal pair stays recoverable to exactly the live state.
+// errJournalDevice is the plain (non-crash) append failure the tests
+// below inject through journal.Failer.
+var errJournalDevice = errors.New("journal device failed")
+
+// TestCheckpointWhileFaulting fails one append after checkpoints have
+// been written: the failure stops the run with the op unapplied, and
+// the on-disk checkpoint/journal pair recovers to exactly the live
+// state.
 func TestCheckpointWhileFaulting(t *testing.T) {
+	const failAt = 100 // append sequence number that fails
 	recs := crashWorkload(13, 500)
 	frontier := FrontierFor(recs)
 	dir := t.TempDir()
@@ -234,38 +239,107 @@ func TestCheckpointWhileFaulting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	inj, err := fault.New(fault.Config{Seed: 99, WriteRate: 0.3, MaxRetries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	log.SetFailer(func(seq int64, rec journal.Record) error {
-		return inj.CheckAccess(disk.Write, geom.Ext(rec.Pba, rec.Lba.Count))
+		if seq == failAt {
+			return errJournalDevice
+		}
+		return nil
 	})
 	cfg := Config{LogStructured: true, FrontierStart: frontier,
-		Journal: &JournalConfig{Log: log, CheckpointEvery: 40},
-		Fault:   &fault.Config{Seed: 99, WriteRate: 0.3, MaxRetries: 1}}
+		Journal: &JournalConfig{Log: log, CheckpointEvery: 40}}
 	sim, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := sim.Run(trace.NewSliceReader(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Durability.AppendRetries == 0 {
-		t.Error("no append retries at WriteRate 0.3: failer not wired")
-	}
-	if st.Durability.AppendFailures == 0 {
-		t.Error("no exhausted appends at MaxRetries 1: dropped-op path untested")
+	if !errors.Is(err, errJournalDevice) || !errors.Is(sim.JournalErr(), errJournalDevice) {
+		t.Fatalf("Run = %v, JournalErr = %v; want the failer's error", err, sim.JournalErr())
 	}
 	if st.Durability.Checkpoints == 0 {
-		t.Error("no checkpoints written while faulting")
+		t.Error("no checkpoint before the failed append")
+	}
+	if st.Durability.AppendFailures != 1 || st.Durability.JournalAppends != failAt-1 {
+		t.Errorf("append failures %d, appends %d; want 1 and %d",
+			st.Durability.AppendFailures, st.Durability.JournalAppends, failAt-1)
+	}
+	if st.Durability.Crashed {
+		t.Error("a plain append failure reported as a crash")
 	}
 	recovered, _, err := stl.RecoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertRecoveredMatchesLive(t, sim.LS(), recovered)
+}
+
+// TestAbortedDefragLeavesMapUnchanged fails the journal append of a
+// defrag relocation: the extent map must still resolve every LBA to its
+// pre-defrag location, and no write-back I/O may have been charged —
+// the relocation is journaled before it is played.
+func TestAbortedDefragLeavesMapUnchanged(t *testing.T) {
+	d := DefaultDefragConfig()
+	mk := func(failRelocate bool) *Simulator {
+		log, err := journal.Open(t.TempDir(), 1<<16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { log.Close() })
+		if failRelocate {
+			log.SetFailer(func(_ int64, rec journal.Record) error {
+				if rec.Kind == journal.RecRelocate {
+					return errJournalDevice
+				}
+				return nil
+			})
+		}
+		s := mustSim(t, Config{LogStructured: true, FrontierStart: 1 << 16, Defrag: &d,
+			Journal: &JournalConfig{Log: log}})
+		// Fragment [0, 16): the middle write moves the frontier away.
+		s.Step(wr(0, 8))
+		s.Step(wr(1000, 8))
+		s.Step(wr(8, 8))
+		return s
+	}
+
+	// Sanity: with a healthy journal the defragmenting read coalesces
+	// the range.
+	s := mk(false)
+	s.Step(rd(0, 16))
+	if got := len(s.Layer().ResolveAppend(nil, geom.Ext(0, 16))); got != 1 {
+		t.Fatalf("journaled defrag left %d fragments, want 1 — the aborted-defrag check below would be vacuous", got)
+	}
+
+	s = mk(true)
+	target := geom.Ext(0, 16)
+	before := s.Layer().ResolveAppend(nil, target)
+	if len(before) < 2 {
+		t.Fatalf("setup did not fragment the target: %v", before)
+	}
+	writesBefore := s.Stats().Disk.WriteOps
+	s.Step(rd(0, 16)) // triggers defrag; its relocation record is rejected
+	after := s.Layer().ResolveAppend(nil, target)
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("aborted defrag changed the extent map:\nbefore %v\nafter  %v", before, after)
+	}
+	if !errors.Is(s.JournalErr(), errJournalDevice) {
+		t.Errorf("JournalErr = %v, want the failer's error", s.JournalErr())
+	}
+	st := s.Stats()
+	if st.Durability.AppendFailures != 1 {
+		t.Errorf("append failures = %d, want 1", st.Durability.AppendFailures)
+	}
+	if st.DefragWritebacks != 0 {
+		t.Errorf("aborted relocation counted as a write-back (%d)", st.DefragWritebacks)
+	}
+	if st.Disk.WriteOps != writesBefore {
+		t.Errorf("aborted relocation charged %d write I/Os", st.Disk.WriteOps-writesBefore)
+	}
+	// Per-LBA check: every sector of the target still resolves somewhere.
+	for lba := int64(0); lba < 16; lba++ {
+		if frags := s.Layer().ResolveAppend(nil, geom.Ext(lba, 1)); len(frags) != 1 {
+			t.Errorf("LBA %d resolves to %d fragments after aborted defrag", lba, len(frags))
+		}
+	}
 }
 
 func TestJournalConfigValidation(t *testing.T) {

@@ -153,8 +153,7 @@ func TestCustomLayerConfigValidation(t *testing.T) {
 
 // TestMechanismsComposeWithGCLayer runs the cache and defrag on the
 // cleaning layer: each must be stable and still reduce read seeks versus
-// the bare layer on a re-read-heavy workload. gc has no Previewer, so
-// defrag takes the write-then-play relocation path.
+// the bare layer on a re-read-heavy workload.
 func TestMechanismsComposeWithGCLayer(t *testing.T) {
 	var recs []trace.Record
 	recs = append(recs, trace.Record{Kind: disk.Write, Extent: geom.Ext(0, 2000)})

@@ -44,6 +44,19 @@ func TestRunPropagatesReaderError(t *testing.T) {
 	}
 }
 
+func TestRunContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := mustSim(t, Config{LogStructured: true})
+	_, err := s.RunContext(ctx, trace.NewSliceReader(crashWorkload(1, 1000)))
+	if err != context.Canceled {
+		t.Errorf("RunContext on cancelled ctx = %v, want context.Canceled", err)
+	}
+	if _, err := CompareContext(ctx, crashWorkload(1, 1000)); err != context.Canceled {
+		t.Errorf("CompareContext on cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
 func TestCompareAcceptsCustomLayers(t *testing.T) {
 	// Compare leaves variants with a CustomLayer as-is (no forced
 	// LogStructured), so alternative layers can be compared against the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"smrseek/internal/fault"
 	"smrseek/internal/geom"
 	"smrseek/internal/journal"
 )
@@ -37,48 +36,27 @@ func (c JournalConfig) Validate() error {
 	return nil
 }
 
-// journalAppend write-ahead-logs one mutation, retrying transient
-// journal-device faults with the same bounded budget disk I/O gets. It
-// returns true when the record is buffered in the log and the mutation
-// may proceed; it reaches the kernel at the next Commit.
-// On false the caller must NOT apply the mutation: either the append
-// failed leaving nothing persisted (the op is dropped, keeping live
-// state equal to replay state), or an injected crash fired and the
-// simulation is over (s.jerr is set).
+// journalAppend write-ahead-logs one mutation. It returns true when the
+// record is buffered in the log and the mutation may proceed; it
+// reaches the kernel at the next Commit. On false the caller must NOT
+// apply the mutation: the append failed or an injected crash fired,
+// s.jerr is set and the simulation is over, so the live state stays
+// what replaying the logged records reconstructs.
 func (s *Simulator) journalAppend(kind journal.RecordKind, lba geom.Extent, pba geom.Sector) bool {
-	rec := journal.Record{Kind: kind, Lba: lba, Pba: pba}
-	err := s.wal.Append(rec)
+	err := s.wal.Append(journal.Record{Kind: kind, Lba: lba, Pba: pba})
 	if err == nil {
 		s.stats.Durability.JournalAppends++
 		s.emitJournal(JournalAppend, 0)
 		return true
 	}
-	maxRetries := fault.DefaultMaxRetries
-	if s.injector != nil {
-		maxRetries = s.injector.MaxRetries()
-	}
-	for attempt := 0; attempt < maxRetries && fault.IsTransient(err); attempt++ {
-		s.stats.Durability.AppendRetries++
-		s.emitJournal(JournalAppendRetry, 0)
-		if err = s.wal.Append(rec); err == nil {
-			s.stats.Durability.JournalAppends++
-			s.emitJournal(JournalAppend, 0)
-			return true
-		}
-	}
 	if errors.Is(err, journal.ErrCrashed) {
 		s.stats.Durability.Crashed = true
 		s.emitJournal(JournalCrash, 0)
-		s.jerr = err
-		return false
+	} else {
+		s.stats.Durability.AppendFailures++
+		s.emitJournal(JournalAppendFailure, 0)
 	}
-	s.stats.Durability.AppendFailures++
-	s.emitJournal(JournalAppendFailure, 0)
-	if !fault.IsTransient(err) {
-		// The journal device is broken beyond retry: continuing would
-		// silently diverge the durable state, so stop the run.
-		s.jerr = err
-	}
+	s.jerr = err
 	return false
 }
 

@@ -32,22 +32,16 @@ type OpEvent struct {
 	Frags int
 }
 
-// AccessEvent describes one physical I/O attempt, including retries of
-// faulted attempts — each attempt moves the head and is charged its seek,
-// so each is reported.
+// AccessEvent describes one physical I/O.
 type AccessEvent struct {
-	// Op is the logical operation the attempt serves.
+	// Op is the logical operation the I/O serves.
 	Op int64
 	// Access is the disk model's outcome: kind, physical extent, seek
-	// flag and signed distance, fault flag.
+	// flag and signed distance.
 	Access disk.Access
 	// Maintenance marks background I/O (cleaning, media-cache merges)
 	// rather than host I/O.
 	Maintenance bool
-	// Transient classifies a faulted attempt: true for a retryable fault,
-	// false for a persistent media error. Meaningless when the attempt
-	// did not fault.
-	Transient bool
 }
 
 // MechKind classifies a mechanism outcome event.
@@ -68,42 +62,30 @@ const (
 	// MechDefragWriteback is a completed defrag write-back; Sectors holds
 	// the sectors rewritten.
 	MechDefragWriteback
-	// MechRetry is one re-attempt spent on a transient disk fault.
-	MechRetry
-	// MechRecovery is a faulted access that eventually succeeded.
-	MechRecovery
-	// MechUnrecovered is an access abandoned after exhausting retries or
-	// hitting a media error.
-	MechUnrecovered
-	// MechAbortedRelocation is a defrag write-back abandoned on a fault
-	// or journal failure, leaving the extent map untouched.
-	MechAbortedRelocation
-	// MechPoisonedEviction is a cache entry evicted as corrupt.
-	MechPoisonedEviction
-	// MechPrefetchFallback is a drive-buffer serve abandoned as corrupt.
-	MechPrefetchFallback
+	// Six retired kinds (6–11, once the fault-recovery outcomes) stay
+	// reserved, so the kinds below keep their numbers on the trace wire.
+	_
+	_
+	_
+	_
+	_
+	_
 	// MechMaintRead accounts one background maintenance read operation;
-	// Sectors holds its extent size. (Per-attempt disk activity is
-	// reported separately via AccessEvent.)
+	// Sectors holds its extent size. (Per-I/O disk activity is reported
+	// separately via AccessEvent.)
 	MechMaintRead
 	// MechMaintWrite accounts one background maintenance write operation.
 	MechMaintWrite
 )
 
 var mechNames = [...]string{
-	MechCacheHit:          "cache-hit",
-	MechCacheMiss:         "cache-miss",
-	MechCacheInvalidate:   "cache-invalidate",
-	MechPrefetchHit:       "prefetch-hit",
-	MechDefragWriteback:   "defrag-writeback",
-	MechRetry:             "retry",
-	MechRecovery:          "recovery",
-	MechUnrecovered:       "unrecovered",
-	MechAbortedRelocation: "aborted-relocation",
-	MechPoisonedEviction:  "poisoned-eviction",
-	MechPrefetchFallback:  "prefetch-fallback",
-	MechMaintRead:         "maint-read",
-	MechMaintWrite:        "maint-write",
+	MechCacheHit:        "cache-hit",
+	MechCacheMiss:       "cache-miss",
+	MechCacheInvalidate: "cache-invalidate",
+	MechPrefetchHit:     "prefetch-hit",
+	MechDefragWriteback: "defrag-writeback",
+	MechMaintRead:       "maint-read",
+	MechMaintWrite:      "maint-write",
 }
 
 // String returns the kind's kebab-case name.
@@ -132,9 +114,10 @@ type JournalKind uint8
 const (
 	// JournalAppend is an acknowledged write-ahead append.
 	JournalAppend JournalKind = iota + 1
-	// JournalAppendRetry is a re-attempt on a transient journal fault.
-	JournalAppendRetry
-	// JournalAppendFailure is an append abandoned after retries.
+	// Kind 2 (once a retried append) stays reserved, so the kinds below
+	// keep their numbers on the trace wire.
+	_
+	// JournalAppendFailure is an append the log rejected; it ends the run.
 	JournalAppendFailure
 	// JournalCheckpoint is a completed checkpoint; Dur holds its
 	// wall-clock cost (stage + fsync + rename), the run's fsync price.
@@ -146,7 +129,6 @@ const (
 
 var journalNames = [...]string{
 	JournalAppend:        "append",
-	JournalAppendRetry:   "append-retry",
 	JournalAppendFailure: "append-failure",
 	JournalCheckpoint:    "checkpoint",
 	JournalCrash:         "crash",
@@ -181,15 +163,6 @@ type Summary struct {
 	// CheckpointAge is the journal records past the last checkpoint when
 	// the run ended (0 when journaling is disabled).
 	CheckpointAge int64
-	// Injected reports whether a fault injector was attached; the four
-	// injection counters below are meaningful only when true.
-	Injected bool
-	// TransientReads, TransientWrites, MediaErrors and Poisoned are the
-	// injector's tallies (see fault.Counters).
-	TransientReads  int64
-	TransientWrites int64
-	MediaErrors     int64
-	Poisoned        int64
 }
 
 // Probe receives the simulator's low-level event stream. Implementations
@@ -278,14 +251,6 @@ func (s *Simulator) Finish() {
 	}
 	if s.wal != nil {
 		sum.CheckpointAge = s.wal.SinceCheckpoint()
-	}
-	if s.injector != nil {
-		c := s.injector.Counters()
-		sum.Injected = true
-		sum.TransientReads = c.TransientReads
-		sum.TransientWrites = c.TransientWrites
-		sum.MediaErrors = c.MediaErrors
-		sum.Poisoned = c.Poisoned
 	}
 	for _, p := range s.probes {
 		p.OnSummary(sum)

@@ -52,8 +52,8 @@ type SelectiveCache struct {
 
 	// idx holds exactly the LRU's keys in LBA order, so a write finds
 	// the entries it overlaps in O(log n) each instead of testing every
-	// key. Insert, capacity eviction (the LRU's callback), Evict and
-	// Invalidate all update both structures.
+	// key. Insert, capacity eviction (the LRU's callback) and Invalidate
+	// all update both structures.
 	idx extIndex
 
 	invalidations int64
@@ -88,15 +88,6 @@ func (s *SelectiveCache) Insert(lba geom.Extent) {
 		s.idx.insert(k)
 	}
 	s.c.Add(k, struct{}{}, lba.Bytes())
-}
-
-// Evict drops the exact-extent entry if present. Used when an entry's
-// data turns out to be corrupt and must never be served.
-func (s *SelectiveCache) Evict(lba geom.Extent) {
-	k := keyOf(lba)
-	if s.c.Remove(k) {
-		s.idx.remove(k)
-	}
 }
 
 // Invalidate drops every cached entry overlapping the written extent, so

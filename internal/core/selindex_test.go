@@ -181,12 +181,6 @@ func (m *flatCache) insert(e geom.Extent) {
 	}
 }
 
-func (m *flatCache) evict(e geom.Extent) {
-	if i := slices.Index(m.keys, keyOf(e)); i >= 0 {
-		m.keys = slices.Delete(m.keys, i, i+1)
-	}
-}
-
 // invalidate is the pre-index scan: test every cached key against the
 // write. It returns the keys it dropped.
 func (m *flatCache) invalidate(w geom.Extent) []extKey {
@@ -214,7 +208,6 @@ type opKind uint8
 const (
 	opRead       opKind = iota // Has, then Insert on a miss: stepRead's per-fragment sequence
 	opInsert                   // bare Insert (re-inserts of present keys included)
-	opEvict                    // the poisoned-entry path
 	opInvalidate               // a host write
 	opKinds
 )
@@ -257,9 +250,6 @@ func runCacheOps(t testing.TB, capacity int64, ops []cacheOp, checkEvery int) *S
 		case opInsert:
 			s.Insert(op.ext)
 			ref.insert(op.ext)
-		case opEvict:
-			s.Evict(op.ext)
-			ref.evict(op.ext)
 		case opInvalidate:
 			got, want := s.Invalidate(op.ext), ref.invalidate(op.ext)
 			if got != len(want) {
@@ -291,7 +281,7 @@ func runCacheOps(t testing.TB, capacity int64, ops []cacheOp, checkEvery int) *S
 	return s
 }
 
-// TestSelectiveCacheIndexProperty drives random insert / read / evict /
+// TestSelectiveCacheIndexProperty drives random insert / read /
 // invalidate sequences, under capacity pressure and with empty and
 // larger-than-capacity extents mixed in, against the flat model.
 // Failures log the seed; rerun with -selcache.seed to reproduce.
@@ -309,8 +299,8 @@ func TestSelectiveCacheIndexProperty(t *testing.T) {
 		t.Logf("selective cache property seed %d (rerun: go test ./internal/core -run IndexProperty -selcache.seed %d)", seed, seed)
 		rng := rand.New(rand.NewSource(seed))
 		randExt := func() geom.Extent { return geom.Ext(rng.Int63n(device), rng.Int63n(17)) } // count 0 included
-		// Reads, inserts and evicts draw from a pool some four times
-		// the capacity, so keys recur (hits, re-inserts) and are evicted.
+		// Reads and inserts draw from a pool some four times the
+		// capacity, so keys recur (hits, re-inserts) and are evicted.
 		pool := make([]geom.Extent, 512)
 		for i := range pool {
 			pool[i] = randExt()
@@ -339,10 +329,10 @@ func TestSelectiveCacheIndexProperty(t *testing.T) {
 // length — into the same differential run, on a cache that a few dozen
 // short extents fill and the longest ones exceed outright.
 func FuzzSelectiveCacheIndex(f *testing.F) {
-	f.Add([]byte{1, 10, 8, 1, 14, 8, 3, 12, 1, 0, 10, 8})              // overlapping keys, one write drops both
-	f.Add([]byte{1, 0, 12, 1, 0, 12, 2, 0, 12, 3, 0, 1})               // re-insert, evict, invalidate nothing
+	f.Add([]byte{1, 10, 8, 1, 14, 8, 2, 12, 1, 0, 10, 8})              // overlapping keys, one write drops both
+	f.Add([]byte{1, 0, 12, 1, 0, 12, 2, 0, 1})                         // re-insert, invalidate nothing
 	f.Add([]byte{0, 1, 15, 0, 30, 15, 0, 60, 15, 0, 90, 15, 0, 1, 15}) // reads that miss, then hit
-	f.Add([]byte{1, 5, 0, 3, 5, 0, 1, 5, 255, 1, 7, 3})                // empty extents, then one larger than the cache
+	f.Add([]byte{1, 5, 0, 2, 5, 0, 1, 5, 255, 1, 7, 3})                // empty extents, then one larger than the cache
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 128 * 512
 		ops := make([]cacheOp, 0, len(data)/3)
@@ -361,29 +351,7 @@ func FuzzSelectiveCacheIndex(f *testing.F) {
 }
 
 // The over-approximating coverage set used to forgive an index that
-// drifted from the LRU; these are the four ways it could drift.
-
-func TestEvictRemovesIndexNode(t *testing.T) {
-	s := NewSelectiveCache(CacheConfig{CapacityBytes: 1 << 20})
-	s.Insert(geom.Ext(10, 10))
-	s.Insert(geom.Ext(15, 10))
-	s.Evict(geom.Ext(10, 10))
-	s.Evict(geom.Ext(10, 10)) // absent: no-op
-	s.Evict(geom.Ext(10, 5))  // never cached: no-op
-	if err := s.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// A stale node would be counted a second time here.
-	if got := s.Invalidate(geom.Ext(0, 100)); got != 1 {
-		t.Errorf("Invalidate after Evict dropped %d entries, want 1", got)
-	}
-	if s.Invalidations() != 1 || s.Entries() != 0 {
-		t.Errorf("invalidations=%d entries=%d, want 1 and 0", s.Invalidations(), s.Entries())
-	}
-	if err := s.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
+// drifted from the LRU; these are the three ways it could drift.
 
 func TestOversizeEntryNotIndexed(t *testing.T) {
 	s := NewSelectiveCache(CacheConfig{CapacityBytes: 4 * 512})

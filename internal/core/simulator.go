@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"smrseek/internal/disk"
-	"smrseek/internal/fault"
 	"smrseek/internal/geom"
 	"smrseek/internal/journal"
 	"smrseek/internal/metrics"
@@ -39,10 +38,6 @@ type Config struct {
 	Prefetch *PrefetchConfig
 	// Cache enables translation-aware selective caching when non-nil.
 	Cache *CacheConfig
-	// Fault enables deterministic fault injection when non-nil: the disk
-	// model rejects accesses per the configuration and the simulator
-	// retries, degrades and records the outcome (see Stats.Resilience).
-	Fault *fault.Config
 	// Journal enables write-ahead journaling of the LS layer's mutations
 	// when non-nil (see JournalConfig). Requires the built-in LS layer —
 	// either LogStructured or a *stl.LS CustomLayer (e.g. one produced by
@@ -97,9 +92,6 @@ func (c Config) Name() string {
 	if c.Journal != nil {
 		n += "+wal"
 	}
-	if c.Fault != nil && c.Fault.Enabled() {
-		n += "+faults"
-	}
 	return n + c.geometrySuffix()
 }
 
@@ -107,11 +99,6 @@ func (c Config) Name() string {
 // checked too, so misconfigured runs (zero-sized caches, negative
 // windows) fail fast instead of producing nonsense SAF numbers.
 func (c Config) Validate() error {
-	if c.Fault != nil {
-		if err := c.Fault.Validate(); err != nil {
-			return err
-		}
-	}
 	if !c.translated() {
 		if c.Defrag != nil || c.Prefetch != nil || c.Cache != nil {
 			return fmt.Errorf("core: mechanisms require a translating layer")
@@ -189,10 +176,6 @@ type Stats struct {
 	// does not relocate data on its own).
 	WAF float64
 
-	// Resilience tallies fault injection and recovery (all zero when
-	// fault injection is disabled).
-	Resilience metrics.Resilience
-
 	// Durability tallies write-ahead-journal activity (all zero when
 	// journaling is disabled).
 	Durability metrics.Durability
@@ -234,18 +217,15 @@ type Simulator struct {
 	defrag     *Defragmenter
 	prefetch   *Prefetcher
 	cache      *SelectiveCache
-	injector   *fault.Injector // nil unless fault injection is enabled
-	wal        *journal.Log    // nil unless journaling is enabled
-	ckptEvery  int64           // checkpoint threshold in journal records
-	jerr       error           // sticky journal failure; set => run is over
+	wal        *journal.Log // nil unless journaling is enabled
+	ckptEvery  int64        // checkpoint threshold in journal records
+	jerr       error        // sticky journal failure; set => run is over
 
 	opIndex   int64
 	stats     Stats
 	observers []ReadObserver
 	probes    []Probe // observability probes; empty => zero instrumentation cost
 	inMaint   bool    // true while draining background maintenance I/O
-
-	preview stl.Previewer // nil unless the layer can preview relocations
 
 	// Per-simulator scratch buffers the layer appends into, so a warm
 	// run allocates no slice per operation.
@@ -288,9 +268,6 @@ func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 	if a, ok := s.layer.(stl.Amplifier); ok {
 		s.amplifier = a
 	}
-	if pv, ok := s.layer.(stl.Previewer); ok {
-		s.preview = pv
-	}
 	if cfg.translated() {
 		if cfg.Defrag != nil {
 			s.defrag = NewDefragmenter(*cfg.Defrag)
@@ -301,14 +278,6 @@ func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 		if cfg.Cache != nil {
 			s.cache = NewSelectiveCache(*cfg.Cache)
 		}
-	}
-	if cfg.Fault != nil && cfg.Fault.Enabled() {
-		inj, err := fault.New(*cfg.Fault)
-		if err != nil {
-			return nil, err
-		}
-		s.injector = inj
-		s.dev.SetFaultChecker(inj)
 	}
 	if cfg.Journal != nil {
 		s.wal = cfg.Journal.Log
@@ -403,13 +372,6 @@ func (s *Simulator) Stats() Stats {
 	if s.amplifier != nil {
 		st.WAF = stl.WAF(s.amplifier)
 	}
-	if s.injector != nil {
-		c := s.injector.Counters()
-		st.Resilience.FaultsInjected = c.Total()
-		st.Resilience.TransientFaults = c.TransientReads + c.TransientWrites
-		st.Resilience.WriteFaults = c.TransientWrites
-		st.Resilience.MediaFaults = c.MediaErrors
-	}
 	if s.wal != nil {
 		st.Durability.CheckpointAge = s.wal.SinceCheckpoint()
 	}
@@ -453,9 +415,6 @@ func (s *Simulator) drainMaintenance() {
 	}
 	s.inMaint = true
 	for _, op := range s.maintainer.PendingMaintenance() {
-		// Maintenance faults are retried like host I/O; an unrecovered
-		// one is recorded by access. The layer's own bookkeeping already
-		// moved on, mirroring firmware that logs and continues.
 		s.access(op.Kind, op.Extent)
 		if op.Kind == disk.Read {
 			s.stats.MaintReads++
@@ -469,42 +428,13 @@ func (s *Simulator) drainMaintenance() {
 	s.inMaint = false
 }
 
-// access performs one physical I/O with bounded retries for transient
-// faults. Every attempt goes through the disk model, so retries pay
-// their mechanical cost in the seek accounting and — via the Faulted
-// flag observers see — the §II time model. The returned error is nil
-// once an attempt succeeds; a media error or an exhausted retry budget
-// is recorded as unrecovered and returned.
-func (s *Simulator) access(kind disk.OpKind, phys geom.Extent) error {
-	a, err := s.dev.TryDo(kind, phys)
+// access plays one physical I/O through the disk model and reports it
+// to the probes.
+func (s *Simulator) access(kind disk.OpKind, phys geom.Extent) {
+	a := s.dev.Do(kind, phys)
 	if len(s.probes) != 0 {
-		s.emitAccess(AccessEvent{Op: s.opIndex, Access: a, Maintenance: s.inMaint, Transient: fault.IsTransient(err)})
+		s.emitAccess(AccessEvent{Op: s.opIndex, Access: a, Maintenance: s.inMaint})
 	}
-	if err == nil {
-		return nil
-	}
-	// A checker may be installed directly on the disk (sim.Disk()), so
-	// don't assume the injector exists just because an attempt failed.
-	maxRetries := fault.DefaultMaxRetries
-	if s.injector != nil {
-		maxRetries = s.injector.MaxRetries()
-	}
-	for attempt := 0; attempt < maxRetries && fault.IsTransient(err); attempt++ {
-		s.stats.Resilience.Retries++
-		s.emitMech(MechRetry, 0)
-		a, err = s.dev.TryDo(kind, phys)
-		if len(s.probes) != 0 {
-			s.emitAccess(AccessEvent{Op: s.opIndex, Access: a, Maintenance: s.inMaint, Transient: fault.IsTransient(err)})
-		}
-		if err == nil {
-			s.stats.Resilience.Recoveries++
-			s.emitMech(MechRecovery, 0)
-			return nil
-		}
-	}
-	s.stats.Resilience.Unrecovered++
-	s.emitMech(MechUnrecovered, 0)
-	return err
 }
 
 func (s *Simulator) stepWrite(rec trace.Record) {
@@ -514,17 +444,15 @@ func (s *Simulator) stepWrite(rec trace.Record) {
 	}
 	if s.wal != nil {
 		// Write-ahead: the record is logged before the map mutates. A
-		// failed append drops the op entirely, so the live state stays
-		// exactly what replaying the acknowledged records reconstructs.
+		// failed append ends the run with the op unapplied, so the live
+		// state stays exactly what replaying the logged records
+		// reconstructs.
 		if !s.journalAppend(journal.RecWrite, rec.Extent, s.ls.Frontier()) {
 			return
 		}
 	}
 	s.writeBuf = s.layer.WriteAppend(s.writeBuf[:0], rec.Extent)
 	for _, f := range s.writeBuf {
-		// Host writes are not rolled back on an unrecovered fault: the
-		// translation already remapped the LBA, mirroring a drive that
-		// remaps and reports the failure upward. access records it.
 		s.access(disk.Write, f.PhysExtent())
 	}
 	if s.cache != nil {
@@ -558,42 +486,20 @@ func (s *Simulator) stepRead(rec trace.Record) {
 	}
 
 	for _, f := range frags {
-		// Algorithm 3: on fragmented reads, try RAM first. A poisoned
-		// entry is evicted — it can never be served — and the read falls
-		// through to the medium.
+		// Algorithm 3: on fragmented reads, try RAM first.
 		if fragmented && s.cache != nil {
 			if s.cache.Has(f.Lba) {
 				s.emitMech(MechCacheHit, 0)
-				if s.injector != nil && s.injector.Poisoned() {
-					s.cache.Evict(f.Lba)
-					s.stats.Resilience.PoisonedEvictions++
-					s.emitMech(MechPoisonedEviction, 0)
-				} else {
-					continue // served from cache: no disk access, no seek
-				}
-			} else {
-				s.emitMech(MechCacheMiss, 0)
+				continue // served from cache: no disk access, no seek
 			}
+			s.emitMech(MechCacheMiss, 0)
 		}
-		// Algorithm 2: on fragmented reads, try the drive buffer. A
-		// poisoned buffer serve falls back to the direct read.
-		if fragmented && s.prefetch != nil {
-			if s.prefetch.Covers(f.PhysExtent()) {
-				s.emitMech(MechPrefetchHit, 0)
-				if s.injector != nil && s.injector.Poisoned() {
-					s.stats.Resilience.PrefetchFallbacks++
-					s.emitMech(MechPrefetchFallback, 0)
-				} else {
-					continue // served from the drive buffer: no seek
-				}
-			}
+		// Algorithm 2: on fragmented reads, try the drive buffer.
+		if fragmented && s.prefetch != nil && s.prefetch.Covers(f.PhysExtent()) {
+			s.emitMech(MechPrefetchHit, 0)
+			continue // served from the drive buffer: no seek
 		}
-		err := s.access(disk.Read, f.PhysExtent())
-		if err != nil {
-			// Unrecovered read: nothing valid arrived, so neither the
-			// drive buffer nor the cache may keep a copy.
-			continue
-		}
+		s.access(disk.Read, f.PhysExtent())
 		if fragmented && s.prefetch != nil {
 			s.prefetch.Fill(f.PhysExtent())
 		}
@@ -615,39 +521,16 @@ func (s *Simulator) stepRead(rec trace.Record) {
 }
 
 // relocate rewrites lba contiguously at the log head (a defrag
-// write-back). With a layer that can preview placement the relocation is
-// atomic under faults: the disk I/O is attempted first and the mapping
-// committed only if every attempt succeeds, so an aborted rewrite leaves
-// the extent map resolving every LBA to its pre-defrag location. A
-// layer without preview is written first and its placement played
-// after; unrecovered faults are recorded but the remap stands.
+// write-back). Like a host write it is journaled first and played after:
+// a failed append ends the run with the extent map still resolving
+// every LBA to its pre-defrag location and no write-back charged.
 func (s *Simulator) relocate(lba geom.Extent) {
-	if s.preview != nil {
-		s.writeBuf = s.preview.PreviewWriteAppend(s.writeBuf[:0], lba)
-		for _, f := range s.writeBuf {
-			if err := s.access(disk.Write, f.PhysExtent()); err != nil {
-				s.stats.Resilience.AbortedRelocations++
-				s.emitMech(MechAbortedRelocation, 0)
-				return // extent map untouched
-			}
-		}
-		if s.wal != nil {
-			// The disk I/O succeeded but the relocation is not committed
-			// until its record is logged; an unjournalable relocation is
-			// aborted like a faulted one.
-			if !s.journalAppend(journal.RecRelocate, lba, s.ls.Frontier()) {
-				s.stats.Resilience.AbortedRelocations++
-				s.emitMech(MechAbortedRelocation, 0)
-				return
-			}
-		}
-		// Commit; the disk I/O was already played.
-		s.writeBuf = s.layer.WriteAppend(s.writeBuf[:0], lba)
-	} else {
-		s.writeBuf = s.layer.WriteAppend(s.writeBuf[:0], lba)
-		for _, f := range s.writeBuf {
-			s.access(disk.Write, f.PhysExtent())
-		}
+	if s.wal != nil && !s.journalAppend(journal.RecRelocate, lba, s.ls.Frontier()) {
+		return
+	}
+	s.writeBuf = s.layer.WriteAppend(s.writeBuf[:0], lba)
+	for _, f := range s.writeBuf {
+		s.access(disk.Write, f.PhysExtent())
 	}
 	s.defrag.NoteWriteback(lba.Count)
 	s.emitMech(MechDefragWriteback, lba.Count)

@@ -37,9 +37,6 @@ type Access struct {
 	Extent   geom.Extent
 	Seeked   bool
 	Distance int64 // signed sectors from previous end to this start (0 when sequential)
-	// Faulted marks an attempt the fault checker rejected: the head
-	// moved and the seek was charged, but no data transferred.
-	Faulted bool
 }
 
 // Counters accumulates the seek statistics the paper reports.
@@ -49,17 +46,9 @@ type Counters struct {
 	ReadSeeks  int64
 	WriteSeeks int64
 
-	// ReadSectors and WriteSectors count sectors actually transferred;
-	// faulted attempts contribute to ops and seeks but not to these, so
-	// a retried access counts its sectors exactly once — on the attempt
-	// that succeeds.
+	// ReadSectors and WriteSectors count sectors transferred.
 	ReadSectors  int64
 	WriteSectors int64
-
-	// FaultedReads and FaultedWrites count attempts the fault checker
-	// rejected.
-	FaultedReads  int64
-	FaultedWrites int64
 
 	// LongSeeks counts seeks whose |distance| exceeds LongSeekSectors
 	// (Figure 3 plots only these).
@@ -88,8 +77,6 @@ func (c *Counters) Add(other Counters) {
 	c.WriteSeeks += other.WriteSeeks
 	c.ReadSectors += other.ReadSectors
 	c.WriteSectors += other.WriteSectors
-	c.FaultedReads += other.FaultedReads
-	c.FaultedWrites += other.FaultedWrites
 	c.LongReadSeeks += other.LongReadSeeks
 	c.LongWriteSeeks += other.LongWriteSeeks
 }
@@ -106,25 +93,14 @@ type ObserverFunc func(Access)
 // ObserveAccess calls f(a).
 func (f ObserverFunc) ObserveAccess(a Access) { f(a) }
 
-// FaultChecker decides whether one I/O attempt fails. A nil checker (the
-// default) never fails; internal/fault provides a deterministic, seeded
-// implementation.
-type FaultChecker interface {
-	// CheckAccess is consulted once per attempt; a non-nil return marks
-	// the attempt faulted. Each call may decide independently, so a
-	// retry of a transient fault can succeed.
-	CheckAccess(kind OpKind, ext geom.Extent) error
-}
-
 // Device is the pluggable geometry interface internal/core drives. The
 // paper's infinite model (*Disk) and the finite banded model
 // (internal/band.Device) both implement it; the simulator composes
 // against this interface so every mechanism runs unchanged on either.
 type Device interface {
-	// TryDo performs one I/O attempt at the physical extent, charging
-	// seek accounting, and returns the access outcome plus the fault
-	// checker's verdict (nil without a checker).
-	TryDo(kind OpKind, ext geom.Extent) (Access, error)
+	// Do performs one I/O at the physical extent, charging seek
+	// accounting, and returns the access outcome.
+	Do(kind OpKind, ext geom.Extent) Access
 	// Counters returns the accumulated seek statistics.
 	Counters() Counters
 	// Position returns the sector following the previous I/O — the only
@@ -132,9 +108,6 @@ type Device interface {
 	Position() geom.Sector
 	// AddObserver registers an observer for every subsequent access.
 	AddObserver(o Observer)
-	// SetFaultChecker installs a fault checker consulted on every
-	// attempt; nil restores the never-failing default.
-	SetFaultChecker(fc FaultChecker)
 }
 
 // Disk is the head-position model. The zero value is not ready; use New.
@@ -143,7 +116,6 @@ type Disk struct {
 	first     bool        // true until the first access
 	counters  Counters
 	observers []Observer
-	faults    FaultChecker
 }
 
 // New returns a disk whose head position is undefined until the first
@@ -158,10 +130,6 @@ var _ Device = (*Disk)(nil)
 // AddObserver registers an observer for every subsequent access.
 func (d *Disk) AddObserver(o Observer) { d.observers = append(d.observers, o) }
 
-// SetFaultChecker installs a fault checker consulted on every access
-// attempt; pass nil to restore the never-failing default.
-func (d *Disk) SetFaultChecker(fc FaultChecker) { d.faults = fc }
-
 // Counters returns the accumulated seek statistics.
 func (d *Disk) Counters() Counters { return d.counters }
 
@@ -170,29 +138,12 @@ func (d *Disk) Counters() Counters { return d.counters }
 func (d *Disk) Position() geom.Sector { return d.pos }
 
 // Do performs one I/O of the given kind at the physical extent, updating
-// seek accounting, and reports the access outcome. Any fault is folded
-// into the Access (Faulted flag) and otherwise ignored; error-aware
-// callers use TryDo.
+// seek accounting, and reports the access outcome.
 func (d *Disk) Do(kind OpKind, ext geom.Extent) Access {
-	a, _ := d.TryDo(kind, ext)
-	return a
-}
-
-// TryDo performs one I/O attempt of the given kind at the physical
-// extent. The head repositions and the seek is charged whether or not
-// the attempt faults — the drive did the mechanical work — but a faulted
-// attempt transfers no sectors. The returned error is the fault
-// checker's verdict (nil without a checker), letting callers retry: a
-// retry is simply another attempt at the same extent.
-func (d *Disk) TryDo(kind OpKind, ext geom.Extent) (Access, error) {
+	a := Access{Kind: kind, Extent: ext}
 	if ext.Empty() {
-		return Access{Kind: kind, Extent: ext}, nil
+		return a
 	}
-	var err error
-	if d.faults != nil {
-		err = d.faults.CheckAccess(kind, ext)
-	}
-	a := Access{Kind: kind, Extent: ext, Faulted: err != nil}
 	if d.first {
 		d.first = false
 	} else if ext.Start != d.pos {
@@ -204,11 +155,7 @@ func (d *Disk) TryDo(kind OpKind, ext geom.Extent) (Access, error) {
 	switch kind {
 	case Read:
 		d.counters.ReadOps++
-		if a.Faulted {
-			d.counters.FaultedReads++
-		} else {
-			d.counters.ReadSectors += ext.Count
-		}
+		d.counters.ReadSectors += ext.Count
 		if a.Seeked {
 			d.counters.ReadSeeks++
 			if abs64(a.Distance) > LongSeekSectors {
@@ -217,11 +164,7 @@ func (d *Disk) TryDo(kind OpKind, ext geom.Extent) (Access, error) {
 		}
 	case Write:
 		d.counters.WriteOps++
-		if a.Faulted {
-			d.counters.FaultedWrites++
-		} else {
-			d.counters.WriteSectors += ext.Count
-		}
+		d.counters.WriteSectors += ext.Count
 		if a.Seeked {
 			d.counters.WriteSeeks++
 			if abs64(a.Distance) > LongSeekSectors {
@@ -232,7 +175,7 @@ func (d *Disk) TryDo(kind OpKind, ext geom.Extent) (Access, error) {
 	for _, o := range d.observers {
 		o.ObserveAccess(a)
 	}
-	return a, err
+	return a
 }
 
 // Read performs a read access.

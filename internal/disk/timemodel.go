@@ -28,11 +28,6 @@ type TimeModel struct {
 	FullStroke    int64         // sectors spanned by a full-stroke seek
 	TransferBytes float64       // sustained bytes per second
 	ShortSeek     int64         // sectors reachable without a head move
-	// RetryPenalty is the extra latency charged for a faulted attempt:
-	// the drive reports the error and the sector must come around again
-	// before the next attempt, so the natural default is one rotation.
-	// Zero charges nothing (pre-fault-model behaviour).
-	RetryPenalty time.Duration
 }
 
 // DefaultTimeModel returns parameters for a generic 7200 RPM SMR drive.
@@ -44,7 +39,6 @@ func DefaultTimeModel() TimeModel {
 		FullStroke:    int64(14e12 / geom.SectorSize), // ~14 TB device
 		TransferBytes: 150e6,
 		ShortSeek:     2048, // 1 MB: roughly a couple of tracks
-		RetryPenalty:  8333 * time.Microsecond,
 	}
 }
 
@@ -82,16 +76,11 @@ func (m TimeModel) SeekTime(distance int64) time.Duration {
 	return move + m.RotationTime/2
 }
 
-// AccessTime returns the full cost of an access: seek plus transfer,
-// plus the retry penalty when the attempt faulted (the backoff before
-// the next attempt is charged to the attempt that failed).
+// AccessTime returns the full cost of an access: seek plus transfer.
 func (m TimeModel) AccessTime(a Access) time.Duration {
 	var t time.Duration
 	if a.Seeked {
 		t += m.SeekTime(a.Distance)
-	}
-	if a.Faulted {
-		t += m.RetryPenalty
 	}
 	return t + m.TransferTime(a.Extent.Count)
 }

@@ -315,9 +315,8 @@ func CheckpointPath(dir string) string { return filepath.Join(dir, CheckpointFil
 
 // Failer injects append failures, modelling a faulty journal device. It
 // is consulted before any bytes are written; a non-nil error fails the
-// append with nothing persisted, so the caller may retry (transient
-// faults) or give up. seq is the 1-based sequence number the append
-// would get.
+// append with nothing persisted. seq is the 1-based sequence number the
+// append would get.
 type Failer func(seq int64, rec Record) error
 
 // Log is an open journal directory: the write-ahead log file plus the

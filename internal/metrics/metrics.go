@@ -24,66 +24,6 @@ func SAF(variantSeeks, baselineSeeks int64) float64 {
 	return float64(variantSeeks) / float64(baselineSeeks)
 }
 
-// Resilience tallies the fault-injection and recovery behaviour of one
-// simulation run: how much misbehaviour was injected, how much of it the
-// retry/degradation machinery absorbed, and what leaked through. All
-// counters are plain totals so runs shard and Add cleanly.
-type Resilience struct {
-	// FaultsInjected is every fault the injector produced (transient
-	// reads and writes, media errors, poisoned buffer serves).
-	FaultsInjected int64
-	// TransientFaults counts retryable read/write faults injected.
-	TransientFaults int64
-	// MediaFaults counts attempts rejected by a persistent media range.
-	MediaFaults int64
-	// WriteFaults counts transient write faults injected.
-	WriteFaults int64
-	// Retries counts re-attempts spent on transient faults.
-	Retries int64
-	// Recoveries counts faulted accesses that eventually succeeded.
-	Recoveries int64
-	// Unrecovered counts accesses abandoned after exhausting retries or
-	// hitting a media error.
-	Unrecovered int64
-	// AbortedRelocations counts defrag write-backs abandoned because the
-	// rewrite faulted; the extent map is left untouched by each.
-	AbortedRelocations int64
-	// PoisonedEvictions counts cache entries evicted because their data
-	// was poisoned; each forces a fallback read from the medium.
-	PoisonedEvictions int64
-	// PrefetchFallbacks counts drive-buffer hits abandoned as poisoned;
-	// each falls back to the direct medium read.
-	PrefetchFallbacks int64
-}
-
-// Any reports whether any fault activity was recorded.
-func (r Resilience) Any() bool { return r != (Resilience{}) }
-
-// Add accumulates other into r.
-func (r *Resilience) Add(other Resilience) {
-	r.FaultsInjected += other.FaultsInjected
-	r.TransientFaults += other.TransientFaults
-	r.MediaFaults += other.MediaFaults
-	r.WriteFaults += other.WriteFaults
-	r.Retries += other.Retries
-	r.Recoveries += other.Recoveries
-	r.Unrecovered += other.Unrecovered
-	r.AbortedRelocations += other.AbortedRelocations
-	r.PoisonedEvictions += other.PoisonedEvictions
-	r.PrefetchFallbacks += other.PrefetchFallbacks
-}
-
-// RecoveryRate is the fraction of fault-hit accesses that recovered:
-// Recoveries / (Recoveries + Unrecovered). A run with no faulted
-// accesses reports 1 (nothing failed to recover).
-func (r Resilience) RecoveryRate() float64 {
-	hit := r.Recoveries + r.Unrecovered
-	if hit == 0 {
-		return 1
-	}
-	return float64(r.Recoveries) / float64(hit)
-}
-
 // Durability tallies the write-ahead-journal and recovery behaviour of
 // one simulation run: how much was logged and checkpointed, whether an
 // (injected) crash cut the run short, and — after stl.Recover — what
@@ -91,10 +31,8 @@ func (r Resilience) RecoveryRate() float64 {
 type Durability struct {
 	// JournalAppends is the number of records acknowledged by the log.
 	JournalAppends int64
-	// AppendRetries counts re-attempts spent on transient journal-device
-	// faults before an append was acknowledged or abandoned.
-	AppendRetries int64
-	// AppendFailures counts appends abandoned after exhausting retries.
+	// AppendFailures counts appends the log rejected; the first one
+	// ends the run.
 	AppendFailures int64
 	// Checkpoints is the number of checkpoints written during the run.
 	Checkpoints int64

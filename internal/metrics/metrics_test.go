@@ -276,27 +276,6 @@ func TestSeriesWidthClamp(t *testing.T) {
 	}
 }
 
-func TestResilience(t *testing.T) {
-	var r Resilience
-	if r.Any() {
-		t.Error("zero Resilience reports Any")
-	}
-	if got := r.RecoveryRate(); got != 1 {
-		t.Errorf("RecoveryRate with no faults = %v, want 1", got)
-	}
-	r.Add(Resilience{TransientFaults: 3, Retries: 4, Recoveries: 3, Unrecovered: 1})
-	r.Add(Resilience{FaultsInjected: 5, MediaFaults: 1, AbortedRelocations: 2})
-	if !r.Any() {
-		t.Error("non-zero Resilience does not report Any")
-	}
-	if r.Retries != 4 || r.FaultsInjected != 5 || r.AbortedRelocations != 2 {
-		t.Errorf("Add mis-accumulated: %+v", r)
-	}
-	if got, want := r.RecoveryRate(), 0.75; got != want {
-		t.Errorf("RecoveryRate = %v, want %v", got, want)
-	}
-}
-
 func TestDurabilityAny(t *testing.T) {
 	var d Durability
 	if d.Any() {

@@ -115,13 +115,6 @@ func (t *Tracer) OnAccess(ev core.AccessEvent) {
 		if a.Seeked {
 			fmt.Fprintf(&extra, " seek=%+d", a.Distance)
 		}
-		if a.Faulted {
-			if ev.Transient {
-				extra.WriteString(" fault(transient)")
-			} else {
-				extra.WriteString(" fault(media)")
-			}
-		}
 		if ev.Maintenance {
 			extra.WriteString(" maint")
 		}
@@ -132,14 +125,8 @@ func (t *Tracer) OnAccess(ev core.AccessEvent) {
 	if a.Seeked {
 		flags |= flagSeeked
 	}
-	if a.Faulted {
-		flags |= flagFaulted
-	}
 	if ev.Maintenance {
 		flags |= flagMaintenance
-	}
-	if ev.Transient {
-		flags |= flagTransient
 	}
 	t.record(evAccess, uint8(a.Kind), flags, ev.Op, a.Extent.Start, a.Extent.Count, a.Distance)
 }
@@ -173,18 +160,8 @@ func (t *Tracer) OnJournal(ev core.JournalEvent) {
 // OnSummary implements core.Probe.
 func (t *Tracer) OnSummary(sum core.Summary) {
 	if t.text {
-		t.line("summary waf=%.4f ckpt-age=%d", sum.WAF, sum.CheckpointAge)
-		if sum.Injected {
-			t.line(" faults tr=%d tw=%d media=%d poisoned=%d",
-				sum.TransientReads, sum.TransientWrites, sum.MediaErrors, sum.Poisoned)
-		}
-		t.line("\n")
+		t.line("summary waf=%.4f ckpt-age=%d\n", sum.WAF, sum.CheckpointAge)
 		return
 	}
-	var flags uint8
-	if sum.Injected {
-		flags |= flagInjected
-	}
-	t.record(evSummary, 0, flags, 0, int64(floatBits(sum.WAF)), sum.CheckpointAge, sum.TransientReads)
-	t.record(evSummary2, 0, 0, 0, sum.TransientWrites, sum.MediaErrors, sum.Poisoned)
+	t.record(evSummary, 0, 0, 0, int64(floatBits(sum.WAF)), sum.CheckpointAge, 0)
 }

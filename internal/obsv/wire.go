@@ -13,7 +13,7 @@ import (
 // Binary wire format: an 8-byte magic header followed by fixed-size
 // 35-byte records, little-endian:
 //
-//	off 0  kind  uint8  (evOp..evSummary2)
+//	off 0  kind  uint8  (evOp..evSummary)
 //	off 1  sub   uint8  (disk.OpKind, core.MechKind or core.JournalKind)
 //	off 2  flags uint8  (flag* bits)
 //	off 3  op    int64  (0-based trace operation index)
@@ -23,27 +23,23 @@ import (
 //
 // The format is versioned through the magic; an incompatible change
 // bumps the trailing byte.
-var magic = [8]byte{'S', 'M', 'R', 'T', 'R', 'C', 0, 1}
+var magic = [8]byte{'S', 'M', 'R', 'T', 'R', 'C', 0, 2}
 
 const recordSize = 3 + 4*8
 
 // Record kinds.
 const (
-	evOp       = uint8(iota + 1) // sub=OpKind a=Lba.Start b=Lba.Count c=Frags
-	evAccess                     // sub=OpKind a=Extent.Start b=Extent.Count c=Distance
-	evMech                       // sub=MechKind a=Sectors
-	evJournal                    // sub=JournalKind a=Dur(ns)
-	evSummary                    // a=WAF bits b=CheckpointAge c=TransientReads
-	evSummary2                   // a=TransientWrites b=MediaErrors c=Poisoned
+	evOp      = uint8(iota + 1) // sub=OpKind a=Lba.Start b=Lba.Count c=Frags
+	evAccess                    // sub=OpKind a=Extent.Start b=Extent.Count c=Distance
+	evMech                      // sub=MechKind a=Sectors
+	evJournal                   // sub=JournalKind a=Dur(ns)
+	evSummary                   // a=WAF bits b=CheckpointAge
 )
 
-// Access/summary flag bits.
+// Access flag bits.
 const (
-	flagSeeked      = uint8(1 << iota) // AccessEvent: the attempt seeked
-	flagFaulted                        // AccessEvent: the attempt faulted
-	flagMaintenance                    // AccessEvent: background maintenance I/O
-	flagTransient                      // AccessEvent: the fault was retryable
-	flagInjected                       // Summary: a fault injector was attached
+	flagSeeked      = uint8(1 << iota) // the I/O seeked
+	flagMaintenance                    // background maintenance I/O
 )
 
 func floatBits(f float64) uint64 { return math.Float64bits(f) }
@@ -77,11 +73,8 @@ func Replay(r io.Reader) (core.Stats, error) {
 	}
 
 	var (
-		st       core.Stats
-		injected bool
-		tr, tw   int64 // transient read / write faults (summary)
-		me, po   int64 // media errors / poisoned serves (summary)
-		buf      [recordSize]byte
+		st  core.Stats
+		buf [recordSize]byte
 	)
 	st.WAF = 1 // a run without a trailing summary is an untranslated one
 	for n := int64(0); ; n++ {
@@ -117,8 +110,6 @@ func Replay(r io.Reader) (core.Stats, error) {
 			switch core.JournalKind(sub) {
 			case core.JournalAppend:
 				st.Durability.JournalAppends++
-			case core.JournalAppendRetry:
-				st.Durability.AppendRetries++
 			case core.JournalAppendFailure:
 				st.Durability.AppendFailures++
 			case core.JournalCheckpoint:
@@ -129,32 +120,21 @@ func Replay(r io.Reader) (core.Stats, error) {
 		case evSummary:
 			st.WAF = math.Float64frombits(uint64(a))
 			st.Durability.CheckpointAge = b
-			injected = flags&flagInjected != 0
-			tr = c
-		case evSummary2:
-			tw, me, po = a, b, c
 		default:
 			return core.Stats{}, fmt.Errorf("obsv: trace record %d: unknown kind %d", n, kind)
 		}
 	}
-	if injected {
-		st.Resilience.FaultsInjected = tr + tw + me + po
-		st.Resilience.TransientFaults = tr + tw
-		st.Resilience.WriteFaults = tw
-		st.Resilience.MediaFaults = me
-	}
 	return st, nil
 }
 
-// replayAccess mirrors disk.TryDo's counter updates exactly: per-attempt
-// ops and seeks, sectors only on non-faulted attempts, the long-seek
-// split at disk.LongSeekSectors.
+// replayAccess mirrors disk.Disk.Do's counter updates exactly: ops,
+// seeks and sectors per I/O, the long-seek split at
+// disk.LongSeekSectors.
 func replayAccess(cs *disk.Counters, kind disk.OpKind, flags uint8, count, distance int64) {
 	if count <= 0 {
-		return // TryDo ignores empty extents entirely
+		return // Do ignores empty extents entirely
 	}
 	seeked := flags&flagSeeked != 0
-	faulted := flags&flagFaulted != 0
 	long := false
 	if d := distance; seeked {
 		if d < 0 {
@@ -165,11 +145,7 @@ func replayAccess(cs *disk.Counters, kind disk.OpKind, flags uint8, count, dista
 	switch kind {
 	case disk.Read:
 		cs.ReadOps++
-		if faulted {
-			cs.FaultedReads++
-		} else {
-			cs.ReadSectors += count
-		}
+		cs.ReadSectors += count
 		if seeked {
 			cs.ReadSeeks++
 			if long {
@@ -178,11 +154,7 @@ func replayAccess(cs *disk.Counters, kind disk.OpKind, flags uint8, count, dista
 		}
 	case disk.Write:
 		cs.WriteOps++
-		if faulted {
-			cs.FaultedWrites++
-		} else {
-			cs.WriteSectors += count
-		}
+		cs.WriteSectors += count
 		if seeked {
 			cs.WriteSeeks++
 			if long {
@@ -205,18 +177,6 @@ func replayMech(st *core.Stats, kind core.MechKind, n int64) {
 	case core.MechDefragWriteback:
 		st.DefragWritebacks++
 		st.DefragSectors += n
-	case core.MechRetry:
-		st.Resilience.Retries++
-	case core.MechRecovery:
-		st.Resilience.Recoveries++
-	case core.MechUnrecovered:
-		st.Resilience.Unrecovered++
-	case core.MechAbortedRelocation:
-		st.Resilience.AbortedRelocations++
-	case core.MechPoisonedEviction:
-		st.Resilience.PoisonedEvictions++
-	case core.MechPrefetchFallback:
-		st.Resilience.PrefetchFallbacks++
 	case core.MechMaintRead:
 		st.MaintReads++
 		st.MaintSectors += n

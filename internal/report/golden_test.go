@@ -66,25 +66,9 @@ func TestGoldenFig11(t *testing.T) {
 	checkGolden(t, "fig11", tb)
 }
 
-func TestGoldenFaultTable(t *testing.T) {
-	checkGolden(t, "fault", ResilienceTable(metrics.Resilience{
-		FaultsInjected:     15321,
-		TransientFaults:    14800,
-		MediaFaults:        521,
-		WriteFaults:        7100,
-		Retries:            16902,
-		Recoveries:         14555,
-		Unrecovered:        766,
-		AbortedRelocations: 31,
-		PoisonedEvictions:  112,
-		PrefetchFallbacks:  87,
-	}))
-}
-
 func TestGoldenDurabilityTable(t *testing.T) {
 	checkGolden(t, "durability", DurabilityTable(metrics.Durability{
 		JournalAppends:  120345,
-		AppendRetries:   410,
 		AppendFailures:  3,
 		Checkpoints:     117,
 		CheckpointAge:   345,

@@ -154,32 +154,12 @@ func Sparkline(values []int64) string {
 	return b.String()
 }
 
-// ResilienceTable renders a run's fault-injection and recovery tallies
-// as a metric/value table, in a fixed order so faulted runs are
-// byte-for-byte comparable across invocations.
-func ResilienceTable(r metrics.Resilience) *Table {
-	tb := NewTable("fault injection & recovery", "metric", "value")
-	tb.AddRow("faults injected", HumanCount(r.FaultsInjected))
-	tb.AddRow("transient faults", HumanCount(r.TransientFaults))
-	tb.AddRow("media errors", HumanCount(r.MediaFaults))
-	tb.AddRow("write faults", HumanCount(r.WriteFaults))
-	tb.AddRow("retries", HumanCount(r.Retries))
-	tb.AddRow("recoveries", HumanCount(r.Recoveries))
-	tb.AddRow("unrecovered", HumanCount(r.Unrecovered))
-	tb.AddRow("recovery rate", fmt.Sprintf("%.2f%%", 100*r.RecoveryRate()))
-	tb.AddRow("aborted relocations", HumanCount(r.AbortedRelocations))
-	tb.AddRow("poisoned cache evictions", HumanCount(r.PoisonedEvictions))
-	tb.AddRow("prefetch fallbacks", HumanCount(r.PrefetchFallbacks))
-	return tb
-}
-
 // DurabilityTable renders the write-ahead-journal and recovery tallies
-// of one run, shown next to the resilience table so fault and
-// durability behaviour read side by side.
+// of one run, in a fixed order so journaled runs are byte-for-byte
+// comparable across invocations.
 func DurabilityTable(d metrics.Durability) *Table {
 	tb := NewTable("write-ahead journal & recovery", "metric", "value")
 	tb.AddRow("journal appends", HumanCount(d.JournalAppends))
-	tb.AddRow("append retries", HumanCount(d.AppendRetries))
 	tb.AddRow("append failures", HumanCount(d.AppendFailures))
 	tb.AddRow("checkpoints", HumanCount(d.Checkpoints))
 	tb.AddRow("checkpoint age (records)", HumanCount(d.CheckpointAge))

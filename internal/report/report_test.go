@@ -116,44 +116,9 @@ func TestHumanCount(t *testing.T) {
 	}
 }
 
-func TestResilienceTable(t *testing.T) {
-	r := metrics.Resilience{
-		FaultsInjected:  1500,
-		TransientFaults: 1400,
-		MediaFaults:     100,
-		Retries:         2000,
-		Recoveries:      1300,
-		Unrecovered:     100,
-	}
-	var buf bytes.Buffer
-	if err := ResilienceTable(r).Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"fault injection & recovery",
-		"faults injected", "1,500",
-		"recovery rate", "92.86%",
-		"aborted relocations",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-	// Rendering is deterministic: same tallies, same bytes.
-	var again bytes.Buffer
-	if err := ResilienceTable(r).Render(&again); err != nil {
-		t.Fatal(err)
-	}
-	if out != again.String() {
-		t.Error("two renders of the same tallies differ")
-	}
-}
-
 func TestDurabilityTable(t *testing.T) {
 	d := metrics.Durability{
 		JournalAppends: 12000,
-		AppendRetries:  40,
 		Checkpoints:    12,
 		CheckpointAge:  345,
 		Crashed:        true,

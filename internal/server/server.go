@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smrseek/internal/fault"
 	"smrseek/internal/journal"
 	"smrseek/internal/volume"
 )
@@ -111,7 +110,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// statusOf maps volume/journal/fault errors onto wire status codes.
+// statusOf maps volume and journal errors onto wire status codes.
 func statusOf(err error) uint8 {
 	switch {
 	case errors.Is(err, volume.ErrOverloaded):
@@ -126,10 +125,6 @@ func statusOf(err error) uint8 {
 		return StatusCorrupt
 	case errors.Is(err, journal.ErrUnsealed):
 		return StatusBadRequest
-	case fault.IsMedia(err):
-		return StatusMediaError
-	case fault.IsTransient(err):
-		return StatusTransient
 	default:
 		return StatusInternal
 	}

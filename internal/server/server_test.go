@@ -114,6 +114,12 @@ func TestStatusName(t *testing.T) {
 	if got := StatusName(200); got != "status(200)" {
 		t.Errorf("StatusName(200) = %q", got)
 	}
+	// Retired statuses keep their numbers reserved: 5 and 6 are unnamed
+	// and the later statuses did not shift.
+	if StatusNoJournal != 7 || StatusCorrupt != 10 || StatusName(5) != "status(5)" || StatusName(6) != "status(6)" {
+		t.Errorf("status numbering shifted: no-journal %d, corrupt %d, 5 %q, 6 %q",
+			StatusNoJournal, StatusCorrupt, StatusName(5), StatusName(6))
+	}
 }
 
 func TestServerReadWriteStat(t *testing.T) {

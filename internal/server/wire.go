@@ -69,8 +69,10 @@ const (
 	StatusUnknownVolume
 	StatusBadRequest
 	StatusCrashed
-	StatusMediaError
-	StatusTransient
+	// Statuses 5 and 6 belonged to the retired simulated media and
+	// transient faults. They stay reserved and are never reused.
+	_
+	_
 	StatusNoJournal
 	StatusTimeout
 	StatusInternal
@@ -85,8 +87,6 @@ var statusNames = [...]string{
 	StatusUnknownVolume: "unknown-volume",
 	StatusBadRequest:    "bad-request",
 	StatusCrashed:       "crashed",
-	StatusMediaError:    "media-error",
-	StatusTransient:     "transient-fault",
 	StatusNoJournal:     "no-journal",
 	StatusTimeout:       "timeout",
 	StatusInternal:      "internal",

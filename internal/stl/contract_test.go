@@ -13,9 +13,8 @@ import (
 // TestLayerContract checks the append contract every translation layer
 // shares, on the two built-in layers and the gc and mcache alternatives:
 // appending into a non-empty dst leaves its prefix untouched and appends
-// exactly the fragments an empty dst would get; an empty extent appends
-// nothing; and a Previewer's PreviewWriteAppend mutates nothing and
-// equals the WriteAppend that follows it. The rewrite loop runs long
+// exactly the fragments an empty dst would get; and an empty extent
+// appends nothing. The rewrite loop runs long
 // enough that gc cleans and mcache merges inside WriteAppend, whose
 // relocations must never land in the caller's dst.
 func TestLayerContract(t *testing.T) {
@@ -90,25 +89,8 @@ func TestLayerContract(t *testing.T) {
 				}
 				tiles(t, "ResolveAppend", got, target)
 
-				var preview []stl.Fragment
-				if pv, ok := l.(stl.Previewer); ok {
-					if got := pv.PreviewWriteAppend(prefix(), geom.Extent{}); len(tail(t, "empty PreviewWriteAppend", got)) != 0 {
-						t.Fatalf("empty PreviewWriteAppend appended %v", got[1:])
-					}
-					preview = tail(t, "PreviewWriteAppend", pv.PreviewWriteAppend(prefix(), target))
-					if again := pv.PreviewWriteAppend(nil, target); !reflect.DeepEqual(again, preview) {
-						t.Fatalf("repeated preview diverged: %v vs %v", again, preview)
-					}
-					if now := l.ResolveAppend(nil, target); !reflect.DeepEqual(now, alone) {
-						t.Fatalf("preview mutated the mapping: %v -> %v", alone, now)
-					}
-				}
-
 				placed := tail(t, "WriteAppend", l.WriteAppend(prefix(), target))
 				tiles(t, "WriteAppend", placed, target)
-				if preview != nil && !reflect.DeepEqual(placed, preview) {
-					t.Fatalf("WriteAppend landed at %v, previewed %v", placed, preview)
-				}
 				// Data that stays live, so every gc victim has extents
 				// to relocate.
 				l.WriteAppend(nil, geom.Ext(1000+4*int64(i), 4))

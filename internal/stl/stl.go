@@ -43,20 +43,6 @@ type Layer interface {
 	Name() string
 }
 
-// Previewer is implemented by layers that can report where a write
-// would land without mutating any state. Simulators use it to make
-// relocations (defrag write-backs) atomic under faults: the disk I/O is
-// attempted against the previewed placement first, and the mapping is
-// committed only if every attempt succeeds — an aborted relocation
-// leaves the extent map exactly as it was.
-type Previewer interface {
-	// PreviewWriteAppend appends the fragments WriteAppend(dst, lba)
-	// would produce, in write order, without performing the write. A
-	// subsequent WriteAppend of the same extent (with no intervening
-	// writes) must land exactly on the previewed placement.
-	PreviewWriteAppend(dst []Fragment, lba geom.Extent) []Fragment
-}
-
 // NoLS is the untranslated baseline: every LBA lives at PBA == LBA, and
 // writes update in place.
 type NoLS struct{}
@@ -126,15 +112,6 @@ func (l *LS) WriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	return append(dst, Fragment{Lba: lba, Pba: pba})
 }
 
-// PreviewWriteAppend implements Previewer: the whole extent would land
-// at the current frontier. No state changes.
-func (l *LS) PreviewWriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return dst
-	}
-	return append(dst, Fragment{Lba: lba, Pba: l.frontier})
-}
-
 // Name implements Layer.
 func (l *LS) Name() string { return "LS" }
 
@@ -152,7 +129,6 @@ func (l *LS) Map() *extmap.Map { return l.m }
 func (l *LS) Fragments(lba geom.Extent) int { return l.m.Fragments(lba) }
 
 var (
-	_ Layer     = (*NoLS)(nil)
-	_ Layer     = (*LS)(nil)
-	_ Previewer = (*LS)(nil)
+	_ Layer = (*NoLS)(nil)
+	_ Layer = (*LS)(nil)
 )

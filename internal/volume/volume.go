@@ -142,7 +142,7 @@ type Result struct {
 	// Proof is the inclusion proof for OpProof, nil otherwise.
 	Proof *journal.Proof
 	// Err is the op-level failure: sticky journal errors for
-	// reads/writes (journal.ErrCrashed, transient/media fault errors),
+	// reads/writes (journal.ErrCrashed or any other append failure),
 	// ErrNoJournal for Snapshot/Verify/Proof without a journal,
 	// journal.ErrUnsealed for a proof of an unsealed record.
 	Err error

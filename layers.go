@@ -13,9 +13,7 @@ import (
 // Config.CustomLayer. A layer implements ResolveAppend, WriteAppend and
 // Name: both Append methods append their fragments to a caller-provided
 // buffer and return it, leave the buffer's prefix untouched, and append
-// nothing for an empty extent. A layer that can also report where a
-// write would land without performing it (PreviewWriteAppend) gets
-// fault-atomic defrag relocations. NewGCLayer and NewMediaCacheLayer
+// nothing for an empty extent. NewGCLayer and NewMediaCacheLayer
 // construct the two built-in alternatives to the paper's infinite
 // log-structured layer.
 type Layer = stl.Layer

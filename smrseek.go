@@ -30,7 +30,6 @@ import (
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
 	"smrseek/internal/experiments"
-	"smrseek/internal/fault"
 	"smrseek/internal/geom"
 	"smrseek/internal/metrics"
 	"smrseek/internal/trace"
@@ -54,10 +53,6 @@ type (
 	PrefetchConfig = core.PrefetchConfig
 	// CacheConfig parameterizes translation-aware selective caching.
 	CacheConfig = core.CacheConfig
-
-	// FaultConfig parameterizes deterministic fault injection; set it on
-	// Config.Fault to run a simulation under injected disk errors.
-	FaultConfig = fault.Config
 
 	// JournalConfig attaches a write-ahead journal to a run; set it on
 	// Config.Journal to make the translation state durable.
