@@ -51,7 +51,7 @@ func TestStepZeroAllocsLS(t *testing.T) {
 		}
 	}
 
-	// Warm up: grow the extent map's node slabs, the LRU's entry pool,
+	// Warm up: grow the extent map's leaves, the LRU's entry pool,
 	// the scratch buffers, and the prefetch ring to their steady sizes.
 	for i := 0; i < 8; i++ {
 		cycle()

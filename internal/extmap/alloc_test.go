@@ -8,8 +8,8 @@ import (
 
 // The visitor APIs are the simulator's per-access hot path; these tests
 // pin their steady-state allocation count at zero. "Steady state" means
-// the map's node freelist and overlap scratch buffer have been warmed by
-// a few rounds of the same traffic — exactly the regime a long
+// the map's leaves, spare leaf and overlap scratch buffer have been
+// warmed by a few rounds of the same traffic — exactly the regime a long
 // simulation run settles into.
 
 func TestLookupFuncZeroAllocs(t *testing.T) {
@@ -56,8 +56,8 @@ func TestInsertFuncZeroAllocs(t *testing.T) {
 			m := v.mk()
 			frontier := geom.Sector(1 << 30)
 			// A fixed cycle of overwriting extents: after a warm-up round
-			// the per-cycle node churn repeats exactly, so the freelist
-			// absorbs every split and delete.
+			// the per-cycle churn repeats exactly, so the leaf arrays
+			// absorb every split and delete.
 			cycle := func() {
 				for i := geom.Sector(0); i < 32; i++ {
 					e := geom.Ext(i*100, 150) // overlaps the next extent: forces splits
@@ -66,7 +66,7 @@ func TestInsertFuncZeroAllocs(t *testing.T) {
 				}
 			}
 			for i := 0; i < 3; i++ {
-				cycle() // warm the freelist and scratch buffer
+				cycle() // warm the leaves and scratch buffer
 			}
 			allocs := testing.AllocsPerRun(50, cycle)
 			if allocs != 0 {

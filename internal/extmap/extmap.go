@@ -10,13 +10,18 @@
 // must visit to serve the read; the fragment count of a read is exactly
 // the paper's "dynamic fragmentation".
 //
-// The implementation is an AVL tree keyed by LBA start. AVL (rather than
-// a simpler structure) keeps worst-case O(log n) behaviour for the
-// million-extent maps that long traces build up.
+// The mappings are kept in LBA order as a list of short sorted leaves,
+// each at most leafMax long. A search is a binary search over the
+// leaves' first starts and then one inside a leaf. An insert or delete
+// moves at most one leaf's mappings, and the leaf list only when a leaf
+// splits or merges; that list holds one entry per 32–128 mappings, so
+// it stays short even for the million-extent maps that long traces
+// build up.
 package extmap
 
 import (
 	"fmt"
+	"slices"
 
 	"smrseek/internal/geom"
 )
@@ -39,37 +44,31 @@ func (m Mapping) String() string {
 	return fmt.Sprintf("%v->%d", m.Lba, m.Pba)
 }
 
-// node is an AVL tree node holding one mapping.
-type node struct {
-	m           Mapping
-	left, right *node
-	height      int
-}
-
-// maxAVLHeight bounds the tree height for iterative traversals: an AVL
-// tree of n nodes is at most 1.44·log2(n) deep, so 96 levels cover far
-// more mappings than a 64-bit address space can hold.
-const maxAVLHeight = 96
-
-// nodeSlabSize is how many nodes one freelist refill allocates at once,
-// so a growing map costs one allocation per slab instead of per mapping.
-const nodeSlabSize = 64
+// leafMax is the most mappings one leaf holds. A full leaf splits into
+// halves; a delete merges a leaf into a neighbour when the two together
+// hold at most leafMax/2, so every adjacent pair of leaves holds more
+// than leafMax/2 and a map of n mappings has at most 4·n/leafMax+1
+// leaves.
+const leafMax = 128
 
 // Map is the extent map. The zero value is an empty map ready to use.
 type Map struct {
-	root *node
-	n    int // number of mappings
+	// leaves holds the mappings in ascending LBA order, cut into
+	// non-empty runs of at most leafMax; every leaf's array has capacity
+	// leafMax, so inserts and merges within it never reallocate.
+	leaves [][]Mapping
+	// spare is the array of the last leaf a delete emptied or merged
+	// away, reused by the next split so delete/insert churn does not
+	// allocate.
+	spare []Mapping
+	n     int // number of mappings
 	// coalesce, when set, merges mappings that are adjacent in LBA space
 	// and contiguous in PBA space at Insert time, keeping the map minimal.
 	coalesce bool
 	// mapped caches the total mapped sector count so MappedSectors is
-	// O(1); insertNode/deleteStart keep it current and CheckInvariants
-	// cross-checks it against a direct tree fold.
+	// O(1); insert/deleteStart keep it current and CheckInvariants
+	// cross-checks it against a direct sum.
 	mapped int64
-	// free is the node freelist (threaded through node.right): delete
-	// and split churn recycles nodes here instead of hitting the GC, and
-	// refills come in slabs of nodeSlabSize.
-	free *node
 	// scratch is the reusable overlap buffer for InsertFunc/DeleteFunc;
 	// it is why callbacks must not mutate the map re-entrantly.
 	scratch []Mapping
@@ -91,205 +90,138 @@ func (t *Map) Len() int { return t.n }
 // MappedSectors returns the total number of LBA sectors with a mapping.
 // The count is maintained incrementally on every insert and delete — no
 // walk, no invalidation to miss — so report tables can poll it as a
-// gauge; CheckInvariants cross-checks it against a direct tree fold.
+// gauge; CheckInvariants cross-checks it against a direct sum.
 func (t *Map) MappedSectors() int64 { return t.mapped }
 
-// sumSectors is the direct tree fold behind the MappedSectors
-// cross-check: the recursion carries no closure state.
-func sumSectors(n *node) int64 {
-	if n == nil {
-		return 0
-	}
-	return sumSectors(n.left) + n.m.Lba.Count + sumSectors(n.right)
-}
-
-func h(n *node) int {
-	if n == nil {
-		return 0
-	}
-	return n.height
-}
-
-func update(n *node) *node {
-	n.height = 1 + max(h(n.left), h(n.right))
-	return n
-}
-
-func rotateRight(y *node) *node {
-	x := y.left
-	y.left = x.right
-	x.right = y
-	update(y)
-	return update(x)
-}
-
-func rotateLeft(x *node) *node {
-	y := x.right
-	x.right = y.left
-	y.left = x
-	update(x)
-	return update(y)
-}
-
-func balance(n *node) *node {
-	update(n)
-	switch bf := h(n.left) - h(n.right); {
-	case bf > 1:
-		if h(n.left.left) < h(n.left.right) {
-			n.left = rotateLeft(n.left)
+// leafFor returns the index of the last leaf whose first mapping starts
+// at or before s, or 0 when none does. Because mappings are disjoint, no
+// leaf before it holds a mapping ending after s.
+func (t *Map) leafFor(s geom.Sector) int {
+	lo, hi := 1, len(t.leaves)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.leaves[mid][0].Lba.Start <= s {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return rotateRight(n)
-	case bf < -1:
-		if h(n.right.right) < h(n.right.left) {
-			n.right = rotateRight(n.right)
-		}
-		return rotateLeft(n)
 	}
-	return n
+	return lo - 1
 }
 
-// newNode takes a node from the freelist, refilling it with a fresh slab
-// when empty.
-func (t *Map) newNode(m Mapping) *node {
-	if t.free == nil {
-		slab := make([]node, nodeSlabSize)
-		for i := range slab[:len(slab)-1] {
-			slab[i].right = &slab[i+1]
+// firstEndingAfter returns the index of the first mapping in leaf that
+// ends after s; disjointness makes ends ascend with starts.
+func firstEndingAfter(leaf []Mapping, s geom.Sector) int {
+	lo, hi := 0, len(leaf)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if leaf[mid].Lba.End() <= s {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		t.free = &slab[0]
 	}
-	n := t.free
-	t.free = n.right
-	*n = node{m: m, height: 1}
-	return n
+	return lo
 }
 
-// recycle returns a detached node to the freelist. The node must no
-// longer be reachable from the tree.
-func (t *Map) recycle(n *node) {
-	*n = node{right: t.free}
-	t.free = n
+// newLeaf returns an empty leaf array, the spare one if there is one.
+func (t *Map) newLeaf() []Mapping {
+	if s := t.spare; s != nil {
+		t.spare = nil
+		return s[:0]
+	}
+	return make([]Mapping, 0, leafMax)
 }
 
-// insertNode adds a mapping known not to overlap any existing mapping.
-func (t *Map) insertNode(m Mapping) {
-	t.root = t.insert(t.root, m)
+// insert adds a mapping known not to overlap any existing mapping.
+func (t *Map) insert(m Mapping) {
 	t.n++
 	t.mapped += m.Lba.Count
-}
-
-func (t *Map) insert(n *node, m Mapping) *node {
-	if n == nil {
-		return t.newNode(m)
+	if len(t.leaves) == 0 {
+		t.leaves = append(t.leaves, append(t.newLeaf(), m))
+		return
 	}
-	if m.Lba.Start < n.m.Lba.Start {
-		n.left = t.insert(n.left, m)
-	} else {
-		n.right = t.insert(n.right, m)
+	i := t.leafFor(m.Lba.Start)
+	leaf := t.leaves[i]
+	j := firstEndingAfter(leaf, m.Lba.Start)
+	if len(leaf) == leafMax {
+		right := append(t.newLeaf(), leaf[leafMax/2:]...)
+		leaf = leaf[:leafMax/2]
+		t.leaves[i] = leaf
+		t.leaves = slices.Insert(t.leaves, i+1, right)
+		if j > leafMax/2 {
+			i, leaf, j = i+1, right, j-leafMax/2
+		}
 	}
-	return balance(n)
+	t.leaves[i] = slices.Insert(leaf, j, m)
 }
 
 // deleteStart removes the mapping whose LBA start equals start; count is
 // its sector count (every caller holds the full mapping), used to keep
-// the MappedSectors cache current.
+// the MappedSectors cache current. A leaf left with at most leafMax/2
+// mappings together with a neighbour is merged into it.
 func (t *Map) deleteStart(start geom.Sector, count int64) {
-	var deleted bool
-	t.root, deleted = t.del(t.root, start)
-	if deleted {
-		t.n--
-		t.mapped -= count
+	if len(t.leaves) == 0 {
+		return
+	}
+	i := t.leafFor(start)
+	leaf := t.leaves[i]
+	j := firstEndingAfter(leaf, start)
+	if j == len(leaf) || leaf[j].Lba.Start != start {
+		return
+	}
+	t.n--
+	t.mapped -= count
+	leaf = slices.Delete(leaf, j, j+1)
+	t.leaves[i] = leaf
+	switch {
+	case i > 0 && len(t.leaves[i-1])+len(leaf) <= leafMax/2:
+		t.mergeNext(i - 1)
+	case i+1 < len(t.leaves) && len(leaf)+len(t.leaves[i+1]) <= leafMax/2:
+		t.mergeNext(i)
+	case len(leaf) == 0:
+		t.dropLeaf(i)
 	}
 }
 
-func (t *Map) del(n *node, start geom.Sector) (*node, bool) {
-	if n == nil {
-		return nil, false
-	}
-	var deleted bool
-	switch {
-	case start < n.m.Lba.Start:
-		n.left, deleted = t.del(n.left, start)
-	case start > n.m.Lba.Start:
-		n.right, deleted = t.del(n.right, start)
-	default:
-		deleted = true
-		if n.left == nil {
-			r := n.right
-			t.recycle(n)
-			return r, true
-		}
-		if n.right == nil {
-			l := n.left
-			t.recycle(n)
-			return l, true
-		}
-		// Replace with successor; the recursion recycles the successor's
-		// node when it bottoms out in one of the cases above.
-		succ := n.right
-		for succ.left != nil {
-			succ = succ.left
-		}
-		n.m = succ.m
-		n.right, _ = t.del(n.right, succ.m.Lba.Start)
-	}
-	return balance(n), deleted
+// mergeNext appends leaf i+1 to leaf i and drops it.
+func (t *Map) mergeNext(i int) {
+	t.leaves[i] = append(t.leaves[i], t.leaves[i+1]...)
+	t.dropLeaf(i + 1)
+}
+
+// dropLeaf removes leaf i, keeping its array as the spare.
+func (t *Map) dropLeaf(i int) {
+	t.spare = t.leaves[i]
+	t.leaves = slices.Delete(t.leaves, i, i+1)
 }
 
 // visitOverlapping calls fn with every mapping overlapping q, in
 // ascending LBA order, stopping early when fn returns false; the return
-// value reports whether the walk ran to completion. The traversal is
-// iterative over a fixed-size stack, so it allocates nothing — the core
-// of the zero-allocation lookup path.
-//
-// Pruning relies on the disjointness invariant: mappings sorted by start
-// never overlap, so at most ONE mapping starts before q.Start yet
-// reaches into q (the predecessor of q.Start). A node starting below
-// q.Start therefore never has a left-subtree overlap — whether or not
-// it overlaps q itself — and a node starting at or past q.End() ends
-// the in-order walk.
+// value reports whether the walk ran to completion. It allocates
+// nothing — the core of the zero-allocation lookup path.
 func (t *Map) visitOverlapping(q geom.Extent, fn func(Mapping) bool) bool {
-	if q.Empty() {
+	if q.Empty() || len(t.leaves) == 0 {
 		return true
 	}
-	var stack [maxAVLHeight]*node
-	top := 0
-	n := t.root
-	for {
-		for n != nil {
-			switch {
-			case n.m.Lba.Start >= q.Start:
-				stack[top] = n
-				top++
-				n = n.left
-			case n.m.Lba.End() > q.Start:
-				// Starts before q but reaches into it: visit it, skip
-				// its left subtree.
-				stack[top] = n
-				top++
-				n = nil
-			default:
-				n = n.right
+	i := t.leafFor(q.Start)
+	j := firstEndingAfter(t.leaves[i], q.Start)
+	for ; i < len(t.leaves); i, j = i+1, 0 {
+		for _, m := range t.leaves[i][j:] {
+			if m.Lba.Start >= q.End() {
+				return true
+			}
+			if !fn(m) {
+				return false
 			}
 		}
-		if top == 0 {
-			return true
-		}
-		top--
-		nd := stack[top]
-		if nd.m.Lba.Start >= q.End() {
-			return true
-		}
-		if nd.m.Lba.Overlaps(q) && !fn(nd.m) {
-			return false
-		}
-		n = nd.right
 	}
+	return true
 }
 
 // overlapScratch fills t.scratch with the mappings overlapping q, in
 // ascending LBA order, so mutators can iterate a stable snapshot while
-// they restructure the tree. The buffer is reused across calls.
+// they restructure the leaves. The buffer is reused across calls.
 func (t *Map) overlapScratch(q geom.Extent) []Mapping {
 	t.scratch = t.scratch[:0]
 	t.visitOverlapping(q, func(m Mapping) bool {
@@ -314,7 +246,7 @@ func (t *Map) InsertFunc(lba geom.Extent, pba geom.Sector, fn func(Mapping) bool
 		return
 	}
 	t.DeleteFunc(lba, fn)
-	t.insertNode(Mapping{Lba: lba, Pba: pba})
+	t.insert(Mapping{Lba: lba, Pba: pba})
 	if t.coalesce {
 		t.coalesceAround(Mapping{Lba: lba, Pba: pba})
 	}
@@ -357,7 +289,7 @@ func (t *Map) coalesceAround(m Mapping) {
 		t.deleteStart(hi.Lba.Start, hi.Lba.Count)
 	}
 	t.deleteStart(m.Lba.Start, m.Lba.Count)
-	t.insertNode(Mapping{Lba: geom.Span(lo.Lba.Start, hi.Lba.End()), Pba: lo.Pba})
+	t.insert(Mapping{Lba: geom.Span(lo.Lba.Start, hi.Lba.End()), Pba: lo.Pba})
 }
 
 // DeleteFunc removes any mapping of the LBA extent, splitting mappings
@@ -382,10 +314,10 @@ func (t *Map) DeleteFunc(lba geom.Extent, fn func(Mapping) bool) {
 		// A mapping overlapping lba leaves at most a left and a right
 		// remainder.
 		if old.Lba.Start < lba.Start {
-			t.insertNode(Mapping{Lba: geom.Span(old.Lba.Start, lba.Start), Pba: old.Pba})
+			t.insert(Mapping{Lba: geom.Span(old.Lba.Start, lba.Start), Pba: old.Pba})
 		}
 		if old.Lba.End() > lba.End() {
-			t.insertNode(Mapping{
+			t.insert(Mapping{
 				Lba: geom.Span(lba.End(), old.Lba.End()),
 				Pba: old.Pba + (lba.End() - old.Lba.Start),
 			})
@@ -517,82 +449,59 @@ func (t *Map) Fragments(q geom.Extent) int {
 
 // Walk visits every mapping in ascending LBA order until fn returns false.
 func (t *Map) Walk(fn func(Mapping) bool) {
-	walk(t.root, fn)
+	for _, leaf := range t.leaves {
+		for _, m := range leaf {
+			if !fn(m) {
+				return
+			}
+		}
+	}
 }
 
-func walk(n *node, fn func(Mapping) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !walk(n.left, fn) {
-		return false
-	}
-	if !fn(n.m) {
-		return false
-	}
-	return walk(n.right, fn)
-}
-
-// CheckInvariants validates the map's structural invariants: AVL balance
-// and height bookkeeping, mappings sorted by LBA start, non-empty and
-// non-overlapping, and — for maps built with NewCoalesced — fully
-// coalesced (no two adjacent mappings contiguous in both LBA and PBA
-// space). Recovery and property tests call it after every mutation
-// storm; it is O(n).
+// CheckInvariants validates the map's structural invariants: every
+// leaf holds 1..leafMax mappings, every adjacent pair of leaves more
+// than leafMax/2 (so there are at most 4·Len/leafMax+1 leaves),
+// mappings sorted by LBA start, non-empty and non-overlapping, and — for
+// maps built with NewCoalesced — fully coalesced (no two adjacent
+// mappings contiguous in both LBA and PBA space). Recovery and property
+// tests call it after every mutation storm; it is O(n).
 func (t *Map) CheckInvariants() error {
-	var walkErr error
-	var check func(n *node) int
-	check = func(n *node) int {
-		if n == nil || walkErr != nil {
-			return 0
-		}
-		lh := check(n.left)
-		rh := check(n.right)
-		if walkErr != nil {
-			return 0
-		}
-		if d := lh - rh; d < -1 || d > 1 {
-			walkErr = fmt.Errorf("extmap: unbalanced node %v (lh=%d rh=%d)", n.m, lh, rh)
-		}
-		got := 1 + max(lh, rh)
-		if n.height != got {
-			walkErr = fmt.Errorf("extmap: stale height at %v: %d != %d", n.m, n.height, got)
-		}
-		return got
+	if bound := 4*t.n/leafMax + 1; len(t.leaves) > bound {
+		return fmt.Errorf("extmap: %d leaves for %d mappings, want at most %d", len(t.leaves), t.n, bound)
 	}
-	check(t.root)
-	if walkErr != nil {
-		return walkErr
-	}
-	// prev is held by value: a pointer to each visited mapping would cost
-	// an allocation per mapping.
-	var prev Mapping
-	count := 0
-	t.Walk(func(m Mapping) bool {
-		count++
-		if m.Lba.Empty() {
-			walkErr = fmt.Errorf("extmap: empty mapping %v", m)
-			return false
+	var (
+		prev   Mapping
+		count  int
+		mapped int64
+	)
+	for i, leaf := range t.leaves {
+		if len(leaf) == 0 || len(leaf) > leafMax {
+			return fmt.Errorf("extmap: leaf %d holds %d mappings, want 1..%d", i, len(leaf), leafMax)
 		}
-		if count > 1 && prev.Lba.End() > m.Lba.Start {
-			walkErr = fmt.Errorf("extmap: overlap %v then %v", prev, m)
-			return false
+		if i > 0 && len(t.leaves[i-1])+len(leaf) <= leafMax/2 {
+			return fmt.Errorf("extmap: leaves %d and %d hold %d+%d mappings, want more than %d together",
+				i-1, i, len(t.leaves[i-1]), len(leaf), leafMax/2)
 		}
-		if t.coalesce && count > 1 && prev.Lba.End() == m.Lba.Start && prev.PhysEnd() == m.Pba {
-			walkErr = fmt.Errorf("extmap: uncoalesced adjacent mappings %v then %v", prev, m)
-			return false
+		for _, m := range leaf {
+			count++
+			mapped += m.Lba.Count
+			if m.Lba.Empty() {
+				return fmt.Errorf("extmap: empty mapping %v", m)
+			}
+			if count > 1 && prev.Lba.End() > m.Lba.Start {
+				return fmt.Errorf("extmap: overlap %v then %v", prev, m)
+			}
+			if t.coalesce && count > 1 && prev.Lba.End() == m.Lba.Start && prev.PhysEnd() == m.Pba {
+				return fmt.Errorf("extmap: uncoalesced adjacent mappings %v then %v", prev, m)
+			}
+			prev = m
 		}
-		prev = m
-		return true
-	})
-	if walkErr != nil {
-		return walkErr
 	}
 	if count != t.n {
-		return fmt.Errorf("extmap: Len()=%d but walk saw %d", t.n, count)
+		return fmt.Errorf("extmap: Len()=%d but the leaves hold %d", t.n, count)
 	}
-	if got := sumSectors(t.root); got != t.mapped {
-		return fmt.Errorf("extmap: MappedSectors()=%d but tree fold sums %d", t.mapped, got)
+	if mapped != t.mapped {
+		return fmt.Errorf("extmap: MappedSectors()=%d but the leaves sum %d", t.mapped, mapped)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 	"smrseek/internal/geom"
 )
 
-// Property-based differential test: the AVL extent map is compared,
+// Property-based differential test: the extent map is compared,
 // operation by operation, against a brutally simple reference model — a
 // flat per-sector array. The array cannot represent mapping *structure*
 // (how sectors group into mappings), so structure-dependent results are

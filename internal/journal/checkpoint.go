@@ -116,7 +116,9 @@ func ReadCheckpoint(r io.Reader) (Snapshot, error) {
 			},
 			Pba: int64(binary.LittleEndian.Uint64(rest[off+16 : off+24])),
 		}
-		if m.Lba.Start < 0 || m.Lba.Count <= 0 || m.Pba < 0 || m.Lba.Start < prevEnd {
+		// A mapping must pass the same field checks as a write record,
+		// overflow guards included, and follow its predecessor.
+		if !(Record{Kind: RecWrite, Lba: m.Lba, Pba: m.Pba}).Valid() || m.Lba.Start < prevEnd {
 			return snap, fmt.Errorf("journal: checkpoint mapping %d invalid or out of order: %v", i, m)
 		}
 		prevEnd = m.Lba.End()

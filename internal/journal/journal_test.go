@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -428,6 +429,24 @@ func TestReadCheckpointRejectsUnsortedMappings(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(&buf); err == nil {
 		t.Error("unsorted checkpoint mappings accepted")
+	}
+}
+
+// TestReadCheckpointRejectsOverflowingMappings: a CRC-valid checkpoint
+// whose mapping ends past MaxInt64, in LBA or in PBA space, is refused
+// exactly as Record.Valid refuses such a journal record.
+func TestReadCheckpointRejectsOverflowingMappings(t *testing.T) {
+	for _, m := range []extmap.Mapping{
+		{Lba: geom.Ext(math.MaxInt64-1, 4), Pba: 0},
+		{Lba: geom.Ext(8, 4), Pba: math.MaxInt64 - 1},
+	} {
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, Snapshot{Mappings: []extmap.Mapping{m}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCheckpoint(&buf); err == nil {
+			t.Errorf("checkpoint mapping %v accepted", m)
+		}
 	}
 }
 

@@ -446,7 +446,7 @@ func TestRecoverCoalescesHandWrittenCheckpoint(t *testing.T) {
 }
 
 // TestRecoverApplyAllocs pins what Recover allocates on ~20 k records of
-// overlapping rewrites: the extent map's node slabs (one per 64 nodes)
+// overlapping rewrites: the extent map's leaf arrays (one per split)
 // and a few scratch buffers, never one per record. The forward replay
 // through Insert allocated at least once per record.
 func TestRecoverApplyAllocs(t *testing.T) {

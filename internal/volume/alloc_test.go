@@ -12,8 +12,8 @@ import (
 // volume actor allocate: TryDo's queue hand-off, the actor's drain and
 // simulator step, and the result receive. Requests and results travel
 // by value over channels, so a warm round trip allocates nothing; the
-// bound allows at most the extent map's node slab (one per 64 nodes)
-// per batch of 64, never one allocation per op. The journaled variant
+// bound allows at most one extent-map leaf split per batch of 64,
+// never one allocation per op. The journaled variant
 // adds the journal append and the batch's commit: records are encoded
 // into the log's own buffer, so it keeps the same bound.
 func TestActorRoundTripAllocs(t *testing.T) {
