@@ -58,8 +58,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		queueDepth  = fs.Int("queue-depth", volume.DefaultQueueDepth, "per-volume request queue bound; a full queue sheds with an overloaded status")
 		batch       = fs.Int("batch", volume.DefaultBatchSize, "max requests the actor drains per wakeup and per journal write")
 		ckptEvery   = fs.Int64("checkpoint-every", 4096, "checkpoint a journaled volume after this many journal records (0 = only at shutdown)")
-		sealEvery   = fs.Int64("seal-every", journal.DefaultSegmentSize, "seal a Merkle segment after this many journal records")
-		recWorkers  = fs.Int("recover-workers", 0, "verification workers per volume during journal recovery (0 = GOMAXPROCS, 1 = sequential); recovered state is identical at any count")
+		sealEvery   = fs.Int64("seal-every", journal.DefaultSegmentSize, "write a seal frame after this many journal records (a resync marker that tells mid-journal damage from a torn tail)")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request execution timeout once queued (0 = none); expiry answers a timeout status and the connection stays open")
 		maxWindow   = fs.Int("max-window", 0, "cap on the per-connection in-flight window granted to SMRD2 pipelined clients (0 = built-in default)")
 	)
@@ -72,14 +71,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-max-window %d out of range [0, %d]", *maxWindow, server.HardMaxWindow)
 	case *reqTimeout < 0:
 		return fmt.Errorf("-request-timeout %v must be >= 0", *reqTimeout)
-	case *recWorkers < 0:
-		return fmt.Errorf("-recover-workers %d must be >= 0", *recWorkers)
 	case *sealEvery < 0:
 		return fmt.Errorf("-seal-every %d must be >= 0", *sealEvery)
 	case *ckptEvery < 0:
 		return fmt.Errorf("-checkpoint-every %d must be >= 0", *ckptEvery)
 	}
-	cfgs, err := parseVolumes(*volumes, *journalDir, geom.Sector(*frontier), *queueDepth, *batch, *ckptEvery, *sealEvery, *recWorkers)
+	cfgs, err := parseVolumes(*volumes, *journalDir, geom.Sector(*frontier), *queueDepth, *batch, *ckptEvery, *sealEvery)
 	if err != nil {
 		return err
 	}
@@ -98,9 +95,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			if r.Elapsed > 0 {
 				mbps = float64(r.JournalBytes) / r.Elapsed.Seconds() / (1 << 20)
 			}
-			fmt.Fprintf(out, "smrd: volume %s recovered: checkpoint=%v, %d journal records replayed, verified=%v (%d sealed segments), %d bytes in %s (%.1f MB/s, workers=%d)\n",
+			fmt.Fprintf(out, "smrd: volume %s recovered: checkpoint=%v, %d journal records replayed, verified=%v (%d sealed segments), %d bytes in %s (%.1f MB/s)\n",
 				name, r.FromCheckpoint, r.Replayed, r.Verified, r.SealedSegments,
-				r.JournalBytes, r.Elapsed.Round(time.Microsecond), mbps, r.Workers)
+				r.JournalBytes, r.Elapsed.Round(time.Microsecond), mbps)
 		}
 	}
 
@@ -149,7 +146,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 // parseVolumes expands the -volumes spec into volume configurations.
 // Grammar: spec := entry ("," entry)*; entry := name ("=" opt ("+" opt)*)?
-func parseVolumes(spec, journalDir string, frontier geom.Sector, queueDepth, batch int, ckptEvery, sealEvery int64, recoverWorkers int) ([]volume.Config, error) {
+func parseVolumes(spec, journalDir string, frontier geom.Sector, queueDepth, batch int, ckptEvery, sealEvery int64) ([]volume.Config, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("empty -volumes spec")
 	}
@@ -188,7 +185,6 @@ func parseVolumes(spec, journalDir string, frontier geom.Sector, queueDepth, bat
 			cfg.JournalDir = filepath.Join(journalDir, name)
 			cfg.CheckpointEvery = ckptEvery
 			cfg.SealEvery = sealEvery
-			cfg.RecoverWorkers = recoverWorkers
 		}
 		cfgs = append(cfgs, cfg)
 	}

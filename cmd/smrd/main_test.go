@@ -135,7 +135,8 @@ func TestDaemonJournalRestartResumes(t *testing.T) {
 	if !strings.Contains(out2.String(), "volume dur recovered") {
 		t.Errorf("no recovery line after restart:\n%s", out2.String())
 	}
-	if !strings.Contains(out2.String(), "MB/s") || !strings.Contains(out2.String(), "workers=") {
+	// bench/workloads.go parses "N journal records replayed" from this line.
+	if !strings.Contains(out2.String(), "MB/s") || !strings.Contains(out2.String(), " journal records replayed") {
 		t.Errorf("recovery line lacks duration/throughput detail:\n%s", out2.String())
 	}
 	c, err = server.Dial(addr)
@@ -159,11 +160,11 @@ func TestDaemonJournalRestartResumes(t *testing.T) {
 
 func TestParseVolumesRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{"", "a=bogus", "=defrag", "a,,b"} {
-		if _, err := parseVolumes(spec, "", 1<<20, 0, 0, 0, 0, 0); err == nil {
+		if _, err := parseVolumes(spec, "", 1<<20, 0, 0, 0, 0); err == nil {
 			t.Errorf("parseVolumes(%q) accepted a bad spec", spec)
 		}
 	}
-	cfgs, err := parseVolumes("a, b=defrag+prefetch+cache", "/j", 1<<20, 4, 2, 100, 8, 2)
+	cfgs, err := parseVolumes("a, b=defrag+prefetch+cache", "/j", 1<<20, 4, 2, 100, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +178,6 @@ func TestParseVolumesRejectsBadSpecs(t *testing.T) {
 	if b.JournalDir != "/j/b" || b.CheckpointEvery != 100 {
 		t.Errorf("journal wiring: dir=%q every=%d", b.JournalDir, b.CheckpointEvery)
 	}
-	if b.RecoverWorkers != 2 {
-		t.Errorf("recover workers not threaded through: %d, want 2", b.RecoverWorkers)
-	}
 }
 
 // TestRunRejectsBadFlags: a flag value smrd would otherwise reinterpret
@@ -192,7 +190,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-max-window", "-5"},
 		{"-max-window", "100000"},
 		{"-request-timeout", "-1s"},
-		{"-recover-workers", "-3"},
 		{"-seal-every", "-1"},
 		{"-checkpoint-every", "-1"},
 	} {

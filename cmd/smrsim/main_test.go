@@ -138,7 +138,7 @@ func TestRunJournaled(t *testing.T) {
 }
 
 // TestRecoverRefusesDanglingJournal: standalone -recover is verified
-// recovery. A journal whose anchor names a checkpoint that no longer
+// recovery. A journal whose header names a checkpoint that no longer
 // exists is refused as corrupt, not replayed as if merely torn.
 func TestRecoverRefusesDanglingJournal(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")

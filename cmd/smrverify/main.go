@@ -1,7 +1,8 @@
 // Command smrverify audits journal directories offline: it checks every
-// frame CRC, recomputes every sealed segment's Merkle root and the seal
-// chain, and checks the checkpoint⇄journal linkage — without replaying
-// a single record. Point it at one volume's journal directory, or at a
+// frame CRC, every seal's index and record count, the checkpoint's CRC,
+// and the checkpoint⇄journal pairing (generation succession and the
+// checkpoint CRC the journal header carries) — without replaying a
+// single record. Point it at one volume's journal directory, or at a
 // daemon's -journal-dir root to audit every volume under it.
 //
 // Examples:
@@ -12,9 +13,10 @@
 //
 // Exit status: 0 when every directory verifies (torn tails and stale
 // generations are crash residue, reported but clean), 1 on any
-// corruption — damage inside a sealed region, a broken seal chain, or a
-// checkpoint that does not anchor its journal. With -strict, torn tails
-// fail too.
+// corruption — damage inside a sealed region, a seal that disagrees
+// with its records, or a checkpoint that does not pair with its journal
+// — and on a directory in another format version. With -strict, torn
+// tails fail too.
 package main
 
 import (
@@ -43,7 +45,6 @@ func run(args []string, out io.Writer) error {
 	var (
 		strict   = fs.Bool("strict", false, "treat torn tails (crash residue) as failures too")
 		jsonFlag = fs.Bool("json", false, "emit one JSON audit object per directory instead of tables")
-		workers  = fs.Int("j", 0, "segment verification workers (0 = GOMAXPROCS, 1 = sequential); the audit is identical at any count")
 	)
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
@@ -65,7 +66,7 @@ func run(args []string, out io.Writer) error {
 	var failed bool
 	enc := json.NewEncoder(out)
 	for _, dir := range dirs {
-		audit, err := journal.VerifyDirWorkers(dir, *workers)
+		audit, err := journal.VerifyDir(dir)
 		if *jsonFlag {
 			type result struct {
 				*journal.Audit
@@ -137,8 +138,8 @@ func printAudit(out io.Writer, dir string, a *journal.Audit, verr error) error {
 			dir, a.Generation, a.CheckpointGeneration)
 		return nil
 	case !a.HasJournal:
-		fmt.Fprintf(out, "%s: ok (checkpoint only, generation %d, chain %s)\n",
-			dir, a.CheckpointGeneration, a.ChainHead.Short())
+		fmt.Fprintf(out, "%s: ok (checkpoint only, generation %d)\n",
+			dir, a.CheckpointGeneration)
 		return nil
 	}
 	verdict := "ok"
@@ -147,14 +148,13 @@ func printAudit(out io.Writer, dir string, a *journal.Audit, verr error) error {
 	}
 	fmt.Fprintf(out, "%s: %s — generation %d, %d sealed segments (%d records), %d unsealed tail records\n",
 		dir, verdict, a.Generation, len(a.Segments), a.SealedRecords, a.TailRecords)
-	fmt.Fprintf(out, "  anchor %s → chain head %s\n", a.Anchor.Short(), a.ChainHead.Short())
 	if len(a.Segments) == 0 {
 		return nil
 	}
-	tbl := report.NewTable("sealed segments", "segment", "records", "root", "chain", "offset")
+	tbl := report.NewTable("sealed segments", "segment", "records", "offset")
 	for _, s := range a.Segments {
 		tbl.AddRow(fmt.Sprint(s.Index), fmt.Sprintf("%d..%d", s.First, s.First+int64(s.Count)-1),
-			s.Root.Short(), s.Chain.Short(), fmt.Sprint(s.Offset))
+			fmt.Sprint(s.Offset))
 	}
 	return tbl.Render(out)
 }

@@ -3,7 +3,6 @@ package journal
 import (
 	"bytes"
 	"os"
-	"runtime"
 	"testing"
 
 	"smrseek/internal/geom"
@@ -57,42 +56,29 @@ func sealedBenchDir(b testing.TB, nRecs, seg int) string {
 }
 
 // BenchmarkVerifyDir measures the full directory audit — every frame
-// CRC, every segment's Merkle root, the seal chain — sequentially and
-// with the parallel verification pipeline at GOMAXPROCS workers. The
-// two sub-benchmarks produce identical audits; the delta is the win the
-// worker pool buys on this machine.
+// CRC, every seal, the checkpoint pairing — of a 20 k-record journal.
 func BenchmarkVerifyDir(b *testing.B) {
 	dir := sealedBenchDir(b, 20000, 256)
 	fi, err := os.Stat(JournalPath(dir))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"seq", 1},
-		{"par", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(fi.Size())
-			for i := 0; i < b.N; i++ {
-				a, err := VerifyDirWorkers(dir, bc.workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(a.Segments) != 20000/256 {
-					b.Fatalf("audited %d segments", len(a.Segments))
-				}
-			}
-		})
+	b.SetBytes(fi.Size())
+	for i := 0; i < b.N; i++ {
+		a, err := VerifyDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(a.Segments) != 20000/256 {
+			b.Fatalf("audited %d segments", len(a.Segments))
+		}
 	}
 }
 
 // BenchmarkScanBytes measures replay-side parsing of a 10k-record log.
 func BenchmarkScanBytes(b *testing.B) {
 	var buf bytes.Buffer
-	buf.Write(marshalHeader(1, 0, Hash{}))
+	buf.Write(marshalHeader(1, 0, 0))
 	for i := 0; i < 10000; i++ {
 		buf.Write(MarshalRecord(Record{Kind: RecWrite, Lba: geom.Ext(int64(i), 8), Pba: int64(i) * 8}))
 	}
@@ -100,7 +86,7 @@ func BenchmarkScanBytes(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := ScanBytesWorkers(raw, 1)
+		d, err := ScanBytes(raw)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func TestCrashAfterFlushesBufferedFrames(t *testing.T) {
 		if want := headerSize + 4*frameSize + torn; len(raw) != want {
 			t.Errorf("torn=%d: %d B on file, want %d", torn, len(raw), want)
 		}
-		d, err := scanJournal(raw)
+		d, err := ScanBytes(raw)
 		if err != nil {
 			t.Fatal(err)
 		}

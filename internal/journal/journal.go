@@ -25,14 +25,11 @@
 // checkpoint's, so a crash BETWEEN checkpoint rename and journal
 // truncation cannot double-apply records.
 //
-// On top of the per-record CRCs the journal is tamper-evident: records
-// are sealed into segments, each closed by a seal frame carrying the
-// Merkle root over the segment's record leaves (see merkle.go), chained
-// to the previous seal and anchored in the checkpoint. A single CRC
-// catches a torn tail; the seal chain catches what a CRC cannot prove —
-// that damage or tampering anywhere in the sealed prefix is detected as
-// corruption rather than silently truncating acknowledged history (see
-// verify.go).
+// Every seal frame closes the records appended since the previous one
+// and names how many they were. Seals are resync markers for damage
+// classification: damage with an intact seal somewhere after it sits
+// inside history the log had already moved past, so it is corruption;
+// any other damage is a torn tail (see verify.go).
 package journal
 
 import (
@@ -64,8 +61,7 @@ const (
 	RecFrontier
 	// RecSeal is a segment seal frame — not a replayable mutation. It
 	// closes the records appended since the previous seal with their
-	// Merkle root and the next chain value. The Log emits seals itself;
-	// Append rejects the kind.
+	// count. The Log emits seals itself; Append rejects the kind.
 	RecSeal
 )
 
@@ -110,20 +106,23 @@ func (r Record) Valid() bool {
 // On-disk framing. All integers are little-endian.
 //
 //	journal   := header frame*
-//	header    := magic(8) generation(8) frontier(8) anchor(32) crc32(4)  [60 bytes]
+//	header    := magic(8) generation(8) frontier(8) ckptCRC(4) crc32(4)  [32 bytes]
 //	frame     := length(4) payload crc32(4)
 //	payload   := record | seal                 (distinguished by length + kind)
 //	record    := kind(1) lbaStart(8) lbaCount(8) pba(8)                  [25 bytes]
-//	seal      := kind(1)=4 index(8) count(4) root(32) chain(32)          [77 bytes]
+//	seal      := kind(1)=4 index(8) count(4)                             [13 bytes]
 //
-// The header CRC covers generation, frontier and anchor; a frame CRC
-// covers its payload. The length field counts payload bytes only.
+// ckptCRC is the trailing CRC of the checkpoint the journal was reborn
+// after (0 when there was none): it pairs the journal with that one
+// checkpoint. The header CRC covers generation, frontier and ckptCRC; a
+// frame CRC covers its payload. The length field counts payload bytes
+// only.
 const (
-	journalMagic    = "SMRWAL02"
-	headerSize      = 8 + 8 + 8 + 32 + 4
+	journalMagic    = "SMRWAL03"
+	headerSize      = 8 + 8 + 8 + 4 + 4
 	payloadSize     = 1 + 8 + 8 + 8
 	frameSize       = 4 + payloadSize + 4
-	sealPayloadSize = 1 + 8 + 4 + 32 + 32
+	sealPayloadSize = 1 + 8 + 4
 	sealFrameSize   = 4 + sealPayloadSize + 4
 	maxPayloadLen   = 1 << 20 // sanity bound: larger lengths mean a torn/corrupt frame
 )
@@ -167,73 +166,85 @@ func unmarshalPayload(p []byte) (Record, bool) {
 	return r, r.Valid()
 }
 
-// Seal is one sealed segment: Count consecutive records closed by their
-// Merkle Root and the Chain value linking the seal to its predecessor
-// (or, for the first seal, to the journal header's anchor).
+// Seal is one sealed segment: Count consecutive records closed by one
+// seal frame.
 type Seal struct {
 	// Index is the seal's 0-based position within its journal generation.
 	Index int `json:"segment"`
 	// First is the 1-based sequence of the first record covered.
 	First int64 `json:"first"`
 	// Count is the number of records the seal covers (> 0).
-	Count int  `json:"count"`
-	Root  Hash `json:"root"`
-	Chain Hash `json:"chain"`
+	Count int `json:"count"`
 	// Offset is the byte offset of the seal frame in the journal file.
 	Offset int64 `json:"offset"`
 }
 
 // appendSeal appends one framed seal entry to dst.
-func appendSeal(dst []byte, index, count int, root, chain Hash) []byte {
+func appendSeal(dst []byte, index, count int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, sealPayloadSize)
 	p := len(dst)
 	dst = append(dst, byte(RecSeal))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(index))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
-	dst = append(append(dst, root[:]...), chain[:]...)
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[p:]))
 }
 
 // parseSealPayload decodes a CRC-validated seal payload.
-func parseSealPayload(p []byte) (index int64, count int64, root, chain Hash, ok bool) {
+func parseSealPayload(p []byte) (index int64, count int64, ok bool) {
 	if len(p) != sealPayloadSize || p[0] != byte(RecSeal) {
-		return 0, 0, Hash{}, Hash{}, false
+		return 0, 0, false
 	}
 	index = int64(binary.LittleEndian.Uint64(p[1:9]))
 	count = int64(binary.LittleEndian.Uint32(p[9:13]))
-	copy(root[:], p[13:45])
-	copy(chain[:], p[45:77])
-	return index, count, root, chain, index >= 0 && count > 0
+	return index, count, index >= 0 && count > 0
 }
 
 // marshalHeader encodes the journal file header.
-func marshalHeader(generation uint64, frontier geom.Sector, anchor Hash) []byte {
+func marshalHeader(generation uint64, frontier geom.Sector, ckptCRC uint32) []byte {
 	buf := make([]byte, headerSize)
 	copy(buf[0:8], journalMagic)
 	binary.LittleEndian.PutUint64(buf[8:16], generation)
 	binary.LittleEndian.PutUint64(buf[16:24], uint64(frontier))
-	copy(buf[24:56], anchor[:])
-	binary.LittleEndian.PutUint32(buf[56:60], crc32.ChecksumIEEE(buf[8:56]))
+	binary.LittleEndian.PutUint32(buf[24:28], ckptCRC)
+	binary.LittleEndian.PutUint32(buf[28:32], crc32.ChecksumIEEE(buf[8:28]))
 	return buf
 }
 
-func unmarshalHeader(buf []byte) (generation uint64, frontier geom.Sector, anchor Hash, err error) {
+func unmarshalHeader(buf []byte) (generation uint64, frontier geom.Sector, ckptCRC uint32, err error) {
+	if err := checkVersion(JournalFile, buf, journalMagic); err != nil {
+		return 0, 0, 0, err
+	}
 	if len(buf) < headerSize {
-		return 0, 0, Hash{}, fmt.Errorf("journal: short header (%d bytes)", len(buf))
+		return 0, 0, 0, fmt.Errorf("journal: short header (%d bytes)", len(buf))
 	}
 	if string(buf[0:8]) != journalMagic {
-		return 0, 0, Hash{}, fmt.Errorf("journal: bad magic %q", buf[0:8])
+		return 0, 0, 0, fmt.Errorf("journal: bad magic %q", buf[0:8])
 	}
-	if crc32.ChecksumIEEE(buf[8:56]) != binary.LittleEndian.Uint32(buf[56:60]) {
-		return 0, 0, Hash{}, fmt.Errorf("journal: header checksum mismatch")
+	if crc32.ChecksumIEEE(buf[8:28]) != binary.LittleEndian.Uint32(buf[28:32]) {
+		return 0, 0, 0, fmt.Errorf("journal: header checksum mismatch")
 	}
 	generation = binary.LittleEndian.Uint64(buf[8:16])
 	frontier = int64(binary.LittleEndian.Uint64(buf[16:24]))
-	copy(anchor[:], buf[24:56])
+	ckptCRC = binary.LittleEndian.Uint32(buf[24:28])
 	if frontier < 0 {
-		return 0, 0, Hash{}, fmt.Errorf("journal: negative header frontier %d", frontier)
+		return 0, 0, 0, fmt.Errorf("journal: negative header frontier %d", frontier)
 	}
-	return generation, frontier, anchor, nil
+	return generation, frontier, ckptCRC, nil
+}
+
+// errFormat marks a file written in a format version this build does
+// not read. There is no migration: such a directory is refused.
+var errFormat = errors.New("journal: unsupported format version")
+
+// checkVersion refuses a file whose magic names another version of the
+// same format: the name matches want, the two version digits do not.
+func checkVersion(file string, buf []byte, want string) error {
+	isDigit := func(b byte) bool { return '0' <= b && b <= '9' }
+	if len(buf) >= 8 && string(buf[:6]) == want[:6] && isDigit(buf[6]) && isDigit(buf[7]) &&
+		string(buf[:8]) != want {
+		return fmt.Errorf("%w: %s is %s, this build reads only %s", errFormat, file, buf[:8], want)
+	}
+	return nil
 }
 
 // Data is the parsed content of one journal stream.
@@ -244,30 +255,17 @@ type Data struct {
 	// InitFrontier is the frontier position recorded at journal birth,
 	// used when no checkpoint is available.
 	InitFrontier geom.Sector
-	// Anchor is the header's seal-chain anchor: the chain head of the
-	// checkpoint this journal was reborn after (zero for generation 1
-	// with no prior checkpoint).
-	Anchor Hash
 	// Records are the complete, CRC-valid records in append order.
 	Records []Record
-	// Seals are the verified segment seals, in order. Every seal's root
-	// was recomputed from the records it covers and its chain value from
-	// the predecessor — ScanBytesWorkers fails with a CorruptError otherwise.
+	// Seals are the seals in order. Each one's index follows its
+	// predecessor's and its count matches the records it closes —
+	// ScanBytes fails with a CorruptError otherwise.
 	Seals []Seal
 	// Sealed is the number of leading Records covered by Seals.
 	Sealed int64
 	// Torn reports that the stream ended in a torn or corrupt record,
 	// which was discarded. Everything in Records precedes it.
 	Torn bool
-}
-
-// ChainHead returns the seal chain after the last seal (the anchor when
-// no records have been sealed).
-func (d *Data) ChainHead() Hash {
-	if n := len(d.Seals); n > 0 {
-		return d.Seals[n-1].Chain
-	}
-	return d.Anchor
 }
 
 // findSealFrom scans raw for an intact seal frame starting at or after
@@ -294,6 +292,98 @@ func findSealFrom(raw []byte, from int64) int64 {
 		}
 	}
 	return -1
+}
+
+// ScanBytes parses and checks raw journal file bytes in one sequential
+// pass: the header, then every frame's length and CRC, every record's
+// fields, and every seal's index and record count. A damaged frame
+// followed by no further intact seal marks Data.Torn — the crash
+// signature — and keeps the records before it; any other damage, or a
+// CRC-valid seal that disagrees with the records it closes, is a
+// *CorruptError (truncating there would silently drop acknowledged
+// history). A damaged header is an error too: a *CorruptError when
+// sealed content follows it, plain otherwise.
+func ScanBytes(raw []byte) (Data, error) {
+	var d Data
+	gen, frontier, _, err := unmarshalHeader(raw)
+	if err != nil {
+		// A crash mid-rebirth (truncate done, header write torn) leaves a
+		// SHORT file: nothing but partial header bytes. A damaged header
+		// with sealed content after it is not that — it is damage to a
+		// file that was whole.
+		if !errors.Is(err, errFormat) && findSealFrom(raw, 0) >= 0 {
+			return d, &CorruptError{File: JournalFile, Segment: 0, Offset: 0,
+				Reason: "damaged header ahead of sealed content"}
+		}
+		return d, err
+	}
+	d.Generation, d.InitFrontier = gen, frontier
+	// The file is already in memory, so its length bounds the record
+	// count: one allocation, sized by bytes that exist.
+	d.Records = make([]Record, 0, (len(raw)-headerSize)/frameSize)
+
+	off, end := int64(headerSize), int64(len(raw))
+	// damaged classifies a bad frame at offset at: if any intact seal
+	// frame survives at or beyond the damage, acknowledged sealed
+	// history lies past it and the journal is corrupt, not torn.
+	damaged := func(at int64, reason string) (Data, error) {
+		if findSealFrom(raw, at) >= 0 {
+			return d, &CorruptError{
+				File: JournalFile, Segment: len(d.Seals), Offset: at,
+				Reason: reason + " (intact seal follows the damage)",
+			}
+		}
+		d.Torn = true
+		return d, nil
+	}
+	// sealBroken is for a CRC-valid seal frame whose content disagrees
+	// with the records it covers: never a crash artifact, always corrupt.
+	sealBroken := func(at int64, reason string) (Data, error) {
+		return d, &CorruptError{File: JournalFile, Segment: len(d.Seals), Offset: at, Reason: reason}
+	}
+
+	for off < end {
+		if end-off < 4 {
+			return damaged(off, "partial length prefix")
+		}
+		plen := int64(binary.LittleEndian.Uint32(raw[off:]))
+		if plen == 0 || plen > maxPayloadLen {
+			return damaged(off, fmt.Sprintf("implausible frame length %d", plen))
+		}
+		next := off + 4 + plen + 4
+		if next > end {
+			return damaged(off, "partial frame")
+		}
+		payload := raw[off+4 : off+4+plen]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(raw[off+4+plen:]) {
+			return damaged(off, "frame checksum mismatch")
+		}
+		switch {
+		case plen == payloadSize:
+			rec, ok := unmarshalPayload(payload)
+			if !ok {
+				return damaged(off, "unreplayable record")
+			}
+			d.Records = append(d.Records, rec)
+		case plen == sealPayloadSize && payload[0] == byte(RecSeal):
+			idx, cnt, ok := parseSealPayload(payload)
+			if !ok {
+				return damaged(off, "malformed seal payload")
+			}
+			if int(idx) != len(d.Seals) {
+				return sealBroken(off, fmt.Sprintf("seal index %d, want %d", idx, len(d.Seals)))
+			}
+			if pending := int64(len(d.Records)) - d.Sealed; cnt != pending {
+				return sealBroken(off, fmt.Sprintf("seal covers %d records, %d are pending", cnt, pending))
+			}
+			d.Seals = append(d.Seals, Seal{Index: int(idx), First: d.Sealed + 1, Count: int(cnt), Offset: off})
+			d.Sealed += cnt
+		default:
+			return damaged(off, fmt.Sprintf("unrecognized %d-byte frame", plen))
+		}
+		off = next
+	}
+	return d, nil
 }
 
 // File names inside a journal directory.
@@ -335,9 +425,6 @@ type Log struct {
 	ferr       error  // sticky Flush failure
 
 	segSize int    // records per sealed segment
-	anchor  Hash   // header anchor (chain head at journal birth)
-	chain   Hash   // chain head after the last seal
-	leaves  []Hash // leaf hash per record in this generation
 	sealed  int64  // records covered by seals
 	seals   []Seal // seals in this generation
 
@@ -349,13 +436,12 @@ type Log struct {
 
 // Open opens (or creates) the journal in dir, creating the directory as
 // needed. A fresh journal is born with initFrontier in its header, a
-// generation one past the checkpoint's (or 1) and the checkpoint's
-// chain head as its seal anchor. An existing journal is opened for
-// append; its records and seals are scanned to validate the file,
-// recount the checkpoint age and restore the sealing state. An existing
-// torn tail is rejected — recover first, checkpoint, and the reborn
-// journal is clean. A stale checkpoint.tmp left by a crash mid-
-// checkpoint is removed.
+// generation one past the checkpoint's (or 1) and the checkpoint's CRC
+// (or 0). An existing journal is opened for append; its records and
+// seals are scanned to validate the file, recount the checkpoint age
+// and restore the sealing state. An existing torn tail is rejected —
+// recover first, checkpoint, and the reborn journal is clean. A stale
+// checkpoint.tmp left by a crash mid-checkpoint is removed.
 func Open(dir string, initFrontier geom.Sector) (*Log, error) {
 	if initFrontier < 0 {
 		return nil, fmt.Errorf("journal: negative initial frontier %d", initFrontier)
@@ -372,10 +458,7 @@ func Open(dir string, initFrontier geom.Sector) (*Log, error) {
 	l := &Log{dir: dir, segSize: DefaultSegmentSize}
 	path := JournalPath(dir)
 	if data, err := os.ReadFile(path); err == nil {
-		// The parallel scan hands back the leaf hashes it already computed
-		// while verifying, so Prove's Merkle trees build on the audit
-		// core's work instead of re-marshalling every record.
-		d, leaves, err := scanJournalParallel(data, 0, true)
+		d, err := ScanBytes(data)
 		if err != nil {
 			return nil, err
 		}
@@ -385,11 +468,8 @@ func Open(dir string, initFrontier geom.Sector) (*Log, error) {
 		l.generation = d.Generation
 		l.sinceCkpt = int64(len(d.Records))
 		l.size = int64(len(data))
-		l.anchor = d.Anchor
-		l.chain = d.ChainHead()
 		l.seals = d.Seals
 		l.sealed = d.Sealed
-		l.leaves = leaves
 		l.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
 		if err != nil {
 			return nil, err
@@ -399,10 +479,10 @@ func Open(dir string, initFrontier geom.Sector) (*Log, error) {
 		return nil, err
 	}
 	gen := uint64(1)
-	var anchor Hash
-	if snap, err := ReadCheckpointFile(CheckpointPath(dir)); err == nil && snap != nil {
+	var ckptCRC uint32
+	if snap, crc, err := readCheckpointFile(CheckpointPath(dir)); err == nil && snap != nil {
 		gen = snap.Generation + 1
-		anchor = snap.Chain
+		ckptCRC = crc
 	} else if err != nil {
 		return nil, fmt.Errorf("journal: existing checkpoint unreadable: %w", err)
 	}
@@ -410,12 +490,11 @@ func Open(dir string, initFrontier geom.Sector) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(marshalHeader(gen, initFrontier, anchor)); err != nil {
+	if _, err := f.Write(marshalHeader(gen, initFrontier, ckptCRC)); err != nil {
 		f.Close()
 		return nil, err
 	}
 	l.generation, l.f = gen, f
-	l.anchor, l.chain = anchor, anchor
 	l.size = headerSize
 	return l, nil
 }
@@ -439,14 +518,6 @@ func (l *Log) Checkpoints() int64 { return l.ckpts }
 // Crashed reports whether an injected crash point has fired.
 func (l *Log) Crashed() bool { return l.crashed }
 
-// Chain returns the seal chain head: the anchor extended by every seal
-// of the current generation.
-func (l *Log) Chain() Hash { return l.chain }
-
-// Anchor returns the current generation's header anchor — the chain
-// head inherited from the last checkpoint (zero for generation 1).
-func (l *Log) Anchor() Hash { return l.anchor }
-
 // SealedRecords returns how many records of the current generation are
 // covered by seals; records past them await the next seal.
 func (l *Log) SealedRecords() int64 { return l.sealed }
@@ -456,8 +527,8 @@ func (l *Log) Seals() []Seal { return append([]Seal(nil), l.seals...) }
 
 // SetSegmentSize sets how many records fill a segment before it is
 // sealed automatically (default DefaultSegmentSize). Smaller segments
-// seal — and thus become tamper-evident and provable — sooner, at the
-// cost of one 85-byte seal frame per segment.
+// put resync markers closer together, at the cost of one 21-byte seal
+// frame per segment.
 func (l *Log) SetSegmentSize(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("journal: segment size %d, want > 0", n)
@@ -510,10 +581,9 @@ func (l *Log) Append(rec Record) error {
 	}
 	l.buf = appendRecord(l.buf, rec)
 	l.size += frameSize
-	l.leaves = append(l.leaves, LeafHash(l.buf[len(l.buf)-frameSize+4:len(l.buf)-4]))
 	l.appends++
 	l.sinceCkpt++
-	if int64(len(l.leaves))-l.sealed >= int64(l.segSize) {
+	if l.sinceCkpt-l.sealed >= int64(l.segSize) {
 		l.seal()
 	}
 	return nil
@@ -535,86 +605,42 @@ func (l *Log) Flush() error {
 // Buffered returns the bytes appended but not yet flushed.
 func (l *Log) Buffered() int { return len(l.buf) }
 
-// seal closes the open segment (no-op when empty): Merkle root over the
-// pending leaves, chain extension, one seal frame buffered.
+// seal closes the open segment (no-op when empty) with one buffered
+// seal frame.
 func (l *Log) seal() {
-	pending := l.leaves[l.sealed:]
-	if len(pending) == 0 {
+	pending := l.sinceCkpt - l.sealed
+	if pending == 0 {
 		return
 	}
-	root := MerkleRoot(pending)
-	next := chainLink(l.chain, root)
 	idx := len(l.seals)
-	l.buf = appendSeal(l.buf, idx, len(pending), root, next)
-	l.seals = append(l.seals, Seal{
-		Index: idx, First: l.sealed + 1, Count: len(pending),
-		Root: root, Chain: next, Offset: l.size,
-	})
+	l.buf = appendSeal(l.buf, idx, int(pending))
+	l.seals = append(l.seals, Seal{Index: idx, First: l.sealed + 1, Count: int(pending), Offset: l.size})
 	l.size += sealFrameSize
-	l.chain = next
-	l.sealed += int64(len(pending))
-}
-
-// Prove returns the inclusion proof for the seq'th record (1-based) of
-// the current journal generation. Only sealed records have proofs; an
-// unsealed tail record returns ErrUnsealed until its segment fills, and
-// a seq outside the generation is an error —
-// checkpointing folds sealed history into the snapshot and truncates
-// the journal, so proofs do not survive a checkpoint.
-func (l *Log) Prove(seq int64) (Proof, error) {
-	if seq < 1 || seq > int64(len(l.leaves)) {
-		return Proof{}, fmt.Errorf("journal: no record %d in generation %d (%d records)",
-			seq, l.generation, len(l.leaves))
-	}
-	if seq > l.sealed {
-		return Proof{}, fmt.Errorf("journal: record %d of generation %d: %w (sealed through %d)",
-			seq, l.generation, ErrUnsealed, l.sealed)
-	}
-	for _, s := range l.seals {
-		if seq < s.First || seq >= s.First+int64(s.Count) {
-			continue
-		}
-		leaves := l.leaves[s.First-1 : s.First-1+int64(s.Count)]
-		i := int(seq - s.First)
-		return Proof{
-			Generation: l.generation,
-			Seq:        seq,
-			Segment:    s.Index,
-			Index:      i,
-			Count:      s.Count,
-			Leaf:       leaves[i],
-			Path:       merklePath(leaves, i),
-			Root:       s.Root,
-			Chain:      s.Chain,
-		}, nil
-	}
-	return Proof{}, fmt.Errorf("journal: record %d not covered by any seal", seq)
+	l.sealed += pending
 }
 
 // Checkpoint atomically persists the snapshot and truncates the
-// journal. The open segment is sealed and the buffer flushed first so
-// the snapshot's chain head commits every acknowledged record; the
-// snapshot is staged to a temporary file, synced, renamed over the
-// checkpoint, and the rename is made durable with a directory fsync;
-// only then is the journal reborn empty with the next generation and
-// the chain head as its anchor. A crash anywhere in between leaves a recoverable pair (see
+// journal. The buffer is flushed first; the snapshot is staged to a
+// temporary file, synced, renamed over the checkpoint, and the rename is
+// made durable with a directory fsync; only then is the journal reborn
+// empty with the next generation and the checkpoint's CRC in its
+// header. A crash anywhere in between leaves a recoverable pair (see
 // the package comment on generations).
 func (l *Log) Checkpoint(snap Snapshot) error {
 	if l.crashed {
 		return ErrCrashed
 	}
-	l.seal()
 	if err := l.Flush(); err != nil {
 		return err
 	}
 	snap.Generation = l.generation
-	snap.Chain = l.chain
 	tmp := filepath.Join(l.dir, checkpointTmp)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return err
 	}
-	if err := WriteCheckpoint(f, snap); err != nil {
+	crc, err := WriteCheckpoint(f, snap)
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -644,11 +670,9 @@ func (l *Log) Checkpoint(snap Snapshot) error {
 		return err
 	}
 	l.generation++
-	if _, err := l.f.Write(marshalHeader(l.generation, snap.Frontier, l.chain)); err != nil {
+	if _, err := l.f.Write(marshalHeader(l.generation, snap.Frontier, crc)); err != nil {
 		return err
 	}
-	l.anchor = l.chain
-	l.leaves = l.leaves[:0]
 	l.sealed = 0
 	l.seals = nil
 	l.size = headerSize
@@ -670,9 +694,6 @@ func syncDir(dir string) error {
 	}
 	return err
 }
-
-// Sync flushes the buffer and then the journal file to stable storage.
-func (l *Log) Sync() error { return errors.Join(l.Flush(), l.f.Sync()) }
 
 // Close flushes and closes the journal file. The log is unusable afterwards.
 func (l *Log) Close() error { return errors.Join(l.Flush(), l.f.Close()) }

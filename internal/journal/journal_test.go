@@ -26,11 +26,11 @@ func TestRecordRoundTrip(t *testing.T) {
 		rec(RecFrontier, 0, 0, 12345),
 	}
 	var buf bytes.Buffer
-	buf.Write(marshalHeader(7, 999, Hash{}))
+	buf.Write(marshalHeader(7, 999, 0))
 	for _, r := range recs {
 		buf.Write(MarshalRecord(r))
 	}
-	d, err := ScanBytesWorkers(buf.Bytes(), 1)
+	d, err := ScanBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestReadJournalTornTails(t *testing.T) {
 	// and must not hide the preceding complete record.
 	for cut := 0; cut < len(full); cut++ {
 		var buf bytes.Buffer
-		buf.Write(marshalHeader(1, 0, Hash{}))
+		buf.Write(marshalHeader(1, 0, 0))
 		buf.Write(MarshalRecord(rec(RecWrite, 0, 2, 50)))
 		buf.Write(full[:cut])
-		d, err := ScanBytesWorkers(buf.Bytes(), 1)
+		d, err := ScanBytes(buf.Bytes())
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -78,12 +78,12 @@ func TestReadJournalTornTails(t *testing.T) {
 
 func TestReadJournalCorruptTail(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write(marshalHeader(1, 0, Hash{}))
+	buf.Write(marshalHeader(1, 0, 0))
 	buf.Write(MarshalRecord(rec(RecWrite, 0, 2, 50)))
 	frame := MarshalRecord(rec(RecWrite, 2, 2, 52))
 	frame[5] ^= 0xff // corrupt payload byte; CRC now mismatches
 	buf.Write(frame)
-	d, err := ScanBytesWorkers(buf.Bytes(), 1)
+	d, err := ScanBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestReadJournalCorruptTail(t *testing.T) {
 
 	// CRC-valid frame with an unreplayable payload (unknown kind).
 	buf.Reset()
-	buf.Write(marshalHeader(1, 0, Hash{}))
+	buf.Write(marshalHeader(1, 0, 0))
 	bad := make([]byte, payloadSize)
 	bad[0] = 99 // no such kind
 	var frame2 bytes.Buffer
@@ -105,7 +105,7 @@ func TestReadJournalCorruptTail(t *testing.T) {
 	binary.LittleEndian.PutUint32(crcb, crc32.ChecksumIEEE(bad))
 	frame2.Write(crcb)
 	buf.Write(frame2.Bytes())
-	d, err = ScanBytesWorkers(buf.Bytes(), 1)
+	d, err = ScanBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +117,14 @@ func TestReadJournalCorruptTail(t *testing.T) {
 func TestReadJournalBadHeader(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     nil,
-		"short":     []byte("SMRWAL02abc"),
-		"bad magic": append([]byte("NOTMAGIC"), marshalHeader(1, 0, Hash{})[8:]...),
+		"short":     []byte("SMRWAL03abc"),
+		"bad magic": append([]byte("NOTMAGIC"), marshalHeader(1, 0, 0)[8:]...),
 	}
-	hdr := marshalHeader(1, 0, Hash{})
+	hdr := marshalHeader(1, 0, 0)
 	hdr[9] ^= 0x01
 	cases["bad crc"] = hdr
 	for name, data := range cases {
-		if _, err := ScanBytesWorkers(data, 1); err == nil {
+		if _, err := ScanBytes(data); err == nil {
 			t.Errorf("%s header accepted", name)
 		}
 	}
@@ -164,7 +164,7 @@ func TestLogAppendAndReload(t *testing.T) {
 	if err := l2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	snap, d, err := LoadDirWorkers(dir, 0)
+	snap, d, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestLogCheckpointTruncatesAndGuardsGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, d, err := LoadDirWorkers(dir, 0)
+	got, d, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,15 +228,15 @@ func TestLogCheckpointTruncatesAndGuardsGeneration(t *testing.T) {
 
 	// Simulate a crash between checkpoint rename and journal truncate:
 	// restore a stale journal (old generation, full of records) next to
-	// the new checkpoint. LoadDirWorkers must refuse to replay it.
-	stale := bytes.NewBuffer(marshalHeader(1, 0, Hash{}))
+	// the new checkpoint. LoadDir must refuse to replay it.
+	stale := bytes.NewBuffer(marshalHeader(1, 0, 0))
 	for i := int64(0); i < 5; i++ {
 		stale.Write(MarshalRecord(rec(RecWrite, i, 1, i)))
 	}
 	if err := os.WriteFile(JournalPath(dir), stale.Bytes(), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	got, d, err = LoadDirWorkers(dir, 0)
+	got, d, err = LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestLogCrashAfterWritesTornPrefix(t *testing.T) {
 		}
 		l.Close()
 
-		_, d, err := LoadDirWorkers(dir, 0)
+		_, d, err := LoadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestLogFailerFailsCleanly(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, d, err := LoadDirWorkers(dir, 0)
+	_, d, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,10 +385,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, snap); err != nil {
+	if _, err := WriteCheckpoint(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	got, _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,13 +404,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 9, 20, 30, 41, len(data) - 2} {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
-		if _, err := ReadCheckpoint(bytes.NewReader(mut)); err == nil {
+		if _, _, err := ReadCheckpoint(bytes.NewReader(mut)); err == nil {
 			t.Errorf("corruption at byte %d accepted", i)
 		}
 	}
 	// Truncation too.
 	for _, n := range []int{0, 10, ckptFixedSize, len(data) - 1} {
-		if _, err := ReadCheckpoint(bytes.NewReader(data[:n])); err == nil {
+		if _, _, err := ReadCheckpoint(bytes.NewReader(data[:n])); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}
@@ -424,10 +424,10 @@ func TestReadCheckpointRejectsUnsortedMappings(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, snap); err != nil {
+	if _, err := WriteCheckpoint(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCheckpoint(&buf); err == nil {
+	if _, _, err := ReadCheckpoint(&buf); err == nil {
 		t.Error("unsorted checkpoint mappings accepted")
 	}
 }
@@ -441,17 +441,17 @@ func TestReadCheckpointRejectsOverflowingMappings(t *testing.T) {
 		{Lba: geom.Ext(8, 4), Pba: math.MaxInt64 - 1},
 	} {
 		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, Snapshot{Mappings: []extmap.Mapping{m}}); err != nil {
+		if _, err := WriteCheckpoint(&buf, Snapshot{Mappings: []extmap.Mapping{m}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(&buf); err == nil {
+		if _, _, err := ReadCheckpoint(&buf); err == nil {
 			t.Errorf("checkpoint mapping %v accepted", m)
 		}
 	}
 }
 
 func TestLoadDirMissingEverything(t *testing.T) {
-	if _, _, err := LoadDirWorkers(t.TempDir(), 0); err == nil {
+	if _, _, err := LoadDir(t.TempDir()); err == nil {
 		t.Error("empty dir accepted")
 	}
 }
@@ -459,13 +459,13 @@ func TestLoadDirMissingEverything(t *testing.T) {
 func TestLoadDirCheckpointOnly(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, Snapshot{Generation: 3, Frontier: 9}); err != nil {
+	if _, err := WriteCheckpoint(&buf, Snapshot{Generation: 3, Frontier: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(CheckpointPath(dir), buf.Bytes(), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	snap, d, err := LoadDirWorkers(dir, 0)
+	snap, d, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestLoadDirCheckpointOnly(t *testing.T) {
 func TestLoadDirCorruptJournalHeaderWithCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, Snapshot{Generation: 3, Frontier: 9}); err != nil {
+	if _, err := WriteCheckpoint(&buf, Snapshot{Generation: 3, Frontier: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(CheckpointPath(dir), buf.Bytes(), 0o666); err != nil {
@@ -486,7 +486,7 @@ func TestLoadDirCorruptJournalHeaderWithCheckpoint(t *testing.T) {
 	if err := os.WriteFile(JournalPath(dir), []byte("garbage"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	snap, d, err := LoadDirWorkers(dir, 0)
+	snap, d, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

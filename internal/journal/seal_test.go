@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"smrseek/internal/geom"
@@ -44,9 +46,6 @@ func TestSealCadence(t *testing.T) {
 			t.Errorf("seal %d = %+v", i, s)
 		}
 	}
-	if seals[1].Chain != chainLink(seals[0].Chain, seals[1].Root) {
-		t.Error("seal 1 chain does not extend seal 0")
-	}
 
 	// A scan must reproduce exactly the same seal view.
 	if err := l.Flush(); err != nil {
@@ -56,15 +55,15 @@ func TestSealCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := scanJournal(raw)
+	d, err := ScanBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Records) != 8 || d.Sealed != 6 || len(d.Seals) != 2 || d.Torn {
 		t.Fatalf("scan: records=%d sealed=%d seals=%d torn=%v", len(d.Records), d.Sealed, len(d.Seals), d.Torn)
 	}
-	if d.ChainHead() != l.Chain() {
-		t.Error("scan chain head differs from live log")
+	if !reflect.DeepEqual(d.Seals, seals) {
+		t.Errorf("scan seals %+v differ from live log %+v", d.Seals, seals)
 	}
 	if seals[0].Offset < headerSize || raw[seals[0].Offset+4] != byte(RecSeal) {
 		t.Errorf("seal 0 offset %d does not point at a seal frame", seals[0].Offset)
@@ -83,10 +82,10 @@ func TestSealAndReopen(t *testing.T) {
 	if l.SealedRecords() != 5 || len(l.Seals()) != 1 {
 		t.Fatalf("seal on the fifth record: sealed=%d seals=%d", l.SealedRecords(), len(l.Seals()))
 	}
-	chain := l.Chain()
+	seals := l.Seals()
 	l.Close()
 
-	// Reopen must rebuild the sealing state and keep the chain going.
+	// Reopen must rebuild the sealing state and keep the seals going.
 	l2, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +94,8 @@ func TestSealAndReopen(t *testing.T) {
 	if err := l2.SetSegmentSize(5); err != nil {
 		t.Fatal(err)
 	}
-	if l2.Chain() != chain || l2.SealedRecords() != 5 {
-		t.Fatalf("reopen lost seal state: chain=%s sealed=%d", l2.Chain().Short(), l2.SealedRecords())
+	if !reflect.DeepEqual(l2.Seals(), seals) || l2.SealedRecords() != 5 {
+		t.Fatalf("reopen lost seal state: seals=%+v sealed=%d", l2.Seals(), l2.SealedRecords())
 	}
 	for i := int64(5); i < 10; i++ {
 		if err := l2.Append(rec(RecWrite, i*4, 4, i*4)); err != nil {
@@ -106,102 +105,45 @@ func TestSealAndReopen(t *testing.T) {
 	if len(l2.Seals()) != 2 {
 		t.Fatalf("appended past segment size after reopen, %d seals", len(l2.Seals()))
 	}
-	if l2.Seals()[1].Chain != chainLink(chain, l2.Seals()[1].Root) {
-		t.Error("post-reopen seal does not chain from pre-reopen head")
+	if s := l2.Seals()[1]; s.Index != 1 || s.First != 6 || s.Count != 5 {
+		t.Errorf("post-reopen seal %+v does not follow the pre-reopen one", s)
 	}
 }
 
-func TestCheckpointAnchorsChain(t *testing.T) {
+// TestCheckpointPairsJournal: the journal reborn after a checkpoint
+// carries the checkpoint's trailing CRC and the next generation, and
+// its seals start over at index 0.
+func TestCheckpointPairsJournal(t *testing.T) {
 	dir := t.TempDir()
 	l := sealedLog(t, dir, 2, 5) // 2 seals, 1 unsealed record
 	defer l.Close()
 	if err := l.Checkpoint(Snapshot{Frontier: 20, Written: 20}); err != nil {
 		t.Fatal(err)
 	}
-	// The checkpoint force-seals, so its chain covers all 5 records.
-	chain := l.Chain()
-	if chain.IsZero() {
-		t.Fatal("chain head still zero after sealing")
+	craw, err := os.ReadFile(CheckpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap, err := ReadCheckpointFile(CheckpointPath(dir))
-	if err != nil || snap == nil {
-		t.Fatalf("checkpoint: %v %v", snap, err)
-	}
-	if snap.Chain != chain {
-		t.Errorf("checkpoint chain %s, log chain %s", snap.Chain.Short(), chain.Short())
-	}
-	// The reborn journal anchors at the checkpoint chain.
+	ckptCRC := binary.LittleEndian.Uint32(craw[len(craw)-4:])
 	raw, err := os.ReadFile(JournalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, anchor, err := unmarshalHeader(raw)
+	gen, _, headerCRC, err := unmarshalHeader(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if anchor != chain {
-		t.Errorf("reborn anchor %s, want %s", anchor.Short(), chain.Short())
+	if headerCRC != ckptCRC || gen != 2 {
+		t.Errorf("reborn header: generation %d, checkpoint CRC %08x; want 2, %08x", gen, headerCRC, ckptCRC)
 	}
-	// And the chain keeps extending across the generation boundary.
 	if err := l.Append(rec(RecWrite, 100, 4, 20)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(rec(RecWrite, 104, 4, 24)); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Seals()[0].Chain; got != l.Chain() || got == chain ||
-		got != chainLink(chain, l.Seals()[0].Root) {
-		t.Error("post-checkpoint seal does not chain from the checkpoint")
-	}
-}
-
-func TestProve(t *testing.T) {
-	dir := t.TempDir()
-	l := sealedLog(t, dir, 4, 10) // seals cover 1..4 and 5..8; 9,10 unsealed
-	defer l.Close()
-	for seq := int64(1); seq <= 8; seq++ {
-		p, err := l.Prove(seq)
-		if err != nil {
-			t.Fatalf("Prove(%d): %v", seq, err)
-		}
-		if err := p.Verify(); err != nil {
-			t.Fatalf("Prove(%d).Verify: %v", seq, err)
-		}
-		wantSeg := int((seq - 1) / 4)
-		if p.Segment != wantSeg || p.Generation != l.Generation() || p.Seq != seq {
-			t.Errorf("Prove(%d) = seg %d gen %d", seq, p.Segment, p.Generation)
-		}
-		if p.Root != l.Seals()[wantSeg].Root || p.Chain != l.Seals()[wantSeg].Chain {
-			t.Errorf("Prove(%d) root/chain do not match the seal", seq)
-		}
-		// A mutated proof must not verify.
-		p.Leaf[0] ^= 1
-		if p.Verify() == nil {
-			t.Errorf("Prove(%d): mutated leaf verifies", seq)
-		}
-	}
-	if _, err := l.Prove(9); !errors.Is(err, ErrUnsealed) {
-		t.Errorf("Prove(9) on unsealed record: %v, want ErrUnsealed", err)
-	}
-	for _, seq := range []int64{0, -3, 11} {
-		if _, err := l.Prove(seq); err == nil || errors.Is(err, ErrUnsealed) {
-			t.Errorf("Prove(%d): %v, want out-of-range error", seq, err)
-		}
-	}
-	// A smaller segment size seals the tail at the next append, which
-	// makes 9, 10 and 11 provable.
-	if err := l.SetSegmentSize(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(rec(RecWrite, 40, 4, 40)); err != nil {
-		t.Fatal(err)
-	}
-	p, err := l.Prove(10)
-	if err != nil || p.Verify() != nil {
-		t.Fatalf("Prove(10) after the tail sealed: %v", err)
-	}
-	if p.Count != 3 {
-		t.Errorf("tail segment count %d, want 3", p.Count)
+	if s := l.Seals(); len(s) != 1 || s[0].Index != 0 || s[0].First != 1 || s[0].Count != 2 {
+		t.Errorf("post-checkpoint seals %+v, want one seal of records 1..2 at index 0", s)
 	}
 }
 

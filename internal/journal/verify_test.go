@@ -1,8 +1,11 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
+	"strings"
 	"testing"
 
 	"smrseek/internal/extmap"
@@ -10,8 +13,8 @@ import (
 )
 
 // buildSealedPair populates dir with a realistic checkpoint+journal
-// pair: generation 1 is sealed and checkpointed (so the checkpoint
-// carries a non-zero chain head anchoring generation 2), then
+// pair: generation 1 is sealed and checkpointed (so generation 2's
+// header carries the checkpoint's CRC), then
 // generation 2 is filled with nSeals fully-sealed segments of 2 records
 // each. Returns the live log (caller closes).
 func buildSealedPair(t testing.TB, dir string, nSeals int) *Log {
@@ -74,7 +77,7 @@ func mutate(raw []byte, i int, xor byte) []byte {
 }
 
 // TestCorruptionMatrixJournal flips every byte of a sealed journal, one
-// at a time, and asserts the tamper-evidence contract: damage at or
+// at a time, and asserts the damage-detection contract: damage at or
 // before the last seal is detected as ErrCorrupt; damage inside the
 // final seal frame may instead degrade to a torn tail (it is
 // indistinguishable from a crash mid-seal) but must preserve every
@@ -120,9 +123,9 @@ func TestCorruptionMatrixJournal(t *testing.T) {
 			if ce.File != JournalFile {
 				t.Fatalf("flip at %d: blamed %s, want %s", i, ce.File, JournalFile)
 			}
-			// Recovery must refuse too: LoadDirWorkers surfaces the same damage.
-			if _, _, lerr := LoadDirWorkers(mdir, 0); !errors.Is(lerr, ErrCorrupt) {
-				t.Fatalf("flip at %d: LoadDirWorkers=%v, want ErrCorrupt", i, lerr)
+			// Recovery must refuse too: LoadDir surfaces the same damage.
+			if _, _, lerr := LoadDir(mdir); !errors.Is(lerr, ErrCorrupt) {
+				t.Fatalf("flip at %d: LoadDir=%v, want ErrCorrupt", i, lerr)
 			}
 		} else {
 			// Final seal frame: equivalent to a crash mid-seal. Either the
@@ -177,18 +180,18 @@ func TestCorruptionMatrixCheckpoint(t *testing.T) {
 			t.Fatalf("checkpoint truncated to %d: err=%v, want ErrCorrupt", n, err)
 		}
 	}
-	// Deleting the checkpoint breaks the linkage: the journal anchors at
-	// a chain head that no longer exists anywhere.
+	// Deleting the checkpoint breaks the pairing: the journal header
+	// names a checkpoint CRC that no longer exists anywhere.
 	if _, err := VerifyDir(writePair(t, jraw, nil)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("missing checkpoint: err=%v, want ErrCorrupt (dangling anchor)", err)
+		t.Fatalf("missing checkpoint: err=%v, want ErrCorrupt (dangling checkpoint CRC)", err)
 	}
 	// Swapping in a foreign checkpoint breaks it too.
 	var buf writerBuf
-	if err := WriteCheckpoint(&buf, Snapshot{Generation: 1, Frontier: 16, Written: 16}); err != nil {
+	if _, err := WriteCheckpoint(&buf, Snapshot{Generation: 1, Frontier: 16, Written: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := VerifyDir(writePair(t, jraw, buf.b)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("foreign checkpoint: err=%v, want ErrCorrupt (anchor mismatch)", err)
+		t.Fatalf("foreign checkpoint: err=%v, want ErrCorrupt (checkpoint CRC mismatch)", err)
 	}
 }
 
@@ -203,9 +206,8 @@ func (w *writerBuf) Write(p []byte) (int, error) {
 // every byte length. A cut exactly at a frame boundary is
 // indistinguishable from a journal that simply stopped there — it may
 // verify clean, but only with the audit honestly reporting the reduced
-// coverage (that residual window, and why an external chain-head
-// reference closes it, is documented in DESIGN.md §13). A cut anywhere
-// else must read as torn or corrupt, never clean.
+// coverage (that residual window is documented in DESIGN.md §13). A
+// cut anywhere else must read as torn or corrupt, never clean.
 func TestCorruptionMatrixJournalTruncation(t *testing.T) {
 	dir := t.TempDir()
 	l := buildSealedPair(t, dir, 2)
@@ -320,7 +322,7 @@ func TestVerifyDirStaleJournal(t *testing.T) {
 	ckptGen := l.Generation() - 1
 	l.Close()
 	craw, _ := os.ReadFile(CheckpointPath(dir))
-	stale := marshalHeader(ckptGen, 0, Hash{})
+	stale := marshalHeader(ckptGen, 0, 0)
 	stale = append(stale, MarshalRecord(rec(RecWrite, 0, 4, 0))...)
 	stale[len(stale)-3] ^= 0xff // damage inside the stale content
 	a, err := VerifyDir(writePair(t, stale, craw))
@@ -329,17 +331,17 @@ func TestVerifyDirStaleJournal(t *testing.T) {
 	}
 }
 
-// TestVerifyDirFreshJournalAnchor: with no checkpoint the journal must
-// anchor at zero; a non-zero anchor claims sealed history that cannot
-// be produced.
+// TestVerifyDirFreshJournalAnchor: with no checkpoint the journal
+// header's checkpoint CRC must be 0; any other value names a checkpoint
+// that does not exist.
 func TestVerifyDirFreshJournalAnchor(t *testing.T) {
-	fresh := marshalHeader(1, 0, Hash{})
+	fresh := marshalHeader(1, 0, 0)
 	if a, err := VerifyDir(writePair(t, fresh, nil)); err != nil || a.Stale {
 		t.Fatalf("fresh journal: %+v, %v", a, err)
 	}
-	bogus := marshalHeader(1, 0, LeafHash([]byte("forged")))
+	bogus := marshalHeader(1, 0, 0xdeadbeef)
 	if _, err := VerifyDir(writePair(t, bogus, nil)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("dangling anchor: %v, want ErrCorrupt", err)
+		t.Fatalf("dangling checkpoint CRC: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -349,11 +351,15 @@ func TestVerifyDirFreshJournalAnchor(t *testing.T) {
 func TestVerifyDirGenerationGap(t *testing.T) {
 	dir := t.TempDir()
 	l := buildSealedPair(t, dir, 1)
-	chain := l.Anchor()
 	gen := l.Generation()
 	l.Close()
+	jraw, _ := os.ReadFile(JournalPath(dir))
+	_, _, ckptCRC, err := unmarshalHeader(jraw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	craw, _ := os.ReadFile(CheckpointPath(dir))
-	skipped := marshalHeader(gen+1, 16, chain)
+	skipped := marshalHeader(gen+1, 16, ckptCRC)
 	if _, err := VerifyDir(writePair(t, skipped, craw)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("generation gap: %v, want ErrCorrupt", err)
 	}
@@ -407,24 +413,110 @@ func FuzzVerifyJournal(f *testing.F) {
 	})
 }
 
-// TestVerifyDirAllocs pins what a sequential directory audit allocates
-// on a 20 k-record journal of 78 sealed segments: the checkpoint and
-// journal reads, the Audit's segment list and about two allocations per
-// segment (198 on this input), never one per record.
+// TestVerifyDirAllocs pins what a directory audit allocates on a
+// 20 k-record journal of 78 sealed segments: the checkpoint and journal
+// reads, one record slice sized from the file, and the Audit's segment
+// list (19 allocations on this input), never one per record. The bound
+// dates from an earlier walker that took about two per segment.
 func TestVerifyDirAllocs(t *testing.T) {
 	const nRecs, seg = 20000, 256
 	dir := sealedBenchDir(t, nRecs, seg)
 	var segs int
 	allocs := testing.AllocsPerRun(3, func() {
-		a, err := VerifyDirWorkers(dir, 1)
+		a, err := VerifyDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		segs = len(a.Segments)
 	})
 	bound := float64(2*segs + 64)
-	t.Logf("%d records, %d segments: %.0f allocs per VerifyDirWorkers(dir, 1) (bound %.0f)", nRecs, segs, allocs, bound)
+	t.Logf("%d records, %d segments: %.0f allocs per VerifyDir(dir) (bound %.0f)", nRecs, segs, allocs, bound)
 	if allocs > bound {
-		t.Errorf("VerifyDirWorkers(dir, 1) allocated %.0f times, want <= %.0f", allocs, bound)
+		t.Errorf("VerifyDir(dir) allocated %.0f times, want <= %.0f", allocs, bound)
+	}
+}
+
+// v02Journal returns a whole journal in the retired v02 format: its
+// 60-byte header (a 32-byte seal-chain anchor in place of the
+// checkpoint CRC) and one record frame.
+func v02Journal(gen uint64) []byte {
+	buf := make([]byte, 60)
+	copy(buf, "SMRWAL02")
+	binary.LittleEndian.PutUint64(buf[8:16], gen)
+	binary.LittleEndian.PutUint32(buf[56:60], crc32.ChecksumIEEE(buf[8:56]))
+	return append(buf, MarshalRecord(rec(RecWrite, 0, 4, 0))...)
+}
+
+// v02Checkpoint returns an empty checkpoint in the retired v02 format,
+// which carried a 32-byte chain head after the written counter: 72
+// fixed bytes, no mappings, the trailing CRC.
+func v02Checkpoint(gen uint64) []byte {
+	buf := make([]byte, 76)
+	copy(buf, "SMRCKP02")
+	binary.LittleEndian.PutUint64(buf[8:16], gen)
+	binary.LittleEndian.PutUint32(buf[72:76], crc32.ChecksumIEEE(buf[8:72]))
+	return buf
+}
+
+// TestOldFormatRefused: a directory holding a v02 journal or a v02
+// checkpoint is refused by every reader with an error naming the
+// version — including a whole v02 journal beside a v03 checkpoint,
+// which must not be mistaken for a header torn mid-rebirth and dropped.
+func TestOldFormatRefused(t *testing.T) {
+	var ckpt writerBuf
+	if _, err := WriteCheckpoint(&ckpt, Snapshot{Generation: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name       string
+		jraw, craw []byte
+		version    string
+	}{
+		{"v02 journal", v02Journal(1), nil, "SMRWAL02"},
+		{"v02 checkpoint", nil, v02Checkpoint(1), "SMRCKP02"},
+		{"v02 journal beside a v03 checkpoint", v02Journal(2), ckpt.b, "SMRWAL02"},
+	}
+	for _, c := range cases {
+		dir := writePair(t, c.jraw, c.craw)
+		_, _, lerr := LoadDir(dir)
+		_, verr := VerifyDir(dir)
+		_, oerr := Open(dir, 0)
+		for reader, err := range map[string]error{"LoadDir": lerr, "VerifyDir": verr, "Open": oerr} {
+			if err == nil || !strings.Contains(err.Error(), c.version) {
+				t.Errorf("%s: %s = %v, want an error naming %s", c.name, reader, err, c.version)
+			}
+		}
+	}
+}
+
+// TestSealCountCatchesDroppedFrame: a record frame cut out whole from a
+// sealed segment leaves every remaining frame CRC-valid; the seal's
+// record count is what catches it. A seal whose index skips is caught
+// the same way.
+func TestSealCountCatchesDroppedFrame(t *testing.T) {
+	dir := t.TempDir()
+	l := buildSealedPair(t, dir, 3)
+	seals := l.Seals()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jraw, _ := os.ReadFile(JournalPath(dir))
+	craw, _ := os.ReadFile(CheckpointPath(dir))
+
+	at := seals[0].Offset + sealFrameSize // segment 1's first record frame
+	dropped := append(append([]byte(nil), jraw[:at]...), jraw[at+frameSize:]...)
+
+	skipped := append([]byte(nil), jraw...)
+	copy(skipped[seals[1].Offset:], appendSeal(nil, 7, seals[1].Count))
+
+	for name, mut := range map[string][]byte{"dropped frame": dropped, "skipped seal index": skipped} {
+		mdir := writePair(t, mut, craw)
+		var ce *CorruptError
+		if _, err := VerifyDir(mdir); !errors.As(err, &ce) || ce.Segment != 1 {
+			t.Errorf("%s: VerifyDir = %v, want a CorruptError in segment 1", name, err)
+		}
+		if _, _, err := LoadDir(mdir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: LoadDir = %v, want ErrCorrupt", name, err)
+		}
 	}
 }

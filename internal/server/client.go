@@ -9,7 +9,6 @@ import (
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
 	"smrseek/internal/geom"
-	"smrseek/internal/journal"
 	"smrseek/internal/trace"
 )
 
@@ -41,7 +40,7 @@ func (e *connError) Unwrap() error { return e.err }
 
 // IsConnLost reports whether err is a transport failure: the
 // connection broke, so no response is coming. Everything else —
-// overload, corruption, bad requests, a request that fails to encode —
+// overload, a crashed journal, bad requests, a request that fails to encode —
 // is the caller's to handle or report. smrload's load driver redials on
 // exactly this predicate.
 func IsConnLost(err error) bool {
@@ -118,41 +117,6 @@ func (c *Client) Stat(vol string) (core.Stats, error) {
 func (c *Client) Snapshot(vol string) error {
 	_, err := c.roundTrip(request{Op: OpSnapshot, Volume: vol})
 	return err
-}
-
-// Verify asks the server to audit the volume's journal directory —
-// every frame CRC, every segment Merkle root, the seal chain and the
-// checkpoint linkage — and returns the audit. Corruption comes back as
-// a StatusCorrupt StatusError.
-func (c *Client) Verify(vol string) (journal.Audit, error) {
-	body, err := c.roundTrip(request{Op: OpVerify, Volume: vol})
-	if err != nil {
-		return journal.Audit{}, err
-	}
-	var a journal.Audit
-	if err := json.Unmarshal(body, &a); err != nil {
-		return journal.Audit{}, fmt.Errorf("smrd: audit decode: %w", err)
-	}
-	return a, nil
-}
-
-// Prove fetches the Merkle inclusion proof for the seq'th journal
-// record (1-based, current generation) of the volume and verifies the
-// audit path locally before returning it — so a proof the server
-// mis-built never reaches the caller marked good.
-func (c *Client) Prove(vol string, seq int64) (journal.Proof, error) {
-	body, err := c.roundTrip(request{Op: OpProof, Volume: vol, Seq: seq})
-	if err != nil {
-		return journal.Proof{}, err
-	}
-	var p journal.Proof
-	if err := json.Unmarshal(body, &p); err != nil {
-		return journal.Proof{}, fmt.Errorf("smrd: proof decode: %w", err)
-	}
-	if err := p.Verify(); err != nil {
-		return journal.Proof{}, fmt.Errorf("smrd: server proof does not verify: %w", err)
-	}
-	return p, nil
 }
 
 // Step sends one trace record as the matching read/write request and

@@ -26,9 +26,8 @@ import (
 )
 
 // confOps is the scripted op sequence following the trace replay, in
-// order. Mutating ops (snapshot) come after the read-only captures so
-// every variant observes the same journal state; verify runs last, over
-// the checkpointed directory.
+// order. The mutating snapshot comes after the read-only captures so
+// every variant observes the same journal state.
 var confOps = []struct {
 	name string
 	req  request
@@ -36,9 +35,7 @@ var confOps = []struct {
 	{"write", request{Op: OpWrite, Volume: "cv", Extent: geom.Ext(1<<19, 16)}},
 	{"read", request{Op: OpRead, Volume: "cv", Extent: geom.Ext(1<<19, 16)}},
 	{"stat", request{Op: OpStat, Volume: "cv"}},
-	{"proof", request{Op: OpProof, Volume: "cv", Seq: 1}},
 	{"snapshot", request{Op: OpSnapshot, Volume: "cv"}},
-	{"verify", request{Op: OpVerify, Volume: "cv"}},
 }
 
 func confVolume(dir string, frontier geom.Sector) volume.Config {

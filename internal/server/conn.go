@@ -150,10 +150,6 @@ func (c *connection) dispatch(frame []byte, names nameCache) bool {
 		kind = volume.OpStat
 	case OpSnapshot:
 		kind = volume.OpSnapshot
-	case OpVerify:
-		kind = volume.OpVerify
-	case OpProof:
-		kind = volume.OpProof
 	}
 
 	// Window enforcement: a client pushing past its grant is shed, not
@@ -162,7 +158,7 @@ func (c *connection) dispatch(frame []byte, names nameCache) bool {
 		return c.sendDirect(id, StatusOverloaded, []byte("connection window exceeded"))
 	}
 	c.outstanding.Add(1)
-	if err := vol.TryDo(volume.Request{Kind: kind, Extent: req.Extent, Seq: req.Seq, Tag: id}, c.done); err != nil {
+	if err := vol.TryDo(volume.Request{Kind: kind, Extent: req.Extent, Tag: id}, c.done); err != nil {
 		c.outstanding.Add(-1)
 		return c.sendDirect(id, statusOf(err), []byte(err.Error()))
 	}
@@ -341,18 +337,6 @@ func (c *connection) appendOK(out []byte, id uint64, op uint8, res volume.Result
 		st := *res.Stats
 		st.Config = core.Config{}
 		body, err := json.Marshal(&st)
-		if err != nil {
-			return appendResponseV2(out, id, StatusInternal, []byte(err.Error()))
-		}
-		return appendResponseV2(out, id, StatusOK, body)
-	case OpVerify:
-		body, err := json.Marshal(res.Audit)
-		if err != nil {
-			return appendResponseV2(out, id, StatusInternal, []byte(err.Error()))
-		}
-		return appendResponseV2(out, id, StatusOK, body)
-	case OpProof:
-		body, err := json.Marshal(res.Proof)
 		if err != nil {
 			return appendResponseV2(out, id, StatusInternal, []byte(err.Error()))
 		}

@@ -34,8 +34,8 @@ func FuzzWireFrame(f *testing.F) {
 	seed(request{Op: OpRead, Volume: "vol-name", Extent: geom.Ext(0, 1)})
 	seed(request{Op: OpStat, Volume: "v"})
 	seed(request{Op: OpSnapshot, Volume: "v"})
-	seed(request{Op: OpVerify, Volume: "v"})
-	seed(request{Op: OpProof, Volume: "v", Seq: 7})
+	seed(request{Op: 5, Volume: "v"}) // retired verify op
+	seed(request{Op: 6, Volume: "v"}) // retired proof op
 	// Response-shaped seeds and degenerate frames.
 	f.Add(appendResponseV2(nil, 1, StatusOK, []byte{1, 2, 3, 4})[4:])
 	f.Add([]byte{})

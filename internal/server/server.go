@@ -121,10 +121,6 @@ func statusOf(err error) uint8 {
 		return StatusNoJournal
 	case errors.Is(err, journal.ErrCrashed):
 		return StatusCrashed
-	case errors.Is(err, journal.ErrCorrupt):
-		return StatusCorrupt
-	case errors.Is(err, journal.ErrUnsealed):
-		return StatusBadRequest
 	default:
 		return StatusInternal
 	}

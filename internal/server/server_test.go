@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
 	"smrseek/internal/geom"
-	"smrseek/internal/journal"
 	"smrseek/internal/trace"
 	"smrseek/internal/volume"
 )
@@ -58,8 +56,6 @@ func TestWireRoundTrip(t *testing.T) {
 		{Op: OpRead, Volume: "a-much-longer-volume-name", Extent: geom.Ext(0, 1)},
 		{Op: OpStat, Volume: "v"},
 		{Op: OpSnapshot, Volume: "v"},
-		{Op: OpVerify, Volume: "v"},
-		{Op: OpProof, Volume: "v", Seq: 7},
 	}
 	for i, want := range cases {
 		frame, err := appendRequestV2(nil, uint64(i+1), want)
@@ -83,14 +79,13 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestWireRejectsMalformed(t *testing.T) {
 	bad := [][]byte{
-		{},                         // too short
-		{OpWrite},                  // no vlen
-		{OpWrite, 5, 'a'},          // truncated name
-		{OpWrite, 1, 'a', 1, 2, 3}, // truncated extent
-		{OpStat, 1, 'a', 0},        // trailing bytes on stat
-		{OpVerify, 1, 'a', 0},      // trailing bytes on verify
-		{OpProof, 1, 'a'},          // proof without seq
-		{OpProof, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0},      // proof seq 0
+		{},                                  // too short
+		{OpWrite},                           // no vlen
+		{OpWrite, 5, 'a'},                   // truncated name
+		{OpWrite, 1, 'a', 1, 2, 3},          // truncated extent
+		{OpStat, 1, 'a', 0},                 // trailing bytes on stat
+		{5, 1, 'a'},                         // retired op 5 (verify), well formed as it was
+		{6, 1, 'a', 7, 0, 0, 0, 0, 0, 0, 0}, // retired op 6 (proof), well formed as it was
 		append([]byte{7, 1, 'a'}, make([]byte, 16)...), // retired op 7 (ship), well formed as it was
 		{10, 0}, // retired op 10 (role), bare
 		{99, 0}, // unknown op
@@ -114,11 +109,12 @@ func TestStatusName(t *testing.T) {
 	if got := StatusName(200); got != "status(200)" {
 		t.Errorf("StatusName(200) = %q", got)
 	}
-	// Retired statuses keep their numbers reserved: 5 and 6 are unnamed
-	// and the later statuses did not shift.
-	if StatusNoJournal != 7 || StatusCorrupt != 10 || StatusName(5) != "status(5)" || StatusName(6) != "status(6)" {
-		t.Errorf("status numbering shifted: no-journal %d, corrupt %d, 5 %q, 6 %q",
-			StatusNoJournal, StatusCorrupt, StatusName(5), StatusName(6))
+	// Retired statuses keep their numbers reserved: 5, 6 and 10 are
+	// unnamed and the later statuses did not shift.
+	if StatusNoJournal != 7 || StatusInternal != 9 || StatusName(5) != "status(5)" ||
+		StatusName(6) != "status(6)" || StatusName(10) != "status(10)" {
+		t.Errorf("status numbering shifted: no-journal %d, internal %d, 5 %q, 6 %q, 10 %q",
+			StatusNoJournal, StatusInternal, StatusName(5), StatusName(6), StatusName(10))
 	}
 }
 
@@ -239,13 +235,21 @@ func TestServerRejectsBadFrames(t *testing.T) {
 	}
 }
 
-// TestRetiredOpRefused: op 10 (the retired role op) is a reserved
-// code. It is answered bad-request under its own request ID, and the
-// same connection then serves a write.
+// TestRetiredOpRefused: ops 5 and 6 (the retired verify and proof ops)
+// and op 10 (the retired role op) are reserved codes. Each is answered
+// bad-request under its own request ID, even when well formed as it
+// was and aimed at a journaled volume, and the same connection then
+// serves a write.
 func TestRetiredOpRefused(t *testing.T) {
-	_, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
+	jcfg := lsConfig("v0")
+	jcfg.JournalDir = t.TempDir()
+	_, _, addr := newTestServer(t, Options{}, jcfg)
 	conn := rawDial(t, addr)
-	frames := appendResponseV2(nil, 7, 10, []byte{0}) // ID 7, op 10, empty volume name
+	// A request frame is laid out as a response frame whose status byte
+	// is the op: ID, op, then the volume name and body.
+	frames := appendResponseV2(nil, 5, 5, []byte{2, 'v', '0'})                                        // verify v0
+	frames = appendResponseV2(frames, 6, 6, binary.LittleEndian.AppendUint64([]byte{2, 'v', '0'}, 1)) // proof of record 1
+	frames = appendResponseV2(frames, 7, 10, []byte{0})                                               // op 10, empty volume name
 	frames, err := appendRequestV2(frames, 8, request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)})
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +259,8 @@ func TestRetiredOpRefused(t *testing.T) {
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	fr := newFrameReader(conn, nil)
-	got := make(map[uint64]uint8, 2)
-	for range 2 {
+	got := make(map[uint64]uint8, 4)
+	for range 4 {
 		frame, err := fr.next()
 		if err != nil {
 			t.Fatalf("response: %v", err)
@@ -267,11 +271,13 @@ func TestRetiredOpRefused(t *testing.T) {
 		}
 		got[id] = status
 	}
-	if st, ok := got[7]; !ok || st != StatusBadRequest {
-		t.Errorf("op 10 answered %v, want id 7 bad-request", got)
+	for id, op := range map[uint64]int{5: 5, 6: 6, 7: 10} {
+		if st, ok := got[id]; !ok || st != StatusBadRequest {
+			t.Errorf("op %d answered %v, want id %d bad-request", op, got, id)
+		}
 	}
 	if st, ok := got[8]; !ok || st != StatusOK {
-		t.Errorf("write after op 10 answered %v, want id 8 ok", got)
+		t.Errorf("write after the retired ops answered %v, want id 8 ok", got)
 	}
 }
 
@@ -661,65 +667,6 @@ func TestServerConcurrentClients(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestServerVerifyAndProof(t *testing.T) {
-	jcfg := lsConfig("v0")
-	jcfg.JournalDir = t.TempDir()
-	jcfg.SealEvery = 2
-	_, _, addr := newTestServer(t, Options{}, jcfg, lsConfig("plain"))
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var se *StatusError
-	if _, err := c.Verify("plain"); !errors.As(err, &se) || se.Status != StatusNoJournal {
-		t.Errorf("Verify without journal: %v, want StatusNoJournal", err)
-	}
-
-	for i := int64(0); i < 5; i++ {
-		if err := c.Write("v0", geom.Ext(i*8, 8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	audit, err := c.Verify("v0")
-	if err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	if !audit.HasJournal || len(audit.Segments) < 2 || audit.SealedRecords < 4 {
-		t.Fatalf("audit = %+v, want >=2 sealed segments", audit)
-	}
-	proof, err := c.Prove("v0", 1)
-	if err != nil {
-		t.Fatalf("Prove: %v", err)
-	}
-	if proof.Seq != 1 || proof.Generation != audit.Generation {
-		t.Errorf("proof = %+v, audit generation %d", proof, audit.Generation)
-	}
-	// The record right past the last seal is acknowledged but unsealed:
-	// the server must refuse to prove it rather than invent a path.
-	if _, err := c.Prove("v0", audit.SealedRecords+audit.TailRecords); !errors.As(err, &se) || se.Status != StatusBadRequest {
-		t.Errorf("Prove(unsealed): %v, want StatusBadRequest", err)
-	}
-
-	// Flip a byte inside the sealed region on disk: Verify must come back
-	// StatusCorrupt, and the connection must survive the error response.
-	f, err := os.OpenFile(journal.JournalPath(jcfg.JournalDir), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xff}, 70); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := c.Verify("v0"); !errors.As(err, &se) || se.Status != StatusCorrupt {
-		t.Errorf("Verify of tampered journal: %v, want StatusCorrupt", err)
-	}
-	if _, err := c.Stat("v0"); err != nil {
-		t.Errorf("Stat after corrupt response: %v", err)
 	}
 }
 

@@ -55,11 +55,11 @@ const (
 	OpRead
 	OpStat
 	OpSnapshot
-	OpVerify
-	OpProof
-	// Op codes 7–11 belonged to the retired replication ops (ship, tail,
-	// ack, role, promote). They stay reserved and are never reused; a
-	// request carrying one is answered bad-request.
+	// Op codes 5 and 6 belonged to the retired online journal audit and
+	// per-record proof ops (verify, proof), and 7–11 to the retired
+	// replication ops (ship, tail, ack, role, promote). They stay
+	// reserved and are never reused; a request carrying one is answered
+	// bad-request.
 )
 
 // Response status codes (first payload byte of a response frame).
@@ -76,9 +76,9 @@ const (
 	StatusNoJournal
 	StatusTimeout
 	StatusInternal
-	StatusCorrupt
-	// Status 11 belonged to the retired replication status not-primary.
-	// It stays reserved and is never reused.
+	// Status 10 belonged to the retired journal audit's corrupt verdict,
+	// and 11 to the retired replication status not-primary. They stay
+	// reserved and are never reused.
 )
 
 var statusNames = [...]string{
@@ -90,7 +90,6 @@ var statusNames = [...]string{
 	StatusNoJournal:     "no-journal",
 	StatusTimeout:       "timeout",
 	StatusInternal:      "internal",
-	StatusCorrupt:       "corrupt",
 }
 
 // StatusName returns the status code's kebab-case name.
@@ -106,16 +105,14 @@ type request struct {
 	Op     uint8
 	Volume string
 	Extent geom.Extent // write/read only
-	Seq    int64       // proof only: 1-based journal record sequence
 }
 
 // appendRequestPayload encodes the request payload:
 //
 //	op uint8 | vlen uint8 | name | body
 //
-// where body is `lba uint64 LE, count uint64 LE` for write/read,
-// `seq uint64 LE` for proof, and empty otherwise. appendRequestV2
-// frames it.
+// where body is `lba uint64 LE, count uint64 LE` for write/read and
+// empty otherwise. appendRequestV2 frames it.
 func appendRequestPayload(dst []byte, req request) ([]byte, error) {
 	if len(req.Volume) > MaxVolumeName {
 		return dst, fmt.Errorf("server: volume name %d bytes long (max %d)", len(req.Volume), MaxVolumeName)
@@ -126,8 +123,6 @@ func appendRequestPayload(dst []byte, req request) ([]byte, error) {
 	case OpWrite, OpRead:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Extent.Start))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Extent.Count))
-	case OpProof:
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Seq))
 	}
 	return dst, nil
 }
@@ -181,15 +176,7 @@ func parseRequest(p []byte, names nameCache) (request, error) {
 		if req.Extent.Start > math.MaxInt64-req.Extent.Count {
 			return request{}, fmt.Errorf("server: extent %d+%d overflows int64", req.Extent.Start, req.Extent.Count)
 		}
-	case OpProof:
-		if len(p) != 8 {
-			return request{}, fmt.Errorf("server: proof body %d bytes, want 8", len(p))
-		}
-		req.Seq = int64(binary.LittleEndian.Uint64(p[0:8]))
-		if req.Seq < 1 {
-			return request{}, fmt.Errorf("server: proof sequence %d, want >= 1", req.Seq)
-		}
-	case OpStat, OpSnapshot, OpVerify:
+	case OpStat, OpSnapshot:
 		if len(p) != 0 {
 			return request{}, fmt.Errorf("server: op %d carries %d unexpected body bytes", req.Op, len(p))
 		}

@@ -2,7 +2,6 @@ package stl
 
 import (
 	"os"
-	"runtime"
 	"testing"
 
 	"smrseek/internal/geom"
@@ -10,9 +9,7 @@ import (
 )
 
 // BenchmarkRecoverDir measures end-to-end verified recovery — audit,
-// parse, replay into a fresh extent map — of a multi-segment journal,
-// sequentially and with the parallel verification pipeline at
-// GOMAXPROCS workers. Recovered state is identical either way.
+// parse, replay into a fresh extent map — of a multi-segment journal.
 func BenchmarkRecoverDir(b *testing.B) {
 	dir := b.TempDir()
 	log, err := journal.Open(dir, 0)
@@ -35,24 +32,14 @@ func BenchmarkRecoverDir(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"seq", 1},
-		{"par", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(fi.Size())
-			for i := 0; i < b.N; i++ {
-				_, st, err := RecoverDirWith(dir, RecoverOptions{VerifyOnRecover: true, Workers: bc.workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Replayed != 20000 || !st.Verified {
-					b.Fatalf("recovery stats %+v", st)
-				}
-			}
-		})
+	b.SetBytes(fi.Size())
+	for i := 0; i < b.N; i++ {
+		_, st, err := RecoverDirWith(dir, RecoverOptions{VerifyOnRecover: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Replayed != 20000 || !st.Verified {
+			b.Fatalf("recovery stats %+v", st)
+		}
 	}
 }

@@ -37,14 +37,11 @@ type ReplayStats struct {
 	TornTail bool
 	// Generation is the journal generation recovery ended on.
 	Generation uint64
-	// Verified reports that the seal chain and checkpoint linkage were
+	// Verified reports that the seals and the checkpoint pairing were
 	// checked before replay (RecoverOptions.VerifyOnRecover).
 	Verified bool
 	// SealedSegments is the number of verified seals, when Verified.
 	SealedSegments int
-	// Workers is the verification worker count the scans ran with (only
-	// set by RecoverDirWith; 0 from a bare Recover).
-	Workers int
 	// JournalBytes is the size of the journal file that was scanned, for
 	// throughput reporting (0 when no journal file existed).
 	JournalBytes int64
@@ -57,18 +54,14 @@ type ReplayStats struct {
 // RecoverOptions controls directory recovery.
 type RecoverOptions struct {
 	// VerifyOnRecover audits the directory as journal.VerifyDir does, in
-	// the same pass that loads it: every frame CRC, every segment's
-	// Merkle root, the seal chain, and the checkpoint⇄journal anchor
-	// linkage. Recovery then refuses a directory with damage inside the
-	// sealed region (journal.ErrCorrupt, with segment and offset) instead
-	// of silently truncating it to a "torn tail". Torn tails — damage
-	// past the last seal with no sealed data beyond it — still recover to
-	// the verified prefix.
+	// the same pass that loads it: every frame CRC, every seal, and the
+	// checkpoint⇄journal pairing. Recovery then refuses a directory with
+	// damage inside the sealed region (journal.ErrCorrupt, with segment
+	// and offset) instead of silently truncating it to a "torn tail".
+	// Torn tails — damage past the last seal with no sealed data beyond
+	// it — still recover to the verified prefix.
 	VerifyOnRecover bool
-	// Workers bounds the pool verifying sealed segments concurrently
-	// during the scan (journal.ScanBytesWorkers): <= 0 means
-	// journal.DefaultRecoveryWorkers (GOMAXPROCS), 1 scans inline. The
-	// recovered layer and stats are bit-identical at any count.
+	// Workers is ignored. It is kept only for bench/ladder.go.
 	Workers int
 }
 
@@ -177,26 +170,23 @@ func (l *LS) fill(lba geom.Extent, pba geom.Sector, gaps []extmap.Resolved) []ex
 // checkpoint (if any) plus the journal replayed on top, honouring the
 // generation rule that discards a stale journal. It is verified
 // recovery, exactly as a journaled volume recovers: RecoverDirWith with
-// VerifyOnRecover and the default workers.
+// VerifyOnRecover.
 func RecoverDir(dir string) (*LS, ReplayStats, error) {
 	return RecoverDirWith(dir, RecoverOptions{VerifyOnRecover: true})
 }
 
 // RecoverDirWith is RecoverDir with options. With VerifyOnRecover set
 // the directory is read and its journal scanned once
-// (journal.LoadDirVerified): that one pass audits the seal chain, the
-// checkpoint linkage (anchor and generation succession, which replay
-// alone cannot see) and the stale and torn-header rules, and yields the
-// records to replay. A directory whose sealed history does not verify
-// is refused with the *CorruptError (matching journal.ErrCorrupt)
-// naming the damaged file, segment and offset. Without it the pass is
-// journal.LoadDirWorkers, which still refuses sealed-region damage.
+// (journal.LoadDirVerified): that one pass checks the seals, the
+// checkpoint pairing (checkpoint CRC and generation succession, which
+// replay alone cannot see) and the stale and torn-header rules, and
+// yields the records to replay. A directory whose sealed history does
+// not verify is refused with the *CorruptError (matching
+// journal.ErrCorrupt) naming the damaged file, segment and offset.
+// Without it the pass is journal.LoadDir, which still refuses
+// sealed-region damage.
 func RecoverDirWith(dir string, opt RecoverOptions) (*LS, ReplayStats, error) {
 	start := time.Now()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = journal.DefaultRecoveryWorkers()
-	}
 	var (
 		snap  *journal.Snapshot
 		d     journal.Data
@@ -204,9 +194,9 @@ func RecoverDirWith(dir string, opt RecoverOptions) (*LS, ReplayStats, error) {
 		err   error
 	)
 	if opt.VerifyOnRecover {
-		snap, d, audit, err = journal.LoadDirVerified(dir, workers)
+		snap, d, audit, err = journal.LoadDirVerified(dir)
 	} else {
-		snap, d, err = journal.LoadDirWorkers(dir, workers)
+		snap, d, err = journal.LoadDir(dir)
 	}
 	if err != nil {
 		return nil, ReplayStats{}, err
@@ -216,7 +206,6 @@ func RecoverDirWith(dir string, opt RecoverOptions) (*LS, ReplayStats, error) {
 		st.Verified = true
 		st.SealedSegments = len(audit.Segments)
 	}
-	st.Workers = workers
 	if fi, serr := os.Stat(journal.JournalPath(dir)); serr == nil {
 		st.JournalBytes = fi.Size()
 	}

@@ -11,31 +11,52 @@ import (
 )
 
 // recoverDirThreeCalls is verified recovery as three separate calls —
-// VerifyDirWorkers, then LoadDirWorkers, then the forward replay — each
-// reading the directory on its own. RecoverDirWith must match it.
-func recoverDirThreeCalls(dir string, workers int) (*LS, ReplayStats, error) {
-	audit, err := journal.VerifyDirWorkers(dir, workers)
+// VerifyDir, then LoadDir, then the forward replay — each reading the
+// directory on its own. RecoverDirWith must match it.
+func recoverDirThreeCalls(dir string) (*LS, ReplayStats, error) {
+	audit, err := journal.VerifyDir(dir)
 	if err != nil {
 		return nil, ReplayStats{}, err
 	}
-	snap, d, err := journal.LoadDirWorkers(dir, workers)
+	snap, d, err := journal.LoadDir(dir)
 	if err != nil {
 		return nil, ReplayStats{}, err
 	}
 	l, st, err := replayForward(snap, d)
 	st.Verified = true
 	st.SealedSegments = len(audit.Segments)
-	st.Workers = workers
 	if fi, serr := os.Stat(journal.JournalPath(dir)); serr == nil {
 		st.JournalBytes = fi.Size()
 	}
 	return l, st, err
 }
 
+// buildSealedDir journals n writes with small segments so the journal
+// carries several sealed segments, then closes the log. Returns the
+// live state for comparison.
+func buildSealedDir(t *testing.T, dir string, n int) *LS {
+	t.Helper()
+	log, err := journal.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.SetSegmentSize(2); err != nil {
+		t.Fatal(err)
+	}
+	live := NewLS(0)
+	for i := 0; i < n; i++ {
+		journaledWrite(t, live, log, geom.Ext(int64(i)*8, 8))
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return live
+}
+
 // checkpointedDir journals overlapping writes with segments of 2,
 // checkpoints, and journals tail more writes; the live layer and the
 // still-open log are returned. The seed picks the writes, so two seeds
-// give two directories of the same shape and different chains.
+// give two directories of the same shape and different checkpoints.
 func checkpointedDir(t *testing.T, dir string, seed int64, tail int) (*LS, *journal.Log) {
 	t.Helper()
 	log, err := journal.Open(dir, 1<<12)
@@ -128,7 +149,7 @@ func TestRecoverDirWithScanOnceDifferential(t *testing.T) {
 		"flipped sealed byte": {func(dir string) {
 			closedDir(t, dir, 1, 5)
 			raw := readFile(t, journal.JournalPath(dir))
-			raw[70] ^= 0x01 // inside the first record frame
+			raw[42] ^= 0x01 // inside the first record frame
 			rewrite(t, journal.JournalPath(dir), raw)
 		}, corrupt},
 		"stale generation": {func(dir string) {
@@ -144,7 +165,7 @@ func TestRecoverDirWithScanOnceDifferential(t *testing.T) {
 			closedDir(t, dir, 1, 0)
 			rewrite(t, journal.JournalPath(dir), readFile(t, journal.JournalPath(dir))[:30])
 		}, torn},
-		"anchor mismatch": {func(dir string) {
+		"checkpoint mismatch": {func(dir string) {
 			closedDir(t, dir, 1, 5)
 			other := t.TempDir()
 			closedDir(t, other, 2, 5)
@@ -159,26 +180,24 @@ func TestRecoverDirWithScanOnceDifferential(t *testing.T) {
 	for name, c := range cases {
 		dir := t.TempDir()
 		c.build(dir)
-		for _, w := range []int{1, 2} {
-			gotL, got, gerr := RecoverDirWith(dir, RecoverOptions{VerifyOnRecover: true, Workers: w})
-			wantL, exp, werr := recoverDirThreeCalls(dir, w)
-			got.Elapsed, exp.Elapsed = 0, 0
-			if !sameError(gerr, werr) {
-				t.Fatalf("%s workers=%d: err %v, three calls %v", name, w, gerr, werr)
-			}
-			if got != exp {
-				t.Fatalf("%s workers=%d: stats %+v, three calls %+v", name, w, got, exp)
-			}
-			assertSameLS(t, name, gotL, wantL)
-			// The matrix is only worth something if each shape takes the
-			// path it was built for.
-			switch {
-			case c.want == corrupt && !errors.Is(gerr, journal.ErrCorrupt),
-				c.want == fails && (gerr == nil || errors.Is(gerr, journal.ErrCorrupt)),
-				c.want == recovers && (gerr != nil || got.TornTail),
-				c.want == torn && (gerr != nil || !got.TornTail):
-				t.Fatalf("%s: err %v, stats %+v: not the outcome the fixture was built for", name, gerr, got)
-			}
+		gotL, got, gerr := RecoverDirWith(dir, RecoverOptions{VerifyOnRecover: true})
+		wantL, exp, werr := recoverDirThreeCalls(dir)
+		got.Elapsed, exp.Elapsed = 0, 0
+		if !sameError(gerr, werr) {
+			t.Fatalf("%s: err %v, three calls %v", name, gerr, werr)
+		}
+		if got != exp {
+			t.Fatalf("%s: stats %+v, three calls %+v", name, got, exp)
+		}
+		assertSameLS(t, name, gotL, wantL)
+		// The matrix is only worth something if each shape takes the
+		// path it was built for.
+		switch {
+		case c.want == corrupt && !errors.Is(gerr, journal.ErrCorrupt),
+			c.want == fails && (gerr == nil || errors.Is(gerr, journal.ErrCorrupt)),
+			c.want == recovers && (gerr != nil || got.TornTail),
+			c.want == torn && (gerr != nil || !got.TornTail):
+			t.Fatalf("%s: err %v, stats %+v: not the outcome the fixture was built for", name, gerr, got)
 		}
 	}
 }

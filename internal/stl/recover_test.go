@@ -336,7 +336,7 @@ func mixedJournal(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := journal.ScanBytesWorkers(raw, 1)
+	d, err := journal.ScanBytes(raw)
 	if err != nil || len(d.Seals) != 4 || len(d.Records) != 13 {
 		t.Fatalf("mixed journal: %d seals, %d records, %v", len(d.Seals), len(d.Records), err)
 	}
@@ -353,7 +353,7 @@ func TestRecoverMatchesForwardOnDamagedJournals(t *testing.T) {
 	// A scan that fails still hands back the records before the damage;
 	// replay them anyway, for more inputs.
 	replay := func(label string, b []byte) {
-		d, _ := journal.ScanBytesWorkers(b, 1)
+		d, _ := journal.ScanBytes(b)
 		assertMatchesForward(t, label, nil, d)
 	}
 	for n := 0; n <= len(raw); n++ {
@@ -364,7 +364,7 @@ func TestRecoverMatchesForwardOnDamagedJournals(t *testing.T) {
 		mut[i] ^= 0xff
 		replay(fmt.Sprintf("flip %d", i), mut)
 	}
-	d, err := journal.ScanBytesWorkers(raw, 1)
+	d, err := journal.ScanBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestRecoverMatchesForwardCheckpointPlusTail(t *testing.T) {
 	if err := log.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	snap, d, err := journal.LoadDirWorkers(dir, 0)
+	snap, d, err := journal.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestRecoverMatchesForwardCheckpointPlusTail(t *testing.T) {
 // valid checkpoint, and both replays must coalesce them.
 func TestRecoverCoalescesHandWrittenCheckpoint(t *testing.T) {
 	var buf bytes.Buffer
-	if err := journal.WriteCheckpoint(&buf, journal.Snapshot{
+	if _, err := journal.WriteCheckpoint(&buf, journal.Snapshot{
 		Generation: 1, Frontier: 300, Written: 28,
 		Mappings: []extmap.Mapping{
 			{Lba: geom.Ext(0, 8), Pba: 200},
@@ -430,7 +430,7 @@ func TestRecoverCoalescesHandWrittenCheckpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := journal.ReadCheckpoint(&buf)
+	snap, _, err := journal.ReadCheckpoint(&buf)
 	if err != nil {
 		t.Fatalf("ReadCheckpoint rejected the hand-written checkpoint: %v", err)
 	}
@@ -498,6 +498,10 @@ func TestRecoverDirWithVerify(t *testing.T) {
 	if !st.Verified || st.SealedSegments != 3 || st.Replayed != 6 {
 		t.Errorf("stats = %+v, want verified with 3 sealed segments", st)
 	}
+	// The stats smrd logs are populated.
+	if st.JournalBytes == 0 || st.Elapsed <= 0 {
+		t.Errorf("recovery stats not populated: %+v", st)
+	}
 	assertRecoveredEqual(t, live, rec)
 
 	// RecoverDir is verified recovery too.
@@ -511,7 +515,7 @@ func TestRecoverDirWithVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[70] ^= 0x01 // inside the first record frame
+	raw[42] ^= 0x01 // inside the first record frame
 	if err := os.WriteFile(journal.JournalPath(dir), raw, 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +525,7 @@ func TestRecoverDirWithVerify(t *testing.T) {
 
 	// A torn tail past the last seal is crash residue: verified recovery
 	// still succeeds, replaying the verified prefix.
-	raw[70] ^= 0x01 // undo
+	raw[42] ^= 0x01 // undo
 	frame := journal.MarshalRecord(journal.Record{Kind: journal.RecWrite, Lba: geom.Ext(48, 8), Pba: 48})
 	torn := append(append([]byte(nil), raw...), frame[:20]...)
 	if err := os.WriteFile(journal.JournalPath(dir), torn, 0o666); err != nil {
@@ -587,7 +591,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(sealed[:len(sealed)-10]) // torn inside the final seal frame
 	f.Add(mixedJournal(f))         // relocate, frontier moves, a write at its own LBA
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := journal.ScanBytesWorkers(data, 1)
+		d, err := journal.ScanBytes(data)
 		if err != nil {
 			return // damaged header: rejected, fine
 		}

@@ -10,11 +10,11 @@ import (
 	"smrseek/internal/journal"
 )
 
-// Journal framing sizes (docs/FORMATS.md): a 60-byte header, then one
+// Journal framing sizes (docs/FORMATS.md): a 32-byte header, then one
 // 33-byte frame per record. The volumes below never seal, so the
 // journal's logical size after n records is exactly walSize(n).
 const (
-	walHeader = 60
+	walHeader = 32
 	walFrame  = 33
 )
 

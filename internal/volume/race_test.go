@@ -78,7 +78,7 @@ func TestCloseSubmitRace(t *testing.T) {
 	t.Logf("accepted %d, rejected %d", accepted.Load(), rejected.Load())
 }
 
-// TestCloseDoRace runs the blocking submission path (DoRequest)
+// TestCloseDoRace runs the blocking submission path (Do)
 // against a concurrent Close: each call must return either a real
 // result or ErrClosed — never hang, never panic on the closed queue.
 func TestCloseDoRace(t *testing.T) {

@@ -67,16 +67,12 @@ const (
 type Op uint8
 
 // Request kinds. Read and Write step the simulator; Stat snapshots the
-// accumulated statistics; Snapshot forces a journal checkpoint; Verify
-// audits the journal directory's seal chain; Proof produces a Merkle
-// inclusion proof for one sealed journal record.
+// accumulated statistics; Snapshot forces a journal checkpoint.
 const (
 	OpWrite Op = iota + 1
 	OpRead
 	OpStat
 	OpSnapshot
-	OpVerify
-	OpProof
 )
 
 // String returns the op's lowercase name.
@@ -90,10 +86,6 @@ func (o Op) String() string {
 		return "stat"
 	case OpSnapshot:
 		return "snapshot"
-	case OpVerify:
-		return "verify"
-	case OpProof:
-		return "proof"
 	}
 	return fmt.Sprintf("op(%d)", o)
 }
@@ -120,15 +112,10 @@ type Config struct {
 	// CheckpointEvery checkpoints the layer after this many journal
 	// records (0 = never mid-run; Close always checkpoints).
 	CheckpointEvery int64
-	// SealEvery sets the journal's Merkle segment size: how many records
-	// fill a segment before it is sealed with a chained Merkle root
+	// SealEvery sets the journal's segment size: how many records fill a
+	// segment before a seal frame closes it with their count
 	// (0 = journal.DefaultSegmentSize).
 	SealEvery int64
-	// RecoverWorkers bounds the worker pool verifying sealed segments
-	// during recovery of JournalDir (0 = GOMAXPROCS, 1 = sequential; see
-	// stl.RecoverOptions.Workers). The recovered state is bit-identical
-	// at any count.
-	RecoverWorkers int
 }
 
 // Result is one request's outcome.
@@ -137,14 +124,9 @@ type Result struct {
 	Frags int
 	// Stats is the statistics snapshot for OpStat, nil otherwise.
 	Stats *core.Stats
-	// Audit is the journal audit for OpVerify, nil otherwise.
-	Audit *journal.Audit
-	// Proof is the inclusion proof for OpProof, nil otherwise.
-	Proof *journal.Proof
 	// Err is the op-level failure: sticky journal errors for
 	// reads/writes (journal.ErrCrashed or any other append failure),
-	// ErrNoJournal for Snapshot/Verify/Proof without a journal,
-	// journal.ErrUnsealed for a proof of an unsealed record.
+	// ErrNoJournal for Snapshot without a journal.
 	Err error
 	// Tag echoes the Request's Tag, so many requests can share one
 	// buffered done channel and still attribute results — the SMRD2
@@ -154,13 +136,11 @@ type Result struct {
 }
 
 // Request is one queued operation. Extent is the logical range for
-// reads and writes and ignored otherwise; Seq is the 1-based journal
-// record sequence for Proof and ignored otherwise. Tag is an opaque
-// caller correlation value echoed in the Result.
+// reads and writes and ignored otherwise. Tag is an opaque caller
+// correlation value echoed in the Result.
 type Request struct {
 	Kind   Op
 	Extent geom.Extent
-	Seq    int64
 	Tag    uint64
 	done   chan<- Result
 }
@@ -252,7 +232,7 @@ func Open(cfg Config) (*Volume, error) {
 		if !simCfg.LogStructured {
 			return nil, fmt.Errorf("volume %s: journaling requires the log-structured layer", cfg.Name)
 		}
-		lg, recovered, rst, err := openJournal(cfg.JournalDir, simCfg.FrontierStart, cfg.SealEvery, cfg.RecoverWorkers)
+		lg, recovered, rst, err := openJournal(cfg.JournalDir, simCfg.FrontierStart, cfg.SealEvery)
 		if err != nil {
 			return nil, fmt.Errorf("volume %s: %w", cfg.Name, err)
 		}
@@ -284,10 +264,10 @@ func Open(cfg Config) (*Volume, error) {
 // openJournal opens dir's write-ahead log, recovering and folding in any
 // state a previous run left behind: the recovered state becomes a fresh
 // checkpoint and the (possibly torn) journal is reborn clean. Recovery
-// audits the seal chain and checkpoint linkage first and refuses a
+// checks the seals and the checkpoint pairing first and refuses a
 // directory whose sealed history does not check out (journal.ErrCorrupt);
 // torn tails, plain crash residue, still recover.
-func openJournal(dir string, frontier geom.Sector, sealEvery int64, workers int) (*journal.Log, *stl.LS, *stl.ReplayStats, error) {
+func openJournal(dir string, frontier geom.Sector, sealEvery int64) (*journal.Log, *stl.LS, *stl.ReplayStats, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, nil, nil, err
 	}
@@ -306,7 +286,7 @@ func openJournal(dir string, frontier geom.Sector, sealEvery int64, workers int)
 		}
 		return lg, nil, nil, segSize(lg)
 	}
-	recovered, rst, err := stl.RecoverDirWith(dir, stl.RecoverOptions{VerifyOnRecover: true, Workers: workers})
+	recovered, rst, err := stl.RecoverDir(dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -361,14 +341,8 @@ func (v *Volume) TryDo(req Request, done chan Result) error {
 // waits for the result. The returned error is either a submission
 // failure (ErrClosed, ctx.Err()) or the result's own Err.
 func (v *Volume) Do(ctx context.Context, kind Op, ext geom.Extent) (Result, error) {
-	return v.DoRequest(ctx, Request{Kind: kind, Extent: ext})
-}
-
-// DoRequest is Do for a fully-specified Request (e.g. OpProof, which
-// needs Seq). The request's done channel is ignored and replaced.
-func (v *Volume) DoRequest(ctx context.Context, req Request) (Result, error) {
 	done := make(chan Result, 1)
-	req.done = done
+	req := Request{Kind: kind, Extent: ext, done: done}
 	v.mu.RLock()
 	if v.closed {
 		v.mu.RUnlock()
@@ -448,10 +422,6 @@ func (v *Volume) process(req Request) {
 		res.Stats = &st
 	case OpSnapshot:
 		res.Err = v.checkpoint()
-	case OpVerify:
-		res.Audit, res.Err = v.verify()
-	case OpProof:
-		res.Proof, res.Err = v.prove(req.Seq)
 	default:
 		res.Err = fmt.Errorf("volume: unknown op %d", req.Kind)
 	}
@@ -463,34 +433,6 @@ func (v *Volume) process(req Request) {
 	if req.done != nil {
 		req.done <- res
 	}
-}
-
-// verify audits the journal directory: seal chain, segment roots,
-// checkpoint linkage. The journal is flushed first so the audit sees
-// every acknowledged record. Runs on the actor goroutine only — the
-// actor is idle while VerifyDir reads the files, so the on-disk state
-// is consistent.
-func (v *Volume) verify() (*journal.Audit, error) {
-	if v.wal == nil {
-		return nil, ErrNoJournal
-	}
-	if err := v.wal.Sync(); err != nil {
-		return nil, err
-	}
-	return journal.VerifyDir(v.wal.Dir())
-}
-
-// prove returns the inclusion proof for the seq'th record of the
-// journal's current generation. Runs on the actor goroutine only.
-func (v *Volume) prove(seq int64) (*journal.Proof, error) {
-	if v.wal == nil {
-		return nil, ErrNoJournal
-	}
-	p, err := v.wal.Prove(seq)
-	if err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // checkpoint persists the layer's full state through the journal. Runs
