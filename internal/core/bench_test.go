@@ -51,9 +51,9 @@ func BenchmarkPipeline(b *testing.B) {
 // cache a quarter, half and completely full, over an LBA space sized in
 // proportion so that a write drops as many entries at each fill. Each
 // dropped entry is replaced by a fresh one, so the entry count holds
-// steady (and, when full, capacity evictions keep running); the
-// per-write cost must not grow with the entry count beyond the tree's
-// extra levels, and nothing may allocate.
+// steady (and, when full, capacity evictions keep running). Keys per
+// bucket stay level across the three fills, so the per-write cost must
+// not grow with the entry count, and nothing may allocate.
 func BenchmarkSelectiveCacheInvalidate(b *testing.B) {
 	capacity := DefaultCacheConfig().CapacityBytes
 	for _, fill := range []struct {
@@ -68,8 +68,8 @@ func BenchmarkSelectiveCacheInvalidate(b *testing.B) {
 			for s.UsedBytes() < capacity*fill.num/4-32*geom.SectorSize {
 				s.Insert(randKey())
 			}
-			// Age it: churn until every slab and the LRU's map have
-			// reached their steady size.
+			// Age it: churn until the buckets, their spare list and the
+			// LRU's map have reached their steady size.
 			step := func() {
 				for n := s.Invalidate(geom.Ext(rng.Int63n(space), 1+rng.Int63n(256))); n > 0; n-- {
 					s.Insert(randKey())

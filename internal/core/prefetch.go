@@ -101,15 +101,15 @@ func (p *Prefetcher) Fill(phys geom.Extent) {
 	}
 }
 
-// evictOldest drops the oldest window and rebuilds coverage, since an
-// overlapping newer window must keep its sectors buffered.
+// evictOldest drops the oldest window from coverage, then restores the
+// parts of it that a newer live window still buffers.
 func (p *Prefetcher) evictOldest() {
 	old := p.windows[p.head]
 	p.head++
 	p.bytes -= old.Bytes()
-	p.covered.Clear()
+	p.covered.Remove(old)
 	for _, w := range p.windows[p.head:] {
-		p.covered.Add(w)
+		p.covered.Add(w.Intersect(old))
 	}
 	// Compact once the dead prefix is most of the array, so append stops
 	// growing the backing storage.

@@ -50,11 +50,13 @@ type SelectiveCache struct {
 	cfg CacheConfig
 	c   *lru.Cache[extKey, struct{}]
 
-	// idx holds exactly the LRU's keys in LBA order, so a write finds
-	// the entries it overlaps in O(log n) each instead of testing every
-	// key. Insert, capacity eviction (the LRU's callback) and Invalidate
-	// all update both structures.
+	// idx files exactly the LRU's keys by LBA bucket, so a write tests
+	// only the keys near it instead of every key. Insert, capacity
+	// eviction (the LRU's callback) and Invalidate all update both
+	// structures.
 	idx extIndex
+	// dropped is Invalidate's scratch list of overlapping keys.
+	dropped []extKey
 
 	invalidations int64
 }
@@ -64,6 +66,7 @@ func NewSelectiveCache(cfg CacheConfig) *SelectiveCache {
 	s := &SelectiveCache{
 		cfg: cfg,
 		c:   lru.New[extKey, struct{}](cfg.CapacityBytes),
+		idx: extIndex{buckets: make(map[int64][]extKey)},
 	}
 	s.c.OnEvict(func(k extKey, _ struct{}) { s.idx.remove(k) })
 	return s
@@ -81,13 +84,16 @@ func (s *SelectiveCache) Insert(lba geom.Extent) {
 	if lba.Empty() {
 		return
 	}
-	k := keyOf(lba)
-	// Index first: Add may evict on the spot — k itself when it is
-	// larger than the whole cache — and the callback must find its node.
-	if _, ok := s.c.Peek(k); !ok {
+	k, size := keyOf(lba), lba.Bytes()
+	if lba.Count > s.cfg.CapacityBytes/geom.SectorSize {
+		// Larger than the whole cache: Add evicts every entry and then k
+		// itself, so k is never indexed. The size is pinned past the
+		// capacity because Bytes overflows on an extent this long.
+		size = s.cfg.CapacityBytes + 1
+	} else if _, ok := s.c.Peek(k); !ok {
 		s.idx.insert(k)
 	}
-	s.c.Add(k, struct{}{}, lba.Bytes())
+	s.c.Add(k, struct{}{}, size)
 }
 
 // Invalidate drops every cached entry overlapping the written extent, so
@@ -97,18 +103,13 @@ func (s *SelectiveCache) Invalidate(written geom.Extent) int {
 	if written.Empty() {
 		return 0
 	}
-	dropped := 0
-	for {
-		k, ok := s.idx.overlapping(written)
-		if !ok {
-			break
-		}
+	s.dropped = s.idx.appendOverlapping(s.dropped[:0], written)
+	for _, k := range s.dropped {
 		s.idx.remove(k)
 		s.c.Remove(k)
-		dropped++
 	}
-	s.invalidations += int64(dropped)
-	return dropped
+	s.invalidations += int64(len(s.dropped))
+	return len(s.dropped)
 }
 
 // Hits returns the number of fragment lookups served from RAM.

@@ -26,111 +26,76 @@ import (
 var cacheSeed = flag.Int64("selcache.seed", 0,
 	"selective cache property test seed (0 = derive from time; the chosen seeds are logged)")
 
-// checkInvariants verifies that the index and the LRU hold the same key
-// set and that the tree is a well-formed, max-end-augmented AVL tree.
-// Keys strictly ascending (hence distinct), every one present in the
-// LRU, and as many of them as LRU entries: the two sets are equal.
+// checkInvariants verifies that every key is filed exactly once in each
+// bucket it spans and in no other, that no empty bucket is left in the
+// map, and that the index's distinct keys are exactly the LRU's.
 func (s *SelectiveCache) checkInvariants() error {
-	var prev *extKey
-	count := 0
-	var walk func(n *idxNode) (height int, maxEnd geom.Sector, err error)
-	walk = func(n *idxNode) (int, geom.Sector, error) {
-		if n == nil {
-			return 0, 0, nil
+	filed := map[extKey]int64{} // key -> buckets it is filed in
+	for b, keys := range s.idx.buckets {
+		if len(keys) == 0 {
+			return fmt.Errorf("bucket %d is empty but still mapped", b)
 		}
-		lh, lmax, err := walk(n.left)
-		if err != nil {
-			return 0, 0, err
+		for i, k := range keys {
+			if k.count <= 0 {
+				return fmt.Errorf("index holds empty extent %v", k.extent())
+			}
+			if first, last := bucketSpan(k.extent()); b < first || b > last {
+				return fmt.Errorf("%v filed in bucket %d, outside its buckets %d..%d", k.extent(), b, first, last)
+			}
+			if slices.Contains(keys[i+1:], k) {
+				return fmt.Errorf("%v filed twice in bucket %d", k.extent(), b)
+			}
+			filed[k]++
 		}
-		if prev != nil && !prev.less(n.key) {
-			return 0, 0, fmt.Errorf("index order: %v not before %v", prev.extent(), n.key.extent())
-		}
-		k := n.key
-		prev = &k
-		count++
-		if n.key.count <= 0 {
-			return 0, 0, fmt.Errorf("index holds empty extent %v", n.key.extent())
-		}
-		if _, ok := s.c.Peek(n.key); !ok {
-			return 0, 0, fmt.Errorf("index holds %v, which the LRU does not", n.key.extent())
-		}
-		rh, rmax, err := walk(n.right)
-		if err != nil {
-			return 0, 0, err
-		}
-		if d := lh - rh; d < -1 || d > 1 {
-			return 0, 0, fmt.Errorf("index unbalanced at %v: heights %d/%d", n.key.extent(), lh, rh)
-		}
-		if want := 1 + max(lh, rh); n.height != want {
-			return 0, 0, fmt.Errorf("index height at %v = %d, want %d", n.key.extent(), n.height, want)
-		}
-		want := n.key.end()
-		if n.left != nil {
-			want = max(want, lmax)
-		}
-		if n.right != nil {
-			want = max(want, rmax)
-		}
-		if n.maxEnd != want {
-			return 0, 0, fmt.Errorf("index max-end at %v = %d, want %d", n.key.extent(), n.maxEnd, want)
-		}
-		return n.height, n.maxEnd, nil
 	}
-	if _, _, err := walk(s.idx.root); err != nil {
-		return err
+	for k, n := range filed {
+		if first, last := bucketSpan(k.extent()); n != last-first+1 {
+			return fmt.Errorf("%v filed in %d of its %d buckets", k.extent(), n, last-first+1)
+		}
+		if _, ok := s.c.Peek(k); !ok {
+			return fmt.Errorf("index holds %v, which the LRU does not", k.extent())
+		}
 	}
-	if count != s.idx.n {
-		return fmt.Errorf("index counts %d nodes, holds %d", s.idx.n, count)
-	}
-	if count != s.c.Len() {
-		return fmt.Errorf("index holds %d keys, LRU %d", count, s.c.Len())
+	if len(filed) != s.c.Len() {
+		return fmt.Errorf("index holds %d keys, LRU %d", len(filed), s.c.Len())
 	}
 	return nil
 }
 
-// indexKeys lists the indexed keys in ascending order.
+func compareKeys(a, b extKey) int {
+	return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.count, b.count))
+}
+
+// indexKeys lists the indexed keys in ascending order, each taken once,
+// from its first bucket.
 func (s *SelectiveCache) indexKeys() []extKey {
 	var out []extKey
-	var walk func(n *idxNode)
-	walk = func(n *idxNode) {
-		if n != nil {
-			walk(n.left)
-			out = append(out, n.key)
-			walk(n.right)
+	for b, keys := range s.idx.buckets {
+		for _, k := range keys {
+			if first, _ := bucketSpan(k.extent()); first == b {
+				out = append(out, k)
+			}
 		}
 	}
-	walk(s.idx.root)
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 
 // coveredByUnion reports whether every sector of e lies in some cached
-// extent — a containment hit, where exact-extent keying sees a miss. One
-// in-order walk: subtrees that end at or before the covered prefix are
-// skipped, and the first key starting past the prefix proves a gap,
-// since every later key starts later still.
+// extent — a containment hit, where exact-extent keying sees a miss.
+// Only keys in e's own buckets can cover any of it. Swept in start
+// order, the first key that starts past the covered prefix proves a
+// gap, since every later key starts later still.
 func (s *SelectiveCache) coveredByUnion(e geom.Extent) bool {
-	reach, stop := e.Start, false
-	var walk func(n *idxNode)
-	walk = func(n *idxNode) {
-		if n == nil || stop || n.maxEnd <= reach {
-			return
+	keys := s.idx.appendOverlapping(nil, e)
+	slices.SortFunc(keys, compareKeys)
+	reach := e.Start
+	for _, k := range keys {
+		if k.start > reach {
+			break
 		}
-		walk(n.left)
-		if stop {
-			return
-		}
-		if n.key.start > reach {
-			stop = true
-			return
-		}
-		reach = max(reach, n.key.end())
-		if reach >= e.End() {
-			stop = true
-			return
-		}
-		walk(n.right)
+		reach = max(reach, k.extent().End())
 	}
-	walk(s.idx.root)
 	return reach >= e.End()
 }
 
@@ -225,9 +190,7 @@ func runCacheOps(t testing.TB, capacity int64, ops []cacheOp, checkEvery int) *S
 			t.Fatalf("op %d: %v", i, err)
 		}
 		want := slices.Clone(ref.keys)
-		slices.SortFunc(want, func(a, b extKey) int {
-			return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.count, b.count))
-		})
+		slices.SortFunc(want, compareKeys)
 		if got := s.indexKeys(); !slices.Equal(got, want) {
 			t.Fatalf("op %d: index holds %v, reference %v", i, got, want)
 		}
@@ -266,9 +229,6 @@ func runCacheOps(t testing.TB, capacity int64, ops []cacheOp, checkEvery int) *S
 		}
 		if got, want := s.Entries(), len(ref.keys); got != want {
 			t.Fatalf("op %d (%d %v): Entries = %d, reference %d", i, op.kind, op.ext, got, want)
-		}
-		if s.idx.n != s.Entries() {
-			t.Fatalf("op %d (%d %v): index holds %d keys, LRU %d", i, op.kind, op.ext, s.idx.n, s.Entries())
 		}
 		if i%checkEvery == 0 {
 			check(i)
@@ -333,6 +293,10 @@ func FuzzSelectiveCacheIndex(f *testing.F) {
 	f.Add([]byte{1, 0, 12, 1, 0, 12, 2, 0, 1})                         // re-insert, invalidate nothing
 	f.Add([]byte{0, 1, 15, 0, 30, 15, 0, 60, 15, 0, 90, 15, 0, 1, 15}) // reads that miss, then hit
 	f.Add([]byte{1, 5, 0, 2, 5, 0, 1, 5, 255, 1, 7, 3})                // empty extents, then one larger than the cache
+	// Keys straddling the first bucket edge, at sector 256, and writes
+	// that reach it from below.
+	f.Add([]byte{1, 250, 10, 0, 255, 4, 1, 241, 15, 2, 255, 1, 0, 250, 10, 2, 200, 15})
+	f.Add([]byte{1, 252, 8, 1, 200, 250, 1, 255, 2, 2, 254, 3, 0, 252, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 128 * 512
 		ops := make([]cacheOp, 0, len(data)/3)
@@ -368,19 +332,79 @@ func TestOversizeEntryNotIndexed(t *testing.T) {
 	}
 }
 
-func TestReinsertAddsNoSecondNode(t *testing.T) {
+func TestReinsertFilesKeyOnce(t *testing.T) {
 	s := NewSelectiveCache(CacheConfig{CapacityBytes: 1 << 20})
 	for i := 0; i < 3; i++ {
-		s.Insert(geom.Ext(10, 10))
+		s.Insert(geom.Ext(250, 10)) // straddles the edge between buckets 0 and 1
 	}
 	if err := s.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if s.idx.n != 1 || s.Entries() != 1 {
-		t.Fatalf("index=%d entries=%d after three inserts of one key, want 1", s.idx.n, s.Entries())
+	if n0, n1 := len(s.idx.buckets[0]), len(s.idx.buckets[1]); n0 != 1 || n1 != 1 || s.Entries() != 1 {
+		t.Fatalf("buckets hold %d and %d keys, entries=%d after three inserts of one key, want 1 each", n0, n1, s.Entries())
 	}
-	if got := s.Invalidate(geom.Ext(12, 1)); got != 1 {
+	if got := s.Invalidate(geom.Ext(258, 1)); got != 1 {
 		t.Errorf("Invalidate dropped %d entries, want 1", got)
+	}
+}
+
+// TestBucketBoundaries covers the cases that turn on the bucket grid
+// rather than on extents alone.
+func TestBucketBoundaries(t *testing.T) {
+	const width = 1 << bucketShift
+	check := func(s *SelectiveCache) {
+		t.Helper()
+		if err := s.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A key across four buckets is dropped by a write that touches only
+	// its last one.
+	s := NewSelectiveCache(CacheConfig{CapacityBytes: 1 << 20})
+	s.Insert(geom.Ext(width-1, 2*width+2)) // buckets 0..3
+	s.Insert(geom.Ext(4*width, 8))         // bucket 4, untouched
+	check(s)
+	if got := s.Invalidate(geom.Ext(3*width, 1)); got != 1 || s.Entries() != 1 {
+		t.Fatalf("write in the last bucket dropped %d entries, %d left; want 1 and 1", got, s.Entries())
+	}
+	if len(s.idx.buckets) != 1 {
+		t.Fatalf("%d buckets mapped after the drop, want 1", len(s.idx.buckets))
+	}
+	check(s)
+
+	// A key larger than the whole cache flushes it and leaves no bucket
+	// behind, however many buckets it spans and even where its size in
+	// bytes overflows int64.
+	s = NewSelectiveCache(CacheConfig{CapacityBytes: 4 * width * geom.SectorSize})
+	s.Insert(geom.Ext(0, 2))
+	for _, e := range []geom.Extent{geom.Ext(width/2, 4*width+1), geom.Ext(0, 1<<60)} {
+		s.Insert(e)
+		if s.Entries() != 0 || s.UsedBytes() != 0 || len(s.idx.buckets) != 0 {
+			t.Fatalf("after inserting %v: entries=%d used=%d buckets=%d, want an empty cache", e, s.Entries(), s.UsedBytes(), len(s.idx.buckets))
+		}
+		check(s)
+	}
+
+	// Every key straddles a bucket edge. A write wider than the index
+	// has buckets drops them all, and re-inserting them reuses the
+	// emptied buckets' storage instead of allocating.
+	keys := []geom.Extent{geom.Ext(width-4, 8), geom.Ext(3*width-1, 2), geom.Ext(7*width-8, 16)}
+	cycle := func() {
+		for _, e := range keys {
+			s.Insert(e)
+		}
+		if got := s.Invalidate(geom.Ext(0, 1<<40)); got != len(keys) {
+			t.Fatalf("full invalidation dropped %d entries, want %d", got, len(keys))
+		}
+	}
+	cycle()
+	if len(s.idx.buckets) != 0 || len(s.idx.spare) != 2*len(keys) {
+		t.Fatalf("after a full invalidation: %d buckets mapped, %d spare, want 0 and %d", len(s.idx.buckets), len(s.idx.spare), 2*len(keys))
+	}
+	check(s)
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("insert and full invalidation allocated %.1f times per cycle once warm, want 0", allocs)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"smrseek/internal/disk"
@@ -371,6 +373,26 @@ func TestPrefetcherBufferEviction(t *testing.T) {
 		t.Errorf("hits=%d misses=%d", p.Hits(), p.Misses())
 	}
 	p.Fill(geom.Extent{}) // no-op
+}
+
+// TestPrefetcherCoverageProperty checks incremental eviction: after
+// every Fill, the coverage set equals the union of the live windows
+// built from scratch. Windows overlap densely and the buffer holds only
+// a few of them, so nearly every Fill evicts, and an evicted window's
+// sectors are often still buffered by a newer one.
+func TestPrefetcherCoverageProperty(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		behind, ahead := rng.Int63n(16), 1+rng.Int63n(16)
+		p := NewPrefetcher(PrefetchConfig{LookBehindSectors: behind, LookAheadSectors: ahead, BufferBytes: (4 + rng.Int63n(60)) * 512})
+		for i := 0; i < 3000; i++ {
+			p.Fill(geom.Ext(rng.Int63n(400), rng.Int63n(12)))
+			want := geom.NewSet(p.windows[p.head:]...).Extents()
+			if got := p.covered.Extents(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, fill %d: coverage %v, union of live windows %v", seed, i, got, want)
+			}
+		}
+	}
 }
 
 func TestPrefetcherClampsAtZero(t *testing.T) {

@@ -76,26 +76,6 @@ func (e Extent) Intersect(o Extent) Extent {
 	return Span(start, end)
 }
 
-// Subtract removes o from e and returns the 0, 1 or 2 remaining pieces in
-// ascending order.
-func (e Extent) Subtract(o Extent) []Extent {
-	if e.Empty() {
-		return nil
-	}
-	ov := e.Intersect(o)
-	if ov.Empty() {
-		return []Extent{e}
-	}
-	var out []Extent
-	if e.Start < ov.Start {
-		out = append(out, Span(e.Start, ov.Start))
-	}
-	if ov.End() < e.End() {
-		out = append(out, Span(ov.End(), e.End()))
-	}
-	return out
-}
-
 // AdjacentBefore reports whether e ends exactly where o begins.
 func (e Extent) AdjacentBefore(o Extent) bool {
 	return !e.Empty() && !o.Empty() && e.End() == o.Start

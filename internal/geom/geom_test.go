@@ -88,32 +88,6 @@ func TestOverlapsIntersect(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	cases := []struct {
-		a, b Extent
-		want []Extent
-	}{
-		{Ext(0, 10), Ext(20, 5), []Extent{Ext(0, 10)}},          // disjoint
-		{Ext(0, 10), Ext(0, 10), nil},                           // exact
-		{Ext(0, 10), Ext(0, 5), []Extent{Ext(5, 5)}},            // prefix
-		{Ext(0, 10), Ext(5, 5), []Extent{Ext(0, 5)}},            // suffix
-		{Ext(0, 10), Ext(3, 4), []Extent{Ext(0, 3), Ext(7, 3)}}, // split
-		{Ext(5, 5), Ext(0, 20), nil},                            // swallowed
-	}
-	for _, c := range cases {
-		got := c.a.Subtract(c.b)
-		if len(got) != len(c.want) {
-			t.Errorf("%v - %v = %v, want %v", c.a, c.b, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%v - %v = %v, want %v", c.a, c.b, got, c.want)
-			}
-		}
-	}
-}
-
 func TestUnion(t *testing.T) {
 	if u, ok := Ext(0, 5).Union(Ext(5, 5)); !ok || u != Ext(0, 10) {
 		t.Errorf("adjacent union = %v,%v", u, ok)
@@ -135,34 +109,6 @@ func TestShiftClamp(t *testing.T) {
 	}
 	if got := Ext(0, 100).Clamp(Ext(10, 5)); got != Ext(10, 5) {
 		t.Errorf("Clamp = %v", got)
-	}
-}
-
-// Property: subtracting b from a then intersecting the pieces with b is
-// always empty, and the pieces plus the intersection cover a exactly.
-func TestSubtractProperty(t *testing.T) {
-	f := func(as, ac, bs, bc uint16) bool {
-		a := Ext(int64(as), int64(ac%200))
-		b := Ext(int64(bs), int64(bc%200))
-		pieces := a.Subtract(b)
-		var covered int64
-		for _, p := range pieces {
-			if p.Empty() {
-				return false
-			}
-			if p.Overlaps(b) {
-				return false
-			}
-			if !a.ContainsExtent(p) {
-				return false
-			}
-			covered += p.Count
-		}
-		covered += a.Intersect(b).Count
-		return covered == max64(a.Count, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Set is a normalized collection of disjoint, non-adjacent extents kept in
 // ascending order. It is the small-scale interval set used by the prefetch
@@ -74,22 +77,32 @@ func (s *Set) Add(e Extent) {
 	}
 }
 
-// Remove deletes e from the set, splitting extents as needed.
+// Remove deletes e from the set. Of the extents it overlaps, only the
+// first one's part before e and the last one's part after e survive, so
+// the run is replaced in place by at most two pieces.
 func (s *Set) Remove(e Extent) {
-	if e.Empty() || len(s.exts) == 0 {
+	if e.Empty() {
 		return
 	}
 	i := s.search(e.Start)
-	var repl []Extent
 	j := i
 	for j < len(s.exts) && s.exts[j].Start < e.End() {
-		repl = append(repl, s.exts[j].Subtract(e)...)
 		j++
 	}
 	if i == j {
 		return
 	}
-	s.exts = append(s.exts[:i], append(repl, s.exts[j:]...)...)
+	var keep [2]Extent
+	n := 0
+	if s.exts[i].Start < e.Start {
+		keep[n] = Span(s.exts[i].Start, e.Start)
+		n++
+	}
+	if s.exts[j-1].End() > e.End() {
+		keep[n] = Span(e.End(), s.exts[j-1].End())
+		n++
+	}
+	s.exts = slices.Replace(s.exts, i, j, keep[:n]...)
 }
 
 // Contains reports whether the whole extent e is covered by the set.
@@ -138,6 +151,3 @@ func (s *Set) Missing(e Extent) []Extent {
 	}
 	return out
 }
-
-// Clear empties the set.
-func (s *Set) Clear() { s.exts = s.exts[:0] }

@@ -85,14 +85,6 @@ func TestSetContainsCoveredMissing(t *testing.T) {
 	}
 }
 
-func TestSetClear(t *testing.T) {
-	s := NewSet(Ext(0, 5))
-	s.Clear()
-	if s.Len() != 0 || s.Sectors() != 0 {
-		t.Error("Clear did not empty set")
-	}
-}
-
 // naiveSet is a reference model: a boolean per sector.
 type naiveSet map[Sector]bool
 
