@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"smrseek/internal/geom"
 )
@@ -92,13 +93,23 @@ func (p *Prefetcher) Fill(phys geom.Extent) {
 	if start < 0 {
 		start = 0
 	}
-	w := geom.Span(start, phys.End()+p.cfg.LookAheadSectors)
+	// The window ends at the largest sector rather than wrap past it.
+	w := geom.Span(start, phys.End()+min(p.cfg.LookAheadSectors, math.MaxInt64-phys.End()))
 	p.windows = append(p.windows, w)
 	p.covered.Add(w)
-	p.bytes += w.Bytes()
+	p.bytes += p.size(w)
 	for p.bytes > p.cfg.BufferBytes && len(p.windows)-p.head > 1 {
 		p.evictOldest()
 	}
+}
+
+// size is the bytes a window is accounted: one larger than the buffer,
+// whose Bytes may overflow, is pinned just past it.
+func (p *Prefetcher) size(w geom.Extent) int64 {
+	if w.Count > p.cfg.BufferBytes/geom.SectorSize {
+		return p.cfg.BufferBytes + 1
+	}
+	return w.Bytes()
 }
 
 // evictOldest drops the oldest window from coverage, then restores the
@@ -106,7 +117,7 @@ func (p *Prefetcher) Fill(phys geom.Extent) {
 func (p *Prefetcher) evictOldest() {
 	old := p.windows[p.head]
 	p.head++
-	p.bytes -= old.Bytes()
+	p.bytes -= p.size(old)
 	p.covered.Remove(old)
 	for _, w := range p.windows[p.head:] {
 		p.covered.Add(w.Intersect(old))

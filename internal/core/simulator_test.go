@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -400,6 +401,29 @@ func TestPrefetcherClampsAtZero(t *testing.T) {
 	p.Fill(geom.Ext(5, 1)) // window would start at -95; clamped to 0
 	if !p.Covers(geom.Ext(0, 6)) {
 		t.Error("window should cover [0,6)")
+	}
+}
+
+// TestPrefetcherOversizeWindow: a window of 2^60 sectors, whose byte
+// count overflows, is accounted past the buffer and evicted by the next
+// Fill, and a window reaching past the largest sector ends there.
+func TestPrefetcherOversizeWindow(t *testing.T) {
+	cfg := DefaultPrefetchConfig()
+	p := NewPrefetcher(cfg)
+	p.Fill(geom.Ext(0, 1<<60))
+	if got := p.BufferedBytes(); got <= cfg.BufferBytes {
+		t.Errorf("after a 2^60-sector window: BufferedBytes = %d, want past %d", got, cfg.BufferBytes)
+	}
+	p.Fill(geom.Ext(0, 8))
+	if got := p.BufferedBytes(); got > cfg.BufferBytes {
+		t.Errorf("BufferedBytes = %d, want <= %d", got, cfg.BufferBytes)
+	}
+	if p.Covers(geom.Ext(1<<59, 8)) {
+		t.Error("the evicted 2^60-sector window still covers sector 2^59")
+	}
+	p.Fill(geom.Ext(math.MaxInt64-4, 4))
+	if !p.Covers(geom.Ext(math.MaxInt64-4, 4)) {
+		t.Error("a window at the top of the address space must buffer its fragment")
 	}
 }
 

@@ -252,6 +252,38 @@ func (t *Map) InsertFunc(lba geom.Extent, pba geom.Sector, fn func(Mapping) bool
 	}
 }
 
+// Append is InsertFunc(lba, pba, nil) for bulk loads in ascending LBA
+// order. When lba starts at or after the end of the last mapping it is
+// O(1): the mapping goes at the tail, coalesced with the last one when
+// the map coalesces and they are contiguous, and the last leaf fills to
+// leafMax before a new one starts. Any other lba takes InsertFunc's
+// path, so every input order builds the same map as Insert.
+func (t *Map) Append(lba geom.Extent, pba geom.Sector) {
+	if lba.Empty() {
+		return
+	}
+	n := len(t.leaves)
+	if n > 0 {
+		last := &t.leaves[n-1][len(t.leaves[n-1])-1]
+		if lba.Start < last.Lba.End() {
+			t.InsertFunc(lba, pba, nil)
+			return
+		}
+		if t.coalesce && last.Lba.End() == lba.Start && last.PhysEnd() == pba {
+			last.Lba.Count += lba.Count
+			t.mapped += lba.Count
+			return
+		}
+	}
+	t.n++
+	t.mapped += lba.Count
+	if m := (Mapping{Lba: lba, Pba: pba}); n > 0 && len(t.leaves[n-1]) < leafMax {
+		t.leaves[n-1] = append(t.leaves[n-1], m)
+	} else {
+		t.leaves = append(t.leaves, append(t.newLeaf(), m))
+	}
+}
+
 // Insert is InsertFunc collecting the displaced pieces into a fresh
 // slice — the convenient form for cold paths and tests.
 func (t *Map) Insert(lba geom.Extent, pba geom.Sector) []Mapping {

@@ -2,6 +2,7 @@ package extmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -486,5 +487,62 @@ func TestDiffAndEqual(t *testing.T) {
 	d.Insert(geom.Ext(0, 10), 100)
 	if !c.Equal(d) {
 		t.Fatalf("order-independent equality failed: %s", c.Diff(d))
+	}
+}
+
+// TestAppendMatchesInsert pins Append's contract under New and
+// NewCoalesced: an ascending stream — contiguous neighbours,
+// LBA-adjacent but physically distant neighbours, gaps, sector 0, and
+// several leaves' worth of mappings — builds the same map as Insert, and
+// so does a shuffled, overlapping stream, which Append hands to the
+// general insert path.
+func TestAppendMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var asc []Mapping
+	lba, pba := geom.Sector(0), geom.Sector(1<<20)
+	for len(asc) < 3*leafMax+7 {
+		n := rng.Int63n(16) + 1
+		asc = append(asc, Mapping{Lba: geom.Ext(lba, n), Pba: pba})
+		switch rng.Intn(3) {
+		case 0: // contiguous in both spaces: coalesces
+			pba += n
+		case 1: // LBA-adjacent, physically elsewhere
+			pba += n + 1 + rng.Int63n(8)
+		default: // a gap in LBA space
+			lba += 1 + rng.Int63n(8)
+			pba += n
+		}
+		lba += n
+	}
+	shuffled := slices.Clone(asc)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for i := 0; i < 50; i++ { // overlaps, some reaching back over the tail
+		shuffled = append(shuffled, Mapping{Lba: geom.Ext(rng.Int63n(lba), rng.Int63n(64)+1), Pba: pba})
+		pba += 64
+	}
+	for _, mk := range []struct {
+		name string
+		new  func() *Map
+	}{{"New", New}, {"NewCoalesced", NewCoalesced}} {
+		for _, in := range []struct {
+			name string
+			ms   []Mapping
+		}{{"ascending", asc}, {"out-of-order", shuffled}} {
+			got, want := mk.new(), mk.new()
+			for _, m := range in.ms {
+				got.Append(m.Lba, m.Pba)
+				want.Insert(m.Lba, m.Pba)
+			}
+			got.Append(geom.Ext(lba+100, 0), 0) // an empty extent is a no-op
+			if err := got.CheckInvariants(); err != nil {
+				t.Fatalf("%s/%s: %v", mk.name, in.name, err)
+			}
+			if d := want.Diff(got); d != "" {
+				t.Fatalf("%s/%s: Append diverges from Insert: %s", mk.name, in.name, d)
+			}
+			if got.MappedSectors() != want.MappedSectors() {
+				t.Fatalf("%s/%s: MappedSectors %d, want %d", mk.name, in.name, got.MappedSectors(), want.MappedSectors())
+			}
+		}
 	}
 }

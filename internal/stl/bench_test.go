@@ -4,8 +4,11 @@ import (
 	"os"
 	"testing"
 
+	"smrseek/internal/disk"
 	"smrseek/internal/geom"
 	"smrseek/internal/journal"
+	"smrseek/internal/trace"
+	"smrseek/internal/workload"
 )
 
 // BenchmarkRecoverDir measures end-to-end verified recovery — audit,
@@ -42,4 +45,35 @@ func BenchmarkRecoverDir(b *testing.B) {
 			b.Fatalf("recovery stats %+v", st)
 		}
 	}
+}
+
+// BenchmarkRecoverApply measures Recover alone — the check pass and the
+// apply pass, no file I/O — on the record stream of the end-to-end
+// benchmark's crash-recover workload: w36 with its seed XOR-ed with 1
+// at scale 2.4, every write journaled at the frontier of a plain LS
+// volume whose frontier starts at the trace's highest LBA.
+func BenchmarkRecoverApply(b *testing.B) {
+	p, err := workload.ByName("w36")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Seed ^= 1
+	recs := p.Generate(2.4)
+	d := journal.Data{Generation: 1, InitFrontier: trace.MaxLBA(recs)}
+	pba := d.InitFrontier
+	for _, r := range recs {
+		if r.Kind == disk.Write && !r.Extent.Empty() {
+			d.Records = append(d.Records, journal.Record{Kind: journal.RecWrite, Lba: r.Extent, Pba: pba})
+			pba += r.Extent.Count
+		}
+	}
+	b.ResetTimer()
+	var l *LS
+	for i := 0; i < b.N; i++ {
+		if l, _, err = Recover(nil, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(d.Records)), "records")
+	b.ReportMetric(float64(l.Map().Len()), "mappings")
 }

@@ -2,7 +2,9 @@ package stl
 
 import (
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"time"
 
 	"smrseek/internal/extmap"
@@ -71,10 +73,10 @@ type RecoverOptions struct {
 // does all the bookkeeping: every write or relocate must land at the
 // replay frontier, frontier records move it, and the frontier,
 // written-sector counter and ReplayStats advance as the live layer's
-// did. An apply pass then builds the extent map newest first: each
-// record maps only the sectors no newer record has claimed, and the
-// snapshot's mappings fill what is left as the oldest layer, so every
-// sector is placed once and nothing is hole-punched. The coalesced map
+// did. An apply pass then builds the extent map in one sweep in LBA
+// order over the records and, as the oldest layer, the snapshot's
+// mappings: each run of sectors goes to the newest placement covering
+// it, appended to the map with no search or hole punch. The coalesced map
 // is canonical, so the result is bit-identical to replaying every record
 // in order through the insert path live writes take; recover_test.go
 // keeps that forward replay as the oracle.
@@ -118,52 +120,137 @@ func Recover(snap *journal.Snapshot, d journal.Data) (*LS, ReplayStats, error) {
 		}
 		st.Replayed++
 	}
-	var gaps []extmap.Resolved
-	for i := len(d.Records) - 1; i >= 0; i-- {
-		if rec := d.Records[i]; rec.Kind != journal.RecFrontier {
-			gaps = l.fill(rec.Lba, rec.Pba, gaps)
-		}
-	}
+	s := layers{recs: d.Records}
 	if snap != nil {
-		for i := len(snap.Mappings) - 1; i >= 0; i-- {
-			gaps = l.fill(snap.Mappings[i].Lba, snap.Mappings[i].Pba, gaps)
-		}
+		s.ms = snap.Mappings
 	}
+	if len(s.recs) > math.MaxInt32-len(s.ms) {
+		return nil, st, fmt.Errorf("stl: %d records and %d mappings overflow the apply pass's int32 indices", len(s.recs), len(s.ms))
+	}
+	s.sweep(l.m)
 	if err := l.m.CheckInvariants(); err != nil {
 		return nil, st, fmt.Errorf("stl: recovered map is corrupt: %w", err)
 	}
 	return l, st, nil
 }
 
-// fill maps the sectors of lba that the map does not cover yet to their
-// places in the physical run starting at pba. Covered sectors belong to
-// a newer record and keep their placement. gaps is scratch space,
-// returned for reuse.
-func (l *LS) fill(lba geom.Extent, pba geom.Sector, gaps []extmap.Resolved) []extmap.Resolved {
-	gaps = gaps[:0]
-	l.m.LookupFunc(lba, func(r extmap.Resolved) bool {
-		// An unmapped gap resolves to its own LBA. LookupFunc merges it
-		// into a neighbouring fragment that is also placed at its own LBA
-		// and clears Identity, so such fragments are kept too.
-		if r.Identity || r.Pba == r.Lba.Start {
-			gaps = append(gaps, r)
-		}
-		return true
-	})
-	for _, g := range gaps {
-		at := pba + (g.Lba.Start - lba.Start)
-		if g.Identity {
-			l.m.InsertFunc(g.Lba, at, nil)
-			continue
-		}
-		// A fragment that may mix gaps and newer sectors placed at their
-		// own LBA: place all of it, then put the newer sectors back. The
-		// log frontier starts above every LBA, so this path is cold.
-		for _, newer := range l.m.Insert(g.Lba, at) {
-			l.m.InsertFunc(newer.Lba, newer.Pba, nil)
+// layers numbers the placements Recover stacks, oldest first: k < 0 is
+// checkpoint mapping len(ms)+k and k >= 0 is journal record k.
+type layers struct {
+	ms   []extmap.Mapping
+	recs []journal.Record
+}
+
+func (s *layers) at(k int32) extmap.Mapping {
+	if k < 0 {
+		return s.ms[len(s.ms)+int(k)]
+	}
+	return extmap.Mapping{Lba: s.recs[k].Lba, Pba: s.recs[k].Pba}
+}
+
+// radixKey orders sectors as unsigned integers, negative ones first.
+func radixKey(s geom.Sector) uint64 { return uint64(s) ^ 1<<63 }
+
+// radixBits is byStart's digit width: one digit's counters fit in L1.
+const radixBits = 12
+
+// byStart returns the indices of the non-empty placements by ascending
+// LBA start, equal starts oldest first: an LSD radix sort of int32
+// indices (8 bytes per record) that skips each digit all starts share.
+func (s *layers) byStart() []int32 {
+	idx := make([]int32, 0, len(s.ms)+len(s.recs))
+	count := make([][1 << radixBits]int32, (64+radixBits-1)/radixBits)
+	for k := -int32(len(s.ms)); k < int32(len(s.recs)); k++ {
+		if m := s.at(k); !m.Lba.Empty() && (k < 0 || s.recs[k].Kind != journal.RecFrontier) {
+			idx = append(idx, k)
+			for b, u := 0, radixKey(m.Lba.Start); b < len(count); b, u = b+1, u>>radixBits {
+				count[b][u&(1<<radixBits-1)]++
+			}
 		}
 	}
-	return gaps
+	tmp := make([]int32, len(idx))
+	for b := range count {
+		c := &count[b]
+		if slices.Contains(c[:], int32(len(idx))) {
+			continue // every start has this digit
+		}
+		var sum int32
+		for v, n := range c {
+			c[v], sum = sum, sum+n
+		}
+		for _, k := range idx {
+			v := radixKey(s.at(k).Lba.Start) >> (radixBits * b) & (1<<radixBits - 1)
+			tmp[c[v]] = k
+			c[v]++
+		}
+		idx, tmp = tmp, idx
+	}
+	return idx
+}
+
+// sweep builds m in one pass in LBA order. A max-heap holds the indices
+// of the placements started at or before pos; the newest one still
+// covering pos owns the sectors up to its end or the next start, and
+// that run is appended to m. A placement inside a newer one is never
+// pushed, an ended one is dropped when it surfaces, and the heap is
+// compacted each time it doubles, so it never holds more than twice the
+// most placements live at once.
+func (s *layers) sweep(m *extmap.Map) {
+	idx := s.byStart()
+	h, limit, pos := []int32(nil), 64, geom.Sector(0)
+	for i := 0; ; {
+		for len(h) > 0 && s.at(h[0]).Lba.End() <= pos {
+			h[0], h = h[len(h)-1], h[:len(h)-1]
+			siftDown(h, 0)
+		}
+		if len(h) == 0 {
+			if i == len(idx) {
+				return
+			}
+			pos = s.at(idx[i]).Lba.Start
+		}
+		for ; i < len(idx) && s.at(idx[i]).Lba.Start == pos; i++ {
+			k := idx[i]
+			if len(h) > 0 && h[0] > k && s.at(h[0]).Lba.End() >= s.at(k).Lba.End() {
+				continue
+			}
+			h = append(h, k)
+			siftUp(h, len(h)-1)
+		}
+		top := s.at(h[0])
+		next := top.Lba.End()
+		if i < len(idx) {
+			next = min(next, s.at(idx[i]).Lba.Start)
+		}
+		m.Append(geom.Span(pos, next), top.Pba+(pos-top.Lba.Start))
+		pos = next
+		if len(h) >= limit {
+			h = slices.DeleteFunc(h, func(k int32) bool { return s.at(k).Lba.End() <= pos })
+			for j := len(h)/2 - 1; j >= 0; j-- {
+				siftDown(h, j)
+			}
+			limit = max(64, 2*len(h))
+		}
+	}
+}
+
+// siftUp and siftDown restore the max-heap order of h at index j.
+func siftUp(h []int32, j int) {
+	for k := h[j]; j > 0 && h[(j-1)/2] < k; j = (j - 1) / 2 {
+		h[j], h[(j-1)/2] = h[(j-1)/2], k
+	}
+}
+
+func siftDown(h []int32, j int) {
+	for c := 2*j + 1; c < len(h); j, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[j] >= h[c] {
+			return
+		}
+		h[j], h[c] = h[c], h[j]
+	}
 }
 
 // RecoverDir recovers from a journal directory as left by a crash: the
