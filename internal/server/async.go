@@ -153,10 +153,15 @@ func (ac *AsyncClient) submit(req request, done chan *Call) (*Call, error) {
 	if done == nil || cap(done) == 0 {
 		return nil, errors.New("smrd: the done channel must be buffered")
 	}
+	// A free seat is taken without a select; only a full window waits.
 	select {
 	case ac.slots <- struct{}{}:
-	case <-ac.broken:
-		return nil, ac.stickyErr()
+	default:
+		select {
+		case ac.slots <- struct{}{}:
+		case <-ac.broken:
+			return nil, ac.stickyErr()
+		}
 	}
 	ac.mu.Lock()
 	if ac.err != nil || ac.closed {

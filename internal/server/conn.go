@@ -4,36 +4,32 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"net"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"smrseek/internal/core"
 	"smrseek/internal/volume"
 )
 
-// The request path: each connection splits into two goroutines.
+// The request path: each connection has a reader (the serveConn
+// goroutine) and a writer.
 //
-//   - The reader (the serveConn goroutine) decodes request frames out of
-//     a frameReader over a pooled buffer (one Read takes every frame the
-//     socket holds), answers pre-dispatch errors through the direct
-//     channel, and dispatches volume ops via TryDo with the request ID
-//     as the Tag. The request's metadata (op, admit time) is sent on
-//     the submits channel strictly AFTER the TryDo succeeds, so the
-//     writer can always reconcile a result against a metadata record
-//     that is either already queued or imminent.
+//   - The reader slices request frames out of a frameReader, answers
+//     pre-dispatch errors through the direct channel, and dispatches
+//     volume ops via TryDo with the request ID as the Tag. It holds c.mu
+//     across TryDo and the insert of the request's metadata into
+//     pending, so the writer, which looks results up under c.mu, never
+//     sees a result before its metadata. TryDo never blocks and the
+//     actor never takes c.mu, so holding it there cannot deadlock.
 //
-//   - The writer drains the shared completion channel (one buffered
-//     channel per connection, capacity = the negotiated window, so the
-//     volume actor never blocks publishing a result), matches results to
-//     metadata by Tag, encodes responses into a pooled buffer, and
-//     flushes in batches: everything ready now goes out in one Write, so
-//     the per-volume actor absorbs whole network batches per wakeup.
+//   - The writer drains the completion channel (capacity = the window,
+//     so the actor never blocks publishing) and the direct channel with
+//     plain receives, encodes everything ready into one pooled buffer,
+//     flushes it in one Write, and selects only to park.
 //
-// A timeout answers StatusTimeout; the eventual result is counted in
-// Abandoned and dropped. (Per-volume dispatch order is unaffected — the
-// request still executes; only its response is replaced.) Responses are
-// matched by ID, so the connection stays open and later requests
-// proceed.
+// A timeout answers StatusTimeout and marks the pending entry; the
+// request still executes in dispatch order, its late result is counted
+// in Abandoned and dropped, and the connection stays open.
 
 // flushThreshold caps how much encoded response the writer batches
 // before forcing a flush mid-drain.
@@ -52,9 +48,9 @@ type directResp struct {
 // writer needs it to encode the op-specific response body and to time
 // the request out.
 type reqMeta struct {
-	id uint64
-	op uint8
-	at time.Time // admit time; zero when no RequestTimeout is set
+	op       uint8
+	timedOut bool      // answered StatusTimeout already
+	at       time.Time // admit time; zero when no RequestTimeout is set
 }
 
 // connection is the state shared between a connection's reader and
@@ -64,15 +60,14 @@ type connection struct {
 	conn   net.Conn
 	window int
 
-	done    chan volume.Result // volume completions, Tag = request ID
-	direct  chan directResp    // reader-crafted responses
-	submits chan reqMeta       // metadata for dispatched volume requests
-	dead    chan struct{}      // closed when the writer exits
+	done   chan volume.Result // volume completions, Tag = request ID
+	direct chan directResp    // reader-crafted responses
+	dead   chan struct{}      // closed when the writer exits
 
-	// outstanding counts dispatched volume requests whose results the
-	// writer has not yet consumed. Only the reader increments, so its
-	// window check can only over-count — never admit past the window.
-	outstanding atomic.Int64
+	// pending holds, by request ID, every dispatched volume request whose
+	// result the writer has not consumed; its size is the window in use.
+	mu      sync.Mutex
+	pending map[uint64]reqMeta
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -94,8 +89,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		window:  window,
 		done:    make(chan volume.Result, window),
 		direct:  make(chan directResp, window),
-		submits: make(chan reqMeta, window),
 		dead:    make(chan struct{}),
+		pending: make(map[uint64]reqMeta),
 	}
 	s.wg.Add(1)
 	go c.writer()
@@ -115,9 +110,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 	framePool.Put(fr.buf)
-	// The reader is the only sender on both channels; closing them tells
-	// the writer to drain what is outstanding and exit.
-	close(c.submits)
+	// The reader is the only sender on direct; closing it tells the
+	// writer to drain what is outstanding and exit.
 	close(c.direct)
 	<-c.dead
 }
@@ -152,26 +146,30 @@ func (c *connection) dispatch(frame []byte, names nameCache) bool {
 		kind = volume.OpSnapshot
 	}
 
-	// Window enforcement: a client pushing past its grant is shed, not
-	// stalled — the same contract the volume queue applies.
-	if c.outstanding.Load() >= int64(c.window) {
-		return c.sendDirect(id, StatusOverloaded, []byte("connection window exceeded"))
-	}
-	c.outstanding.Add(1)
-	if err := vol.TryDo(volume.Request{Kind: kind, Extent: req.Extent, Tag: id}, c.done); err != nil {
-		c.outstanding.Add(-1)
-		return c.sendDirect(id, statusOf(err), []byte(err.Error()))
-	}
-	m := reqMeta{id: id, op: req.Op}
+	m := reqMeta{op: req.Op}
 	if s.opts.RequestTimeout > 0 {
 		m.at = time.Now()
 	}
-	select {
-	case c.submits <- m:
-		return true
-	case <-c.dead:
-		return false
+	c.mu.Lock()
+	if _, dup := c.pending[id]; dup {
+		c.mu.Unlock()
+		return c.sendDirect(id, StatusBadRequest, []byte("request id already in flight"))
 	}
+	// Window enforcement: a client pushing past its grant is shed, not
+	// stalled — the same contract the volume queue applies.
+	if len(c.pending) >= c.window {
+		c.mu.Unlock()
+		return c.sendDirect(id, StatusOverloaded, []byte("connection window exceeded"))
+	}
+	err = vol.TryDo(volume.Request{Kind: kind, Extent: req.Extent, Tag: id}, c.done)
+	if err == nil {
+		c.pending[id] = m
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return c.sendDirect(id, statusOf(err), []byte(err.Error()))
+	}
+	return true
 }
 
 // sendDirect routes a reader-crafted response through the writer. body
@@ -196,10 +194,7 @@ func (c *connection) writer() {
 	defer func() { framePool.Put(out) }()
 
 	var (
-		pending    = make(map[uint64]reqMeta) // dispatched, result not yet seen
-		timedOut   = make(map[uint64]bool)    // answered StatusTimeout already
-		submits    = c.submits                // nil once closed
-		direct     = c.direct                 // nil once closed
+		direct     = c.direct // nil once closed
 		writeErr   error
 		timeoutMsg []byte
 		tickC      <-chan time.Time
@@ -231,52 +226,42 @@ func (c *connection) writer() {
 		out = out[:0]
 	}
 
-	// complete consumes one volume result: reconcile metadata, encode or
-	// abandon.
+	// complete consumes one volume result. Its metadata is in pending:
+	// the reader inserted it in the same hold of c.mu as its TryDo.
 	complete := func(res volume.Result) {
-		id := res.Tag
-		m, ok := pending[id]
-		if !ok {
-			// The result outran its metadata: the reader sends on submits
-			// strictly after TryDo, so the record is queued or imminent —
-			// drain submits until it shows up. This cannot deadlock: a
-			// result implies a completed TryDo implies a matching send.
-			for !ok && submits != nil {
-				m2, open := <-submits
-				if !open {
-					submits = nil
-					break
-				}
-				pending[m2.id] = m2
-				if m2.id == id {
-					m, ok = m2, true
-				}
-			}
-		}
-		c.outstanding.Add(-1)
-		delete(pending, id)
-		if !ok || timedOut[id] {
-			delete(timedOut, id)
+		c.mu.Lock()
+		m := c.pending[res.Tag]
+		delete(c.pending, res.Tag)
+		c.mu.Unlock()
+		switch {
+		case m.timedOut:
 			c.s.abandoned.Add(1)
-			return
+		case res.Err != nil:
+			out = appendResponseV2(out, res.Tag, statusOf(res.Err), []byte(res.Err.Error()))
+		default:
+			out = c.appendOK(out, res.Tag, m.op, res)
 		}
-		if res.Err != nil {
-			out = appendResponseV2(out, id, statusOf(res.Err), []byte(res.Err.Error()))
-			return
+		if len(out) >= flushThreshold {
+			flush()
 		}
-		out = c.appendOK(out, id, m.op, res)
 	}
 
 	for {
-		if submits == nil && direct == nil && c.outstanding.Load() == 0 {
-			flush()
-			return
+		// Encode everything ready with plain receives: the writer is the
+		// only receiver on both channels, so a non-zero len cannot block.
+		for len(c.done) > 0 || len(direct) > 0 {
+			if len(c.done) > 0 {
+				complete(<-c.done)
+			} else {
+				dr := <-direct
+				out = appendResponseV2(out, dr.id, dr.status, dr.body)
+			}
 		}
-		// Batch whatever is ready; flush the moment the connection goes
-		// quiet. (A closed channel has len 0 and is taken, and set to nil,
-		// by the select below.)
-		if len(out) > 0 && len(c.done) == 0 && len(direct) == 0 && len(submits) == 0 {
-			flush()
+		// The connection went quiet: flush, then park. direct is nil only
+		// once the reader has closed it, after its last touch of pending.
+		flush()
+		if direct == nil && len(c.pending) == 0 {
+			return
 		}
 		select {
 		case res := <-c.done:
@@ -287,23 +272,13 @@ func (c *connection) writer() {
 				break
 			}
 			out = appendResponseV2(out, dr.id, dr.status, dr.body)
-		case m, open := <-submits:
-			if !open {
-				submits = nil
-				break
-			}
-			pending[m.id] = m
 		case <-tickC:
-			c.scanTimeouts(pending, timedOut, &out, timeoutMsg)
+			c.scanTimeouts(&out, timeoutMsg)
 		case <-c.s.ctx.Done():
 			// Server shutdown: results still in flight land in the
 			// buffered done channel (capacity = window), so the volume
 			// actor is never blocked by this early exit.
-			flush()
 			return
-		}
-		if len(out) >= flushThreshold {
-			flush()
 		}
 	}
 }
@@ -311,12 +286,15 @@ func (c *connection) writer() {
 // scanTimeouts answers StatusTimeout for every pending request past the
 // deadline. The request still executes; its result is later counted in
 // Abandoned.
-func (c *connection) scanTimeouts(pending map[uint64]reqMeta, timedOut map[uint64]bool, out *[]byte, msg []byte) {
+func (c *connection) scanTimeouts(out *[]byte, msg []byte) {
 	d := c.s.opts.RequestTimeout
 	now := time.Now()
-	for id, m := range pending {
-		if !timedOut[id] && now.Sub(m.at) >= d {
-			timedOut[id] = true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, m := range c.pending {
+		if !m.timedOut && now.Sub(m.at) >= d {
+			m.timedOut = true
+			c.pending[id] = m
 			*out = appendResponseV2(*out, id, StatusTimeout, msg)
 		}
 	}

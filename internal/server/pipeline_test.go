@@ -3,9 +3,11 @@ package server
 // Concurrency, leak and allocation coverage for the SMRD2 pipeline:
 // out-of-order completion under load (run with -race), shutdown with
 // requests in flight (exactly one outcome per submit), the
-// Abandoned-drain regression for timed-out pipelined requests, frame
-// pool get/put balance, the zero-alloc codec hot path, and the client's
-// coalescing writer (encode failures, concurrent submitters, teardown).
+// Abandoned-drain regression for timed-out pipelined requests, one
+// response per request under shedding and timeouts, duplicate in-flight
+// IDs, frame pool get/put balance, the zero-alloc codec hot path, and
+// the client's coalescing writer (encode failures, concurrent
+// submitters, teardown).
 
 import (
 	"encoding/binary"
@@ -209,6 +211,126 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 			t.Fatalf("window never freed after drain: %v", err)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPipelineOneResponsePerRequest checks the reader/writer hand-off
+// under shedding, timeouts and a hot pipeline at once: every request ID
+// is answered exactly once, every answer is OK, overloaded or timeout,
+// and every timed-out request's late result is counted in Abandoned.
+// v0 (queue depth 1) and v1 are both stalled for the first burst, so v0
+// sheds at its queue, v1 fills the window of 32 and times out, and the
+// rest is shed at the window; the second burst runs after the release.
+func TestPipelineOneResponsePerRequest(t *testing.T) {
+	cfg := lsConfig("v0")
+	cfg.QueueDepth = 1
+	srv, mgr, addr := newTestServer(t, Options{RequestTimeout: time.Millisecond}, cfg, lsConfig("v1"))
+	v0, _ := mgr.Get("v0")
+	v1, _ := mgr.Get("v1")
+	release0, release1 := stallVolume(t, v0), stallVolume(t, v1)
+	defer release0()
+	defer release1()
+
+	conn := rawDial(t, addr) // window 32
+	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+	fr := newFrameReader(conn, nil)
+	answered := make(map[uint64]bool)
+	counts := make(map[uint8]int)
+	// burst sends IDs [from, to) alternating v0/v1, one Write, and reads
+	// one response for each.
+	burst := func(from, to uint64) {
+		t.Helper()
+		var frames []byte
+		for id := from; id < to; id++ {
+			vol := []string{"v0", "v1"}[id%2]
+			var err error
+			if frames, err = appendRequestV2(frames, id, request{Op: OpWrite, Volume: vol, Extent: geom.Ext(geom.Sector(id%4096*8), 8)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		werr := make(chan error, 1)
+		go func() {
+			_, err := conn.Write(frames)
+			werr <- err
+		}()
+		for range to - from {
+			frame, err := fr.next()
+			if err != nil {
+				t.Fatalf("after %d responses: %v", len(answered), err)
+			}
+			id, status, _, err := parseResponseV2(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id < from || id >= to || answered[id] {
+				t.Fatalf("id %d (%s) answered twice or never sent", id, StatusName(status))
+			}
+			answered[id] = true
+			counts[status]++
+		}
+		if err := <-werr; err != nil {
+			t.Fatalf("write burst: %v", err)
+		}
+	}
+	burst(0, 128)
+	if counts[StatusTimeout] != 32 || counts[StatusOverloaded] != 96 {
+		t.Fatalf("stalled burst: %v, want 32 timeouts and 96 overloaded", counts)
+	}
+	release0()
+	release1()
+	burst(128, 4096)
+	sum := counts[StatusOK] + counts[StatusOverloaded] + counts[StatusTimeout]
+	if sum != len(answered) {
+		t.Fatalf("statuses %v over %d responses, want only OK, overloaded and timeout", counts, len(answered))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Abandoned() != int64(counts[StatusTimeout]) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Abandoned = %d, want the %d timeouts", srv.Abandoned(), counts[StatusTimeout])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Nothing is left to answer: a late duplicate would arrive before
+	// the response to one more request sent now.
+	time.Sleep(5 * time.Millisecond)
+	burst(4096, 4097)
+	t.Logf("%d requests: %d ok, %d overloaded, %d timeout", len(answered), counts[StatusOK], counts[StatusOverloaded], counts[StatusTimeout])
+}
+
+// TestDuplicateInFlightIDRefused: a request reusing the ID of one still
+// in flight on the connection is answered bad-request under that ID,
+// and the first request is answered as usual.
+func TestDuplicateInFlightIDRefused(t *testing.T) {
+	_, mgr, addr := newTestServer(t, Options{}, lsConfig("v0"))
+	v, _ := mgr.Get("v0")
+	release := stallVolume(t, v)
+	defer release()
+
+	conn := rawDial(t, addr)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var frames []byte
+	for range 2 {
+		var err error
+		if frames, err = appendRequestV2(frames, 7, request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	fr := newFrameReader(conn, nil)
+	for _, want := range []uint8{StatusBadRequest, StatusOK} {
+		if want == StatusOK {
+			release()
+		}
+		frame, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, status, body, err := parseResponseV2(frame)
+		if err != nil || id != 7 || status != want {
+			t.Fatalf("id %d %s %q (err %v), want id 7 %s", id, StatusName(status), body, err, StatusName(want))
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 // zero-allocation hot path), while any number of goroutines submit
 // requests concurrently.
 //
-// The actor gives three properties the network service needs:
+// The actor gives four properties the network service needs:
 //
 //   - Determinism: requests execute in queue order, one at a time, so a
 //     volume fed a trace in order produces Stats bit-identical to a
