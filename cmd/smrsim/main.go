@@ -62,7 +62,6 @@ func run(args []string, out io.Writer) error {
 		ckptEvery    = fs.Int64("checkpoint-every", 4096, "checkpoint the STL after this many journal records (with -journal; 0 = never)")
 		crashAfter   = fs.Int64("crash-after", 0, "inject a crash on the Nth journal append, leaving a torn record (with -journal)")
 		recoverFlag  = fs.Bool("recover", false, "recover the STL state from the -journal directory; alone it just reports, with a workload it continues the run")
-		traceOut     = fs.String("trace-out", "", "record the run's event trace to this file (replayable binary; a .txt suffix writes human-readable text)")
 		hist         = fs.Bool("hist", false, "collect seek/fragmentation/latency histograms and print them (with the seek-distance CDF) after the run")
 		metricsAddr  = fs.String("metrics-addr", "", `serve live JSON metrics and expvar on this address while the run is in flight (e.g. "127.0.0.1:8080")`)
 		pprofFlag    = fs.Bool("pprof", false, "also serve net/http/pprof on -metrics-addr")
@@ -84,7 +83,7 @@ func run(args []string, out io.Writer) error {
 	if err := checkModifiers(setFlags, *cache, *journalDir != "", *tracePath != "", *withTime, *all); err != nil {
 		return err
 	}
-	obs := obsvOpts{traceOut: *traceOut, hist: *hist, addr: *metricsAddr, pprof: *pprofFlag}
+	obs := obsvOpts{hist: *hist, addr: *metricsAddr, pprof: *pprofFlag}
 	if err := obs.validate(*all, recoverOnly); err != nil {
 		return err
 	}
@@ -223,29 +222,28 @@ func buildDevice(geometry string, bandSize, pcacheSectors int64, policyName stri
 	}
 }
 
-// obsvOpts carries the observability flags: event-trace recording,
-// histogram collection and the live metrics endpoint.
+// obsvOpts carries the observability flags: histogram collection and
+// the live metrics endpoint.
 type obsvOpts struct {
-	traceOut string
-	hist     bool
-	addr     string
-	pprof    bool
+	hist  bool
+	addr  string
+	pprof bool
 }
 
-func (o obsvOpts) enabled() bool { return o.traceOut != "" || o.hist || o.addr != "" }
+func (o obsvOpts) enabled() bool { return o.hist || o.addr != "" }
 
 // validate rejects observability flags in modes that don't run exactly
 // one simulation: -all runs the whole variant comparison and standalone
-// -recover runs none. -crash-after IS compatible — a crash run's trace
-// replays to the pre-crash stats.
+// -recover runs none. -crash-after IS compatible — the histograms cover
+// the run up to the crash.
 func (o obsvOpts) validate(all, recoverOnly bool) error {
 	switch {
 	case o.pprof && o.addr == "":
 		return fmt.Errorf("-pprof requires -metrics-addr (pprof is served on the metrics endpoint)")
 	case all && o.enabled():
-		return fmt.Errorf("-trace-out/-hist/-metrics-addr cannot be combined with -all (they follow a single run)")
+		return fmt.Errorf("-hist/-metrics-addr cannot be combined with -all (they follow a single run)")
 	case recoverOnly && o.enabled():
-		return fmt.Errorf("-trace-out/-hist/-metrics-addr need a workload to observe; standalone -recover runs none")
+		return fmt.Errorf("-hist/-metrics-addr need a workload to observe; standalone -recover runs none")
 	}
 	return nil
 }
@@ -412,13 +410,6 @@ func runOne(ctx context.Context, out io.Writer, pl *smrseek.Preloaded, cfg smrse
 	if err != nil {
 		return err
 	}
-	var tracer *obsv.Tracer
-	if obs.traceOut != "" {
-		if tracer, err = obsv.Create(obs.traceOut); err != nil {
-			return err
-		}
-		sim.AddProbe(tracer)
-	}
 	var col *obsv.Collector
 	if obs.hist || obs.addr != "" {
 		col = obsv.NewCollector()
@@ -448,19 +439,12 @@ func runOne(ctx context.Context, out io.Writer, pl *smrseek.Preloaded, cfg smrse
 	if err != nil && !crashed {
 		return err
 	}
-	return renderOne(out, cfg, st, base, acc, tracer, col, recovery, obs, crashed)
+	return renderOne(out, cfg, st, base, acc, col, recovery, obs, crashed)
 }
 
 // renderOne prints the result tables for the run.
 func renderOne(out io.Writer, cfg smrseek.Config, st, base smrseek.Stats, acc *disk.TimeAccumulator,
-	tracer *obsv.Tracer, col *obsv.Collector, recovery *stl.ReplayStats, obs obsvOpts, crashed bool) error {
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			return fmt.Errorf("event trace %s: %w", obs.traceOut, err)
-		}
-		fmt.Fprintf(out, "event trace written to %s\n", obs.traceOut)
-	}
-
+	col *obsv.Collector, recovery *stl.ReplayStats, obs obsvOpts, crashed bool) error {
 	tb := report.NewTable(fmt.Sprintf("%s results", cfg.Name()), "metric", "value")
 	tb.AddRow("read seeks", report.HumanCount(st.Disk.ReadSeeks))
 	tb.AddRow("write seeks", report.HumanCount(st.Disk.WriteSeeks))

@@ -11,7 +11,6 @@ import (
 
 	"smrseek"
 	"smrseek/internal/journal"
-	"smrseek/internal/obsv"
 )
 
 func TestRunWorkloadAll(t *testing.T) {
@@ -217,13 +216,15 @@ func TestRunFlagValidation(t *testing.T) {
 
 		// Observability flags follow exactly one simulation: they conflict
 		// with -all (many runs) and with standalone -recover (no run).
-		"pprof without metrics-addr":        {"-workload", "hm_1", "-pprof"},
-		"trace-out with all":                {"-workload", "hm_1", "-all", "-trace-out", "x.trace"},
-		"hist with all":                     {"-workload", "hm_1", "-all", "-hist"},
-		"metrics-addr with all":             {"-workload", "hm_1", "-all", "-metrics-addr", "127.0.0.1:0"},
-		"trace-out with standalone recover": {"-journal", "x", "-recover", "-trace-out", "x.trace"},
-		"hist with standalone recover":      {"-journal", "x", "-recover", "-hist"},
-		"metrics with standalone recover":   {"-journal", "x", "-recover", "-metrics-addr", "127.0.0.1:0"},
+		"pprof without metrics-addr":      {"-workload", "hm_1", "-pprof"},
+		"hist with all":                   {"-workload", "hm_1", "-all", "-hist"},
+		"metrics-addr with all":           {"-workload", "hm_1", "-all", "-metrics-addr", "127.0.0.1:0"},
+		"hist with standalone recover":    {"-journal", "x", "-recover", "-hist"},
+		"metrics with standalone recover": {"-journal", "x", "-recover", "-metrics-addr", "127.0.0.1:0"},
+
+		// -trace-out is not a flag: the run it is added to would
+		// otherwise succeed.
+		"trace-out is unknown": {"-workload", "hm_1", "-scale", "0.05", "-ls", "-trace-out", "x.trace"},
 	}
 	for name, args := range cases {
 		var buf bytes.Buffer
@@ -233,60 +234,23 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunTraceOutReplay records a run's event trace via -trace-out and
-// checks that it replays; -crash-after + -trace-out is the explicitly
-// supported pairing (a crash run's trace replays to the crash stats).
-func TestRunTraceOutReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.trace")
-	var buf bytes.Buffer
-	if err := run([]string{"-workload", "hm_1", "-scale", "0.2", "-ls",
-		"-trace-out", path}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "event trace written to "+path) {
-		t.Errorf("output missing trace note:\n%s", buf.String())
-	}
-	st, err := replayFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Reads == 0 || st.Writes == 0 || st.Disk.TotalSeeks() == 0 {
-		t.Errorf("replayed stats look empty: %+v", st)
-	}
-
-	// Crash run: the trace must still be complete and replayable, and
-	// record the crash.
-	crashPath := filepath.Join(dir, "crash.trace")
-	var cbuf bytes.Buffer
-	if err := run([]string{"-workload", "hm_1", "-scale", "0.2",
-		"-journal", filepath.Join(dir, "wal"), "-crash-after", "30",
-		"-trace-out", crashPath}, &cbuf); err != nil {
-		t.Fatal(err)
-	}
-	cst, err := replayFile(crashPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cst.Durability.Crashed {
-		t.Errorf("crash-run trace replayed without Crashed: %+v", cst.Durability)
-	}
-	if cst.Durability.JournalAppends == 0 {
-		t.Errorf("crash-run trace has no journal appends: %+v", cst.Durability)
-	}
-}
-
+// TestRunHist pins -hist output byte for byte: every bucket count of
+// every histogram and the seek-distance CDF. The run is seeded, so a
+// change here is a change in what the Collector sees. Regenerate a
+// deliberate change with
+//
+//	go run ./cmd/smrsim -workload hm_1 -scale 0.2 -ls -prefetch -cache -hist > cmd/smrsim/testdata/hist.golden
 func TestRunHist(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-workload", "hm_1", "-scale", "0.2", "-ls", "-hist"}, &buf); err != nil {
+	if err := run([]string{"-workload", "hm_1", "-scale", "0.2", "-ls", "-prefetch", "-cache", "-hist"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"seek_distance", "frags_per_read",
-		"read_latency", "write_latency", "seek distance CDF", "P(X<=x)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-hist output missing %q:\n%s", want, out)
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "hist.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("-hist output differs from testdata/hist.golden\n got:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
 
@@ -299,14 +263,4 @@ func TestRunMetricsAddr(t *testing.T) {
 	if !strings.Contains(buf.String(), "serving metrics on http://127.0.0.1:") {
 		t.Errorf("output missing metrics address:\n%s", buf.String())
 	}
-}
-
-// replayFile folds the binary trace file at path back into Stats.
-func replayFile(path string) (smrseek.Stats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return smrseek.Stats{}, err
-	}
-	defer f.Close()
-	return obsv.Replay(f)
 }

@@ -101,12 +101,6 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 // import-qualified selector (pkg.Name) anywhere else. Methods are out of
 // scope: interfaces call them, which a syntactic scan cannot see.
 func TestInternalNamesHaveUsers(t *testing.T) {
-	exempt := map[string]bool{
-		// The decoder of the trace format smrsim -trace-out writes: the
-		// reference that tests check the encoder against (replay ≡ live).
-		"internal/obsv.Replay": true,
-	}
-
 	type file struct {
 		dir string
 		ast *ast.File
@@ -139,7 +133,7 @@ func TestInternalNamesHaveUsers(t *testing.T) {
 
 	declared := map[string]map[string]bool{} // package dir -> exported names
 	for _, f := range files {
-		if !strings.HasPrefix(f.dir, "internal/") || exempt[f.dir] {
+		if !strings.HasPrefix(f.dir, "internal/") {
 			continue
 		}
 		if declared[f.dir] == nil {
@@ -206,7 +200,7 @@ func TestInternalNamesHaveUsers(t *testing.T) {
 	var unused []string
 	for dir, names := range declared {
 		for name := range names {
-			if !used[dir+"."+name] && !exempt[dir+"."+name] {
+			if !used[dir+"."+name] {
 				unused = append(unused, strings.TrimPrefix(dir, "internal/")+"."+name)
 			}
 		}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"testing"
+	"time"
 
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
@@ -189,35 +190,34 @@ func TestInstrumentedArtifacts(t *testing.T) {
 	}
 }
 
-// summaryCounter is a probe that counts the end-of-run summaries it
-// receives.
-type summaryCounter struct{ summaries int }
+// finishCounter is a probe that counts the end-of-run OnFinish calls
+// it receives.
+type finishCounter struct{ finishes int }
 
-func (p *summaryCounter) OnOp(core.OpEvent)           {}
-func (p *summaryCounter) OnAccess(core.AccessEvent)   {}
-func (p *summaryCounter) OnMech(core.MechEvent)       {}
-func (p *summaryCounter) OnJournal(core.JournalEvent) {}
-func (p *summaryCounter) OnSummary(core.Summary)      { p.summaries++ }
+func (p *finishCounter) OnOp(core.OpEvent)          {}
+func (p *finishCounter) OnAccess(disk.Access)       {}
+func (p *finishCounter) OnCheckpoint(time.Duration) {}
+func (p *finishCounter) OnFinish()                  { p.finishes++ }
 
 // TestInstrumentedDeliversSummary pins the Probe contract for the
 // hand-stepped instrumented run: a probe watching it, here the global
 // one the experiments CLI's metrics collector uses, sees exactly one
-// Summary per run.
+// OnFinish per run.
 func TestInstrumentedDeliversSummary(t *testing.T) {
 	prof, err := workload.ByName("hm_1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := prof.Generate(0.05)
-	p := &summaryCounter{}
+	p := &finishCounter{}
 	core.SetGlobalProbe(p)
 	defer core.SetGlobalProbe(nil)
 	for run := 1; run <= 2; run++ {
 		if _, err := InstrumentedContext(context.Background(), recs, core.Config{LogStructured: true}, 100); err != nil {
 			t.Fatal(err)
 		}
-		if p.summaries != run {
-			t.Fatalf("after %d runs the probe saw %d summaries, want %d", run, p.summaries, run)
+		if p.finishes != run {
+			t.Fatalf("after %d runs the probe saw %d finishes, want %d", run, p.finishes, run)
 		}
 	}
 }

@@ -46,15 +46,12 @@ func (s *Simulator) journalAppend(kind journal.RecordKind, lba geom.Extent, pba 
 	err := s.wal.Append(journal.Record{Kind: kind, Lba: lba, Pba: pba})
 	if err == nil {
 		s.stats.Durability.JournalAppends++
-		s.emitJournal(JournalAppend, 0)
 		return true
 	}
 	if errors.Is(err, journal.ErrCrashed) {
 		s.stats.Durability.Crashed = true
-		s.emitJournal(JournalCrash, 0)
 	} else {
 		s.stats.Durability.AppendFailures++
-		s.emitJournal(JournalAppendFailure, 0)
 	}
 	s.jerr = err
 	return false
@@ -76,13 +73,15 @@ func (s *Simulator) maybeCheckpoint() {
 	if err := s.wal.Checkpoint(s.ls.Snapshot()); err != nil {
 		if errors.Is(err, journal.ErrCrashed) {
 			s.stats.Durability.Crashed = true
-			s.emitJournal(JournalCrash, 0)
 		}
 		s.jerr = err
 		return
 	}
 	s.stats.Durability.Checkpoints++
-	s.emitJournal(JournalCheckpoint, time.Since(start))
+	dur := time.Since(start)
+	for _, p := range s.probes {
+		p.OnCheckpoint(dur)
+	}
 }
 
 // Commit flushes the journal records buffered since the last Commit

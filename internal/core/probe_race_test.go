@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"smrseek/internal/disk"
 	"smrseek/internal/geom"
@@ -13,14 +14,13 @@ import (
 // countingProbe tallies events with atomics so one instance can serve as
 // a global probe shared by concurrently-running simulators.
 type countingProbe struct {
-	ops, accesses, summaries atomic.Int64
+	ops, accesses, finishes atomic.Int64
 }
 
-func (p *countingProbe) OnOp(OpEvent)           { p.ops.Add(1) }
-func (p *countingProbe) OnAccess(AccessEvent)   { p.accesses.Add(1) }
-func (p *countingProbe) OnMech(MechEvent)       {}
-func (p *countingProbe) OnJournal(JournalEvent) {}
-func (p *countingProbe) OnSummary(Summary)      { p.summaries.Add(1) }
+func (p *countingProbe) OnOp(OpEvent)               { p.ops.Add(1) }
+func (p *countingProbe) OnAccess(disk.Access)       { p.accesses.Add(1) }
+func (p *countingProbe) OnCheckpoint(time.Duration) {}
+func (p *countingProbe) OnFinish()                  { p.finishes.Add(1) }
 
 // TestConcurrentSimulatorsPerProbeIsolation is the multi-tenant hazard
 // test: many simulators constructed and run concurrently, each with its
@@ -62,8 +62,8 @@ func TestConcurrentSimulatorsPerProbeIsolation(t *testing.T) {
 		if got := p.ops.Load(); got != ops {
 			t.Errorf("probe %d saw %d ops, want exactly its own simulator's %d", i, got, ops)
 		}
-		if got := p.summaries.Load(); got != 1 {
-			t.Errorf("probe %d saw %d summaries, want 1", i, got)
+		if got := p.finishes.Load(); got != 1 {
+			t.Errorf("probe %d saw %d finishes, want 1", i, got)
 		}
 	}
 }

@@ -225,7 +225,6 @@ type Simulator struct {
 	stats     Stats
 	observers []ReadObserver
 	probes    []Probe // observability probes; empty => zero instrumentation cost
-	inMaint   bool    // true while draining background maintenance I/O
 
 	// Per-simulator scratch buffers the layer appends into, so a warm
 	// run allocates no slice per operation.
@@ -413,35 +412,29 @@ func (s *Simulator) drainMaintenance() {
 	if s.maintainer == nil {
 		return
 	}
-	s.inMaint = true
 	for _, op := range s.maintainer.PendingMaintenance() {
 		s.access(op.Kind, op.Extent)
 		if op.Kind == disk.Read {
 			s.stats.MaintReads++
-			s.emitMech(MechMaintRead, op.Extent.Count)
 		} else {
 			s.stats.MaintWrites++
-			s.emitMech(MechMaintWrite, op.Extent.Count)
 		}
 		s.stats.MaintSectors += op.Extent.Count
 	}
-	s.inMaint = false
 }
 
 // access plays one physical I/O through the disk model and reports it
 // to the probes.
 func (s *Simulator) access(kind disk.OpKind, phys geom.Extent) {
 	a := s.dev.Do(kind, phys)
-	if len(s.probes) != 0 {
-		s.emitAccess(AccessEvent{Op: s.opIndex, Access: a, Maintenance: s.inMaint})
+	for _, p := range s.probes {
+		p.OnAccess(a)
 	}
 }
 
 func (s *Simulator) stepWrite(rec trace.Record) {
 	s.stats.Writes++
-	if len(s.probes) != 0 {
-		s.emitOp(OpEvent{Op: s.opIndex, Kind: disk.Write, Lba: rec.Extent})
-	}
+	s.emitOp(disk.Write, 0)
 	if s.wal != nil {
 		// Write-ahead: the record is logged before the map mutates. A
 		// failed append ends the run with the op unapplied, so the live
@@ -456,9 +449,7 @@ func (s *Simulator) stepWrite(rec trace.Record) {
 		s.access(disk.Write, f.PhysExtent())
 	}
 	if s.cache != nil {
-		if n := s.cache.Invalidate(rec.Extent); n > 0 {
-			s.emitMech(MechCacheInvalidate, int64(n))
-		}
+		s.cache.Invalidate(rec.Extent)
 	}
 	// The prefetch buffer indexes physical log addresses, which are
 	// immutable in LS: no invalidation needed.
@@ -476,9 +467,7 @@ func (s *Simulator) stepRead(rec trace.Record) {
 	if fragmented {
 		s.stats.FragmentedReads++
 	}
-	if len(s.probes) != 0 {
-		s.emitOp(OpEvent{Op: s.opIndex, Kind: disk.Read, Lba: rec.Extent, Frags: len(frags)})
-	}
+	s.emitOp(disk.Read, len(frags))
 
 	ev := ReadEvent{OpIndex: s.opIndex, Lba: rec.Extent, Fragments: frags}
 	for _, o := range s.observers {
@@ -487,16 +476,11 @@ func (s *Simulator) stepRead(rec trace.Record) {
 
 	for _, f := range frags {
 		// Algorithm 3: on fragmented reads, try RAM first.
-		if fragmented && s.cache != nil {
-			if s.cache.Has(f.Lba) {
-				s.emitMech(MechCacheHit, 0)
-				continue // served from cache: no disk access, no seek
-			}
-			s.emitMech(MechCacheMiss, 0)
+		if fragmented && s.cache != nil && s.cache.Has(f.Lba) {
+			continue // served from cache: no disk access, no seek
 		}
 		// Algorithm 2: on fragmented reads, try the drive buffer.
 		if fragmented && s.prefetch != nil && s.prefetch.Covers(f.PhysExtent()) {
-			s.emitMech(MechPrefetchHit, 0)
 			continue // served from the drive buffer: no seek
 		}
 		s.access(disk.Read, f.PhysExtent())
@@ -533,5 +517,4 @@ func (s *Simulator) relocate(lba geom.Extent) {
 		s.access(disk.Write, f.PhysExtent())
 	}
 	s.defrag.NoteWriteback(lba.Count)
-	s.emitMech(MechDefragWriteback, lba.Count)
 }

@@ -1,3 +1,10 @@
+// Package obsv is the simulator's observability layer: streaming
+// log-bucketed histograms for seek distance, fragmentation, modelled
+// latency and journal checkpoint cost, and a small HTTP server exposing
+// live counters, histogram snapshots and pprof while a run is in flight.
+//
+// The Collector attaches to a core.Simulator through the core.Probe
+// interface; a simulator with no probe attached pays nothing.
 package obsv
 
 import (
@@ -107,8 +114,7 @@ func (c *Collector) OnOp(ev core.OpEvent) {
 }
 
 // OnAccess implements core.Probe.
-func (c *Collector) OnAccess(ev core.AccessEvent) {
-	a := ev.Access
+func (c *Collector) OnAccess(a disk.Access) {
 	lat := int64(c.model.AccessTime(a) / time.Microsecond)
 	c.mu.Lock()
 	if a.Seeked {
@@ -125,21 +131,15 @@ func (c *Collector) OnAccess(ev core.AccessEvent) {
 	}
 }
 
-// OnMech implements core.Probe.
-func (c *Collector) OnMech(core.MechEvent) {}
-
-// OnJournal implements core.Probe.
-func (c *Collector) OnJournal(ev core.JournalEvent) {
-	if ev.Kind != core.JournalCheckpoint {
-		return
-	}
+// OnCheckpoint implements core.Probe.
+func (c *Collector) OnCheckpoint(d time.Duration) {
 	c.mu.Lock()
-	c.fsync.Observe(int64(ev.Dur / time.Microsecond))
+	c.fsync.Observe(int64(d / time.Microsecond))
 	c.mu.Unlock()
 }
 
-// OnSummary implements core.Probe.
-func (c *Collector) OnSummary(core.Summary) { c.pollCleaning() }
+// OnFinish implements core.Probe.
+func (c *Collector) OnFinish() { c.pollCleaning() }
 
 // SeekDistanceCDF returns the seek-distance histogram's boundary-exact
 // CDF (see metrics.CDFPoints): the one-pass equivalent of the Figure 4

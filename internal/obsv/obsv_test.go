@@ -1,12 +1,8 @@
 package obsv_test
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"smrseek/internal/core"
@@ -39,52 +35,51 @@ func workload(seed int64, n int) []trace.Record {
 	return recs
 }
 
-// runTraced runs cfg over recs with a binary tracer attached and
-// returns the live stats (Config cleared for comparison) plus the
-// recorded trace. A journal crash is allowed; any other error fails t.
-func runTraced(t *testing.T, cfg core.Config, recs []trace.Record) (core.Stats, []byte) {
+// runCollected runs cfg over recs with a Collector attached and
+// returns the live stats and the collector's final snapshot. A journal
+// crash is allowed; any other error fails t.
+func runCollected(t *testing.T, cfg core.Config, recs []trace.Record) (core.Stats, obsv.Snapshot) {
 	t.Helper()
-	sim, err := core.NewSimulator(cfg)
+	col := obsv.NewCollector()
+	sim, err := core.NewSimulator(cfg, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tr := obsv.NewTracer(&buf)
-	sim.AddProbe(tr)
 	st, err := sim.Run(trace.NewSliceReader(recs))
 	if err != nil && !errors.Is(err, journal.ErrCrashed) {
 		t.Fatal(err)
 	}
-	if err := tr.Close(); err != nil {
-		t.Fatalf("tracer: %v", err)
-	}
-	st.Config = core.Config{}
-	return st, buf.Bytes()
+	return st, col.Snapshot()
 }
 
-func assertReplayMatches(t *testing.T, name string, want core.Stats, raw []byte) {
+// assertCollectorMatches checks that every logical op and every
+// physical I/O of the run reached the probe: the snapshot's counters
+// and histogram totals equal the live Stats.
+func assertCollectorMatches(t *testing.T, name string, st core.Stats, snap obsv.Snapshot) {
 	t.Helper()
-	got, err := obsv.Replay(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("%s: replay: %v", name, err)
-	}
-	if got != want {
-		t.Errorf("%s: replayed stats diverge\n got: %+v\nwant: %+v", name, got, want)
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"Reads", snap.Reads, st.Reads},
+		{"Writes", snap.Writes, st.Writes},
+		{"Ops", snap.Ops, st.Reads + st.Writes},
+		{"Seeks", snap.Seeks, st.Disk.TotalSeeks()},
+		{"FragsPerRead.Total", snap.FragsPerRead.Total, st.Reads},
+		{"ReadLatency.Total", snap.ReadLatency.Total, st.Disk.ReadOps},
+		{"WriteLatency.Total", snap.WriteLatency.Total, st.Disk.WriteOps},
+		{"JournalFsync.Total", snap.JournalFsync.Total, st.Durability.Checkpoints},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: snapshot %s = %d, live stats say %d", name, c.what, c.got, c.want)
+		}
 	}
 }
 
-// replayFile folds the binary trace file at path back into Stats.
-func replayFile(path string) (core.Stats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	defer f.Close()
-	return obsv.Replay(f)
-}
-
-// TestReplayMatrix replays traces of every layer/mechanism
-// combination and demands bit-identical Stats.
+// TestReplayMatrix replays one workload through every layer/mechanism
+// combination with a Collector attached and demands that the Collector
+// saw exactly the run the live Stats describe — maintenance I/O (mcache)
+// and defrag write-backs included.
 func TestReplayMatrix(t *testing.T) {
 	recs := workload(42, 800)
 	frontier := core.FrontierFor(recs)
@@ -105,23 +100,25 @@ func TestReplayMatrix(t *testing.T) {
 		"mcache": {CustomLayer: mc},
 	}
 	for name, cfg := range cases {
-		st, raw := runTraced(t, cfg, recs)
-		assertReplayMatches(t, name, st, raw)
+		st, snap := runCollected(t, cfg, recs)
+		assertCollectorMatches(t, name, st, snap)
 		if name == "mcache" && st.MaintReads == 0 {
 			t.Error("mcache variant produced no maintenance I/O")
+		}
+		if name == "LS+all" && st.DefragWritebacks == 0 {
+			t.Error("LS+all variant produced no defrag write-back")
 		}
 	}
 }
 
-// TestReplayCrashRecover is the acceptance test: trace a run that
-// crashes at an injected point, replay it to the crash run's exact
-// Stats; then recover the layer from disk, finish the workload on it
-// (journaled again, traced again) and replay that run exactly too.
+// TestReplayCrashRecover runs a journaled workload that crashes
+// mid-record, then finishes it on the layer recovered from the torn
+// journal (journaled again), with a Collector attached to each run: both
+// snapshots must match their run's live Stats, checkpoint fsyncs included.
 func TestReplayCrashRecover(t *testing.T) {
 	recs := workload(7, 500)
 	frontier := core.FrontierFor(recs)
 	defrag := core.DefaultDefragConfig()
-
 	dir := t.TempDir()
 	log, err := journal.Open(dir, frontier)
 	if err != nil {
@@ -131,12 +128,15 @@ func TestReplayCrashRecover(t *testing.T) {
 	cfg := core.Config{LogStructured: true, FrontierStart: frontier,
 		Defrag:  &defrag,
 		Journal: &core.JournalConfig{Log: log, CheckpointEvery: 32}}
-	st, raw := runTraced(t, cfg, recs)
+	st, snap := runCollected(t, cfg, recs)
 	log.Close()
 	if !st.Durability.Crashed {
 		t.Fatal("crash point did not fire")
 	}
-	assertReplayMatches(t, "crash-run", st, raw)
+	if st.Durability.Checkpoints == 0 {
+		t.Error("crash run took no checkpoint")
+	}
+	assertCollectorMatches(t, "crash-run", st, snap)
 
 	recovered, rst, err := stl.RecoverDir(dir)
 	if err != nil {
@@ -155,109 +155,14 @@ func TestReplayCrashRecover(t *testing.T) {
 	}
 	cfg2 := core.Config{CustomLayer: recovered,
 		Journal: &core.JournalConfig{Log: log2, CheckpointEvery: 32}}
-	st2, raw2 := runTraced(t, cfg2, recs[60:])
+	st2, snap2 := runCollected(t, cfg2, recs[60:])
 	if st2.Durability.Crashed {
 		t.Fatal("continuation run crashed unexpectedly")
 	}
-	assertReplayMatches(t, "recover-run", st2, raw2)
-}
-
-func TestTraceFileRoundTrip(t *testing.T) {
-	recs := workload(3, 300)
-	frontier := core.FrontierFor(recs)
-	path := filepath.Join(t.TempDir(), "run.trace")
-	tr, err := obsv.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	if st2.Durability.Checkpoints == 0 {
+		t.Error("continuation run took no checkpoint")
 	}
-	sim, err := core.NewSimulator(core.Config{LogStructured: true, FrontierStart: frontier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.AddProbe(tr)
-	st, err := sim.Run(trace.NewSliceReader(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := replayFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Config = core.Config{}
-	if got != st {
-		t.Errorf("file round trip diverges\n got: %+v\nwant: %+v", got, st)
-	}
-}
-
-func TestTextTracer(t *testing.T) {
-	recs := workload(9, 120)
-	frontier := core.FrontierFor(recs)
-	sim, err := core.NewSimulator(core.Config{LogStructured: true, FrontierStart: frontier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tr := obsv.NewTextTracer(&buf)
-	sim.AddProbe(tr)
-	if _, err := sim.Run(trace.NewSliceReader(recs)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"op ", "read  lba", "write lba", "access", "seek=", "summary waf="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text trace missing %q:\n%s", want, out[:min(len(out), 600)])
-		}
-	}
-	// A ".txt" Create selects the text sink.
-	path := filepath.Join(t.TempDir(), "run.txt")
-	tt, err := obsv.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt.OnSummary(core.Summary{WAF: 1})
-	if err := tt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := replayFile(path); err == nil {
-		t.Error("replaying a text trace must fail")
-	}
-}
-
-func TestReplayErrors(t *testing.T) {
-	if _, err := obsv.Replay(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := obsv.Replay(strings.NewReader("not a trace at all")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// A version-1 trace carried fault flags and a second summary record
-	// this reader no longer decodes.
-	if _, err := obsv.Replay(strings.NewReader("SMRTRC\x00\x01")); err == nil {
-		t.Error("version-1 header accepted")
-	}
-	// Valid header, torn record.
-	var buf bytes.Buffer
-	tr := obsv.NewTracer(&buf)
-	tr.OnMech(core.MechEvent{Kind: core.MechCacheHit})
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	if _, err := obsv.Replay(bytes.NewReader(whole[:len(whole)-5])); err == nil {
-		t.Error("torn record accepted")
-	}
-	// Unknown record kind.
-	bad := append([]byte(nil), whole...)
-	bad[8] = 0xEE // first record's kind byte
-	if _, err := obsv.Replay(bytes.NewReader(bad)); err == nil {
-		t.Error("unknown record kind accepted")
-	}
+	assertCollectorMatches(t, "recover-run", st2, snap2)
 }
 
 // TestGlobalProbe checks that a collector attached process-wide via

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"time"
 
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
@@ -189,10 +190,9 @@ func (p *fragProbe) OnOp(ev core.OpEvent) {
 		p.frags = ev.Frags
 	}
 }
-func (p *fragProbe) OnAccess(core.AccessEvent)   {}
-func (p *fragProbe) OnMech(core.MechEvent)       {}
-func (p *fragProbe) OnJournal(core.JournalEvent) {}
-func (p *fragProbe) OnSummary(core.Summary)      {}
+func (p *fragProbe) OnAccess(disk.Access)       {}
+func (p *fragProbe) OnCheckpoint(time.Duration) {}
+func (p *fragProbe) OnFinish()                  {}
 
 // Open builds the volume and starts its actor. With JournalDir set, a
 // directory already holding state is recovered first (checkpoint +
@@ -448,10 +448,10 @@ func (v *Volume) checkpoint() error {
 }
 
 // shutdown finishes the run on the actor goroutine once the queue is
-// drained: final checkpoint (journaled volumes), end-of-run Summary to
-// the collector, final stats freeze, journal close — in that order, so
-// the on-disk checkpoint reflects every executed request and the
-// collector's Summary arrives after the last op.
+// drained: final checkpoint (journaled volumes), OnFinish to the
+// collector, final stats freeze, journal close — in that order, so the
+// on-disk checkpoint reflects every executed request and the
+// collector's OnFinish arrives after the last op.
 func (v *Volume) shutdown() {
 	var err error
 	if v.wal != nil && v.ls != nil && v.sim.JournalErr() == nil {

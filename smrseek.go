@@ -78,10 +78,10 @@ type (
 	// Extent is a half-open range of 512-byte sectors.
 	Extent = geom.Extent
 
-	// Probe receives a run's low-level observability event stream;
-	// attach implementations via NewSimulator or Simulator.AddProbe
-	// (internal/obsv provides a replayable tracer and a histogram
-	// collector).
+	// Probe receives a run's observability events (ops, physical
+	// I/Os, checkpoints, end of run); attach implementations via
+	// NewSimulator or Simulator.AddProbe (internal/obsv provides a
+	// histogram collector).
 	Probe = core.Probe
 )
 
