@@ -8,7 +8,7 @@ import (
 
 // The visitor APIs are the simulator's per-access hot path; these tests
 // pin their steady-state allocation count at zero. "Steady state" means
-// the map's leaves, spare leaf and overlap scratch buffer have been
+// the map's leaves, spare leaf and overflow scratch buffer have been
 // warmed by a few rounds of the same traffic — exactly the regime a long
 // simulation run settles into.
 

@@ -13,10 +13,11 @@
 // The mappings are kept in LBA order as a list of short sorted leaves,
 // each at most leafMax long. A search is a binary search over the
 // leaves' first starts and then one inside a leaf. An insert or delete
-// moves at most one leaf's mappings, and the leaf list only when a leaf
-// splits or merges; that list holds one entry per 32–128 mappings, so
-// it stays short even for the million-extent maps that long traces
-// build up.
+// is one such search and one splice that replaces the overlapped run
+// with at most three mappings; it moves one leaf's mappings, and the
+// leaf list only when a leaf splits, merges or a run spans leaves. That
+// list holds one entry per 32–128 mappings, so it stays short even for
+// the million-extent maps that long traces build up.
 package extmap
 
 import (
@@ -44,11 +45,11 @@ func (m Mapping) String() string {
 	return fmt.Sprintf("%v->%d", m.Lba, m.Pba)
 }
 
-// leafMax is the most mappings one leaf holds. A full leaf splits into
-// halves; a delete merges a leaf into a neighbour when the two together
-// hold at most leafMax/2, so every adjacent pair of leaves holds more
-// than leafMax/2 and a map of n mappings has at most 4·n/leafMax+1
-// leaves.
+// leafMax is the most mappings one leaf holds. A splice that overflows
+// a leaf cuts it into halves; one that leaves two neighbours holding at
+// most leafMax/2 together merges them, so every adjacent pair of leaves
+// holds more than leafMax/2 and a map of n mappings has at most
+// 4·n/leafMax+1 leaves.
 const leafMax = 128
 
 // Map is the extent map. The zero value is an empty map ready to use.
@@ -57,7 +58,7 @@ type Map struct {
 	// non-empty runs of at most leafMax; every leaf's array has capacity
 	// leafMax, so inserts and merges within it never reallocate.
 	leaves [][]Mapping
-	// spare is the array of the last leaf a delete emptied or merged
+	// spare is the array of the last leaf a splice emptied or merged
 	// away, reused by the next split so delete/insert churn does not
 	// allocate.
 	spare []Mapping
@@ -66,11 +67,11 @@ type Map struct {
 	// and contiguous in PBA space at Insert time, keeping the map minimal.
 	coalesce bool
 	// mapped caches the total mapped sector count so MappedSectors is
-	// O(1); insert/deleteStart keep it current and CheckInvariants
+	// O(1); every splice keeps it current and CheckInvariants
 	// cross-checks it against a direct sum.
 	mapped int64
-	// scratch is the reusable overlap buffer for InsertFunc/DeleteFunc;
-	// it is why callbacks must not mutate the map re-entrantly.
+	// scratch stages a leaf that a splice overflows before it is cut in
+	// two; it is reused across splices.
 	scratch []Mapping
 }
 
@@ -133,67 +134,136 @@ func (t *Map) newLeaf() []Mapping {
 	return make([]Mapping, 0, leafMax)
 }
 
-// insert adds a mapping known not to overlap any existing mapping.
-func (t *Map) insert(m Mapping) {
-	t.n++
-	t.mapped += m.Lba.Count
-	if len(t.leaves) == 0 {
-		t.leaves = append(t.leaves, append(t.newLeaf(), m))
-		return
-	}
-	i := t.leafFor(m.Lba.Start)
-	leaf := t.leaves[i]
-	j := firstEndingAfter(leaf, m.Lba.Start)
-	if len(leaf) == leafMax {
-		right := append(t.newLeaf(), leaf[leafMax/2:]...)
-		leaf = leaf[:leafMax/2]
-		t.leaves[i] = leaf
-		t.leaves = slices.Insert(t.leaves, i+1, right)
-		if j > leafMax/2 {
-			i, leaf, j = i+1, right, j-leafMax/2
-		}
-	}
-	t.leaves[i] = slices.Insert(leaf, j, m)
-}
-
-// deleteStart removes the mapping whose LBA start equals start; count is
-// its sector count (every caller holds the full mapping), used to keep
-// the MappedSectors cache current. A leaf left with at most leafMax/2
-// mappings together with a neighbour is merged into it.
-func (t *Map) deleteStart(start geom.Sector, count int64) {
-	if len(t.leaves) == 0 {
-		return
-	}
-	i := t.leafFor(start)
-	leaf := t.leaves[i]
-	j := firstEndingAfter(leaf, start)
-	if j == len(leaf) || leaf[j].Lba.Start != start {
-		return
-	}
-	t.n--
-	t.mapped -= count
-	leaf = slices.Delete(leaf, j, j+1)
-	t.leaves[i] = leaf
-	switch {
-	case i > 0 && len(t.leaves[i-1])+len(leaf) <= leafMax/2:
-		t.mergeNext(i - 1)
-	case i+1 < len(t.leaves) && len(leaf)+len(t.leaves[i+1]) <= leafMax/2:
-		t.mergeNext(i)
-	case len(leaf) == 0:
-		t.dropLeaf(i)
-	}
-}
-
-// mergeNext appends leaf i+1 to leaf i and drops it.
-func (t *Map) mergeNext(i int) {
-	t.leaves[i] = append(t.leaves[i], t.leaves[i+1]...)
-	t.dropLeaf(i + 1)
-}
-
 // dropLeaf removes leaf i, keeping its array as the spare.
 func (t *Map) dropLeaf(i int) {
 	t.spare = t.leaves[i]
 	t.leaves = slices.Delete(t.leaves, i, i+1)
+}
+
+// splice is the map's one mutation: it punches q out of the map and,
+// when add is set, maps q to the physical run at pba. One search finds
+// the first mapping ending after q.Start, and a forward scan, which may
+// cross into later leaves, the end of the run overlapping q; each
+// displaced piece, clipped to q, goes to fn before anything moves. The
+// run is then replaced in one splice by at most three mappings: the left
+// remainder, the new mapping and the right remainder. A coalescing map
+// also takes the LBA-adjacent neighbours into the run, so the new
+// mapping merges with whatever precedes and follows it once the hole is
+// punched — a remainder, or a neighbour in the same or the next leaf.
+func (t *Map) splice(q geom.Extent, pba geom.Sector, add bool, fn func(Mapping) bool) {
+	if q.Empty() || !add && t.n == 0 {
+		return
+	}
+	if len(t.leaves) == 0 {
+		t.leaves = append(t.leaves, t.newLeaf())
+	}
+	i := t.leafFor(q.Start)
+	j := firstEndingAfter(t.leaves[i], q.Start)
+	if j == len(t.leaves[i]) && i+1 < len(t.leaves) {
+		i, j = i+1, 0
+	}
+	// The run is leaf i from j on, through leaf ei up to but excluding ej.
+	ei, ej, removed, covered := i, j, 0, int64(0)
+	notify := fn != nil
+	for {
+		leaf := t.leaves[ei]
+		for ; ej < len(leaf) && leaf[ej].Lba.Start < q.End(); ej++ {
+			old := leaf[ej]
+			ov := old.Lba.Intersect(q)
+			removed++
+			covered += ov.Count
+			if notify {
+				notify = fn(Mapping{Lba: ov, Pba: old.Pba + (ov.Start - old.Lba.Start)})
+			}
+		}
+		if ej < len(leaf) || ei+1 == len(t.leaves) || t.leaves[ei+1][0].Lba.Start >= q.End() {
+			break
+		}
+		ei, ej = ei+1, 0
+	}
+	var left, mid, right Mapping
+	if removed > 0 {
+		if f := t.leaves[i][j]; f.Lba.Start < q.Start {
+			left = Mapping{Lba: geom.Span(f.Lba.Start, q.Start), Pba: f.Pba}
+		}
+		if l := t.leaves[ei][ej-1]; l.Lba.End() > q.End() {
+			right = Mapping{Lba: geom.Span(q.End(), l.Lba.End()), Pba: l.Pba + (q.End() - l.Lba.Start)}
+		}
+	}
+	if add {
+		mid = Mapping{Lba: q, Pba: pba}
+		if t.coalesce {
+			// A neighbour ending at q.Start or starting at q.End() is
+			// never beside a remainder; it joins the run as one.
+			pi, pj := i, j-1
+			if j == 0 && i > 0 {
+				pi, pj = i-1, len(t.leaves[i-1])-1
+			}
+			if pj >= 0 && t.leaves[pi][pj].Lba.End() == q.Start {
+				left, i, j, removed = t.leaves[pi][pj], pi, pj, removed+1
+			}
+			ni, nj := ei, ej
+			if nj == len(t.leaves[ni]) && ni+1 < len(t.leaves) {
+				ni, nj = ni+1, 0
+			}
+			if nj < len(t.leaves[ni]) && t.leaves[ni][nj].Lba.Start == q.End() {
+				right, ei, ej, removed = t.leaves[ni][nj], ni, nj+1, removed+1
+			}
+		}
+	}
+	var buf [3]Mapping
+	repl := buf[:0]
+	for _, m := range [...]Mapping{left, mid, right} {
+		switch n := len(repl); {
+		case m.Lba.Empty():
+		case n > 0 && t.coalesce && repl[n-1].Lba.End() == m.Lba.Start && repl[n-1].PhysEnd() == m.Pba:
+			repl[n-1].Lba.Count += m.Lba.Count
+		default:
+			repl = append(repl, m)
+		}
+	}
+	t.n += len(repl) - removed
+	t.mapped += mid.Lba.Count - covered
+	if ei > i {
+		// Keep the head of leaf i and the tail of leaf ei, drop the
+		// leaves between, and splice into the end of leaf i.
+		t.leaves[i] = t.leaves[i][:j]
+		t.leaves[ei] = slices.Delete(t.leaves[ei], 0, ej)
+		if ei > i+1 {
+			t.spare = t.leaves[i+1]
+			t.leaves = slices.Delete(t.leaves, i+1, ei)
+		}
+		ej = j
+	}
+	if leaf := t.leaves[i]; len(leaf)-(ej-j)+len(repl) <= leafMax {
+		t.leaves[i] = slices.Replace(leaf, j, ej, repl...)
+	} else {
+		// Overflow: stage the leaf in scratch and cut it into halves.
+		s := append(append(append(t.scratch[:0], leaf[:j]...), repl...), leaf[ej:]...)
+		t.scratch = s
+		t.leaves[i] = append(leaf[:0], s[:len(s)/2]...)
+		t.leaves = slices.Insert(t.leaves, i+1, append(t.newLeaf(), s[len(s)/2:]...))
+	}
+	t.rebalance(i)
+}
+
+// rebalance restores the leaf invariants after a splice that changed
+// leaves i to i+2 at most: an empty leaf is dropped and a leaf holding
+// at most leafMax/2 together with the next one absorbs it, until every
+// adjacent pair from leaf i-1 on holds more. Removing a run can shrink
+// two leaves at once, so one merge is not always enough.
+func (t *Map) rebalance(i int) {
+	for k := max(i-1, 0); k <= i+2 && k < len(t.leaves); {
+		switch {
+		case len(t.leaves[k]) == 0:
+			t.dropLeaf(k)
+		case k+1 < len(t.leaves) && len(t.leaves[k])+len(t.leaves[k+1]) <= leafMax/2:
+			t.leaves[k] = append(t.leaves[k], t.leaves[k+1]...)
+			t.dropLeaf(k + 1)
+		default:
+			k++
+		}
+	}
 }
 
 // visitOverlapping calls fn with every mapping overlapping q, in
@@ -219,18 +289,6 @@ func (t *Map) visitOverlapping(q geom.Extent, fn func(Mapping) bool) bool {
 	return true
 }
 
-// overlapScratch fills t.scratch with the mappings overlapping q, in
-// ascending LBA order, so mutators can iterate a stable snapshot while
-// they restructure the leaves. The buffer is reused across calls.
-func (t *Map) overlapScratch(q geom.Extent) []Mapping {
-	t.scratch = t.scratch[:0]
-	t.visitOverlapping(q, func(m Mapping) bool {
-		t.scratch = append(t.scratch, m)
-		return true
-	})
-	return t.scratch
-}
-
 // InsertFunc maps the LBA extent lba to the physical run starting at
 // pba, replacing any previous mapping of those sectors; overlapped
 // mappings are split or truncated so the disjointness invariant is
@@ -242,14 +300,7 @@ func (t *Map) overlapScratch(q geom.Extent) []Mapping {
 // callback, and fn must not mutate the map. This is the
 // allocation-free core of Insert.
 func (t *Map) InsertFunc(lba geom.Extent, pba geom.Sector, fn func(Mapping) bool) {
-	if lba.Empty() {
-		return
-	}
-	t.DeleteFunc(lba, fn)
-	t.insert(Mapping{Lba: lba, Pba: pba})
-	if t.coalesce {
-		t.coalesceAround(Mapping{Lba: lba, Pba: pba})
-	}
+	t.splice(lba, pba, true, fn)
 }
 
 // Append is InsertFunc(lba, pba, nil) for bulk loads in ascending LBA
@@ -295,66 +346,15 @@ func (t *Map) Insert(lba geom.Extent, pba geom.Sector) []Mapping {
 	return displaced
 }
 
-// coalesceAround merges the just-inserted mapping with its LBA
-// neighbours when they are contiguous in both address spaces. Because
-// mappings are disjoint, only the immediate predecessor and successor
-// can qualify, and both are found with one overlap query widened by a
-// sector on each side.
-func (t *Map) coalesceAround(m Mapping) {
-	lo, hi := m, m
-	t.visitOverlapping(geom.Ext(m.Lba.Start-1, m.Lba.Count+2), func(nb Mapping) bool {
-		if nb.Lba.End() == m.Lba.Start && nb.PhysEnd() == m.Pba {
-			lo = nb
-		}
-		if nb.Lba.Start == m.Lba.End() && m.PhysEnd() == nb.Pba {
-			hi = nb
-		}
-		return true
-	})
-	if lo == m && hi == m {
-		return
-	}
-	if lo != m {
-		t.deleteStart(lo.Lba.Start, lo.Lba.Count)
-	}
-	if hi != m {
-		t.deleteStart(hi.Lba.Start, hi.Lba.Count)
-	}
-	t.deleteStart(m.Lba.Start, m.Lba.Count)
-	t.insert(Mapping{Lba: geom.Span(lo.Lba.Start, hi.Lba.End()), Pba: lo.Pba})
-}
-
 // DeleteFunc removes any mapping of the LBA extent, splitting mappings
 // that straddle its boundary so their parts outside lba survive at
 // their original physical placement. Each removed piece is passed to fn
 // in ascending LBA order; fn may be nil. A false return stops further
 // notifications, but the delete itself always completes. The Mapping
 // value is only valid during the callback, and fn must not mutate the
-// map. This is the allocation-free core of Delete and of InsertFunc's
-// hole punch.
+// map. This is the allocation-free core of Delete.
 func (t *Map) DeleteFunc(lba geom.Extent, fn func(Mapping) bool) {
-	if lba.Empty() {
-		return
-	}
-	notify := fn != nil
-	for _, old := range t.overlapScratch(lba) {
-		t.deleteStart(old.Lba.Start, old.Lba.Count)
-		if notify {
-			ov := old.Lba.Intersect(lba)
-			notify = fn(Mapping{Lba: ov, Pba: old.Pba + (ov.Start - old.Lba.Start)})
-		}
-		// A mapping overlapping lba leaves at most a left and a right
-		// remainder.
-		if old.Lba.Start < lba.Start {
-			t.insert(Mapping{Lba: geom.Span(old.Lba.Start, lba.Start), Pba: old.Pba})
-		}
-		if old.Lba.End() > lba.End() {
-			t.insert(Mapping{
-				Lba: geom.Span(lba.End(), old.Lba.End()),
-				Pba: old.Pba + (lba.End() - old.Lba.Start),
-			})
-		}
-	}
+	t.splice(lba, 0, false, fn)
 }
 
 // Delete is DeleteFunc collecting the removed pieces into a fresh

@@ -232,3 +232,108 @@ func FuzzMapOps(f *testing.F) {
 		}
 	})
 }
+
+// leafMap builds a map leaf by leaf, sizes[i] mappings in leaf i, and
+// the reference model holding the same mappings. Mapping k is LBA
+// [4k, 4k+3) at PBA base+4k, so neighbours are a sector apart and a
+// write at PBA base+LBA is contiguous with whatever it touches.
+func leafMap(t *testing.T, mk func() *Map, base geom.Sector, sizes ...int) (*Map, *refModel) {
+	t.Helper()
+	m, total := mk(), 0
+	for _, n := range sizes {
+		total += n
+	}
+	ref := newRefModel(int64(4*total + 8))
+	for k, leaf := 0, 0; leaf < len(sizes); leaf++ {
+		l := make([]Mapping, 0, leafMax)
+		for ; len(l) < sizes[leaf]; k++ {
+			p := Mapping{Lba: geom.Ext(geom.Sector(4*k), 3), Pba: base + geom.Sector(4*k)}
+			l = append(l, p)
+			ref.insert(p.Lba, p.Pba)
+			m.n++
+			m.mapped += p.Lba.Count
+		}
+		m.leaves = append(m.leaves, l)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("built map %v: %v", sizes, err)
+	}
+	return m, ref
+}
+
+// TestSpliceEdges runs the splice's edges — runs spanning several
+// leaves, coalescing across a leaf boundary, an overflowing leaf, and
+// removals that shrink or empty several leaves at once — on New and
+// NewCoalesced maps built leaf by leaf. diffOps checks each op's
+// displaced pieces and their order against the reference model, the
+// invariants and the per-sector totals; each case also pins the leaf
+// count it leaves, so it is known to reach the shape it names.
+func TestSpliceEdges(t *testing.T) {
+	const base, fresh = geom.Sector(1 << 20), geom.Sector(1 << 30)
+	// at returns the LBA of mapping idx of leaf in a map of sizes.
+	at := func(sizes []int, leaf, idx int) geom.Sector {
+		for _, n := range sizes[:leaf] {
+			idx += n
+		}
+		return geom.Sector(4 * idx)
+	}
+	type op struct {
+		kind int
+		ext  geom.Extent
+		pba  geom.Sector
+	}
+	for _, c := range []struct {
+		name   string
+		sizes  []int
+		ops    func(s []int) []op
+		leaves [2]int // want, on New and on NewCoalesced
+	}{
+		{"insert across three leaves", []int{100, 100, 100, 100}, func(s []int) []op {
+			return []op{{0, geom.Span(at(s, 0, 50)+1, at(s, 2, 50)+2), fresh}}
+		}, [2]int{3, 3}},
+		{"delete across three leaves", []int{100, 100, 100, 100}, func(s []int) []op {
+			return []op{{1, geom.Span(at(s, 0, 50)+1, at(s, 2, 50)+2), 0}}
+		}, [2]int{3, 3}},
+		{"coalesce with the last mapping of the previous leaf", []int{100, 100, 100}, func(s []int) []op {
+			gap := at(s, 0, 99) + 3
+			return []op{{0, geom.Ext(gap, 1), base + gap}}
+		}, [2]int{3, 3}},
+		{"coalesce with the first mapping of the next leaf", []int{100, 100, 100}, func(s []int) []op {
+			return []op{{0, geom.Span(at(s, 0, 99), at(s, 1, 0)), base + at(s, 0, 99)}}
+		}, [2]int{3, 3}},
+		{"insert into a full leaf leaving both remainders", []int{60, 128, 60}, func(s []int) []op {
+			return []op{{0, geom.Ext(at(s, 1, 64)+1, 1), fresh}}
+		}, [2]int{4, 4}},
+		{"insert across leaves overflowing the first", []int{128, 128, 128, 40}, func(s []int) []op {
+			return []op{{0, geom.Span(at(s, 0, 127)+1, at(s, 2, 126)+2), fresh}}
+		}, [2]int{3, 3}},
+		{"delete shrinking two leaves to one mapping each", []int{40, 128, 128, 128, 40}, func(s []int) []op {
+			return []op{{1, geom.Span(at(s, 1, 1), at(s, 3, 127)), 0}}
+		}, [2]int{2, 2}},
+		{"delete emptying a run of leaves", []int{40, 128, 128, 128, 40}, func(s []int) []op {
+			return []op{{1, geom.Span(at(s, 1, 0), at(s, 4, 0)), 0}}
+		}, [2]int{2, 2}},
+		{"delete emptying the map", []int{100, 100, 100}, func(s []int) []op {
+			return []op{{1, geom.Span(1, at(s, 2, 99)+3), 0}, {1, geom.Ext(0, 1), 0}}
+		}, [2]int{0, 0}},
+	} {
+		for vi, v := range []struct {
+			name string
+			mk   func() *Map
+		}{{"New", New}, {"NewCoalesced", NewCoalesced}} {
+			t.Run(c.name+"/"+v.name, func(t *testing.T) {
+				m, ref := leafMap(t, v.mk, base, c.sizes...)
+				for _, o := range c.ops(c.sizes) {
+					diffOps(t, m, ref, vi == 1, o.kind, o.ext, o.pba, true)
+				}
+				if got := len(m.leaves); got != c.leaves[vi] {
+					t.Fatalf("%d leaves, want %d", got, c.leaves[vi])
+				}
+				all := geom.Ext(0, int64(len(ref.pba)))
+				if got, want := m.Lookup(all), ref.lookup(all); !resolvedEqual(got, want) {
+					t.Fatalf("final sweep diverges: %v vs %v", got, want)
+				}
+			})
+		}
+	}
+}

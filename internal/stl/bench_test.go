@@ -77,3 +77,38 @@ func BenchmarkRecoverApply(b *testing.B) {
 	b.ReportMetric(float64(len(d.Records)), "records")
 	b.ReportMetric(float64(l.Map().Len()), "mappings")
 }
+
+// BenchmarkLSWrites measures the log-structured write path — one
+// extent-map splice per write — on the write stream of the end-to-end
+// benchmark's durable-write workload: w36 with its seed XOR-ed with 1
+// at scale 2.8, every write sent through LS.WriteAppend into a fresh
+// layer whose frontier starts at the trace's highest LBA. It reports
+// the time per write and the final mapping count.
+func BenchmarkLSWrites(b *testing.B) {
+	p, err := workload.ByName("w36")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Seed ^= 1
+	recs := p.Generate(2.8)
+	frontier := trace.MaxLBA(recs)
+	var writes []geom.Extent
+	for _, r := range recs {
+		if r.Kind == disk.Write && !r.Extent.Empty() {
+			writes = append(writes, r.Extent)
+		}
+	}
+	b.ResetTimer()
+	var (
+		l   *LS
+		dst []Fragment
+	)
+	for i := 0; i < b.N; i++ {
+		l = NewLS(frontier)
+		for _, e := range writes {
+			dst = l.WriteAppend(dst[:0], e)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(writes)), "ns/write")
+	b.ReportMetric(float64(l.Map().Len()), "mappings")
+}
