@@ -9,11 +9,13 @@ package analysis
 import (
 	"context"
 	"sort"
+	"time"
 
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
 	"smrseek/internal/geom"
 	"smrseek/internal/metrics"
+	"smrseek/internal/stl"
 	"smrseek/internal/trace"
 )
 
@@ -177,13 +179,13 @@ func NewPopularity() *Popularity {
 	return &Popularity{counts: make(map[physKey]*FragStat)}
 }
 
-// ObserveRead ingests one resolved read; only fragmented reads contribute
-// (they are what selective caching targets).
-func (p *Popularity) ObserveRead(ev core.ReadEvent) {
-	if len(ev.Fragments) < 2 {
+// ObserveRead ingests one read's resolution; only fragmented reads
+// contribute (they are what selective caching targets).
+func (p *Popularity) ObserveRead(frags []stl.Fragment) {
+	if len(frags) < 2 {
 		return
 	}
-	for _, f := range ev.Fragments {
+	for _, f := range frags {
 		k := physKey{pba: f.Pba, count: f.Lba.Count}
 		st, ok := p.counts[k]
 		if !ok {
@@ -312,44 +314,53 @@ func InstrumentedContext(ctx context.Context, recs []trace.Record, cfg core.Conf
 	if cfg.LogStructured && cfg.FrontierStart == 0 {
 		cfg.FrontierStart = trace.MaxLBA(recs)
 	}
-	sim, err := core.NewSimulator(cfg)
-	if err != nil {
-		return nil, err
-	}
 	a := &Artifacts{
 		DistanceCDF: metrics.NewCDF(),
 		LongSeeks:   metrics.NewSeries(windowOps),
 		Popularity:  NewPopularity(),
 	}
-	var op int64
-	sim.Disk().AddObserver(disk.ObserverFunc(func(acc disk.Access) {
-		if acc.Seeked {
-			a.DistanceCDF.Observe(float64(acc.Distance))
-			if abs64(acc.Distance) > disk.LongSeekSectors {
-				a.LongSeeks.Add(op, 1)
-			}
-		}
-	}))
-	sim.AddReadObserver(func(ev core.ReadEvent) {
-		a.FragCounts = append(a.FragCounts, len(ev.Fragments))
-		a.Popularity.ObserveRead(ev)
-	})
-	const cancelCheckInterval = 64
-	for _, rec := range recs {
-		if op%cancelCheckInterval == 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		sim.Step(rec)
-		op++
+	sim, err := core.NewSimulator(cfg, &figureProbe{a: a})
+	if err != nil {
+		return nil, err
 	}
-	sim.Finish()
-	a.Stats = sim.Stats()
+	st, err := sim.RunContext(ctx, trace.NewSliceReader(recs))
+	if err != nil {
+		return nil, err
+	}
+	a.Stats = st
 	return a, nil
 }
+
+// figureProbe fills an Artifacts during one run: seek distances from the
+// device's accesses, windowed by the operation in progress, and fragment
+// counts and popularity from each read's resolution.
+type figureProbe struct {
+	a *Artifacts
+	// ops counts operations begun; the one in progress has index ops-1.
+	// An empty record begins none, so on a trace holding one the windows
+	// count operations, not records.
+	ops int64
+}
+
+func (p *figureProbe) OnOp(ev core.OpEvent) {
+	p.ops++
+	if ev.Kind == disk.Read {
+		p.a.FragCounts = append(p.a.FragCounts, len(ev.Fragments))
+		p.a.Popularity.ObserveRead(ev.Fragments)
+	}
+}
+
+func (p *figureProbe) ObserveAccess(acc disk.Access) {
+	if acc.Seeked {
+		p.a.DistanceCDF.Observe(float64(acc.Distance))
+		if abs64(acc.Distance) > disk.LongSeekSectors {
+			p.a.LongSeeks.Add(p.ops-1, 1)
+		}
+	}
+}
+
+func (p *figureProbe) OnCheckpoint(time.Duration) {}
+func (p *figureProbe) OnFinish()                  {}
 
 func abs64(v int64) int64 {
 	if v < 0 {

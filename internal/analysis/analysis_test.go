@@ -102,10 +102,10 @@ func TestPopularity(t *testing.T) {
 	hot := []stl.Fragment{frag(100, 8), frag(200, 8)}
 	cold := []stl.Fragment{frag(300, 16), frag(400, 16)}
 	for i := 0; i < 5; i++ {
-		p.ObserveRead(core.ReadEvent{Fragments: hot})
+		p.ObserveRead(hot)
 	}
-	p.ObserveRead(core.ReadEvent{Fragments: cold})
-	p.ObserveRead(core.ReadEvent{Fragments: []stl.Fragment{frag(999, 4)}}) // unfragmented: ignored
+	p.ObserveRead(cold)
+	p.ObserveRead([]stl.Fragment{frag(999, 4)}) // unfragmented: ignored
 	entries := p.Sorted()
 	if len(entries) != 4 {
 		t.Fatalf("entries = %+v", entries)
@@ -195,12 +195,12 @@ func TestInstrumentedArtifacts(t *testing.T) {
 type finishCounter struct{ finishes int }
 
 func (p *finishCounter) OnOp(core.OpEvent)          {}
-func (p *finishCounter) OnAccess(disk.Access)       {}
+func (p *finishCounter) ObserveAccess(disk.Access)  {}
 func (p *finishCounter) OnCheckpoint(time.Duration) {}
 func (p *finishCounter) OnFinish()                  { p.finishes++ }
 
 // TestInstrumentedDeliversSummary pins the Probe contract for the
-// hand-stepped instrumented run: a probe watching it, here the global
+// instrumented run: a probe watching it, here the global
 // one the experiments CLI's metrics collector uses, sees exactly one
 // OnFinish per run.
 func TestInstrumentedDeliversSummary(t *testing.T) {

@@ -8,6 +8,11 @@ import (
 	"smrseek/internal/geom"
 )
 
+// observerFunc adapts a function to the disk.Observer interface.
+type observerFunc func(disk.Access)
+
+func (f observerFunc) ObserveAccess(a disk.Access) { f(a) }
+
 // small returns a device with a tiny, hand-checkable geometry: 100-sector
 // bands over a 1000-sector data region, a 200-sector cache in two
 // 100-sector units at sector 1000.
@@ -110,7 +115,7 @@ func TestRewriteRedirects(t *testing.T) {
 
 	// The physical write must have landed inside the cache region.
 	var cachePhys bool
-	d.AddObserver(disk.ObserverFunc(func(a disk.Access) {
+	d.AddObserver(observerFunc(func(a disk.Access) {
 		if a.Extent.Start >= 1000 {
 			cachePhys = true
 		}
@@ -190,7 +195,7 @@ func TestPolBPlacement(t *testing.T) {
 	write(t, d, 150, 50) // band 1 (starts mid-band: fresh space, passes)
 
 	var phys []geom.Sector
-	d.AddObserver(disk.ObserverFunc(func(a disk.Access) {
+	d.AddObserver(observerFunc(func(a disk.Access) {
 		if a.Kind == disk.Write && a.Extent.Start >= 1000 {
 			phys = append(phys, a.Extent.Start)
 		}
@@ -247,7 +252,7 @@ func TestShelterSeekFree(t *testing.T) {
 
 	// A big rewrite is not sheltered: it goes to the cache region.
 	var cachePhys bool
-	d.AddObserver(disk.ObserverFunc(func(a disk.Access) {
+	d.AddObserver(observerFunc(func(a disk.Access) {
 		if a.Kind == disk.Write && a.Extent.Start >= 1000 {
 			cachePhys = true
 		}

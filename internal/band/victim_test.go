@@ -57,7 +57,7 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.AddObserver(disk.ObserverFunc(func(disk.Access) {
+		d.AddObserver(observerFunc(func(disk.Access) {
 			checkVictims(t, d, pol.String()+" mid-op")
 		}))
 		for _, r := range synthTrace(rng, 4000, true) {

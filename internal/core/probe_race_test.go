@@ -18,7 +18,7 @@ type countingProbe struct {
 }
 
 func (p *countingProbe) OnOp(OpEvent)               { p.ops.Add(1) }
-func (p *countingProbe) OnAccess(disk.Access)       { p.accesses.Add(1) }
+func (p *countingProbe) ObserveAccess(disk.Access)  { p.accesses.Add(1) }
 func (p *countingProbe) OnCheckpoint(time.Duration) {}
 func (p *countingProbe) OnFinish()                  { p.finishes.Add(1) }
 

@@ -188,23 +188,6 @@ type Stats struct {
 // ReadSAF, WriteSAF and TotalSAF are computed against a baseline by the
 // Comparison type in compare.go.
 
-// ReadEvent describes one resolved logical read, delivered to observers
-// before any mechanism intervenes. Analyses (fragment popularity, dynamic
-// fragmentation CDFs) hook in here.
-type ReadEvent struct {
-	// OpIndex is the 0-based index of the operation in the trace.
-	OpIndex int64
-	// Lba is the requested logical extent.
-	Lba geom.Extent
-	// Fragments is the resolution under the configured layer. The slice
-	// is the simulator's reusable scratch buffer: it is only valid for
-	// the duration of the observer call and must be copied to be kept.
-	Fragments []stl.Fragment
-}
-
-// ReadObserver receives every ReadEvent.
-type ReadObserver func(ReadEvent)
-
 // Simulator drives a trace through a translation layer, the configured
 // mechanisms and the seek-counting disk model.
 type Simulator struct {
@@ -221,14 +204,12 @@ type Simulator struct {
 	ckptEvery  int64        // checkpoint threshold in journal records
 	jerr       error        // sticky journal failure; set => run is over
 
-	opIndex   int64
-	stats     Stats
-	observers []ReadObserver
-	probes    []Probe // observability probes; empty => zero instrumentation cost
+	stats  Stats
+	probes []Probe // observability probes; empty => zero instrumentation cost
 
 	// Per-simulator scratch buffers the layer appends into, so a warm
 	// run allocates no slice per operation.
-	fragBuf  []stl.Fragment // read resolutions (also backs ReadEvent.Fragments)
+	fragBuf  []stl.Fragment // read resolutions (also backs OpEvent.Fragments)
 	writeBuf []stl.Fragment // write and relocation placements
 }
 
@@ -302,11 +283,6 @@ func (s *Simulator) Layer() stl.Layer { return s.layer }
 
 // LS returns the log-structured layer, or nil for a NoLS simulator.
 func (s *Simulator) LS() *stl.LS { return s.ls }
-
-// AddReadObserver registers an observer for every resolved read.
-func (s *Simulator) AddReadObserver(o ReadObserver) {
-	s.observers = append(s.observers, o)
-}
 
 // Run consumes the whole trace and returns the accumulated statistics.
 func (s *Simulator) Run(r trace.Reader) (Stats, error) {
@@ -389,20 +365,22 @@ func (s *Simulator) Step(rec trace.Record) {
 }
 
 // Apply processes one trace record without flushing its journal records:
-// a caller that batches acknowledges none of them before its Commit.
-func (s *Simulator) Apply(rec trace.Record) {
+// a caller that batches acknowledges none of them before its Commit. It
+// returns a read's fragment count, the number of physically-contiguous
+// pieces it resolved to; 0 for a write or a skipped record.
+func (s *Simulator) Apply(rec trace.Record) (frags int) {
 	if rec.Extent.Empty() || s.jerr != nil {
-		return
+		return 0
 	}
 	switch rec.Kind {
 	case disk.Read:
-		s.stepRead(rec)
+		frags = s.stepRead(rec)
 	case disk.Write:
 		s.stepWrite(rec)
 	}
 	s.drainMaintenance()
 	s.maybeCheckpoint()
-	s.opIndex++
+	return frags
 }
 
 // drainMaintenance plays the layer's queued background I/O through the
@@ -413,7 +391,7 @@ func (s *Simulator) drainMaintenance() {
 		return
 	}
 	for _, op := range s.maintainer.PendingMaintenance() {
-		s.access(op.Kind, op.Extent)
+		s.dev.Do(op.Kind, op.Extent)
 		if op.Kind == disk.Read {
 			s.stats.MaintReads++
 		} else {
@@ -423,18 +401,9 @@ func (s *Simulator) drainMaintenance() {
 	}
 }
 
-// access plays one physical I/O through the disk model and reports it
-// to the probes.
-func (s *Simulator) access(kind disk.OpKind, phys geom.Extent) {
-	a := s.dev.Do(kind, phys)
-	for _, p := range s.probes {
-		p.OnAccess(a)
-	}
-}
-
 func (s *Simulator) stepWrite(rec trace.Record) {
 	s.stats.Writes++
-	s.emitOp(disk.Write, 0)
+	s.emitOp(disk.Write, nil)
 	if s.wal != nil {
 		// Write-ahead: the record is logged before the map mutates. A
 		// failed append ends the run with the op unapplied, so the live
@@ -446,7 +415,7 @@ func (s *Simulator) stepWrite(rec trace.Record) {
 	}
 	s.writeBuf = s.layer.WriteAppend(s.writeBuf[:0], rec.Extent)
 	for _, f := range s.writeBuf {
-		s.access(disk.Write, f.PhysExtent())
+		s.dev.Do(disk.Write, f.PhysExtent())
 	}
 	if s.cache != nil {
 		s.cache.Invalidate(rec.Extent)
@@ -455,7 +424,7 @@ func (s *Simulator) stepWrite(rec trace.Record) {
 	// immutable in LS: no invalidation needed.
 }
 
-func (s *Simulator) stepRead(rec trace.Record) {
+func (s *Simulator) stepRead(rec trace.Record) int {
 	s.stats.Reads++
 	s.fragBuf = s.layer.ResolveAppend(s.fragBuf[:0], rec.Extent)
 	frags := s.fragBuf
@@ -467,12 +436,7 @@ func (s *Simulator) stepRead(rec trace.Record) {
 	if fragmented {
 		s.stats.FragmentedReads++
 	}
-	s.emitOp(disk.Read, len(frags))
-
-	ev := ReadEvent{OpIndex: s.opIndex, Lba: rec.Extent, Fragments: frags}
-	for _, o := range s.observers {
-		o(ev)
-	}
+	s.emitOp(disk.Read, frags)
 
 	for _, f := range frags {
 		// Algorithm 3: on fragmented reads, try RAM first.
@@ -483,7 +447,7 @@ func (s *Simulator) stepRead(rec trace.Record) {
 		if fragmented && s.prefetch != nil && s.prefetch.Covers(f.PhysExtent()) {
 			continue // served from the drive buffer: no seek
 		}
-		s.access(disk.Read, f.PhysExtent())
+		s.dev.Do(disk.Read, f.PhysExtent())
 		if fragmented && s.prefetch != nil {
 			s.prefetch.Fill(f.PhysExtent())
 		}
@@ -502,6 +466,7 @@ func (s *Simulator) stepRead(rec trace.Record) {
 			s.relocate(rec.Extent)
 		}
 	}
+	return len(frags)
 }
 
 // relocate rewrites lba contiguously at the log head (a defrag
@@ -514,7 +479,7 @@ func (s *Simulator) relocate(lba geom.Extent) {
 	}
 	s.writeBuf = s.layer.WriteAppend(s.writeBuf[:0], lba)
 	for _, f := range s.writeBuf {
-		s.access(disk.Write, f.PhysExtent())
+		s.dev.Do(disk.Write, f.PhysExtent())
 	}
 	s.defrag.NoteWriteback(lba.Count)
 }

@@ -245,26 +245,27 @@ func TestUnfragmentedReadsBypassMechanisms(t *testing.T) {
 	}
 }
 
-func TestReadObserverAndStatsFields(t *testing.T) {
+func TestApplyFragmentsAndStatsFields(t *testing.T) {
 	cfg := Config{LogStructured: true, FrontierStart: 1000}
 	sim := mustSim(t, cfg)
-	var events []ReadEvent
-	sim.AddReadObserver(func(ev ReadEvent) { events = append(events, ev) })
 	sim.Step(wr(0, 10))
-	sim.Step(wr(2, 2))
-	sim.Step(rd(0, 10))
-	if len(events) != 1 {
-		t.Fatalf("events = %d", len(events))
+	if got := sim.Apply(wr(2, 2)); got != 0 {
+		t.Errorf("Apply(write) = %d fragments, want 0", got)
 	}
-	if events[0].OpIndex != 2 || len(events[0].Fragments) != 3 {
-		t.Errorf("event = %+v", events[0])
+	if got := sim.Apply(rd(0, 10)); got != 3 {
+		t.Errorf("Apply(read) = %d fragments, want 3", got)
+	}
+	if err := sim.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	st := sim.Stats()
 	if st.TotalFragments != 3 || st.MaxFragments != 3 || st.FragmentedReads != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	// Empty records are ignored.
-	sim.Step(trace.Record{Kind: disk.Read})
+	if got := sim.Apply(trace.Record{Kind: disk.Read}); got != 0 {
+		t.Errorf("Apply(empty) = %d fragments, want 0", got)
+	}
 	if sim.Stats().Reads != 1 {
 		t.Error("empty record should be skipped")
 	}

@@ -87,12 +87,6 @@ type Observer interface {
 	ObserveAccess(Access)
 }
 
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(Access)
-
-// ObserveAccess calls f(a).
-func (f ObserverFunc) ObserveAccess(a Access) { f(a) }
-
 // Device is the pluggable geometry interface internal/core drives. The
 // paper's infinite model (*Disk) and the finite banded model
 // (internal/band.Device) both implement it; the simulator composes

@@ -95,10 +95,15 @@ func TestEmptyExtentIgnored(t *testing.T) {
 	}
 }
 
+// observerFunc adapts a function to the Observer interface.
+type observerFunc func(Access)
+
+func (f observerFunc) ObserveAccess(a Access) { f(a) }
+
 func TestObserverSeesAccesses(t *testing.T) {
 	d := New()
 	var seen []Access
-	d.AddObserver(ObserverFunc(func(a Access) { seen = append(seen, a) }))
+	d.AddObserver(observerFunc(func(a Access) { seen = append(seen, a) }))
 	d.Read(geom.Ext(0, 4))
 	d.Write(geom.Ext(100, 4))
 	if len(seen) != 2 {

@@ -54,7 +54,7 @@ type Fig2Row struct {
 func Fig2Data(ctx context.Context, scale float64) ([]Fig2Row, error) {
 	cat := catalogOrdered()
 	rows := make([]Fig2Row, len(cat))
-	err := forEachIndexedCtx(ctx, len(cat), func(ctx context.Context, i int) error {
+	err := forEachIndexed(ctx, len(cat), func(ctx context.Context, i int) error {
 		p := cat[i]
 		recs := preloaded(p, scale).Records()
 		cmp, err := core.CompareContext(ctx, recs, core.Config{LogStructured: true})
@@ -309,7 +309,7 @@ type Fig11Row struct {
 func Fig11Data(ctx context.Context, scale float64) ([]Fig11Row, error) {
 	cat := catalogOrdered()
 	rows := make([]Fig11Row, len(cat))
-	err := forEachIndexedCtx(ctx, len(cat), func(ctx context.Context, i int) error {
+	err := forEachIndexed(ctx, len(cat), func(ctx context.Context, i int) error {
 		p := cat[i]
 		recs := preloaded(p, scale).Records()
 		cmp, err := core.ComparePaperContext(ctx, recs)

@@ -14,7 +14,6 @@ import (
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
 	"smrseek/internal/gc"
-	"smrseek/internal/geom"
 	"smrseek/internal/mcache"
 	"smrseek/internal/metrics"
 	"smrseek/internal/report"
@@ -77,7 +76,7 @@ func WAF(ctx context.Context, w io.Writer, scale float64) error {
 		// upper bound) — tight over-provisioning like a real device's,
 		// so rewrite traffic forces the cleaner to run. 1 MiB segments.
 		const segSectors = int64(2048)
-		footprint := writeFootprint(recs)
+		footprint := trace.WriteFootprint(recs)
 		logSectors := ((footprint*11/10)/segSectors + 4) * segSectors
 
 		zoneSectors := int64(8192)
@@ -140,7 +139,7 @@ func Cleaning(ctx context.Context, w io.Writer, scale float64) error {
 			return err
 		}
 		const bandSectors = int64(2048)
-		footprint := writeFootprint(recs)
+		footprint := trace.WriteFootprint(recs)
 		cacheSectors := ((footprint/10)/bandSectors + 1) * bandSectors
 		for _, pol := range []band.Policy{band.PolA, band.PolB, band.Shelter} {
 			dev, err := band.New(band.Config{
@@ -202,18 +201,6 @@ func TimeAmp(ctx context.Context, w io.Writer, scale float64) error {
 		}
 	}
 	return tb.Render(w)
-}
-
-// writeFootprint returns the number of distinct sectors the trace ever
-// writes — the layer's live-data upper bound.
-func writeFootprint(recs []trace.Record) int64 {
-	set := geom.NewSet()
-	for _, r := range recs {
-		if r.Kind == disk.Write {
-			set.Add(r.Extent)
-		}
-	}
-	return set.Sectors()
 }
 
 func runWith(ctx context.Context, cfg core.Config, recs []trace.Record) (core.Stats, error) {

@@ -58,12 +58,3 @@ func TestTimeAmpExperiment(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteFootprint(t *testing.T) {
-	p := WAFProfiles()[0]
-	recs := p.Generate(0.1)
-	fp := writeFootprint(recs)
-	if fp <= 0 || fp > p.RegionSectors {
-		t.Errorf("footprint = %d outside (0, %d]", fp, p.RegionSectors)
-	}
-}

@@ -6,22 +6,15 @@ import (
 	"sync"
 )
 
-// forEachIndexed runs fn(i) for i in [0, n) on up to GOMAXPROCS workers
-// and returns the first error. Results are written by index on the
-// caller's side, so output order — and therefore every rendered table —
-// is deterministic regardless of scheduling.
-func forEachIndexed(n int, fn func(i int) error) error {
-	return forEachIndexedCtx(context.Background(), n, func(_ context.Context, i int) error {
-		return fn(i)
-	})
-}
-
-// forEachIndexedCtx is forEachIndexed with cancellation: dispatch stops
-// as soon as any invocation errors or ctx ends, in-flight work is
-// allowed to finish, and queued indices are dropped rather than run.
-// The first invocation error wins; with none, a cancelled context
-// returns ctx.Err().
-func forEachIndexedCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+// forEachIndexed runs fn(ctx, i) for i in [0, n) on up to GOMAXPROCS
+// workers and returns the first error. Results are written by index on
+// the caller's side, so output order — and therefore every rendered
+// table — is deterministic regardless of scheduling. Dispatch stops as
+// soon as any invocation errors or ctx ends, in-flight work is allowed
+// to finish, and queued indices are dropped rather than run. The first
+// invocation error wins; with none, a cancelled context returns
+// ctx.Err().
+func forEachIndexed(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n

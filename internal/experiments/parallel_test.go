@@ -10,7 +10,7 @@ import (
 func TestForEachIndexedRunsAll(t *testing.T) {
 	var count int64
 	seen := make([]int64, 100)
-	err := forEachIndexed(100, func(i int) error {
+	err := forEachIndexed(context.Background(), 100, func(_ context.Context, i int) error {
 		atomic.AddInt64(&count, 1)
 		atomic.AddInt64(&seen[i], 1)
 		return nil
@@ -30,7 +30,7 @@ func TestForEachIndexedRunsAll(t *testing.T) {
 
 func TestForEachIndexedPropagatesError(t *testing.T) {
 	sentinel := errors.New("boom")
-	err := forEachIndexed(10, func(i int) error {
+	err := forEachIndexed(context.Background(), 10, func(_ context.Context, i int) error {
 		if i == 7 {
 			return sentinel
 		}
@@ -42,11 +42,11 @@ func TestForEachIndexedPropagatesError(t *testing.T) {
 }
 
 func TestForEachIndexedZeroAndOne(t *testing.T) {
-	if err := forEachIndexed(0, func(int) error { t.Fatal("should not run"); return nil }); err != nil {
+	if err := forEachIndexed(context.Background(), 0, func(context.Context, int) error { t.Fatal("should not run"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
-	if err := forEachIndexed(1, func(i int) error { ran = true; return nil }); err != nil || !ran {
+	if err := forEachIndexed(context.Background(), 1, func(context.Context, int) error { ran = true; return nil }); err != nil || !ran {
 		t.Fatal("single-item loop broken")
 	}
 }
@@ -79,7 +79,7 @@ func TestForEachIndexedStopsDispatchAfterError(t *testing.T) {
 	sentinel := errors.New("boom")
 	const n = 10000
 	var ran int64
-	err := forEachIndexed(n, func(i int) error {
+	err := forEachIndexed(context.Background(), n, func(context.Context, int) error {
 		atomic.AddInt64(&ran, 1)
 		return sentinel
 	})
@@ -97,7 +97,7 @@ func TestForEachIndexedCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int64
-	err := forEachIndexedCtx(ctx, 100, func(ctx context.Context, i int) error {
+	err := forEachIndexed(ctx, 100, func(ctx context.Context, i int) error {
 		atomic.AddInt64(&ran, 1)
 		return nil
 	})
@@ -113,7 +113,7 @@ func TestForEachIndexedCtxCancelMidway(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 10000
 	var ran int64
-	err := forEachIndexedCtx(ctx, n, func(ctx context.Context, i int) error {
+	err := forEachIndexed(ctx, n, func(ctx context.Context, i int) error {
 		if atomic.AddInt64(&ran, 1) == 3 {
 			cancel()
 		}
@@ -131,7 +131,7 @@ func TestForEachIndexedErrorWinsOverCancel(t *testing.T) {
 	sentinel := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := forEachIndexedCtx(ctx, 100, func(ctx context.Context, i int) error {
+	err := forEachIndexed(ctx, 100, func(ctx context.Context, i int) error {
 		if i == 0 {
 			cancel()
 			return sentinel

@@ -98,7 +98,7 @@ func (c *Collector) OnOp(ev core.OpEvent) {
 	if ev.Kind == disk.Read {
 		c.reads.Add(1)
 		c.mu.Lock()
-		c.frags.Observe(int64(ev.Frags))
+		c.frags.Observe(int64(len(ev.Fragments)))
 		c.mu.Unlock()
 	} else {
 		c.writes.Add(1)
@@ -113,8 +113,9 @@ func (c *Collector) OnOp(ev core.OpEvent) {
 	}
 }
 
-// OnAccess implements core.Probe.
-func (c *Collector) OnAccess(a disk.Access) {
+// ObserveAccess implements core.Probe: it sees every physical I/O the
+// device counts, a banded device's cache and cleaning I/O included.
+func (c *Collector) ObserveAccess(a disk.Access) {
 	lat := int64(c.model.AccessTime(a) / time.Microsecond)
 	c.mu.Lock()
 	if a.Seeked {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"smrseek/internal/band"
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
 	"smrseek/internal/geom"
@@ -15,6 +16,11 @@ import (
 	"smrseek/internal/stl"
 	"smrseek/internal/trace"
 )
+
+// observerFunc adapts a function to the disk.Observer interface.
+type observerFunc func(disk.Access)
+
+func (f observerFunc) ObserveAccess(a disk.Access) { f(a) }
 
 // workload builds a deterministic read/write mix that fragments heavily,
 // so every mechanism path (cache, prefetch, defrag relocation) fires.
@@ -78,8 +84,9 @@ func assertCollectorMatches(t *testing.T, name string, st core.Stats, snap obsv.
 
 // TestReplayMatrix replays one workload through every layer/mechanism
 // combination with a Collector attached and demands that the Collector
-// saw exactly the run the live Stats describe — maintenance I/O (mcache)
-// and defrag write-backs included.
+// saw exactly the run the live Stats describe — maintenance I/O (mcache),
+// defrag write-backs and a banded device's cache and cleaning I/O
+// included.
 func TestReplayMatrix(t *testing.T) {
 	recs := workload(42, 800)
 	frontier := core.FrontierFor(recs)
@@ -91,13 +98,26 @@ func TestReplayMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	banded := func() disk.Device {
+		dev, err := band.New(band.Config{BandSectors: 512, CacheSectors: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	all := func(cfg core.Config) core.Config {
+		cfg.LogStructured, cfg.FrontierStart = true, frontier
+		cfg.Defrag, cfg.Prefetch = &defrag, &prefetch
+		cfg.Cache = &core.CacheConfig{CapacityBytes: 1 << 20}
+		return cfg
+	}
 	cases := map[string]core.Config{
-		"NoLS": {},
-		"LS":   {LogStructured: true, FrontierStart: frontier},
-		"LS+all": {LogStructured: true, FrontierStart: frontier,
-			Defrag: &defrag, Prefetch: &prefetch,
-			Cache: &core.CacheConfig{CapacityBytes: 1 << 20}},
-		"mcache": {CustomLayer: mc},
+		"NoLS":        {},
+		"LS":          {LogStructured: true, FrontierStart: frontier},
+		"LS+all":      all(core.Config{}),
+		"mcache":      {CustomLayer: mc},
+		"NoLS@band":   {Device: banded()},
+		"LS+all@band": all(core.Config{Device: banded()}),
 	}
 	for name, cfg := range cases {
 		st, snap := runCollected(t, cfg, recs)
@@ -107,6 +127,9 @@ func TestReplayMatrix(t *testing.T) {
 		}
 		if name == "LS+all" && st.DefragWritebacks == 0 {
 			t.Error("LS+all variant produced no defrag write-back")
+		}
+		if name == "NoLS@band" && (st.Cleaning.CachedWrites == 0 || st.Cleaning.CleanRuns == 0) {
+			t.Errorf("banded NoLS variant neither cached nor cleaned: %+v", st.Cleaning)
 		}
 	}
 }
@@ -220,7 +243,7 @@ func TestCollectorFig4(t *testing.T) {
 	sim.AddProbe(col)
 
 	cdf := metrics.NewCDF()
-	sim.Disk().AddObserver(disk.ObserverFunc(func(a disk.Access) {
+	sim.Disk().AddObserver(observerFunc(func(a disk.Access) {
 		if a.Seeked {
 			cdf.Observe(float64(a.Distance))
 		}

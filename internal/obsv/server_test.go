@@ -13,6 +13,7 @@ import (
 	"smrseek/internal/disk"
 	"smrseek/internal/geom"
 	"smrseek/internal/obsv"
+	"smrseek/internal/stl"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -33,8 +34,8 @@ func get(t *testing.T, url string) (int, string) {
 func TestServer(t *testing.T) {
 	col := obsv.NewCollector()
 	// Feed the collector a little traffic so the snapshot is non-trivial.
-	col.OnOp(core.OpEvent{Kind: disk.Read, Frags: 3})
-	col.OnAccess(disk.Access{Kind: disk.Read, Extent: geom.Ext(100, 8), Seeked: true, Distance: -4096})
+	col.OnOp(core.OpEvent{Kind: disk.Read, Fragments: make([]stl.Fragment, 3)})
+	col.ObserveAccess(disk.Access{Kind: disk.Read, Extent: geom.Ext(100, 8), Seeked: true, Distance: -4096})
 
 	srv, err := obsv.Serve("127.0.0.1:0", col, true)
 	if err != nil {
@@ -87,7 +88,7 @@ func TestServer(t *testing.T) {
 func TestServeRegistryMultiVolume(t *testing.T) {
 	reg := obsv.NewRegistry()
 	a, b := obsv.NewCollector(), obsv.NewCollector()
-	a.OnOp(core.OpEvent{Kind: disk.Read, Frags: 2})
+	a.OnOp(core.OpEvent{Kind: disk.Read, Fragments: make([]stl.Fragment, 2)})
 	b.OnOp(core.OpEvent{Kind: disk.Write})
 	b.OnOp(core.OpEvent{Kind: disk.Write})
 	for name, c := range map[string]*obsv.Collector{"a": a, "b": b} {

@@ -289,18 +289,6 @@ func (ac *AsyncClient) stickyErr() error {
 	return ErrClientClosed
 }
 
-// roundTrip submits one request and blocks for its response — the
-// synchronous convenience path over the pipeline.
-func (ac *AsyncClient) roundTrip(req request) ([]byte, error) {
-	done := make(chan *Call, 1)
-	call, err := ac.submit(req, done)
-	if err != nil {
-		return nil, err
-	}
-	_ = call
-	return (<-done).Result()
-}
-
 // Replay streams every record of r to the named volume, keeping the
 // negotiated window full, and returns how many completed successfully.
 // Requests are sent — and therefore dispatched to the volume — in trace

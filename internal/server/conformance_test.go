@@ -92,8 +92,12 @@ func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom
 	}
 
 	bodies := make(map[string][]byte, len(confOps))
+	done := make(chan *Call, 1)
 	for _, op := range confOps {
-		body, err := ac.roundTrip(op.req)
+		if _, err := ac.submit(op.req, done); err != nil {
+			t.Fatalf("%s (w%d): %v", op.name, window, err)
+		}
+		body, err := (<-done).Result()
 		if err != nil {
 			t.Fatalf("%s (w%d): %v", op.name, window, err)
 		}

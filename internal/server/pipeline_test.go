@@ -200,7 +200,10 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 	// serves fresh requests.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		_, err := ac.roundTrip(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)})
+		if _, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err != nil {
+			t.Fatalf("submit after timeout drain: %v", err)
+		}
+		_, err := (<-done).Result()
 		if err == nil {
 			break
 		}

@@ -87,3 +87,15 @@ func MaxLBA(recs []Record) geom.Sector {
 	}
 	return m
 }
+
+// WriteFootprint returns the number of distinct sectors the records ever
+// write — the live-data upper bound used to size finite logs.
+func WriteFootprint(recs []Record) int64 {
+	set := geom.NewSet()
+	for _, r := range recs {
+		if r.Kind == disk.Write {
+			set.Add(r.Extent)
+		}
+	}
+	return set.Sectors()
+}

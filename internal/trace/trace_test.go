@@ -44,6 +44,22 @@ func TestMaxLBA(t *testing.T) {
 	}
 }
 
+func TestWriteFootprint(t *testing.T) {
+	recs := []Record{
+		{Kind: disk.Write, Extent: geom.Ext(0, 10)},
+		{Kind: disk.Write, Extent: geom.Ext(5, 10)},   // overlaps: +5
+		{Kind: disk.Write, Extent: geom.Ext(15, 4)},   // adjacent: +4
+		{Kind: disk.Read, Extent: geom.Ext(100, 500)}, // reads do not count
+		{Kind: disk.Write, Extent: geom.Ext(1000, 0)}, // empty
+	}
+	if got := WriteFootprint(recs); got != 19 {
+		t.Errorf("WriteFootprint = %d, want 19", got)
+	}
+	if got := WriteFootprint(nil); got != 0 {
+		t.Errorf("WriteFootprint(nil) = %d", got)
+	}
+}
+
 func TestRecordString(t *testing.T) {
 	r := Record{Time: 5, Kind: disk.Write, Extent: geom.Ext(1, 2)}
 	if got := r.String(); got != "5 write [1,3)" {

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
@@ -165,8 +164,7 @@ type Volume struct {
 	closeErr error         // shutdown outcome; read after done
 	final    core.Stats    // stats at shutdown; read after done
 
-	frags fragProbe    // actor-goroutine-only: last read's fragment count
-	held  []heldResult // actor-goroutine-only: results awaiting the batch's Commit
+	held []heldResult // actor-goroutine-only: results awaiting the batch's Commit
 
 	// Recovery describes what was replayed from JournalDir at Open, nil
 	// for a fresh volume. Immutable after Open.
@@ -179,20 +177,6 @@ type heldResult struct {
 	done chan<- Result
 	res  Result
 }
-
-// fragProbe captures OpEvent.Frags so the actor can report a read's
-// resolution in its response without re-resolving. It runs only on the
-// actor goroutine.
-type fragProbe struct{ frags int }
-
-func (p *fragProbe) OnOp(ev core.OpEvent) {
-	if ev.Kind == disk.Read {
-		p.frags = ev.Frags
-	}
-}
-func (p *fragProbe) OnAccess(disk.Access)       {}
-func (p *fragProbe) OnCheckpoint(time.Duration) {}
-func (p *fragProbe) OnFinish()                  {}
 
 // Open builds the volume and starts its actor. With JournalDir set, a
 // directory already holding state is recovered first (checkpoint +
@@ -244,7 +228,7 @@ func Open(cfg Config) (*Volume, error) {
 		v.wal = lg
 		simCfg.Journal = &core.JournalConfig{Log: lg, CheckpointEvery: cfg.CheckpointEvery}
 	}
-	sim, err := core.NewSimulator(simCfg, v.col, &v.frags)
+	sim, err := core.NewSimulator(simCfg, v.col)
 	if err != nil {
 		if v.wal != nil {
 			v.wal.Close()
@@ -413,9 +397,7 @@ func (v *Volume) process(req Request) {
 		v.sim.Apply(trace.Record{Kind: disk.Write, Extent: req.Extent})
 		res.Err = v.sim.JournalErr()
 	case OpRead:
-		v.frags.frags = 0
-		v.sim.Apply(trace.Record{Kind: disk.Read, Extent: req.Extent})
-		res.Frags = v.frags.frags
+		res.Frags = v.sim.Apply(trace.Record{Kind: disk.Read, Extent: req.Extent})
 		res.Err = v.sim.JournalErr()
 	case OpStat:
 		st := v.sim.Stats()

@@ -2,7 +2,6 @@ package smrseek
 
 import (
 	"smrseek/internal/gc"
-	"smrseek/internal/geom"
 	"smrseek/internal/mcache"
 	"smrseek/internal/stl"
 	"smrseek/internal/trace"
@@ -54,15 +53,7 @@ func NewMediaCacheLayer(cfg MediaCacheConfig) (*MediaCacheLayer, error) { return
 
 // WriteFootprint returns the number of distinct sectors the trace ever
 // writes — the live-data upper bound used to size finite logs.
-func WriteFootprint(recs []Record) int64 {
-	set := geom.NewSet()
-	for _, r := range recs {
-		if r.Kind == Write {
-			set.Add(r.Extent)
-		}
-	}
-	return set.Sectors()
-}
+func WriteFootprint(recs []Record) int64 { return trace.WriteFootprint(recs) }
 
 // MaxLBA returns the highest end LBA across the records.
 func MaxLBA(recs []Record) int64 { return trace.MaxLBA(recs) }

@@ -78,10 +78,11 @@ type (
 	// Extent is a half-open range of 512-byte sectors.
 	Extent = geom.Extent
 
-	// Probe receives a run's observability events (ops, physical
-	// I/Os, checkpoints, end of run); attach implementations via
-	// NewSimulator or Simulator.AddProbe (internal/obsv provides a
-	// histogram collector).
+	// Probe receives a run's observability events: logical ops,
+	// checkpoints and the end of the run, and, as an observer of the
+	// simulator's device, every physical I/O the device counts. Attach
+	// implementations via NewSimulator or Simulator.AddProbe
+	// (internal/obsv provides a histogram collector).
 	Probe = core.Probe
 )
 
