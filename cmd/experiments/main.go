@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"smrseek"
-	"smrseek/internal/core"
-	"smrseek/internal/obsv"
 )
 
 func main() {
@@ -31,30 +29,12 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	scale := fs.Float64("scale", 0, "workload scale (0 = default 0.5)")
 	timeout := fs.Duration("timeout", 0, "abort each experiment after this duration (0 = no limit)")
-	metricsAddr := fs.String("metrics-addr", "", `serve live JSON metrics and expvar on this address while experiments run (e.g. "127.0.0.1:8080")`)
-	pprofFlag := fs.Bool("pprof", false, "also serve net/http/pprof on -metrics-addr")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *pprofFlag && *metricsAddr == "" {
-		return fmt.Errorf("-pprof requires -metrics-addr (pprof is served on the metrics endpoint)")
 	}
 	names := fs.Args()
 	if len(names) == 0 {
 		return fmt.Errorf(`pass experiment names (table1 fig2 fig3 fig4 fig5 fig7 fig8 fig10 fig11 waf cleaning timeamp durability) or "all"`)
-	}
-	if *metricsAddr != "" {
-		// A process-global collector watches every simulator the
-		// experiments build, aggregated across figures.
-		col := obsv.NewCollector()
-		core.SetGlobalProbe(col)
-		defer core.SetGlobalProbe(nil)
-		srv, err := obsv.Serve(*metricsAddr, col, *pprofFlag)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(out, "serving metrics on http://%s/metrics\n", srv.Addr())
 	}
 	for _, name := range names {
 		if err := runExperiment(name, out, *scale, *timeout); err != nil {

@@ -39,23 +39,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunMetricsAddr(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-scale", "0.05", "-metrics-addr", "127.0.0.1:0", "-pprof", "fig8"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "serving metrics on http://127.0.0.1:") {
-		t.Errorf("output missing metrics address:\n%s", out)
-	}
-	if !strings.Contains(out, "mis-ordered") {
-		t.Errorf("experiment did not run:\n%s", out)
-	}
-	if err := run([]string{"-pprof", "fig8"}, &buf); err == nil {
-		t.Error("-pprof without -metrics-addr accepted")
-	}
-}
-
 func TestRunTimeout(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-scale", "0.5", "-timeout", "1ns", "fig11"}, &buf)

@@ -50,7 +50,6 @@ func run(args []string, out io.Writer) error {
 		format       = fs.String("format", "cp", `trace format for -trace: "msr", "cp" or "bin"`)
 		diskNum      = fs.Int("disk", -1, "MSR disk number filter for -trace (-1 = all)")
 		all          = fs.Bool("all", false, "run the full Figure 11 variant comparison")
-		layerName    = fs.String("layer", "", `translation layer: "segls" (finite log + greedy cleaning) or "mcache" (media cache); default is NoLS/LS per -ls`)
 		ls           = fs.Bool("ls", false, "use the log-structured layer")
 		defrag       = fs.Bool("defrag", false, "enable opportunistic defragmentation (implies -ls)")
 		prefetch     = fs.Bool("prefetch", false, "enable look-ahead-behind prefetching (implies -ls)")
@@ -77,7 +76,7 @@ func run(args []string, out io.Writer) error {
 	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	recoverOnly := *recoverFlag && *workloadName == "" && *tracePath == ""
 	if err := validateFlags(*scale, *timeout, *journalDir, *ckptEvery, *crashAfter,
-		*recoverFlag, *all, *layerName, *cacheMB); err != nil {
+		*recoverFlag, *all, *cacheMB); err != nil {
 		return err
 	}
 	if err := checkModifiers(setFlags, *cache, *journalDir != "", *tracePath != "", *withTime, *all); err != nil {
@@ -117,15 +116,7 @@ func run(args []string, out io.Writer) error {
 		return runAll(ctx, out, recs)
 	}
 
-	cfg := smrseek.Config{LogStructured: *layerName == "" &&
-		(*ls || *defrag || *prefetch || *cache || *journalDir != "")}
-	if *layerName != "" {
-		layer, err := buildLayer(*layerName, recs)
-		if err != nil {
-			return err
-		}
-		cfg.CustomLayer = layer
-	}
+	cfg := smrseek.Config{LogStructured: *ls || *defrag || *prefetch || *cache || *journalDir != ""}
 	if *defrag {
 		d := smrseek.DefaultDefrag()
 		cfg.Defrag = &d
@@ -251,7 +242,7 @@ func (o obsvOpts) validate(all, recoverOnly bool) error {
 // validateFlags rejects nonsensical flag combinations up front, before
 // any trace is loaded or journal created.
 func validateFlags(scale float64, timeout time.Duration, journalDir string,
-	ckptEvery, crashAfter int64, recoverFlag, all bool, layerName string, cacheMB int64) error {
+	ckptEvery, crashAfter int64, recoverFlag, all bool, cacheMB int64) error {
 	switch {
 	case scale <= 0:
 		return fmt.Errorf("-scale %v must be positive", scale)
@@ -269,8 +260,6 @@ func validateFlags(scale float64, timeout time.Duration, journalDir string,
 		return fmt.Errorf("-crash-after requires -journal DIR (crash points live in the journal)")
 	case journalDir != "" && all:
 		return fmt.Errorf("-journal cannot be combined with -all (journaling follows one run)")
-	case journalDir != "" && layerName != "":
-		return fmt.Errorf("-journal requires the built-in LS layer, not -layer %s", layerName)
 	}
 	return nil
 }
@@ -319,33 +308,6 @@ func replayDurability(rst stl.ReplayStats) metrics.Durability {
 		ReplayedSectors: rst.ReplayedSectors,
 		TornTail:        rst.TornTail,
 		FromCheckpoint:  rst.FromCheckpoint,
-	}
-}
-
-// buildLayer constructs an alternative translation layer sized to the
-// workload: segls gets a finite log at ~1.1x the write footprint with
-// greedy cleaning; mcache gets 64 MiB zones and a 512 MiB media cache.
-func buildLayer(name string, recs []smrseek.Record) (smrseek.Layer, error) {
-	switch name {
-	case "segls":
-		const seg = 8192
-		footprint := smrseek.WriteFootprint(recs)
-		return smrseek.NewGCLayer(smrseek.GCConfig{
-			DeviceSectors:  smrseek.MaxLBA(recs),
-			LogSectors:     ((footprint*11/10)/seg + 4) * seg,
-			SegmentSectors: seg,
-			Policy:         smrseek.Greedy,
-		})
-	case "mcache":
-		const zone = 64 << 11 // 64 MiB
-		maxLBA := smrseek.MaxLBA(recs)
-		return smrseek.NewMediaCacheLayer(smrseek.MediaCacheConfig{
-			DeviceSectors: ((maxLBA + zone) / zone) * zone,
-			ZoneSectors:   zone,
-			CacheSectors:  8 * zone,
-		})
-	default:
-		return nil, fmt.Errorf("unknown layer %q (want segls or mcache)", name)
 	}
 }
 

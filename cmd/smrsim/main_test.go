@@ -80,22 +80,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunCustomLayers(t *testing.T) {
-	for _, layer := range []string{"segls", "mcache"} {
-		var buf bytes.Buffer
-		if err := run([]string{"-workload", "usr_0", "-scale", "0.2", "-layer", layer}, &buf); err != nil {
-			t.Fatalf("%s: %v", layer, err)
-		}
-		if !strings.Contains(buf.String(), "results") {
-			t.Errorf("%s output:\n%s", layer, buf.String())
-		}
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"-workload", "usr_0", "-scale", "0.1", "-layer", "bogus"}, &buf); err == nil {
-		t.Error("unknown layer must error")
-	}
-}
-
 func TestRunTimeout(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-workload", "usr_0", "-scale", "1.0", "-ls", "-timeout", "1ns"}, &buf)
@@ -204,7 +188,6 @@ func TestRunFlagValidation(t *testing.T) {
 		"negative crash point":       {"-workload", "hm_1", "-journal", "x", "-crash-after", "-2"},
 		"negative checkpoint period": {"-workload", "hm_1", "-journal", "x", "-checkpoint-every", "-1"},
 		"journal with all":           {"-workload", "hm_1", "-journal", "x", "-all"},
-		"journal with custom layer":  {"-workload", "hm_1", "-journal", "x", "-layer", "segls"},
 
 		// Modifier flags whose flag is off would be silently ignored.
 		"cache-mb without cache":           {"-workload", "hm_1", "-ls", "-cache-mb", "32"},

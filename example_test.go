@@ -9,7 +9,6 @@ import (
 
 	"smrseek"
 	"smrseek/internal/server"
-	"smrseek/internal/trace"
 	"smrseek/internal/volume"
 )
 
@@ -282,21 +281,21 @@ func Example_cleaning() {
 
 	fmt.Printf("workload: %d ops, %.1f MB footprint, log %.1f MB\n",
 		len(recs), float64(footprint)*512/1e6, float64(logSectors)*512/1e6)
-	fmt.Printf("%-22s %9s %9s %7s %12s\n", "layer", "read SAF", "total SAF", "WAF", "cleanings")
+	fmt.Printf("%-22s %9s %9s %7s %9s\n", "layer", "read SAF", "total SAF", "WAF", "extra MB")
 
-	show := func(label string, cfg smrseek.Config, cleanings func() int64) {
+	show := func(label string, cfg smrseek.Config, extraSectors func() int64) {
 		st, err := smrseek.Run(cfg, recs)
 		if err != nil {
 			log.Fatal(err)
 		}
 		n := int64(0)
-		if cleanings != nil {
-			n = cleanings()
+		if extraSectors != nil {
+			n = extraSectors()
 		}
-		fmt.Printf("%-22s %9.2f %9.2f %7.2f %12d\n", label,
+		fmt.Printf("%-22s %9.2f %9.2f %7.2f %9.1f\n", label,
 			float64(st.Disk.ReadSeeks)/float64(base.Disk.ReadSeeks),
 			float64(st.Disk.TotalSeeks())/float64(base.Disk.TotalSeeks()),
-			st.WAF, n)
+			st.WAF, float64(n)*512/1e6)
 	}
 
 	show("LS (infinite)", smrseek.Config{LogStructured: true}, nil)
@@ -310,7 +309,7 @@ func Example_cleaning() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		show(layer.Name(), smrseek.Config{CustomLayer: layer}, layer.Cleanings)
+		show(layer.Name(), smrseek.Config{CustomLayer: layer}, layer.ExtraSectors)
 	}
 
 	zone := int64(8192)
@@ -322,14 +321,14 @@ func Example_cleaning() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	show("MediaCache", smrseek.Config{CustomLayer: mcl}, mcl.Merges)
+	show("MediaCache", smrseek.Config{CustomLayer: mcl}, mcl.ExtraSectors)
 	// Output:
 	// workload: 30024 ops, 25.2 MB footprint, log 31.5 MB
-	// layer                   read SAF total SAF     WAF    cleanings
-	// LS (infinite)              11.28      4.09    1.00            0
-	// SegLS(greedy)              11.48      4.23    1.07           84
-	// SegLS(cost-benefit)        11.48      4.22    1.07           84
-	// MediaCache                  7.92      2.97    1.71            3
+	// layer                   read SAF total SAF     WAF  extra MB
+	// LS (infinite)              11.28      4.09    1.00       0.0
+	// SegLS(greedy)              11.48      4.23    1.07       7.9
+	// SegLS(cost-benefit)        11.48      4.22    1.07       8.0
+	// MediaCache                  7.92      2.97    1.71      75.5
 }
 
 // The trace-substitution methodology of DESIGN.md §3, closed loop: fit a
@@ -422,13 +421,16 @@ func Example_server() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, err := server.DialAsync(addr, 1)
+			cl, err := server.Dial(addr)
 			if err != nil {
 				log.Fatal(err)
 			}
 			defer cl.Close()
-			if replayed[i], err = cl.Replay(v.Name, trace.NewSliceReader(recs)); err != nil {
-				log.Fatalf("%s: %v", v.Name, err)
+			for _, rec := range recs {
+				if _, err := cl.Step(v.Name, rec); err != nil {
+					log.Fatalf("%s: %v", v.Name, err)
+				}
+				replayed[i]++
 			}
 		}()
 	}

@@ -98,8 +98,11 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 // file under internal/ must be referenced by a non-test file of the root
 // module or of bench/, other than by its own declaration. A reference is
 // an unqualified identifier in a file of the declaring package, or an
-// import-qualified selector (pkg.Name) anywhere else. Methods are out of
-// scope: interfaces call them, which a syntactic scan cannot see.
+// import-qualified selector (pkg.Name) anywhere else. An exported method
+// declared there must have its name used as a selector (v.Name) by such a
+// file outside its own body, or share its name with a method of an
+// interface declared in such a file or with one of stdlibMethods, since a
+// syntactic scan cannot see calls made through an interface.
 func TestInternalNamesHaveUsers(t *testing.T) {
 	type file struct {
 		dir string
@@ -132,6 +135,7 @@ func TestInternalNamesHaveUsers(t *testing.T) {
 	}
 
 	declared := map[string]map[string]bool{} // package dir -> exported names
+	methods := map[string]string{}           // "dir.Recv.Name" -> Name
 	for _, f := range files {
 		if !strings.HasPrefix(f.dir, "internal/") {
 			continue
@@ -139,40 +143,75 @@ func TestInternalNamesHaveUsers(t *testing.T) {
 		if declared[f.dir] == nil {
 			declared[f.dir] = map[string]bool{}
 		}
-		eachDecl(f.ast, func(names []string, _ ast.Node) {
+		eachDecl(f.ast, func(names []string, n ast.Node) {
 			for _, name := range names {
 				if ast.IsExported(name) {
 					declared[f.dir][name] = true
 				}
 			}
+			if d, ok := n.(*ast.FuncDecl); ok && d.Recv != nil && d.Name.IsExported() {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				switch g := recv.(type) {
+				case *ast.IndexExpr:
+					recv = g.X
+				case *ast.IndexListExpr:
+					recv = g.X
+				}
+				methods[f.dir+"."+recv.(*ast.Ident).Name+"."+d.Name.Name] = d.Name.Name
+			}
 		})
 	}
 
-	used := map[string]bool{} // "dir.Name"
+	used := map[string]bool{}      // "dir.Name"
+	selected := map[string]bool{}  // field and method names used as v.Name
+	satisfies := map[string]bool{} // method names of declared interfaces
+	for _, name := range stdlibMethods {
+		satisfies[name] = true
+	}
 	for _, f := range files {
 		own := declared[f.dir]
-		imports := map[string]string{} // local name -> package dir
+		imports := map[string]string{} // local name -> package dir, "" outside internal/
 		for _, imp := range f.ast.Imports {
-			dir, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "smrseek/")
-			if !ok || declared[dir] == nil {
-				continue
-			}
-			name := dir[strings.LastIndex(dir, "/")+1:]
+			path := strings.Trim(imp.Path.Value, `"`)
+			name := path[strings.LastIndex(path, "/")+1:]
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}
+			dir, ok := strings.CutPrefix(path, "smrseek/")
+			if !ok || declared[dir] == nil {
+				dir = ""
+			}
 			imports[name] = dir
 		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, name := range m.Names {
+						satisfies[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
 		var self []string // names the declaration being walked declares
+		var method string // the method being walked, whose own name is no use
 		var visit func(n ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok {
 					if dir, ok := imports[x.Name]; ok {
-						used[dir+"."+n.Sel.Name] = true
+						if dir != "" {
+							used[dir+"."+n.Sel.Name] = true
+						}
 						return false
 					}
+				}
+				if n.Sel.Name != method {
+					selected[n.Sel.Name] = true
 				}
 				ast.Inspect(n.X, visit) // n.Sel is a field or method
 				return false
@@ -184,8 +223,11 @@ func TestInternalNamesHaveUsers(t *testing.T) {
 			return true
 		}
 		eachDecl(f.ast, func(names []string, n ast.Node) {
-			self = names
+			self, method = names, ""
 			if d, ok := n.(*ast.FuncDecl); ok {
+				if d.Recv != nil {
+					method = d.Name.Name
+				}
 				// Neither a method's receiver nor its name is a use.
 				ast.Inspect(d.Type, visit)
 				if d.Body != nil {
@@ -209,6 +251,34 @@ func TestInternalNamesHaveUsers(t *testing.T) {
 	if len(unused) > 0 {
 		t.Errorf("exported names under internal/ with no user in a non-test file: %s", strings.Join(unused, ", "))
 	}
+
+	unused = nil
+	for key, name := range methods {
+		if !selected[name] && !satisfies[name] && methodExemptions[key] == "" {
+			unused = append(unused, strings.TrimPrefix(key, "internal/"))
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("exported methods under internal/ with no user in a non-test file: %s", strings.Join(unused, ", "))
+	}
+	for key := range methodExemptions {
+		if _, ok := methods[key]; !ok {
+			t.Errorf("exempt method %s is not declared", key)
+		}
+	}
+}
+
+// stdlibMethods are the method names that the standard library calls
+// through its own interfaces (fmt.Stringer, error, sort.Interface,
+// heap.Interface, http.Handler).
+var stdlibMethods = []string{"String", "Error", "Unwrap", "Len", "Less", "Swap", "Push", "Pop", "ServeHTTP"}
+
+// methodExemptions are the exported methods kept without a non-test
+// user, keyed "dir.Recv.Name", each with its reason.
+var methodExemptions = map[string]string{
+	"internal/journal.Log.SetFailer": "the fault seam through which internal/core's crash tests " +
+		"fail the simulator's journal appends; an export_test.go cannot serve another package",
 }
 
 // eachDecl calls fn for every function declaration in f and every type,

@@ -20,8 +20,9 @@
 //   - It is a seek/accounting model, not a data model: no bytes move,
 //     only head positions and counters.
 //   - The cache region is modelled as conventional (unshingled) media,
-//     as is the space above DataSectors where translation-layer logs
-//     (the LS frontier) live.
+//     as is the space above it. The LS log lives in the banded region
+//     but only appends at its frontier, never below a band's write
+//     pointer, so none of its writes is redirected.
 //   - Sheltered pieces land in the unwritten tail of the band the head
 //     is in; that space is borrowed, and cleaning reclaims its
 //     accounting but not the borrowed sectors themselves.
@@ -379,13 +380,12 @@ func (d *Device) advance(ext geom.Extent) {
 // a single pass-through of the inner engine — bit-identical to the
 // infinite model — while band write pointers are still tracked. With
 // the cache enabled, reads resolve through the cache map and rewrites
-// below a band's write pointer are redirected per the policy. The
-// returned Access summarizes the (possibly several) physical accesses:
-// Seeked and Distance report the first physical seek, Extent the host's
-// request.
-func (d *Device) Do(kind disk.OpKind, ext geom.Extent) disk.Access {
+// below a band's write pointer are redirected per the policy, so one
+// host I/O may cost several physical accesses, each counted and
+// delivered to the observers on its own.
+func (d *Device) Do(kind disk.OpKind, ext geom.Extent) {
 	if ext.Empty() {
-		return disk.Access{Kind: kind, Extent: ext}
+		return
 	}
 	d.noteCrossings(ext)
 	if d.cfg.CacheSectors == 0 {
@@ -394,50 +394,27 @@ func (d *Device) Do(kind disk.OpKind, ext geom.Extent) disk.Access {
 			d.advance(ext)
 			d.noteTail(ext)
 		}
-		return d.inner.Do(kind, ext)
+		d.inner.Do(kind, ext)
+		return
 	}
 	d.stalled = false
-	var sum summary
 	if kind == disk.Read {
-		d.doRead(ext, &sum)
+		d.doRead(ext)
 	} else {
-		d.doWrite(ext, &sum)
+		d.doWrite(ext)
 	}
 	d.softClean()
-	return disk.Access{Kind: kind, Extent: ext, Seeked: sum.seeked, Distance: sum.distance}
-}
-
-// summary folds several physical accesses into the one Access Do
-// reports upward.
-type summary struct {
-	seeked   bool
-	distance int64
-}
-
-func (s *summary) note(a disk.Access) {
-	if a.Seeked && !s.seeked {
-		s.seeked = true
-		s.distance = a.Distance
-	}
-}
-
-// access plays one physical I/O through the inner engine.
-func (d *Device) access(kind disk.OpKind, ext geom.Extent, sum *summary) {
-	a := d.inner.Do(kind, ext)
-	if sum != nil {
-		sum.note(a)
-	}
 }
 
 // doRead resolves the host extent through the cache map: identity
 // pieces are read in place, redirected pieces at their cache location —
 // the extra seeks that make cached data expensive to read back.
-func (d *Device) doRead(ext geom.Extent, sum *summary) {
+func (d *Device) doRead(ext geom.Extent) {
 	d.cmap.LookupFunc(ext, func(r extmap.Resolved) bool {
 		if !r.Identity {
 			d.cleaning.CacheReads++
 		}
-		d.access(disk.Read, r.PhysExtent(), sum)
+		d.inner.Do(disk.Read, r.PhysExtent())
 		return true
 	})
 	d.noteTail(ext)
@@ -446,13 +423,13 @@ func (d *Device) doRead(ext geom.Extent, sum *summary) {
 // doWrite walks the host extent band by band, coalescing in-place runs
 // (pieces at or above their band's write pointer) into single physical
 // writes and redirecting rewrites into the cache.
-func (d *Device) doWrite(ext geom.Extent, sum *summary) {
+func (d *Device) doWrite(ext geom.Extent) {
 	d.cleaning.HostWriteSectors += ext.Count
 	runStart := ext.Start
 	flush := func(end geom.Sector) {
 		if end > runStart {
 			run := geom.Span(runStart, end)
-			d.access(disk.Write, run, sum)
+			d.inner.Do(disk.Write, run)
 			d.noteTail(run)
 		}
 	}
@@ -484,7 +461,7 @@ func (d *Device) doWrite(ext geom.Extent, sum *summary) {
 			if chunkEnd > bs.wmark {
 				bs.wmark = chunkEnd
 			}
-			d.redirect(geom.Span(cur, chunkEnd), bs, sum)
+			d.redirect(geom.Span(cur, chunkEnd), bs)
 			runStart = chunkEnd
 		}
 		cur = chunkEnd
@@ -494,9 +471,9 @@ func (d *Device) doWrite(ext geom.Extent, sum *summary) {
 
 // redirect places one rewrite piece (confined to a single band) into
 // the persistent cache per the policy and records the mapping.
-func (d *Device) redirect(ext geom.Extent, bs *bandState, sum *summary) {
+func (d *Device) redirect(ext geom.Extent, bs *bandState) {
 	if d.cfg.Policy == Shelter && ext.Count <= d.cfg.ShelterSectors {
-		if d.shelterWrite(ext, bs, sum) {
+		if d.shelterWrite(ext, bs) {
 			return
 		}
 	}
@@ -512,7 +489,7 @@ func (d *Device) redirect(ext geom.Extent, bs *bandState, sum *summary) {
 		d.units[u].fill += piece.Count
 		d.units[u].live += piece.Count
 		d.cacheLive += piece.Count
-		d.access(disk.Write, geom.Ext(phys, piece.Count), sum)
+		d.inner.Do(disk.Write, geom.Ext(phys, piece.Count))
 		d.insert(piece, phys, bs)
 		cur += n
 	}
@@ -569,7 +546,7 @@ func (d *Device) release(m extmap.Mapping) {
 // unwritten tail of the band the head is already in — so it costs no
 // seek. Reports false when the shelter band has no room, sending the
 // piece down the cache path instead.
-func (d *Device) shelterWrite(ext geom.Extent, bs *bandState, sum *summary) bool {
+func (d *Device) shelterWrite(ext geom.Extent, bs *bandState) bool {
 	sb := d.band(d.shelterPos)
 	ss := d.state(sb)
 	target := d.shelterPos
@@ -581,8 +558,8 @@ func (d *Device) shelterWrite(ext geom.Extent, bs *bandState, sum *summary) bool
 	}
 	// Capacity: sheltered sectors draw on the cache budget; make room
 	// like any redirected write would.
-	d.ensureBudget(ext.Count, sum)
-	d.access(disk.Write, geom.Ext(target, ext.Count), sum)
+	d.ensureBudget(ext.Count)
+	d.inner.Do(disk.Write, geom.Ext(target, ext.Count))
 	if target+geom.Sector(ext.Count) > ss.wmark {
 		ss.wmark = target + geom.Sector(ext.Count)
 	}
@@ -639,7 +616,7 @@ func (d *Device) nearestWithRoom(n int64) int {
 
 // ensureBudget stall-cleans until the live total fits under the high
 // watermark with n more sectors coming.
-func (d *Device) ensureBudget(n int64, sum *summary) {
+func (d *Device) ensureBudget(n int64) {
 	hi := int64(d.cfg.CleanHi * float64(d.cfg.CacheSectors))
 	for d.cacheLive+d.shelterLive+n > hi {
 		if !d.stallCleanOne() {
@@ -744,9 +721,6 @@ func (d *Device) dirtiestBand(unit int) *bandState {
 // cleanBand read-modify-writes one dirty band: read its redirected
 // pieces from wherever they live, read the band's in-place region,
 // write the whole region back sequentially, and drop the mappings.
-// Cleaning I/O goes through the inner engine unobserved by sum — it is
-// charged to the device's own counters and to disk.Counters, not to a
-// particular host access summary.
 func (d *Device) cleanBand(bs *bandState) {
 	// Every mapping of the band lies inside region: a redirected piece
 	// never leaves its band and sits below the write pointer.
@@ -755,14 +729,14 @@ func (d *Device) cleanBand(bs *bandState) {
 	// price of the earlier cheap writes), then the in-place survivors.
 	d.cmap.LookupFunc(region, func(r extmap.Resolved) bool {
 		if !r.Identity {
-			d.access(disk.Read, r.PhysExtent(), nil)
+			d.inner.Do(disk.Read, r.PhysExtent())
 			d.cleaning.CleanReadSectors += r.Lba.Count
 		}
 		return true
 	})
-	d.access(disk.Read, region, nil)
+	d.inner.Do(disk.Read, region)
 	d.cleaning.CleanReadSectors += region.Count
-	d.access(disk.Write, region, nil)
+	d.inner.Do(disk.Write, region)
 	d.cleaning.CleanWriteSectors += region.Count
 	d.cmap.DeleteFunc(region, func(m extmap.Mapping) bool {
 		d.release(m)

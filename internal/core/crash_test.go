@@ -305,19 +305,19 @@ func TestAbortedDefragLeavesMapUnchanged(t *testing.T) {
 	// the range.
 	s := mk(false)
 	s.Step(rd(0, 16))
-	if got := len(s.Layer().ResolveAppend(nil, geom.Ext(0, 16))); got != 1 {
+	if got := len(s.layer.ResolveAppend(nil, geom.Ext(0, 16))); got != 1 {
 		t.Fatalf("journaled defrag left %d fragments, want 1 — the aborted-defrag check below would be vacuous", got)
 	}
 
 	s = mk(true)
 	target := geom.Ext(0, 16)
-	before := s.Layer().ResolveAppend(nil, target)
+	before := s.layer.ResolveAppend(nil, target)
 	if len(before) < 2 {
 		t.Fatalf("setup did not fragment the target: %v", before)
 	}
 	writesBefore := s.Stats().Disk.WriteOps
 	s.Step(rd(0, 16)) // triggers defrag; its relocation record is rejected
-	after := s.Layer().ResolveAppend(nil, target)
+	after := s.layer.ResolveAppend(nil, target)
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("aborted defrag changed the extent map:\nbefore %v\nafter  %v", before, after)
 	}
@@ -336,7 +336,7 @@ func TestAbortedDefragLeavesMapUnchanged(t *testing.T) {
 	}
 	// Per-LBA check: every sector of the target still resolves somewhere.
 	for lba := int64(0); lba < 16; lba++ {
-		if frags := s.Layer().ResolveAppend(nil, geom.Ext(lba, 1)); len(frags) != 1 {
+		if frags := s.layer.ResolveAppend(nil, geom.Ext(lba, 1)); len(frags) != 1 {
 			t.Errorf("LBA %d resolves to %d fragments after aborted defrag", lba, len(frags))
 		}
 	}

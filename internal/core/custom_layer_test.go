@@ -59,7 +59,7 @@ func TestSimulatorWithGCLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := runCustom(t, core.Config{CustomLayer: layer}, recs)
-	if layer.Cleanings() == 0 {
+	if layer.ExtraSectors() == 0 {
 		t.Fatal("workload did not trigger cleaning; enlarge it")
 	}
 	if st.MaintSectors == 0 || st.MaintReads == 0 || st.MaintWrites == 0 {
@@ -81,7 +81,7 @@ func TestSimulatorWithMediaCacheLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := runCustom(t, core.Config{CustomLayer: layer}, recs)
-	if layer.Merges() == 0 {
+	if layer.ExtraSectors() == 0 {
 		t.Fatal("workload did not trigger merges")
 	}
 	if st.WAF <= 1 {

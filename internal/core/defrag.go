@@ -50,7 +50,6 @@ type Defragmenter struct {
 
 	writebacks  int64
 	writtenBack int64 // sectors rewritten
-	suppressed  int64 // fragmented reads below a gate
 }
 
 // NewDefragmenter returns a defragmenter with the given configuration;
@@ -70,13 +69,11 @@ func NewDefragmenter(cfg DefragConfig) *Defragmenter {
 // written back to the log head.
 func (d *Defragmenter) ShouldDefrag(lba geom.Extent, fragments int) bool {
 	if fragments < d.cfg.MinFragments {
-		d.suppressed++
 		return false
 	}
 	k := keyOf(lba)
 	d.accesses[k]++
 	if d.accesses[k] < d.cfg.MinAccesses {
-		d.suppressed++
 		return false
 	}
 	delete(d.accesses, k) // range becomes contiguous; start over
@@ -94,6 +91,3 @@ func (d *Defragmenter) Writebacks() int64 { return d.writebacks }
 
 // WrittenBackSectors returns the total sectors rewritten by defrag.
 func (d *Defragmenter) WrittenBackSectors() int64 { return d.writtenBack }
-
-// Suppressed returns the number of fragmented reads a gate filtered out.
-func (d *Defragmenter) Suppressed() int64 { return d.suppressed }

@@ -136,6 +136,3 @@ func (p *Prefetcher) Hits() int64 { return p.hits }
 
 // Misses returns the number of coverage checks that missed.
 func (p *Prefetcher) Misses() int64 { return p.misses }
-
-// BufferedBytes returns the bytes currently accounted to the buffer.
-func (p *Prefetcher) BufferedBytes() int64 { return p.bytes }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"smrseek/internal/disk"
@@ -55,31 +54,6 @@ func (s *Simulator) AddProbe(p Probe) {
 		s.probes = append(s.probes, p)
 		s.dev.AddObserver(p)
 	}
-}
-
-// globalProbe, when set, is attached to every Simulator NewSimulator
-// builds, so a process-wide observer (e.g. the experiments CLI's live
-// metrics collector) can watch runs it does not construct itself.
-var globalProbe atomic.Pointer[Probe]
-
-// SetGlobalProbe attaches p to every simulator built after the call;
-// nil detaches. The probe must be safe for use across consecutive runs
-// (each run delivers its own OnFinish).
-//
-// The global probe is a single-run convenience for a CLI that builds
-// its simulators deep inside a pipeline (experiments). It is the WRONG
-// tool when several simulators run concurrently in one process — every
-// volume's events would land in the same probe, and the probe would
-// need to be race-safe against all of them. A caller that builds the
-// simulator itself (smrsim) attaches with AddProbe, and multi-tenant
-// hosts (internal/volume) pass a per-simulator probe to NewSimulator,
-// which observes exactly one simulator.
-func SetGlobalProbe(p Probe) {
-	if p == nil {
-		globalProbe.Store(nil)
-		return
-	}
-	globalProbe.Store(&p)
 }
 
 func (s *Simulator) emitOp(kind disk.OpKind, frags []stl.Fragment) {

@@ -120,9 +120,3 @@ func (s *SelectiveCache) Misses() int64 { return s.c.Misses() }
 
 // Invalidations returns the number of entries dropped by writes.
 func (s *SelectiveCache) Invalidations() int64 { return s.invalidations }
-
-// UsedBytes returns the bytes currently cached.
-func (s *SelectiveCache) UsedBytes() int64 { return s.c.Used() }
-
-// Entries returns the number of cached fragments.
-func (s *SelectiveCache) Entries() int { return s.c.Len() }

@@ -81,6 +81,16 @@ func (s *SelectiveCache) indexKeys() []extKey {
 	return out
 }
 
+// cachedBytes sums the sizes of the indexed keys, which checkInvariants
+// ties to the LRU's keys.
+func (s *SelectiveCache) cachedBytes() int64 {
+	var n int64
+	for _, k := range s.indexKeys() {
+		n += k.extent().Bytes()
+	}
+	return n
+}
+
 // coveredByUnion reports whether every sector of e lies in some cached
 // extent — a containment hit, where exact-extent keying sees a miss.
 // Only keys in e's own buckets can cover any of it. Swept in start
@@ -194,8 +204,8 @@ func runCacheOps(t testing.TB, capacity int64, ops []cacheOp, checkEvery int) *S
 		if got := s.indexKeys(); !slices.Equal(got, want) {
 			t.Fatalf("op %d: index holds %v, reference %v", i, got, want)
 		}
-		if got, want := s.UsedBytes(), ref.used(); got != want {
-			t.Fatalf("op %d: UsedBytes = %d, reference %d", i, got, want)
+		if got, want := s.cachedBytes(), ref.used(); got != want {
+			t.Fatalf("op %d: cached bytes = %d, reference %d", i, got, want)
 		}
 	}
 	var invalidations int64
@@ -227,8 +237,8 @@ func runCacheOps(t testing.TB, capacity int64, ops []cacheOp, checkEvery int) *S
 			}
 			invalidations += int64(got)
 		}
-		if got, want := s.Entries(), len(ref.keys); got != want {
-			t.Fatalf("op %d (%d %v): Entries = %d, reference %d", i, op.kind, op.ext, got, want)
+		if got, want := s.c.Len(), len(ref.keys); got != want {
+			t.Fatalf("op %d (%d %v): entries = %d, reference %d", i, op.kind, op.ext, got, want)
 		}
 		if i%checkEvery == 0 {
 			check(i)
@@ -321,8 +331,8 @@ func TestOversizeEntryNotIndexed(t *testing.T) {
 	s := NewSelectiveCache(CacheConfig{CapacityBytes: 4 * 512})
 	s.Insert(geom.Ext(0, 2))
 	s.Insert(geom.Ext(100, 5)) // larger than the whole cache: evicts [0,2), then itself
-	if s.Entries() != 0 || s.UsedBytes() != 0 {
-		t.Fatalf("entries=%d used=%d after an oversize insert, want an empty cache", s.Entries(), s.UsedBytes())
+	if s.c.Len() != 0 || s.cachedBytes() != 0 {
+		t.Fatalf("entries=%d used=%d after an oversize insert, want an empty cache", s.c.Len(), s.cachedBytes())
 	}
 	if err := s.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -340,8 +350,8 @@ func TestReinsertFilesKeyOnce(t *testing.T) {
 	if err := s.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if n0, n1 := len(s.idx.buckets[0]), len(s.idx.buckets[1]); n0 != 1 || n1 != 1 || s.Entries() != 1 {
-		t.Fatalf("buckets hold %d and %d keys, entries=%d after three inserts of one key, want 1 each", n0, n1, s.Entries())
+	if n0, n1 := len(s.idx.buckets[0]), len(s.idx.buckets[1]); n0 != 1 || n1 != 1 || s.c.Len() != 1 {
+		t.Fatalf("buckets hold %d and %d keys, entries=%d after three inserts of one key, want 1 each", n0, n1, s.c.Len())
 	}
 	if got := s.Invalidate(geom.Ext(258, 1)); got != 1 {
 		t.Errorf("Invalidate dropped %d entries, want 1", got)
@@ -365,8 +375,8 @@ func TestBucketBoundaries(t *testing.T) {
 	s.Insert(geom.Ext(width-1, 2*width+2)) // buckets 0..3
 	s.Insert(geom.Ext(4*width, 8))         // bucket 4, untouched
 	check(s)
-	if got := s.Invalidate(geom.Ext(3*width, 1)); got != 1 || s.Entries() != 1 {
-		t.Fatalf("write in the last bucket dropped %d entries, %d left; want 1 and 1", got, s.Entries())
+	if got := s.Invalidate(geom.Ext(3*width, 1)); got != 1 || s.c.Len() != 1 {
+		t.Fatalf("write in the last bucket dropped %d entries, %d left; want 1 and 1", got, s.c.Len())
 	}
 	if len(s.idx.buckets) != 1 {
 		t.Fatalf("%d buckets mapped after the drop, want 1", len(s.idx.buckets))
@@ -380,8 +390,8 @@ func TestBucketBoundaries(t *testing.T) {
 	s.Insert(geom.Ext(0, 2))
 	for _, e := range []geom.Extent{geom.Ext(width/2, 4*width+1), geom.Ext(0, 1<<60)} {
 		s.Insert(e)
-		if s.Entries() != 0 || s.UsedBytes() != 0 || len(s.idx.buckets) != 0 {
-			t.Fatalf("after inserting %v: entries=%d used=%d buckets=%d, want an empty cache", e, s.Entries(), s.UsedBytes(), len(s.idx.buckets))
+		if s.c.Len() != 0 || s.cachedBytes() != 0 || len(s.idx.buckets) != 0 {
+			t.Fatalf("after inserting %v: entries=%d used=%d buckets=%d, want an empty cache", e, s.c.Len(), s.cachedBytes(), len(s.idx.buckets))
 		}
 		check(s)
 	}
@@ -419,8 +429,8 @@ func TestEmptyExtentsAreNoOps(t *testing.T) {
 	if got := s.Invalidate(geom.Ext(12, -3)); got != 0 {
 		t.Errorf("negative Invalidate dropped %d entries", got)
 	}
-	if s.Entries() != 1 || s.Invalidations() != 0 {
-		t.Errorf("entries=%d invalidations=%d, want 1 and 0", s.Entries(), s.Invalidations())
+	if s.c.Len() != 1 || s.Invalidations() != 0 {
+		t.Errorf("entries=%d invalidations=%d, want 1 and 0", s.c.Len(), s.Invalidations())
 	}
 	if err := s.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -509,11 +519,11 @@ func TestInvalidateMatchesScan(t *testing.T) {
 			if s.Invalidations() == 0 || s.Hits() == 0 {
 				t.Errorf("degenerate run: %d hits, %d invalidations", s.Hits(), s.Invalidations())
 			}
-			if !testing.Short() && s.UsedBytes() < tc.capacity*9/10 {
-				t.Errorf("cache ended at %d of %d bytes: no capacity pressure", s.UsedBytes(), tc.capacity)
+			if !testing.Short() && s.cachedBytes() < tc.capacity*9/10 {
+				t.Errorf("cache ended at %d of %d bytes: no capacity pressure", s.cachedBytes(), tc.capacity)
 			}
 			t.Logf("%s x %.2f, 2 passes: %d ops, %d entries (%d of %d KiB) at the end, hits/misses/invalidations %d/%d/%d",
-				tc.name, scale, len(ops), s.Entries(), s.UsedBytes()>>10, tc.capacity>>10, s.Hits(), s.Misses(), s.Invalidations())
+				tc.name, scale, len(ops), s.c.Len(), s.cachedBytes()>>10, tc.capacity>>10, s.Hits(), s.Misses(), s.Invalidations())
 		})
 	}
 }

@@ -214,11 +214,10 @@ type Simulator struct {
 }
 
 // NewSimulator builds a simulator from the configuration. Probes passed
-// here are attached before the global probe (SetGlobalProbe) and receive
-// only this simulator's events — the right way to observe one simulator
-// among many running concurrently in the same process (internal/volume
-// wires each volume's collector this way). The variadic form is
-// backward compatible: NewSimulator(cfg) builds an unobserved simulator.
+// here receive only this simulator's events — the way to observe one
+// simulator among many running concurrently in the same process
+// (internal/volume wires each volume's collector this way).
+// NewSimulator(cfg) builds an unobserved simulator.
 func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -266,9 +265,6 @@ func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 	for _, p := range probes {
 		s.AddProbe(p)
 	}
-	if gp := globalProbe.Load(); gp != nil {
-		s.AddProbe(*gp)
-	}
 	s.stats.Config = cfg
 	return s, nil
 }
@@ -276,10 +272,6 @@ func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 // Disk exposes the device model so callers can attach observers
 // (distance CDFs, windowed series, time accumulators) before Run.
 func (s *Simulator) Disk() disk.Device { return s.dev }
-
-// Layer exposes the translation layer (e.g. to inspect the final extent
-// map).
-func (s *Simulator) Layer() stl.Layer { return s.layer }
 
 // LS returns the log-structured layer, or nil for a NoLS simulator.
 func (s *Simulator) LS() *stl.LS { return s.ls }

@@ -347,9 +347,6 @@ func TestDefragGates(t *testing.T) {
 	if d.ShouldDefrag(e, 5) {
 		t.Error("count must reset after defrag")
 	}
-	if d.Suppressed() != 3 {
-		t.Errorf("suppressed = %d, want 3", d.Suppressed())
-	}
 	// Clamping.
 	d2 := NewDefragmenter(DefragConfig{})
 	if !d2.ShouldDefrag(e, 2) {
@@ -368,8 +365,8 @@ func TestPrefetcherBufferEviction(t *testing.T) {
 	if !p.Covers(geom.Ext(100, 1)) || !p.Covers(geom.Ext(200, 1)) {
 		t.Error("newer windows must remain")
 	}
-	if p.BufferedBytes() != 2*512 {
-		t.Errorf("BufferedBytes = %d", p.BufferedBytes())
+	if p.bytes != 2*512 {
+		t.Errorf("buffered bytes = %d", p.bytes)
 	}
 	if p.Hits() != 2 || p.Misses() != 1 {
 		t.Errorf("hits=%d misses=%d", p.Hits(), p.Misses())
@@ -389,8 +386,9 @@ func TestPrefetcherCoverageProperty(t *testing.T) {
 		p := NewPrefetcher(PrefetchConfig{LookBehindSectors: behind, LookAheadSectors: ahead, BufferBytes: (4 + rng.Int63n(60)) * 512})
 		for i := 0; i < 3000; i++ {
 			p.Fill(geom.Ext(rng.Int63n(400), rng.Int63n(12)))
-			want := geom.NewSet(p.windows[p.head:]...).Extents()
-			if got := p.covered.Extents(); !slices.Equal(got, want) {
+			all := geom.Span(0, math.MaxInt64)
+			want := geom.NewSet(p.windows[p.head:]...).Covered(all)
+			if got := p.covered.Covered(all); !slices.Equal(got, want) {
 				t.Fatalf("seed %d, fill %d: coverage %v, union of live windows %v", seed, i, got, want)
 			}
 		}
@@ -412,12 +410,12 @@ func TestPrefetcherOversizeWindow(t *testing.T) {
 	cfg := DefaultPrefetchConfig()
 	p := NewPrefetcher(cfg)
 	p.Fill(geom.Ext(0, 1<<60))
-	if got := p.BufferedBytes(); got <= cfg.BufferBytes {
-		t.Errorf("after a 2^60-sector window: BufferedBytes = %d, want past %d", got, cfg.BufferBytes)
+	if got := p.bytes; got <= cfg.BufferBytes {
+		t.Errorf("after a 2^60-sector window: buffered bytes = %d, want past %d", got, cfg.BufferBytes)
 	}
 	p.Fill(geom.Ext(0, 8))
-	if got := p.BufferedBytes(); got > cfg.BufferBytes {
-		t.Errorf("BufferedBytes = %d, want <= %d", got, cfg.BufferBytes)
+	if got := p.bytes; got > cfg.BufferBytes {
+		t.Errorf("buffered bytes = %d, want <= %d", got, cfg.BufferBytes)
 	}
 	if p.Covers(geom.Ext(1<<59, 8)) {
 		t.Error("the evicted 2^60-sector window still covers sector 2^59")
@@ -437,8 +435,8 @@ func TestSelectiveCacheExactKeySemantics(t *testing.T) {
 	if s.Has(geom.Ext(10, 5)) {
 		t.Error("sub-range is a (false) miss by design")
 	}
-	if s.Entries() != 1 || s.UsedBytes() != 10*512 {
-		t.Errorf("entries=%d used=%d", s.Entries(), s.UsedBytes())
+	if s.c.Len() != 1 || s.cachedBytes() != 10*512 {
+		t.Errorf("entries=%d used=%d", s.c.Len(), s.cachedBytes())
 	}
 	// Invalidation of a non-overlapping write is a fast no-op.
 	if got := s.Invalidate(geom.Ext(1000, 5)); got != 0 {
@@ -451,7 +449,7 @@ func TestSelectiveCacheExactKeySemantics(t *testing.T) {
 		t.Error("invalidated entry should miss")
 	}
 	s.Insert(geom.Extent{}) // no-op
-	if s.Entries() != 0 {
+	if s.c.Len() != 0 {
 		t.Error("empty insert should be ignored")
 	}
 }

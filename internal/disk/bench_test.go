@@ -12,7 +12,7 @@ func BenchmarkDoSequential(b *testing.B) {
 	pos := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Read(geom.Ext(pos, 8))
+		d.Do(Read, geom.Ext(pos, 8))
 		pos += 8
 	}
 }
@@ -22,7 +22,7 @@ func BenchmarkDoRandom(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Write(geom.Ext(rng.Int63n(1<<30), 8))
+		d.Do(Write, geom.Ext(rng.Int63n(1<<30), 8))
 	}
 }
 

@@ -63,9 +63,6 @@ const LongSeekBytes = 500 * 1000
 // LongSeekSectors is LongSeekBytes expressed in sectors.
 const LongSeekSectors = LongSeekBytes / geom.SectorSize
 
-// TotalOps returns the number of operations observed.
-func (c Counters) TotalOps() int64 { return c.ReadOps + c.WriteOps }
-
 // TotalSeeks returns read + write seeks.
 func (c Counters) TotalSeeks() int64 { return c.ReadSeeks + c.WriteSeeks }
 
@@ -93,8 +90,9 @@ type Observer interface {
 // against this interface so every mechanism runs unchanged on either.
 type Device interface {
 	// Do performs one I/O at the physical extent, charging seek
-	// accounting, and returns the access outcome.
-	Do(kind OpKind, ext geom.Extent) Access
+	// accounting; each physical access it makes is reported to the
+	// observers, which are the only readers of its outcome.
+	Do(kind OpKind, ext geom.Extent)
 	// Counters returns the accumulated seek statistics.
 	Counters() Counters
 	// Position returns the sector following the previous I/O — the only
@@ -132,12 +130,12 @@ func (d *Disk) Counters() Counters { return d.counters }
 func (d *Disk) Position() geom.Sector { return d.pos }
 
 // Do performs one I/O of the given kind at the physical extent, updating
-// seek accounting, and reports the access outcome.
-func (d *Disk) Do(kind OpKind, ext geom.Extent) Access {
-	a := Access{Kind: kind, Extent: ext}
+// seek accounting, and reports the access outcome to the observers.
+func (d *Disk) Do(kind OpKind, ext geom.Extent) {
 	if ext.Empty() {
-		return a
+		return
 	}
+	a := Access{Kind: kind, Extent: ext}
 	if d.first {
 		d.first = false
 	} else if ext.Start != d.pos {
@@ -169,14 +167,7 @@ func (d *Disk) Do(kind OpKind, ext geom.Extent) Access {
 	for _, o := range d.observers {
 		o.ObserveAccess(a)
 	}
-	return a
 }
-
-// Read performs a read access.
-func (d *Disk) Read(ext geom.Extent) Access { return d.Do(Read, ext) }
-
-// Write performs a write access.
-func (d *Disk) Write(ext geom.Extent) Access { return d.Do(Write, ext) }
 
 // String summarizes the counters.
 func (c Counters) String() string {

@@ -7,9 +7,38 @@ import (
 	"smrseek/internal/geom"
 )
 
+// recorded is a Disk whose accesses a test reads back through an
+// observer, the only reader of an access's outcome.
+type recorded struct {
+	*Disk
+	seen []Access
+}
+
+func newRecorded() *recorded {
+	r := &recorded{Disk: New()}
+	r.AddObserver(r)
+	return r
+}
+
+func (r *recorded) ObserveAccess(a Access) { r.seen = append(r.seen, a) }
+
+// read and write perform one access and return what the observer saw
+// for it, or the zero Access when it saw nothing.
+func (r *recorded) read(ext geom.Extent) Access  { return r.do(Read, ext) }
+func (r *recorded) write(ext geom.Extent) Access { return r.do(Write, ext) }
+
+func (r *recorded) do(kind OpKind, ext geom.Extent) Access {
+	n := len(r.seen)
+	r.Do(kind, ext)
+	if len(r.seen) == n {
+		return Access{}
+	}
+	return r.seen[n]
+}
+
 func TestFirstAccessIsNotASeek(t *testing.T) {
-	d := New()
-	a := d.Read(geom.Ext(1000, 8))
+	d := newRecorded()
+	a := d.read(geom.Ext(1000, 8))
 	if a.Seeked {
 		t.Error("first access must not count as a seek")
 	}
@@ -20,13 +49,13 @@ func TestFirstAccessIsNotASeek(t *testing.T) {
 }
 
 func TestSequentialAccessesDoNotSeek(t *testing.T) {
-	d := New()
-	d.Read(geom.Ext(0, 8))
-	a := d.Read(geom.Ext(8, 8)) // starts exactly where previous ended
+	d := newRecorded()
+	d.read(geom.Ext(0, 8))
+	a := d.read(geom.Ext(8, 8)) // starts exactly where previous ended
 	if a.Seeked {
 		t.Error("sequential access must not seek")
 	}
-	a = d.Write(geom.Ext(16, 4)) // read→write still sequential
+	a = d.write(geom.Ext(16, 4)) // read→write still sequential
 	if a.Seeked {
 		t.Error("kind change alone is not a seek")
 	}
@@ -36,9 +65,9 @@ func TestSequentialAccessesDoNotSeek(t *testing.T) {
 }
 
 func TestSeekClassifiedBySecondOp(t *testing.T) {
-	d := New()
-	d.Write(geom.Ext(0, 8))
-	a := d.Read(geom.Ext(100, 8)) // second op is a read → read seek
+	d := newRecorded()
+	d.write(geom.Ext(0, 8))
+	a := d.read(geom.Ext(100, 8)) // second op is a read → read seek
 	if !a.Seeked || a.Distance != 92 {
 		t.Fatalf("access = %+v", a)
 	}
@@ -46,7 +75,7 @@ func TestSeekClassifiedBySecondOp(t *testing.T) {
 	if c.ReadSeeks != 1 || c.WriteSeeks != 0 {
 		t.Errorf("counters = %+v", c)
 	}
-	a = d.Write(geom.Ext(0, 8)) // second op is a write → write seek
+	a = d.write(geom.Ext(0, 8)) // second op is a write → write seek
 	if !a.Seeked || a.Distance != -108 {
 		t.Fatalf("access = %+v", a)
 	}
@@ -57,20 +86,20 @@ func TestSeekClassifiedBySecondOp(t *testing.T) {
 }
 
 func TestBackwardOneSectorIsASeek(t *testing.T) {
-	d := New()
-	d.Read(geom.Ext(10, 1))
-	a := d.Read(geom.Ext(10, 1)) // re-read same sector: pos is 11, start is 10
+	d := newRecorded()
+	d.read(geom.Ext(10, 1))
+	a := d.read(geom.Ext(10, 1)) // re-read same sector: pos is 11, start is 10
 	if !a.Seeked || a.Distance != -1 {
 		t.Errorf("re-read should be a -1 seek, got %+v", a)
 	}
 }
 
 func TestLongSeekCounting(t *testing.T) {
-	d := New()
-	d.Read(geom.Ext(0, 1))
-	d.Read(geom.Ext(LongSeekSectors+10, 1)) // long
-	d.Read(geom.Ext(0, 1))                  // long backwards
-	d.Read(geom.Ext(500, 1))                // short
+	d := newRecorded()
+	d.read(geom.Ext(0, 1))
+	d.read(geom.Ext(LongSeekSectors+10, 1)) // long
+	d.read(geom.Ext(0, 1))                  // long backwards
+	d.read(geom.Ext(500, 1))                // short
 	c := d.Counters()
 	if c.ReadSeeks != 3 {
 		t.Fatalf("ReadSeeks = %d, want 3", c.ReadSeeks)
@@ -81,11 +110,11 @@ func TestLongSeekCounting(t *testing.T) {
 }
 
 func TestEmptyExtentIgnored(t *testing.T) {
-	d := New()
-	d.Read(geom.Ext(0, 8))
-	a := d.Read(geom.Extent{})
-	if a.Seeked {
-		t.Error("empty access must not seek")
+	d := newRecorded()
+	d.read(geom.Ext(0, 8))
+	d.read(geom.Extent{})
+	if len(d.seen) != 1 {
+		t.Error("empty access must not reach the observers")
 	}
 	if d.Counters().ReadOps != 1 {
 		t.Error("empty access must not count as an op")
@@ -95,17 +124,11 @@ func TestEmptyExtentIgnored(t *testing.T) {
 	}
 }
 
-// observerFunc adapts a function to the Observer interface.
-type observerFunc func(Access)
-
-func (f observerFunc) ObserveAccess(a Access) { f(a) }
-
 func TestObserverSeesAccesses(t *testing.T) {
-	d := New()
-	var seen []Access
-	d.AddObserver(observerFunc(func(a Access) { seen = append(seen, a) }))
-	d.Read(geom.Ext(0, 4))
-	d.Write(geom.Ext(100, 4))
+	d := newRecorded()
+	d.Do(Read, geom.Ext(0, 4))
+	d.Do(Write, geom.Ext(100, 4))
+	seen := d.seen
 	if len(seen) != 2 {
 		t.Fatalf("observer saw %d accesses", len(seen))
 	}
@@ -122,7 +145,7 @@ func TestCountersAddAndString(t *testing.T) {
 	if a.ReadOps != 2 || a.WriteSeeks != 8 || a.LongWriteSeeks != 2 {
 		t.Errorf("Add result = %+v", a)
 	}
-	if a.TotalOps() != 6 || a.TotalSeeks() != 14 {
+	if a.WriteOps != 4 || a.TotalSeeks() != 14 {
 		t.Errorf("totals wrong: %+v", a)
 	}
 	if a.String() == "" {
@@ -170,8 +193,8 @@ func TestTimeAccumulator(t *testing.T) {
 	d := New()
 	acc := NewTimeAccumulator(DefaultTimeModel())
 	d.AddObserver(acc)
-	d.Read(geom.Ext(0, 100))
-	d.Write(geom.Ext(1<<30, 100))
+	d.Do(Read, geom.Ext(0, 100))
+	d.Do(Write, geom.Ext(1<<30, 100))
 	if acc.ReadTime <= 0 || acc.WriteTime <= 0 {
 		t.Fatalf("times not accumulated: %+v", acc)
 	}

@@ -562,6 +562,3 @@ func (t *Map) Diff(o *Map) string {
 	})
 	return diff
 }
-
-// Equal reports whether the two maps hold identical mapping sequences.
-func (t *Map) Equal(o *Map) bool { return t.Diff(o) == "" }

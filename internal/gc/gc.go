@@ -289,12 +289,6 @@ func (l *Layer) HostSectors() int64 { return l.hostSectors }
 // ExtraSectors implements stl.Amplifier.
 func (l *Layer) ExtraSectors() int64 { return l.extraSectors }
 
-// Cleanings returns how many segments have been cleaned.
-func (l *Layer) Cleanings() int64 { return l.cleanings }
-
-// FreeSegments returns the current free-list length.
-func (l *Layer) FreeSegments() int { return len(l.free) }
-
 // Fragments returns the dynamic fragmentation of a read of lba.
 func (l *Layer) Fragments(lba geom.Extent) int { return l.m.Fragments(lba) }
 

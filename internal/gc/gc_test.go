@@ -98,11 +98,11 @@ func TestCleaningTriggersAndFreesSpace(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		l.WriteAppend(nil, geom.Ext(0, 256))
 	}
-	if l.Cleanings() == 0 {
+	if l.cleanings == 0 {
 		t.Fatal("cleaning never ran")
 	}
-	if l.FreeSegments() < 2 {
-		t.Errorf("free segments = %d", l.FreeSegments())
+	if len(l.free) < 2 {
+		t.Errorf("free segments = %d", len(l.free))
 	}
 	// Dead-segment cleaning relocates nothing: WAF stays 1.
 	if waf := stl.WAF(l); waf != 1 {
@@ -123,7 +123,7 @@ func TestCleaningRelocatesLiveData(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		l.WriteAppend(nil, geom.Ext(int64(rng.Intn(1300)), 32))
 	}
-	if l.Cleanings() == 0 {
+	if l.cleanings == 0 {
 		t.Fatal("cleaning never ran")
 	}
 	if l.ExtraSectors() == 0 {
@@ -206,8 +206,8 @@ func TestFullyLiveLogStopsCleaning(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		l.WriteAppend(nil, geom.Ext(i*256, 256))
 	}
-	if l.Cleanings() != 0 {
-		t.Errorf("cleanings = %d, want 0 (nothing reclaimable)", l.Cleanings())
+	if l.cleanings != 0 {
+		t.Errorf("cleanings = %d, want 0 (nothing reclaimable)", l.cleanings)
 	}
 }
 

@@ -96,12 +96,6 @@ func (e Extent) Union(o Extent) (Extent, bool) {
 	return Span(min64(e.Start, o.Start), max64(e.End(), o.End())), true
 }
 
-// Shift returns the extent translated by delta sectors.
-func (e Extent) Shift(delta int64) Extent { return Extent{Start: e.Start + delta, Count: e.Count} }
-
-// Clamp returns e restricted to the bounds extent.
-func (e Extent) Clamp(bounds Extent) Extent { return e.Intersect(bounds) }
-
 // String renders the extent as "[start,end)" for diagnostics.
 func (e Extent) String() string {
 	return fmt.Sprintf("[%d,%d)", e.Start, e.End())

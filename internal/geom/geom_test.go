@@ -103,15 +103,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestShiftClamp(t *testing.T) {
-	if got := Ext(10, 5).Shift(-3); got != Ext(7, 5) {
-		t.Errorf("Shift = %v", got)
-	}
-	if got := Ext(0, 100).Clamp(Ext(10, 5)); got != Ext(10, 5) {
-		t.Errorf("Clamp = %v", got)
-	}
-}
-
 // Property: Intersect is commutative and contained in both operands.
 func TestIntersectProperty(t *testing.T) {
 	f := func(as, ac, bs, bc uint16) bool {

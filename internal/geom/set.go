@@ -36,13 +36,6 @@ func (s *Set) Sectors() int64 {
 	return n
 }
 
-// Extents returns a copy of the normalized extents in ascending order.
-func (s *Set) Extents() []Extent {
-	out := make([]Extent, len(s.exts))
-	copy(out, s.exts)
-	return out
-}
-
 // search returns the index of the first extent whose end is > start.
 func (s *Set) search(start Sector) int {
 	return sort.Search(len(s.exts), func(i int) bool { return s.exts[i].End() > start })
@@ -114,11 +107,6 @@ func (s *Set) Contains(e Extent) bool {
 	return i < len(s.exts) && s.exts[i].ContainsExtent(e)
 }
 
-// ContainsSector reports whether a single sector is covered.
-func (s *Set) ContainsSector(sec Sector) bool {
-	return s.Contains(Extent{Start: sec, Count: 1})
-}
-
 // Covered returns the portions of e present in the set, ascending.
 func (s *Set) Covered(e Extent) []Extent {
 	if e.Empty() {
@@ -129,25 +117,6 @@ func (s *Set) Covered(e Extent) []Extent {
 		if ov := s.exts[i].Intersect(e); !ov.Empty() {
 			out = append(out, ov)
 		}
-	}
-	return out
-}
-
-// Missing returns the portions of e absent from the set, ascending.
-func (s *Set) Missing(e Extent) []Extent {
-	if e.Empty() {
-		return nil
-	}
-	var out []Extent
-	cur := e.Start
-	for _, c := range s.Covered(e) {
-		if c.Start > cur {
-			out = append(out, Span(cur, c.Start))
-		}
-		cur = c.End()
-	}
-	if cur < e.End() {
-		out = append(out, Span(cur, e.End()))
 	}
 	return out
 }

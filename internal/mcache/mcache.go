@@ -192,13 +192,6 @@ func (l *Layer) HostSectors() int64 { return l.hostSectors }
 // ExtraSectors implements stl.Amplifier.
 func (l *Layer) ExtraSectors() int64 { return l.extraSectors }
 
-// Merges returns how many merge passes have run; MergedZones the total
-// zone rewrites.
-func (l *Layer) Merges() int64 { return l.merges }
-
-// MergedZones returns the total number of zone rewrites performed.
-func (l *Layer) MergedZones() int64 { return l.mergedZones }
-
 // CachedSectors returns the sectors currently held in the media cache.
 func (l *Layer) CachedSectors() int64 { return l.used }
 

@@ -75,8 +75,8 @@ func TestWriteGoesToCacheThenMergesInPlace(t *testing.T) {
 	if len(rs) != 1 || rs[0].Pba != 100 {
 		t.Fatalf("post-merge Resolve = %v", rs)
 	}
-	if l.Merges() != 1 || l.MergedZones() != 1 {
-		t.Errorf("merges=%d zones=%d", l.Merges(), l.MergedZones())
+	if l.merges != 1 || l.mergedZones != 1 {
+		t.Errorf("merges=%d zones=%d", l.merges, l.mergedZones)
 	}
 	if l.CachedSectors() != 0 {
 		t.Error("cache should be empty after merge")
@@ -117,7 +117,7 @@ func TestTriggerMergesAutomatically(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		l.WriteAppend(nil, geom.Ext(int64(i)*1024, 200)) // 200 sectors each, distinct zones
 	}
-	if l.Merges() == 0 {
+	if l.merges == 0 {
 		t.Fatal("trigger merge did not fire")
 	}
 	if stl.WAF(l) <= 1 {
@@ -144,7 +144,7 @@ func TestWriteLargerThanCache(t *testing.T) {
 	if total != 3000 {
 		t.Fatalf("covered %d of 3000 sectors", total)
 	}
-	if l.Merges() == 0 {
+	if l.merges == 0 {
 		t.Error("mid-write merge expected")
 	}
 }
@@ -202,7 +202,7 @@ func TestZoneConstraintsRespected(t *testing.T) {
 				read = geom.Extent{}
 			}
 		}
-		if n := l.Merges(); n > merges {
+		if n := l.merges; n > merges {
 			merges, merged = n, true
 		}
 	}
@@ -242,7 +242,7 @@ func TestEmptyWriteNoop(t *testing.T) {
 		t.Error("empty write must not count")
 	}
 	l.Flush() // no dirty zones: no-op
-	if l.Merges() != 0 {
+	if l.merges != 0 {
 		t.Error("flush of clean cache should not merge")
 	}
 }

@@ -137,9 +137,6 @@ func (c *CDF) Observe(v float64) {
 	c.sorted = false
 }
 
-// N returns the number of samples.
-func (c *CDF) N() int { return len(c.samples) }
-
 func (c *CDF) sort() {
 	if !c.sorted {
 		sort.Float64s(c.samples)
@@ -194,18 +191,6 @@ func (c *CDF) Curve(lo, hi float64, n int) []Point {
 		out = append(out, Point{X: x, P: c.At(x)})
 	}
 	return out
-}
-
-// Mean returns the sample mean, or 0 when empty.
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range c.samples {
-		sum += v
-	}
-	return sum / float64(len(c.samples))
 }
 
 // Histogram is a signed, symmetric log2-bucketed histogram for seek
@@ -283,22 +268,16 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// CDFPoints renders the histogram as an empirical CDF sampled at the
-// bucket boundaries, most-negative first. At each returned X the P value
-// is exact — equal to what a full-sample CDF would report at the same X
-// — because every bucket lies entirely on one side of its boundary:
-// a negative bucket (-Hi, -Lo] is sampled at X = -Lo, the zero bucket at
-// X = 0, and a positive bucket [Lo, Hi) at X = Hi-1 (samples are
-// integers). Between points the histogram has no information; consumers
-// interpolate or step.
-func (h *Histogram) CDFPoints() []Point {
-	return CDFFromBuckets(h.Buckets(), h.total)
-}
-
-// CDFFromBuckets computes the exact boundary-sampled CDF (see CDFPoints)
-// from a bucket list as returned by Buckets — ascending value order,
-// most-negative first — and the total sample count. It returns nil for
-// an empty histogram.
+// CDFFromBuckets renders a histogram, given as its bucket list as
+// returned by Buckets (ascending value order, most-negative first) and
+// its total sample count, as an empirical CDF sampled at the bucket
+// boundaries. At each returned X the P value is exact — equal to what a
+// full-sample CDF would report at the same X — because every bucket lies
+// entirely on one side of its boundary: a negative bucket (-Hi, -Lo] is
+// sampled at X = -Lo, the zero bucket at X = 0, and a positive bucket
+// [Lo, Hi) at X = Hi-1 (samples are integers). Between points the
+// histogram has no information; consumers interpolate or step. It
+// returns nil for an empty histogram.
 func CDFFromBuckets(buckets []Bucket, total int64) []Point {
 	if total == 0 {
 		return nil
@@ -322,7 +301,7 @@ func CDFFromBuckets(buckets []Bucket, total int64) []Point {
 }
 
 // Quantile returns the upper edge (Hi-1 for positive buckets, matching
-// CDFPoints' boundary sampling) of the first bucket at which the
+// CDFFromBuckets' boundary sampling) of the first bucket at which the
 // cumulative count reaches q of the samples, walking buckets in
 // ascending value order. q is clamped to [0, 1]; an empty histogram
 // returns 0. The result over-estimates the true quantile by at most one
@@ -358,25 +337,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return last
-}
-
-// CountWithin returns how many samples have |v| <= limit.
-func (h *Histogram) CountWithin(limit int64) int64 {
-	if limit < 0 {
-		return 0
-	}
-	n := h.zero
-	count := func(side []int64) {
-		for b := 1; b < len(side); b++ {
-			hi := int64(1) << b
-			if hi-1 <= limit {
-				n += side[b]
-			}
-		}
-	}
-	count(h.pos)
-	count(h.neg)
-	return n
 }
 
 // Series is a fixed-width windowed counter time series, used for the

@@ -142,15 +142,6 @@ func (c *Collector) OnCheckpoint(d time.Duration) {
 // OnFinish implements core.Probe.
 func (c *Collector) OnFinish() { c.pollCleaning() }
 
-// SeekDistanceCDF returns the seek-distance histogram's boundary-exact
-// CDF (see metrics.CDFPoints): the one-pass equivalent of the Figure 4
-// distance distribution.
-func (c *Collector) SeekDistanceCDF() []metrics.Point {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seek.CDFPoints()
-}
-
 // HistSnapshot is one histogram frozen for reporting: its non-empty
 // buckets in ascending value order plus the sample total.
 type HistSnapshot struct {

@@ -113,5 +113,5 @@ func TestGoldenCDFTable(t *testing.T) {
 		h.Observe(v)
 	}
 	checkGolden(t, "cdf", CDFTable(
-		"seek distance CDF", "sectors", h.CDFPoints()))
+		"seek distance CDF", "sectors", metrics.CDFFromBuckets(h.Buckets(), h.Total())))
 }

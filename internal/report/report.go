@@ -1,6 +1,6 @@
-// Package report renders experiment results as aligned ASCII tables,
-// simple text charts and CSV, so every table and figure of the paper can
-// be regenerated on a terminal or piped into a plotting tool.
+// Package report renders experiment results as aligned ASCII tables and
+// simple text charts, so every table and figure of the paper can be
+// regenerated on a terminal.
 package report
 
 import (
@@ -77,37 +77,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// CSV writes the table as comma-separated values (quoting cells that
-// contain commas or quotes).
-func (t *Table) CSV(w io.Writer) error {
-	writeLine := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	if err := writeLine(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := writeLine(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Bar renders a labelled horizontal bar chart line, scaled so that
@@ -219,7 +188,7 @@ func HistogramTable(title, unit string, buckets []metrics.Bucket, total int64) *
 	return tb
 }
 
-// CDFTable renders boundary-sampled CDF points (metrics.CDFPoints) as
+// CDFTable renders boundary-sampled CDF points (metrics.CDFFromBuckets) as
 // an x / P(X<=x) table.
 func CDFTable(title, unit string, pts []metrics.Point) *Table {
 	tb := NewTable(title, unit, "P(X<=x)")

@@ -35,19 +35,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow("x,y", `q"u`)
-	var buf bytes.Buffer
-	if err := tb.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n\"x,y\",\"q\"\"u\"\n"
-	if buf.String() != want {
-		t.Errorf("CSV = %q, want %q", buf.String(), want)
-	}
-}
-
 func TestBar(t *testing.T) {
 	s := Bar("w91", 5, 10, 20)
 	if !strings.Contains(s, "w91") || !strings.Contains(s, "##########") {

@@ -288,57 +288,3 @@ func (ac *AsyncClient) stickyErr() error {
 	}
 	return ErrClientClosed
 }
-
-// Replay streams every record of r to the named volume, keeping the
-// negotiated window full, and returns how many completed successfully.
-// Requests are sent — and therefore dispatched to the volume — in trace
-// order; only the responses interleave. With a window no larger than
-// the volume's queue depth and no competing writers, a pipelined replay
-// is exactly as deterministic as a synchronous one. The first error
-// (including ErrOverloaded shedding — the caller owns retries) stops
-// the stream after draining what is in flight.
-func (ac *AsyncClient) Replay(vol string, r trace.Reader) (int64, error) {
-	done := make(chan *Call, ac.window)
-	var (
-		n, inflight int64
-		firstErr    error
-	)
-	reap := func(call *Call) {
-		inflight--
-		if _, err := call.Result(); err != nil && firstErr == nil {
-			firstErr = err
-		} else if err == nil {
-			n++
-		}
-	}
-	for firstErr == nil {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-	drain:
-		for {
-			select {
-			case call := <-done:
-				reap(call)
-			default:
-				break drain
-			}
-		}
-		if firstErr != nil {
-			break
-		}
-		if _, err := ac.SubmitStep(vol, rec, done); err != nil {
-			firstErr = err
-			break
-		}
-		inflight++
-	}
-	for inflight > 0 {
-		reap(<-done)
-	}
-	if firstErr != nil {
-		return n, firstErr
-	}
-	return n, r.Err()
-}

@@ -83,7 +83,7 @@ func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom
 
 	// The replay keeps the whole negotiated window in flight; the ops
 	// after it are strictly sequential.
-	n, err := ac.Replay("cv", trace.NewSliceReader(recs))
+	n, err := replay(ac, "cv", recs)
 	if err != nil {
 		t.Fatalf("pipelined replay (w%d): %v", window, err)
 	}

@@ -72,7 +72,7 @@ func TestE2EConcurrentDeterminism(t *testing.T) {
 				return
 			}
 			defer ac.Close()
-			n, err := ac.Replay(name, trace.NewSliceReader(recs))
+			n, err := replay(ac, name, recs)
 			if err != nil {
 				t.Errorf("%s: replay: %v", name, err)
 				return

@@ -185,14 +185,14 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 			t.Fatalf("call %d: %v, want StatusTimeout", call.ID, err)
 		}
 	}
-	if n := srv.Abandoned(); n != 0 {
+	if n := srv.abandoned.Load(); n != 0 {
 		t.Fatalf("Abandoned = %d before the stalled requests could execute", n)
 	}
 	release()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Abandoned() != window {
+	for srv.abandoned.Load() != window {
 		if time.Now().After(deadline) {
-			t.Fatalf("Abandoned = %d after release, want %d", srv.Abandoned(), window)
+			t.Fatalf("Abandoned = %d after release, want %d", srv.abandoned.Load(), window)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -287,9 +287,9 @@ func TestPipelineOneResponsePerRequest(t *testing.T) {
 		t.Fatalf("statuses %v over %d responses, want only OK, overloaded and timeout", counts, len(answered))
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Abandoned() != int64(counts[StatusTimeout]) {
+	for srv.abandoned.Load() != int64(counts[StatusTimeout]) {
 		if time.Now().After(deadline) {
-			t.Fatalf("Abandoned = %d, want the %d timeouts", srv.Abandoned(), counts[StatusTimeout])
+			t.Fatalf("Abandoned = %d, want the %d timeouts", srv.abandoned.Load(), counts[StatusTimeout])
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -478,7 +478,7 @@ func TestV2SingleConnReplayDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ac.Close()
-		if _, err := ac.Replay("d0", trace.NewSliceReader(recs)); err != nil {
+		if _, err := replay(ac, "d0", recs); err != nil {
 			t.Fatal(err)
 		}
 		v, _ := mgr.Get("d0")

@@ -69,10 +69,6 @@ func New(mgr *volume.Manager, ln net.Listener, opts Options) *Server {
 	return s
 }
 
-// Abandoned returns how many timed-out or shutdown-abandoned requests
-// have since completed and had their results drained in the background.
-func (s *Server) Abandoned() int64 { return s.abandoned.Load() }
-
 // Addr returns the listener's address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 

@@ -43,6 +43,42 @@ func newTestServer(t *testing.T, opts Options, cfgs ...volume.Config) (*Server, 
 	return srv, mgr, ln.Addr().String()
 }
 
+// replay streams recs to the named volume with ac's whole window in
+// flight and returns how many completed. Requests are sent in trace
+// order, so with a window no deeper than the volume's queue the replay is
+// as deterministic as a synchronous one. The first error stops the
+// stream once the requests in flight have drained.
+func replay(ac *AsyncClient, vol string, recs []trace.Record) (int64, error) {
+	done := make(chan *Call, ac.Window())
+	var n, inflight int64
+	var firstErr error
+	reap := func(call *Call) {
+		inflight--
+		if _, err := call.Result(); err == nil {
+			n++
+		} else if firstErr == nil {
+			firstErr = err
+		}
+	}
+	for _, rec := range recs {
+		for len(done) > 0 {
+			reap(<-done)
+		}
+		if firstErr != nil {
+			break
+		}
+		if _, err := ac.SubmitStep(vol, rec, done); err != nil {
+			firstErr = err
+			break
+		}
+		inflight++
+	}
+	for inflight > 0 {
+		reap(<-done)
+	}
+	return n, firstErr
+}
+
 func lsConfig(name string) volume.Config {
 	return volume.Config{
 		Name: name,
@@ -540,9 +576,9 @@ func TestServerRequestTimeout(t *testing.T) {
 	}
 	release()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Abandoned() != 1 {
+	for srv.abandoned.Load() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("Abandoned = %d after release, want 1", srv.Abandoned())
+			t.Fatalf("Abandoned = %d after release, want 1", srv.abandoned.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -585,7 +621,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := srv.Abandoned(); n != 1 {
+	if n := srv.abandoned.Load(); n != 1 {
 		t.Errorf("Abandoned = %d after a timeout drained, want 1", n)
 	}
 }
@@ -610,14 +646,14 @@ func TestServerTimeoutDrainsAbandoned(t *testing.T) {
 	if !errors.As(err, &se) || se.Status != StatusTimeout {
 		t.Fatalf("stalled write: err = %v, want StatusTimeout", err)
 	}
-	if n := srv.Abandoned(); n != 0 {
+	if n := srv.abandoned.Load(); n != 0 {
 		t.Fatalf("Abandoned = %d before the stalled request could execute", n)
 	}
 	release()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Abandoned() != 1 {
+	for srv.abandoned.Load() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("Abandoned = %d after release, want 1 (result never drained)", srv.Abandoned())
+			t.Fatalf("Abandoned = %d after release, want 1 (result never drained)", srv.abandoned.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

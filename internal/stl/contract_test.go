@@ -95,10 +95,10 @@ func TestLayerContract(t *testing.T) {
 				// to relocate.
 				l.WriteAppend(nil, geom.Ext(1000+4*int64(i), 4))
 			}
-			if g, ok := l.(*gc.Layer); ok && g.Cleanings() == 0 {
+			if g, ok := l.(*gc.Layer); ok && g.ExtraSectors() == 0 {
 				t.Error("gc never cleaned inside WriteAppend; lengthen the loop")
 			}
-			if m, ok := l.(*mcache.Layer); ok && m.Merges() == 0 {
+			if m, ok := l.(*mcache.Layer); ok && m.ExtraSectors() == 0 {
 				t.Error("mcache never merged inside WriteAppend; lengthen the loop")
 			}
 		})

@@ -141,7 +141,7 @@ func TestRecoverDirWithScanOnceDifferential(t *testing.T) {
 		}, recovers},
 		"torn tail": {func(dir string) {
 			live, log := checkpointedDir(t, dir, 1, 0)
-			log.CrashAfter(log.Appends()+4, 13)
+			log.CrashAfter(12+4, 13) // the 4th append after checkpointedDir's 12
 			for i := int64(0); journaledWrite(t, live, log, geom.Ext(i*8, 8)); i++ {
 			}
 			closeLog(t, log)

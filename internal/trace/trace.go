@@ -59,9 +59,6 @@ func (s *SliceReader) Next() (Record, bool) {
 // Err implements Reader; a slice reader never fails.
 func (s *SliceReader) Err() error { return nil }
 
-// Reset rewinds the reader to the beginning.
-func (s *SliceReader) Reset() { s.i = 0 }
-
 // ReadAll drains a Reader into a slice.
 func ReadAll(r Reader) ([]Record, error) {
 	var out []Record

@@ -25,10 +25,6 @@ func TestSliceReader(t *testing.T) {
 	if _, ok := r.Next(); ok {
 		t.Error("exhausted reader should return false")
 	}
-	r.Reset()
-	if rec, ok := r.Next(); !ok || rec != recs[0] {
-		t.Error("Reset did not rewind")
-	}
 }
 
 func TestMaxLBA(t *testing.T) {

@@ -23,8 +23,7 @@
 //     write returns: every acknowledged record is in the kernel first.
 //
 // Each volume owns a per-simulator obsv.Collector (attached through
-// core.NewSimulator's per-simulator probes — NOT core.SetGlobalProbe,
-// which would aggregate every volume into one probe) and, optionally, a
+// core.NewSimulator's per-simulator probes) and, optionally, a
 // write-ahead journal; Close drains the queue, checkpoints the layer via
 // stl.Snapshot and closes the journal, in that order.
 package volume

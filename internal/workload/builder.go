@@ -30,13 +30,6 @@ func (b *Builder) Len() int { return len(b.recs) }
 // Records returns the accumulated trace.
 func (b *Builder) Records() []trace.Record { return b.recs }
 
-// AdvanceClock adds idle time (e.g. between diurnal phases).
-func (b *Builder) AdvanceClock(ns int64) {
-	if ns > 0 {
-		b.clock += ns
-	}
-}
-
 func (b *Builder) emit(kind disk.OpKind, ext geom.Extent) {
 	if ext.Empty() {
 		return
@@ -56,29 +49,6 @@ func (b *Builder) ReadExtent(e geom.Extent) { b.emit(disk.Read, e) }
 
 // WriteExtent emits one write covering e.
 func (b *Builder) WriteExtent(e geom.Extent) { b.emit(disk.Write, e) }
-
-// SeqWrite writes [start, start+total) in chunk-sized pieces, ascending.
-func (b *Builder) SeqWrite(start geom.Sector, total, chunk int64) {
-	b.seq(disk.Write, start, total, chunk)
-}
-
-// SeqRead reads [start, start+total) in chunk-sized pieces, ascending.
-func (b *Builder) SeqRead(start geom.Sector, total, chunk int64) {
-	b.seq(disk.Read, start, total, chunk)
-}
-
-func (b *Builder) seq(kind disk.OpKind, start geom.Sector, total, chunk int64) {
-	if chunk <= 0 {
-		chunk = total
-	}
-	for off := int64(0); off < total; off += chunk {
-		n := chunk
-		if off+n > total {
-			n = total - off
-		}
-		b.emit(kind, geom.Ext(start+off, n))
-	}
-}
 
 // MisorderPattern selects the shape of a mis-ordered write burst, after
 // the patterns visible in the paper's Figure 7.

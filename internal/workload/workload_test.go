@@ -107,37 +107,24 @@ func TestBuilderPrimitives(t *testing.T) {
 	b := NewBuilder(1000)
 	b.Read(10, 5)
 	b.Write(20, 5)
-	b.SeqWrite(100, 25, 10) // 3 chunks: 10,10,5
-	b.SeqRead(200, 20, 0)   // chunk<=0 → single op
-	b.AdvanceClock(500)
 	b.Read(0, 0) // empty: dropped
+	b.WriteExtent(geom.Ext(100, 10))
+	b.ReadExtent(geom.Ext(200, 20))
 	recs := b.Records()
-	if len(recs) != 6 {
+	if len(recs) != 4 || b.Len() != 4 {
 		t.Fatalf("got %d records", len(recs))
 	}
-	if recs[0].Kind != disk.Read || recs[1].Kind != disk.Write {
+	if recs[0].Kind != disk.Read || recs[1].Kind != disk.Write || recs[2].Kind != disk.Write || recs[3].Kind != disk.Read {
 		t.Error("kinds wrong")
 	}
-	if recs[5].Extent != geom.Ext(200, 20) {
-		t.Errorf("seq read extent = %v", recs[5].Extent)
+	if recs[2].Extent != geom.Ext(100, 10) || recs[3].Extent != geom.Ext(200, 20) {
+		t.Errorf("extents wrong: %v %v", recs[2].Extent, recs[3].Extent)
 	}
-	if recs[2].Extent != geom.Ext(100, 10) || recs[3].Extent != geom.Ext(110, 10) {
-		t.Errorf("seq write extents wrong: %v %v", recs[2].Extent, recs[3].Extent)
-	}
-	// Clock advances monotonically.
+	// Clock advances by the inter-op gap.
 	for i := 1; i < len(recs); i++ {
-		if recs[i].Time <= recs[i-1].Time {
-			t.Fatal("clock must advance")
+		if recs[i].Time-recs[i-1].Time != 1000 {
+			t.Fatalf("clock step %d -> %d, want 1000", recs[i-1].Time, recs[i].Time)
 		}
-	}
-	// SeqWrite chunk remainder: last chunk is 5 sectors at 120.
-	all, _ := trace.ReadAll(trace.NewSliceReader(recs))
-	var seqTotal int64
-	for _, r := range all[2:4] {
-		seqTotal += r.Extent.Count
-	}
-	if seqTotal != 20 {
-		t.Errorf("first two seq chunks = %d sectors", seqTotal)
 	}
 }
 

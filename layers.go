@@ -3,19 +3,9 @@ package smrseek
 import (
 	"smrseek/internal/gc"
 	"smrseek/internal/mcache"
-	"smrseek/internal/stl"
 	"smrseek/internal/trace"
 	"smrseek/internal/workload"
 )
-
-// Layer is a block translation layer; plug custom layers into
-// Config.CustomLayer. A layer implements ResolveAppend, WriteAppend and
-// Name: both Append methods append their fragments to a caller-provided
-// buffer and return it, leave the buffer's prefix untouched, and append
-// nothing for an empty extent. NewGCLayer and NewMediaCacheLayer
-// construct the two built-in alternatives to the paper's infinite
-// log-structured layer.
-type Layer = stl.Layer
 
 // GCPolicy selects the cleaning victim heuristic for NewGCLayer.
 type GCPolicy = gc.Policy

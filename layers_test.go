@@ -53,7 +53,7 @@ func TestMediaCacheLayerThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if layer.Merges() == 0 {
+	if layer.ExtraSectors() == 0 {
 		t.Error("expected merges on usr_0's write volume")
 	}
 	if st.WAF <= 1 {
