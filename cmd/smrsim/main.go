@@ -152,7 +152,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if err := lg.Checkpoint(recovered.Snapshot()); err != nil {
+			if err := lg.CheckpointMap(recovered.Frontier(), recovered.LogSectors(), recovered.Map()); err != nil {
 				return err
 			}
 			cfg.LogStructured = false

@@ -70,7 +70,7 @@ func (s *Simulator) maybeCheckpoint() {
 		return
 	}
 	start := time.Now()
-	if err := s.wal.Checkpoint(s.ls.Snapshot()); err != nil {
+	if err := s.wal.CheckpointMap(s.ls.Frontier(), s.ls.LogSectors(), s.ls.Map()); err != nil {
 		if errors.Is(err, journal.ErrCrashed) {
 			s.stats.Durability.Crashed = true
 		}

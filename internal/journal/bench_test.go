@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"testing"
 
@@ -92,6 +93,21 @@ func BenchmarkScanBytes(b *testing.B) {
 		}
 		if len(d.Records) != 10000 || d.Torn {
 			b.Fatalf("replay parsed %d records, torn=%v", len(d.Records), d.Torn)
+		}
+	}
+}
+
+// BenchmarkCheckpoint streams the ≈ 59 k-mapping w36 map through the
+// checkpoint encoder to io.Discard: B/op is the one fixed buffer,
+// whatever the map's size.
+func BenchmarkCheckpoint(b *testing.B) {
+	m := w36Map(b)
+	b.SetBytes(int64(ckptFixedSize + mappingSize*m.Len() + 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := writeCheckpoint(io.Discard, 1, 0, 0, m.Len(), m.Walk); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -44,86 +44,130 @@ const (
 	checkpointMagic = "SMRCKP03"
 	ckptFixedSize   = 8 + 8 + 8 + 8 + 8
 	mappingSize     = 8 + 8 + 8
-	maxCkptMappings = 1 << 28 // preallocation sanity bound (~6 GiB of mappings)
+	maxCkptMappings = 1 << 28  // sanity bound on the header's count (~6 GiB of mappings)
+	ckptChunk       = 32 << 10 // the one buffer a checkpoint is written and read through
 )
 
 // WriteCheckpoint serializes the snapshot to w and returns the
 // checkpoint's trailing CRC.
 func WriteCheckpoint(w io.Writer, snap Snapshot) (uint32, error) {
-	buf := make([]byte, ckptFixedSize+mappingSize*len(snap.Mappings)+4)
-	copy(buf[0:8], checkpointMagic)
-	binary.LittleEndian.PutUint64(buf[8:16], snap.Generation)
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(snap.Frontier))
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(snap.Written))
-	binary.LittleEndian.PutUint64(buf[32:40], uint64(len(snap.Mappings)))
-	off := ckptFixedSize
-	for _, m := range snap.Mappings {
-		binary.LittleEndian.PutUint64(buf[off:off+8], uint64(m.Lba.Start))
-		binary.LittleEndian.PutUint64(buf[off+8:off+16], uint64(m.Lba.Count))
-		binary.LittleEndian.PutUint64(buf[off+16:off+24], uint64(m.Pba))
-		off += mappingSize
+	return writeCheckpoint(w, snap.Generation, snap.Frontier, snap.Written, len(snap.Mappings),
+		func(yield func(extmap.Mapping) bool) {
+			for _, m := range snap.Mappings {
+				if !yield(m) {
+					return
+				}
+			}
+		})
+}
+
+// writeCheckpoint streams a checkpoint of the n mappings walk yields, in
+// ascending LBA order, to w through one ckptChunk buffer and returns its
+// trailing CRC. The CRC is updated once per buffer, just before its
+// Write. A walk that yields other than n mappings is an error.
+func writeCheckpoint(w io.Writer, gen uint64, frontier geom.Sector, written int64, n int,
+	walk func(func(extmap.Mapping) bool)) (uint32, error) {
+	buf := make([]byte, ckptFixedSize, ckptChunk+4)
+	copy(buf, checkpointMagic)
+	binary.LittleEndian.PutUint64(buf[8:16], gen)
+	binary.LittleEndian.PutUint64(buf[16:24], uint64(frontier))
+	binary.LittleEndian.PutUint64(buf[24:32], uint64(written))
+	binary.LittleEndian.PutUint64(buf[32:40], uint64(n))
+	var crc uint32
+	var err error
+	skip, got := 8, 0 // the magic is outside the CRC
+	walk(func(m extmap.Mapping) bool {
+		if len(buf)+mappingSize > ckptChunk {
+			crc, skip = crc32.Update(crc, crc32.IEEETable, buf[skip:]), 0
+			if _, err = w.Write(buf); err != nil {
+				return false
+			}
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Lba.Start))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Lba.Count))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Pba))
+		got++
+		return true
+	})
+	if err != nil {
+		return 0, err
 	}
-	crc := crc32.ChecksumIEEE(buf[8:off])
-	binary.LittleEndian.PutUint32(buf[off:], crc)
-	_, err := w.Write(buf)
+	if got != n {
+		return 0, fmt.Errorf("journal: checkpoint walk yielded %d mappings, want %d", got, n)
+	}
+	crc = crc32.Update(crc, crc32.IEEETable, buf[skip:])
+	_, err = w.Write(binary.LittleEndian.AppendUint32(buf, crc))
 	return crc, err
 }
 
-// ReadCheckpoint parses a checkpoint stream and returns it with its
+// readCheckpoint parses a checkpoint stream and returns it with its
 // trailing CRC, which the journal reborn after it must repeat. Unlike
 // the journal, a checkpoint is all-or-nothing: any damage is an error,
 // never a partial result, because the rename protocol means a visible
-// checkpoint was written completely.
-func ReadCheckpoint(r io.Reader) (Snapshot, uint32, error) {
-	var snap Snapshot
-	fixed := make([]byte, ckptFixedSize)
+// checkpoint was written completely. The mappings are decoded as they
+// arrive through one ckptChunk buffer, so Mappings grows by the bytes
+// read, not by the unverified count; keep false runs every check but
+// keeps no mappings.
+func readCheckpoint(r io.Reader, keep bool) (Snapshot, uint32, error) {
+	buf := make([]byte, ckptChunk)
+	fixed := buf[:ckptFixedSize]
 	if _, err := io.ReadFull(r, fixed); err != nil {
-		return snap, 0, fmt.Errorf("journal: reading checkpoint header: %w", err)
+		return Snapshot{}, 0, fmt.Errorf("journal: reading checkpoint header: %w", err)
 	}
 	if err := checkVersion(CheckpointFile, fixed, checkpointMagic); err != nil {
-		return snap, 0, err
+		return Snapshot{}, 0, err
 	}
 	if string(fixed[0:8]) != checkpointMagic {
-		return snap, 0, fmt.Errorf("journal: bad checkpoint magic %q", fixed[0:8])
+		return Snapshot{}, 0, fmt.Errorf("journal: bad checkpoint magic %q", fixed[0:8])
 	}
 	n := binary.LittleEndian.Uint64(fixed[32:40])
 	if n > maxCkptMappings {
-		return snap, 0, fmt.Errorf("journal: implausible checkpoint mapping count %d", n)
+		return Snapshot{}, 0, fmt.Errorf("journal: implausible checkpoint mapping count %d", n)
 	}
-	rest := make([]byte, int(n)*mappingSize+4)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return snap, 0, fmt.Errorf("journal: reading checkpoint body: %w", err)
-	}
-	crc := crc32.ChecksumIEEE(fixed[8:])
-	crc = crc32.Update(crc, crc32.IEEETable, rest[:len(rest)-4])
-	if crc != binary.LittleEndian.Uint32(rest[len(rest)-4:]) {
-		return snap, 0, fmt.Errorf("journal: checkpoint checksum mismatch")
-	}
-	snap.Generation = binary.LittleEndian.Uint64(fixed[8:16])
+	snap := Snapshot{Generation: binary.LittleEndian.Uint64(fixed[8:16])}
 	snap.Frontier = int64(binary.LittleEndian.Uint64(fixed[16:24]))
 	snap.Written = int64(binary.LittleEndian.Uint64(fixed[24:32]))
+	crc := crc32.ChecksumIEEE(fixed[8:])
+	var bad error // the first invalid or out-of-order mapping, reported once the CRC holds
+	var prevEnd geom.Sector
+	for i := 0; i < int(n); {
+		chunk := buf[:min(int(n)-i, ckptChunk/mappingSize)*mappingSize]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return Snapshot{}, 0, fmt.Errorf("journal: reading checkpoint body: %w", err)
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		for off := 0; off < len(chunk); off, i = off+mappingSize, i+1 {
+			m := extmap.Mapping{
+				Lba: geom.Extent{
+					Start: int64(binary.LittleEndian.Uint64(chunk[off : off+8])),
+					Count: int64(binary.LittleEndian.Uint64(chunk[off+8 : off+16])),
+				},
+				Pba: int64(binary.LittleEndian.Uint64(chunk[off+16 : off+24])),
+			}
+			// A mapping must pass the same field checks as a write record,
+			// overflow guards included, and follow its predecessor.
+			if bad == nil && (!(Record{Kind: RecWrite, Lba: m.Lba, Pba: m.Pba}).Valid() || m.Lba.Start < prevEnd) {
+				bad = fmt.Errorf("journal: checkpoint mapping %d invalid or out of order: %v", i, m)
+			}
+			prevEnd = m.Lba.End()
+			if keep {
+				snap.Mappings = append(snap.Mappings, m)
+			}
+		}
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return Snapshot{}, 0, fmt.Errorf("journal: reading checkpoint body: %w", err)
+	}
+	if crc != binary.LittleEndian.Uint32(buf[:4]) {
+		return Snapshot{}, 0, fmt.Errorf("journal: checkpoint checksum mismatch")
+	}
 	if snap.Frontier < 0 || snap.Written < 0 {
-		return snap, 0, fmt.Errorf("journal: negative checkpoint counters (frontier=%d written=%d)",
+		return Snapshot{}, 0, fmt.Errorf("journal: negative checkpoint counters (frontier=%d written=%d)",
 			snap.Frontier, snap.Written)
 	}
-	snap.Mappings = make([]extmap.Mapping, n)
-	var prevEnd geom.Sector
-	for i := range snap.Mappings {
-		off := i * mappingSize
-		m := extmap.Mapping{
-			Lba: geom.Extent{
-				Start: int64(binary.LittleEndian.Uint64(rest[off : off+8])),
-				Count: int64(binary.LittleEndian.Uint64(rest[off+8 : off+16])),
-			},
-			Pba: int64(binary.LittleEndian.Uint64(rest[off+16 : off+24])),
-		}
-		// A mapping must pass the same field checks as a write record,
-		// overflow guards included, and follow its predecessor.
-		if !(Record{Kind: RecWrite, Lba: m.Lba, Pba: m.Pba}).Valid() || m.Lba.Start < prevEnd {
-			return snap, 0, fmt.Errorf("journal: checkpoint mapping %d invalid or out of order: %v", i, m)
-		}
-		prevEnd = m.Lba.End()
-		snap.Mappings[i] = m
+	if bad != nil {
+		return Snapshot{}, 0, bad
 	}
 	return snap, crc, nil
 }
@@ -132,13 +176,14 @@ func ReadCheckpoint(r io.Reader) (Snapshot, uint32, error) {
 // missing file returns (nil, nil): no checkpoint yet is a normal state,
 // damage is not.
 func ReadCheckpointFile(path string) (*Snapshot, error) {
-	snap, _, err := readCheckpointFile(path)
+	snap, _, err := readCheckpointFile(path, true)
 	return snap, err
 }
 
 // readCheckpointFile is ReadCheckpointFile that also returns the
-// checkpoint's trailing CRC.
-func readCheckpointFile(path string) (*Snapshot, uint32, error) {
+// checkpoint's trailing CRC; keep false checks the file whole but keeps
+// no mappings.
+func readCheckpointFile(path string, keep bool) (*Snapshot, uint32, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, nil
@@ -147,7 +192,7 @@ func readCheckpointFile(path string) (*Snapshot, uint32, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	snap, crc, err := ReadCheckpoint(f)
+	snap, crc, err := readCheckpoint(f, keep)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -42,6 +42,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"smrseek/internal/extmap"
 	"smrseek/internal/geom"
 )
 
@@ -480,7 +481,7 @@ func Open(dir string, initFrontier geom.Sector) (*Log, error) {
 	}
 	gen := uint64(1)
 	var ckptCRC uint32
-	if snap, crc, err := readCheckpointFile(CheckpointPath(dir)); err == nil && snap != nil {
+	if snap, crc, err := readCheckpointFile(CheckpointPath(dir), false); err == nil && snap != nil {
 		gen = snap.Generation + 1
 		ckptCRC = crc
 	} else if err != nil {
@@ -617,26 +618,44 @@ func (l *Log) seal() {
 }
 
 // Checkpoint atomically persists the snapshot and truncates the
-// journal. The buffer is flushed first; the snapshot is staged to a
-// temporary file, synced, renamed over the checkpoint, and the rename is
-// made durable with a directory fsync; only then is the journal reborn
-// empty with the next generation and the checkpoint's CRC in its
-// header. A crash anywhere in between leaves a recoverable pair (see
-// the package comment on generations).
+// journal; its Generation is ignored and set to the log's. It is
+// CheckpointMap for a state already copied out of its map.
 func (l *Log) Checkpoint(snap Snapshot) error {
+	return l.checkpoint(snap.Frontier, func(w io.Writer) (uint32, error) {
+		snap.Generation = l.generation
+		return WriteCheckpoint(w, snap)
+	})
+}
+
+// CheckpointMap atomically persists a layer's state — write frontier,
+// written-sector counter and the live extent map m — and truncates the
+// journal, streaming m through one fixed buffer rather than copying it.
+func (l *Log) CheckpointMap(frontier geom.Sector, written int64, m *extmap.Map) error {
+	return l.checkpoint(frontier, func(w io.Writer) (uint32, error) {
+		return writeCheckpoint(w, l.generation, frontier, written, m.Len(), m.Walk)
+	})
+}
+
+// checkpoint is the one checkpoint body. The buffer is flushed first;
+// encode writes the checkpoint to a temporary file, which is synced,
+// renamed over the checkpoint, and the rename is made durable with a
+// directory fsync; only then is the journal reborn empty with the next
+// generation, frontier and the checkpoint's CRC in its header. A crash
+// anywhere in between leaves a recoverable pair (see the package
+// comment on generations).
+func (l *Log) checkpoint(frontier geom.Sector, encode func(io.Writer) (uint32, error)) error {
 	if l.crashed {
 		return ErrCrashed
 	}
 	if err := l.Flush(); err != nil {
 		return err
 	}
-	snap.Generation = l.generation
 	tmp := filepath.Join(l.dir, checkpointTmp)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return err
 	}
-	crc, err := WriteCheckpoint(f, snap)
+	crc, err := encode(f)
 	if err != nil {
 		f.Close()
 		return err
@@ -667,7 +686,7 @@ func (l *Log) Checkpoint(snap Snapshot) error {
 		return err
 	}
 	l.generation++
-	if _, err := l.f.Write(marshalHeader(l.generation, snap.Frontier, crc)); err != nil {
+	if _, err := l.f.Write(marshalHeader(l.generation, frontier, crc)); err != nil {
 		return err
 	}
 	l.sealed = 0

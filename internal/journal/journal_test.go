@@ -388,7 +388,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if _, err := WriteCheckpoint(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	got, _, err := readCheckpoint(bytes.NewReader(buf.Bytes()), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,13 +404,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 9, 20, 30, 41, len(data) - 2} {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
-		if _, _, err := ReadCheckpoint(bytes.NewReader(mut)); err == nil {
+		if _, _, err := readCheckpoint(bytes.NewReader(mut), true); err == nil {
 			t.Errorf("corruption at byte %d accepted", i)
 		}
 	}
 	// Truncation too.
 	for _, n := range []int{0, 10, ckptFixedSize, len(data) - 1} {
-		if _, _, err := ReadCheckpoint(bytes.NewReader(data[:n])); err == nil {
+		if _, _, err := readCheckpoint(bytes.NewReader(data[:n]), true); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}
@@ -427,7 +427,7 @@ func TestReadCheckpointRejectsUnsortedMappings(t *testing.T) {
 	if _, err := WriteCheckpoint(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadCheckpoint(&buf); err == nil {
+	if _, _, err := readCheckpoint(&buf, true); err == nil {
 		t.Error("unsorted checkpoint mappings accepted")
 	}
 }
@@ -444,7 +444,7 @@ func TestReadCheckpointRejectsOverflowingMappings(t *testing.T) {
 		if _, err := WriteCheckpoint(&buf, Snapshot{Mappings: []extmap.Mapping{m}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ReadCheckpoint(&buf); err == nil {
+		if _, _, err := readCheckpoint(&buf, true); err == nil {
 			t.Errorf("checkpoint mapping %v accepted", m)
 		}
 	}

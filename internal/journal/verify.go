@@ -139,7 +139,7 @@ func LoadDirWorkers(dir string, workers int) (*Snapshot, Data, error) { return L
 func readDir(dir string, verify bool) (*Snapshot, Data, *Audit, error) {
 	a := &Audit{Dir: dir}
 
-	snap, ckptCRC, err := readCheckpointFile(CheckpointPath(dir))
+	snap, ckptCRC, err := readCheckpointFile(CheckpointPath(dir), true)
 	if err != nil {
 		if verify {
 			err = &CorruptError{File: CheckpointFile, Segment: -1, Offset: -1,

@@ -14,7 +14,9 @@ import (
 
 // Snapshot captures the layer's durable state — extent map, frontier,
 // written-sector counter — as a checkpoint snapshot. The mapping slice
-// is a copy; the live map is untouched.
+// is a copy; the live map is untouched. Checkpoints do not use it: they
+// stream from Map through journal.Log.CheckpointMap. It is kept for the
+// benchmark module and for tests.
 func (l *LS) Snapshot() journal.Snapshot {
 	ms := make([]extmap.Mapping, 0, l.m.Len())
 	l.m.Walk(func(m extmap.Mapping) bool {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -431,16 +432,20 @@ func TestRecoverCoalescesHandWrittenCheckpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := journal.ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("ReadCheckpoint rejected the hand-written checkpoint: %v", err)
+	path := filepath.Join(t.TempDir(), journal.CheckpointFile)
+	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
 	}
-	alone := assertMatchesForward(t, "checkpoint alone", &snap, journal.Data{Generation: 2})
+	snap, err := journal.ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatalf("ReadCheckpointFile rejected the hand-written checkpoint: %v", err)
+	}
+	alone := assertMatchesForward(t, "checkpoint alone", snap, journal.Data{Generation: 2})
 	if got := alone.Map().Lookup(geom.Ext(0, 24)); alone.Map().Len() != 2 || len(got) != 1 || got[0].Pba != 200 {
 		t.Errorf("checkpoint alone: %d mappings, [0,24) resolves to %v; want 2 and one fragment at 200",
 			alone.Map().Len(), got)
 	}
-	assertMatchesForward(t, "checkpoint+tail", &snap, journal.Data{Generation: 2, Records: []journal.Record{
+	assertMatchesForward(t, "checkpoint+tail", snap, journal.Data{Generation: 2, Records: []journal.Record{
 		{Kind: journal.RecWrite, Lba: geom.Ext(4, 8), Pba: 300},
 		{Kind: journal.RecWrite, Lba: geom.Ext(24, 4), Pba: 308},
 	}})

@@ -284,7 +284,7 @@ func openJournal(dir string, frontier geom.Sector, sealEvery int64) (*journal.Lo
 		lg.Close()
 		return nil, nil, nil, err
 	}
-	if err := lg.Checkpoint(recovered.Snapshot()); err != nil {
+	if err := lg.CheckpointMap(recovered.Frontier(), recovered.LogSectors(), recovered.Map()); err != nil {
 		lg.Close()
 		return nil, nil, nil, err
 	}
@@ -425,7 +425,7 @@ func (v *Volume) checkpoint() error {
 	if err := v.sim.JournalErr(); err != nil {
 		return err
 	}
-	return v.wal.Checkpoint(v.ls.Snapshot())
+	return v.wal.CheckpointMap(v.ls.Frontier(), v.ls.LogSectors(), v.ls.Map())
 }
 
 // shutdown finishes the run on the actor goroutine once the queue is
@@ -436,7 +436,7 @@ func (v *Volume) checkpoint() error {
 func (v *Volume) shutdown() {
 	var err error
 	if v.wal != nil && v.ls != nil && v.sim.JournalErr() == nil {
-		err = v.wal.Checkpoint(v.ls.Snapshot())
+		err = v.wal.CheckpointMap(v.ls.Frontier(), v.ls.LogSectors(), v.ls.Map())
 	}
 	v.sim.Finish()
 	v.final = v.sim.Stats()
