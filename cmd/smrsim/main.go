@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"smrseek"
@@ -136,41 +135,27 @@ func run(args []string, out io.Writer) error {
 		if cfg.FrontierStart == 0 {
 			cfg.FrontierStart = core.FrontierFor(recs)
 		}
-		var lg *journal.Log
-		if *recoverFlag {
-			recovered, rst, err := stl.RecoverDir(*journalDir)
-			if err != nil {
-				return err
+		// -recover resumes a directory that holds state; a fresh run
+		// must not append to another run's history, which would no
+		// longer describe one coherent state.
+		held, err := journal.HoldsState(*journalDir)
+		if err != nil {
+			return err
+		}
+		if held != *recoverFlag {
+			if held {
+				return fmt.Errorf("journal directory %s already holds state; pass -recover to resume it or use an empty directory", *journalDir)
 			}
-			recovery = &rst
-			// The recovered state (journal included) becomes the new
-			// checkpoint; the journal — possibly torn — is reborn clean.
-			if err := os.Remove(journal.JournalPath(*journalDir)); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return err
-			}
-			lg, err = journal.Open(*journalDir, recovered.Frontier())
-			if err != nil {
-				return err
-			}
-			if err := lg.CheckpointMap(recovered.Frontier(), recovered.LogSectors(), recovered.Map()); err != nil {
-				return err
-			}
+			return fmt.Errorf("journal directory %s holds no state to recover", *journalDir)
+		}
+		lg, recovered, rst, err := stl.OpenDir(*journalDir, cfg.FrontierStart)
+		if err != nil {
+			return err
+		}
+		if recovered != nil {
+			recovery = rst
 			cfg.LogStructured = false
 			cfg.CustomLayer = recovered
-		} else {
-			// A fresh run must not append to a directory that already
-			// holds another run's history: the combined log would no
-			// longer describe one coherent state and recovery would
-			// (rightly) refuse it.
-			for _, p := range []string{journal.JournalPath(*journalDir), journal.CheckpointPath(*journalDir)} {
-				if _, statErr := os.Stat(p); statErr == nil {
-					return fmt.Errorf("journal directory %s already holds state (%s); pass -recover to resume it or use an empty directory", *journalDir, filepath.Base(p))
-				}
-			}
-			lg, err = journal.Open(*journalDir, cfg.FrontierStart)
-			if err != nil {
-				return err
-			}
 		}
 		defer lg.Close()
 		if *crashAfter > 0 {

@@ -177,6 +177,27 @@ func TestRunCrashThenRecover(t *testing.T) {
 	}
 }
 
+// TestRecoverOverNothing: -recover with a workload over a directory that
+// holds no state fails, and leaves no file behind — whether the
+// directory is empty or missing.
+func TestRecoverOverNothing(t *testing.T) {
+	empty := t.TempDir()
+	missing := filepath.Join(t.TempDir(), "wal")
+	for _, dir := range []string{empty, missing} {
+		var buf bytes.Buffer
+		err := run([]string{"-workload", "hm_1", "-scale", "0.05", "-journal", dir, "-recover"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "no state to recover") {
+			t.Errorf("%s: -recover over nothing: err = %v, want a refusal", dir, err)
+		}
+	}
+	if ents, err := os.ReadDir(empty); err != nil || len(ents) != 0 {
+		t.Errorf("refused -recover left %d entries (%v)", len(ents), err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused -recover created the directory: %v", err)
+	}
+}
+
 func TestRunFlagValidation(t *testing.T) {
 	cases := map[string][]string{
 		"negative scale":             {"-workload", "hm_1", "-scale", "-1"},

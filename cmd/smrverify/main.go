@@ -97,7 +97,9 @@ func run(args []string, out io.Writer) error {
 // directory that does (the smrd -journal-dir layout, one subdirectory
 // per volume).
 func expand(root string) ([]string, error) {
-	if holdsJournal(root) {
+	if held, err := journal.HoldsState(root); err != nil {
+		return nil, err
+	} else if held {
 		return []string{root}, nil
 	}
 	entries, err := os.ReadDir(root)
@@ -106,7 +108,13 @@ func expand(root string) ([]string, error) {
 	}
 	var dirs []string
 	for _, e := range entries {
-		if sub := filepath.Join(root, e.Name()); e.IsDir() && holdsJournal(sub) {
+		if !e.IsDir() {
+			continue
+		}
+		sub := filepath.Join(root, e.Name())
+		if held, err := journal.HoldsState(sub); err != nil {
+			return nil, err
+		} else if held {
 			dirs = append(dirs, sub)
 		}
 	}
@@ -116,15 +124,6 @@ func expand(root string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
-}
-
-func holdsJournal(dir string) bool {
-	for _, name := range []string{journal.JournalFile, journal.CheckpointFile} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // printAudit renders one directory's verdict and per-segment table.

@@ -183,25 +183,14 @@ func TestCrashRecoveryResume(t *testing.T) {
 	}
 	log.Close()
 
-	recovered, _, err := stl.RecoverDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRecoveredMatchesLive(t, sim.LS(), recovered)
-
-	// The torn journal must be checkpointed away before reopening: a
-	// fresh Open refuses a torn tail.
-	if _, err := journal.Open(dir, frontier); err == nil {
-		t.Fatal("torn journal reopened without recovery")
-	}
-	log2, err := journal.Open(t.TempDir(), recovered.Frontier())
+	// Restart through the one resume path: recover the crashed
+	// directory, checkpoint the recovered state, rebirth the torn journal.
+	log2, recovered, _, err := stl.OpenDir(dir, frontier)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	if err := log2.Checkpoint(recovered.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	assertRecoveredMatchesLive(t, sim.LS(), recovered)
 	cfg2 := Config{CustomLayer: recovered,
 		Journal: &JournalConfig{Log: log2, CheckpointEvery: 32}}
 	sim2, err := NewSimulator(cfg2)

@@ -48,7 +48,7 @@ func Durability(ctx context.Context, w io.Writer, scale float64) error {
 		}
 		for _, v := range variants {
 			// A crash-free probe sizes the crash points to the run.
-			total, err := durabilityRun(ctx, v.cfg(), recs, 0)
+			total, _, err := durabilityRun(ctx, v.cfg(), recs, 0)
 			if err != nil {
 				return fmt.Errorf("%s/%s probe: %w", name, v.label, err)
 			}
@@ -56,7 +56,7 @@ func Durability(ctx context.Context, w io.Writer, scale float64) error {
 				if after < 1 {
 					after = 1
 				}
-				row, err := durabilityCrashRow(ctx, v.cfg(), recs, after)
+				_, row, err := durabilityRun(ctx, v.cfg(), recs, after)
 				if err != nil {
 					return fmt.Errorf("%s/%s crash@%d: %w", name, v.label, after, err)
 				}
@@ -68,17 +68,26 @@ func Durability(ctx context.Context, w io.Writer, scale float64) error {
 	return tb.Render(w)
 }
 
-// durabilityRun plays the workload under a journal in a temp directory
-// and returns the append count (crashAfter 0 = run to completion).
-func durabilityRun(ctx context.Context, cfg core.Config, recs []trace.Record, crashAfter int64) (int64, error) {
+type durabilityRow struct {
+	replayed int64
+	torn     bool
+	fromCkpt bool
+	match    string
+}
+
+// durabilityRun plays the workload under a journal in a temp directory.
+// With crashAfter 0 it runs to completion and returns the append count.
+// Otherwise it crashes the run at that append (torn write), recovers,
+// and compares the recovered layer against the live one.
+func durabilityRun(ctx context.Context, cfg core.Config, recs []trace.Record, crashAfter int64) (int64, durabilityRow, error) {
 	dir, err := os.MkdirTemp("", "smrseek-wal-")
 	if err != nil {
-		return 0, err
+		return 0, durabilityRow{}, err
 	}
 	defer os.RemoveAll(dir)
 	log, err := journal.Open(dir, cfg.FrontierStart)
 	if err != nil {
-		return 0, err
+		return 0, durabilityRow{}, err
 	}
 	defer log.Close()
 	if crashAfter > 0 {
@@ -87,50 +96,21 @@ func durabilityRun(ctx context.Context, cfg core.Config, recs []trace.Record, cr
 	cfg.Journal = &core.JournalConfig{Log: log, CheckpointEvery: 2048}
 	sim, err := core.NewSimulator(cfg)
 	if err != nil {
-		return 0, err
+		return 0, durabilityRow{}, err
 	}
 	st, err := sim.RunContext(ctx, trace.NewSliceReader(recs))
-	if err != nil && !errors.Is(err, journal.ErrCrashed) {
-		return 0, err
+	if crashAfter == 0 {
+		return st.Durability.JournalAppends, durabilityRow{}, err
 	}
-	return st.Durability.JournalAppends, nil
-}
-
-type durabilityRow struct {
-	replayed int64
-	torn     bool
-	fromCkpt bool
-	match    string
-}
-
-// durabilityCrashRow crashes the run at the given append (torn write),
-// recovers, and compares the recovered layer against the live one.
-func durabilityCrashRow(ctx context.Context, cfg core.Config, recs []trace.Record, crashAfter int64) (durabilityRow, error) {
-	dir, err := os.MkdirTemp("", "smrseek-wal-")
-	if err != nil {
-		return durabilityRow{}, err
-	}
-	defer os.RemoveAll(dir)
-	log, err := journal.Open(dir, cfg.FrontierStart)
-	if err != nil {
-		return durabilityRow{}, err
-	}
-	defer log.Close()
-	log.CrashAfter(crashAfter, 12)
-	cfg.Journal = &core.JournalConfig{Log: log, CheckpointEvery: 2048}
-	sim, err := core.NewSimulator(cfg)
-	if err != nil {
-		return durabilityRow{}, err
-	}
-	if _, err := sim.RunContext(ctx, trace.NewSliceReader(recs)); !errors.Is(err, journal.ErrCrashed) {
+	if !errors.Is(err, journal.ErrCrashed) {
 		if err == nil {
 			err = fmt.Errorf("crash point %d never fired", crashAfter)
 		}
-		return durabilityRow{}, err
+		return 0, durabilityRow{}, err
 	}
 	recovered, rst, err := stl.RecoverDir(dir)
 	if err != nil {
-		return durabilityRow{}, err
+		return 0, durabilityRow{}, err
 	}
 	row := durabilityRow{replayed: rst.Replayed, torn: rst.TornTail, fromCkpt: rst.FromCheckpoint, match: "yes"}
 	live := sim.LS()
@@ -141,5 +121,5 @@ func durabilityCrashRow(ctx context.Context, cfg core.Config, recs []trace.Recor
 	if err := recovered.Map().CheckInvariants(); err != nil {
 		row.match = "NO (invariants: " + err.Error() + ")"
 	}
-	return row, nil
+	return 0, row, nil
 }

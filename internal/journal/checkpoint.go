@@ -107,9 +107,8 @@ func writeCheckpoint(w io.Writer, gen uint64, frontier geom.Sector, written int6
 // never a partial result, because the rename protocol means a visible
 // checkpoint was written completely. The mappings are decoded as they
 // arrive through one ckptChunk buffer, so Mappings grows by the bytes
-// read, not by the unverified count; keep false runs every check but
-// keeps no mappings.
-func readCheckpoint(r io.Reader, keep bool) (Snapshot, uint32, error) {
+// read, not by the unverified count.
+func readCheckpoint(r io.Reader) (Snapshot, uint32, error) {
 	buf := make([]byte, ckptChunk)
 	fixed := buf[:ckptFixedSize]
 	if _, err := io.ReadFull(r, fixed); err != nil {
@@ -151,9 +150,7 @@ func readCheckpoint(r io.Reader, keep bool) (Snapshot, uint32, error) {
 				bad = fmt.Errorf("journal: checkpoint mapping %d invalid or out of order: %v", i, m)
 			}
 			prevEnd = m.Lba.End()
-			if keep {
-				snap.Mappings = append(snap.Mappings, m)
-			}
+			snap.Mappings = append(snap.Mappings, m)
 		}
 	}
 	if _, err := io.ReadFull(r, buf[:4]); err != nil {
@@ -176,14 +173,13 @@ func readCheckpoint(r io.Reader, keep bool) (Snapshot, uint32, error) {
 // missing file returns (nil, nil): no checkpoint yet is a normal state,
 // damage is not.
 func ReadCheckpointFile(path string) (*Snapshot, error) {
-	snap, _, err := readCheckpointFile(path, true)
+	snap, _, err := readCheckpointFile(path)
 	return snap, err
 }
 
 // readCheckpointFile is ReadCheckpointFile that also returns the
-// checkpoint's trailing CRC; keep false checks the file whole but keeps
-// no mappings.
-func readCheckpointFile(path string, keep bool) (*Snapshot, uint32, error) {
+// checkpoint's trailing CRC.
+func readCheckpointFile(path string) (*Snapshot, uint32, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, nil
@@ -192,7 +188,7 @@ func readCheckpointFile(path string, keep bool) (*Snapshot, uint32, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	snap, crc, err := readCheckpoint(f, keep)
+	snap, crc, err := readCheckpoint(f)
 	if err != nil {
 		return nil, 0, err
 	}

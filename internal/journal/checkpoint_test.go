@@ -159,7 +159,7 @@ func TestCheckpointStreamMatchesReference(t *testing.T) {
 					gen, frontier, ckptCRC, err, snap.Frontier, wantCRC)
 			}
 		}
-		back, crc, err := readCheckpoint(bytes.NewReader(ref.Bytes()), true)
+		back, crc, err := readCheckpoint(bytes.NewReader(ref.Bytes()))
 		if err != nil || crc != wantCRC || back.Generation != 1 || back.Frontier != snap.Frontier ||
 			back.Written != snap.Written || len(back.Mappings) != m.Len() {
 			t.Fatalf("%d mappings: round trip %v crc=%#x", m.Len(), err, crc)
@@ -282,7 +282,7 @@ func TestReadCheckpointHugeCount(t *testing.T) {
 	binary.LittleEndian.PutUint64(raw[32:40], maxCkptMappings)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := readCheckpoint(bytes.NewReader(raw), true)
+	_, _, err := readCheckpoint(bytes.NewReader(raw))
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "reading checkpoint body") {
 		t.Errorf("err = %v, want a body read error", err)
@@ -308,7 +308,7 @@ func TestReadCheckpointErrorPrecedence(t *testing.T) {
 	}
 	check := func(raw []byte, want string) {
 		t.Helper()
-		if _, _, err := readCheckpoint(bytes.NewReader(raw), true); err == nil || !strings.Contains(err.Error(), want) {
+		if _, _, err := readCheckpoint(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("err = %v, want %q", err, want)
 		}
 	}

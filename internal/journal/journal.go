@@ -394,7 +394,8 @@ const (
 	// CheckpointFile is the most recent complete checkpoint.
 	CheckpointFile = "checkpoint.ckpt"
 	// checkpointTmp is the staging name; a checkpoint becomes visible
-	// only via rename, so a crash mid-checkpoint leaves the old one.
+	// only via rename, so a crash mid-checkpoint leaves the old one (and
+	// a partial checkpoint.tmp, which the next checkpoint overwrites).
 	checkpointTmp = "checkpoint.tmp"
 )
 
@@ -435,68 +436,64 @@ type Log struct {
 	crashed    bool
 }
 
-// Open opens (or creates) the journal in dir, creating the directory as
-// needed. A fresh journal is born with initFrontier in its header, a
-// generation one past the checkpoint's (or 1) and the checkpoint's CRC
-// (or 0). An existing journal is opened for append; its records and
-// seals are scanned to validate the file, recount the checkpoint age
-// and restore the sealing state. An existing torn tail is rejected —
-// recover first, checkpoint, and the reborn journal is clean. A stale
-// checkpoint.tmp left by a crash mid-checkpoint is removed.
+// HoldsState reports whether dir holds a journal or a checkpoint: state
+// a previous run left, which Open refuses and only recovery may resume
+// (stl.OpenDir). A missing directory holds none.
+func HoldsState(dir string) (bool, error) {
+	for _, p := range []string{JournalPath(dir), CheckpointPath(dir)} {
+		if _, err := os.Stat(p); err == nil {
+			return true, nil
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return false, err
+		}
+	}
+	return false, nil
+}
+
+// Open creates a fresh journal in dir, creating the directory as
+// needed: generation 1, initFrontier in its header and no checkpoint to
+// pair with. It refuses a directory that already holds state
+// (HoldsState); such a directory is recovered and resumed instead.
 func Open(dir string, initFrontier geom.Sector) (*Log, error) {
 	if initFrontier < 0 {
 		return nil, fmt.Errorf("journal: negative initial frontier %d", initFrontier)
 	}
+	if held, err := HoldsState(dir); err != nil {
+		return nil, err
+	} else if held {
+		return nil, fmt.Errorf("journal: %s already holds a journal or a checkpoint; recover it to resume it", dir)
+	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
-	// A crash between checkpoint staging and rename leaves the partial
-	// temp file behind; it is never read, but letting it rot alongside
-	// real state invites confusion (and a full disk). Clear it.
-	if err := os.Remove(filepath.Join(dir, checkpointTmp)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	l := &Log{dir: dir, segSize: DefaultSegmentSize}
-	path := JournalPath(dir)
-	if data, err := os.ReadFile(path); err == nil {
-		d, err := ScanBytes(data)
-		if err != nil {
-			return nil, err
-		}
-		if d.Torn {
-			return nil, fmt.Errorf("journal: %s has a torn tail; recover before appending: %w", path, ErrTornTail)
-		}
-		l.generation = d.Generation
-		l.sinceCkpt = int64(len(d.Records))
-		l.size = int64(len(data))
-		l.seals = d.Seals
-		l.sealed = d.Sealed
-		l.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
-		if err != nil {
-			return nil, err
-		}
-		return l, nil
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	gen := uint64(1)
-	var ckptCRC uint32
-	if snap, crc, err := readCheckpointFile(CheckpointPath(dir), false); err == nil && snap != nil {
-		gen = snap.Generation + 1
-		ckptCRC = crc
-	} else if err != nil {
-		return nil, fmt.Errorf("journal: existing checkpoint unreadable: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	f, err := os.OpenFile(JournalPath(dir), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(marshalHeader(gen, initFrontier, ckptCRC)); err != nil {
+	if _, err := f.Write(marshalHeader(1, initFrontier, 0)); err != nil {
 		f.Close()
 		return nil, err
 	}
-	l.generation, l.f = gen, f
-	l.size = headerSize
+	return &Log{dir: dir, f: f, generation: 1, size: headerSize, segSize: DefaultSegmentSize}, nil
+}
+
+// Resume reopens dir for appending once recovery has rebuilt its state
+// (frontier, written-sector counter and map m) from a journal of the
+// given generation. It first checkpoints that state under the same
+// generation, so the old journal reads as stale and is never replayed
+// again; only then is the journal truncated and reborn, paired with the
+// new checkpoint, by the one checkpoint body. A failure or crash at any
+// point leaves a directory that recovers to the same state.
+func Resume(dir string, generation uint64, frontier geom.Sector, written int64, m *extmap.Map) (*Log, error) {
+	f, err := os.OpenFile(JournalPath(dir), os.O_WRONLY|os.O_CREATE, 0o666)
+	if err != nil {
+		return nil, err
+	}
+	l := &Log{dir: dir, f: f, generation: generation, segSize: DefaultSegmentSize}
+	if err := l.CheckpointMap(frontier, written, m); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return l, nil
 }
 

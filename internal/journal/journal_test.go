@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -148,22 +149,6 @@ func TestLogAppendAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: the journal validates, the checkpoint age is recounted,
-	// and appends continue where they left off.
-	l2, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.SinceCheckpoint() != 10 {
-		t.Errorf("reopened since=%d, want 10", l2.SinceCheckpoint())
-	}
-	if err := l2.Append(rec(RecWrite, 100, 2, 540)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	snap, d, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -171,11 +156,11 @@ func TestLogAppendAndReload(t *testing.T) {
 	if snap != nil {
 		t.Error("unexpected checkpoint")
 	}
-	if len(d.Records) != 11 || d.Torn {
-		t.Errorf("records=%d torn=%v, want 11 clean", len(d.Records), d.Torn)
+	if len(d.Records) != 10 || d.Torn || d.Generation != 1 {
+		t.Errorf("records=%d torn=%v generation=%d, want 10 clean in generation 1", len(d.Records), d.Torn, d.Generation)
 	}
 	if d.InitFrontier != 500 {
-		t.Errorf("init frontier %d, want 500 (reopen must not rewrite the header)", d.InitFrontier)
+		t.Errorf("init frontier %d, want 500", d.InitFrontier)
 	}
 }
 
@@ -330,9 +315,11 @@ func TestLogFailerFailsCleanly(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsTornJournal: Open refuses a directory holding a
+// journal, a torn journal or a checkpoint.
 func TestOpenRejectsTornJournal(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, 0)
+	torn := t.TempDir()
+	l, err := Open(torn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,9 +328,45 @@ func TestOpenRejectsTornJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if _, err := Open(dir, 0); err == nil || !strings.Contains(err.Error(), "torn") {
-		t.Errorf("Open on torn journal: %v, want torn-tail rejection", err)
+	whole := buildSealedPair(t, t.TempDir(), 2)
+	whole.Close()
+	ckptOnly := t.TempDir()
+	ckpt := writerBuf{}
+	if _, err := WriteCheckpoint(&ckpt, Snapshot{Generation: 1, Frontier: 8}); err != nil {
+		t.Fatal(err)
 	}
+	if err := os.WriteFile(CheckpointPath(ckptOnly), ckpt.b, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	// Open is create-only: a directory holding any state is refused and
+	// left byte for byte as it was.
+	for name, dir := range map[string]string{"torn journal": torn, "journal": whole.Dir(), "checkpoint only": ckptOnly} {
+		before := dirBytes(t, dir)
+		if _, err := Open(dir, 0); err == nil || !strings.Contains(err.Error(), "already holds") {
+			t.Errorf("%s: Open = %v, want a refusal", name, err)
+		}
+		if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: refused Open changed the directory", name)
+		}
+	}
+}
+
+// dirBytes maps each file in dir to its content.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := map[string]string{}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[e.Name()] = string(raw)
+	}
+	return m
 }
 
 func TestOpenRejectsNegativeFrontier(t *testing.T) {
@@ -388,7 +411,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if _, err := WriteCheckpoint(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readCheckpoint(bytes.NewReader(buf.Bytes()), true)
+	got, _, err := readCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,13 +427,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 9, 20, 30, 41, len(data) - 2} {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
-		if _, _, err := readCheckpoint(bytes.NewReader(mut), true); err == nil {
+		if _, _, err := readCheckpoint(bytes.NewReader(mut)); err == nil {
 			t.Errorf("corruption at byte %d accepted", i)
 		}
 	}
 	// Truncation too.
 	for _, n := range []int{0, 10, ckptFixedSize, len(data) - 1} {
-		if _, _, err := readCheckpoint(bytes.NewReader(data[:n]), true); err == nil {
+		if _, _, err := readCheckpoint(bytes.NewReader(data[:n])); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}
@@ -427,7 +450,7 @@ func TestReadCheckpointRejectsUnsortedMappings(t *testing.T) {
 	if _, err := WriteCheckpoint(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readCheckpoint(&buf, true); err == nil {
+	if _, _, err := readCheckpoint(&buf); err == nil {
 		t.Error("unsorted checkpoint mappings accepted")
 	}
 }
@@ -444,7 +467,7 @@ func TestReadCheckpointRejectsOverflowingMappings(t *testing.T) {
 		if _, err := WriteCheckpoint(&buf, Snapshot{Mappings: []extmap.Mapping{m}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := readCheckpoint(&buf, true); err == nil {
+		if _, _, err := readCheckpoint(&buf); err == nil {
 			t.Errorf("checkpoint mapping %v accepted", m)
 		}
 	}

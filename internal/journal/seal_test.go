@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"smrseek/internal/extmap"
 	"smrseek/internal/geom"
 )
 
@@ -82,32 +83,7 @@ func TestSealAndReopen(t *testing.T) {
 	if l.SealedRecords() != 5 || len(l.Seals()) != 1 {
 		t.Fatalf("seal on the fifth record: sealed=%d seals=%d", l.SealedRecords(), len(l.Seals()))
 	}
-	seals := l.Seals()
 	l.Close()
-
-	// Reopen must rebuild the sealing state and keep the seals going.
-	l2, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if err := l2.SetSegmentSize(5); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(l2.Seals(), seals) || l2.SealedRecords() != 5 {
-		t.Fatalf("reopen lost seal state: seals=%+v sealed=%d", l2.Seals(), l2.SealedRecords())
-	}
-	for i := int64(5); i < 10; i++ {
-		if err := l2.Append(rec(RecWrite, i*4, 4, i*4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(l2.Seals()) != 2 {
-		t.Fatalf("appended past segment size after reopen, %d seals", len(l2.Seals()))
-	}
-	if s := l2.Seals()[1]; s.Index != 1 || s.First != 6 || s.Count != 5 {
-		t.Errorf("post-reopen seal %+v does not follow the pre-reopen one", s)
-	}
 }
 
 // TestCheckpointPairsJournal: the journal reborn after a checkpoint
@@ -147,23 +123,67 @@ func TestCheckpointPairsJournal(t *testing.T) {
 	}
 }
 
-func TestOpenRemovesStaleCheckpointTmp(t *testing.T) {
+// TestResumeLeavesNoCheckpointTmp: a checkpoint.tmp left by a crash
+// mid-checkpoint does not survive a resume, whose checkpoint overwrites
+// and renames it.
+func TestResumeLeavesNoCheckpointTmp(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		t.Fatal(err)
-	}
+	sealedLog(t, dir, 4, 3).Close()
 	tmp := filepath.Join(dir, checkpointTmp)
 	if err := os.WriteFile(tmp, []byte("half-written checkpoint"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(dir, 0)
+	l, err := Resume(dir, 1, 12, 12, extmap.NewCoalesced())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("stale %s survived Open: %v", checkpointTmp, err)
+		t.Errorf("stale %s survived Resume: %v", checkpointTmp, err)
 	}
+}
+
+// TestResumeCheckpointsBeforeRebirth: Resume writes the recovered state
+// as a checkpoint under the recovered journal's generation, then
+// rebirths the journal paired with it. Until the rebirth the old journal
+// reads as stale, so a crash between the two replays nothing twice.
+func TestResumeCheckpointsBeforeRebirth(t *testing.T) {
+	dir := t.TempDir()
+	sealedLog(t, dir, 4, 6).Close()
+	old := readFileT(t, JournalPath(dir))
+	m := extmap.NewCoalesced()
+	m.Insert(geom.Ext(0, 24), 0)
+	l, err := Resume(dir, 1, 24, 24, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	a, err := VerifyDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.CheckpointGeneration != 1 || a.Generation != 2 || l.Generation() != 2 || a.Stale || a.Mappings != 1 {
+		t.Errorf("resumed directory audit %+v, want checkpoint 1 paired with journal 2", a)
+	}
+
+	// A crash after the checkpoint's rename but before the rebirth leaves
+	// the new checkpoint beside the old journal: stale, never replayed.
+	snap, d, err := LoadDir(writePair(t, old, readFileT(t, CheckpointPath(dir))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Records) != 0 || snap == nil || snap.Frontier != 24 || len(snap.Mappings) != 1 {
+		t.Errorf("crash mid-resume: %d records to replay over %+v, want the checkpoint alone", len(d.Records), snap)
+	}
+}
+
+func readFileT(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func TestCheckpointDirDurability(t *testing.T) {

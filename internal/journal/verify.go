@@ -6,20 +6,16 @@ import (
 	"os"
 )
 
-// Sentinel errors distinguishing the two ways a journal can be damaged.
-// A torn tail is a crash signature: recovery truncates to the verified
-// prefix and continues. Corruption is damage inside the region the log
-// had already sealed: recovering past it would silently drop or mutate
-// acknowledged history, so it must fail loudly.
-var (
-	// ErrCorrupt marks damage inside the sealed region — a flipped bit in
-	// a sealed record, a broken seal, a checkpoint that does not pair
-	// with the journal. Wrapped by *CorruptError; match with errors.Is.
-	ErrCorrupt = errors.New("journal: corrupt")
-	// ErrTornTail marks an incomplete tail record — the expected residue
-	// of a crash mid-append. Recovery to the preceding prefix is safe.
-	ErrTornTail = errors.New("journal: torn tail")
-)
+// A journal can be damaged in two ways. A torn tail (Data.Torn) is a
+// crash signature: recovery truncates to the verified prefix and
+// continues. Corruption is damage inside the region the log had already
+// sealed: recovering past it would silently drop or mutate acknowledged
+// history, so it must fail loudly.
+//
+// ErrCorrupt marks damage inside the sealed region — a flipped bit in a
+// sealed record, a broken seal, a checkpoint that does not pair with the
+// journal. Wrapped by *CorruptError; match with errors.Is.
+var ErrCorrupt = errors.New("journal: corrupt")
 
 // CorruptError reports where verification failed: which file, which
 // segment was being checked, and the byte offset of the damage (or -1
@@ -139,7 +135,7 @@ func LoadDirWorkers(dir string, workers int) (*Snapshot, Data, error) { return L
 func readDir(dir string, verify bool) (*Snapshot, Data, *Audit, error) {
 	a := &Audit{Dir: dir}
 
-	snap, ckptCRC, err := readCheckpointFile(CheckpointPath(dir), true)
+	snap, ckptCRC, err := readCheckpointFile(CheckpointPath(dir))
 	if err != nil {
 		if verify {
 			err = &CorruptError{File: CheckpointFile, Segment: -1, Offset: -1,

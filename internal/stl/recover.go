@@ -301,3 +301,31 @@ func RecoverDirWith(dir string, opt RecoverOptions) (*LS, ReplayStats, error) {
 	st.Elapsed = time.Since(start)
 	return l, st, err
 }
+
+// OpenDir opens a journal directory for a log-structured layer: the one
+// way a journaled run starts or restarts. A directory that holds no
+// state (journal.HoldsState) gets a fresh journal born at frontier, and
+// the layer and stats come back nil. Any other directory is recovered
+// as RecoverDir does, verified, so damage inside sealed history is
+// refused; frontier is then ignored. The recovered state goes to
+// journal.Resume, which checkpoints it before the old journal is
+// truncated, so a restart that fails or is killed loses nothing.
+func OpenDir(dir string, frontier geom.Sector) (*journal.Log, *LS, *ReplayStats, error) {
+	held, err := journal.HoldsState(dir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if !held {
+		lg, err := journal.Open(dir, frontier)
+		return lg, nil, nil, err
+	}
+	l, st, err := RecoverDir(dir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	lg, err := journal.Resume(dir, st.Generation, l.frontier, l.written, l.m)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return lg, l, &st, nil
+}

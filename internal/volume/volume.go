@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"smrseek/internal/core"
@@ -179,7 +178,8 @@ type heldResult struct {
 
 // Open builds the volume and starts its actor. With JournalDir set, a
 // directory already holding state is recovered first (checkpoint +
-// journal replay) and the volume resumes from the recovered layer.
+// journal replay) and checkpointed before its old journal goes
+// (stl.OpenDir), and the volume resumes from the recovered layer.
 func Open(cfg Config) (*Volume, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("volume: empty name")
@@ -215,9 +215,15 @@ func Open(cfg Config) (*Volume, error) {
 		if !simCfg.LogStructured {
 			return nil, fmt.Errorf("volume %s: journaling requires the log-structured layer", cfg.Name)
 		}
-		lg, recovered, rst, err := openJournal(cfg.JournalDir, simCfg.FrontierStart, cfg.SealEvery)
+		lg, recovered, rst, err := stl.OpenDir(cfg.JournalDir, simCfg.FrontierStart)
 		if err != nil {
 			return nil, fmt.Errorf("volume %s: %w", cfg.Name, err)
+		}
+		if cfg.SealEvery > 0 {
+			if err := lg.SetSegmentSize(int(cfg.SealEvery)); err != nil {
+				lg.Close()
+				return nil, fmt.Errorf("volume %s: %w", cfg.Name, err)
+			}
 		}
 		if recovered != nil {
 			simCfg.LogStructured = false
@@ -242,53 +248,6 @@ func Open(cfg Config) (*Volume, error) {
 	}
 	go v.loop()
 	return v, nil
-}
-
-// openJournal opens dir's write-ahead log, recovering and folding in any
-// state a previous run left behind: the recovered state becomes a fresh
-// checkpoint and the (possibly torn) journal is reborn clean. Recovery
-// checks the seals and the checkpoint pairing first and refuses a
-// directory whose sealed history does not check out (journal.ErrCorrupt);
-// torn tails, plain crash residue, still recover.
-func openJournal(dir string, frontier geom.Sector, sealEvery int64) (*journal.Log, *stl.LS, *stl.ReplayStats, error) {
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return nil, nil, nil, err
-	}
-	segSize := func(lg *journal.Log) error {
-		if sealEvery == 0 {
-			return nil
-		}
-		return lg.SetSegmentSize(int(sealEvery))
-	}
-	_, jErr := os.Stat(journal.JournalPath(dir))
-	_, cErr := os.Stat(journal.CheckpointPath(dir))
-	if jErr != nil && cErr != nil {
-		lg, err := journal.Open(dir, frontier)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return lg, nil, nil, segSize(lg)
-	}
-	recovered, rst, err := stl.RecoverDir(dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := os.Remove(journal.JournalPath(dir)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil, err
-	}
-	lg, err := journal.Open(dir, recovered.Frontier())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := segSize(lg); err != nil {
-		lg.Close()
-		return nil, nil, nil, err
-	}
-	if err := lg.CheckpointMap(recovered.Frontier(), recovered.LogSectors(), recovered.Map()); err != nil {
-		lg.Close()
-		return nil, nil, nil, err
-	}
-	return lg, recovered, &rst, nil
 }
 
 // Name returns the volume's name.

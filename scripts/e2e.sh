@@ -123,6 +123,48 @@ wait "$pid"
 	echo "post-crash audit failed"; cat "$work/audit2.log"; exit 1
 }
 
+# Failed-restart leg: a volume that never checkpoints is killed, so its
+# journal holds every acknowledged record. A restart whose resume
+# checkpoint cannot be staged (checkpoint.tmp is a non-empty directory)
+# must exit non-zero with that journal untouched; the next restart must
+# replay exactly the records the audit counted, and audit clean after.
+"$work/smrd" -listen 127.0.0.1:0 -volumes a -journal-dir "$work/fr" \
+	-checkpoint-every 0 >"$work/smrd4.log" 2>&1 &
+pid=$!
+wait_addr "$work/smrd4.log"
+"$work/smrload" -addr "$addr" -volumes a -workload w91 -scale 0.05 -conns 2 >"$work/load4.log"
+kill -KILL "$pid"
+wait "$pid" 2>/dev/null || true
+"$work/smrverify" -json "$work/fr/a" >"$work/audit4.json" || {
+	echo "audit of the killed volume failed"; cat "$work/audit4.json"; exit 1
+}
+want=$(( $(sed -n 's/.*"sealed_records":\([0-9]*\).*/\1/p' "$work/audit4.json") + \
+	$(sed -n 's/.*"tail_records":\([0-9]*\).*/\1/p' "$work/audit4.json") ))
+[ "$want" -gt 0 ] || { echo "killed volume's journal holds no records"; cat "$work/audit4.json"; exit 1; }
+cp "$work/fr/a/journal.wal" "$work/fr-before.wal"
+mkdir -p "$work/fr/a/checkpoint.tmp/x"
+rc=0
+timeout 20 "$work/smrd" -listen 127.0.0.1:0 -volumes a -journal-dir "$work/fr" \
+	>"$work/smrd5.log" 2>&1 || rc=$?
+[ "$rc" -ne 0 ] && [ "$rc" -ne 124 ] || {
+	echo "restart over a blocked checkpoint.tmp: smrd exit $rc, want a failure"; cat "$work/smrd5.log"; exit 1
+}
+cmp -s "$work/fr/a/journal.wal" "$work/fr-before.wal" || {
+	echo "failed restart changed the journal"; cat "$work/smrd5.log"; exit 1
+}
+rm -r "$work/fr/a/checkpoint.tmp"
+"$work/smrd" -listen 127.0.0.1:0 -volumes a -journal-dir "$work/fr" >"$work/smrd6.log" 2>&1 &
+pid=$!
+wait_addr "$work/smrd6.log"
+grep -q "volume a recovered: checkpoint=false, $want journal records replayed" "$work/smrd6.log" || {
+	echo "restart did not replay the $want records the journal held"; cat "$work/smrd6.log"; exit 1
+}
+kill -TERM "$pid"
+wait "$pid"
+"$work/smrverify" "$work/fr" >"$work/audit5.log" || {
+	echo "audit after the failed restart failed"; cat "$work/audit5.log"; exit 1
+}
+
 # Seeded corruption: truncating the checkpoint must make the audit fail
 # loudly — smrverify exits non-zero and names the damage.
 truncate -s -1 "$work/journal/a/checkpoint.ckpt"
