@@ -3,15 +3,33 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"smrseek/internal/disk"
 	"smrseek/internal/geom"
 	"smrseek/internal/server"
+	"smrseek/internal/trace"
 )
+
+// step sends one record over ac, as smrload does, and returns the
+// response body: a read's 4-byte fragment count, empty for a write.
+func step(t *testing.T, ac *server.AsyncClient, vol string, kind disk.OpKind, ext geom.Extent) []byte {
+	t.Helper()
+	done := make(chan *server.Call, 1)
+	if _, err := ac.SubmitStep(vol, trace.Record{Kind: kind, Extent: ext}, done); err != nil {
+		t.Fatal(err)
+	}
+	body, err := (<-done).Result()
+	if err != nil {
+		t.Fatalf("%v %v on %s: %v", kind, ext, vol, err)
+	}
+	return body
+}
 
 // syncBuffer is a goroutine-safe output sink the test can poll while
 // run() is live on another goroutine.
@@ -76,16 +94,17 @@ func TestDaemonServesAndSummarizes(t *testing.T) {
 	var out syncBuffer
 	addr, stop := startDaemon(t, &out, "-listen", "127.0.0.1:0", "-volumes", "a,b=defrag+cache")
 
-	c, err := server.Dial(addr)
+	ac, err := server.DialAsync(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := c.Write("a", geom.Ext(geom.Sector(i*16), 8)); err != nil {
-			t.Fatal(err)
-		}
+		step(t, ac, "a", disk.Write, geom.Ext(geom.Sector(i*16), 8))
 	}
-	if _, err := c.Read("b", geom.Ext(0, 8)); err != nil {
+	step(t, ac, "b", disk.Read, geom.Ext(0, 8))
+	ac.Close()
+	c, err := server.Dial(addr)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stat("a")
@@ -114,16 +133,14 @@ func TestDaemonJournalRestartResumes(t *testing.T) {
 	var out1 syncBuffer
 	addr, stop := startDaemon(t, &out1,
 		"-listen", "127.0.0.1:0", "-volumes", "dur", "-journal-dir", dir)
-	c, err := server.Dial(addr)
+	ac, err := server.DialAsync(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
-		if err := c.Write("dur", geom.Ext(geom.Sector(i*16), 8)); err != nil {
-			t.Fatal(err)
-		}
+		step(t, ac, "dur", disk.Write, geom.Ext(geom.Sector(i*16), 8))
 	}
-	c.Close()
+	ac.Close()
 	if err := stop(); err != nil {
 		t.Fatalf("first shutdown: %v", err)
 	}
@@ -139,20 +156,16 @@ func TestDaemonJournalRestartResumes(t *testing.T) {
 	if !strings.Contains(out2.String(), "MB/s") || !strings.Contains(out2.String(), " journal records replayed") {
 		t.Errorf("recovery line lacks duration/throughput detail:\n%s", out2.String())
 	}
-	c, err = server.Dial(addr)
+	ac, err = server.DialAsync(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A read of a previously written extent resolves against recovered
 	// state: exactly 1 fragment, not a hole.
-	frags, err := c.Read("dur", geom.Ext(0, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frags != 1 {
+	if frags := binary.LittleEndian.Uint32(step(t, ac, "dur", disk.Read, geom.Ext(0, 8))); frags != 1 {
 		t.Errorf("read of recovered extent resolved to %d frags, want 1", frags)
 	}
-	c.Close()
+	ac.Close()
 	if err := stop(); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}

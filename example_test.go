@@ -421,13 +421,17 @@ func Example_server() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, err := server.Dial(addr)
+			ac, err := server.DialAsync(addr, 1)
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer cl.Close()
+			defer ac.Close()
+			done := make(chan *server.Call, 1)
 			for _, rec := range recs {
-				if _, err := cl.Step(v.Name, rec); err != nil {
+				if _, err := ac.SubmitStep(v.Name, rec, done); err != nil {
+					log.Fatalf("%s: %v", v.Name, err)
+				}
+				if _, err := (<-done).Result(); err != nil {
 					log.Fatalf("%s: %v", v.Name, err)
 				}
 				replayed[i]++

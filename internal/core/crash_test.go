@@ -203,7 +203,7 @@ func TestCrashRecoveryResume(t *testing.T) {
 	if _, err := sim2.Run(trace.NewSliceReader(recs[90:])); err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := stl.RecoverDir(log2.Dir())
+	again, _, err := stl.RecoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ type Prefetcher struct {
 	covered *geom.Set // union of live windows, for containment checks
 	bytes   int64
 
-	hits, misses int64
+	hits int64
 }
 
 // NewPrefetcher returns a prefetcher with the given configuration.
@@ -79,7 +79,6 @@ func (p *Prefetcher) Covers(phys geom.Extent) bool {
 		p.hits++
 		return true
 	}
-	p.misses++
 	return false
 }
 
@@ -133,6 +132,3 @@ func (p *Prefetcher) evictOldest() {
 
 // Hits returns the number of fragment accesses served from the buffer.
 func (p *Prefetcher) Hits() int64 { return p.hits }
-
-// Misses returns the number of coverage checks that missed.
-func (p *Prefetcher) Misses() int64 { return p.misses }

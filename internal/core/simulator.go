@@ -191,7 +191,6 @@ type Stats struct {
 // Simulator drives a trace through a translation layer, the configured
 // mechanisms and the seek-counting disk model.
 type Simulator struct {
-	cfg        Config
 	layer      stl.Layer
 	ls         *stl.LS        // nil unless the built-in LS layer is used
 	maintainer stl.Maintainer // nil unless the layer generates background I/O
@@ -222,7 +221,7 @@ func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, dev: cfg.Device}
+	s := &Simulator{dev: cfg.Device}
 	if s.dev == nil {
 		s.dev = disk.New()
 	}

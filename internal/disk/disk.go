@@ -66,18 +66,6 @@ const LongSeekSectors = LongSeekBytes / geom.SectorSize
 // TotalSeeks returns read + write seeks.
 func (c Counters) TotalSeeks() int64 { return c.ReadSeeks + c.WriteSeeks }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.ReadOps += other.ReadOps
-	c.WriteOps += other.WriteOps
-	c.ReadSeeks += other.ReadSeeks
-	c.WriteSeeks += other.WriteSeeks
-	c.ReadSectors += other.ReadSectors
-	c.WriteSectors += other.WriteSectors
-	c.LongReadSeeks += other.LongReadSeeks
-	c.LongWriteSeeks += other.LongWriteSeeks
-}
-
 // Observer receives every head access; analyses (distance CDFs, windowed
 // series) hook in here without the Disk knowing about them.
 type Observer interface {

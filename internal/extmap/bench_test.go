@@ -82,7 +82,7 @@ func BenchmarkFragments(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Fragments(geom.Ext(rng.Int63n(1<<24), 256))
+		fragments(m, geom.Ext(rng.Int63n(1<<24), 256))
 	}
 }
 

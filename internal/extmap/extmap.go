@@ -467,18 +467,6 @@ type Resolved struct {
 // PhysExtent returns the physical extent of the fragment.
 func (r Resolved) PhysExtent() geom.Extent { return geom.Ext(r.Pba, r.Lba.Count) }
 
-// Fragments returns the number of physically-contiguous pieces a read of q
-// would touch — the paper's dynamic fragmentation of that read. It
-// counts via LookupFunc, so polling it never materializes a slice.
-func (t *Map) Fragments(q geom.Extent) int {
-	n := 0
-	t.LookupFunc(q, func(Resolved) bool {
-		n++
-		return true
-	})
-	return n
-}
-
 // Walk visits every mapping in ascending LBA order until fn returns false.
 func (t *Map) Walk(fn func(Mapping) bool) {
 	for _, leaf := range t.leaves {

@@ -24,7 +24,7 @@ func benchLayer(b *testing.B, policy Policy) {
 		l.WriteAppend(nil, geom.Ext(int64(seed%(400*1024)), 16))
 		l.PendingMaintenance()
 	}
-	b.ReportMetric(float64(l.cleanings), "cleanings")
+	b.ReportMetric(float64(l.ExtraSectors())/float64(b.N), "relocated-sectors/op")
 }
 
 func BenchmarkWriteGreedy(b *testing.B)      { benchLayer(b, Greedy) }

@@ -80,7 +80,6 @@ type Layer struct {
 
 	hostSectors  int64
 	extraSectors int64
-	cleanings    int64
 	now          int64 // logical clock: one tick per host write
 }
 
@@ -273,7 +272,6 @@ func (l *Layer) cleanSegment(victim int) {
 		panic(fmt.Sprintf("gc: victim %d has %d live sectors after cleaning", victim, l.segs[victim].live))
 	}
 	l.free = append(l.free, victim)
-	l.cleanings++
 }
 
 // PendingMaintenance implements stl.Maintainer.
@@ -288,9 +286,6 @@ func (l *Layer) HostSectors() int64 { return l.hostSectors }
 
 // ExtraSectors implements stl.Amplifier.
 func (l *Layer) ExtraSectors() int64 { return l.extraSectors }
-
-// Fragments returns the dynamic fragmentation of a read of lba.
-func (l *Layer) Fragments(lba geom.Extent) int { return l.m.Fragments(lba) }
 
 var (
 	_ stl.Layer      = (*Layer)(nil)

@@ -66,9 +66,6 @@ func TestWriteResolveRoundTrip(t *testing.T) {
 	if len(rs) != 1 || rs[0].Pba != 2000 {
 		t.Fatalf("identity Resolve = %v", rs)
 	}
-	if l.Fragments(geom.Ext(100, 50)) != 1 {
-		t.Error("fresh write should be one fragment")
-	}
 }
 
 func TestWriteSplitsAcrossSegments(t *testing.T) {
@@ -95,11 +92,10 @@ func TestCleaningTriggersAndFreesSpace(t *testing.T) {
 	l := mustNew(t, tiny(Greedy))
 	// Overwrite the same 256-sector LBA range repeatedly: old segments
 	// become fully dead, so cleaning is cheap and must keep up.
+	// 40 segments' worth into an 8-segment log: place panics when no
+	// segment is free, so finishing means cleaning recycled them.
 	for i := 0; i < 40; i++ {
 		l.WriteAppend(nil, geom.Ext(0, 256))
-	}
-	if l.cleanings == 0 {
-		t.Fatal("cleaning never ran")
 	}
 	if len(l.free) < 2 {
 		t.Errorf("free segments = %d", len(l.free))
@@ -123,11 +119,8 @@ func TestCleaningRelocatesLiveData(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		l.WriteAppend(nil, geom.Ext(int64(rng.Intn(1300)), 32))
 	}
-	if l.cleanings == 0 {
-		t.Fatal("cleaning never ran")
-	}
 	if l.ExtraSectors() == 0 {
-		t.Fatal("live relocation never happened")
+		t.Fatal("cleaning never relocated live data")
 	}
 	if waf := stl.WAF(l); waf <= 1 {
 		t.Errorf("WAF = %v, want > 1", waf)
@@ -206,8 +199,8 @@ func TestFullyLiveLogStopsCleaning(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		l.WriteAppend(nil, geom.Ext(i*256, 256))
 	}
-	if l.cleanings != 0 {
-		t.Errorf("cleanings = %d, want 0 (nothing reclaimable)", l.cleanings)
+	if n, ops := l.ExtraSectors(), l.PendingMaintenance(); n != 0 || len(ops) != 0 {
+		t.Errorf("cleaning moved %d sectors in %d ops, want none (nothing reclaimable)", n, len(ops))
 	}
 }
 

@@ -45,9 +45,6 @@ func (e Extent) Empty() bool { return e.Count <= 0 }
 // Bytes returns the extent's size in bytes.
 func (e Extent) Bytes() int64 { return e.Count * SectorSize }
 
-// Contains reports whether sector s lies inside the extent.
-func (e Extent) Contains(s Sector) bool { return s >= e.Start && s < e.End() }
-
 // ContainsExtent reports whether o lies entirely inside e.
 // An empty o is contained in anything.
 func (e Extent) ContainsExtent(o Extent) bool {

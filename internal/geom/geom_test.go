@@ -33,6 +33,8 @@ func TestSpanPanics(t *testing.T) {
 	Span(5, 3)
 }
 
+// TestContains: a one-sector extent lies inside e exactly when its sector
+// does, at both of e's ends.
 func TestContains(t *testing.T) {
 	e := Ext(10, 5)
 	cases := []struct {
@@ -40,8 +42,8 @@ func TestContains(t *testing.T) {
 		want bool
 	}{{9, false}, {10, true}, {14, true}, {15, false}}
 	for _, c := range cases {
-		if got := e.Contains(c.s); got != c.want {
-			t.Errorf("Contains(%d) = %v, want %v", c.s, got, c.want)
+		if got := e.ContainsExtent(Ext(c.s, 1)); got != c.want {
+			t.Errorf("ContainsExtent(sector %d) = %v, want %v", c.s, got, c.want)
 		}
 	}
 }

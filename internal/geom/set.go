@@ -24,9 +24,6 @@ func NewSet(exts ...Extent) *Set {
 	return s
 }
 
-// Len returns the number of disjoint extents in the set.
-func (s *Set) Len() int { return len(s.exts) }
-
 // Sectors returns the total number of sectors covered.
 func (s *Set) Sectors() int64 {
 	var n int64

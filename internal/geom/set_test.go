@@ -10,12 +10,12 @@ func TestSetAddMerges(t *testing.T) {
 	s := NewSet()
 	s.Add(Ext(0, 10))
 	s.Add(Ext(20, 10))
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.exts) != 2 {
+		t.Fatalf("%d extents, want 2", len(s.exts))
 	}
 	s.Add(Ext(10, 10)) // bridges the gap
-	if s.Len() != 1 {
-		t.Fatalf("after bridge Len = %d, want 1", s.Len())
+	if len(s.exts) != 1 {
+		t.Fatalf("after bridge %d extents, want 1", len(s.exts))
 	}
 	if got := s.exts[0]; got != Ext(0, 30) {
 		t.Fatalf("merged extent = %v", got)
@@ -49,7 +49,7 @@ func TestSetRemove(t *testing.T) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 	s.Remove(Ext(0, 100))
-	if s.Len() != 0 {
+	if len(s.exts) != 0 {
 		t.Fatalf("remove-all left %v", s.exts)
 	}
 	s.Remove(Ext(0, 10)) // removing from empty is a no-op

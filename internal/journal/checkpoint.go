@@ -106,9 +106,11 @@ func writeCheckpoint(w io.Writer, gen uint64, frontier geom.Sector, written int6
 // the journal, a checkpoint is all-or-nothing: any damage is an error,
 // never a partial result, because the rename protocol means a visible
 // checkpoint was written completely. The mappings are decoded as they
-// arrive through one ckptChunk buffer, so Mappings grows by the bytes
-// read, not by the unverified count.
-func readCheckpoint(r io.Reader) (Snapshot, uint32, error) {
+// arrive through one ckptChunk buffer. size is the stream's length: a
+// stream of size bytes holds at most (size-44)/24 mappings whatever its
+// header claims, so Mappings is reserved once to the smaller of the two,
+// never to the unverified count alone.
+func readCheckpoint(r io.Reader, size int64) (Snapshot, uint32, error) {
 	buf := make([]byte, ckptChunk)
 	fixed := buf[:ckptFixedSize]
 	if _, err := io.ReadFull(r, fixed); err != nil {
@@ -127,6 +129,9 @@ func readCheckpoint(r io.Reader) (Snapshot, uint32, error) {
 	snap := Snapshot{Generation: binary.LittleEndian.Uint64(fixed[8:16])}
 	snap.Frontier = int64(binary.LittleEndian.Uint64(fixed[16:24]))
 	snap.Written = int64(binary.LittleEndian.Uint64(fixed[24:32]))
+	if room := (size - ckptFixedSize - 4) / mappingSize; room > 0 && n > 0 { // -4: the trailing CRC
+		snap.Mappings = make([]extmap.Mapping, 0, min(n, uint64(room)))
+	}
 	crc := crc32.ChecksumIEEE(fixed[8:])
 	var bad error // the first invalid or out-of-order mapping, reported once the CRC holds
 	var prevEnd geom.Sector
@@ -188,7 +193,11 @@ func readCheckpointFile(path string) (*Snapshot, uint32, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	snap, crc, err := readCheckpoint(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	snap, crc, err := readCheckpoint(f, fi.Size())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -421,14 +421,12 @@ type Log struct {
 	generation uint64
 	appends    int64  // acknowledged appends by this process
 	sinceCkpt  int64  // records in the journal file since its header
-	ckpts      int64  // checkpoints written by this process
-	size       int64  // logical journal size: file bytes plus buf (for seal offsets)
 	buf        []byte // frames appended since the last Flush
 	ferr       error  // sticky Flush failure
 
-	segSize int    // records per sealed segment
-	sealed  int64  // records covered by seals
-	seals   []Seal // seals in this generation
+	segSize int   // records per sealed segment
+	sealed  int64 // records covered by seals
+	seals   int   // seals in this generation
 
 	failer     Failer
 	crashAfter int64 // 1-based append seq that crashes; 0 = never
@@ -474,7 +472,7 @@ func Open(dir string, initFrontier geom.Sector) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Log{dir: dir, f: f, generation: 1, size: headerSize, segSize: DefaultSegmentSize}, nil
+	return &Log{dir: dir, f: f, generation: 1, segSize: DefaultSegmentSize}, nil
 }
 
 // Resume reopens dir for appending once recovery has rebuilt its state
@@ -497,28 +495,9 @@ func Resume(dir string, generation uint64, frontier geom.Sector, written int64, 
 	return l, nil
 }
 
-// Dir returns the journal directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Generation returns the journal's current generation number.
-func (l *Log) Generation() uint64 { return l.generation }
-
 // SinceCheckpoint returns the records in the journal file beyond the
 // last checkpoint — the replay work a crash right now would cost.
 func (l *Log) SinceCheckpoint() int64 { return l.sinceCkpt }
-
-// Checkpoints returns the checkpoints written by this process.
-func (l *Log) Checkpoints() int64 { return l.ckpts }
-
-// Crashed reports whether an injected crash point has fired.
-func (l *Log) Crashed() bool { return l.crashed }
-
-// SealedRecords returns how many records of the current generation are
-// covered by seals; records past them await the next seal.
-func (l *Log) SealedRecords() int64 { return l.sealed }
-
-// Seals returns a copy of the current generation's seals.
-func (l *Log) Seals() []Seal { return append([]Seal(nil), l.seals...) }
 
 // SetSegmentSize sets how many records fill a segment before it is
 // sealed automatically (default DefaultSegmentSize). Smaller segments
@@ -575,7 +554,6 @@ func (l *Log) Append(rec Record) error {
 		return ErrCrashed
 	}
 	l.buf = appendRecord(l.buf, rec)
-	l.size += frameSize
 	l.appends++
 	l.sinceCkpt++
 	if l.sinceCkpt-l.sealed >= int64(l.segSize) {
@@ -607,10 +585,8 @@ func (l *Log) seal() {
 	if pending == 0 {
 		return
 	}
-	idx := len(l.seals)
-	l.buf = appendSeal(l.buf, idx, int(pending))
-	l.seals = append(l.seals, Seal{Index: idx, First: l.sealed + 1, Count: int(pending), Offset: l.size})
-	l.size += sealFrameSize
+	l.buf = appendSeal(l.buf, l.seals, int(pending))
+	l.seals++
 	l.sealed += pending
 }
 
@@ -687,10 +663,8 @@ func (l *Log) checkpoint(frontier geom.Sector, encode func(io.Writer) (uint32, e
 		return err
 	}
 	l.sealed = 0
-	l.seals = nil
-	l.size = headerSize
+	l.seals = 0
 	l.sinceCkpt = 0
-	l.ckpts++
 	return nil
 }
 

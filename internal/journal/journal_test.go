@@ -184,11 +184,8 @@ func TestLogCheckpointTruncatesAndGuardsGeneration(t *testing.T) {
 	if err := l.Checkpoint(snap); err != nil {
 		t.Fatal(err)
 	}
-	if l.SinceCheckpoint() != 0 || l.Checkpoints() != 1 {
-		t.Errorf("since=%d ckpts=%d, want 0/1", l.SinceCheckpoint(), l.Checkpoints())
-	}
-	if l.Generation() != 2 {
-		t.Errorf("generation %d, want 2", l.Generation())
+	if _, d := scanJournal(t, l, dir); l.SinceCheckpoint() != 0 || d.Generation != 2 {
+		t.Errorf("since=%d generation %d, want 0/2", l.SinceCheckpoint(), d.Generation)
 	}
 	if err := l.Append(rec(RecWrite, 5, 1, 5)); err != nil {
 		t.Fatal(err)
@@ -328,8 +325,8 @@ func TestOpenRejectsTornJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	whole := buildSealedPair(t, t.TempDir(), 2)
-	whole.Close()
+	whole := t.TempDir()
+	buildSealedPair(t, whole, 2).Close()
 	ckptOnly := t.TempDir()
 	ckpt := writerBuf{}
 	if _, err := WriteCheckpoint(&ckpt, Snapshot{Generation: 1, Frontier: 8}); err != nil {
@@ -340,7 +337,7 @@ func TestOpenRejectsTornJournal(t *testing.T) {
 	}
 	// Open is create-only: a directory holding any state is refused and
 	// left byte for byte as it was.
-	for name, dir := range map[string]string{"torn journal": torn, "journal": whole.Dir(), "checkpoint only": ckptOnly} {
+	for name, dir := range map[string]string{"torn journal": torn, "journal": whole, "checkpoint only": ckptOnly} {
 		before := dirBytes(t, dir)
 		if _, err := Open(dir, 0); err == nil || !strings.Contains(err.Error(), "already holds") {
 			t.Errorf("%s: Open = %v, want a refusal", name, err)
@@ -411,7 +408,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if _, err := WriteCheckpoint(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readCheckpoint(bytes.NewReader(buf.Bytes()))
+	got, _, err := readCheckpoint(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,13 +424,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 9, 20, 30, 41, len(data) - 2} {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
-		if _, _, err := readCheckpoint(bytes.NewReader(mut)); err == nil {
+		if _, _, err := readCheckpoint(bytes.NewReader(mut), int64(len(mut))); err == nil {
 			t.Errorf("corruption at byte %d accepted", i)
 		}
 	}
 	// Truncation too.
 	for _, n := range []int{0, 10, ckptFixedSize, len(data) - 1} {
-		if _, _, err := readCheckpoint(bytes.NewReader(data[:n])); err == nil {
+		if _, _, err := readCheckpoint(bytes.NewReader(data[:n]), int64(n)); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}
@@ -450,7 +447,7 @@ func TestReadCheckpointRejectsUnsortedMappings(t *testing.T) {
 	if _, err := WriteCheckpoint(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readCheckpoint(&buf); err == nil {
+	if _, _, err := readCheckpoint(&buf, int64(buf.Len())); err == nil {
 		t.Error("unsorted checkpoint mappings accepted")
 	}
 }
@@ -467,7 +464,7 @@ func TestReadCheckpointRejectsOverflowingMappings(t *testing.T) {
 		if _, err := WriteCheckpoint(&buf, Snapshot{Mappings: []extmap.Mapping{m}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := readCheckpoint(&buf); err == nil {
+		if _, _, err := readCheckpoint(&buf, int64(buf.Len())); err == nil {
 			t.Errorf("checkpoint mapping %v accepted", m)
 		}
 	}

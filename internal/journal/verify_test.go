@@ -43,8 +43,8 @@ func buildSealedPair(t testing.TB, dir string, nSeals int) *Log {
 		}
 		pba += 4
 	}
-	if l.SealedRecords() != int64(2*nSeals) {
-		t.Fatalf("sealed %d, want %d", l.SealedRecords(), 2*nSeals)
+	if l.sealed != int64(2*nSeals) {
+		t.Fatalf("sealed %d, want %d", l.sealed, 2*nSeals)
 	}
 	return l
 }
@@ -82,7 +82,8 @@ func mutate(raw []byte, i int, xor byte) []byte {
 func TestCorruptionMatrixJournal(t *testing.T) {
 	dir := t.TempDir()
 	l := buildSealedPair(t, dir, 3) // gen 2: 6 records, 3 seals, no tail
-	seals := l.Seals()
+	_, d := scanJournal(t, l, dir)
+	seals := d.Seals
 	const totalRecords = 6
 	lastSealStart := seals[len(seals)-1].Offset
 	if err := l.Close(); err != nil {
@@ -277,12 +278,9 @@ func TestCrashThenCorruption(t *testing.T) {
 		}
 		pba += 4
 	}
-	seal0 := l.Seals()[0]
+	jraw, d := scanJournal(t, l, dir)
+	seal0 := d.Seals[0]
 	l.Close()
-	jraw, err := os.ReadFile(JournalPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The torn pair verifies: crash residue is reported, not failed.
 	a, err := VerifyDir(dir)
@@ -316,7 +314,7 @@ func TestCrashThenCorruption(t *testing.T) {
 func TestVerifyDirStaleJournal(t *testing.T) {
 	dir := t.TempDir()
 	l := buildSealedPair(t, dir, 1)
-	ckptGen := l.Generation() - 1
+	ckptGen := l.generation - 1
 	l.Close()
 	craw, _ := os.ReadFile(CheckpointPath(dir))
 	stale := marshalHeader(ckptGen, 0, 0)
@@ -348,7 +346,7 @@ func TestVerifyDirFreshJournalAnchor(t *testing.T) {
 func TestVerifyDirGenerationGap(t *testing.T) {
 	dir := t.TempDir()
 	l := buildSealedPair(t, dir, 1)
-	gen := l.Generation()
+	gen := l.generation
 	l.Close()
 	jraw, _ := os.ReadFile(JournalPath(dir))
 	_, _, ckptCRC, err := unmarshalHeader(jraw)
@@ -370,7 +368,7 @@ func TestVerifyDirGenerationGap(t *testing.T) {
 func FuzzVerifyJournal(f *testing.F) {
 	dir := f.TempDir()
 	l := buildSealedPair(f, dir, 3)
-	baseSealed := l.SealedRecords()
+	baseSealed := l.sealed
 	if err := l.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -440,7 +438,8 @@ func TestVerifyDirAllocs(t *testing.T) {
 func TestSealCountCatchesDroppedFrame(t *testing.T) {
 	dir := t.TempDir()
 	l := buildSealedPair(t, dir, 3)
-	seals := l.Seals()
+	_, d := scanJournal(t, l, dir)
+	seals := d.Seals
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func BenchmarkWriteAndMerge(b *testing.B) {
 		l.WriteAppend(nil, geom.Ext(int64(seed%(1<<20-64)), 16))
 		l.PendingMaintenance()
 	}
-	b.ReportMetric(float64(l.merges), "merges")
+	b.ReportMetric(float64(l.ExtraSectors()/(1<<14)), "zone-rewrites")
 }
 
 func BenchmarkResolveCached(b *testing.B) {

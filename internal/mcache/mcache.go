@@ -55,8 +55,6 @@ type Layer struct {
 
 	hostSectors  int64
 	extraSectors int64
-	merges       int64
-	mergedZones  int64
 }
 
 // New builds a media-cache layer; the configuration must tile exactly
@@ -167,17 +165,11 @@ func (l *Layer) merge() {
 		l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Write, Extent: zext})
 		l.extraSectors += l.cfg.ZoneSectors
 		l.m.Delete(zext)
-		l.mergedZones++
 	}
 	l.dirty = make(map[int]bool)
 	l.head = l.cfg.DeviceSectors
 	l.used = 0
-	l.merges++
 }
-
-// Flush forces an immediate merge of all dirty zones (end-of-run
-// convenience so comparisons include the deferred cleaning cost).
-func (l *Layer) Flush() { l.merge() }
 
 // PendingMaintenance implements stl.Maintainer.
 func (l *Layer) PendingMaintenance() []stl.MaintenanceOp {
@@ -191,9 +183,6 @@ func (l *Layer) HostSectors() int64 { return l.hostSectors }
 
 // ExtraSectors implements stl.Amplifier.
 func (l *Layer) ExtraSectors() int64 { return l.extraSectors }
-
-// CachedSectors returns the sectors currently held in the media cache.
-func (l *Layer) CachedSectors() int64 { return l.used }
 
 var (
 	_ stl.Layer      = (*Layer)(nil)

@@ -66,19 +66,19 @@ func TestWriteGoesToCacheThenMergesInPlace(t *testing.T) {
 	if len(rs) != 1 || rs[0].Pba != 8*1024 {
 		t.Fatalf("Resolve = %v", rs)
 	}
-	if l.CachedSectors() != 10 {
-		t.Errorf("CachedSectors = %d", l.CachedSectors())
+	if l.used != 10 {
+		t.Errorf("cached sectors = %d", l.used)
 	}
-	l.Flush()
+	l.merge()
 	// After the merge the data is back in LBA order.
 	rs = l.ResolveAppend(nil, geom.Ext(100, 10))
 	if len(rs) != 1 || rs[0].Pba != 100 {
 		t.Fatalf("post-merge Resolve = %v", rs)
 	}
-	if l.merges != 1 || l.mergedZones != 1 {
-		t.Errorf("merges=%d zones=%d", l.merges, l.mergedZones)
+	if l.ExtraSectors() != 1024 {
+		t.Errorf("merge rewrote %d sectors, want one zone", l.ExtraSectors())
 	}
-	if l.CachedSectors() != 0 {
+	if l.used != 0 {
 		t.Error("cache should be empty after merge")
 	}
 }
@@ -87,7 +87,7 @@ func TestMergeEmitsMaintenanceIO(t *testing.T) {
 	l := mustNew(t, tiny())
 	l.WriteAppend(nil, geom.Ext(100, 10))  // zone 0
 	l.WriteAppend(nil, geom.Ext(2000, 10)) // zone 1
-	l.Flush()
+	l.merge()
 	ops := l.PendingMaintenance()
 	// Per dirty zone: zone read + 1 cache-fragment read + zone write.
 	var reads, writes, zoneWrites int
@@ -117,7 +117,7 @@ func TestTriggerMergesAutomatically(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		l.WriteAppend(nil, geom.Ext(int64(i)*1024, 200)) // 200 sectors each, distinct zones
 	}
-	if l.merges == 0 {
+	if l.ExtraSectors() == 0 {
 		t.Fatal("trigger merge did not fire")
 	}
 	if stl.WAF(l) <= 1 {
@@ -144,7 +144,7 @@ func TestWriteLargerThanCache(t *testing.T) {
 	if total != 3000 {
 		t.Fatalf("covered %d of 3000 sectors", total)
 	}
-	if l.merges == 0 {
+	if l.ExtraSectors() == 0 {
 		t.Error("mid-write merge expected")
 	}
 }
@@ -152,7 +152,7 @@ func TestWriteLargerThanCache(t *testing.T) {
 func TestWriteAmplificationAccounting(t *testing.T) {
 	l := mustNew(t, tiny())
 	l.WriteAppend(nil, geom.Ext(0, 100))
-	l.Flush()
+	l.merge()
 	if l.HostSectors() != 100 {
 		t.Errorf("host = %d", l.HostSectors())
 	}
@@ -182,7 +182,8 @@ func TestZoneConstraintsRespected(t *testing.T) {
 	wp := cacheStart
 	merged := false // a merge has run since the write pointer last restarted
 	seed := uint64(7)
-	var merges int64
+	var extra int64 // ExtraSectors grows by whole zones on every merge
+	merges := 0     // checks that saw a merge
 	checkOps := func() {
 		var read geom.Extent
 		for _, op := range l.PendingMaintenance() {
@@ -202,8 +203,9 @@ func TestZoneConstraintsRespected(t *testing.T) {
 				read = geom.Extent{}
 			}
 		}
-		if n := l.merges; n > merges {
-			merges, merged = n, true
+		if n := l.ExtraSectors(); n > extra {
+			extra, merged = n, true
+			merges++
 		}
 	}
 	for i := 0; i < 400; i++ {
@@ -226,7 +228,7 @@ func TestZoneConstraintsRespected(t *testing.T) {
 			wp = p.End()
 		}
 	}
-	l.Flush()
+	l.merge()
 	checkOps()
 	if merges < 10 {
 		t.Fatalf("only %d merges: the workload does not exercise merging", merges)
@@ -241,8 +243,8 @@ func TestEmptyWriteNoop(t *testing.T) {
 	if l.HostSectors() != 0 {
 		t.Error("empty write must not count")
 	}
-	l.Flush() // no dirty zones: no-op
-	if l.merges != 0 {
-		t.Error("flush of clean cache should not merge")
+	l.merge() // no dirty zones: no-op
+	if l.ExtraSectors() != 0 || len(l.PendingMaintenance()) != 0 {
+		t.Error("merge of a clean cache should do nothing")
 	}
 }

@@ -50,13 +50,10 @@ type Durability struct {
 	FromCheckpoint  bool  // a checkpoint seeded the recovered state
 }
 
-// Any reports whether any journal activity was recorded.
-func (d Durability) Any() bool { return d != (Durability{}) }
-
 // Cleaning tallies the finite-disk banded device's persistent-cache and
 // band-cleaning behaviour: how much host traffic the cache absorbed, how
 // much extra mechanical work cleaning cost, and how often cleaning
-// stalled the host. All counters are plain totals so runs Add cleanly.
+// stalled the host.
 type Cleaning struct {
 	// CachedWrites counts host write pieces redirected into the
 	// persistent cache instead of their home band.
@@ -93,24 +90,6 @@ type Cleaning struct {
 
 // Any reports whether any banded-device activity was recorded.
 func (c Cleaning) Any() bool { return c != (Cleaning{}) }
-
-// Add accumulates other into c. DirtyBands, a gauge, keeps the max.
-func (c *Cleaning) Add(other Cleaning) {
-	c.CachedWrites += other.CachedWrites
-	c.CachedSectors += other.CachedSectors
-	c.CacheReads += other.CacheReads
-	c.CleanRuns += other.CleanRuns
-	c.BandsCleaned += other.BandsCleaned
-	c.CleanReadSectors += other.CleanReadSectors
-	c.CleanWriteSectors += other.CleanWriteSectors
-	c.Stalls += other.Stalls
-	c.StallSectors += other.StallSectors
-	if other.DirtyBands > c.DirtyBands {
-		c.DirtyBands = other.DirtyBands
-	}
-	c.HostWriteSectors += other.HostWriteSectors
-	c.BandCrossings += other.BandCrossings
-}
 
 // WriteAmp is the device-level write amplification: all sectors the
 // medium wrote (host + cleaning write-back) over the sectors the host
@@ -154,43 +133,10 @@ func (c *CDF) At(v float64) float64 {
 	return float64(i) / float64(len(c.samples))
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1), or 0 when empty.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.sort()
-	if q <= 0 {
-		return c.samples[0]
-	}
-	if q >= 1 {
-		return c.samples[len(c.samples)-1]
-	}
-	i := int(q * float64(len(c.samples)))
-	if i >= len(c.samples) {
-		i = len(c.samples) - 1
-	}
-	return c.samples[i]
-}
-
 // Point is one (X, P) sample of a rendered CDF curve.
 type Point struct {
 	X float64
 	P float64
-}
-
-// Curve renders the CDF at n evenly spaced x positions across [lo, hi].
-func (c *CDF) Curve(lo, hi float64, n int) []Point {
-	if n < 2 {
-		n = 2
-	}
-	out := make([]Point, 0, n)
-	step := (hi - lo) / float64(n-1)
-	for i := 0; i < n; i++ {
-		x := lo + float64(i)*step
-		out = append(out, Point{X: x, P: c.At(x)})
-	}
-	return out
 }
 
 // Histogram is a signed, symmetric log2-bucketed histogram for seek

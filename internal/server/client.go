@@ -1,15 +1,11 @@
 package server
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 
 	"smrseek/internal/core"
-	"smrseek/internal/disk"
-	"smrseek/internal/geom"
-	"smrseek/internal/trace"
 )
 
 // StatusError is a non-OK response from the server. Callers distinguish
@@ -48,10 +44,10 @@ func IsConnLost(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// Client is one synchronous smrd protocol connection: a window=1 view
-// over the pipelined AsyncClient, each request waiting for its
-// response. Not safe for concurrent use; open one client per goroutine
-// (or use AsyncClient).
+// Client is one synchronous smrd protocol connection for Stat: a
+// window=1 view over the pipelined AsyncClient, each request waiting for
+// its response. Reads and writes go through AsyncClient.SubmitStep. Not
+// safe for concurrent use; open one client per goroutine.
 type Client struct {
 	ac   *AsyncClient
 	done chan *Call
@@ -80,25 +76,6 @@ func (c *Client) roundTrip(req request) ([]byte, error) {
 	return (<-c.done).Result()
 }
 
-// Write issues a logical write of ext on the named volume.
-func (c *Client) Write(vol string, ext geom.Extent) error {
-	_, err := c.roundTrip(request{Op: OpWrite, Volume: vol, Extent: ext})
-	return err
-}
-
-// Read issues a logical read of ext and returns the number of physical
-// fragments it resolved to — the paper's read-seek cost signal.
-func (c *Client) Read(vol string, ext geom.Extent) (int, error) {
-	body, err := c.roundTrip(request{Op: OpRead, Volume: vol, Extent: ext})
-	if err != nil {
-		return 0, err
-	}
-	if len(body) != 4 {
-		return 0, fmt.Errorf("smrd: read response body %d bytes, want 4", len(body))
-	}
-	return int(binary.LittleEndian.Uint32(body)), nil
-}
-
 // Stat returns the volume's live statistics. Stats.Config is zeroed by
 // the server (layer pointers do not cross the wire).
 func (c *Client) Stat(vol string) (core.Stats, error) {
@@ -111,25 +88,4 @@ func (c *Client) Stat(vol string) (core.Stats, error) {
 		return core.Stats{}, fmt.Errorf("smrd: stat decode: %w", err)
 	}
 	return st, nil
-}
-
-// Snapshot forces a journal checkpoint on the volume.
-func (c *Client) Snapshot(vol string) error {
-	_, err := c.roundTrip(request{Op: OpSnapshot, Volume: vol})
-	return err
-}
-
-// Step sends one trace record as the matching read/write request and
-// returns a read's fragment count (0 for writes). Errors surface as
-// they are: a broken connection stays broken (smrload's driver owns
-// reconnection), and overload shedding is the caller's to retry.
-func (c *Client) Step(vol string, rec trace.Record) (int, error) {
-	switch rec.Kind {
-	case disk.Write:
-		return 0, c.Write(vol, rec.Extent)
-	case disk.Read:
-		return c.Read(vol, rec.Extent)
-	default:
-		return 0, fmt.Errorf("smrd: unsupported record kind %v", rec.Kind)
-	}
 }

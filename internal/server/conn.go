@@ -28,8 +28,8 @@ import (
 //     flushes it in one Write, and selects only to park.
 //
 // A timeout answers StatusTimeout and marks the pending entry; the
-// request still executes in dispatch order, its late result is counted
-// in Abandoned and dropped, and the connection stays open.
+// request still executes in dispatch order, its late result is dropped,
+// and the connection stays open.
 
 // flushThreshold caps how much encoded response the writer batches
 // before forcing a flush mid-drain.
@@ -235,7 +235,7 @@ func (c *connection) writer() {
 		c.mu.Unlock()
 		switch {
 		case m.timedOut:
-			c.s.abandoned.Add(1)
+			// Answered StatusTimeout already: the late result is dropped.
 		case res.Err != nil:
 			out = appendResponseV2(out, res.Tag, statusOf(res.Err), []byte(res.Err.Error()))
 		default:
@@ -284,8 +284,8 @@ func (c *connection) writer() {
 }
 
 // scanTimeouts answers StatusTimeout for every pending request past the
-// deadline. The request still executes; its result is later counted in
-// Abandoned.
+// deadline. The request still executes; the writer drops its late
+// result.
 func (c *connection) scanTimeouts(out *[]byte, msg []byte) {
 	d := c.s.opts.RequestTimeout
 	now := time.Now()

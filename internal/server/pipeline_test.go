@@ -3,7 +3,7 @@ package server
 // Concurrency, leak and allocation coverage for the SMRD2 pipeline:
 // out-of-order completion under load (run with -race), shutdown with
 // requests in flight (exactly one outcome per submit), the
-// Abandoned-drain regression for timed-out pipelined requests, one
+// late-result drain regression for timed-out pipelined requests, one
 // response per request under shedding and timeouts, duplicate in-flight
 // IDs, frame pool get/put balance, the zero-alloc codec hot path, and
 // the client's coalescing writer (encode failures, concurrent
@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -154,13 +155,13 @@ func TestPipelineShutdownInFlight(t *testing.T) {
 	}
 }
 
-// TestPipelinedTimeoutAbandonedDrain is the Abandoned-drain regression
+// TestPipelinedTimeoutAbandonedDrain is the late-result drain regression
 // for pipelined requests: a window full of timed-out writes must each
 // get StatusTimeout, the connection must survive, and once the volume
-// unsticks every late result must be drained and counted — not wedged
+// unsticks every late result must be drained, freeing its seat — not wedged
 // in the completion channel.
 func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
-	srv, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
+	_, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
 	v, _ := mgr.Get("v0")
 	release := stallVolume(t, v)
 
@@ -185,20 +186,17 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 			t.Fatalf("call %d: %v, want StatusTimeout", call.ID, err)
 		}
 	}
-	if n := srv.abandoned.Load(); n != 0 {
-		t.Fatalf("Abandoned = %d before the stalled requests could execute", n)
+	// The undrained requests still hold every seat.
+	if _, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (<-done).Result(); !IsOverloaded(err) {
+		t.Fatalf("write beside %d undrained requests: %v, want overloaded", window, err)
 	}
 	release()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.abandoned.Load() != window {
-		if time.Now().After(deadline) {
-			t.Fatalf("Abandoned = %d after release, want %d", srv.abandoned.Load(), window)
-		}
-		time.Sleep(time.Millisecond)
-	}
 	// The connection survived the whole episode: the drained window
 	// serves fresh requests.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)}, done); err != nil {
 			t.Fatalf("submit after timeout drain: %v", err)
@@ -215,19 +213,31 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// That write queued behind the timed-out ones, so every late result
+	// has drained by its answer: the whole window is free again.
+	for i := 0; i < window; i++ {
+		if _, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(geom.Sector(i*8), 8)}, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < window; i++ {
+		if _, err := (<-done).Result(); err != nil {
+			t.Errorf("write %d of a full window after the drain: %v", i, err)
+		}
+	}
 }
 
 // TestPipelineOneResponsePerRequest checks the reader/writer hand-off
 // under shedding, timeouts and a hot pipeline at once: every request ID
 // is answered exactly once, every answer is OK, overloaded or timeout,
-// and every timed-out request's late result is counted in Abandoned.
+// and no timed-out request's late result is ever answered.
 // v0 (queue depth 1) and v1 are both stalled for the first burst, so v0
 // sheds at its queue, v1 fills the window of 32 and times out, and the
 // rest is shed at the window; the second burst runs after the release.
 func TestPipelineOneResponsePerRequest(t *testing.T) {
 	cfg := lsConfig("v0")
 	cfg.QueueDepth = 1
-	srv, mgr, addr := newTestServer(t, Options{RequestTimeout: time.Millisecond}, cfg, lsConfig("v1"))
+	_, mgr, addr := newTestServer(t, Options{RequestTimeout: time.Millisecond}, cfg, lsConfig("v1"))
 	v0, _ := mgr.Get("v0")
 	v1, _ := mgr.Get("v1")
 	release0, release1 := stallVolume(t, v0), stallVolume(t, v1)
@@ -286,17 +296,18 @@ func TestPipelineOneResponsePerRequest(t *testing.T) {
 	if sum != len(answered) {
 		t.Fatalf("statuses %v over %d responses, want only OK, overloaded and timeout", counts, len(answered))
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.abandoned.Load() != int64(counts[StatusTimeout]) {
-		if time.Now().After(deadline) {
-			t.Fatalf("Abandoned = %d, want the %d timeouts", srv.abandoned.Load(), counts[StatusTimeout])
-		}
-		time.Sleep(time.Millisecond)
+	// Half-closing makes the server drain every outstanding late result
+	// before it closes the connection, so a late answer would show up
+	// here, before EOF.
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
 	}
-	// Nothing is left to answer: a late duplicate would arrive before
-	// the response to one more request sent now.
-	time.Sleep(5 * time.Millisecond)
-	burst(4096, 4097)
+	if frame, err := fr.next(); err == nil {
+		id, status, _, _ := parseResponseV2(frame)
+		t.Fatalf("id %d (%s) answered after every request had its answer", id, StatusName(status))
+	} else if !errors.Is(err, io.EOF) {
+		t.Fatalf("after half-close: %v, want EOF", err)
+	}
 	t.Logf("%d requests: %d ok, %d overloaded, %d timeout", len(answered), counts[StatusOK], counts[StatusOverloaded], counts[StatusTimeout])
 }
 

@@ -7,7 +7,6 @@ import (
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smrseek/internal/journal"
@@ -20,8 +19,7 @@ type Options struct {
 	// volume queue (0 = no bound). On expiry the client gets
 	// StatusTimeout and the connection stays open — responses are
 	// matched by ID, so the late result is harmless. The request is
-	// still queued and will execute; its result is drained and counted
-	// (see Abandoned).
+	// still queued and will execute; its result is drained and dropped.
 	RequestTimeout time.Duration
 	// MaxWindow caps the per-connection in-flight window granted to
 	// clients (0 = DefaultMaxWindow).
@@ -42,8 +40,6 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-
-	abandoned atomic.Int64
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}

@@ -165,11 +165,11 @@ func TestServerReadWriteStat(t *testing.T) {
 	// Two non-adjacent writes separated by an interleaved one land at
 	// split log positions, so the spanning read resolves to 2 fragments.
 	for _, ext := range []geom.Extent{geom.Ext(0, 8), geom.Ext(100, 8), geom.Ext(8, 8)} {
-		if err := c.Write("v0", ext); err != nil {
+		if err := write(c, "v0", ext); err != nil {
 			t.Fatalf("Write(%v): %v", ext, err)
 		}
 	}
-	frags, err := c.Read("v0", geom.Ext(0, 16))
+	frags, err := read(c, "v0", geom.Ext(0, 16))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -190,6 +190,24 @@ func TestServerReadWriteStat(t *testing.T) {
 
 func reflectZero(c core.Config) bool { return c == (core.Config{}) }
 
+// write and read send one request on c and wait for its response, as
+// Client.Stat does.
+func write(c *Client, vol string, ext geom.Extent) error {
+	_, err := c.roundTrip(request{Op: OpWrite, Volume: vol, Extent: ext})
+	return err
+}
+
+func read(c *Client, vol string, ext geom.Extent) (int, error) {
+	body, err := c.roundTrip(request{Op: OpRead, Volume: vol, Extent: ext})
+	if err != nil {
+		return 0, err
+	}
+	if len(body) != 4 {
+		return 0, fmt.Errorf("read response body %d bytes, want 4", len(body))
+	}
+	return int(binary.LittleEndian.Uint32(body)), nil
+}
+
 func TestServerUnknownVolumeAndNoJournal(t *testing.T) {
 	_, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
 	c, err := Dial(addr)
@@ -198,16 +216,16 @@ func TestServerUnknownVolumeAndNoJournal(t *testing.T) {
 	}
 	defer c.Close()
 
-	err = c.Write("nope", geom.Ext(0, 8))
+	err = write(c, "nope", geom.Ext(0, 8))
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != StatusUnknownVolume {
 		t.Errorf("write to unknown volume: err = %v, want StatusUnknownVolume", err)
 	}
 	// The connection must survive an error response.
-	if err := c.Write("v0", geom.Ext(0, 8)); err != nil {
+	if err := write(c, "v0", geom.Ext(0, 8)); err != nil {
 		t.Fatalf("Write after error response: %v", err)
 	}
-	err = c.Snapshot("v0")
+	_, err = c.roundTrip(request{Op: OpSnapshot, Volume: "v0"})
 	if !errors.As(err, &se) || se.Status != StatusNoJournal {
 		t.Errorf("Snapshot without journal: err = %v, want StatusNoJournal", err)
 	}
@@ -382,15 +400,15 @@ func TestOverflowingWriteKeepsJournaledVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.Write("v0", geom.Ext(math.MaxInt64-10, 100))
+	err = write(c, "v0", geom.Ext(math.MaxInt64-10, 100))
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != StatusBadRequest {
 		t.Fatalf("overflowing write: %v, want bad-request", err)
 	}
-	if err := c.Write("v0", geom.Ext(0, 8)); err != nil {
+	if err := write(c, "v0", geom.Ext(0, 8)); err != nil {
 		t.Fatalf("write after the overflowing one: %v", err)
 	}
-	if _, err := c.Read("v0", geom.Ext(0, 8)); err != nil {
+	if _, err := read(c, "v0", geom.Ext(0, 8)); err != nil {
 		t.Fatalf("read after the overflowing write: %v", err)
 	}
 }
@@ -518,13 +536,13 @@ func TestServerBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.Write("v0", geom.Ext(0, 8))
+	err = write(c, "v0", geom.Ext(0, 8))
 	if !IsOverloaded(err) {
 		t.Errorf("write to saturated volume: err = %v, want overloaded", err)
 	}
 	release()
 	// After draining, the same connection works again.
-	if err := c.Write("v0", geom.Ext(0, 8)); err != nil {
+	if err := write(c, "v0", geom.Ext(0, 8)); err != nil {
 		t.Fatalf("Write after release: %v", err)
 	}
 }
@@ -533,9 +551,9 @@ func TestServerBackpressure(t *testing.T) {
 // connection: on one pipelined connection a request to a stalled volume
 // times out while a request to a healthy volume, submitted after it,
 // succeeds; and the timed-out request still executes once the volume
-// frees, its result drained and counted rather than left wedged.
+// frees, its late result drained and dropped rather than left wedged.
 func TestServerRequestTimeout(t *testing.T) {
-	srv, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"), lsConfig("v1"))
+	_, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"), lsConfig("v1"))
 	v, _ := mgr.Get("v0")
 	release := stallVolume(t, v)
 	defer release()
@@ -575,12 +593,17 @@ func TestServerRequestTimeout(t *testing.T) {
 		}
 	}
 	release()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.abandoned.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("Abandoned = %d after release, want 1", srv.abandoned.Load())
-		}
-		time.Sleep(time.Millisecond)
+	// A write queued behind the timed-out one answers only after the
+	// stalled request executed, and its late result is dropped, not
+	// answered: the next response is the new write's.
+	next, err := ac.submit(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(8, 8)}, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if call := <-done; call.ID != next.ID {
+		t.Fatalf("response for ID %d after release, want only the new write's %d", call.ID, next.ID)
+	} else if _, err := call.Result(); err != nil {
+		t.Fatalf("write queued behind the timed-out one: %v", err)
 	}
 }
 
@@ -589,7 +612,7 @@ func TestServerRequestTimeout(t *testing.T) {
 // is discarded without corrupting anything — and the window seat is
 // freed once the stalled request finally executes.
 func TestServerRequestTimeoutV2(t *testing.T) {
-	srv, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
+	_, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
 	v, _ := mgr.Get("v0")
 	release := stallVolume(t, v)
 
@@ -598,7 +621,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.Write("v0", geom.Ext(0, 8))
+	err = write(c, "v0", geom.Ext(0, 8))
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != StatusTimeout {
 		t.Fatalf("stalled write: err = %v, want StatusTimeout", err)
@@ -609,7 +632,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 	// connection sheds, which is retryable.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := c.Write("v0", geom.Ext(0, 8))
+		err := write(c, "v0", geom.Ext(0, 8))
 		if err == nil {
 			break
 		}
@@ -621,9 +644,6 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := srv.abandoned.Load(); n != 1 {
-		t.Errorf("Abandoned = %d after a timeout drained, want 1", n)
-	}
 }
 
 // TestServerTimeoutDrainsAbandoned is the regression test for the
@@ -632,7 +652,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 // the volume actor blocks forever delivering into a channel nobody
 // reads, wedging the volume for every later client.
 func TestServerTimeoutDrainsAbandoned(t *testing.T) {
-	srv, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
+	_, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
 	v, _ := mgr.Get("v0")
 	release := stallVolume(t, v)
 
@@ -641,19 +661,25 @@ func TestServerTimeoutDrainsAbandoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.Write("v0", geom.Ext(0, 8))
+	err = write(c, "v0", geom.Ext(0, 8))
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != StatusTimeout {
 		t.Fatalf("stalled write: err = %v, want StatusTimeout", err)
 	}
-	if n := srv.abandoned.Load(); n != 0 {
-		t.Fatalf("Abandoned = %d before the stalled request could execute", n)
+	// Until the stalled request executes and its result drains, it holds
+	// the window-1 connection's only seat.
+	if err := write(c, "v0", geom.Ext(0, 8)); !IsOverloaded(err) {
+		t.Fatalf("write beside the undrained request: %v, want overloaded", err)
 	}
 	release()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.abandoned.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("Abandoned = %d after release, want 1 (result never drained)", srv.abandoned.Load())
+	for {
+		err := write(c, "v0", geom.Ext(0, 8))
+		if err == nil {
+			break
+		}
+		if !IsOverloaded(err) || time.Now().After(deadline) {
+			t.Fatalf("write after release: %v (result never drained)", err)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -663,7 +689,7 @@ func TestServerTimeoutDrainsAbandoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if err := c2.Write("v0", geom.Ext(0, 8)); err != nil {
+	if err := write(c2, "v0", geom.Ext(0, 8)); err != nil {
 		t.Fatalf("write after abandoned drain: %v", err)
 	}
 }
@@ -687,11 +713,11 @@ func TestServerConcurrentClients(t *testing.T) {
 			for op := int64(0); op < 200; op++ {
 				ext := geom.Ext(geom.Sector((seed*1000+op*8)%100000), 8)
 				if op%4 == 3 {
-					if _, err := c.Read(vol, ext); err != nil {
+					if _, err := read(c, vol, ext); err != nil {
 						errc <- err
 						return
 					}
-				} else if err := c.Write(vol, ext); err != nil {
+				} else if err := write(c, vol, ext); err != nil {
 					errc <- err
 					return
 				}
@@ -706,6 +732,9 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestClientStepDoesNotRetryOverload: a step the client submits to a
+// saturated volume comes back overloaded; retrying is the load driver's
+// call, not the client's.
 func TestClientStepDoesNotRetryOverload(t *testing.T) {
 	cfg := lsConfig("v0")
 	cfg.QueueDepth = 1
@@ -714,13 +743,16 @@ func TestClientStepDoesNotRetryOverload(t *testing.T) {
 	release := stallVolume(t, v)
 	defer release()
 
-	c, err := Dial(addr)
+	ac, err := DialAsync(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	_, err = c.Step("v0", trace.Record{Kind: disk.Write, Extent: geom.Ext(0, 8)})
-	if !IsOverloaded(err) {
-		t.Fatalf("Step to saturated volume: %v, want overloaded", err)
+	defer ac.Close()
+	done := make(chan *Call, 1)
+	if _, err := ac.SubmitStep("v0", trace.Record{Kind: disk.Write, Extent: geom.Ext(0, 8)}, done); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (<-done).Result(); !IsOverloaded(err) {
+		t.Fatalf("step to saturated volume: %v, want overloaded", err)
 	}
 }

@@ -125,9 +125,6 @@ func (l *LS) LogSectors() int64 { return l.written }
 // Map exposes the extent map for analyses and recovery checks.
 func (l *LS) Map() *extmap.Map { return l.m }
 
-// Fragments returns the dynamic fragmentation of a read of lba.
-func (l *LS) Fragments(lba geom.Extent) int { return l.m.Fragments(lba) }
-
 var (
 	_ Layer = (*NoLS)(nil)
 	_ Layer = (*LS)(nil)

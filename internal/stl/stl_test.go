@@ -61,9 +61,6 @@ func TestLSFragmentationScenario(t *testing.T) {
 	if len(fs) != 4 {
 		t.Fatalf("fragments = %v, want 4 pieces", fs)
 	}
-	if l.Fragments(geom.Ext(2, 4)) != 4 {
-		t.Error("Fragments disagrees with Resolve")
-	}
 	// Fragment LBAs tile the request.
 	cur := geom.Sector(2)
 	for _, f := range fs {

@@ -1,7 +1,6 @@
 package volume
 
 import (
-	"context"
 	"os"
 	"testing"
 
@@ -38,6 +37,16 @@ func openUnsealed(t *testing.T, queue int) (*Volume, string) {
 	return v, journal.JournalPath(dir)
 }
 
+// do submits one request through TryDo and waits for its result.
+func do(v *Volume, kind Op, ext geom.Extent) (Result, error) {
+	done := make(chan Result, 1)
+	if err := v.TryDo(Request{Kind: kind, Extent: ext}, done); err != nil {
+		return Result{}, err
+	}
+	res := <-done
+	return res, res.Err
+}
+
 func fileSize(t *testing.T, path string) int64 {
 	t.Helper()
 	fi, err := os.Stat(path)
@@ -56,7 +65,7 @@ func TestAckedImpliesOnFile(t *testing.T) {
 		v, path := openUnsealed(t, 0)
 		defer v.Close()
 		for n := 1; n <= 40; n++ {
-			if _, err := v.Do(context.Background(), OpWrite, geom.Ext(geom.Sector(n*8), 8)); err != nil {
+			if _, err := do(v, OpWrite, geom.Ext(geom.Sector(n*8), 8)); err != nil {
 				t.Fatal(err)
 			}
 			if got := fileSize(t, path); got != walSize(n) || v.wal.Buffered() != 0 {
@@ -97,8 +106,7 @@ func TestAckedImpliesOnFile(t *testing.T) {
 // fail every result held for it and, sticky, every later read or write.
 func TestFailedFlushFailsBatchAndAfter(t *testing.T) {
 	v, _ := openUnsealed(t, 0)
-	ctx := context.Background()
-	if _, err := v.Do(ctx, OpWrite, geom.Ext(0, 8)); err != nil {
+	if _, err := do(v, OpWrite, geom.Ext(0, 8)); err != nil {
 		t.Fatal(err)
 	}
 	// The actor is idle between round trips; closing the log's file
@@ -119,7 +127,7 @@ func TestFailedFlushFailsBatchAndAfter(t *testing.T) {
 		}
 	}
 	for _, op := range []Op{OpRead, OpWrite} {
-		if _, err := v.Do(ctx, op, geom.Ext(0, 8)); err == nil {
+		if _, err := do(v, op, geom.Ext(0, 8)); err == nil {
 			t.Errorf("%v after a failed journal write succeeded", op)
 		}
 	}

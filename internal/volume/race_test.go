@@ -1,7 +1,6 @@
 package volume_test
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -76,59 +75,4 @@ func TestCloseSubmitRace(t *testing.T) {
 		t.Fatal("race produced no accepted submissions; the test exercised nothing")
 	}
 	t.Logf("accepted %d, rejected %d", accepted.Load(), rejected.Load())
-}
-
-// TestCloseDoRace runs the blocking submission path (Do)
-// against a concurrent Close: each call must return either a real
-// result or ErrClosed — never hang, never panic on the closed queue.
-func TestCloseDoRace(t *testing.T) {
-	v, err := volume.Open(volume.Config{
-		Name: "race-do",
-		Sim:  core.Config{LogStructured: true, FrontierStart: 1 << 20},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers = 8
-	var (
-		completed atomic.Int64
-		closed    atomic.Int64
-		wg        sync.WaitGroup
-	)
-	ctx := context.Background()
-	start := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			for i := 0; ; i++ {
-				ext := geom.Ext(geom.Sector((w*1000+i*8)%100000), 8)
-				_, err := v.Do(ctx, volume.OpWrite, ext)
-				switch {
-				case err == nil:
-					completed.Add(1)
-				case errors.Is(err, volume.ErrClosed):
-					closed.Add(1)
-					return
-				default:
-					t.Errorf("Do: unexpected error %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	close(start)
-	time.Sleep(5 * time.Millisecond)
-	if err := v.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	wg.Wait()
-	if completed.Load() == 0 {
-		t.Fatal("no writes completed before Close; the race window never opened")
-	}
-	if closed.Load() != workers {
-		t.Fatalf("%d workers saw ErrClosed, want all %d", closed.Load(), workers)
-	}
 }

@@ -29,7 +29,6 @@
 package volume
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -146,7 +145,6 @@ type Request struct {
 // Volume is one simulator behind an actor loop. All exported methods
 // are safe for concurrent use.
 type Volume struct {
-	cfg   Config
 	sim   *core.Simulator
 	ls    *stl.LS
 	wal   *journal.Log
@@ -204,7 +202,6 @@ func Open(cfg Config) (*Volume, error) {
 	}
 
 	v := &Volume{
-		cfg:   cfg,
 		col:   obsv.NewCollector(),
 		batch: cfg.BatchSize,
 		queue: make(chan Request, cfg.QueueDepth),
@@ -250,9 +247,6 @@ func Open(cfg Config) (*Volume, error) {
 	return v, nil
 }
 
-// Name returns the volume's name.
-func (v *Volume) Name() string { return v.cfg.Name }
-
 // Collector returns the volume's private metrics collector, for
 // registration on a shared obsv.Registry.
 func (v *Volume) Collector() *obsv.Collector { return v.col }
@@ -276,35 +270,6 @@ func (v *Volume) TryDo(req Request, done chan Result) error {
 		return nil
 	default:
 		return ErrOverloaded
-	}
-}
-
-// Do submits a request, blocking until it is queued (or ctx ends), and
-// waits for the result. The returned error is either a submission
-// failure (ErrClosed, ctx.Err()) or the result's own Err.
-func (v *Volume) Do(ctx context.Context, kind Op, ext geom.Extent) (Result, error) {
-	done := make(chan Result, 1)
-	req := Request{Kind: kind, Extent: ext, done: done}
-	v.mu.RLock()
-	if v.closed {
-		v.mu.RUnlock()
-		return Result{}, ErrClosed
-	}
-	select {
-	case v.queue <- req:
-		v.mu.RUnlock()
-	case <-ctx.Done():
-		v.mu.RUnlock()
-		return Result{}, ctx.Err()
-	}
-	select {
-	case res := <-done:
-		return res, res.Err
-	case <-ctx.Done():
-		// The request stays queued and will execute; its result lands in
-		// the buffered channel and is garbage collected. Only this
-		// waiter gives up.
-		return Result{}, ctx.Err()
 	}
 }
 

@@ -2,7 +2,6 @@ package volume_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -30,17 +29,27 @@ func smallTrace(t *testing.T, scale float64) []trace.Record {
 	return p.Generate(scale)
 }
 
-// feed plays every record through the volume in order via blocking Do.
+// do submits one request through TryDo, the server's path, and waits for
+// its result.
+func do(v *volume.Volume, kind volume.Op, ext geom.Extent) (volume.Result, error) {
+	done := make(chan volume.Result, 1)
+	if err := v.TryDo(volume.Request{Kind: kind, Extent: ext}, done); err != nil {
+		return volume.Result{}, err
+	}
+	res := <-done
+	return res, res.Err
+}
+
+// feed plays every record through the volume in order, one at a time.
 func feed(t *testing.T, v *volume.Volume, recs []trace.Record) {
 	t.Helper()
-	ctx := context.Background()
 	for _, rec := range recs {
 		kind := volume.OpWrite
 		if rec.Kind == disk.Read {
 			kind = volume.OpRead
 		}
-		if _, err := v.Do(ctx, kind, rec.Extent); err != nil {
-			t.Fatalf("Do(%v %v): %v", rec.Kind, rec.Extent, err)
+		if _, err := do(v, kind, rec.Extent); err != nil {
+			t.Fatalf("%v %v: %v", rec.Kind, rec.Extent, err)
 		}
 	}
 }
@@ -80,7 +89,7 @@ func TestVolumeDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(t, v, recs)
-	res, err := v.Do(context.Background(), volume.OpStat, geom.Extent{})
+	res, err := do(v, volume.OpStat, geom.Extent{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +115,14 @@ func TestVolumeReadFrags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	ctx := context.Background()
 	// Two non-adjacent writes land at consecutive log positions; the
 	// interleaved write of a different LBA splits them physically.
 	for _, ext := range []geom.Extent{geom.Ext(0, 8), geom.Ext(100, 8), geom.Ext(8, 8)} {
-		if _, err := v.Do(ctx, volume.OpWrite, ext); err != nil {
+		if _, err := do(v, volume.OpWrite, ext); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := v.Do(ctx, volume.OpRead, geom.Ext(0, 16))
+	res, err := do(v, volume.OpRead, geom.Ext(0, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +325,13 @@ func TestGroupCommitMatchesStep(t *testing.T) {
 }
 
 func TestVolumeSnapshotOp(t *testing.T) {
-	ctx := context.Background()
 
 	plain, err := volume.Open(volume.Config{Name: "plain", Sim: core.Config{LogStructured: true, FrontierStart: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if _, err := plain.Do(ctx, volume.OpSnapshot, geom.Extent{}); !errors.Is(err, volume.ErrNoJournal) {
+	if _, err := do(plain, volume.OpSnapshot, geom.Extent{}); !errors.Is(err, volume.ErrNoJournal) {
 		t.Errorf("Snapshot without journal: err = %v, want ErrNoJournal", err)
 	}
 
@@ -336,10 +343,10 @@ func TestVolumeSnapshotOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal.Close()
-	if _, err := wal.Do(ctx, volume.OpWrite, geom.Ext(0, 8)); err != nil {
+	if _, err := do(wal, volume.OpWrite, geom.Ext(0, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wal.Do(ctx, volume.OpSnapshot, geom.Extent{}); err != nil {
+	if _, err := do(wal, volume.OpSnapshot, geom.Extent{}); err != nil {
 		t.Errorf("Snapshot with journal: %v", err)
 	}
 }
@@ -347,7 +354,6 @@ func TestVolumeSnapshotOp(t *testing.T) {
 // TestVolumeRefusesCorruptJournal: recovery always verifies and refuses
 // a volume whose sealed journal was tampered with.
 func TestVolumeRefusesCorruptJournal(t *testing.T) {
-	ctx := context.Background()
 	dir := t.TempDir()
 	cfg := volume.Config{
 		Name: "tamper", Sim: core.Config{LogStructured: true, FrontierStart: 4096},
@@ -358,7 +364,7 @@ func TestVolumeRefusesCorruptJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 4; i++ {
-		if _, err := v.Do(ctx, volume.OpWrite, geom.Ext(i*8, 8)); err != nil {
+		if _, err := do(v, volume.OpWrite, geom.Ext(i*8, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,9 +396,6 @@ func TestVolumeClosed(t *testing.T) {
 	done := make(chan volume.Result, 1)
 	if err := v.TryDo(volume.Request{Kind: volume.OpStat}, done); !errors.Is(err, volume.ErrClosed) {
 		t.Errorf("TryDo after Close: err = %v, want ErrClosed", err)
-	}
-	if _, err := v.Do(context.Background(), volume.OpStat, geom.Extent{}); !errors.Is(err, volume.ErrClosed) {
-		t.Errorf("Do after Close: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -457,7 +460,6 @@ func TestConcurrentVolumes(t *testing.T) {
 	scrape.Add(1)
 	go func() {
 		defer scrape.Done()
-		ctx := context.Background()
 		for {
 			select {
 			case <-stop:
@@ -466,7 +468,7 @@ func TestConcurrentVolumes(t *testing.T) {
 			}
 			for _, name := range m.Names() {
 				v, _ := m.Get(name)
-				if _, err := v.Do(ctx, volume.OpStat, geom.Extent{}); err != nil && !errors.Is(err, volume.ErrClosed) {
+				if _, err := do(v, volume.OpStat, geom.Extent{}); err != nil && !errors.Is(err, volume.ErrClosed) {
 					t.Error(err)
 					return
 				}

@@ -41,9 +41,6 @@ func (b *Builder) emit(kind disk.OpKind, ext geom.Extent) {
 // Read emits one read of n sectors at start.
 func (b *Builder) Read(start geom.Sector, n int64) { b.emit(disk.Read, geom.Ext(start, n)) }
 
-// Write emits one write of n sectors at start.
-func (b *Builder) Write(start geom.Sector, n int64) { b.emit(disk.Write, geom.Ext(start, n)) }
-
 // ReadExtent and WriteExtent emit extent-shaped operations.
 func (b *Builder) ReadExtent(e geom.Extent) { b.emit(disk.Read, e) }
 

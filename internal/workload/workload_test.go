@@ -106,7 +106,7 @@ func TestZipfSkew(t *testing.T) {
 func TestBuilderPrimitives(t *testing.T) {
 	b := NewBuilder(1000)
 	b.Read(10, 5)
-	b.Write(20, 5)
+	b.WriteExtent(geom.Ext(20, 5))
 	b.Read(0, 0) // empty: dropped
 	b.WriteExtent(geom.Ext(100, 10))
 	b.ReadExtent(geom.Ext(200, 20))

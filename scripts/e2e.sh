@@ -77,12 +77,16 @@ grep -q "per-volume summary" "$work/smrd.log" || {
 	echo "post-shutdown audit failed"; cat "$work/audit1.log"; exit 1
 }
 
-# Crash leg: restart with small segments and checkpoint intervals so the
-# kill lands between seals, run load in the background, and SIGKILL the
-# daemon mid-stream. No flush, no drain — whatever hit the disk is what
-# recovery and the auditor get.
+# Crash leg: restart with small segments so the kill lands between
+# seals, run load in the background, and SIGKILL the daemon mid-stream.
+# No flush, no drain — whatever hit the disk is what recovery and the
+# auditor get. The daemon checkpoints only at shutdown, which the kill
+# skips, so each volume's journal holds every record acknowledged since
+# this start and the restart must replay some. With any mid-run
+# checkpoints a kill between one's rename and the next flush leaves
+# nothing to replay; the unit tests cover kills inside a checkpoint.
 "$work/smrd" -listen 127.0.0.1:0 -volumes "a,b=defrag+cache" \
-	-journal-dir "$work/journal" -seal-every 8 -checkpoint-every 64 \
+	-journal-dir "$work/journal" -seal-every 8 -checkpoint-every 0 \
 	>"$work/smrd2.log" 2>&1 &
 pid=$!
 wait_addr "$work/smrd2.log"
@@ -114,6 +118,15 @@ grep -q "verified=true" "$work/smrd3.log" || {
 grep -q "journal records replayed.* MB/s)" "$work/smrd3.log" || {
 	echo "recovery line lacks replay count/duration/throughput detail"; cat "$work/smrd3.log"; exit 1
 }
+# Each volume must have replayed records, or the verified recovery above
+# checked nothing.
+for v in a b; do
+	n=$(sed -n "s/.*volume $v recovered: checkpoint=[a-z]*, \([0-9]*\) journal records replayed.*/\1/p" "$work/smrd3.log")
+	[ "${n:-0}" -gt 0 ] || {
+		echo "restart replayed no records for volume $v"; cat "$work/smrd3.log"; exit 1
+	}
+	echo "SIGKILL leg: volume $v replayed $n journal records"
+done
 
 kill -TERM "$pid"
 wait "$pid"
