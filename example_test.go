@@ -247,9 +247,9 @@ func Example_tuning() {
 // translation layer. An OLTP-style workload (4 KB updates over a 24 MB
 // table, plus point reads) runs against the paper's infinite log, a
 // finite log with greedy and cost-benefit segment cleaning at tight
-// over-provisioning, and the media-cache layer drive-managed SMR devices
-// ship. The logs pay read seeks; the media cache pays write
-// amplification.
+// over-provisioning, and the media cache drive-managed SMR devices ship,
+// modelled by the banded device. The logs pay read seeks; the media
+// cache pays write amplification.
 func Example_cleaning() {
 	const table = 48 * 1024 // sectors
 	var tr tracer
@@ -292,10 +292,14 @@ func Example_cleaning() {
 		if extraSectors != nil {
 			n = extraSectors()
 		}
+		waf := st.WAF
+		if cfg.Device != nil {
+			waf = st.Cleaning.WriteAmp()
+		}
 		fmt.Printf("%-22s %9.2f %9.2f %7.2f %9.1f\n", label,
 			float64(st.Disk.ReadSeeks)/float64(base.Disk.ReadSeeks),
 			float64(st.Disk.TotalSeeks())/float64(base.Disk.TotalSeeks()),
-			st.WAF, float64(n)*512/1e6)
+			waf, float64(n)*512/1e6)
 	}
 
 	show("LS (infinite)", smrseek.Config{LogStructured: true}, nil)
@@ -312,23 +316,26 @@ func Example_cleaning() {
 		show(layer.Name(), smrseek.Config{CustomLayer: layer}, layer.ExtraSectors)
 	}
 
-	zone := int64(8192)
-	mcl, err := smrseek.NewMediaCacheLayer(smrseek.MediaCacheConfig{
-		DeviceSectors: ((maxLBA + zone) / zone) * zone,
-		ZoneSectors:   zone,
-		CacheSectors:  8 * zone,
+	// The media cache shipped drives use: a banded device whose 32 MiB
+	// cache is one log, in front of 4 MiB bands.
+	const band = 8192
+	mc, err := smrseek.NewBandDevice(smrseek.BandConfig{
+		BandSectors:  band,
+		CacheSectors: 8 * band,
+		UnitSectors:  8 * band,
+		Policy:       smrseek.PolA,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	show("MediaCache", smrseek.Config{CustomLayer: mcl}, mcl.ExtraSectors)
+	show("MediaCache", smrseek.Config{Device: mc}, func() int64 { return mc.Cleaning().CleanWriteSectors })
 	// Output:
 	// workload: 30024 ops, 25.2 MB footprint, log 31.5 MB
 	// layer                   read SAF total SAF     WAF  extra MB
 	// LS (infinite)              11.28      4.09    1.00       0.0
 	// SegLS(greedy)              11.48      4.23    1.07       7.9
 	// SegLS(cost-benefit)        11.48      4.22    1.07       8.0
-	// MediaCache                  7.92      2.97    1.71      75.5
+	// MediaCache                  8.52      3.17    1.47      50.3
 }
 
 // The trace-substitution methodology of DESIGN.md §3, closed loop: fit a

@@ -1,20 +1,20 @@
 package core_test
 
-// Integration tests driving the finite-log cleaning layer (gc) and the
-// media-cache layer (mcache) through the simulator — verifying that
-// maintenance I/O reaches the disk model and that the two designs make
-// the opposite trade-off the paper describes in §II: media cache keeps
-// read seeks low but pays high write amplification; the full-map
-// log-structured layer does the reverse.
+// Integration tests driving the finite-log cleaning layer (gc) through
+// the simulator — verifying that maintenance I/O reaches the disk model
+// — and the opposite trade-off the paper describes in §II: the media
+// cache shipped drives use (a banded device under PolA) keeps read seeks
+// low but pays high write amplification; the full-map log-structured
+// layer does the reverse.
 
 import (
 	"testing"
 
+	"smrseek/internal/band"
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
 	"smrseek/internal/gc"
 	"smrseek/internal/geom"
-	"smrseek/internal/mcache"
 	"smrseek/internal/trace"
 	"smrseek/internal/workload"
 )
@@ -70,28 +70,6 @@ func TestSimulatorWithGCLayer(t *testing.T) {
 	}
 }
 
-func TestSimulatorWithMediaCacheLayer(t *testing.T) {
-	recs := updateHeavy()
-	layer, err := mcache.New(mcache.Config{
-		DeviceSectors: 48 * 1024,
-		ZoneSectors:   4096,
-		CacheSectors:  8 * 4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := runCustom(t, core.Config{CustomLayer: layer}, recs)
-	if layer.ExtraSectors() == 0 {
-		t.Fatal("workload did not trigger merges")
-	}
-	if st.WAF <= 1 {
-		t.Errorf("WAF = %v, want > 1 (zone rewrites)", st.WAF)
-	}
-	if st.MaintSectors == 0 {
-		t.Error("merge I/O not surfaced")
-	}
-}
-
 // TestPaperTradeoff checks §II's contrast on a fragmenting workload:
 // the media-cache design ends with less read-seek amplification than the
 // full-map log-structured design, but pays far more write amplification.
@@ -107,25 +85,24 @@ func TestPaperTradeoff(t *testing.T) {
 
 	ls := runCustom(t, core.Config{LogStructured: true, FrontierStart: frontier}, recs)
 
-	zoneSectors := int64(8192)
-	devSectors := ((frontier + zoneSectors) / zoneSectors) * zoneSectors
-	mc, err := mcache.New(mcache.Config{
-		DeviceSectors: devSectors,
-		ZoneSectors:   zoneSectors,
-		CacheSectors:  4 * zoneSectors, // small cache: frequent merges
+	const bandSectors = 8192
+	mc, err := band.New(band.Config{
+		BandSectors:  bandSectors,
+		CacheSectors: 4 * bandSectors, // small cache: frequent cleans
+		UnitSectors:  4 * bandSectors, // one unit: the cache is one log
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcStats := runCustom(t, core.Config{CustomLayer: mc}, recs)
+	mcStats := runCustom(t, core.Config{Device: mc}, recs)
 
 	lsReadSAF := float64(ls.Disk.ReadSeeks) / float64(base.Disk.ReadSeeks)
 	mcReadSAF := float64(mcStats.Disk.ReadSeeks) / float64(base.Disk.ReadSeeks)
 	if mcReadSAF >= lsReadSAF {
 		t.Errorf("media cache read SAF %.2f should undercut LS %.2f", mcReadSAF, lsReadSAF)
 	}
-	if mcStats.WAF <= ls.WAF {
-		t.Errorf("media cache WAF %.2f should exceed LS WAF %.2f", mcStats.WAF, ls.WAF)
+	if mcWAF := mcStats.Cleaning.WriteAmp(); mcWAF <= ls.WAF {
+		t.Errorf("media cache WAF %.2f should exceed LS WAF %.2f", mcWAF, ls.WAF)
 	}
 }
 

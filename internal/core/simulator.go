@@ -26,7 +26,7 @@ type Config struct {
 	// starts it above the highest LBA in the trace. Ignored for NoLS.
 	FrontierStart geom.Sector
 	// CustomLayer, when non-nil, replaces the built-in layer entirely
-	// (e.g. a gc.Layer with finite-log cleaning or an mcache.Layer).
+	// (e.g. a gc.Layer with finite-log cleaning).
 	// Layers implementing stl.Maintainer get their background I/O played
 	// through the disk model after each host operation; layers
 	// implementing stl.Amplifier contribute Stats.WAF. Mechanisms

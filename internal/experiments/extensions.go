@@ -14,7 +14,6 @@ import (
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
 	"smrseek/internal/gc"
-	"smrseek/internal/mcache"
 	"smrseek/internal/metrics"
 	"smrseek/internal/report"
 	"smrseek/internal/trace"
@@ -59,7 +58,8 @@ func WAFProfiles() []workload.Profile {
 
 // WAF prints the §II trade-off: read/total SAF and write amplification
 // for the infinite log-structured layer, the finite cleaning layer under
-// both victim policies, and the media-cache layer shipped drives use.
+// both victim policies, and the media cache shipped drives use, modelled
+// by the banded device.
 func WAF(ctx context.Context, w io.Writer, scale float64) error {
 	tb := report.NewTable("Extension: translation-layer trade-off (read seeks vs write amplification)",
 		"workload", "layer", "read SAF", "total SAF", "WAF", "maint GB")
@@ -79,9 +79,6 @@ func WAF(ctx context.Context, w io.Writer, scale float64) error {
 		footprint := trace.WriteFootprint(recs)
 		logSectors := ((footprint*11/10)/segSectors + 4) * segSectors
 
-		zoneSectors := int64(8192)
-		devSectors := ((frontier + zoneSectors) / zoneSectors) * zoneSectors
-
 		layers := []struct {
 			label string
 			cfg   func() (core.Config, error)
@@ -98,8 +95,12 @@ func WAF(ctx context.Context, w io.Writer, scale float64) error {
 				return core.Config{CustomLayer: l}, err
 			}},
 			{"MediaCache", func() (core.Config, error) {
-				l, err := mcache.New(mcache.Config{DeviceSectors: devSectors, ZoneSectors: zoneSectors, CacheSectors: 8 * zoneSectors})
-				return core.Config{CustomLayer: l}, err
+				// The media cache shipped drives use, as a banded device
+				// under PolA: 4 MiB bands and a 32 MiB cache in one unit,
+				// so the cache is a single log.
+				const bandSectors = 8192
+				d, err := band.New(band.Config{BandSectors: bandSectors, CacheSectors: 8 * bandSectors, UnitSectors: 8 * bandSectors})
+				return core.Config{Device: d}, err
 			}},
 		}
 		for _, lay := range layers {
@@ -111,11 +112,17 @@ func WAF(ctx context.Context, w io.Writer, scale float64) error {
 			if err != nil {
 				return err
 			}
+			// A layer reports its own amplification and maintenance I/O;
+			// a device reports its cleaning.
+			waf, maint := st.WAF, st.MaintSectors
+			if cfg.Device != nil {
+				waf, maint = st.Cleaning.WriteAmp(), st.Cleaning.CleanReadSectors+st.Cleaning.CleanWriteSectors
+			}
 			tb.AddRow(p.Name, lay.label,
 				metrics.SAF(st.Disk.ReadSeeks, base.Disk.ReadSeeks),
 				metrics.SAF(st.Disk.TotalSeeks(), base.Disk.TotalSeeks()),
-				st.WAF,
-				float64(st.MaintSectors)*512/1e9)
+				waf,
+				float64(maint)*512/1e9)
 		}
 	}
 	return tb.Render(w)

@@ -21,7 +21,7 @@ func TestWAFProfilesValid(t *testing.T) {
 
 func TestWAFExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WAF(context.Background(), &buf, 0.2); err != nil {
+	if err := WAF(context.Background(), &buf, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

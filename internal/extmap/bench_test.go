@@ -46,19 +46,6 @@ func BenchmarkInsertFunc(b *testing.B) {
 	}
 }
 
-func BenchmarkLookup(b *testing.B) {
-	for _, size := range []int{1000, 100000} {
-		m := buildMap(size)
-		rng := rand.New(rand.NewSource(3))
-		b.Run(itoa(size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.Lookup(geom.Ext(rng.Int63n(1<<24), 256))
-			}
-		})
-	}
-}
-
 func BenchmarkLookupFunc(b *testing.B) {
 	for _, size := range []int{1000, 100000} {
 		m := buildMap(size)

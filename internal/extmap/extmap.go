@@ -352,20 +352,9 @@ func (t *Map) Insert(lba geom.Extent, pba geom.Sector) []Mapping {
 // in ascending LBA order; fn may be nil. A false return stops further
 // notifications, but the delete itself always completes. The Mapping
 // value is only valid during the callback, and fn must not mutate the
-// map. This is the allocation-free core of Delete.
+// map.
 func (t *Map) DeleteFunc(lba geom.Extent, fn func(Mapping) bool) {
 	t.splice(lba, 0, false, fn)
-}
-
-// Delete is DeleteFunc collecting the removed pieces into a fresh
-// slice — the convenient form for cold paths and tests.
-func (t *Map) Delete(lba geom.Extent) []Mapping {
-	var removed []Mapping
-	t.DeleteFunc(lba, func(m Mapping) bool {
-		removed = append(removed, m)
-		return true
-	})
-	return removed
 }
 
 // resolveEmitter merges consecutive Resolved pieces that are contiguous
@@ -402,10 +391,16 @@ func (e *resolveEmitter) flush() {
 	}
 }
 
-// LookupFunc resolves the LBA extent like Lookup but streams each
-// fragment to fn instead of building a slice, allocating nothing; a
-// false return from fn stops the resolution. The Resolved value is only
-// valid during the callback, and fn must not mutate the map.
+// LookupFunc resolves the LBA extent into mappings, in ascending LBA
+// order, and streams each to fn, allocating nothing; a false return
+// from fn stops the resolution. Unmapped gaps are resolved with
+// Identity=true and Pba equal to the LBA start (the paper's "unwritten
+// data is stored at a physical location corresponding to its LBA").
+// The pieces are maximal: consecutive pieces that are contiguous in
+// both LBA and PBA space are merged — so each Resolved is one
+// *fragment*, and the number of calls is the read's dynamic
+// fragmentation. The Resolved value is only valid during the callback,
+// and fn must not mutate the map.
 func (t *Map) LookupFunc(q geom.Extent, fn func(Resolved) bool) {
 	if q.Empty() {
 		return
@@ -436,25 +431,6 @@ func (t *Map) LookupFunc(q geom.Extent, fn func(Resolved) bool) {
 		}
 	}
 	em.flush()
-}
-
-// Lookup resolves the LBA extent into mappings, in ascending LBA order.
-// Unmapped gaps are returned with Identity=true and Pba equal to the LBA
-// start (the paper's "unwritten data is stored at a physical location
-// corresponding to its LBA"). The pieces are maximal: consecutive pieces
-// that are contiguous in both LBA and PBA space are merged — so each
-// returned Resolved is one *fragment* and len(result) is the read's
-// dynamic fragmentation. It is LookupFunc collecting into a fresh slice.
-func (t *Map) Lookup(q geom.Extent) []Resolved {
-	if q.Empty() {
-		return nil
-	}
-	var out []Resolved
-	t.LookupFunc(q, func(r Resolved) bool {
-		out = append(out, r)
-		return true
-	})
-	return out
 }
 
 // Resolved is one physically-contiguous fragment of a resolved LBA range.

@@ -9,13 +9,35 @@ import (
 	"smrseek/internal/geom"
 )
 
+// collectLookup gathers LookupFunc's fragments into a slice, nil when
+// there are none.
+func collectLookup(m *Map, q geom.Extent) []Resolved {
+	var out []Resolved
+	m.LookupFunc(q, func(r Resolved) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+// collectDelete gathers DeleteFunc's removed pieces into a slice, nil
+// when there are none.
+func collectDelete(m *Map, lba geom.Extent) []Mapping {
+	var out []Mapping
+	m.DeleteFunc(lba, func(r Mapping) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
 func resolveEq(a, b Resolved) bool {
 	return a.Lba == b.Lba && a.Pba == b.Pba && a.Identity == b.Identity
 }
 
 func TestEmptyMapIdentity(t *testing.T) {
 	m := New()
-	got := m.Lookup(geom.Ext(100, 50))
+	got := collectLookup(m, geom.Ext(100, 50))
 	want := Resolved{Lba: geom.Ext(100, 50), Pba: 100, Identity: true}
 	if len(got) != 1 || !resolveEq(got[0], want) {
 		t.Fatalf("Lookup on empty map = %v, want [%v]", got, want)
@@ -23,7 +45,7 @@ func TestEmptyMapIdentity(t *testing.T) {
 	if m.Len() != 0 || m.MappedSectors() != 0 {
 		t.Error("empty map should have no mappings")
 	}
-	if m.Lookup(geom.Extent{}) != nil {
+	if collectLookup(m, geom.Extent{}) != nil {
 		t.Error("empty query returns nil")
 	}
 }
@@ -31,13 +53,13 @@ func TestEmptyMapIdentity(t *testing.T) {
 func TestInsertLookupSimple(t *testing.T) {
 	m := New()
 	m.Insert(geom.Ext(10, 5), 1000)
-	got := m.Lookup(geom.Ext(10, 5))
+	got := collectLookup(m, geom.Ext(10, 5))
 	if len(got) != 1 || got[0].Pba != 1000 || got[0].Identity {
 		t.Fatalf("Lookup = %v", got)
 	}
 	// A read straddling mapped and unmapped space has 3 fragments:
 	// identity prefix, relocated middle, identity suffix.
-	got = m.Lookup(geom.Ext(5, 15))
+	got = collectLookup(m, geom.Ext(5, 15))
 	if len(got) != 3 {
 		t.Fatalf("straddling read fragments = %v", got)
 	}
@@ -59,7 +81,7 @@ func TestInsertOverwriteSplits(t *testing.T) {
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", m.Len())
 	}
-	got := m.Lookup(geom.Ext(0, 100))
+	got := collectLookup(m, geom.Ext(0, 100))
 	want := []Resolved{
 		{Lba: geom.Ext(0, 40), Pba: 1000},
 		{Lba: geom.Ext(40, 20), Pba: 2000},
@@ -84,7 +106,7 @@ func TestLookupMergesContiguousPhys(t *testing.T) {
 	// log-structured common case) must resolve as ONE fragment.
 	m.Insert(geom.Ext(10, 5), 1000)
 	m.Insert(geom.Ext(15, 5), 1005)
-	got := m.Lookup(geom.Ext(10, 10))
+	got := collectLookup(m, geom.Ext(10, 10))
 	if len(got) != 1 || got[0].Lba != geom.Ext(10, 10) || got[0].Pba != 1000 {
 		t.Fatalf("merge failed: %v", got)
 	}
@@ -92,7 +114,7 @@ func TestLookupMergesContiguousPhys(t *testing.T) {
 	m2 := New()
 	m2.Insert(geom.Ext(50, 1), 999)
 	m2.Insert(geom.Ext(50, 1), 50) // map back to identity position
-	got = m2.Lookup(geom.Ext(45, 10))
+	got = collectLookup(m2, geom.Ext(45, 10))
 	if len(got) != 1 || got[0].Lba != geom.Ext(45, 10) || got[0].Pba != 45 {
 		t.Fatalf("identity-position merge failed: %v", got)
 	}
@@ -129,7 +151,7 @@ func TestFragmentsCountsPaperExample(t *testing.T) {
 	// Read LBA 2..5 inclusive = Ext(2, 4): pieces are 2 (old log), 3
 	// (new), 4 (old), 5 (new) — 4 fragments.
 	if got := fragments(m, geom.Ext(2, 4)); got != 4 {
-		t.Fatalf("Fragments = %d, want 4 (%v)", got, m.Lookup(geom.Ext(2, 4)))
+		t.Fatalf("Fragments = %d, want 4 (%v)", got, collectLookup(m, geom.Ext(2, 4)))
 	}
 	// Defragment: rewrite 2..5 at the frontier; now a re-read is 1 fragment.
 	write(geom.Ext(2, 4))
@@ -181,7 +203,7 @@ func (s sectorModel) insert(lba geom.Extent, pba geom.Sector) {
 	}
 }
 
-// resolve produces merged fragments exactly as Map.Lookup should.
+// resolve produces merged fragments exactly as Map.LookupFunc should.
 func (s sectorModel) resolve(q geom.Extent) []Resolved {
 	var out []Resolved
 	for i := q.Start; i < q.End(); i++ {
@@ -216,7 +238,7 @@ func TestMapAgainstSectorModel(t *testing.T) {
 			model.insert(e, frontier)
 			frontier += e.Count
 		} else {
-			got := m.Lookup(e)
+			got := collectLookup(m, e)
 			want := model.resolve(e)
 			if len(got) != len(want) {
 				t.Fatalf("step %d: Lookup(%v) = %v, want %v", step, e, got, want)
@@ -253,7 +275,7 @@ func TestLastWriteWinsProperty(t *testing.T) {
 		}
 		q := geom.Ext(int64(qs), int64(qc%32+1))
 		m.Insert(q, frontier)
-		got := m.Lookup(q)
+		got := collectLookup(m, q)
 		if len(got) != 1 {
 			return false
 		}
@@ -264,7 +286,7 @@ func TestLastWriteWinsProperty(t *testing.T) {
 	}
 }
 
-// Property: Lookup always tiles the query exactly — fragments are in
+// Property: LookupFunc always tiles the query exactly — fragments are in
 // order, non-overlapping in LBA, and their union is the query.
 func TestLookupTilesQueryProperty(t *testing.T) {
 	f := func(ops []uint32, qs uint16, qc uint8) bool {
@@ -276,7 +298,7 @@ func TestLookupTilesQueryProperty(t *testing.T) {
 		}
 		q := geom.Ext(int64(qs%2100), int64(qc)+1)
 		cur := q.Start
-		for _, r := range m.Lookup(q) {
+		for _, r := range collectLookup(m, q) {
 			if r.Lba.Start != cur || r.Lba.Empty() {
 				return false
 			}
@@ -328,25 +350,25 @@ func TestInsertReturnsDisplaced(t *testing.T) {
 func TestDelete(t *testing.T) {
 	m := New()
 	m.Insert(geom.Ext(0, 100), 1000)
-	removed := m.Delete(geom.Ext(40, 20))
+	removed := collectDelete(m, geom.Ext(40, 20))
 	if len(removed) != 1 || removed[0].Lba != geom.Ext(40, 20) || removed[0].Pba != 1040 {
 		t.Fatalf("removed = %v", removed)
 	}
 	// The hole resolves to identity now.
-	got := m.Lookup(geom.Ext(40, 20))
+	got := collectLookup(m, geom.Ext(40, 20))
 	if len(got) != 1 || !got[0].Identity {
 		t.Fatalf("after delete Lookup = %v", got)
 	}
 	// Surrounding pieces survive with correct placement.
-	got = m.Lookup(geom.Ext(0, 40))
+	got = collectLookup(m, geom.Ext(0, 40))
 	if len(got) != 1 || got[0].Pba != 1000 {
 		t.Fatalf("prefix = %v", got)
 	}
-	got = m.Lookup(geom.Ext(60, 40))
+	got = collectLookup(m, geom.Ext(60, 40))
 	if len(got) != 1 || got[0].Pba != 1060 {
 		t.Fatalf("suffix = %v", got)
 	}
-	if m.Delete(geom.Extent{}) != nil {
+	if collectDelete(m, geom.Extent{}) != nil {
 		t.Error("empty delete should be nil")
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -390,7 +412,7 @@ func TestCoalescedInsertMergesNeighbors(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 after coalescing", m.Len())
 	}
-	got := m.Lookup(geom.Ext(10, 10))
+	got := collectLookup(m, geom.Ext(10, 10))
 	if len(got) != 1 || got[0].Lba != geom.Ext(10, 10) || got[0].Pba != 1000 {
 		t.Fatalf("Lookup = %v", got)
 	}
@@ -421,7 +443,7 @@ func TestCoalescedInsertMergesNeighbors(t *testing.T) {
 }
 
 // TestCoalescedAgainstSectorModel replays the randomized sector-model
-// workload against a coalescing map: Lookup results must be unchanged by
+// workload against a coalescing map: LookupFunc results must be unchanged by
 // coalescing, and the coalesced invariant must hold throughout.
 func TestCoalescedAgainstSectorModel(t *testing.T) {
 	const space = 400
@@ -436,7 +458,7 @@ func TestCoalescedAgainstSectorModel(t *testing.T) {
 			model.insert(e, frontier)
 			frontier += e.Count
 		} else {
-			got := m.Lookup(e)
+			got := collectLookup(m, e)
 			want := model.resolve(e)
 			if len(got) != len(want) {
 				t.Fatalf("step %d: Lookup(%v) = %v, want %v", step, e, got, want)

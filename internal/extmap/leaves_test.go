@@ -24,11 +24,11 @@ func diffOps(t *testing.T, m *Map, ref *refModel, coalesced bool, kind int, ext 
 			t.Fatalf("Insert(%v, %d) displaced %v, reference %v", ext, pba, got, want)
 		}
 	case 1:
-		if got, want := flatten(m.Delete(ext)), ref.delete(ext); !sectorsEqual(got, want) {
+		if got, want := flatten(collectDelete(m, ext)), ref.delete(ext); !sectorsEqual(got, want) {
 			t.Fatalf("Delete(%v) removed %v, reference %v", ext, got, want)
 		}
 	default:
-		if got, want := m.Lookup(ext), ref.lookup(ext); !resolvedEqual(got, want) {
+		if got, want := collectLookup(m, ext), ref.lookup(ext); !resolvedEqual(got, want) {
 			t.Fatalf("Lookup(%v) = %v, reference %v", ext, got, want)
 		}
 		return
@@ -116,7 +116,7 @@ func TestPropertyManyLeaves(t *testing.T) {
 			}
 			t.Logf("peak %d mappings in %d leaves; %d mappings in %d leaves after deletes",
 				peakLen, peakLeaves, m.Len(), len(m.leaves))
-			if got, want := m.Lookup(geom.Ext(0, device)), ref.lookup(geom.Ext(0, device)); !resolvedEqual(got, want) {
+			if got, want := collectLookup(m, geom.Ext(0, device)), ref.lookup(geom.Ext(0, device)); !resolvedEqual(got, want) {
 				t.Fatalf("final sweep diverges: %v vs %v", got, want)
 			}
 		})
@@ -151,7 +151,7 @@ func TestLeavesMergeAndEmpty(t *testing.T) {
 	// Thin the middle: every odd mapping of the middle half goes, one
 	// delete at a time, so half-empty neighbours must merge.
 	for i := int64(n / 4); i < 3*n/4; i += 2 {
-		m.Delete(geom.Ext(2*i+2, 1))
+		collectDelete(m, geom.Ext(2*i+2, 1))
 		check("thinning")
 	}
 	if len(m.leaves) >= full {
@@ -160,7 +160,7 @@ func TestLeavesMergeAndEmpty(t *testing.T) {
 
 	// Empty several whole leaves from the middle in one delete.
 	before := len(m.leaves)
-	m.Delete(geom.Span(2*n/3, 2*(2*n/3)))
+	collectDelete(m, geom.Span(2*n/3, 2*(2*n/3)))
 	check("middle delete")
 	if len(m.leaves) >= before {
 		t.Fatalf("deleting a third of the map left %d of %d leaves", len(m.leaves), before)
@@ -191,7 +191,7 @@ func TestLeavesMergeAndEmpty(t *testing.T) {
 	}
 
 	// Deleting everything leaves no leaf behind.
-	m.Delete(geom.Ext(0, 2*n))
+	collectDelete(m, geom.Ext(0, 2*n))
 	check("delete all")
 	if m.Len() != 0 || len(m.leaves) != 0 {
 		t.Fatalf("empty map keeps %d mappings in %d leaves", m.Len(), len(m.leaves))
@@ -330,7 +330,7 @@ func TestSpliceEdges(t *testing.T) {
 					t.Fatalf("%d leaves, want %d", got, c.leaves[vi])
 				}
 				all := geom.Ext(0, int64(len(ref.pba)))
-				if got, want := m.Lookup(all), ref.lookup(all); !resolvedEqual(got, want) {
+				if got, want := collectLookup(m, all), ref.lookup(all); !resolvedEqual(got, want) {
 					t.Fatalf("final sweep diverges: %v vs %v", got, want)
 				}
 			})

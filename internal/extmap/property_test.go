@@ -76,7 +76,7 @@ func (m *refModel) resolve(s geom.Sector) (geom.Sector, bool) {
 	return m.pba[s], false
 }
 
-// lookup derives the exact Lookup result from the array: maximal runs
+// lookup derives the exact LookupFunc result from the array: maximal runs
 // of physically-consecutive sectors, Identity = every sector unmapped.
 func (m *refModel) lookup(q geom.Extent) []Resolved {
 	var out []Resolved
@@ -240,7 +240,7 @@ func TestPropertyDifferential(t *testing.T) {
 					var got []Mapping
 					switch i % 3 {
 					case 0:
-						got = m.Delete(lba)
+						got = collectDelete(m, lba)
 					case 1:
 						m.DeleteFunc(lba, func(p Mapping) bool {
 							got = append(got, p)
@@ -258,7 +258,7 @@ func TestPropertyDifferential(t *testing.T) {
 					}
 				default:
 					q := randExt()
-					got := m.Lookup(q)
+					got := collectLookup(m, q)
 					want := ref.lookup(q)
 					if !resolvedEqual(got, want) {
 						t.Fatalf("op %d: Lookup(%v) = %v, reference %v", i, q, got, want)
@@ -296,7 +296,7 @@ func TestPropertyDifferential(t *testing.T) {
 				}
 			}
 			// Final whole-space sweep: the two sides agree sector by sector.
-			full := m.Lookup(geom.Ext(0, device))
+			full := collectLookup(m, geom.Ext(0, device))
 			if want := ref.lookup(geom.Ext(0, device)); !resolvedEqual(full, want) {
 				t.Fatalf("final sweep diverges: %v vs %v", full, want)
 			}

@@ -191,16 +191,24 @@ func TestCostBenefitPrefersOldSegments(t *testing.T) {
 	}
 }
 
+// TestFullyLiveLogStopsCleaning fills all but one segment of the log
+// with distinct LBAs, so free segments fall below freeLowWater and the
+// cleaner runs on a log where nothing is reclaimable: pickVictim must
+// refuse every full segment rather than churn, and nothing may move.
 func TestFullyLiveLogStopsCleaning(t *testing.T) {
 	cfg := tiny(Greedy)
 	l := mustNew(t, cfg)
-	// Distinct LBAs only: everything stays live; cleaning must refuse to
-	// churn rather than loop forever.
-	for i := int64(0); i < 5; i++ {
-		l.WriteAppend(nil, geom.Ext(i*256, 256))
+	for i := 0; i < len(l.segs)-1; i++ {
+		l.WriteAppend(nil, geom.Ext(int64(i)*cfg.SegmentSectors, cfg.SegmentSectors))
 	}
 	if n, ops := l.ExtraSectors(), l.PendingMaintenance(); n != 0 || len(ops) != 0 {
-		t.Errorf("cleaning moved %d sectors in %d ops, want none (nothing reclaimable)", n, len(ops))
+		t.Fatalf("cleaning moved %d sectors in %d ops, want none (nothing reclaimable)", n, len(ops))
+	}
+	if len(l.free) >= freeLowWater {
+		t.Fatalf("%d free segments: the writes never reached the cleaner (low watermark %d)", len(l.free), freeLowWater)
+	}
+	if v, ok := l.pickVictim(); ok {
+		t.Errorf("pickVictim chose segment %d of a fully-live log", v)
 	}
 }
 

@@ -78,7 +78,7 @@ type Cleaning struct {
 	// a proxy for how long the host waited.
 	StallSectors int64
 	// DirtyBands is the number of bands still holding cached data when
-	// the run ended (a gauge, not a total; Add keeps the larger).
+	// the run ended (a gauge, not a total).
 	DirtyBands int64
 	// HostWriteSectors counts sectors the host asked to write — the
 	// denominator of WriteAmp.

@@ -8,9 +8,9 @@ import (
 	"smrseek/internal/band"
 	"smrseek/internal/core"
 	"smrseek/internal/disk"
+	"smrseek/internal/gc"
 	"smrseek/internal/geom"
 	"smrseek/internal/journal"
-	"smrseek/internal/mcache"
 	"smrseek/internal/metrics"
 	"smrseek/internal/obsv"
 	"smrseek/internal/stl"
@@ -84,7 +84,7 @@ func assertCollectorMatches(t *testing.T, name string, st core.Stats, snap obsv.
 
 // TestReplayMatrix replays one workload through every layer/mechanism
 // combination with a Collector attached and demands that the Collector
-// saw exactly the run the live Stats describe — maintenance I/O (mcache),
+// saw exactly the run the live Stats describe — maintenance I/O (gc),
 // defrag write-backs and a banded device's cache and cleaning I/O
 // included.
 func TestReplayMatrix(t *testing.T) {
@@ -93,8 +93,14 @@ func TestReplayMatrix(t *testing.T) {
 	defrag := core.DefaultDefragConfig()
 	prefetch := core.DefaultPrefetchConfig()
 
-	mc, err := mcache.New(mcache.Config{
-		DeviceSectors: 32 << 13, ZoneSectors: 1 << 13, CacheSectors: 1 << 13})
+	// A log 10 % above the live footprint: the rewrites fill it, so
+	// the cleaner runs and its relocations are maintenance I/O.
+	const seg = 256
+	segLS, err := gc.New(gc.Config{
+		DeviceSectors:  frontier,
+		LogSectors:     ((trace.WriteFootprint(recs)*11/10)/seg + 4) * seg,
+		SegmentSectors: seg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +121,15 @@ func TestReplayMatrix(t *testing.T) {
 		"NoLS":        {},
 		"LS":          {LogStructured: true, FrontierStart: frontier},
 		"LS+all":      all(core.Config{}),
-		"mcache":      {CustomLayer: mc},
+		"gc":          {CustomLayer: segLS},
 		"NoLS@band":   {Device: banded()},
 		"LS+all@band": all(core.Config{Device: banded()}),
 	}
 	for name, cfg := range cases {
 		st, snap := runCollected(t, cfg, recs)
 		assertCollectorMatches(t, name, st, snap)
-		if name == "mcache" && st.MaintReads == 0 {
-			t.Error("mcache variant produced no maintenance I/O")
+		if name == "gc" && st.MaintReads == 0 {
+			t.Error("gc variant produced no maintenance I/O")
 		}
 		if name == "LS+all" && st.DefragWritebacks == 0 {
 			t.Error("LS+all variant produced no defrag write-back")

@@ -26,16 +26,18 @@ import (
 )
 
 // confOps is the scripted op sequence following the trace replay, in
-// order. The mutating snapshot comes after the read-only captures so
-// every variant observes the same journal state.
+// order, with the status each must be answered with. Op 4, the retired
+// snapshot op, is refused as bad-request and the stat after it is still
+// served on the same connection.
 var confOps = []struct {
-	name string
-	req  request
+	name   string
+	req    request
+	status uint8
 }{
-	{"write", request{Op: OpWrite, Volume: "cv", Extent: geom.Ext(1<<19, 16)}},
-	{"read", request{Op: OpRead, Volume: "cv", Extent: geom.Ext(1<<19, 16)}},
-	{"stat", request{Op: OpStat, Volume: "cv"}},
-	{"snapshot", request{Op: OpSnapshot, Volume: "cv"}},
+	{"write", request{Op: OpWrite, Volume: "cv", Extent: geom.Ext(1<<19, 16)}, StatusOK},
+	{"read", request{Op: OpRead, Volume: "cv", Extent: geom.Ext(1<<19, 16)}, StatusOK},
+	{"retired op 4", request{Op: 4, Volume: "cv"}, StatusBadRequest},
+	{"stat", request{Op: OpStat, Volume: "cv"}, StatusOK},
 }
 
 func confVolume(dir string, frontier geom.Sector) volume.Config {
@@ -97,11 +99,12 @@ func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom
 		if _, err := ac.submit(op.req, done); err != nil {
 			t.Fatalf("%s (w%d): %v", op.name, window, err)
 		}
-		body, err := (<-done).Result()
-		if err != nil {
-			t.Fatalf("%s (w%d): %v", op.name, window, err)
+		call := <-done
+		if call.err != nil || call.status != op.status {
+			t.Fatalf("%s (w%d): answered %s (err %v), want %s",
+				op.name, window, StatusName(call.status), call.err, StatusName(op.status))
 		}
-		bodies[op.name] = append([]byte(nil), body...)
+		bodies[op.name] = append([]byte(nil), call.body...)
 	}
 	var st core.Stats
 	if err := json.Unmarshal(bodies["stat"], &st); err != nil {

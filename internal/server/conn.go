@@ -142,8 +142,6 @@ func (c *connection) dispatch(frame []byte, names nameCache) bool {
 		kind = volume.OpRead
 	case OpStat:
 		kind = volume.OpStat
-	case OpSnapshot:
-		kind = volume.OpSnapshot
 	}
 
 	m := reqMeta{op: req.Op}

@@ -33,7 +33,7 @@ func FuzzWireFrame(f *testing.F) {
 	seed(request{Op: OpWrite, Volume: "v", Extent: geom.Ext(8, 16)})
 	seed(request{Op: OpRead, Volume: "vol-name", Extent: geom.Ext(0, 1)})
 	seed(request{Op: OpStat, Volume: "v"})
-	seed(request{Op: OpSnapshot, Volume: "v"})
+	seed(request{Op: 4, Volume: "v"}) // retired snapshot op
 	seed(request{Op: 5, Volume: "v"}) // retired verify op
 	seed(request{Op: 6, Volume: "v"}) // retired proof op
 	// Response-shaped seeds and degenerate frames.

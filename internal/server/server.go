@@ -109,8 +109,6 @@ func statusOf(err error) uint8 {
 		return StatusOverloaded
 	case errors.Is(err, volume.ErrClosed):
 		return StatusInternal
-	case errors.Is(err, volume.ErrNoJournal):
-		return StatusNoJournal
 	case errors.Is(err, journal.ErrCrashed):
 		return StatusCrashed
 	default:

@@ -91,7 +91,6 @@ func TestWireRoundTrip(t *testing.T) {
 		{Op: OpWrite, Volume: "v0", Extent: geom.Ext(12345, 64)},
 		{Op: OpRead, Volume: "a-much-longer-volume-name", Extent: geom.Ext(0, 1)},
 		{Op: OpStat, Volume: "v"},
-		{Op: OpSnapshot, Volume: "v"},
 	}
 	for i, want := range cases {
 		frame, err := appendRequestV2(nil, uint64(i+1), want)
@@ -120,6 +119,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 		{OpWrite, 5, 'a'},                   // truncated name
 		{OpWrite, 1, 'a', 1, 2, 3},          // truncated extent
 		{OpStat, 1, 'a', 0},                 // trailing bytes on stat
+		{4, 1, 'a'},                         // retired op 4 (snapshot), well formed as it was
 		{5, 1, 'a'},                         // retired op 5 (verify), well formed as it was
 		{6, 1, 'a', 7, 0, 0, 0, 0, 0, 0, 0}, // retired op 6 (proof), well formed as it was
 		append([]byte{7, 1, 'a'}, make([]byte, 16)...), // retired op 7 (ship), well formed as it was
@@ -145,12 +145,12 @@ func TestStatusName(t *testing.T) {
 	if got := StatusName(200); got != "status(200)" {
 		t.Errorf("StatusName(200) = %q", got)
 	}
-	// Retired statuses keep their numbers reserved: 5, 6 and 10 are
+	// Retired statuses keep their numbers reserved: 5, 6, 7 and 10 are
 	// unnamed and the later statuses did not shift.
-	if StatusNoJournal != 7 || StatusInternal != 9 || StatusName(5) != "status(5)" ||
-		StatusName(6) != "status(6)" || StatusName(10) != "status(10)" {
-		t.Errorf("status numbering shifted: no-journal %d, internal %d, 5 %q, 6 %q, 10 %q",
-			StatusNoJournal, StatusInternal, StatusName(5), StatusName(6), StatusName(10))
+	if StatusTimeout != 8 || StatusInternal != 9 || StatusName(5) != "status(5)" ||
+		StatusName(6) != "status(6)" || StatusName(7) != "status(7)" || StatusName(10) != "status(10)" {
+		t.Errorf("status numbering shifted: timeout %d, internal %d, 5 %q, 6 %q, 7 %q, 10 %q",
+			StatusTimeout, StatusInternal, StatusName(5), StatusName(6), StatusName(7), StatusName(10))
 	}
 }
 
@@ -208,7 +208,7 @@ func read(c *Client, vol string, ext geom.Extent) (int, error) {
 	return int(binary.LittleEndian.Uint32(body)), nil
 }
 
-func TestServerUnknownVolumeAndNoJournal(t *testing.T) {
+func TestServerUnknownVolumeAndRetiredOp(t *testing.T) {
 	_, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
 	c, err := Dial(addr)
 	if err != nil {
@@ -225,9 +225,34 @@ func TestServerUnknownVolumeAndNoJournal(t *testing.T) {
 	if err := write(c, "v0", geom.Ext(0, 8)); err != nil {
 		t.Fatalf("Write after error response: %v", err)
 	}
-	_, err = c.roundTrip(request{Op: OpSnapshot, Volume: "v0"})
-	if !errors.As(err, &se) || se.Status != StatusNoJournal {
-		t.Errorf("Snapshot without journal: err = %v, want StatusNoJournal", err)
+
+	// Op 4, the retired snapshot op, is answered bad-request under its
+	// own ID, and the connection serves the next request.
+	conn := rawDial(t, addr)
+	fr := newFrameReader(conn, nil)
+	for _, tc := range []struct {
+		id     uint64
+		req    request
+		status uint8
+	}{
+		{44, request{Op: 4, Volume: "v0"}, StatusBadRequest},
+		{45, request{Op: OpStat, Volume: "v0"}, StatusOK},
+	} {
+		frame, err := appendRequestV2(nil, tc.id, tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := fr.next()
+		if err != nil {
+			t.Fatalf("op %d: no response: %v", tc.req.Op, err)
+		}
+		if id, status, _, err := parseResponseV2(resp); err != nil || id != tc.id || status != tc.status {
+			t.Errorf("op %d answered id %d status %s (err %v), want id %d %s",
+				tc.req.Op, id, StatusName(status), err, tc.id, StatusName(tc.status))
+		}
 	}
 }
 

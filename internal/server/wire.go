@@ -54,8 +54,8 @@ const (
 	OpWrite uint8 = iota + 1
 	OpRead
 	OpStat
-	OpSnapshot
-	// Op codes 5 and 6 belonged to the retired online journal audit and
+	// Op code 4 belonged to the retired snapshot op (a forced journal
+	// checkpoint), 5 and 6 to the retired online journal audit and
 	// per-record proof ops (verify, proof), and 7–11 to the retired
 	// replication ops (ship, tail, ack, role, promote). They stay
 	// reserved and are never reused; a request carrying one is answered
@@ -70,10 +70,11 @@ const (
 	StatusBadRequest
 	StatusCrashed
 	// Statuses 5 and 6 belonged to the retired simulated media and
-	// transient faults. They stay reserved and are never reused.
+	// transient faults, and 7 to the retired snapshot op's no-journal
+	// refusal. They stay reserved and are never reused.
 	_
 	_
-	StatusNoJournal
+	_
 	StatusTimeout
 	StatusInternal
 	// Status 10 belonged to the retired journal audit's corrupt verdict,
@@ -87,7 +88,6 @@ var statusNames = [...]string{
 	StatusUnknownVolume: "unknown-volume",
 	StatusBadRequest:    "bad-request",
 	StatusCrashed:       "crashed",
-	StatusNoJournal:     "no-journal",
 	StatusTimeout:       "timeout",
 	StatusInternal:      "internal",
 }
@@ -176,7 +176,7 @@ func parseRequest(p []byte, names nameCache) (request, error) {
 		if req.Extent.Start > math.MaxInt64-req.Extent.Count {
 			return request{}, fmt.Errorf("server: extent %d+%d overflows int64", req.Extent.Start, req.Extent.Count)
 		}
-	case OpStat, OpSnapshot:
+	case OpStat:
 		if len(p) != 0 {
 			return request{}, fmt.Errorf("server: op %d carries %d unexpected body bytes", req.Op, len(p))
 		}

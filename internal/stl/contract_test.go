@@ -6,23 +6,17 @@ import (
 
 	"smrseek/internal/gc"
 	"smrseek/internal/geom"
-	"smrseek/internal/mcache"
 	"smrseek/internal/stl"
 )
 
 // TestLayerContract checks the append contract every translation layer
-// shares, on the two built-in layers and the gc and mcache alternatives:
-// appending into a non-empty dst leaves its prefix untouched and appends
-// exactly the fragments an empty dst would get; and an empty extent
-// appends nothing. The rewrite loop runs long
-// enough that gc cleans and mcache merges inside WriteAppend, whose
-// relocations must never land in the caller's dst.
+// shares, on the two built-in layers and the gc alternative: appending
+// into a non-empty dst leaves its prefix untouched and appends exactly
+// the fragments an empty dst would get; and an empty extent appends
+// nothing. The rewrite loop runs long enough that gc cleans inside
+// WriteAppend, whose relocations must never land in the caller's dst.
 func TestLayerContract(t *testing.T) {
 	gcLayer, err := gc.New(gc.Config{DeviceSectors: 4096, LogSectors: 8 * 256, SegmentSectors: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcLayer, err := mcache.New(mcache.Config{DeviceSectors: 8 * 1024, ZoneSectors: 1024, CacheSectors: 2 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +27,6 @@ func TestLayerContract(t *testing.T) {
 		{"NoLS", stl.NewNoLS()},
 		{"LS", stl.NewLS(1 << 16)},
 		{"gc", gcLayer},
-		{"mcache", mcLayer},
 	}
 	sentinel := stl.Fragment{Lba: geom.Ext(7, 1), Pba: 12345}
 	prefix := func() []stl.Fragment {
@@ -97,9 +90,6 @@ func TestLayerContract(t *testing.T) {
 			}
 			if g, ok := l.(*gc.Layer); ok && g.ExtraSectors() == 0 {
 				t.Error("gc never cleaned inside WriteAppend; lengthen the loop")
-			}
-			if m, ok := l.(*mcache.Layer); ok && m.ExtraSectors() == 0 {
-				t.Error("mcache never merged inside WriteAppend; lengthen the loop")
 			}
 		})
 	}

@@ -441,7 +441,12 @@ func TestRecoverCoalescesHandWrittenCheckpoint(t *testing.T) {
 		t.Fatalf("ReadCheckpointFile rejected the hand-written checkpoint: %v", err)
 	}
 	alone := assertMatchesForward(t, "checkpoint alone", snap, journal.Data{Generation: 2})
-	if got := alone.Map().Lookup(geom.Ext(0, 24)); alone.Map().Len() != 2 || len(got) != 1 || got[0].Pba != 200 {
+	var got []extmap.Resolved
+	alone.Map().LookupFunc(geom.Ext(0, 24), func(r extmap.Resolved) bool {
+		got = append(got, r)
+		return true
+	})
+	if alone.Map().Len() != 2 || len(got) != 1 || got[0].Pba != 200 {
 		t.Errorf("checkpoint alone: %d mappings, [0,24) resolves to %v; want 2 and one fragment at 200",
 			alone.Map().Len(), got)
 	}

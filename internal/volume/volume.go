@@ -49,9 +49,6 @@ var (
 	ErrOverloaded = errors.New("volume: request queue full")
 	// ErrClosed is returned for submissions after Close began.
 	ErrClosed = errors.New("volume: closed")
-	// ErrNoJournal is returned for Snapshot requests on a volume without
-	// journal-backed durability.
-	ErrNoJournal = errors.New("volume: no journal attached")
 )
 
 // Defaults for Config zero values.
@@ -64,12 +61,11 @@ const (
 type Op uint8
 
 // Request kinds. Read and Write step the simulator; Stat snapshots the
-// accumulated statistics; Snapshot forces a journal checkpoint.
+// accumulated statistics.
 const (
 	OpWrite Op = iota + 1
 	OpRead
 	OpStat
-	OpSnapshot
 )
 
 // String returns the op's lowercase name.
@@ -81,8 +77,6 @@ func (o Op) String() string {
 		return "read"
 	case OpStat:
 		return "stat"
-	case OpSnapshot:
-		return "snapshot"
 	}
 	return fmt.Sprintf("op(%d)", o)
 }
@@ -122,8 +116,7 @@ type Result struct {
 	// Stats is the statistics snapshot for OpStat, nil otherwise.
 	Stats *core.Stats
 	// Err is the op-level failure: sticky journal errors for
-	// reads/writes (journal.ErrCrashed or any other append failure),
-	// ErrNoJournal for Snapshot without a journal.
+	// reads/writes (journal.ErrCrashed or any other append failure).
 	Err error
 	// Tag echoes the Request's Tag, so many requests can share one
 	// buffered done channel and still attribute results — the SMRD2
@@ -325,8 +318,6 @@ func (v *Volume) process(req Request) {
 	case OpStat:
 		st := v.sim.Stats()
 		res.Stats = &st
-	case OpSnapshot:
-		res.Err = v.checkpoint()
 	default:
 		res.Err = fmt.Errorf("volume: unknown op %d", req.Kind)
 	}
@@ -338,18 +329,6 @@ func (v *Volume) process(req Request) {
 	if req.done != nil {
 		req.done <- res
 	}
-}
-
-// checkpoint persists the layer's full state through the journal. Runs
-// on the actor goroutine only.
-func (v *Volume) checkpoint() error {
-	if v.wal == nil || v.ls == nil {
-		return ErrNoJournal
-	}
-	if err := v.sim.JournalErr(); err != nil {
-		return err
-	}
-	return v.wal.CheckpointMap(v.ls.Frontier(), v.ls.LogSectors(), v.ls.Map())
 }
 
 // shutdown finishes the run on the actor goroutine once the queue is

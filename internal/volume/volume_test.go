@@ -324,30 +324,23 @@ func TestGroupCommitMatchesStep(t *testing.T) {
 	}
 }
 
-func TestVolumeSnapshotOp(t *testing.T) {
-
-	plain, err := volume.Open(volume.Config{Name: "plain", Sim: core.Config{LogStructured: true, FrontierStart: 4096}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if _, err := do(plain, volume.OpSnapshot, geom.Extent{}); !errors.Is(err, volume.ErrNoJournal) {
-		t.Errorf("Snapshot without journal: err = %v, want ErrNoJournal", err)
-	}
-
-	wal, err := volume.Open(volume.Config{
+// TestVolumeRetiredOp: op 4, the retired snapshot op, is no volume
+// request kind any more; the actor answers it with an error and keeps
+// serving.
+func TestVolumeRetiredOp(t *testing.T) {
+	v, err := volume.Open(volume.Config{
 		Name: "wal", Sim: core.Config{LogStructured: true, FrontierStart: 4096},
 		JournalDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
-	if _, err := do(wal, volume.OpWrite, geom.Ext(0, 8)); err != nil {
-		t.Fatal(err)
+	defer v.Close()
+	if _, err := do(v, volume.Op(4), geom.Extent{}); err == nil {
+		t.Error("op 4 was accepted")
 	}
-	if _, err := do(wal, volume.OpSnapshot, geom.Extent{}); err != nil {
-		t.Errorf("Snapshot with journal: %v", err)
+	if _, err := do(v, volume.OpWrite, geom.Ext(0, 8)); err != nil {
+		t.Errorf("write after op 4: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package smrseek
 
 import (
 	"smrseek/internal/gc"
-	"smrseek/internal/mcache"
 	"smrseek/internal/trace"
 	"smrseek/internal/workload"
 )
@@ -28,18 +27,6 @@ type GCLayer = gc.Layer
 // cleaning I/O is charged to the simulation — the overhead the paper's
 // infinite-disk model excludes.
 func NewGCLayer(cfg GCConfig) (*GCLayer, error) { return gc.New(cfg) }
-
-// MediaCacheConfig sizes the media-cache layer.
-type MediaCacheConfig = mcache.Config
-
-// MediaCacheLayer is the drive-managed SMR media-cache translation
-// layer (§II's shipped-device design).
-type MediaCacheLayer = mcache.Layer
-
-// NewMediaCacheLayer builds the media-cache translation layer: updates
-// log to a reserved region, merges rewrite whole zones back in LBA
-// order — low read-seek amplification, high write amplification.
-func NewMediaCacheLayer(cfg MediaCacheConfig) (*MediaCacheLayer, error) { return mcache.New(cfg) }
 
 // WriteFootprint returns the number of distinct sectors the trace ever
 // writes — the live-data upper bound used to size finite logs.

@@ -37,33 +37,6 @@ func TestGCLayerThroughFacade(t *testing.T) {
 	}
 }
 
-func TestMediaCacheLayerThroughFacade(t *testing.T) {
-	recs := smrseek.MustWorkload("usr_0").Generate(0.2)
-	const zone = 8192
-	maxLBA := smrseek.MaxLBA(recs)
-	layer, err := smrseek.NewMediaCacheLayer(smrseek.MediaCacheConfig{
-		DeviceSectors: ((maxLBA + zone) / zone) * zone,
-		ZoneSectors:   zone,
-		CacheSectors:  2 * zone, // small cache so the write volume forces merges
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := smrseek.Run(smrseek.Config{CustomLayer: layer}, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layer.ExtraSectors() == 0 {
-		t.Error("expected merges on usr_0's write volume")
-	}
-	if st.WAF <= 1 {
-		t.Errorf("WAF = %v, want > 1", st.WAF)
-	}
-	if _, err := smrseek.NewMediaCacheLayer(smrseek.MediaCacheConfig{}); err == nil {
-		t.Error("invalid mcache config must error")
-	}
-}
-
 func TestWriteFootprintCountsDistinctSectors(t *testing.T) {
 	recs := []smrseek.Record{
 		{Kind: smrseek.Write, Extent: smrseek.Extent{Start: 0, Count: 10}},
